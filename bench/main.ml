@@ -17,13 +17,15 @@
      dune exec bench/main.exe -- --quick --jobs 4   # parallel workers
      dune exec bench/main.exe -- --no-cache fig7    # force re-simulation
      dune exec bench/main.exe -- --paper-scale table1   # k=8 fat tree
-     dune exec bench/main.exe -- micro        # bechamel micro-benches
-     dune exec bench/main.exe -- perf         # tracked perf baseline
-     dune exec bench/main.exe -- perf --quick --out BENCH_PR5.json *)
+     dune exec bench/main.exe -- micro        # fluid fixed-point micro-bench
+     dune exec bench/main.exe -- perf         # perf pass -> perf.json
+     dune exec bench/main.exe -- perf --quick --compare BENCH_PR9.json
+
+   The engine, queue and transport hot-path micro-benches live in
+   xmpbench (python3 xmpbench/run.py --workload bulk.k4 --trace 1). *)
 
 module E = Xmp_experiments
 module Runner = Xmp_runner.Runner
-module Time = Xmp_engine.Time
 
 type mode = Default | Quick | Paper
 
@@ -35,48 +37,11 @@ let config () =
   | Quick -> E.Scenarios.quick
   | Paper -> E.Scenarios.paper
 
-(* ----- micro-benchmarks (Bechamel) -----
+(* ----- micro-benchmark (Bechamel) -----
 
-   Not a scenario: bechamel measures this machine's wall clock, so the
-   output is neither deterministic nor cacheable. *)
-
-let heap_test =
-  Bechamel.Test.make ~name:"event_queue push+pop x1000"
-    (Bechamel.Staged.stage (fun () ->
-         let q = Xmp_engine.Event_queue.create () in
-         for i = 0 to 999 do
-           Xmp_engine.Event_queue.add q ~time:(i * 7919 mod 1000) ~seq:i i
-         done;
-         let rec drain () =
-           match Xmp_engine.Event_queue.pop q with
-           | Some _ -> drain ()
-           | None -> ()
-         in
-         drain ()))
-
-let disc_test =
-  Bechamel.Test.make ~name:"queue_disc enqueue+dequeue x100"
-    (Bechamel.Staged.stage (fun () ->
-         let d =
-           Xmp_net.Queue_disc.create
-             ~policy:(Xmp_net.Queue_disc.Threshold_mark 10)
-             ~capacity_pkts:100
-         in
-         for i = 0 to 99 do
-           let p =
-             Xmp_net.Packet.data ~flow:0 ~subflow:0 ~src:0 ~dst:1
-               ~path:0 ~seq:i ~ect:true ~cwr:false ~ts:0
-           in
-           ignore (Xmp_net.Queue_disc.enqueue d p)
-         done;
-         let rec drain () =
-           match Xmp_net.Queue_disc.dequeue d with
-           | Some p ->
-             Xmp_net.Packet.release p;
-             drain ()
-           | None -> ()
-         in
-         drain ()))
+   Not a scenario: bechamel measures the host's wall clock, so the
+   output is neither deterministic nor cacheable. Only the fluid model
+   is measured here; xmpbench reports the simulator's hot paths. *)
 
 let fluid_test =
   Bechamel.Test.make ~name:"fluid trash_fixed_point (3 paths)"
@@ -92,37 +57,8 @@ let fluid_test =
               ~paths:[ path 50_000.; path 80_000.; path 20_000. ]
               ~iterations:20)))
 
-let sim_test =
-  Bechamel.Test.make ~name:"end-to-end sim, 1 XMP flow, 10 ms"
-    (Bechamel.Staged.stage (fun () ->
-         let sim = Xmp_engine.Sim.create () in
-         let net = Xmp_net.Network.create sim in
-         let disc () =
-           Xmp_net.Queue_disc.create
-             ~policy:(Xmp_net.Queue_disc.Threshold_mark 10)
-             ~capacity_pkts:100
-         in
-         let tb =
-           Xmp_net.Testbed.create ~net ~n_left:1 ~n_right:1
-             ~bottlenecks:
-               [
-                 {
-                   Xmp_net.Testbed.rate = Xmp_net.Units.gbps 1.;
-                   delay = Time.us 62;
-                   disc;
-                 };
-               ]
-             ()
-         in
-         ignore
-           (Xmp_core.Xmp.flow ~net ~flow:1
-              ~src:(Xmp_net.Testbed.left_id tb 0)
-              ~dst:(Xmp_net.Testbed.right_id tb 0)
-              ~paths:[ 0 ] ());
-         Xmp_engine.Sim.run ~until:(Time.ms 10) sim))
-
 let micro () =
-  E.Render.heading "Micro-benchmarks of simulator hot paths (Bechamel)";
+  E.Render.heading "Micro-benchmark of the fluid model (Bechamel)";
   let benchmark test =
     let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
     let cfg =
@@ -148,7 +84,7 @@ let micro () =
           | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
           | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
         results)
-    [ heap_test; disc_test; fluid_test; sim_test ]
+    [ fluid_test ]
 
 (* ----- argument parsing and dispatch ----- *)
 
@@ -174,10 +110,12 @@ let usage () =
     (E.Scenarios.all E.Scenarios.default);
   Printf.printf "  %-22s %s\n" "ablations" "every ablations.* sweep";
   Printf.printf "  %-22s %s\n" "micro"
-    "simulator micro-benchmarks (never cached)";
+    "fluid fixed-point micro-benchmark (never cached; the simulator's hot \
+     paths are in python3 xmpbench/run.py --trace 1)";
   Printf.printf "  %-22s %s\n" "perf"
-    "pinned-scenario perf baseline -> BENCH_PR5.json (never cached; \
-     --out to rename; --compare FILE to gate on a committed baseline)"
+    "pinned-scenario perf pass -> perf.json (never cached; --out to \
+     rename, never onto a committed BENCH_PR*.json; --compare FILE to \
+     gate on a committed baseline)"
 
 let () =
   (* The simulator's live heap is small relative to its allocation rate,
@@ -191,7 +129,7 @@ let () =
   let selected = ref [] in
   let jobs = ref 1 in
   let cache = ref (Runner.Cache_dir Xmp_runner.Cache.default_dir) in
-  let perf_out = ref "BENCH_PR5.json" in
+  let perf_out = ref "perf.json" in
   let perf_compare = ref None in
   let bad = ref false in
   let rec parse = function

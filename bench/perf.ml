@@ -5,11 +5,13 @@
    executed directly with its stdout captured, and we record wall time,
    simulation events executed (process-wide counter delta), the event
    heap's high-water mark and major-heap words allocated. Results land in
-   a committed BENCH_PR5.json so later PRs have a perf trajectory to
-   compare against; the numbers are machine-dependent, so CI only checks
-   the file is produced and that the run leaves golden digests intact —
-   regressions in *behaviour* are caught byte-exactly, regressions in
-   *speed* by comparing trajectories across commits on like hardware.
+   the --out file (the gitignored perf.json by default); the committed
+   BENCH_PR<n>.json baselines give later changes a perf trajectory to
+   compare against, and [run] refuses to write over one of them. The
+   numbers are machine-dependent, so CI only checks the file is produced
+   and gates on a large events/s drop — regressions in *behaviour* are
+   caught byte-exactly, regressions in *speed* by comparing trajectories
+   across commits on like hardware.
 
    Schema (one object per pinned scenario):
      {scenario, events, wall_s, events_per_s, heap_peak, major_words} *)
@@ -180,22 +182,36 @@ let compare_against ~baseline results =
           ok && not fail)
         true shared
 
+(* BENCH_PR<n>.json files are committed history, never an output. *)
+let is_committed_baseline path =
+  let base = Filename.basename path in
+  String.starts_with ~prefix:"BENCH_PR" base && Filename.check_suffix base ".json"
+
 let run ~quick ~out ?compare () =
-  let scenarios = List.map resolve (pinned ~quick) in
-  E.Render.heading "Perf benchmark (pinned scenarios, in-process, uncached)";
-  Printf.printf "%-16s %12s %9s %14s %10s %13s\n" "scenario" "events"
-    "wall_s" "events/s" "heap_peak" "major_words";
-  let results =
-    List.map
-      (fun sc ->
-        let r = measure sc in
-        Printf.printf "%-16s %12d %9.3f %14.1f %10d %13.0f\n" r.label
-          r.events r.wall_s r.events_per_s r.heap_peak r.major_words;
-        r)
-      scenarios
-  in
-  write_json ~path:out results;
-  Printf.printf "wrote %s\n" out;
-  match compare with
-  | None -> true
-  | Some baseline -> compare_against ~baseline results
+  if is_committed_baseline out && Sys.file_exists out then begin
+    Printf.eprintf
+      "bench perf: refusing to overwrite the committed baseline %s; pass \
+       --out with a new path\n"
+      out;
+    false
+  end
+  else begin
+    let scenarios = List.map resolve (pinned ~quick) in
+    E.Render.heading "Perf benchmark (pinned scenarios, in-process, uncached)";
+    Printf.printf "%-16s %12s %9s %14s %10s %13s\n" "scenario" "events"
+      "wall_s" "events/s" "heap_peak" "major_words";
+    let results =
+      List.map
+        (fun sc ->
+          let r = measure sc in
+          Printf.printf "%-16s %12d %9.3f %14.1f %10d %13.0f\n" r.label
+            r.events r.wall_s r.events_per_s r.heap_peak r.major_words;
+          r)
+        scenarios
+    in
+    write_json ~path:out results;
+    Printf.printf "wrote %s\n" out;
+    match compare with
+    | None -> true
+    | Some baseline -> compare_against ~baseline results
+  end

@@ -527,16 +527,15 @@ let list_links_t =
 let faults_cmd =
   let run k horizon seed mark queue beta sack scheme pattern faults list_links =
     if list_links then begin
-      let sim = Xmp_engine.Sim.create () in
-      let net = Xmp_net.Network.create sim in
+      let cluster = Xmp_net.Shard.create ~shards:1 () in
       let disc () =
         Xmp_net.Queue_disc.create
           ~policy:(Xmp_net.Queue_disc.Threshold_mark mark) ~capacity_pkts:queue
       in
-      ignore (Xmp_net.Fat_tree.create ~net ~k ~disc ());
+      ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ());
       List.iter
         (fun l -> print_endline (Xmp_net.Link.name l))
-        (Xmp_net.Network.links net)
+        (Xmp_net.Network.links (Xmp_net.Shard.net cluster 0))
     end
     else
       let base =

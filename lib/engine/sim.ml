@@ -109,9 +109,6 @@ let create ?(config = default_config) () =
     faults = config.faults;
   }
 
-let create_legacy ?(seed = 42) ?invariants () =
-  create ~config:{ default_config with seed; invariants } ()
-
 let now t = t.now
 let next_event_time (t : t) = Event_queue.top_time t.heap
 let rng t = t.random

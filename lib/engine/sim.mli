@@ -48,12 +48,6 @@ val default_config : config
 val create : ?config:config -> unit -> t
 (** A fresh simulator at time 0 (default {!default_config}). *)
 
-val create_legacy : ?seed:int -> ?invariants:bool -> unit -> t
-[@@ocaml.deprecated
-  "use Sim.create ?config () with a Sim.config record instead"]
-(** The pre-telemetry construction API, kept for one release as a
-    compatibility shim over {!create}. *)
-
 val now : t -> Time.t
 
 val rng : t -> Random.State.t

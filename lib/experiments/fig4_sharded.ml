@@ -43,21 +43,23 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 15)
       ~capacity_pkts:100
   in
-  let ft =
-    Net.Fat_tree_sharded.create
-      ~config:{ Sim.default_config with Sim.seed }
-      ~k:4 ~rate:bottleneck_rate ~disc ()
+  let cluster =
+    Net.Shard.create ~config:{ Sim.default_config with Sim.seed } ~shards:4 ()
+  in
+  let view =
+    Net.Fat_tree.view
+      (Net.Fat_tree.create ~cluster ~k:4 ~rate:bottleneck_rate ~disc ())
   in
   (* k=4: pod p holds hosts (p, e, s) = 4p + 2e + s *)
   let host pod e s = (pod * 4) + (e * 2) + s in
-  let sim0 = Net.Shard.sim (Net.Fat_tree_sharded.cluster ft) 0 in
+  let sim0 = Net.Shard.sim cluster 0 in
   let probe = Probe.create ~sim:sim0 ~bucket_s:(unit_s /. 20.) ~horizon_s in
   let launch ~flow ~src ~dst ~paths ~probe_names =
     let recorders =
       Array.of_list (List.map (Probe.recorder probe) probe_names)
     in
-    let net = Net.Fat_tree_sharded.host_net ft src in
-    let rcv_net = Net.Fat_tree_sharded.host_net ft dst in
+    let net = Net.Topology.host_net view src in
+    let rcv_net = Net.Topology.host_net view dst in
     ignore
       (xmp_flow ~net ~rcv_net ~beta ~flow ~src ~dst ~paths
          ~observer:
@@ -83,7 +85,7 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
     Sim.at sim0
       (Time.sec (from_u *. unit_s))
       (fun () ->
-        let net = Net.Fat_tree_sharded.host_net ft src in
+        let net = Net.Topology.host_net view src in
         let f = xmp_flow ~net ~beta ~flow ~src ~dst ~paths:[ path ] () in
         Sim.at sim0
           (Time.sec (until_u *. unit_s))
@@ -93,7 +95,7 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
     ~until_u:2.;
   background ~flow:5 ~src:(host 0 0 0) ~dst:(host 0 1 1) ~path:1 ~from_u:2.
     ~until_u:3.;
-  Net.Fat_tree_sharded.run ~domains ~until:(Time.sec horizon_s) ft;
+  Net.Shard.run ~domains ~until:(Time.sec horizon_s) cluster;
   let norm = float_of_int bottleneck_rate in
   let rates =
     List.map
@@ -115,8 +117,8 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
     rates;
     loaded_share = share ~from_u:1.3 ~until_u:2.;
     recovered_share = share ~from_u:2.3 ~until_u:3.;
-    events = Net.Shard.events_executed (Net.Fat_tree_sharded.cluster ft);
-    mail = Net.Shard.mail_injected (Net.Fat_tree_sharded.cluster ft);
+    events = Net.Shard.events_executed cluster;
+    mail = Net.Shard.mail_injected cluster;
   }
 
 let print r =

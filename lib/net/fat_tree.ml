@@ -1,24 +1,17 @@
 module Time = Xmp_engine.Time
 
-type locality = Inner_rack | Inter_rack | Inter_pod | Inter_dc
+type locality = Topology.locality =
+  | Inner_rack
+  | Inter_rack
+  | Inter_pod
+  | Inter_dc
 
-let locality_name = function
-  | Inner_rack -> "Inner-Rack"
-  | Inter_rack -> "Inter-Rack"
-  | Inter_pod -> "Inter-Pod"
-  | Inter_dc -> "Inter-DC"
+let locality_name = Topology.locality_name
 
-let pp_locality fmt l = Format.pp_print_string fmt (locality_name l)
-
-type t = {
-  k : int;
-  net : Network.t;
-  host_base : int;
-  n_hosts : int;
-  rack_delay : Time.t;
-  agg_delay : Time.t;
-  core_delay : Time.t;
-}
+(* One-way layer delays of §5.2.1. *)
+let rack_delay = Time.us 20
+let agg_delay = Time.us 30
+let core_delay = Time.us 40
 
 let layers = [ "core"; "aggregation"; "rack" ]
 
@@ -29,135 +22,163 @@ let decompose ~k i =
   let per_pod = half * half in
   (i / per_pod, i mod per_pod / half, i mod half)
 
-let create ~net ~k ?(rate = Units.gbps 1.) ?(rack_delay = Time.us 20)
-    ?(agg_delay = Time.us 30) ?(core_delay = Time.us 40) ~disc () =
-  if k < 2 || k mod 2 <> 0 then invalid_arg "Fat_tree.create: k";
+let shape ~k =
   let half = k / 2 in
-  let n_hosts = k * half * half in
+  let ascent = Time.add rack_delay (Time.add agg_delay core_delay) in
+  {
+    Topology.hosts = k * half * half;
+    switches = (2 * k * half) + (half * half);
+    classify =
+      (fun src dst ->
+        let pod_s, edge_s, _ = decompose ~k src
+        and pod_d, edge_d, _ = decompose ~k dst in
+        if pod_s <> pod_d then Inter_pod
+        else if edge_s <> edge_d then Inter_rack
+        else Inner_rack);
+    paths =
+      (function
+      | Inner_rack -> 1
+      | Inter_rack -> half
+      | Inter_pod | Inter_dc -> half * half);
+    one_way =
+      (function
+      | Inner_rack -> Time.mul rack_delay 2
+      | Inter_rack -> Time.mul (Time.add rack_delay agg_delay) 2
+      | Inter_pod -> Time.mul ascent 2
+      | Inter_dc -> ascent);
+    exit_delay = core_delay;
+  }
+
+(* Core (g, c) is placed with pod (g·k/2 + c) mod k, so on a pod-sharded
+   cluster the core layer spreads round-robin over the shards and no
+   shard serializes all inter-pod contention. *)
+let core_pod ~k g c = ((g * (k / 2)) + c) mod k
+
+let build cluster ~shard_of_pod ~k ~prefix ~host_base ~switch_base ~n_exits
+    ~rate ~disc =
+  let half = k / 2 in
+  let n = k * half * half in
+  let place add pod id name =
+    let s = shard_of_pod pod in
+    (s, add (Shard.net cluster s) ~id ~name:(prefix ^ name))
+  in
   let hosts =
-    Array.init n_hosts (fun i ->
+    Array.init n (fun i ->
         let pod, edge, slot = decompose ~k i in
-        Network.add_host net
-          ~name:(Printf.sprintf "h%d.%d.%d" pod edge slot))
+        place Network.add_host_at pod (host_base + i)
+          (Printf.sprintf "h%d.%d.%d" pod edge slot))
   in
-  let edges =
-    Array.init k (fun pod ->
-        Array.init half (fun e ->
-            Network.add_switch net ~name:(Printf.sprintf "e%d.%d" pod e)))
-  in
-  let aggs =
-    Array.init k (fun pod ->
-        Array.init half (fun a ->
-            Network.add_switch net ~name:(Printf.sprintf "a%d.%d" pod a)))
-  in
-  let cores =
-    Array.init half (fun g ->
+  let grid rows base letter pod_of =
+    Array.init rows (fun r ->
         Array.init half (fun c ->
-            Network.add_switch net ~name:(Printf.sprintf "c%d.%d" g c)))
+            place Network.add_switch_at (pod_of r c)
+              (base + (r * half) + c)
+              (Printf.sprintf "%s%d.%d" letter r c)))
   in
-  let host_base = Node.id hosts.(0) in
-  (* Rack layer: host [slot]'s uplink is its port 0; edge switch port to
-     host [slot] is port [slot]. *)
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      for slot = 0 to half - 1 do
-        let i = (pod * half * half) + (e * half) + slot in
-        ignore
-          (Network.connect net ~tag:"rack" ~rate ~delay:rack_delay ~disc
-             hosts.(i)
-             edges.(pod).(e))
-      done
-    done
-  done;
-  (* Aggregation layer: edge port to agg [a] is [half + a]; agg port to
-     edge [e] is [e]. *)
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      for a = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"aggregation" ~rate ~delay:agg_delay
-             ~disc
-             edges.(pod).(e)
-             aggs.(pod).(a))
-      done
-    done
-  done;
-  (* Core layer: agg [a] port to core offset [c] is [half + c]; core (g,c)
-     port to pod [pod] is [pod]. Loop pods outer so core ports land in pod
-     order. *)
-  for pod = 0 to k - 1 do
-    for a = 0 to half - 1 do
-      for c = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"core" ~rate ~delay:core_delay ~disc
-             aggs.(pod).(a)
-             cores.(a).(c))
-      done
-    done
-  done;
-  let host_index id = id - host_base in
-  let pod_of id = host_index id / (half * half) in
-  let edge_of id = host_index id mod (half * half) / half in
-  let slot_of id = host_index id mod half in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      Node.set_route
-        edges.(pod).(e)
-        (fun p ->
-          let dst = Packet.dst p in
-          if pod_of dst = pod && edge_of dst = e then slot_of dst
-          else begin
-            let a =
-              if pod_of dst = pod then Packet.path p mod half
-              else Packet.path p / half mod half
-            in
-            half + a
-          end)
-    done;
-    for a = 0 to half - 1 do
-      Node.set_route
-        aggs.(pod).(a)
-        (fun p ->
-          let dst = Packet.dst p in
-          if pod_of dst = pod then edge_of dst
-          else half + (Packet.path p mod half))
-    done
-  done;
-  for g = 0 to half - 1 do
-    for c = 0 to half - 1 do
-      Node.set_route cores.(g).(c) (fun p -> pod_of (Packet.dst p))
-    done
-  done;
-  { k; net; host_base; n_hosts; rack_delay; agg_delay; core_delay }
+  let edges = grid k switch_base "e" (fun pod _ -> pod) in
+  let aggs = grid k (switch_base + (k * half)) "a" (fun pod _ -> pod) in
+  let cores = grid half (switch_base + (2 * k * half)) "c" (core_pod ~k) in
+  (* Layer-major wiring fixes the ports routing relies on: a host's
+     uplink is its port 0 and edge port [slot] reaches host [slot]; edge
+     port [half + a] reaches agg [a], whose port [e] reaches edge [e];
+     agg [a]'s port [half + c] reaches core (a, c), whose port [pod]
+     reaches that pod and port [k + j] border router [j]. *)
+  let link tag delay a b =
+    ignore (Shard.connect cluster ~tag ~rate ~delay ~disc a b)
+  in
+  Array.iteri
+    (fun i h ->
+      let pod, edge, _ = decompose ~k i in
+      link "rack" rack_delay h edges.(pod).(edge))
+    hosts;
+  Array.iteri
+    (fun pod row ->
+      Array.iter
+        (fun e -> Array.iter (link "aggregation" agg_delay e) aggs.(pod))
+        row)
+    edges;
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun a agg -> Array.iter (link "core" core_delay agg) cores.(a))
+        row)
+    aggs;
+  (* Destinations outside [host_base, host_base + n) ascend like
+     inter-pod traffic and leave through border [path / (k/2)² mod
+     n_exits]. *)
+  let local dst = dst >= host_base && dst < host_base + n in
+  let pod_of dst = (dst - host_base) / (half * half) in
+  let edge_of dst = (dst - host_base) mod (half * half) / half in
+  let slot_of dst = (dst - host_base) mod half in
+  let route (_, node) f = Node.set_route node f in
+  Array.iter (fun h -> route h (fun _ -> 0)) hosts;
+  Array.iteri
+    (fun pod row ->
+      Array.iteri
+        (fun e sw ->
+          route sw (fun p ->
+              let dst = Packet.dst p in
+              if local dst && pod_of dst = pod && edge_of dst = e then
+                slot_of dst
+              else if local dst && pod_of dst = pod then
+                half + (Packet.path p mod half)
+              else half + (Packet.path p / half mod half)))
+        row)
+    edges;
+  Array.iteri
+    (fun pod row ->
+      Array.iter
+        (fun sw ->
+          route sw (fun p ->
+              let dst = Packet.dst p in
+              if local dst && pod_of dst = pod then edge_of dst
+              else half + (Packet.path p mod half)))
+        row)
+    aggs;
+  Array.iter
+    (Array.iter (fun sw ->
+         route sw (fun p ->
+             let dst = Packet.dst p in
+             if local dst then pod_of dst
+             else k + (Packet.path p / (half * half) mod n_exits))))
+    cores;
+  Array.concat (Array.to_list cores)
+
+type t = { k : int; shard_of_pod : int -> int; view : Topology.t }
+
+let create ~cluster ~k ?(rate = Units.gbps 1.) ~disc () =
+  if k < 2 || k mod 2 <> 0 then invalid_arg "Fat_tree.create: k";
+  let shard_of_pod =
+    match Shard.n_shards cluster with
+    | 1 -> fun _ -> 0
+    | n when n = k -> Fun.id
+    | _ -> invalid_arg "Fat_tree.create: cluster must have 1 or k shards"
+  in
+  let s = shape ~k in
+  ignore
+    (build cluster ~shard_of_pod ~k ~prefix:"" ~host_base:0
+       ~switch_base:s.hosts ~n_exits:0 ~rate ~disc);
+  let per_pod = k / 2 * (k / 2) in
+  let shard_of_host i = shard_of_pod (i / per_pod) in
+  { k; shard_of_pod; view = Topology.of_shape ~cluster ~shard_of_host s }
 
 let k t = t.k
-let net t = t.net
-let n_hosts t = t.n_hosts
+let view t = t.view
+let n_hosts t = t.view.n_hosts
 
 let host_id t i =
-  if i < 0 || i >= t.n_hosts then invalid_arg "Fat_tree.host_id";
-  t.host_base + i
-
-let host_index t id =
-  let i = id - t.host_base in
-  if i < 0 || i >= t.n_hosts then invalid_arg "Fat_tree.host_index";
+  if i < 0 || i >= n_hosts t then invalid_arg "Fat_tree.host_id";
   i
 
-let locality t ~src ~dst =
-  let pod_s, edge_s, _ = decompose ~k:t.k src
-  and pod_d, edge_d, _ = decompose ~k:t.k dst in
-  if pod_s <> pod_d then Inter_pod
-  else if edge_s <> edge_d then Inter_rack
-  else Inner_rack
+let host_index t id =
+  if id < 0 || id >= n_hosts t then invalid_arg "Fat_tree.host_index";
+  id
 
-let n_paths t ~src ~dst =
-  let half = t.k / 2 in
-  match locality t ~src ~dst with
-  | Inner_rack -> 1
-  | Inter_rack -> half
-  | Inter_pod -> half * half
-  | Inter_dc -> assert false (* both endpoints live in this tree *)
+let locality t = t.view.locality
+let n_paths t = t.view.n_paths
+
+(* host-edge-agg-core-agg-edge-host, both directions *)
+let max_rtt_no_queue t = Time.mul ((shape ~k:t.k).one_way Inter_pod) 2
 
 (* ---- link naming for fault schedules --------------------------------- *)
 
@@ -182,22 +203,15 @@ let host_uplink_name t i =
   let pod, edge, slot = decompose ~k:t.k (host_index t (host_id t i)) in
   Printf.sprintf "h%d.%d.%d->e%d.%d" pod edge slot pod edge
 
-let find_link_exn t name =
-  match Network.find_link t.net ~name with
+(* A rack link lives in its pod's shard, both directions. *)
+let find_link_exn t ~pod name =
+  let net = Shard.net t.view.cluster (t.shard_of_pod pod) in
+  match Network.find_link net ~name with
   | Some l -> l
   | None -> invalid_arg ("Fat_tree: no link named " ^ name)
 
 let rack_uplink t ~pod ~edge ~agg =
-  find_link_exn t (rack_uplink_name t ~pod ~edge ~agg)
+  find_link_exn t ~pod (rack_uplink_name t ~pod ~edge ~agg)
 
 let rack_downlink t ~pod ~edge ~agg =
-  find_link_exn t (rack_downlink_name t ~pod ~edge ~agg)
-
-let max_rtt_no_queue t =
-  (* host-edge-agg-core-agg-edge-host, both directions *)
-  let one_way =
-    Time.add
-      (Time.mul t.rack_delay 2)
-      (Time.add (Time.mul t.agg_delay 2) (Time.mul t.core_delay 2))
-  in
-  Time.mul one_way 2
+  find_link_exn t ~pod (rack_downlink_name t ~pod ~edge ~agg)

@@ -10,39 +10,62 @@
     and core offset [p mod (k/2)]; intra-pod inter-rack traffic uses
     aggregation switch [p mod (k/2)]. ACKs carry the same selector, so the
     reverse path is the mirror of the forward path, as with symmetric
-    two-level lookup tables. *)
+    two-level lookup tables.
 
-type locality = Inner_rack | Inter_rack | Inter_pod | Inter_dc
-(** [Inter_dc] never arises within one tree; it is produced by the
-    {!Wan} bridge for host pairs on opposite sides of a border link. *)
+    1 Gbps links by default; one-way delays 20 µs (rack), 30 µs
+    (aggregation), 40 µs (core). Link layer tags are ["rack"],
+    ["aggregation"], ["core"]. *)
 
-val pp_locality : Format.formatter -> locality -> unit
+type locality = Topology.locality =
+  | Inner_rack
+  | Inter_rack
+  | Inter_pod
+  | Inter_dc
 
 val locality_name : locality -> string
 
-val decompose : k:int -> int -> int * int * int
-(** [decompose ~k i] splits host index [i] into [(pod, edge, slot)] —
-    [k/2] hosts per edge switch, [(k/2)²] per pod. *)
+val shape : k:int -> Topology.shape
+(** The tree's geometry — host and switch counts, locality classes, path
+    counts and zero-load delays — independent of placement. *)
+
+val build :
+  Shard.t ->
+  shard_of_pod:(int -> int) ->
+  k:int ->
+  prefix:string ->
+  host_base:int ->
+  switch_base:int ->
+  n_exits:int ->
+  rate:Units.rate ->
+  disc:(unit -> Queue_disc.t) ->
+  (int * Node.t) array
+(** The one description of the tree. Host index [i] gets node id
+    [host_base + i]; the edge, aggregation and core switches follow from
+    [switch_base]; names are [prefix] followed by ["h<pod>.<edge>.<slot>"],
+    ["e<pod>.<e>"], ["a<pod>.<a>"] or ["c<g>.<c>"]. Pod [p]'s nodes go on
+    shard [shard_of_pod p]; core (g, c) goes with pod [(g·k/2 + c) mod
+    k]. Links are made with {!Shard.connect} in layer order (rack,
+    aggregation, core). Destinations outside the tree's host range leave
+    through core port [k + j], [j] = [path / (k/2)² mod n_exits]; the
+    caller wires those ports. Returns the [(shard, core)] pairs in
+    selector order. *)
 
 type t
 
 val create :
-  net:Network.t ->
+  cluster:Shard.t ->
   k:int ->
   ?rate:Units.rate ->
-  ?rack_delay:Xmp_engine.Time.t ->
-  ?agg_delay:Xmp_engine.Time.t ->
-  ?core_delay:Xmp_engine.Time.t ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
   t
-(** Defaults follow §5.2.1: 1 Gbps links everywhere; one-way delays 20 µs
-    (rack), 30 µs (aggregation), 40 µs (core). [k] must be even and ≥ 2.
-    Link layer tags are ["rack"], ["aggregation"], ["core"]. *)
+(** Builds the tree on a fresh cluster: all on shard 0 of a one-shard
+    cluster, or one pod per shard on a [k]-shard cluster. [k] must be
+    even and ≥ 2; any other shard count raises [Invalid_argument]. *)
 
 val k : t -> int
 
-val net : t -> Network.t
+val view : t -> Topology.t
 
 val n_hosts : t -> int
 

@@ -1,54 +1,60 @@
 module Time = Xmp_engine.Time
 
-type t = {
-  leaves : int;
-  spines : int;
-  hosts_per_leaf : int;
-  host_base : int;
-}
+(* One-way delays of the host and spine layers. *)
+let host_delay = Time.us 20
+let spine_delay = Time.us 30
 
 let layers = [ "spine"; "leaf" ]
 
-let create ~net ~leaves ~spines ~hosts_per_leaf
-    ?(host_rate = Units.gbps 1.) ?(spine_rate = Units.gbps 10.)
-    ?(host_delay = Time.us 20) ?(spine_delay = Time.us 30) ~disc () =
-  if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
-    invalid_arg "Leaf_spine.create";
-  let n_hosts = leaves * hosts_per_leaf in
+let shape ~leaves ~spines ~hosts_per_leaf =
+  let ascent = Time.add host_delay spine_delay in
+  {
+    Topology.hosts = leaves * hosts_per_leaf;
+    switches = leaves + spines;
+    classify =
+      (fun src dst ->
+        if src / hosts_per_leaf = dst / hosts_per_leaf then Topology.Inner_rack
+        else Topology.Inter_rack);
+    paths = (function Topology.Inner_rack -> 1 | _ -> spines);
+    one_way =
+      (function
+      | Topology.Inner_rack -> Time.mul host_delay 2
+      | Topology.Inter_dc -> ascent
+      | Topology.Inter_rack | Topology.Inter_pod -> Time.mul ascent 2);
+    exit_delay = spine_delay;
+  }
+
+let build cluster ~shard ~leaves ~spines ~hosts_per_leaf ~prefix ~host_base
+    ~switch_base ~n_exits ~host_rate ~spine_rate ~disc =
+  let net = Shard.net cluster shard in
+  let n = leaves * hosts_per_leaf in
   let hosts =
-    Array.init n_hosts (fun i ->
-        Network.add_host net
-          ~name:(Printf.sprintf "h%d.%d" (i / hosts_per_leaf) (i mod hosts_per_leaf)))
+    Array.init n (fun i ->
+        Network.add_host_at net ~id:(host_base + i)
+          ~name:
+            (Printf.sprintf "%sh%d.%d" prefix (i / hosts_per_leaf)
+               (i mod hosts_per_leaf)))
   in
-  let leaf_sw =
-    Array.init leaves (fun l ->
-        Network.add_switch net ~name:(Printf.sprintf "leaf%d" l))
+  let switches base count name =
+    Array.init count (fun j ->
+        Network.add_switch_at net ~id:(base + j)
+          ~name:(Printf.sprintf "%s%s%d" prefix name j))
   in
-  let spine_sw =
-    Array.init spines (fun s ->
-        Network.add_switch net ~name:(Printf.sprintf "spine%d" s))
+  let leaf_sw = switches switch_base leaves "leaf" in
+  let spine_sw = switches (switch_base + leaves) spines "spine" in
+  (* host [slot] <-> its leaf: leaf port [slot] points at the host;
+     leaf <-> spine: leaf port [hosts_per_leaf + s], spine port [l], and
+     spine port [leaves + j] is border router [j] *)
+  let link tag rate delay a b =
+    ignore (Shard.connect cluster ~tag ~rate ~delay ~disc (shard, a) (shard, b))
   in
-  let host_base = Node.id hosts.(0) in
-  (* host [slot] <-> its leaf: leaf port [slot] points at the host *)
-  for l = 0 to leaves - 1 do
-    for slot = 0 to hosts_per_leaf - 1 do
-      ignore
-        (Network.connect net ~tag:"leaf" ~rate:host_rate ~delay:host_delay
-           ~disc
-           hosts.((l * hosts_per_leaf) + slot)
-           leaf_sw.(l))
-    done
-  done;
-  (* leaf <-> spine: leaf port [hosts_per_leaf + s]; spine port [l] *)
-  for l = 0 to leaves - 1 do
-    for s = 0 to spines - 1 do
-      ignore
-        (Network.connect net ~tag:"spine" ~rate:spine_rate
-           ~delay:spine_delay ~disc
-           leaf_sw.(l)
-           spine_sw.(s))
-    done
-  done;
+  Array.iteri
+    (fun i h -> link "leaf" host_rate host_delay h leaf_sw.(i / hosts_per_leaf))
+    hosts;
+  Array.iter
+    (fun l -> Array.iter (link "spine" spine_rate spine_delay l) spine_sw)
+    leaf_sw;
+  let local dst = dst >= host_base && dst < host_base + n in
   let leaf_of id = (id - host_base) / hosts_per_leaf in
   let slot_of id = (id - host_base) mod hosts_per_leaf in
   Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
@@ -56,24 +62,50 @@ let create ~net ~leaves ~spines ~hosts_per_leaf
     (fun l sw ->
       Node.set_route sw (fun p ->
           let dst = Packet.dst p in
-          if leaf_of dst = l then slot_of dst
+          if local dst && leaf_of dst = l then slot_of dst
           else hosts_per_leaf + (Packet.path p mod spines)))
     leaf_sw;
   Array.iter
-    (fun sw -> Node.set_route sw (fun p -> leaf_of (Packet.dst p)))
+    (fun sw ->
+      Node.set_route sw (fun p ->
+          let dst = Packet.dst p in
+          if local dst then leaf_of dst
+          else leaves + (Packet.path p / spines mod n_exits)))
     spine_sw;
-  { leaves; spines; hosts_per_leaf; host_base }
+  Array.map (fun sw -> (shard, sw)) spine_sw
 
-let n_hosts t = t.leaves * t.hosts_per_leaf
+type t = {
+  leaves : int;
+  spines : int;
+  hosts_per_leaf : int;
+  shape : Topology.shape;
+}
+
+let create ~cluster ~leaves ~spines ~hosts_per_leaf ~disc () =
+  if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
+    invalid_arg "Leaf_spine.create";
+  if Shard.n_shards cluster <> 1 then
+    invalid_arg "Leaf_spine.create: cluster must have one shard";
+  ignore
+    (build cluster ~shard:0 ~leaves ~spines ~hosts_per_leaf ~prefix:""
+       ~host_base:0 ~switch_base:(leaves * hosts_per_leaf) ~n_exits:0
+       ~host_rate:(Units.gbps 1.) ~spine_rate:(Units.gbps 10.) ~disc);
+  {
+    leaves;
+    spines;
+    hosts_per_leaf;
+    shape = shape ~leaves ~spines ~hosts_per_leaf;
+  }
+
+let n_hosts t = t.shape.hosts
 
 let host_id t i =
   if i < 0 || i >= n_hosts t then invalid_arg "Leaf_spine.host_id";
-  t.host_base + i
+  i
 
 let host_index t id =
-  let i = id - t.host_base in
-  if i < 0 || i >= n_hosts t then invalid_arg "Leaf_spine.host_index";
-  i
+  if id < 0 || id >= n_hosts t then invalid_arg "Leaf_spine.host_index";
+  id
 
 let uplink_name t ~leaf ~spine =
   if leaf < 0 || leaf >= t.leaves then invalid_arg "Leaf_spine: leaf";
@@ -87,4 +119,4 @@ let downlink_name t ~leaf ~spine =
 
 let same_leaf t ~src ~dst = src / t.hosts_per_leaf = dst / t.hosts_per_leaf
 
-let n_paths t ~src ~dst = if same_leaf t ~src ~dst then 1 else t.spines
+let n_paths t ~src ~dst = t.shape.paths (t.shape.classify src dst)

@@ -7,25 +7,48 @@
     connected to every one of [spines] spine switches. A packet's [path]
     selector picks the spine ([path mod spines]), so inter-leaf host
     pairs have [spines] equal-cost paths; ACKs retrace the mirror path.
-    Spine links are typically faster than host links (VL2 used 10 G up /
-    1 G down). *)
+    One-way delays are 20 µs (host links) and 30 µs (spine links). Link
+    layer tags are ["leaf"] (host–leaf) and ["spine"] (leaf–spine). *)
+
+val shape : leaves:int -> spines:int -> hosts_per_leaf:int -> Topology.shape
+(** The fabric's geometry, independent of placement; a pair on one leaf
+    is [Inner_rack], any other pair [Inter_rack]. *)
+
+val build :
+  Shard.t ->
+  shard:int ->
+  leaves:int ->
+  spines:int ->
+  hosts_per_leaf:int ->
+  prefix:string ->
+  host_base:int ->
+  switch_base:int ->
+  n_exits:int ->
+  host_rate:Units.rate ->
+  spine_rate:Units.rate ->
+  disc:(unit -> Queue_disc.t) ->
+  (int * Node.t) array
+(** The one description of the fabric, all on shard [shard]. Host index
+    [i] gets node id [host_base + i]; leaves then spines follow from
+    [switch_base]; names are [prefix] followed by ["h<leaf>.<slot>"],
+    ["leaf<l>"] or ["spine<s>"]. Destinations outside the fabric's host
+    range leave through spine port [leaves + j], [j] = [path / spines mod
+    n_exits]; the caller wires those ports. Returns the [(shard, spine)]
+    pairs in selector order. *)
 
 type t
 
 val create :
-  net:Network.t ->
+  cluster:Shard.t ->
   leaves:int ->
   spines:int ->
   hosts_per_leaf:int ->
-  ?host_rate:Units.rate ->
-  ?spine_rate:Units.rate ->
-  ?host_delay:Xmp_engine.Time.t ->
-  ?spine_delay:Xmp_engine.Time.t ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
   t
-(** Defaults: 1 Gbps host links (20 µs), 10 Gbps spine links (30 µs).
-    Link layer tags are ["leaf"] (host–leaf) and ["spine"] (leaf–spine). *)
+(** Builds on shard 0 of a one-shard cluster (any other shard count
+    raises [Invalid_argument]), with 1 Gbps host links and 10 Gbps spine
+    links (VL2 used 10 G up / 1 G down). *)
 
 val n_hosts : t -> int
 

@@ -105,6 +105,13 @@ let portal t ?tag ~src:(src_shard, src_node) ~dst:(dst_shard, dst_node) ~rate
   t.n_portals <- t.n_portals + 1;
   link
 
+let connect t ?tag ~rate ~delay ~disc (sa, a) (sb, b) =
+  check_index t sa;
+  if sa = sb then Network.connect t.shards.(sa).net ?tag ~rate ~delay ~disc a b
+  else
+    let fwd = portal t ?tag ~src:(sa, a) ~dst:(sb, b) ~rate ~delay ~disc () in
+    (fwd, portal t ?tag ~src:(sb, b) ~dst:(sa, a) ~rate ~delay ~disc ())
+
 (* ---- the epoch barrier ------------------------------------------------ *)
 
 let mail_order a b =

@@ -57,6 +57,21 @@ val portal :
     lookahead that bounds the epoch length. Raises [Invalid_argument] on
     a same-shard portal or a non-positive delay. *)
 
+val connect :
+  t ->
+  ?tag:string ->
+  rate:Units.rate ->
+  delay:Xmp_engine.Time.t ->
+  disc:(unit -> Queue_disc.t) ->
+  int * Node.t ->
+  int * Node.t ->
+  Link.t * Link.t
+(** [connect t ~rate ~delay ~disc (i, a) (j, b)] is how topologies wire
+    a cable: {!Network.connect} in shard [i]'s network when [i = j],
+    otherwise a {!portal} pair. Either way the forward direction is
+    created first, so port numbers do not depend on the placement.
+    Returns [(a_to_b, b_to_a)]. *)
+
 val epoch_delta : t -> Xmp_engine.Time.t
 (** The epoch length Δ (minimum portal delay); [Time.infinity] while no
     portal exists. *)

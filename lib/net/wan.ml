@@ -1,19 +1,16 @@
 module Time = Xmp_engine.Time
 
-(* Two data centers joined by high-BDP border trunks. Each DC is a
-   complete fat tree or leaf-spine built with the same loop orders (and
-   therefore the same port-indexed routing) as {!Fat_tree} /
-   {!Leaf_spine}, plus one border router per trunk hanging off the
-   exit layer (cores, or spines). Host ids are globally unique — DC 0's
-   hosts first, then DC 1's, switches after all hosts — so a border
-   router classifies a packet as local or remote with one range check.
+(* Two data centers joined by high-BDP border trunks. Each DC is the
+   {!Fat_tree} or {!Leaf_spine} description plus one border router per
+   trunk hanging off the exit layer (cores, or spines). Host ids are
+   globally unique — DC 0's hosts first, then DC 1's, switches after all
+   hosts — so a border router classifies a packet as local or remote
+   with one range check.
 
-   The sharded backend puts each DC on its own {!Shard} and each trunk
-   direction on a portal: the trunk delay (10–100 ms) is the epoch
-   lookahead, dwarfing the intra-DC event horizon, so domains:1 and
-   domains:N runs stay byte-identical at near-zero barrier cost. The
-   flat backend lays the identical geometry on one {!Network} for
-   single-sim closed-loop drivers. *)
+   On a two-shard cluster each DC is a shard and each trunk a portal
+   pair: the trunk delay (10–100 ms) is the epoch lookahead, dwarfing the
+   intra-DC event horizon, so domains:1 and domains:N runs stay
+   byte-identical at near-zero barrier cost. *)
 
 type dc_spec =
   | Fat_tree_dc of { k : int }
@@ -43,42 +40,8 @@ let trunk ?(rate = Units.gbps 10.) ?(delay = Time.ms 40)
     trunk_marking_threshold = marking_threshold;
   }
 
-(* Default intra-DC layer delays, matching Fat_tree's and Leaf_spine's
-   optional-argument defaults (zero_load_rtt below depends on them). *)
-let rack_delay = Time.us 20
-let agg_delay = Time.us 30
-let core_delay = Time.us 40
-let spine_delay = Time.us 30
-
 let layers =
   [ "wan"; "border"; "core"; "aggregation"; "rack"; "leaf"; "spine" ]
-
-let dc_n_hosts = function
-  | Fat_tree_dc { k } -> k * (k / 2) * (k / 2)
-  | Leaf_spine_dc { leaves; hosts_per_leaf; _ } -> leaves * hosts_per_leaf
-
-(* Selector stratum consumed by the ascent to the exit layer: the trunk
-   index is read from [path / up_div], so intra-DC path diversity and
-   trunk choice are independent coordinates of one selector. *)
-let dc_up_div = function
-  | Fat_tree_dc { k } -> k / 2 * (k / 2)
-  | Leaf_spine_dc { spines; _ } -> spines
-
-type dc = {
-  spec : dc_spec;
-  host_base : int;
-  borders : Node.t array;
-}
-
-type backend = Sharded of Shard.t | Flat of Network.t
-
-type t = {
-  backend : backend;
-  dcs : dc array;  (* length 2 *)
-  trunks : trunk array;
-  n_hosts : int;
-  min_trunk_delay : Time.t;
-}
 
 let validate_spec = function
   | Fat_tree_dc { k } ->
@@ -87,203 +50,34 @@ let validate_spec = function
     if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
       invalid_arg "Wan: leaf-spine shape"
 
-(* ---- per-DC construction --------------------------------------------
+let shape = function
+  | Fat_tree_dc { k } -> Fat_tree.shape ~k
+  | Leaf_spine_dc { leaves; spines; hosts_per_leaf } ->
+    Leaf_spine.shape ~leaves ~spines ~hosts_per_leaf
 
-   [net] is the network this DC's nodes live in (its shard's, or the
-   shared flat one). Returns the exit-layer switches in selector order;
-   border wiring and routing for them is installed here, so the caller
-   only wires border <-> border trunks. *)
+let dc_n_hosts spec = (shape spec).Topology.hosts
 
-let is_local ~host_base ~n dst = dst >= host_base && dst < host_base + n
+(* One-way propagation from a host of this DC to one of its border
+   routers: the ascent to the exit layer plus the attach hop. *)
+let to_border (s : Topology.shape) =
+  Time.add (s.one_way Topology.Inter_dc) s.exit_delay
 
-let build_fat_tree ~net ~k ~host_base ~switch_base ~prefix ~rate ~disc
-    ~n_trunks =
-  let half = k / 2 in
-  let n = k * half * half in
-  let hosts =
-    Array.init n (fun i ->
-        let pod, edge, slot = Fat_tree.decompose ~k i in
-        Network.add_host_at net ~id:(host_base + i)
-          ~name:(Printf.sprintf "%s.h%d.%d.%d" prefix pod edge slot))
-  in
-  let edges =
-    Array.init k (fun pod ->
-        Array.init half (fun e ->
-            Network.add_switch_at net
-              ~id:(switch_base + (pod * half) + e)
-              ~name:(Printf.sprintf "%s.e%d.%d" prefix pod e)))
-  in
-  let aggs =
-    Array.init k (fun pod ->
-        Array.init half (fun a ->
-            Network.add_switch_at net
-              ~id:(switch_base + (k * half) + (pod * half) + a)
-              ~name:(Printf.sprintf "%s.a%d.%d" prefix pod a)))
-  in
-  let cores =
-    Array.init half (fun g ->
-        Array.init half (fun c ->
-            Network.add_switch_at net
-              ~id:(switch_base + (2 * k * half) + (g * half) + c)
-              ~name:(Printf.sprintf "%s.c%d.%d" prefix g c)))
-  in
-  (* Fat_tree's wiring order, so its port-indexed routing carries over. *)
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      for slot = 0 to half - 1 do
-        let i = (pod * half * half) + (e * half) + slot in
-        ignore
-          (Network.connect net ~tag:"rack" ~rate ~delay:rack_delay ~disc
-             hosts.(i)
-             edges.(pod).(e))
-      done
-    done;
-    for e = 0 to half - 1 do
-      for a = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"aggregation" ~rate ~delay:agg_delay
-             ~disc
-             edges.(pod).(e)
-             aggs.(pod).(a))
-      done
-    done
-  done;
-  for pod = 0 to k - 1 do
-    for a = 0 to half - 1 do
-      for c = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"core" ~rate ~delay:core_delay ~disc
-             aggs.(pod).(a)
-             cores.(a).(c))
-      done
-    done
-  done;
-  let local = is_local ~host_base ~n in
-  let pod_of id = (id - host_base) / (half * half) in
-  let edge_of id = (id - host_base) mod (half * half) / half in
-  let slot_of id = (id - host_base) mod half in
-  let up_div = half * half in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      Node.set_route
-        edges.(pod).(e)
-        (fun p ->
-          let dst = Packet.dst p in
-          if local dst && pod_of dst = pod && edge_of dst = e then
-            slot_of dst
-          else begin
-            (* remote destinations ascend like inter-pod traffic *)
-            let a =
-              if local dst && pod_of dst = pod then Packet.path p mod half
-              else Packet.path p / half mod half
-            in
-            half + a
-          end)
-    done;
-    for a = 0 to half - 1 do
-      Node.set_route
-        aggs.(pod).(a)
-        (fun p ->
-          let dst = Packet.dst p in
-          if local dst && pod_of dst = pod then edge_of dst
-          else half + (Packet.path p mod half))
-    done
-  done;
-  (* Core port map: pods 0..k-1 (wired above), then border j at k + j
-     (wired by the caller in j order). Remote traffic picks its trunk
-     from the selector stratum above the intra-DC diversity. *)
-  for g = 0 to half - 1 do
-    for c = 0 to half - 1 do
-      Node.set_route cores.(g).(c) (fun p ->
-          let dst = Packet.dst p in
-          if local dst then pod_of dst
-          else k + (Packet.path p / up_div mod n_trunks))
-    done
-  done;
-  Array.init (half * half) (fun i -> cores.(i / half).(i mod half))
-
-let build_leaf_spine ~net ~leaves ~spines ~hosts_per_leaf ~host_base
-    ~switch_base ~prefix ~rate ~disc ~n_trunks =
-  let n = leaves * hosts_per_leaf in
-  let hosts =
-    Array.init n (fun i ->
-        Network.add_host_at net ~id:(host_base + i)
-          ~name:
-            (Printf.sprintf "%s.h%d.%d" prefix (i / hosts_per_leaf)
-               (i mod hosts_per_leaf)))
-  in
-  let leaf_sw =
-    Array.init leaves (fun l ->
-        Network.add_switch_at net ~id:(switch_base + l)
-          ~name:(Printf.sprintf "%s.leaf%d" prefix l))
-  in
-  let spine_sw =
-    Array.init spines (fun s ->
-        Network.add_switch_at net ~id:(switch_base + leaves + s)
-          ~name:(Printf.sprintf "%s.spine%d" prefix s))
-  in
-  for l = 0 to leaves - 1 do
-    for slot = 0 to hosts_per_leaf - 1 do
-      ignore
-        (Network.connect net ~tag:"leaf" ~rate ~delay:rack_delay ~disc
-           hosts.((l * hosts_per_leaf) + slot)
-           leaf_sw.(l))
-    done
-  done;
-  for l = 0 to leaves - 1 do
-    for s = 0 to spines - 1 do
-      ignore
-        (Network.connect net ~tag:"spine" ~rate ~delay:spine_delay ~disc
-           leaf_sw.(l)
-           spine_sw.(s))
-    done
-  done;
-  let local = is_local ~host_base ~n in
-  let leaf_of id = (id - host_base) / hosts_per_leaf in
-  let slot_of id = (id - host_base) mod hosts_per_leaf in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  Array.iteri
-    (fun l sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if local dst && leaf_of dst = l then slot_of dst
-          else hosts_per_leaf + (Packet.path p mod spines)))
-    leaf_sw;
-  (* Spine port map: leaves 0..leaves-1, then border j at leaves + j. *)
-  Array.iter
-    (fun sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if local dst then leaf_of dst
-          else leaves + (Packet.path p / spines mod n_trunks)))
-    spine_sw;
-  spine_sw
-
-let dc_n_switches = function
-  | Fat_tree_dc { k } -> (2 * k * (k / 2)) + (k / 2 * (k / 2))
-  | Leaf_spine_dc { leaves; spines; _ } -> leaves + spines
-
-let build_dc ~net ~spec ~host_base ~switch_base ~prefix ~rate ~disc
-    ~n_trunks =
-  let exits =
-    match spec with
-    | Fat_tree_dc { k } ->
-      build_fat_tree ~net ~k ~host_base ~switch_base ~prefix ~rate ~disc
-        ~n_trunks
-    | Leaf_spine_dc { leaves; spines; hosts_per_leaf } ->
-      build_leaf_spine ~net ~leaves ~spines ~hosts_per_leaf ~host_base
-        ~switch_base ~prefix ~rate ~disc ~n_trunks
-  in
-  (exits, dc_n_switches spec)
+let build_dc cluster ~shard ~spec ~prefix ~host_base ~switch_base ~n_exits
+    ~rate ~disc =
+  match spec with
+  | Fat_tree_dc { k } ->
+    Fat_tree.build cluster ~shard_of_pod:(fun _ -> shard) ~k ~prefix
+      ~host_base ~switch_base ~n_exits ~rate ~disc
+  | Leaf_spine_dc { leaves; spines; hosts_per_leaf } ->
+    Leaf_spine.build cluster ~shard ~leaves ~spines ~hosts_per_leaf ~prefix
+      ~host_base ~switch_base ~n_exits ~host_rate:rate ~spine_rate:rate ~disc
 
 (* Border router j: ports 0..n_exits-1 down to the exit switches (in
    selector order), port n_exits out to the WAN trunk. *)
-let border_route ~host_base ~n ~n_exits =
-  let local = is_local ~host_base ~n in
-  fun p ->
-    let dst = Packet.dst p in
-    if local dst then Packet.path p mod n_exits else n_exits
+let border_route ~host_base ~n ~n_exits p =
+  let dst = Packet.dst p in
+  if dst >= host_base && dst < host_base + n then Packet.path p mod n_exits
+  else n_exits
 
 let trunk_disc tr () =
   let policy =
@@ -293,227 +87,141 @@ let trunk_disc tr () =
   in
   Queue_disc.create ~policy ~capacity_pkts:tr.trunk_queue_pkts
 
-let trunk_link_name t ~from_dc ~trunk =
-  if from_dc < 0 || from_dc > 1 then invalid_arg "Wan.trunk_link_name: dc";
-  if trunk < 0 || trunk >= Array.length t.trunks then
-    invalid_arg "Wan.trunk_link_name: trunk";
-  Printf.sprintf "d%d.bdr%d->d%d.bdr%d" from_dc trunk (1 - from_dc) trunk
+type t = {
+  view : Topology.t;
+  specs : dc_spec array;  (* length 2 *)
+  trunks : trunk list;
+}
 
-(* ---- assembly -------------------------------------------------------- *)
-
-(* One-way propagation of a DC's ascent (host to exit layer) and of the
-   exit-to-border attach hop; both also feed zero_load_rtt below. *)
-let dc_ascent = function
-  | Fat_tree_dc _ -> Time.add rack_delay (Time.add agg_delay core_delay)
-  | Leaf_spine_dc _ -> Time.add rack_delay spine_delay
-
-let dc_attach = function
-  | Fat_tree_dc _ -> core_delay
-  | Leaf_spine_dc _ -> spine_delay
-
-let build ~net_of ~connect_trunk ~left ~right ~trunks ~rate ~disc =
+let create ~cluster ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
   validate_spec left;
   validate_spec right;
   if trunks = [] then invalid_arg "Wan: at least one trunk required";
-  let trunks = Array.of_list trunks in
-  let n_trunks = Array.length trunks in
+  let shard_of_dc =
+    match Shard.n_shards cluster with
+    | 1 -> fun _ -> 0
+    | 2 -> Fun.id
+    | _ -> invalid_arg "Wan.create: cluster must have 1 or 2 shards"
+  in
   let specs = [| left; right |] in
-  let n0 = dc_n_hosts left in
-  let n_hosts = n0 + dc_n_hosts right in
-  let switch_cursor = ref n_hosts in
-  let built =
+  let shapes = Array.map shape specs in
+  let tr = Array.of_list trunks in
+  let n_trunks = Array.length tr in
+  let n0 = shapes.(0).hosts in
+  let n_hosts = n0 + shapes.(1).hosts in
+  let host_base d = if d = 0 then 0 else n0 in
+  let border_base = n_hosts + shapes.(0).switches + shapes.(1).switches in
+  let exits =
     Array.mapi
       (fun d spec ->
-        let host_base = if d = 0 then 0 else n0 in
-        let exits, n_switches =
-          build_dc ~net:(net_of d) ~spec ~host_base
-            ~switch_base:!switch_cursor
-            ~prefix:(Printf.sprintf "d%d" d)
-            ~rate ~disc ~n_trunks
-        in
-        switch_cursor := !switch_cursor + n_switches;
-        (spec, host_base, exits))
+        build_dc cluster ~shard:(shard_of_dc d) ~spec
+          ~prefix:(Printf.sprintf "d%d." d)
+          ~host_base:(host_base d)
+          ~switch_base:(if d = 0 then n_hosts else n_hosts + shapes.(0).switches)
+          ~n_exits:n_trunks ~rate ~disc)
       specs
   in
-  let dcs =
+  let borders =
     Array.mapi
-      (fun d (spec, host_base, exits) ->
-        let borders =
+      (fun d ex ->
+        let s = shard_of_dc d in
+        let bs =
           Array.init n_trunks (fun j ->
-              let b =
-                Network.add_switch_at (net_of d) ~id:!switch_cursor
-                  ~name:(Printf.sprintf "d%d.bdr%d" d j)
-              in
-              incr switch_cursor;
-              b)
+              ( s,
+                Network.add_switch_at (Shard.net cluster s)
+                  ~id:(border_base + (d * n_trunks) + j)
+                  ~name:(Printf.sprintf "d%d.bdr%d" d j) ))
         in
         (* j outer, exits inner: exit switch port for border j is
-           (standard ports) + j, matching the exit-layer routing. *)
+           (standard ports) + j, matching the exit-layer routing *)
         Array.iteri
           (fun j b ->
             Array.iter
-              (fun exit ->
+              (fun e ->
                 ignore
-                  (Network.connect (net_of d) ~tag:"border"
-                     ~rate:trunks.(j).trunk_rate ~delay:(dc_attach spec)
-                     ~disc exit b))
-              exits)
-          borders;
-        let n = dc_n_hosts spec in
-        Array.iter
-          (fun b ->
-            Node.set_route b
-              (border_route ~host_base ~n ~n_exits:(Array.length exits)))
-          borders;
-        { spec; host_base; borders })
-      built
+                  (Shard.connect cluster ~tag:"border"
+                     ~rate:tr.(j).trunk_rate ~delay:shapes.(d).exit_delay ~disc
+                     e b))
+              ex)
+          bs;
+        let route =
+          border_route ~host_base:(host_base d) ~n:shapes.(d).hosts
+            ~n_exits:(Array.length ex)
+        in
+        Array.iter (fun (_, b) -> Node.set_route b route) bs;
+        bs)
+      exits
   in
   (* WAN trunks last: border j's trunk port is its port n_exits. *)
   Array.iteri
-    (fun j tr ->
-      connect_trunk ~trunk:j
-        ~a:(0, dcs.(0).borders.(j))
-        ~b:(1, dcs.(1).borders.(j))
-        ~rate:tr.trunk_rate ~delay:tr.trunk_delay ~disc:(trunk_disc tr))
-    trunks;
+    (fun j trk ->
+      ignore
+        (Shard.connect cluster ~tag:"wan" ~rate:trk.trunk_rate
+           ~delay:trk.trunk_delay ~disc:(trunk_disc trk) borders.(0).(j)
+           borders.(1).(j)))
+    tr;
   let min_trunk_delay =
-    Array.fold_left
-      (fun acc tr -> Time.min acc tr.trunk_delay)
-      Time.infinity trunks
+    List.fold_left (fun acc t -> Time.min acc t.trunk_delay) Time.infinity
+      trunks
   in
-  (dcs, trunks, n_hosts, min_trunk_delay)
-
-let create ?config ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
-  let cluster = Shard.create ?config ~shards:2 () in
-  let net_of d = Shard.net cluster d in
-  let connect_trunk ~trunk:_ ~a:(sa, na) ~b:(sb, nb) ~rate ~delay ~disc =
-    ignore
-      (Shard.portal cluster ~tag:"wan" ~src:(sa, na) ~dst:(sb, nb) ~rate
-         ~delay ~disc ());
-    ignore
-      (Shard.portal cluster ~tag:"wan" ~src:(sb, nb) ~dst:(sa, na) ~rate
-         ~delay ~disc ())
+  let dc_of i = if i < n0 then 0 else 1 in
+  let locality ~src ~dst =
+    let ds = dc_of src in
+    if ds <> dc_of dst then Topology.Inter_dc
+    else shapes.(ds).classify (src - host_base ds) (dst - host_base ds)
   in
-  let dcs, trunks, n_hosts, min_trunk_delay =
-    build ~net_of ~connect_trunk ~left ~right ~trunks ~rate ~disc
+  let n_paths ~src ~dst =
+    (* cross-DC: the selector's low stratum spreads over the source
+       tree's exit layer, the next one picks the trunk (the destination
+       DC reuses the low stratum for descent) *)
+    let s = shapes.(dc_of src) in
+    match locality ~src ~dst with
+    | Topology.Inter_dc -> s.paths Topology.Inter_dc * n_trunks
+    | loc -> s.paths loc
   in
-  { backend = Sharded cluster; dcs; trunks; n_hosts; min_trunk_delay }
-
-let create_flat ~net ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
-  let net_of _ = net in
-  let connect_trunk ~trunk:_ ~a:(_, na) ~b:(_, nb) ~rate ~delay ~disc =
-    ignore (Network.connect net ~tag:"wan" ~rate ~delay ~disc na nb)
+  let zero_load_rtt ~src ~dst =
+    let s = shapes.(dc_of src) in
+    let one_way =
+      match locality ~src ~dst with
+      | Topology.Inter_dc ->
+        Time.add (to_border s)
+          (Time.add min_trunk_delay (to_border shapes.(dc_of dst)))
+      | loc -> s.one_way loc
+    in
+    Time.mul one_way 2
   in
-  let dcs, trunks, n_hosts, min_trunk_delay =
-    build ~net_of ~connect_trunk ~left ~right ~trunks ~rate ~disc
+  let view =
+    {
+      Topology.cluster;
+      n_hosts;
+      shard_of_host = (fun i -> shard_of_dc (dc_of i));
+      locality;
+      n_paths;
+      zero_load_rtt;
+      dc_ranges = [| (0, n0); (n0, n_hosts - n0) |];
+    }
   in
-  { backend = Flat net; dcs; trunks; n_hosts; min_trunk_delay }
+  { view; specs; trunks }
 
 (* ---- accessors ------------------------------------------------------- *)
 
-let n_hosts t = t.n_hosts
-
-let n_trunks t = Array.length t.trunks
-
-let host_id t i =
-  if i < 0 || i >= t.n_hosts then invalid_arg "Wan.host_id";
-  i
+let view t = t.view
+let n_hosts t = t.view.n_hosts
+let n_trunks t = List.length t.trunks
 
 let dc_of_host t i =
-  ignore (host_id t i);
-  if i < t.dcs.(1).host_base then 0 else 1
+  if i < 0 || i >= n_hosts t then invalid_arg "Wan.dc_of_host";
+  Topology.dc_of_host t.view i
 
-let dc_spec t d =
-  if d < 0 || d > 1 then invalid_arg "Wan.dc_spec";
-  t.dcs.(d).spec
+let locality t = t.view.locality
+let n_paths t = t.view.n_paths
+let zero_load_rtt t = t.view.zero_load_rtt
 
-let cluster t =
-  match t.backend with
-  | Sharded c -> c
-  | Flat _ -> invalid_arg "Wan.cluster: flat build has no shard cluster"
-
-let net t =
-  match t.backend with
-  | Flat n -> n
-  | Sharded _ -> invalid_arg "Wan.net: sharded build has one net per DC"
-
-let host_net t i =
-  match t.backend with
-  | Flat n ->
-    ignore (host_id t i);
-    n
-  | Sharded c -> Shard.net c (dc_of_host t i)
-
-let run ?domains ?until ?on_epoch t =
-  match t.backend with
-  | Sharded c -> Shard.run ?domains ?until ?on_epoch c
-  | Flat _ -> invalid_arg "Wan.run: drive the flat build's own simulator"
-
-let dc_locality spec local_src local_dst =
-  match spec with
-  | Fat_tree_dc { k } ->
-    let pod_s, edge_s, _ = Fat_tree.decompose ~k local_src
-    and pod_d, edge_d, _ = Fat_tree.decompose ~k local_dst in
-    if pod_s <> pod_d then Fat_tree.Inter_pod
-    else if edge_s <> edge_d then Fat_tree.Inter_rack
-    else Fat_tree.Inner_rack
-  | Leaf_spine_dc { hosts_per_leaf; _ } ->
-    if local_src / hosts_per_leaf = local_dst / hosts_per_leaf then
-      Fat_tree.Inner_rack
-    else Fat_tree.Inter_rack
-
-let locality t ~src ~dst =
-  let ds = dc_of_host t src and dd = dc_of_host t dst in
-  if ds <> dd then Fat_tree.Inter_dc
-  else
-    let base = t.dcs.(ds).host_base in
-    dc_locality t.dcs.(ds).spec (src - base) (dst - base)
-
-let dc_intra_paths spec loc =
-  match (spec, loc) with
-  | _, Fat_tree.Inner_rack -> 1
-  | Fat_tree_dc { k }, Fat_tree.Inter_rack -> k / 2
-  | Fat_tree_dc { k }, Fat_tree.Inter_pod -> k / 2 * (k / 2)
-  | Leaf_spine_dc { spines; _ }, (Fat_tree.Inter_rack | Fat_tree.Inter_pod)
-    -> spines
-  | _, Fat_tree.Inter_dc -> assert false
-
-let n_paths t ~src ~dst =
-  match locality t ~src ~dst with
-  | Fat_tree.Inter_dc ->
-    (* intra-DC diversity times trunk choice: the selector's low stratum
-       spreads over the source tree's exit layer, the next one picks the
-       trunk (the destination DC reuses the low stratum for descent) *)
-    dc_up_div (t.dcs.(dc_of_host t src)).spec * Array.length t.trunks
-  | loc -> dc_intra_paths (t.dcs.(dc_of_host t src)).spec loc
-
-(* Zero-load round trips, from the fixed layer delays above. *)
-let dc_zero_load_one_way spec loc =
-  match (spec, loc) with
-  | _, Fat_tree.Inner_rack -> Time.mul rack_delay 2
-  | Fat_tree_dc _, Fat_tree.Inter_rack ->
-    Time.add (Time.mul rack_delay 2) (Time.mul agg_delay 2)
-  | Fat_tree_dc _, Fat_tree.Inter_pod ->
-    Time.add
-      (Time.mul rack_delay 2)
-      (Time.add (Time.mul agg_delay 2) (Time.mul core_delay 2))
-  | Leaf_spine_dc _, (Fat_tree.Inter_rack | Fat_tree.Inter_pod) ->
-    Time.add (Time.mul rack_delay 2) (Time.mul spine_delay 2)
-  | _, Fat_tree.Inter_dc -> assert false
-
-let zero_load_rtt t ~src ~dst =
-  let ds = dc_of_host t src and dd = dc_of_host t dst in
-  let one_way =
-    if ds = dd then
-      dc_zero_load_one_way t.dcs.(ds).spec (locality t ~src ~dst)
-    else
-      let s = t.dcs.(ds).spec and d = t.dcs.(dd).spec in
-      Time.add
-        (Time.add (dc_ascent s) (dc_attach s))
-        (Time.add t.min_trunk_delay
-           (Time.add (dc_attach d) (dc_ascent d)))
-  in
-  Time.mul one_way 2
+let trunk_link_name t ~from_dc ~trunk =
+  if from_dc < 0 || from_dc > 1 then invalid_arg "Wan.trunk_link_name: dc";
+  if trunk < 0 || trunk >= n_trunks t then
+    invalid_arg "Wan.trunk_link_name: trunk";
+  Printf.sprintf "d%d.bdr%d->d%d.bdr%d" from_dc trunk (1 - from_dc) trunk
 
 (* Static form of [max_rtt_no_queue]: lets callers size RTO floors and
    horizons from the specs alone, before any network exists. *)
@@ -522,36 +230,12 @@ let max_rtt_no_queue_of ~left ~right ~trunks =
   validate_spec right;
   if trunks = [] then invalid_arg "Wan.max_rtt_no_queue_of: no trunks";
   let max_trunk =
-    List.fold_left
-      (fun acc tr -> Time.max acc tr.trunk_delay)
-      Time.zero trunks
+    List.fold_left (fun acc tr -> Time.max acc tr.trunk_delay) Time.zero trunks
   in
-  let one_way =
-    Time.add
-      (Time.add (dc_ascent left) (dc_attach left))
-      (Time.add max_trunk (Time.add (dc_attach right) (dc_ascent right)))
-  in
-  Time.mul one_way 2
+  Time.mul
+    (Time.add (to_border (shape left))
+       (Time.add max_trunk (to_border (shape right))))
+    2
 
 let max_rtt_no_queue t =
-  let cross01 =
-    zero_load_rtt t ~src:0 ~dst:(t.dcs.(1).host_base)
-  in
-  (* trunks may be slower than the minimum used by zero_load_rtt *)
-  let max_trunk =
-    Array.fold_left
-      (fun acc tr -> Time.max acc tr.trunk_delay)
-      Time.zero t.trunks
-  in
-  Time.add cross01
-    (Time.mul (Time.sub max_trunk t.min_trunk_delay) 2)
-
-let min_trunk_delay t = t.min_trunk_delay
-
-let events_executed t =
-  match t.backend with
-  | Sharded c -> Shard.events_executed c
-  | Flat n -> Xmp_engine.Sim.events_executed (Network.sim n)
-
-let mail_injected t =
-  match t.backend with Sharded c -> Shard.mail_injected c | Flat _ -> 0
+  max_rtt_no_queue_of ~left:t.specs.(0) ~right:t.specs.(1) ~trunks:t.trunks

@@ -15,13 +15,12 @@
     destination with one range check, and {!Fat_tree.Inter_dc} extends
     the locality classes.
 
-    Two backends share the geometry byte-for-byte:
-    - {!create} — one {!Shard} per DC with each trunk direction on a
-      portal. The trunk delay (10–100 ms) is the epoch lookahead, so
-      [domains:1 ≡ domains:N] byte equality holds as for the sharded
-      fat tree, at a far coarser barrier cadence.
-    - {!create_flat} — the same nodes, links and routing on a single
-      {!Network} for closed-loop single-simulator drivers. *)
+    Each DC is the {!Fat_tree} or {!Leaf_spine} description; placement
+    comes from the cluster {!create} is given. On one shard everything
+    is a local link. On two shards each DC is a shard and each trunk
+    direction a portal, so the trunk delay (10–100 ms) is the epoch
+    lookahead and [domains:1 ≡ domains:N] byte equality holds as for the
+    pod-sharded fat tree, at a far coarser barrier cadence. *)
 
 type dc_spec =
   | Fat_tree_dc of { k : int }
@@ -51,7 +50,7 @@ val trunk :
 type t
 
 val create :
-  ?config:Xmp_engine.Sim.config ->
+  cluster:Shard.t ->
   left:dc_spec ->
   right:dc_spec ->
   trunks:trunk list ->
@@ -59,25 +58,16 @@ val create :
   disc:(unit -> Queue_disc.t) ->
   unit ->
   t
-(** Sharded build: shard 0 carries [left], shard 1 carries [right],
-    each trunk is a portal pair. [rate] (default 1 Gbps) and [disc]
-    configure the intra-DC links; layer delays are the {!Fat_tree} /
-    {!Leaf_spine} defaults (rack 20 µs, aggregation 30 µs, core 40 µs,
-    spine 30 µs; border attach links use the exit-layer delay and the
-    trunk's rate). At least one trunk is required. *)
+(** Builds on a fresh cluster: everything on shard 0 of a one-shard
+    cluster, or [left] on shard 0 and [right] on shard 1 of a two-shard
+    one; any other shard count raises [Invalid_argument]. [rate]
+    (default 1 Gbps) and [disc] configure the intra-DC links, whose
+    delays are the {!Fat_tree} / {!Leaf_spine} ones (rack 20 µs,
+    aggregation 30 µs, core 40 µs, spine 30 µs); border attach links use
+    the exit-layer delay and the trunk's rate. At least one trunk is
+    required. *)
 
-val create_flat :
-  net:Network.t ->
-  left:dc_spec ->
-  right:dc_spec ->
-  trunks:trunk list ->
-  ?rate:Units.rate ->
-  disc:(unit -> Queue_disc.t) ->
-  unit ->
-  t
-(** The identical geometry on one pre-existing network, for single-sim
-    drivers. {!run} and {!cluster} reject a flat build; drive
-    [Sim.run (Network.sim net)] directly. *)
+val view : t -> Topology.t
 
 val layers : string list
 (** Link tags in display order, for utilization grouping: ["wan"],
@@ -91,31 +81,8 @@ val dc_n_hosts : dc_spec -> int
 
 val n_trunks : t -> int
 
-val host_id : t -> int -> int
-(** Identity on [0 .. n_hosts), with bounds checking. *)
-
 val dc_of_host : t -> int -> int
 (** 0 or 1. *)
-
-val dc_spec : t -> int -> dc_spec
-
-val cluster : t -> Shard.t
-(** The shard cluster of a sharded build; raises on a flat build. *)
-
-val net : t -> Network.t
-(** The single network of a flat build; raises on a sharded build. *)
-
-val host_net : t -> int -> Network.t
-(** The network a host's endpoints register on (per-DC shard net, or
-    the flat net). *)
-
-val run :
-  ?domains:int ->
-  ?until:Xmp_engine.Time.t ->
-  ?on_epoch:(target:Xmp_engine.Time.t -> Xmp_engine.Time.t) ->
-  t ->
-  unit
-(** {!Shard.run} on the cluster; raises on a flat build. *)
 
 val locality : t -> src:int -> dst:int -> Fat_tree.locality
 (** {!Fat_tree.Inter_dc} across the cut; the host DC's own class
@@ -142,14 +109,7 @@ val max_rtt_no_queue_of :
 (** {!max_rtt_no_queue} computed from the specs alone, so drivers can
     size RTO floors and horizons before building anything. *)
 
-val min_trunk_delay : t -> Xmp_engine.Time.t
-
 val trunk_link_name : t -> from_dc:int -> trunk:int -> string
 (** The directed trunk link's ["d0.bdr0->d1.bdr0"]-style name, for
     {!Xmp_engine.Fault_spec.Link} targeting. All trunk links also carry
     the ["wan"] tag. *)
-
-val events_executed : t -> int
-
-val mail_injected : t -> int
-(** Portal packets carried across epoch barriers (0 for a flat build). *)

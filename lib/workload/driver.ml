@@ -2,6 +2,8 @@ module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Network = Xmp_net.Network
 module Queue_disc = Xmp_net.Queue_disc
+module Shard = Xmp_net.Shard
+module Topology = Xmp_net.Topology
 module Fat_tree = Xmp_net.Fat_tree
 module Wan = Xmp_net.Wan
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
@@ -130,23 +132,11 @@ type active = {
   a_handle : Mptcp_flow.t;
 }
 
-(* Topology handle: the pattern generators only need host counts,
-   locality/path-count classification and (for cross-DC biasing) the DC
-   layout, so both the single fat tree and the flat WAN bridge fit
-   behind these closures. *)
-type topo = {
-  t_n_hosts : int;
-  t_locality : src:int -> dst:int -> Fat_tree.locality;
-  t_n_paths : src:int -> dst:int -> int;
-  t_dc_ranges : (int * int) array;  (* (host base, count) per DC *)
-  t_dc_of : int -> int;
-}
-
 type ctx = {
   cfg : config;
   sim : Sim.t;
   net : Network.t;
-  topo : topo;
+  topo : Topology.t;
   rng : Random.State.t;
   metrics : Metrics.t;
   overrides : Scheme.transport_overrides;
@@ -169,8 +159,8 @@ let scheme_for ctx ~src =
    completion. *)
 let launch_large ctx ~src ~dst ~size_segments ~on_complete =
   let scheme = scheme_for ctx ~src in
-  let locality = ctx.topo.t_locality ~src ~dst in
-  let available = ctx.topo.t_n_paths ~src ~dst in
+  let locality = ctx.topo.locality ~src ~dst in
+  let available = ctx.topo.n_paths ~src ~dst in
   let paths =
     Scheme.pick_paths ~rng:ctx.rng ~available
       ~wanted:(Scheme.n_subflows scheme)
@@ -219,7 +209,7 @@ let launch_large ctx ~src ~dst ~size_segments ~on_complete =
 (* Launch a small (plain-TCP, single-path) flow; not recorded in large-flow
    metrics. *)
 let launch_small ctx ~src ~dst ~size_segments ~on_complete =
-  let available = ctx.topo.t_n_paths ~src ~dst in
+  let available = ctx.topo.n_paths ~src ~dst in
   let paths = Scheme.pick_paths ~rng:ctx.rng ~available ~wanted:1 in
   let flow = fresh_flow ctx in
   ignore
@@ -235,27 +225,27 @@ let uniform_size ctx ~min_segments ~max_segments =
    cap; falls back to ignoring the cap if sampling keeps failing. *)
 let pick_dst ctx ~src ~max_inbound ~other_rack =
   let topo = ctx.topo in
-  let n = topo.t_n_hosts in
+  let n = topo.n_hosts in
   let ok ~use_cap d =
     d <> src
     && ((not use_cap) || ctx.inbound.(d) < max_inbound)
     && ((not other_rack)
-       || topo.t_locality ~src ~dst:d <> Fat_tree.Inner_rack)
+       || topo.locality ~src ~dst:d <> Fat_tree.Inner_rack)
   in
   (* single-DC candidates are uniform over all hosts, exactly as before;
      with a bridged topology and a positive [cross_dc], that fraction of
      candidates is drawn from the other DC and the rest from the
      source's own DC *)
   let candidate () =
-    if Array.length topo.t_dc_ranges <= 1 || ctx.cfg.cross_dc <= 0. then
+    if Array.length topo.dc_ranges <= 1 || ctx.cfg.cross_dc <= 0. then
       Random.State.int ctx.rng n
     else begin
-      let dc = topo.t_dc_of src in
+      let dc = Topology.dc_of_host topo src in
       let pick =
         if Random.State.float ctx.rng 1.0 < ctx.cfg.cross_dc then 1 - dc
         else dc
       in
-      let base, count = topo.t_dc_ranges.(pick) in
+      let base, count = topo.dc_ranges.(pick) in
       base + Random.State.int ctx.rng count
     end
   in
@@ -292,7 +282,7 @@ let random_derangement ctx n =
   p
 
 let run_permutation ctx ~min_segments ~max_segments =
-  let n = ctx.topo.t_n_hosts in
+  let n = ctx.topo.n_hosts in
   let rec start_wave () =
     let perm = random_derangement ctx n in
     let remaining = ref n in
@@ -313,7 +303,7 @@ let run_permutation ctx ~min_segments ~max_segments =
 let run_permutation_churn ctx ~min_segments ~max_segments ~churn =
   if Time.compare churn Time.zero <= 0 then
     invalid_arg "Driver: churn period must be positive";
-  let n = ctx.topo.t_n_hosts in
+  let n = ctx.topo.n_hosts in
   let rec start_wave () =
     let perm = random_derangement ctx n in
     for src = 0 to n - 1 do
@@ -343,7 +333,7 @@ let run_random ctx ~mean_segments ~cap_segments ~shape ~max_inbound
   let pareto =
     Pareto.create ~shape ~mean:mean_segments ~cap:cap_segments
   in
-  for src = 0 to ctx.topo.t_n_hosts - 1 do
+  for src = 0 to ctx.topo.n_hosts - 1 do
     start_random_source ctx ~pareto ~max_inbound ~other_rack ~src
   done
 
@@ -361,7 +351,7 @@ let pick_distinct ctx ~n ~from =
 
 let run_incast ctx ~jobs ~fanout ~request_segments ~response_segments
     ~bg_mean_segments ~bg_cap_segments ~bg_shape =
-  let n = ctx.topo.t_n_hosts in
+  let n = ctx.topo.n_hosts in
   if n < fanout + 1 then invalid_arg "Driver: incast fanout exceeds hosts";
   let rec start_job () =
     let hosts = pick_distinct ctx ~n:(fanout + 1) ~from:n in
@@ -400,7 +390,7 @@ let run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments =
   let fan_arr = Array.of_list fanouts in
   if Array.length fan_arr = 0 then
     invalid_arg "Driver: incast sweep needs at least one fanout";
-  let n = ctx.topo.t_n_hosts in
+  let n = ctx.topo.n_hosts in
   Array.iter
     (fun fanout ->
       if fanout < 1 || n < fanout + 1 then
@@ -436,7 +426,7 @@ let run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments =
    next wave starts when the whole shuffle completes (a map-reduce style
    barrier). *)
 let run_all_to_all ctx ~segments =
-  let n = ctx.topo.t_n_hosts in
+  let n = ctx.topo.n_hosts in
   let rec start_wave () =
     let remaining = ref (n * (n - 1)) in
     for src = 0 to n - 1 do
@@ -454,8 +444,8 @@ let run_all_to_all ctx ~segments =
   start_wave ()
 
 let run cfg =
-  let sim =
-    Sim.create
+  let cluster =
+    Shard.create
       ~config:
         {
           Sim.default_config with
@@ -463,9 +453,9 @@ let run cfg =
           faults = cfg.faults;
           telemetry = cfg.telemetry;
         }
-      ()
+      ~shards:1 ()
   in
-  let net = Network.create sim in
+  let sim = Shard.sim cluster 0 and net = Shard.net cluster 0 in
   (* under a uniform assignment a scheme tuned for a specific marking
      threshold K (e.g. "XMP-2:k=20") gets the fabric configured to
      match; a split assignment keeps the config's fabric-wide value *)
@@ -482,25 +472,9 @@ let run cfg =
   in
   let topo =
     match cfg.topology with
-    | Single_dc ->
-      let ft = Fat_tree.create ~net ~k:cfg.k ~disc () in
-      {
-        t_n_hosts = Fat_tree.n_hosts ft;
-        t_locality = (fun ~src ~dst -> Fat_tree.locality ft ~src ~dst);
-        t_n_paths = (fun ~src ~dst -> Fat_tree.n_paths ft ~src ~dst);
-        t_dc_ranges = [| (0, Fat_tree.n_hosts ft) |];
-        t_dc_of = (fun _ -> 0);
-      }
+    | Single_dc -> Fat_tree.view (Fat_tree.create ~cluster ~k:cfg.k ~disc ())
     | Bridged { left; right; trunks } ->
-      let wan = Wan.create_flat ~net ~left ~right ~trunks ~disc () in
-      let n0 = Wan.dc_n_hosts left and n1 = Wan.dc_n_hosts right in
-      {
-        t_n_hosts = Wan.n_hosts wan;
-        t_locality = (fun ~src ~dst -> Wan.locality wan ~src ~dst);
-        t_n_paths = (fun ~src ~dst -> Wan.n_paths wan ~src ~dst);
-        t_dc_ranges = [| (0, n0); (n0, n1) |];
-        t_dc_of = Wan.dc_of_host wan;
-      }
+      Wan.view (Wan.create ~cluster ~left ~right ~trunks ~disc ())
   in
   let injector = Xmp_faults.Injector.install ~net () in
   let ctx =
@@ -521,7 +495,7 @@ let run cfg =
           sack = cfg.sack;
         };
       next_flow = 0;
-      inbound = Array.make topo.t_n_hosts 0;
+      inbound = Array.make topo.n_hosts 0;
       running = Hashtbl.create 256;
     }
   in
@@ -548,7 +522,7 @@ let run cfg =
   | Incast_sweep { jobs; fanouts; request_segments; response_segments } ->
     run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments
   | All_to_all { segments } -> run_all_to_all ctx ~segments);
-  Sim.run ~until:cfg.horizon sim;
+  Shard.run ~until:cfg.horizon cluster;
   (* Flows still running at the horizon are measured over their partial
      lifetime (start → horizon), so slow schemes do not escape the average
      by never finishing. Very young flows carry no signal and are
@@ -583,7 +557,7 @@ let run cfg =
     metrics = ctx.metrics;
     net;
     config = cfg;
-    events = Sim.events_executed sim;
+    events = Shard.events_executed cluster;
     injected_drops = Xmp_faults.Injector.injected_drops injector;
   }
 

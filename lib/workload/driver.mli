@@ -23,8 +23,9 @@ type topology =
       right : Xmp_net.Wan.dc_spec;
       trunks : Xmp_net.Wan.trunk list;
     }
-      (** two DCs joined by WAN trunks ({!Xmp_net.Wan.create_flat});
-          [config.k] is ignored — the DC specs size the fabric *)
+      (** two DCs joined by WAN trunks ({!Xmp_net.Wan.create} on a
+          one-shard cluster); [config.k] is ignored — the DC specs size
+          the fabric *)
 
 type assignment =
   | Uniform of Scheme.t

@@ -4,10 +4,9 @@ module Fault_spec = Xmp_engine.Fault_spec
 module Units = Xmp_net.Units
 module Queue_disc = Xmp_net.Queue_disc
 module Fat_tree = Xmp_net.Fat_tree
-module Ft = Xmp_net.Fat_tree_sharded
+module Topology = Xmp_net.Topology
 module Wan = Xmp_net.Wan
 module Shard = Xmp_net.Shard
-module Network = Xmp_net.Network
 module Injector = Xmp_faults.Injector
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 
@@ -19,7 +18,7 @@ module Mptcp_flow = Xmp_mptcp.Mptcp_flow
    is safe, and it runs on the orchestrating domain in a deterministic
    order, so the generated schedule is identical for any domain count.
 
-   The engine is written against a small fabric record so the same
+   The engine is written against the {!Topology} view, so the same
    generator drives the pod-sharded fat tree ({!run}) and the two-DC
    WAN bridge ({!run_wan}); the fat-tree path performs exactly the
    RNG draws it always did, keeping its digests stable. *)
@@ -82,30 +81,6 @@ let arrival_rate cfg =
   let mean_bits = Flow_size.mean_segments cfg.sizes *. 1460. *. 8. in
   cfg.load *. float_of_int cfg.rate /. mean_bits
 
-(* Zero-load round trip by locality, from the sharded fabric's default
-   layer delays (create below does not override them). *)
-let rack_delay = Time.us 20
-
-let agg_delay = Time.us 30
-
-let core_delay = Time.us 40
-
-let zero_load_rtt locality =
-  let one_way =
-    match locality with
-    | Fat_tree.Inner_rack -> Time.mul rack_delay 2
-    | Fat_tree.Inter_rack -> Time.add (Time.mul rack_delay 2) (Time.mul agg_delay 2)
-    | Fat_tree.Inter_pod ->
-      Time.add
-        (Time.mul rack_delay 2)
-        (Time.add (Time.mul agg_delay 2) (Time.mul core_delay 2))
-    | Fat_tree.Inter_dc ->
-      invalid_arg
-        "Open_loop.zero_load_rtt: Inter_dc depends on the trunk delay \
-         (the WAN fabric supplies its own ideal)"
-  in
-  Time.mul one_way 2
-
 (* Ideal FCT: line-rate transfer time plus the zero-load RTT — the
    standard slowdown denominator (a flow that never queues and never
    shares a link scores 1). *)
@@ -114,45 +89,34 @@ let transfer_time cfg ~size_segments =
     (float_of_int size_segments *. 1460. *. 8. /. float_of_int cfg.rate)
 
 let ideal_fct cfg ~locality ~size_segments =
-  Time.add (transfer_time cfg ~size_segments) (zero_load_rtt locality)
-
-(* ---- the fabric seam ------------------------------------------------- *)
-
-type fabric = {
-  fb_n_hosts : int;
-  fb_shards : int;
-  fb_shard_of_host : int -> int;
-  fb_host_net : int -> Network.t;
-  fb_sim : int -> Sim.t;  (* shard index -> its simulator *)
-  fb_locality : src:int -> dst:int -> Fat_tree.locality;
-  fb_n_paths : src:int -> dst:int -> int;
-  fb_zero_load_rtt : src:int -> dst:int -> Time.t;
-  fb_dc_ranges : (int * int) array;  (* (host base, count) per DC *)
-  fb_dc_of : int -> int;
-  fb_run :
-    domains:int -> until:Time.t -> on_epoch:(target:Time.t -> Time.t) -> unit;
-  fb_events : unit -> int;
-  fb_mail : unit -> int;
-}
+  match locality with
+  | Fat_tree.Inter_dc ->
+    invalid_arg
+      "Open_loop.ideal_fct: Inter_dc depends on the trunk delay (the WAN \
+       fabric supplies its own ideal)"
+  | _ ->
+    Time.add
+      (transfer_time cfg ~size_segments)
+      (Time.mul ((Fat_tree.shape ~k:cfg.k).one_way locality) 2)
 
 (* Destination choice. Single-DC fabrics take the one branch the
    original generator had — same draws, same digests. WAN fabrics spend
    one extra uniform draw deciding the side of the cut, then pick within
    the chosen DC. *)
-let pick_dst fb ~cross_dc ~rng ~src =
-  if Array.length fb.fb_dc_ranges <= 1 || cross_dc <= 0. then begin
+let pick_dst (fb : Topology.t) ~cross_dc ~rng ~src =
+  if Array.length fb.dc_ranges <= 1 || cross_dc <= 0. then begin
     (* uniform over the other n-1 hosts *)
-    let d = Random.State.int rng (fb.fb_n_hosts - 1) in
+    let d = Random.State.int rng (fb.n_hosts - 1) in
     if d >= src then d + 1 else d
   end
   else begin
-    let dc = fb.fb_dc_of src in
+    let dc = Topology.dc_of_host fb src in
     if Random.State.float rng 1.0 < cross_dc then begin
-      let base, count = fb.fb_dc_ranges.(1 - dc) in
+      let base, count = fb.dc_ranges.(1 - dc) in
       base + Random.State.int rng count
     end
     else begin
-      let base, count = fb.fb_dc_ranges.(dc) in
+      let base, count = fb.dc_ranges.(dc) in
       let d = Random.State.int rng (count - 1) in
       let local = src - base in
       base + (if d >= local then d + 1 else d)
@@ -177,7 +141,7 @@ type shard_state = {
   mutable n_completed : int;
 }
 
-let run_fabric ~cfg ~domains fb =
+let run_fabric ~cfg ~domains (fb : Topology.t) =
   let overrides =
     {
       Scheme.default_overrides with
@@ -187,7 +151,7 @@ let run_fabric ~cfg ~domains fb =
     }
   in
   let shards =
-    Array.init fb.fb_shards (fun _ ->
+    Array.init (Shard.n_shards fb.cluster) (fun _ ->
         {
           metrics =
             Metrics.create ~keep_flows:cfg.keep_flows
@@ -198,7 +162,7 @@ let run_fabric ~cfg ~domains fb =
         })
   in
   let arrivals =
-    Arrivals.create ~seed:cfg.seed ~hosts:fb.fb_n_hosts
+    Arrivals.create ~seed:cfg.seed ~hosts:fb.n_hosts
       ~rate:(arrival_rate cfg)
   in
   let launched = ref 0 in
@@ -206,22 +170,22 @@ let run_fabric ~cfg ~domains fb =
     let src = host in
     let dst = pick_dst fb ~cross_dc:cfg.cross_dc ~rng ~src in
     let size_segments = Flow_size.sample cfg.sizes rng in
-    let locality = fb.fb_locality ~src ~dst in
+    let locality = fb.locality ~src ~dst in
     let paths =
-      Scheme.pick_paths ~rng ~available:(fb.fb_n_paths ~src ~dst)
+      Scheme.pick_paths ~rng ~available:(fb.n_paths ~src ~dst)
         ~wanted:(Scheme.n_subflows cfg.scheme)
     in
     let flow = !launched in
     incr launched;
-    let shard = fb.fb_shard_of_host src in
+    let shard = fb.shard_of_host src in
     let st = shards.(shard) in
     let ideal =
-      Time.add (transfer_time cfg ~size_segments) (fb.fb_zero_load_rtt ~src ~dst)
+      Time.add (transfer_time cfg ~size_segments) (fb.zero_load_rtt ~src ~dst)
     in
     let handle =
       Scheme.launch
-        ~net:(fb.fb_host_net src)
-        ~rcv_net:(fb.fb_host_net dst)
+        ~net:(Topology.host_net fb src)
+        ~rcv_net:(Topology.host_net fb dst)
         ~overrides ~flow ~src ~dst ~paths ~size_segments ~start_at:at
         ~observer:
           {
@@ -231,7 +195,7 @@ let run_fabric ~cfg ~domains fb =
               (fun f ->
                 (* runs in the source shard's domain *)
                 Hashtbl.remove st.running flow;
-                let finished = Sim.now (fb.fb_sim shard) in
+                let finished = Sim.now (Shard.sim fb.cluster shard) in
                 let started = Mptcp_flow.started_at f in
                 Metrics.record_flow st.metrics
                   {
@@ -282,7 +246,7 @@ let run_fabric ~cfg ~domains fb =
     if Time.compare next cfg.horizon > 0 then Time.infinity else next
   in
   let until = Time.add cfg.horizon cfg.drain in
-  fb.fb_run ~domains ~until ~on_epoch;
+  Shard.run ~domains ~until ~on_epoch fb.cluster;
   (* Flows still in flight at the end are recorded as truncated, in
      flow-id order so aggregation never depends on hash-table history
      (sorted-iteration idiom). Their FCT is undefined — only goodput and
@@ -323,8 +287,8 @@ let run_fabric ~cfg ~domains fb =
     launched = !launched;
     completed;
     truncated = Metrics.n_truncated_flows total;
-    events = fb.fb_events ();
-    mail = fb.fb_mail ();
+    events = Shard.events_executed fb.cluster;
+    mail = Shard.mail_injected fb.cluster;
     config = cfg;
   }
 
@@ -338,45 +302,26 @@ let disc_of cfg =
       ~policy:(Queue_disc.Threshold_mark marking)
       ~capacity_pkts:cfg.queue_pkts
 
+let cluster_of cfg ~shards =
+  Shard.create ~config:{ Sim.default_config with Sim.seed = cfg.seed } ~shards ()
+
 let run ?(config = default_config) ?(domains = 1) () =
   let cfg = config in
   let ft =
-    Ft.create
-      ~config:{ Sim.default_config with Sim.seed = cfg.seed }
+    Fat_tree.create
+      ~cluster:(cluster_of cfg ~shards:cfg.k)
       ~k:cfg.k ~rate:cfg.rate ~disc:(disc_of cfg) ()
   in
-  let n_hosts = Ft.n_hosts ft in
-  let cluster = Ft.cluster ft in
-  let fb =
-    {
-      fb_n_hosts = n_hosts;
-      fb_shards = cfg.k;
-      fb_shard_of_host = Ft.pod_of_host ft;
-      fb_host_net = Ft.host_net ft;
-      fb_sim = (fun shard -> Shard.sim cluster shard);
-      fb_locality = (fun ~src ~dst -> Ft.locality ft ~src ~dst);
-      fb_n_paths = (fun ~src ~dst -> Ft.n_paths ft ~src ~dst);
-      fb_zero_load_rtt =
-        (fun ~src ~dst -> zero_load_rtt (Ft.locality ft ~src ~dst));
-      fb_dc_ranges = [| (0, n_hosts) |];
-      fb_dc_of = (fun _ -> 0);
-      fb_run =
-        (fun ~domains ~until ~on_epoch -> Ft.run ~domains ~until ~on_epoch ft);
-      fb_events = (fun () -> Shard.events_executed cluster);
-      fb_mail = (fun () -> Shard.mail_injected cluster);
-    }
-  in
-  run_fabric ~cfg ~domains fb
+  run_fabric ~cfg ~domains (Fat_tree.view ft)
 
 let run_wan ?(config = default_config) ?(domains = 1) ?faults ~left ~right
     ~trunks () =
   let cfg = config in
+  let cluster = cluster_of cfg ~shards:2 in
   let wan =
-    Wan.create
-      ~config:{ Sim.default_config with Sim.seed = cfg.seed }
-      ~left ~right ~trunks ~rate:cfg.rate ~disc:(disc_of cfg) ()
+    Wan.create ~cluster ~left ~right ~trunks ~rate:cfg.rate ~disc:(disc_of cfg)
+      ()
   in
-  let cluster = Wan.cluster wan in
   (* arm the fault schedule (e.g. Gilbert-Elliott loss on Tag "wan")
      against both shard networks; targets must resolve in every shard,
      which holds for trunk links since each direction lives in its
@@ -388,25 +333,4 @@ let run_wan ?(config = default_config) ?(domains = 1) ?faults ~left ~right
       for s = 0 to 1 do
         ignore (Injector.install ~net:(Shard.net cluster s) ~schedule ())
       done);
-  let n0 = Wan.dc_n_hosts (Wan.dc_spec wan 0) in
-  let n1 = Wan.dc_n_hosts (Wan.dc_spec wan 1) in
-  let fb =
-    {
-      fb_n_hosts = Wan.n_hosts wan;
-      fb_shards = 2;
-      fb_shard_of_host = Wan.dc_of_host wan;
-      fb_host_net = Wan.host_net wan;
-      fb_sim = (fun shard -> Shard.sim cluster shard);
-      fb_locality = (fun ~src ~dst -> Wan.locality wan ~src ~dst);
-      fb_n_paths = (fun ~src ~dst -> Wan.n_paths wan ~src ~dst);
-      fb_zero_load_rtt = (fun ~src ~dst -> Wan.zero_load_rtt wan ~src ~dst);
-      fb_dc_ranges = [| (0, n0); (n0, n1) |];
-      fb_dc_of = Wan.dc_of_host wan;
-      fb_run =
-        (fun ~domains ~until ~on_epoch ->
-          Wan.run ~domains ~until ~on_epoch wan);
-      fb_events = (fun () -> Wan.events_executed wan);
-      fb_mail = (fun () -> Wan.mail_injected wan);
-    }
-  in
-  run_fabric ~cfg ~domains fb
+  run_fabric ~cfg ~domains (Wan.view wan)

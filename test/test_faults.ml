@@ -288,13 +288,13 @@ let test_blackout_window () =
 (* ----- fat-tree integration ----- *)
 
 let make_fat_tree () =
-  let sim = Sim.create () in
-  let net = Net.Network.create sim in
+  let cluster = Net.Shard.create ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
       ~capacity_pkts:100
   in
-  let ft = Fat_tree.create ~net ~k:4 ~disc () in
+  let ft = Fat_tree.create ~cluster ~k:4 ~disc () in
   (sim, net, ft)
 
 let test_fat_tree_uplink_helpers () =

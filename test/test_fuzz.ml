@@ -135,13 +135,13 @@ let fat_tree_route_fuzz =
         (int_range 0 15))
     (fun (k_pick, src_raw, dst_raw, path_raw) ->
       let k = if k_pick = 0 then 4 else 6 in
-      let sim = Sim.create () in
-      let net = Net.Network.create sim in
+      let cluster = Net.Shard.create ~shards:1 () in
+      let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
       let disc () =
         Net.Queue_disc.create ~policy:Net.Queue_disc.Droptail
           ~capacity_pkts:50
       in
-      let ft = Net.Fat_tree.create ~net ~k ~disc () in
+      let ft = Net.Fat_tree.create ~cluster ~k ~disc () in
       let n = Net.Fat_tree.n_hosts ft in
       let src = src_raw mod n in
       let dst = dst_raw mod n in

@@ -9,14 +9,15 @@ let disc () =
   Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
     ~capacity_pkts:100
 
-let mk ?(leaves = 3) ?(spines = 2) ?(hosts_per_leaf = 2) sim =
-  let net = Network.create sim in
-  let ls = LS.create ~net ~leaves ~spines ~hosts_per_leaf ~disc () in
-  (net, ls)
+let mk ?(seed = 42) ?(leaves = 3) ?(spines = 2) ?(hosts_per_leaf = 2) () =
+  let cluster =
+    Net.Shard.create ~config:{ Sim.default_config with seed } ~shards:1 ()
+  in
+  let ls = LS.create ~cluster ~leaves ~spines ~hosts_per_leaf ~disc () in
+  (Net.Shard.sim cluster 0, Net.Shard.net cluster 0, ls)
 
 let test_structure () =
-  let sim = Sim.create () in
-  let net, ls = mk sim in
+  let _sim, net, ls = mk () in
   Alcotest.(check int) "hosts" 6 (LS.n_hosts ls);
   (* 6 hosts + 3 leaves + 2 spines *)
   Alcotest.(check int) "nodes" 11 (Network.n_nodes net);
@@ -26,8 +27,7 @@ let test_structure () =
     (List.length (Network.links_tagged net "spine"))
 
 let test_locality_and_paths () =
-  let sim = Sim.create () in
-  let _, ls = mk sim in
+  let _, _, ls = mk () in
   Alcotest.(check bool) "same leaf" true (LS.same_leaf ls ~src:0 ~dst:1);
   Alcotest.(check bool) "cross leaf" false (LS.same_leaf ls ~src:0 ~dst:2);
   Alcotest.(check int) "1 path in leaf" 1 (LS.n_paths ls ~src:0 ~dst:1);
@@ -35,8 +35,7 @@ let test_locality_and_paths () =
   Alcotest.(check int) "roundtrip" 5 (LS.host_index ls (LS.host_id ls 5))
 
 let test_all_pairs_routable () =
-  let sim = Sim.create () in
-  let net, ls = mk ~leaves:4 ~spines:3 ~hosts_per_leaf:3 sim in
+  let sim, net, ls = mk ~leaves:4 ~spines:3 ~hosts_per_leaf:3 () in
   let n = LS.n_hosts ls in
   let ok = ref 0 in
   for src = 0 to n - 1 do
@@ -61,8 +60,7 @@ let test_all_pairs_routable () =
 
 let test_spine_diversity () =
   (* distinct selectors cross distinct spines *)
-  let sim = Sim.create () in
-  let net, ls = mk sim in
+  let sim, net, ls = mk () in
   Network.register_endpoint net ~host:(LS.host_id ls 4) ~flow:1 ~subflow:0
     (fun _ -> ());
   for path = 0 to 1 do
@@ -84,8 +82,7 @@ let test_spine_diversity () =
 let test_xmp_flow_over_leaf_spine () =
   (* an XMP flow with one subflow per spine should aggregate close to its
      1 Gbps host-link limit (the spine tier is 10 Gbps and unloaded) *)
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 19 } () in
-  let net, ls = mk ~leaves:2 ~spines:2 ~hosts_per_leaf:2 sim in
+  let sim, net, ls = mk ~seed:19 ~leaves:2 ~spines:2 ~hosts_per_leaf:2 () in
   let f =
     Xmp_core.Xmp.flow ~net ~flow:1
       ~src:(LS.host_id ls 0)
@@ -108,11 +105,10 @@ let test_xmp_flow_over_leaf_spine () =
     (Xmp_mptcp.Mptcp_flow.subflows f)
 
 let test_validation () =
-  let sim = Sim.create () in
-  let net = Network.create sim in
+  let cluster = Net.Shard.create ~shards:1 () in
   Alcotest.check_raises "bad params" (Invalid_argument "Leaf_spine.create")
     (fun () ->
-      ignore (LS.create ~net ~leaves:0 ~spines:1 ~hosts_per_leaf:1 ~disc ()))
+      ignore (LS.create ~cluster ~leaves:0 ~spines:1 ~hosts_per_leaf:1 ~disc ()))
 
 let suite =
   [

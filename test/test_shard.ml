@@ -72,6 +72,37 @@ let test_portal_rejects_bad_args () =
         (Shard.portal cluster ~src:(0, a) ~dst:(1, b) ~rate ~delay:Time.zero
            ~disc ()))
 
+(* Shard.connect is a link pair within a shard and a portal pair across
+   shards; only the latter bounds the epoch. *)
+let test_connect () =
+  let cluster = Shard.create ~shards:2 () in
+  let net0 = Shard.net cluster 0 and net1 = Shard.net cluster 1 in
+  let a = Network.add_host_at net0 ~id:0 ~name:"a" in
+  let b = Network.add_switch_at net0 ~id:1 ~name:"b" in
+  let c = Network.add_host_at net1 ~id:2 ~name:"c" in
+  let rate = Net.Units.gbps 1. in
+  let ab, ba =
+    Shard.connect cluster ~rate ~delay:(Time.us 20) ~disc (0, a) (0, b)
+  in
+  Alcotest.(check (pair string string)) "local pair, forward first"
+    ("a->b", "b->a") (Net.Link.name ab, Net.Link.name ba);
+  Alcotest.(check int) "two links in shard 0" 2
+    (List.length (Network.links net0));
+  Alcotest.(check int) "no portal yet" Time.infinity (Shard.epoch_delta cluster);
+  let bc, cb =
+    Shard.connect cluster ~tag:"x" ~rate ~delay:(Time.us 30) ~disc (0, b)
+      (1, c)
+  in
+  Alcotest.(check (pair string string)) "portal pair, forward first"
+    ("b->c", "c->b") (Net.Link.name bc, Net.Link.name cb);
+  Alcotest.(check (pair int int)) "each direction in its source shard"
+    (3, 1)
+    (List.length (Network.links net0), List.length (Network.links net1));
+  Alcotest.(check int) "portal delay lowers the epoch" (Time.us 30)
+    (Shard.epoch_delta cluster);
+  Alcotest.(check (pair int int)) "ports in creation order" (1, 0)
+    (Node.n_ports b - 1, Node.n_ports c - 1)
+
 (* A ping-pong chain across the barrier: every reply depends on mail
    from the previous epoch, so the count proves epochs interleave
    causally rather than running each shard to the horizon once. *)
@@ -172,4 +203,6 @@ let suite =
       test_sharded_scenario_progress;
     Alcotest.test_case "domains 1 vs 4 byte equality" `Slow
       test_domains_byte_equality;
+    Alcotest.test_case "connect: links within, portals across" `Quick
+      test_connect;
   ]

@@ -196,22 +196,6 @@ let test_export_metrics () =
     (List.length
        (String.split_on_char '\n' (String.trim (Export.metrics_jsonl r))))
 
-(* ----- API compatibility ----- *)
-
-let test_create_legacy () =
-  let s1 =
-    (Xmp_engine.Sim.create_legacy ~seed:9 () [@alert "-deprecated"])
-  in
-  let s2 =
-    Xmp_engine.Sim.create
-      ~config:{ Xmp_engine.Sim.default_config with seed = 9 }
-      ()
-  in
-  Alcotest.(check int)
-    "legacy wrapper draws the same stream"
-    (Random.State.int (Xmp_engine.Sim.rng s1) 1_000_000)
-    (Random.State.int (Xmp_engine.Sim.rng s2) 1_000_000)
-
 (* ----- telemetry does not perturb the simulation ----- *)
 
 let quick_fig1 telemetry =
@@ -266,8 +250,6 @@ let suite =
       test_enabled_sink_records;
     Alcotest.test_case "export events" `Quick test_export_events;
     Alcotest.test_case "export metrics" `Quick test_export_metrics;
-    Alcotest.test_case "create_legacy compatibility" `Quick
-      test_create_legacy;
     Alcotest.test_case "telemetry does not perturb runs" `Quick
       test_fig_run_unperturbed;
   ]

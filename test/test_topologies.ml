@@ -119,14 +119,13 @@ let test_testbed_validation () =
 
 (* ----- Fat tree ----- *)
 
-let mk_fat_tree ?(k = 4) sim =
-  let net = Network.create sim in
-  let ft = Fat_tree.create ~net ~k ~disc () in
-  (net, ft)
+let mk_fat_tree ?(k = 4) () =
+  let cluster = Net.Shard.create ~shards:1 () in
+  let ft = Fat_tree.create ~cluster ~k ~disc () in
+  (Net.Shard.net cluster 0, ft)
 
 let test_fat_tree_structure () =
-  let sim = Sim.create () in
-  let net, ft = mk_fat_tree sim in
+  let net, ft = mk_fat_tree () in
   Alcotest.(check int) "hosts" 16 (Fat_tree.n_hosts ft);
   (* 16 hosts + 8 edge + 8 agg + 4 core = 36 nodes *)
   Alcotest.(check int) "nodes" 36 (Network.n_nodes net);
@@ -141,15 +140,13 @@ let test_fat_tree_structure () =
     Fat_tree.layers
 
 let test_fat_tree_k8_structure () =
-  let sim = Sim.create () in
-  let net, ft = mk_fat_tree ~k:8 sim in
+  let net, ft = mk_fat_tree ~k:8 () in
   Alcotest.(check int) "hosts" 128 (Fat_tree.n_hosts ft);
   (* 128 hosts + 32 edge + 32 agg + 16 core = 208 *)
   Alcotest.(check int) "nodes" 208 (Network.n_nodes net)
 
 let test_locality () =
-  let sim = Sim.create () in
-  let _, ft = mk_fat_tree sim in
+  let _, ft = mk_fat_tree () in
   (* k=4: hosts 0,1 share an edge; 0..3 share a pod *)
   Alcotest.(check bool) "inner rack" true
     (Fat_tree.locality ft ~src:0 ~dst:1 = Fat_tree.Inner_rack);
@@ -159,15 +156,13 @@ let test_locality () =
     (Fat_tree.locality ft ~src:0 ~dst:4 = Fat_tree.Inter_pod)
 
 let test_n_paths () =
-  let sim = Sim.create () in
-  let _, ft = mk_fat_tree sim in
+  let _, ft = mk_fat_tree () in
   Alcotest.(check int) "inner rack" 1 (Fat_tree.n_paths ft ~src:0 ~dst:1);
   Alcotest.(check int) "inter rack" 2 (Fat_tree.n_paths ft ~src:0 ~dst:2);
   Alcotest.(check int) "inter pod" 4 (Fat_tree.n_paths ft ~src:0 ~dst:4)
 
 let test_host_id_roundtrip () =
-  let sim = Sim.create () in
-  let _, ft = mk_fat_tree sim in
+  let _, ft = mk_fat_tree () in
   for i = 0 to Fat_tree.n_hosts ft - 1 do
     Alcotest.(check int) "roundtrip" i
       (Fat_tree.host_index ft (Fat_tree.host_id ft i))
@@ -176,8 +171,7 @@ let test_host_id_roundtrip () =
     (fun () -> ignore (Fat_tree.host_id ft 16))
 
 let test_fat_tree_all_pairs_routable () =
-  let sim = Sim.create () in
-  let net, ft = mk_fat_tree sim in
+  let net, ft = mk_fat_tree () in
   let n = Fat_tree.n_hosts ft in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
@@ -199,8 +193,7 @@ let test_fat_tree_path_diversity () =
   (* distinct inter-pod path selectors traverse distinct core switches:
      with 4 selectors and one probe each, the 4 core uplink pairs each see
      exactly one packet *)
-  let sim = Sim.create () in
-  let net, ft = mk_fat_tree sim in
+  let net, ft = mk_fat_tree () in
   for path = 0 to 3 do
     ignore
       (send_and_await net ~src:(Fat_tree.host_id ft 0)
@@ -220,8 +213,7 @@ let test_fat_tree_path_diversity () =
 
 let test_fat_tree_ack_path_symmetry () =
   (* a reply with the same path selector crosses the same core switch *)
-  let sim = Sim.create () in
-  let net, ft = mk_fat_tree sim in
+  let net, ft = mk_fat_tree () in
   let src = Fat_tree.host_id ft 0 and dst = Fat_tree.host_id ft 12 in
   ignore (send_and_await net ~src ~dst ~path:3);
   ignore (send_and_await net ~src:dst ~dst:src ~path:3);
@@ -241,17 +233,126 @@ let test_fat_tree_ack_path_symmetry () =
   Alcotest.(check int) "exactly one core switch touched" 1 !core_nodes_used
 
 let test_fat_tree_validation () =
-  let sim = Sim.create () in
-  let net = Network.create sim in
+  let cluster = Net.Shard.create ~shards:1 () in
   Alcotest.check_raises "odd k" (Invalid_argument "Fat_tree.create: k")
-    (fun () -> ignore (Fat_tree.create ~net ~k:3 ~disc ()))
+    (fun () -> ignore (Fat_tree.create ~cluster ~k:3 ~disc ()))
 
 let test_max_rtt () =
-  let sim = Sim.create () in
-  let _, ft = mk_fat_tree sim in
+  let _, ft = mk_fat_tree () in
   (* 2 * 2 * (20 + 30 + 40) us = 360 us *)
   Alcotest.(check int) "zero-load inter-pod RTT" (Time.us 360)
     (Fat_tree.max_rtt_no_queue ft)
+
+(* ----- placement equivalence -----
+
+   A topology is one description built on a cluster; only the links
+   whose ends land on different shards may differ, by becoming portals.
+   These helpers compare a one-shard build with a sharded one. *)
+
+(* Node [id] of the cluster, as (shard, node); ids must be 0..n-1. *)
+let placed cluster =
+  let shards = Net.Shard.n_shards cluster in
+  let n =
+    List.fold_left ( + ) 0
+      (List.init shards (fun s -> Network.n_nodes (Net.Shard.net cluster s)))
+  in
+  Array.init n (fun id ->
+      let rec find s =
+        match Network.node (Net.Shard.net cluster s) id with
+        | node -> (s, node)
+        | exception Invalid_argument _ -> find (s + 1)
+      in
+      find 0)
+
+let peer_name l =
+  let name = Net.Link.name l in
+  let i = String.index name '>' in
+  String.sub name (i + 1) (String.length name - i - 1)
+
+let port_peers node =
+  List.init (Node.n_ports node) (fun p -> peer_name (Node.port node p))
+
+(* Sends one probe per (src, dst, path) and returns, per probe, the names
+   of the links it crossed. *)
+let walks (view : Net.Topology.t) =
+  let cluster = view.cluster in
+  let hops = Hashtbl.create 1024 in
+  for s = 0 to Net.Shard.n_shards cluster - 1 do
+    List.iter
+      (fun l ->
+        Net.Link.wrap_receiver l (fun deliver p ->
+            let seq = Packet.seq p in
+            let walked = Option.value ~default:[] (Hashtbl.find_opt hops seq) in
+            Hashtbl.replace hops seq (Net.Link.name l :: walked);
+            deliver p))
+      (Network.links (Net.Shard.net cluster s))
+  done;
+  let probes = ref [] in
+  for src = 0 to view.n_hosts - 1 do
+    for dst = 0 to view.n_hosts - 1 do
+      if src <> dst then
+        for path = 0 to view.n_paths ~src ~dst - 1 do
+          let seq = List.length !probes in
+          probes := (src, dst, path, seq) :: !probes;
+          let shard = view.shard_of_host src in
+          Sim.at (Net.Shard.sim cluster shard) (Time.us (10 * seq)) (fun () ->
+              Node.send
+                (Network.node (Net.Shard.net cluster shard) src)
+                (Packet.data ~flow:1 ~subflow:0 ~src ~dst ~path ~seq ~ect:false
+                   ~cwr:false ~ts:0))
+        done
+    done
+  done;
+  Net.Shard.run cluster;
+  List.rev_map
+    (fun (src, dst, path, seq) ->
+      ( Printf.sprintf "%d->%d/%d" src dst path,
+        List.rev (Option.value ~default:[] (Hashtbl.find_opt hops seq)) ))
+    !probes
+
+(* [flat] and [sharded] are views of the same description built on one
+   shard and on several. *)
+let check_placement ~(flat : Net.Topology.t) ~(sharded : Net.Topology.t)
+    ~lookahead =
+  let a = placed flat.cluster and b = placed sharded.cluster in
+  Alcotest.(check int) "same node count" (Array.length a) (Array.length b);
+  let shard_of_name = Hashtbl.create 64 in
+  Array.iter (fun (s, n) -> Hashtbl.replace shard_of_name (Node.name n) s) b;
+  Array.iteri
+    (fun id ((_, na), (sb, nb)) ->
+      let name = Node.name na in
+      Alcotest.(check string) (Printf.sprintf "node %d name" id) name
+        (Node.name nb);
+      Alcotest.(check (list string)) (name ^ " port peers") (port_peers na)
+        (port_peers nb);
+      for p = 0 to Node.n_ports nb - 1 do
+        let l = Node.port nb p in
+        (* a portal's propagation is applied across the epoch barrier,
+           so its egress link itself has zero delay *)
+        Alcotest.(check bool)
+          (Net.Link.name l ^ " is a portal iff it crosses shards")
+          (Hashtbl.find shard_of_name (peer_name l) <> sb)
+          (Net.Link.delay l = Time.zero)
+      done)
+    (Array.map2 (fun x y -> (x, y)) a b);
+  Alcotest.(check int) "flat build has no portals" Time.infinity
+    (Net.Shard.epoch_delta flat.cluster);
+  Alcotest.(check int) "lookahead" lookahead
+    (Net.Shard.epoch_delta sharded.cluster);
+  let walked = walks flat in
+  Alcotest.(check bool) "probes sent" true (List.length walked > 100);
+  Alcotest.(check (list (pair string (list string))))
+    "every (src, dst, path) walks the same hops" walked (walks sharded)
+
+let test_fat_tree_placement () =
+  let build shards =
+    let cluster = Net.Shard.create ~shards () in
+    Fat_tree.view (Fat_tree.create ~cluster ~k:4 ~disc ())
+  in
+  check_placement ~flat:(build 1) ~sharded:(build 4) ~lookahead:(Time.us 40);
+  Alcotest.check_raises "other shard counts"
+    (Invalid_argument "Fat_tree.create: cluster must have 1 or k shards")
+    (fun () -> ignore (build 2))
 
 let suite =
   [
@@ -280,4 +381,6 @@ let suite =
       test_fat_tree_ack_path_symmetry;
     Alcotest.test_case "fat tree validation" `Quick test_fat_tree_validation;
     Alcotest.test_case "zero-load RTT" `Quick test_max_rtt;
+    Alcotest.test_case "one-shard and pod-sharded builds agree" `Quick
+      test_fat_tree_placement;
   ]

@@ -1,7 +1,7 @@
 (* Inter-DC WAN bridge: geometry, routing over every cross-DC path
    selector, zero-load RTT pins (the ideal-FCT denominator), end-to-end
    MPTCP flows across the trunk, Gilbert-Elliott trunk loss, and the
-   domains-1-vs-2 byte-equality guarantee of the sharded backend. *)
+   domains-1-vs-2 byte-equality guarantee of the two-shard placement. *)
 
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
@@ -24,10 +24,9 @@ let ft4 = Wan.Fat_tree_dc { k = 4 }
 let ls_dc = Wan.Leaf_spine_dc { leaves = 4; spines = 2; hosts_per_leaf = 2 }
 
 let flat_wan ?(left = ft4) ?(right = ft4) ~trunks () =
-  let sim = Sim.create () in
-  let net = Network.create sim in
-  let wan = Wan.create_flat ~net ~left ~right ~trunks ~disc () in
-  (sim, net, wan)
+  let cluster = Net.Shard.create ~shards:1 () in
+  let wan = Wan.create ~cluster ~left ~right ~trunks ~disc () in
+  (Net.Shard.sim cluster 0, Net.Shard.net cluster 0, wan)
 
 (* ---- geometry -------------------------------------------------------- *)
 
@@ -186,7 +185,24 @@ let test_trunk_timing () =
   in
   Alcotest.(check int) "one-way latency = sum of hops" expect !arrival
 
-(* ---- end-to-end flows over the sharded backend ----------------------- *)
+(* ---- one shard vs one shard per DC ------------------------------------ *)
+
+let test_placement () =
+  let trunks =
+    [ Wan.trunk ~delay:(Time.ms 2) (); Wan.trunk ~delay:(Time.ms 1) () ]
+  in
+  let build shards =
+    let cluster = Net.Shard.create ~shards () in
+    Wan.view (Wan.create ~cluster ~left:ft4 ~right:ls_dc ~trunks ~disc ())
+  in
+  (* the fastest trunk is the lookahead *)
+  Test_topologies.check_placement ~flat:(build 1) ~sharded:(build 2)
+    ~lookahead:(Time.ms 1);
+  Alcotest.check_raises "other shard counts"
+    (Invalid_argument "Wan.create: cluster must have 1 or 2 shards")
+    (fun () -> ignore (build 3))
+
+(* ---- end-to-end flows over the two-shard placement ------------------- *)
 
 let wan_config =
   {
@@ -330,4 +346,6 @@ let suite =
       test_trunk_loss_injects;
     Alcotest.test_case "wan domains 1 vs 2 byte equality" `Slow
       test_domains_byte_equality;
+    Alcotest.test_case "one-shard and per-DC builds agree" `Quick
+      test_placement;
   ]
