@@ -8,9 +8,7 @@ let delta ~own_cwnd ~total_rate ~min_rtt_s =
   else own_cwnd /. (total_rate *. min_rtt_s)
 
 let coupling ?(params = Bos.default_params) () =
-  let fresh () =
-    let g = Coupling.group () in
-    fun _index view ->
+  Coupling.coupled ~name:"xmp" (fun g view ->
       (* The subflow's own window getter only exists once the BOS instance
          is built; tie the knot through a cell. *)
       let own_cwnd = ref (fun () -> params.Bos.init_cwnd) in
@@ -33,12 +31,4 @@ let coupling ?(params = Bos.default_params) () =
       in
       let cc = Bos.make ~params ~delta:subflow_delta () view in
       own_cwnd := cc.Cc.cwnd;
-      Coupling.register g
-        {
-          Coupling.cwnd = cc.Cc.cwnd;
-          srtt_s = (fun () -> Xmp_engine.Time.to_float_s (view.Cc.srtt ()));
-          in_slow_start = cc.Cc.in_slow_start;
-        };
-      { cc with Cc.name = "xmp" }
-  in
-  { Coupling.name = "xmp"; fresh }
+      cc)

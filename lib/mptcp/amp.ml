@@ -1,20 +1,10 @@
-module Cc = Xmp_transport.Cc
 module Reno = Xmp_transport.Reno
 
 let default_params = { Reno.default_params with ecn = true }
 
 let coupling ?(params = default_params) () =
   let params = { params with Reno.ecn = true } in
-  let module M = struct
-    let name = "amp"
-
-    type flow = unit
-
-    type state = Cc.t
-
-    let flow () = ()
-
-    let init ~flow:() ~group:g ~index:_ view =
+  Coupling.coupled ~name:"amp" (fun g ->
       (* semi-coupled congestion avoidance: each acked segment adds
          1/Σ_k w_k, so the flow as a whole grows one segment per RTT
          regardless of how many subflows it runs (≤ 1/w on every
@@ -23,20 +13,4 @@ let coupling ?(params = default_params) () =
         let total = Coupling.total_cwnd g in
         if total <= 0. then 1. /. cwnd else Float.min (1. /. total) (1. /. cwnd)
       in
-      Reno.make_with_increase ~params ~increase () view
-
-    let cwnd (cc : state) = cc.Cc.cwnd ()
-
-    let in_slow_start (cc : state) = cc.Cc.in_slow_start ()
-
-    let take_cwr (cc : state) = cc.Cc.take_cwr ()
-
-    let on_ack (cc : state) = cc.Cc.on_ack
-
-    let on_ecn (cc : state) = cc.Cc.on_ecn
-
-    let on_fast_retransmit (cc : state) = cc.Cc.on_fast_retransmit ()
-
-    let on_timeout (cc : state) = cc.Cc.on_timeout ()
-  end in
-  Coupling.make (module M)
+      Reno.make_with_increase ~params ~increase ~backoff:Reno.halving ())

@@ -1,92 +1,38 @@
 module Cc = Xmp_transport.Cc
 module Reno = Xmp_transport.Reno
 
-type state = {
-  params : Reno.params;
-  view : Cc.view;
-  g : Coupling.group;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-}
-
-let srtt_s st = Xmp_engine.Time.to_float_s (st.view.Cc.srtt ())
-
 (* alpha_r = max_k x_k / x_r >= 1, the best-path rate ratio; 1 when the
    subflow's own rate is unknown (no RTT sample yet). *)
-let alpha_of st =
-  let rtt_s = srtt_s st in
+let alpha g ~rtt_s ~cwnd =
   if rtt_s <= 0. then 1.
   else begin
-    let x_r = st.cwnd /. rtt_s in
-    if x_r <= 0. then 1. else Float.max 1. (Coupling.max_rate st.g /. x_r)
+    let x_r = cwnd /. rtt_s in
+    if x_r <= 0. then 1. else Float.max 1. (Coupling.max_rate g /. x_r)
   end
 
 (* Per-ACK congestion-avoidance gain:
    (x_r/rtt_r) / (Σ_k x_k)² · (1+α)/2 · (4+α)/5.
    With one path α = 1 and the gain is exactly 1/w (plain Reno); in
    general α² ≥ max/x ratios make the gain ≤ 1/w (do no harm). *)
-let increase st =
-  let rtt_s = srtt_s st in
-  let sum = Coupling.total_rate st.g in
-  if rtt_s <= 0. || sum <= 0. then 1. /. st.cwnd
+let increase g ~rtt_s ~cwnd =
+  let sum = Coupling.total_rate g in
+  if rtt_s <= 0. || sum <= 0. || cwnd /. rtt_s <= 0. then 1. /. cwnd
   else begin
-    let x_r = st.cwnd /. rtt_s in
-    if x_r <= 0. then 1. /. st.cwnd
-    else begin
-      let alpha = Float.max 1. (Coupling.max_rate st.g /. x_r) in
-      let f = (1. +. alpha) /. 2. *. ((4. +. alpha) /. 5.) in
-      x_r /. rtt_s /. (sum *. sum) *. f
-    end
+    let alpha = alpha g ~rtt_s ~cwnd in
+    let f = (1. +. alpha) /. 2. *. ((4. +. alpha) /. 5.) in
+    cwnd /. rtt_s /. rtt_s /. (sum *. sum) *. f
   end
 
-(* Loss cut: w ← w · (1 − min(α, 1.5)/2), i.e. between half (α = 1,
-   Reno-equivalent) and a quarter (α ≥ 1.5) of the window survives. *)
-let cut st =
-  let factor = 1. -. (Float.min (alpha_of st) 1.5 /. 2.) in
-  st.ssthresh <-
-    Float.max (st.cwnd *. factor) (Float.max st.params.min_cwnd 2.);
-  st.cwnd <- st.ssthresh
-
-let in_slow_start st = st.cwnd < st.ssthresh
-
 let coupling ?(params = Reno.default_params) () =
-  let module M = struct
-    let name = "balia"
-
-    type flow = unit
-
-    type nonrec state = state
-
-    let flow () = ()
-
-    let init ~flow:() ~group:g ~index:_ view =
-      {
-        params;
-        view;
-        g;
-        cwnd = params.Reno.init_cwnd;
-        ssthresh = Float.max_float;
-      }
-
-    let cwnd st = st.cwnd
-
-    let in_slow_start = in_slow_start
-
-    let take_cwr _st = false
-
-    let on_ack st ~ack:_ ~newly_acked ~ce_count:_ =
-      for _ = 1 to newly_acked do
-        if in_slow_start st then st.cwnd <- st.cwnd +. 1.
-        else st.cwnd <- st.cwnd +. increase st
-      done
-
-    (* loss-driven: Balia flows are not ECN-capable *)
-    let on_ecn _st ~count:_ = ()
-
-    let on_fast_retransmit st = cut st
-
-    let on_timeout st =
-      st.ssthresh <- Float.max (st.cwnd /. 2.) 2.;
-      st.cwnd <- Float.max st.params.Reno.min_cwnd 1.
-  end in
-  Coupling.make (module M)
+  (* loss-driven: Balia flows are not ECN-capable *)
+  let params = { params with Reno.ecn = false } in
+  Coupling.coupled ~name:"balia" (fun g view ->
+      let srtt_s () = Xmp_engine.Time.to_float_s (view.Cc.srtt ()) in
+      (* Loss cut: w ← w · (1 − min(α, 1.5)/2), i.e. between half (α = 1,
+         Reno-equivalent) and a quarter (α ≥ 1.5) of the window survives. *)
+      let backoff ~cwnd =
+        1. -. (Float.min (alpha g ~rtt_s:(srtt_s ()) ~cwnd) 1.5 /. 2.)
+      in
+      Reno.make_with_increase ~params
+        ~increase:(fun ~cwnd -> increase g ~rtt_s:(srtt_s ()) ~cwnd)
+        ~backoff () view)

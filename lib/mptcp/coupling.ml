@@ -11,7 +11,13 @@ type group = { mutable members : member list (* reverse order *) }
 let group () = { members = [] }
 let register g m = g.members <- m :: g.members
 let members g = List.rev g.members
-let n_members g = List.length g.members
+
+let member_of (view : Cc.view) (cc : Cc.t) =
+  {
+    cwnd = cc.Cc.cwnd;
+    srtt_s = (fun () -> Xmp_engine.Time.to_float_s (view.Cc.srtt ()));
+    in_slow_start = cc.Cc.in_slow_start;
+  }
 
 let total_cwnd g =
   List.fold_left (fun acc m -> acc +. m.cwnd ()) 0. g.members
@@ -37,60 +43,18 @@ let min_srtt g =
       if rtt_s > 0. then Float.min acc rtt_s else acc)
     Float.max_float g.members
 
-type t = { name : string; fresh : unit -> int -> Xmp_transport.Cc.factory }
+type t = { name : string; fresh : unit -> int -> Cc.factory }
 
 let uncoupled ~name factory =
   { name; fresh = (fun () _index -> factory) }
 
-module type COUPLING = sig
-  val name : string
-
-  type flow
-
-  type state
-
-  val flow : unit -> flow
-
-  val init : flow:flow -> group:group -> index:int -> Cc.view -> state
-
-  val cwnd : state -> float
-
-  val in_slow_start : state -> bool
-
-  val take_cwr : state -> bool
-
-  val on_ack : state -> ack:int -> newly_acked:int -> ce_count:int -> unit
-
-  val on_ecn : state -> count:int -> unit
-
-  val on_fast_retransmit : state -> unit
-
-  val on_timeout : state -> unit
-end
-
-let make (module C : COUPLING) =
+let coupled ~name build =
   let fresh () =
-    let f = C.flow () in
     let g = group () in
-    fun index view ->
-      let st = C.init ~flow:f ~group:g ~index view in
-      register g
-        {
-          cwnd = (fun () -> C.cwnd st);
-          srtt_s = (fun () -> Xmp_engine.Time.to_float_s (view.Cc.srtt ()));
-          in_slow_start = (fun () -> C.in_slow_start st);
-        };
-      {
-        Cc.name = C.name;
-        cwnd = (fun () -> C.cwnd st);
-        on_ack =
-          (fun ~ack ~newly_acked ~ce_count ->
-            C.on_ack st ~ack ~newly_acked ~ce_count);
-        on_ecn = (fun ~count -> C.on_ecn st ~count);
-        on_fast_retransmit = (fun () -> C.on_fast_retransmit st);
-        on_timeout = (fun () -> C.on_timeout st);
-        in_slow_start = (fun () -> C.in_slow_start st);
-        take_cwr = (fun () -> C.take_cwr st);
-      }
+    let factory = build g in
+    fun _index view ->
+      let cc = factory view in
+      register g (member_of view cc);
+      { cc with Cc.name }
   in
-  { name = C.name; fresh }
+  { name; fresh }

@@ -1,15 +1,15 @@
 (** Coupled congestion control across the subflows of one MPTCP flow.
 
     A coupling is instantiated once per flow ({!fresh}); the resulting
-    group closure hands each subflow a {!Xmp_transport.Cc} factory whose
-    behaviour may depend on every sibling's state. Implementations
-    register each member's window and RTT getters in the group as the
-    subflow connections are created.
+    closure hands each subflow a {!Xmp_transport.Cc} factory whose
+    behaviour may depend on every sibling's state through the flow's
+    member {!group}.
 
-    Controllers are written as {!COUPLING} instances and turned into a
-    scheme-facing coupling with {!make}; the legacy closure form
-    ({!uncoupled}, or building {!t} by hand as XMP's TraSh does) remains
-    available for controllers that predate the signature. *)
+    Every coupled scheme is built the same way, with {!coupled}: a window
+    body — {!Xmp_transport.Reno.make_with_increase} (loss; LIA, OLIA,
+    AMP, BALIA, MP-Veno) or {!Xmp_core.Bos} (XMP) — given a coupled
+    increase or gain read off the group, and, for Reno, a loss cut.
+    {!uncoupled} runs one single-path controller on every subflow. *)
 
 type member = {
   cwnd : unit -> float;  (** subflow congestion window, segments *)
@@ -27,7 +27,9 @@ val register : group -> member -> unit
 val members : group -> member list
 (** In registration order. *)
 
-val n_members : group -> int
+val member_of : Xmp_transport.Cc.view -> Xmp_transport.Cc.t -> member
+(** A subflow's member: window and slow-start state from the controller,
+    smoothed RTT from the connection view. *)
 
 val total_cwnd : group -> float
 
@@ -53,43 +55,10 @@ val uncoupled : name:string -> Xmp_transport.Cc.factory -> t
 (** Runs the given controller independently on every subflow (the paper's
     "violates fairness" strawman; useful as an experimental control). *)
 
-(** The coupled-controller signature: per-subflow [state] created by
-    [init] against the flow's shared [flow] value and member [group],
-    with event hooks mirroring {!Xmp_transport.Cc.t}. [init] must not
-    register the subflow itself — {!make} registers a member whose
-    getters delegate to [cwnd]/[in_slow_start] right after [init]
-    returns, so registration order equals subflow creation order. *)
-module type COUPLING = sig
-  val name : string
-
-  type flow
-  (** State shared by every subflow of one MPTCP flow (e.g. OLIA's
-      per-path loss history list). *)
-
-  type state
-  (** One subflow's controller state. *)
-
-  val flow : unit -> flow
-
-  val init : flow:flow -> group:group -> index:int -> Xmp_transport.Cc.view -> state
-
-  val cwnd : state -> float
-
-  val in_slow_start : state -> bool
-
-  val take_cwr : state -> bool
-
-  val on_ack : state -> ack:int -> newly_acked:int -> ce_count:int -> unit
-
-  val on_ecn : state -> count:int -> unit
-
-  val on_fast_retransmit : state -> unit
-
-  val on_timeout : state -> unit
-end
-
-val make : (module COUPLING) -> t
-(** Wraps a {!COUPLING} instance: [fresh ()] creates the shared [flow]
-    value and an empty member group; each subflow's factory builds its
-    [state] via [init], registers it as a group member, and exposes the
-    hooks as a {!Xmp_transport.Cc.t}. *)
+val coupled : name:string -> (group -> Xmp_transport.Cc.factory) -> t
+(** [coupled ~name build]: [fresh ()] makes the flow's group and applies
+    [build] to it once, so per-flow state (OLIA's path list) lives in
+    that partial application. Each subflow's factory builds its
+    controller, registers it as a group member ({!member_of}) — so
+    registration order equals subflow order — and returns it renamed to
+    [name]. *)

@@ -1,5 +1,4 @@
 module Reno = Xmp_transport.Reno
-module Cc = Xmp_transport.Cc
 
 let alpha ~windows_rtts =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. windows_rtts in
@@ -17,42 +16,17 @@ let alpha ~windows_rtts =
   if denom <= 0. || total <= 0. then 0.
   else total *. best /. (denom *. denom)
 
+let increase g ~cwnd =
+  let windows_rtts =
+    List.map
+      (fun m -> (m.Coupling.cwnd (), m.Coupling.srtt_s ()))
+      (Coupling.members g)
+  in
+  let total = Coupling.total_cwnd g in
+  let a = alpha ~windows_rtts in
+  if total <= 0. then 1. /. cwnd else Float.min (a /. total) (1. /. cwnd)
+
 let coupling ?(params = Reno.default_params) () =
-  let module M = struct
-    let name = "lia"
-
-    type flow = unit
-
-    type state = Cc.t
-
-    let flow () = ()
-
-    let init ~flow:() ~group:g ~index:_ view =
-      let increase ~cwnd =
-        let windows_rtts =
-          List.map
-            (fun m -> (m.Coupling.cwnd (), m.Coupling.srtt_s ()))
-            (Coupling.members g)
-        in
-        let total = Coupling.total_cwnd g in
-        let a = alpha ~windows_rtts in
-        if total <= 0. then 1. /. cwnd
-        else Float.min (a /. total) (1. /. cwnd)
-      in
-      Reno.make_with_increase ~params ~increase () view
-
-    let cwnd (cc : state) = cc.Cc.cwnd ()
-
-    let in_slow_start (cc : state) = cc.Cc.in_slow_start ()
-
-    let take_cwr (cc : state) = cc.Cc.take_cwr ()
-
-    let on_ack (cc : state) = cc.Cc.on_ack
-
-    let on_ecn (cc : state) = cc.Cc.on_ecn
-
-    let on_fast_retransmit (cc : state) = cc.Cc.on_fast_retransmit ()
-
-    let on_timeout (cc : state) = cc.Cc.on_timeout ()
-  end in
-  Coupling.make (module M)
+  Coupling.coupled ~name:"lia" (fun g ->
+      Reno.make_with_increase ~params ~increase:(increase g)
+        ~backoff:Reno.halving ())

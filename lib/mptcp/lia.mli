@@ -17,4 +17,9 @@ val alpha :
   windows_rtts:(float * float) list -> float
 (** [alpha ~windows_rtts] over [(cwnd, rtt_s)] pairs; exposed for tests. *)
 
+val increase : Coupling.group -> cwnd:float -> float
+(** The coupled per-ACK gain [min(alpha / cwnd_total, 1 / cwnd)] over the
+    group's members ([1/cwnd] while the group is empty); MP-Veno
+    modulates the same gain. *)
+
 val coupling : ?params:Xmp_transport.Reno.params -> unit -> Coupling.t

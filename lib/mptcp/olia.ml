@@ -40,74 +40,61 @@ let alpha_for paths me =
     else 0.
   end
 
+let on_loss p =
+  p.between_losses <- p.since_loss;
+  p.since_loss <- 0.
+
 let coupling ?(params = Reno.default_params) () =
-  let module M = struct
-    let name = "olia"
-
-    type flow = path_state list ref
-
-    type state = { p : path_state; cc : Cc.t }
-
-    let flow () : flow = ref []
-
-    let init ~flow:paths ~group:_ ~index:_ view =
-      let me : path_state option ref = ref None in
-      let increase ~cwnd =
-        match !me with
-        | None -> 1. /. cwnd
-        | Some p ->
-          let all = !paths in
-          let denom =
-            List.fold_left
-              (fun acc q ->
-                let rtt_s = q.member.Coupling.srtt_s () in
-                if rtt_s > 0. then acc +. (q.member.Coupling.cwnd () /. rtt_s)
-                else acc)
-              0. all
-          in
-          let rtt_s = p.member.Coupling.srtt_s () in
-          if denom <= 0. || rtt_s <= 0. then 1. /. cwnd
-          else begin
-            let base = cwnd /. (rtt_s *. rtt_s) /. (denom *. denom) in
-            let extra = alpha_for all p /. cwnd in
-            base +. extra
-          end
-      in
-      let cc = Reno.make_with_increase ~params ~increase () view in
-      let member =
+  Coupling.coupled ~name:"olia" (fun _g ->
+      let paths = ref [] in
+      fun view ->
+        let me = ref None in
+        let increase ~cwnd =
+          match !me with
+          | None -> 1. /. cwnd
+          | Some p ->
+            let all = !paths in
+            let denom =
+              List.fold_left
+                (fun acc q ->
+                  let rtt_s = q.member.Coupling.srtt_s () in
+                  if rtt_s > 0. then acc +. (q.member.Coupling.cwnd () /. rtt_s)
+                  else acc)
+                0. all
+            in
+            let rtt_s = p.member.Coupling.srtt_s () in
+            if denom <= 0. || rtt_s <= 0. then 1. /. cwnd
+            else begin
+              let base = cwnd /. (rtt_s *. rtt_s) /. (denom *. denom) in
+              let extra = alpha_for all p /. cwnd in
+              base +. extra
+            end
+        in
+        let cc =
+          Reno.make_with_increase ~params ~increase ~backoff:Reno.halving ()
+            view
+        in
+        let p =
+          {
+            member = Coupling.member_of view cc;
+            since_loss = 0.;
+            between_losses = 0.;
+          }
+        in
+        me := Some p;
+        paths := !paths @ [ p ];
         {
-          Coupling.cwnd = cc.Cc.cwnd;
-          srtt_s = (fun () -> Xmp_engine.Time.to_float_s (view.Cc.srtt ()));
-          in_slow_start = cc.Cc.in_slow_start;
-        }
-      in
-      let p = { member; since_loss = 0.; between_losses = 0. } in
-      me := Some p;
-      paths := !paths @ [ p ];
-      { p; cc }
-
-    let on_loss p =
-      p.between_losses <- p.since_loss;
-      p.since_loss <- 0.
-
-    let cwnd st = st.cc.Cc.cwnd ()
-
-    let in_slow_start st = st.cc.Cc.in_slow_start ()
-
-    let take_cwr st = st.cc.Cc.take_cwr ()
-
-    let on_ack st ~ack ~newly_acked ~ce_count =
-      st.p.since_loss <- st.p.since_loss +. float_of_int newly_acked;
-      st.cc.Cc.on_ack ~ack ~newly_acked ~ce_count
-
-    let on_ecn st = st.cc.Cc.on_ecn
-
-    let on_fast_retransmit st =
-      on_loss st.p;
-      st.cc.Cc.on_fast_retransmit ()
-
-    let on_timeout st =
-      on_loss st.p;
-      st.cc.Cc.on_timeout ()
-  end in
-  Coupling.make (module M)
+          cc with
+          Cc.on_ack =
+            (fun ~ack ~newly_acked ~ce_count ->
+              p.since_loss <- p.since_loss +. float_of_int newly_acked;
+              cc.Cc.on_ack ~ack ~newly_acked ~ce_count);
+          on_fast_retransmit =
+            (fun () ->
+              on_loss p;
+              cc.Cc.on_fast_retransmit ());
+          on_timeout =
+            (fun () ->
+              on_loss p;
+              cc.Cc.on_timeout ());
+        })

@@ -5,93 +5,26 @@ module Reno = Xmp_transport.Reno
    a loss is presumed random, not congestive. *)
 let beta_pkts = 3.
 
-type state = {
-  params : Reno.params;
-  beta : float;  (* backlog threshold in segments *)
-  view : Cc.view;
-  g : Coupling.group;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-}
-
-let srtt_s st = Xmp_engine.Time.to_float_s (st.view.Cc.srtt ())
-
-let base_rtt_s st = Xmp_engine.Time.to_float_s (st.view.Cc.min_rtt ())
-
 (* N = w·(srtt − base)/srtt — the subflow's estimated backlog in the
    bottleneck queue (Vegas' Diff measured in segments). *)
-let backlog st =
-  let rtt_s = srtt_s st in
-  let base_s = base_rtt_s st in
+let backlog view ~cwnd =
+  let rtt_s = Xmp_engine.Time.to_float_s (view.Cc.srtt ()) in
+  let base_s = Xmp_engine.Time.to_float_s (view.Cc.min_rtt ()) in
   if rtt_s <= 0. || base_s <= 0. || rtt_s <= base_s then 0.
-  else st.cwnd *. (rtt_s -. base_s) /. rtt_s
-
-(* LIA's coupled gain over the flow's members (do-no-harm capped at
-   1/w); the delay signal only modulates it below. *)
-let coupled_increase st =
-  let windows_rtts =
-    List.map
-      (fun m -> (m.Coupling.cwnd (), m.Coupling.srtt_s ()))
-      (Coupling.members st.g)
-  in
-  let total = Coupling.total_cwnd st.g in
-  let a = Lia.alpha ~windows_rtts in
-  if total <= 0. then 1. /. st.cwnd
-  else Float.min (a /. total) (1. /. st.cwnd)
-
-let in_slow_start st = st.cwnd < st.ssthresh
+  else cwnd *. (rtt_s -. base_s) /. rtt_s
 
 let coupling ?(params = Reno.default_params) ?(beta_pkts = beta_pkts) () =
-  let module M = struct
-    let name = "veno"
-
-    type flow = unit
-
-    type nonrec state = state
-
-    let flow () = ()
-
-    let init ~flow:() ~group:g ~index:_ view =
-      {
-        params;
-        beta = beta_pkts;
-        view;
-        g;
-        cwnd = params.Reno.init_cwnd;
-        ssthresh = Float.max_float;
-      }
-
-    let cwnd st = st.cwnd
-
-    let in_slow_start = in_slow_start
-
-    let take_cwr _st = false
-
-    let on_ack st ~ack:_ ~newly_acked ~ce_count:_ =
-      for _ = 1 to newly_acked do
-        if in_slow_start st then st.cwnd <- st.cwnd +. 1.
-        else begin
-          (* available bandwidth: full coupled gain; congestive region
-             (N ≥ β): half the gain, Veno's every-other-ACK increase *)
-          let gain = coupled_increase st in
-          if backlog st >= st.beta then st.cwnd <- st.cwnd +. (gain /. 2.)
-          else st.cwnd <- st.cwnd +. gain
-        end
-      done
-
-    (* loss-driven: Veno flows are not ECN-capable *)
-    let on_ecn _st ~count:_ = ()
-
-    let on_fast_retransmit st =
+  (* loss-driven: Veno flows are not ECN-capable *)
+  let params = { params with Reno.ecn = false } in
+  Coupling.coupled ~name:"veno" (fun g view ->
+      (* LIA's coupled gain in the available-bandwidth region; half of it
+         in the congestive region (N ≥ β), Veno's every-other-ACK
+         increase *)
+      let increase ~cwnd =
+        let gain = Lia.increase g ~cwnd in
+        if backlog view ~cwnd >= beta_pkts then gain /. 2. else gain
+      in
       (* N < β: the loss is presumed random — keep 4/5 of the window;
          otherwise congestive — classic halving *)
-      let factor = if backlog st < st.beta then 0.8 else 0.5 in
-      st.ssthresh <-
-        Float.max (st.cwnd *. factor) (Float.max st.params.Reno.min_cwnd 2.);
-      st.cwnd <- st.ssthresh
-
-    let on_timeout st =
-      st.ssthresh <- Float.max (st.cwnd /. 2.) 2.;
-      st.cwnd <- Float.max st.params.Reno.min_cwnd 1.
-  end in
-  Coupling.make (module M)
+      let backoff ~cwnd = if backlog view ~cwnd < beta_pkts then 0.8 else 0.5 in
+      Reno.make_with_increase ~params ~increase ~backoff () view)

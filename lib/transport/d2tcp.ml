@@ -29,99 +29,29 @@ let imminence ~params ~remaining_segments ~rate_segments_per_s ~time_left_s =
     Float.min params.d_max (Float.max params.d_min (needed_s /. time_left_s))
   end
 
-type state = {
-  params : params;
-  deadline : deadline option;
-  acked : unit -> int;
-  view : Cc.view;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-  mutable alpha : float;
-  mutable window_end : int;
-  mutable acked_in_window : int;
-  mutable marked_in_window : int;
-  mutable reduced_this_window : bool;
-}
-
-let current_d s =
-  match s.deadline with
-  | None -> 1.
-  | Some dl ->
-    let now = s.view.Cc.now () in
-    let srtt = s.view.Cc.srtt () in
-    let rate =
-      if Time.compare srtt Time.zero > 0 then s.cwnd /. Time.to_float_s srtt
-      else 0.
-    in
-    imminence ~params:s.params
-      ~remaining_segments:(dl.total_segments - s.acked ())
-      ~rate_segments_per_s:rate
-      ~time_left_s:(Time.to_float_s (Time.sub dl.deadline_at now))
-
 let make_cc ?(params = default_params) ?deadline ~acked () view =
-  let s =
+  let imminence_now ~cwnd =
+    match deadline with
+    | None -> 1.
+    | Some dl ->
+      let now = view.Cc.now () in
+      let srtt = view.Cc.srtt () in
+      let rate =
+        if Time.compare srtt Time.zero > 0 then cwnd /. Time.to_float_s srtt
+        else 0.
+      in
+      imminence ~params
+        ~remaining_segments:(dl.total_segments - acked ())
+        ~rate_segments_per_s:rate
+        ~time_left_s:(Time.to_float_s (Time.sub dl.deadline_at now))
+  in
+  (* the D2TCP gamma correction: penalty = alpha^d / 2 *)
+  Dctcp.make_cc ~name:"d2tcp"
+    ~penalty:(fun ~alpha ~cwnd -> (alpha ** imminence_now ~cwnd) /. 2.)
     {
-      params;
-      deadline;
-      acked;
-      view;
-      cwnd = params.init_cwnd;
-      ssthresh = Float.max_float;
-      alpha = params.init_alpha;
-      window_end = 0;
-      acked_in_window = 0;
-      marked_in_window = 0;
-      reduced_this_window = false;
+      Dctcp.g = params.g;
+      init_alpha = params.init_alpha;
+      init_cwnd = params.init_cwnd;
+      min_cwnd = params.min_cwnd;
     }
-  in
-  let in_slow_start () = s.cwnd < s.ssthresh in
-  let on_ecn ~count:_ =
-    let was_slow_start = in_slow_start () in
-    if not s.reduced_this_window then begin
-      s.reduced_this_window <- true;
-      (* the D2TCP gamma correction: penalty = alpha^d / 2 *)
-      let p = (s.alpha ** current_d s) /. 2. in
-      s.cwnd <- Float.max s.params.min_cwnd (s.cwnd *. (1. -. p))
-    end;
-    if was_slow_start then
-      s.ssthresh <- Float.max s.params.min_cwnd s.cwnd
-  in
-  let on_ack ~ack ~newly_acked ~ce_count =
-    s.acked_in_window <- s.acked_in_window + newly_acked;
-    s.marked_in_window <- s.marked_in_window + ce_count;
-    if ack > s.window_end then begin
-      if s.acked_in_window > 0 then begin
-        let f =
-          float_of_int s.marked_in_window /. float_of_int s.acked_in_window
-        in
-        s.alpha <-
-          ((1. -. s.params.g) *. s.alpha) +. (s.params.g *. Float.min 1. f)
-      end;
-      s.acked_in_window <- 0;
-      s.marked_in_window <- 0;
-      s.reduced_this_window <- false;
-      s.window_end <- s.view.Cc.snd_nxt ()
-    end;
-    for _ = 1 to newly_acked do
-      if in_slow_start () then s.cwnd <- s.cwnd +. 1.
-      else s.cwnd <- s.cwnd +. (1. /. s.cwnd)
-    done
-  in
-  let on_fast_retransmit () =
-    s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-    s.cwnd <- s.ssthresh
-  in
-  let on_timeout () =
-    s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-    s.cwnd <- Float.max s.params.min_cwnd 1.
-  in
-  {
-    Cc.name = "d2tcp";
-    cwnd = (fun () -> s.cwnd);
-    on_ack;
-    on_ecn;
-    on_fast_retransmit;
-    on_timeout;
-    in_slow_start = (fun () -> in_slow_start ());
-    take_cwr = Cc.nop_take_cwr;
-  }
+    view

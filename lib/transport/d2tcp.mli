@@ -3,8 +3,9 @@
     against (§6: "uses ECN to make flows with tight deadlines obtain more
     bandwidth").
 
-    D²TCP keeps DCTCP's α estimate but gamma-corrects the window cut by a
-    deadline-imminence factor [d]:
+    D²TCP is DCTCP with a gamma-corrected cut: it runs on the DCTCP
+    window body ({!Dctcp.make_cc}) — same α estimate, slow start and loss
+    rules — but raises α to a deadline-imminence factor [d]:
 
     {v cwnd ← cwnd · (1 − α^d / 2) v}
 

@@ -20,7 +20,7 @@ type state = {
   mutable reduced_this_window : bool;
 }
 
-let make ?(params = default_params) view =
+let make_cc ~name ~penalty params view =
   let s =
     {
       params;
@@ -39,8 +39,8 @@ let make ?(params = default_params) view =
     let was_slow_start = in_slow_start () in
     if not s.reduced_this_window then begin
       s.reduced_this_window <- true;
-      s.cwnd <-
-        Float.max s.params.min_cwnd (s.cwnd *. (1. -. (s.alpha /. 2.)))
+      let p = penalty ~alpha:s.alpha ~cwnd:s.cwnd in
+      s.cwnd <- Float.max s.params.min_cwnd (s.cwnd *. (1. -. p))
     end;
     (* leave (and do not re-enter) slow start on a congestion signal *)
     if was_slow_start then
@@ -77,7 +77,7 @@ let make ?(params = default_params) view =
     s.cwnd <- Float.max s.params.min_cwnd 1.
   in
   {
-    Cc.name = "dctcp";
+    Cc.name;
     cwnd = (fun () -> s.cwnd);
     on_ack;
     on_ecn;
@@ -86,3 +86,6 @@ let make ?(params = default_params) view =
     in_slow_start = (fun () -> in_slow_start ());
     take_cwr = Cc.nop_take_cwr;
   }
+
+let make ?(params = default_params) view =
+  make_cc ~name:"dctcp" ~penalty:(fun ~alpha ~cwnd:_ -> alpha /. 2.) params view

@@ -13,22 +13,25 @@ type state = {
 
 let in_slow_start s = s.cwnd < s.ssthresh
 
-let halve s =
-  s.ssthresh <- Float.max (s.cwnd /. 2.) (Float.max s.params.min_cwnd 2.);
+let halving ~cwnd:_ = 0.5
+
+(* keep [backoff ~cwnd] of the window and leave slow start there *)
+let cut s backoff =
+  s.ssthresh <-
+    Float.max (s.cwnd *. backoff ~cwnd:s.cwnd) (Float.max s.params.min_cwnd 2.);
   s.cwnd <- s.ssthresh
 
-let make_state params view =
-  {
-    params;
-    view;
-    cwnd = params.init_cwnd;
-    ssthresh = Float.max_float;
-    cwr_pending = false;
-    ecn_reduced_until = 0;
-  }
-
-let make_cc ~name ~increase params view =
-  let s = make_state params view in
+let make_with_increase ?(params = default_params) ~increase ~backoff () view =
+  let s =
+    {
+      params;
+      view;
+      cwnd = params.init_cwnd;
+      ssthresh = Float.max_float;
+      cwr_pending = false;
+      ecn_reduced_until = 0;
+    }
+  in
   let on_ack ~ack:_ ~newly_acked ~ce_count:_ =
     for _ = 1 to newly_acked do
       if in_slow_start s then s.cwnd <- s.cwnd +. 1.
@@ -37,12 +40,12 @@ let make_cc ~name ~increase params view =
   in
   let on_ecn ~count:_ =
     if s.params.ecn && s.view.Cc.snd_una () >= s.ecn_reduced_until then begin
-      halve s;
+      cut s backoff;
       s.ecn_reduced_until <- s.view.Cc.snd_nxt ();
       s.cwr_pending <- true
     end
   in
-  let on_fast_retransmit () = halve s in
+  let on_fast_retransmit () = cut s backoff in
   let on_timeout () =
     s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
     s.cwnd <- Float.max s.params.min_cwnd 1.
@@ -55,7 +58,7 @@ let make_cc ~name ~increase params view =
     else false
   in
   {
-    Cc.name;
+    Cc.name = "reno+";
     cwnd = (fun () -> s.cwnd);
     on_ack;
     on_ecn;
@@ -66,7 +69,8 @@ let make_cc ~name ~increase params view =
   }
 
 let make ?(params = default_params) view =
-  make_cc ~name:"reno" ~increase:(fun ~cwnd -> 1. /. cwnd) params view
-
-let make_with_increase ?(params = default_params) ~increase () view =
-  make_cc ~name:"reno+" ~increase params view
+  let cc =
+    make_with_increase ~params ~increase:(fun ~cwnd -> 1. /. cwnd)
+      ~backoff:halving () view
+  in
+  { cc with Cc.name = "reno" }

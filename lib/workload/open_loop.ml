@@ -88,16 +88,8 @@ let transfer_time cfg ~size_segments =
   Time.of_float_s
     (float_of_int size_segments *. 1460. *. 8. /. float_of_int cfg.rate)
 
-let ideal_fct cfg ~locality ~size_segments =
-  match locality with
-  | Fat_tree.Inter_dc ->
-    invalid_arg
-      "Open_loop.ideal_fct: Inter_dc depends on the trunk delay (the WAN \
-       fabric supplies its own ideal)"
-  | _ ->
-    Time.add
-      (transfer_time cfg ~size_segments)
-      (Time.mul ((Fat_tree.shape ~k:cfg.k).one_way locality) 2)
+let ideal_fct cfg (fb : Topology.t) ~src ~dst ~size_segments =
+  Time.add (transfer_time cfg ~size_segments) (fb.zero_load_rtt ~src ~dst)
 
 (* Destination choice. Single-DC fabrics take the one branch the
    original generator had — same draws, same digests. WAN fabrics spend
@@ -179,9 +171,7 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
     incr launched;
     let shard = fb.shard_of_host src in
     let st = shards.(shard) in
-    let ideal =
-      Time.add (transfer_time cfg ~size_segments) (fb.zero_load_rtt ~src ~dst)
-    in
+    let ideal = ideal_fct cfg fb ~src ~dst ~size_segments in
     let handle =
       Scheme.launch
         ~net:(Topology.host_net fb src)

@@ -70,14 +70,14 @@ val arrival_rate : config -> float
 
 val ideal_fct :
   config ->
-  locality:Xmp_net.Fat_tree.locality ->
+  Xmp_net.Topology.t ->
+  src:int ->
+  dst:int ->
   size_segments:int ->
   Xmp_engine.Time.t
-(** The slowdown denominator: line-rate transfer time plus the zero-load
-    RTT for the locality (a flow that never queues or shares scores 1).
-    Raises [Invalid_argument] for {!Xmp_net.Fat_tree.Inter_dc}: the
-    cross-DC ideal depends on the trunk delay, so WAN runs compute it
-    from {!Xmp_net.Wan.zero_load_rtt} internally. *)
+(** The slowdown denominator every run records: line-rate transfer time
+    plus the view's zero-load RTT between [src] and [dst] (a flow that
+    never queues or shares scores 1). *)
 
 val run : ?config:config -> ?domains:int -> unit -> result
 (** The pod-sharded fat tree ([config.k] pods), as always. *)

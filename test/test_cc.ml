@@ -112,11 +112,15 @@ let test_reno_ecn_mode () =
 let test_custom_increase () =
   let f, view = fake_view () in
   let cc =
-    Reno.make_with_increase ~increase:(fun ~cwnd:_ -> 0.5) () view
+    Reno.make_with_increase
+      ~increase:(fun ~cwnd:_ -> 0.5)
+      ~backoff:(fun ~cwnd:_ -> 0.8)
+      () view
   in
   cc.Cc.on_fast_retransmit ();
-  (* leave slow start *)
+  (* leave slow start, keeping 4/5 of the initial 3 segments *)
   let w = cc.Cc.cwnd () in
+  checkf "custom backoff" (3. *. 0.8) w;
   ack cc f 1;
   checkf "custom gain" (w +. 0.5) (cc.Cc.cwnd ())
 

@@ -1,4 +1,5 @@
 module D2tcp = Xmp_transport.D2tcp
+module Dctcp = Xmp_transport.Dctcp
 module Cc = Xmp_transport.Cc
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
@@ -73,6 +74,82 @@ let cut_with ~deadline =
 let test_no_deadline_is_dctcp () =
   let before, after = cut_with ~deadline:None in
   checkf "alpha^1/2 = halving" (before /. 2.) after
+
+(* A deadline-less D2TCP runs the DCTCP body with d = 1: drive both
+   through one multi-window ACK/CE script (a partial α, several marked
+   windows, a fast retransmit and a timeout) and compare every step. *)
+type step = Send of int | Ack of int * int | Fast_retransmit | Timeout
+
+let script =
+  let window ~marked_every n =
+    List.init n (fun i ->
+        Ack (1, if marked_every > 0 && i mod marked_every = 0 then 1 else 0))
+  in
+  List.concat
+    [
+      window ~marked_every:0 12;
+      [ Send 16 ];
+      window ~marked_every:4 16;
+      [ Send 18 ];
+      window ~marked_every:2 18;
+      [ Send 18 ];
+      window ~marked_every:0 18;
+      [ Send 20 ];
+      window ~marked_every:5 10;
+      [ Fast_retransmit ];
+      window ~marked_every:3 10;
+      [ Send 12 ];
+      window ~marked_every:1 12;
+      [ Timeout ];
+      window ~marked_every:0 8;
+      [ Send 10; Ack (4, 2) ];
+      window ~marked_every:6 10;
+    ]
+
+let apply cc f = function
+  | Send n -> f.nxt <- f.una + n
+  | Ack (n, ce) ->
+    f.una <- f.una + n;
+    if f.nxt < f.una then f.nxt <- f.una;
+    (* the transport reports CE echoes before the ACK they ride on *)
+    if ce > 0 then cc.Cc.on_ecn ~count:ce;
+    cc.Cc.on_ack ~ack:f.una ~newly_acked:n ~ce_count:ce
+  | Fast_retransmit -> cc.Cc.on_fast_retransmit ()
+  | Timeout -> cc.Cc.on_timeout ()
+
+let test_no_deadline_tracks_dctcp () =
+  let p = { params with init_alpha = 0.3; g = 1. /. 16. } in
+  let fd, dview = fake_view () in
+  let dctcp =
+    Dctcp.make
+      ~params:
+        {
+          Dctcp.g = p.g;
+          init_alpha = p.init_alpha;
+          init_cwnd = p.init_cwnd;
+          min_cwnd = p.min_cwnd;
+        }
+      dview
+  in
+  let f2, view2 = fake_view () in
+  let d2tcp = D2tcp.make_cc ~params:p ~acked:(fun () -> f2.una) () view2 in
+  let cuts = ref 0 in
+  List.iteri
+    (fun i step ->
+      let before = dctcp.Cc.cwnd () in
+      apply dctcp fd step;
+      apply d2tcp f2 step;
+      if dctcp.Cc.cwnd () < before then incr cuts;
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "cwnd after step %d" i)
+        (dctcp.Cc.cwnd ()) (d2tcp.Cc.cwnd ());
+      Alcotest.(check bool)
+        (Printf.sprintf "slow start after step %d" i)
+        (dctcp.Cc.in_slow_start ())
+        (d2tcp.Cc.in_slow_start ()))
+    script;
+  (* the script exercises ECN cuts beyond the loss and timeout ones *)
+  Alcotest.(check bool) (Printf.sprintf "%d cuts" !cuts) true (!cuts >= 5)
 
 let test_imminent_cuts_less () =
   (* deadline nearly missed: d = 2, cut = alpha^2/2 = 1/2... with alpha=1
@@ -164,4 +241,6 @@ let suite =
       test_imminent_cuts_less;
     Alcotest.test_case "tight deadline wins bandwidth" `Quick
       test_deadline_flow_wins_bandwidth;
+    Alcotest.test_case "no deadline tracks DCTCP step by step" `Quick
+      test_no_deadline_tracks_dctcp;
   ]

@@ -47,7 +47,6 @@ let test_group_registry () =
   Coupling.register g m1;
   Coupling.register g m2;
   Alcotest.(check int) "two members" 2 (List.length (Coupling.members g));
-  Alcotest.(check int) "n_members" 2 (Coupling.n_members g);
   checkf "total cwnd" 40. (Coupling.total_cwnd g);
   checkf "total rate" ((10. /. 0.001) +. (30. /. 0.002)) (Coupling.total_rate g);
   checkf "max rate" (30. /. 0.002) (Coupling.max_rate g);

@@ -268,6 +268,25 @@ let test_golden_traces () =
     true
     (String.equal expected actual)
 
+(* Every subflow's controller carries its scheme's name: single-path
+   schemes name their body, coupled ones the coupling that built them. *)
+let test_controller_names () =
+  let expected =
+    [ "dctcp"; "reno"; "lia"; "olia"; "xmp"; "balia"; "veno"; "amp" ]
+  in
+  Alcotest.(check int) "one name per scheme" (List.length expected)
+    (List.length Conformance.schemes);
+  List.iter2
+    (fun scheme name ->
+      let rig = Conformance.make_rig scheme in
+      Array.iteri
+        (fun i (sub : Conformance.sub) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s subflow %d" (Scheme.name scheme) i)
+            name sub.cc.Xmp_transport.Cc.name)
+        rig.Conformance.subs)
+    Conformance.schemes expected
+
 let suite =
   [
     Alcotest.test_case "property matrix over all schemes x episodes" `Quick
@@ -277,4 +296,5 @@ let suite =
     Alcotest.test_case "profiles cover the scheme list" `Quick
       test_profiles_cover_schemes;
     Alcotest.test_case "golden cwnd traces" `Quick test_golden_traces;
+    Alcotest.test_case "controller names" `Quick test_controller_names;
   ]

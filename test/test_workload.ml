@@ -846,15 +846,27 @@ let test_open_loop_max_flows () =
 
 let test_open_loop_ideal_fct () =
   let cfg = Open_loop.default_config in
-  (* 1 segment inner-rack at 1 Gbps: 11.68 µs transfer + 80 µs RTT *)
-  let ideal =
-    Open_loop.ideal_fct cfg ~locality:Xmp_net.Fat_tree.Inner_rack
-      ~size_segments:1
+  let ft =
+    Xmp_net.Fat_tree.create
+      ~cluster:(Xmp_net.Shard.create ~shards:1 ())
+      ~k:8
+      ~disc:(fun () ->
+        Xmp_net.Queue_disc.create ~policy:Xmp_net.Queue_disc.Droptail
+          ~capacity_pkts:100)
+      ()
   in
+  let view = Xmp_net.Fat_tree.view ft in
+  let locality = view.Xmp_net.Topology.locality in
+  (* k = 8: 4 hosts per rack, 16 per pod *)
+  Alcotest.(check bool) "hosts 0 and 1 share a rack" true
+    (locality ~src:0 ~dst:1 = Xmp_net.Topology.Inner_rack);
+  Alcotest.(check bool) "hosts 0 and 16 sit in different pods" true
+    (locality ~src:0 ~dst:16 = Xmp_net.Topology.Inter_pod);
+  (* 1 segment inner-rack at 1 Gbps: 11.68 µs transfer + 80 µs RTT *)
+  let ideal = Open_loop.ideal_fct cfg view ~src:0 ~dst:1 ~size_segments:1 in
   Alcotest.(check int) "inner-rack single segment" 91_680 ideal;
   let inter_pod =
-    Open_loop.ideal_fct cfg ~locality:Xmp_net.Fat_tree.Inter_pod
-      ~size_segments:1
+    Open_loop.ideal_fct cfg view ~src:0 ~dst:16 ~size_segments:1
   in
   Alcotest.(check int) "inter-pod adds core+agg legs" (91_680 + 280_000)
     inter_pod;
