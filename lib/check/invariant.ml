@@ -58,11 +58,12 @@ let fail ~name detail =
   | Raise -> raise (Violation msg)
   | Warn -> Format.eprintf "[invariant] %s@." msg
 
-let require ~name cond detail =
+let holds cond =
   if Atomic.get enabled_flag then begin
     if Atomic.get counting then incr (Domain.DLS.get check_cell_key);
-    if not cond then fail ~name detail
+    cond
   end
+  else true
 
 let with_enabled b f =
   let saved = Atomic.get enabled_flag in

@@ -7,7 +7,8 @@
     in-flight accounting stays conserved.
 
     Checks are globally toggled (cheap O(1) predicates; on by default and
-    always on under the test suite). A failing check raises {!Violation}
+    always on under the test suite) and written in the {!holds} form, so
+    a passing check allocates nothing. A failing check raises {!Violation}
     in the default [Raise] mode, or logs to stderr in [Warn] mode for
     long production runs where a corrupted metric beats a crash. *)
 
@@ -27,10 +28,27 @@ val mode : unit -> mode
 
 val set_mode : mode -> unit
 
-val require : name:string -> bool -> (unit -> string) -> unit
-(** [require ~name cond detail] checks [cond] when enabled. The [detail]
-    thunk only runs on failure, so call sites pay one branch and no
-    formatting on the hot path. *)
+val holds : bool -> bool
+(** [holds cond] is the one check form:
+
+    {[
+      if not (Invariant.holds cond) then
+        Invariant.fail ~name:"layer.what" (fun () -> detail)
+    ]}
+
+    When checking is enabled it counts one check and returns [cond];
+    when disabled it returns [true] without counting. [cond] itself is
+    evaluated by the caller either way, so a costly condition goes under
+    an [if Invariant.enabled ()] guard. A check that passes costs the
+    condition, one call and two atomic loads (plus a domain-local
+    increment once {!reset_counters} has armed counting), and allocates
+    nothing: the [detail] closure is only built on the failing branch. *)
+
+val fail : name:string -> (unit -> string) -> unit
+(** [fail ~name detail] reports a violated invariant: it counts the
+    violation, then raises {!Violation} (mode [Raise]) or logs one line
+    to stderr (mode [Warn]). The message is
+    ["invariant <name> violated: <detail ()>"]. *)
 
 val checks_run : unit -> int
 (** Checks evaluated since the last {!reset_counters}. Counting is off

@@ -198,9 +198,9 @@ let dispatch_top t time =
   if ev.live then begin
       if Invariant.enabled () <> t.invariants then
         Invariant.set_enabled t.invariants;
-      if t.invariants then
-        Invariant.require ~name:"sim.dispatch-monotone"
-          (Time.compare time t.now >= 0) (fun () ->
+      if t.invariants && not (Invariant.holds (Time.compare time t.now >= 0))
+      then
+        Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
             Format.asprintf "event at %a dispatched after clock reached %a"
               Time.pp time Time.pp t.now);
       t.now <- time;

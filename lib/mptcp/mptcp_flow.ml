@@ -42,19 +42,17 @@ module Invariant = Xmp_check.Invariant
    is fed exclusively by subflow callbacks, so it always equals the sum of
    the subflows' own counters, and no subflow can complete twice. *)
 let check_conservation t =
-  Invariant.require ~name:"mptcp.subflow-completions"
-    (t.n_done <= Array.length t.subflows)
-    (fun () ->
-      Printf.sprintf "flow %d: %d completions for %d subflows" t.flow
-        t.n_done (Array.length t.subflows));
-  Invariant.require ~name:"mptcp.acked-conservation"
-    (t.acked
-    = Array.fold_left (fun acc c -> acc + Tcp.segments_acked c) 0 t.subflows)
-    (fun () ->
-      Printf.sprintf "flow %d: flow-level acked %d <> sum of subflows %d"
-        t.flow t.acked
-        (Array.fold_left (fun acc c -> acc + Tcp.segments_acked c) 0
-           t.subflows))
+  if not (Invariant.holds (t.n_done <= Array.length t.subflows)) then
+    Invariant.fail ~name:"mptcp.subflow-completions" (fun () ->
+        Printf.sprintf "flow %d: %d completions for %d subflows" t.flow
+          t.n_done (Array.length t.subflows));
+  let subflows_acked =
+    Array.fold_left (fun acc c -> acc + Tcp.segments_acked c) 0 t.subflows
+  in
+  if not (Invariant.holds (t.acked = subflows_acked)) then
+    Invariant.fail ~name:"mptcp.acked-conservation" (fun () ->
+        Printf.sprintf "flow %d: flow-level acked %d <> sum of subflows %d"
+          t.flow t.acked subflows_acked)
 
 let check_complete t =
   check_conservation t;

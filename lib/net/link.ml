@@ -63,9 +63,12 @@ let wire_pop t =
 
 let rec transmit t (p : Packet.t) =
   t.busy <- true;
-  if Invariant.enabled () then
-    Invariant.require ~name:"link.queue-within-capacity"
-      (Queue_disc.length t.disc <= Queue_disc.capacity t.disc) (fun () ->
+  if
+    not
+      (Invariant.holds
+         (Queue_disc.length t.disc <= Queue_disc.capacity t.disc))
+  then
+    Invariant.fail ~name:"link.queue-within-capacity" (fun () ->
         Printf.sprintf "%s holds %d packets, capacity %d" t.name
           (Queue_disc.length t.disc)
           (Queue_disc.capacity t.disc));
@@ -92,9 +95,8 @@ and serialized t =
     Sim.after t.sim t.delay t.on_deliver
   end
   else Packet.release p;
-  match Queue_disc.dequeue t.disc with
-  | Some next -> transmit t next
-  | None -> t.busy <- false
+  if Queue_disc.length t.disc > 0 then transmit t (Queue_disc.take t.disc)
+  else t.busy <- false
 
 and deliver t =
   let p = wire_pop t in
@@ -168,10 +170,7 @@ let send t p =
     else begin
       (* An idle link still runs the packet through the discipline so that
          marking/occupancy accounting sees every arrival. *)
-      if Queue_disc.enqueue t.disc p then
-        match Queue_disc.dequeue t.disc with
-        | Some q -> transmit t q
-        | None -> assert false
+      if Queue_disc.enqueue t.disc p then transmit t (Queue_disc.take t.disc)
     end
   else Packet.release p
 

@@ -5,7 +5,9 @@ module Sim = Xmp_engine.Sim
    and compares the tuple structurally per packet; packing the three
    components into one immediate int (dst:20 | flow:30 | subflow:12 bits,
    62 bits total — injective within the validated ranges) makes the key
-   hash one multiply and the bucket probe one integer compare. *)
+   hash a multiply, a shift and an xor, and each bucket entry probed one
+   integer compare. How many entries a probe meets depends on [hash]
+   spreading keys over the buckets; see [Endpoints]. *)
 module Endpoint_key = struct
   let subflow_bits = 12
   let flow_bits = 30
@@ -34,9 +36,17 @@ module Endpoints = Hashtbl.Make (struct
 
   let equal = Int.equal
 
-  (* Fibonacci multiplicative mix: packed keys differ mostly in their low
-     (subflow) and middle (flow) bits, so spread them before bucketing. *)
-  let hash k = (k * 0x331A7B2F63C1) land max_int
+  (* Stdlib [Hashtbl] takes the bucket from the hash's LOW bits. A bare
+     multiply leaves bit i of the product a function of key bits 0..i
+     only, so the low bits would see nothing but the 12-bit subflow index
+     and every endpoint with the same subflow number would share one
+     chain, making delivery, registration and removal linear in the
+     number of live flows. Folding the high half of the product back
+     down makes hash bit i depend on key bits 0..i+31, so the flow index
+     reaches every bucket bit and the host index the upper ones. *)
+  let hash k =
+    let h = k * 0x331A7B2F63C1 in
+    (h lxor (h lsr 31)) land max_int
 end)
 
 type t = {
@@ -183,5 +193,6 @@ let unregister_endpoint t ~host ~flow ~subflow =
     && subflow <= Endpoint_key.max_subflow
   then Endpoints.remove t.endpoints (Endpoint_key.pack ~host ~flow ~subflow)
 
+let endpoint_stats t = Endpoints.stats t.endpoints
 let packets_delivered t = t.delivered
 let packets_dead_lettered t = t.dead

@@ -99,6 +99,11 @@ val unregister_endpoint : t -> host:int -> flow:int -> subflow:int -> unit
 (** Removing a registration outside the packed ranges is a no-op (nothing
     could have been registered there). *)
 
+val endpoint_stats : t -> Hashtbl.statistics
+(** Shape of the endpoint table: bindings, buckets and chain lengths.
+    Delivery, registration and removal each walk one chain, so
+    [max_bucket_length] bounds their per-packet cost. *)
+
 val packets_delivered : t -> int
 (** Packets handed to transport endpoints. *)
 

@@ -158,9 +158,8 @@ let append t (p : Packet.t) =
          { queue = tl.queue; flow = Packet.flow p;
            subflow = Packet.subflow p; depth = t.len })
   | None -> ());
-  if Invariant.enabled () then
-    Invariant.require ~name:"queue.occupancy-bounds"
-      (t.len >= 0 && t.len <= t.capacity) (fun () ->
+  if not (Invariant.holds (t.len >= 0 && t.len <= t.capacity)) then
+    Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
         Printf.sprintf "occupancy %d outside [0, %d]" t.len t.capacity)
 
 (* A dropped packet's life ends here: account it, let the hook observe it,
@@ -204,11 +203,13 @@ let enqueue t (p : Packet.t) =
       let marked_before = t.marked in
       if pre > k then mark t p;
       append t p;
-      if Invariant.enabled () then
-        Invariant.require ~name:"queue.mark-above-threshold"
-          (if t.marked > marked_before then pre > k
-           else not (pre > k && ce_eligible))
-          (fun () ->
+      if
+        not
+          (Invariant.holds
+             (if t.marked > marked_before then pre > k
+              else not (pre > k && ce_eligible)))
+      then
+        Invariant.fail ~name:"queue.mark-above-threshold" (fun () ->
             Printf.sprintf
               "ECN decision at pre-enqueue occupancy %d disagrees with K=%d \
                (marked %b, eligible %b)"
@@ -230,38 +231,40 @@ let enqueue t (p : Packet.t) =
         else drop t p)
   end
 
-let dequeue t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    (* RED idle-time correction, deterministically: classic RED decays
-       [avg] by (1-wq)^m for m packet-times of idle before an arrival,
-       because an average only updated on arrivals stays stale across an
-       idle period. The queue has no clock, so the equivalent
-       departure-driven form is used: every dequeue relaxes the average
-       toward the instantaneous occupancy, and a drain-to-empty (what
-       precedes every idle period) therefore leaves the first packet
-       after the idle gap facing a decayed average instead of the
-       pre-idle backlog. *)
-    (match t.policy with
-    | Red params ->
-      t.avg <-
-        ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int t.len)
-    | Droptail | Threshold_mark _ -> ());
-    if Invariant.enabled () then
-      Invariant.require ~name:"queue.occupancy-bounds" (t.len >= 0) (fun () ->
-          Printf.sprintf "occupancy %d went negative" t.len);
-    let p = t.ring.(t.head) in
-    t.head <- (if t.head + 1 >= t.capacity then 0 else t.head + 1);
-    (match t.telem with
-    | Some tl ->
-      Tel.Sink.event tl.sink ~time_ns:(tl.now ())
-        (Tel.Event.Dequeue
-           { queue = tl.queue; flow = Packet.flow p;
-             subflow = Packet.subflow p; depth = t.len })
-    | None -> ());
-    Some p
-  end
+(* The link's per-hop path: it tests [length] and takes, so no [Some]
+   is allocated per transmitted packet. *)
+let take t =
+  if t.len = 0 then invalid_arg "Queue_disc.take: empty queue";
+  t.len <- t.len - 1;
+  (* RED idle-time correction, deterministically: classic RED decays
+     [avg] by (1-wq)^m for m packet-times of idle before an arrival,
+     because an average only updated on arrivals stays stale across an
+     idle period. The queue has no clock, so the equivalent
+     departure-driven form is used: every dequeue relaxes the average
+     toward the instantaneous occupancy, and a drain-to-empty (what
+     precedes every idle period) therefore leaves the first packet
+     after the idle gap facing a decayed average instead of the
+     pre-idle backlog. *)
+  (match t.policy with
+  | Red params ->
+    t.avg <-
+      ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int t.len)
+  | Droptail | Threshold_mark _ -> ());
+  if not (Invariant.holds (t.len >= 0)) then
+    Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
+        Printf.sprintf "occupancy %d went negative" t.len);
+  let p = t.ring.(t.head) in
+  t.head <- (if t.head + 1 >= t.capacity then 0 else t.head + 1);
+  (match t.telem with
+  | Some tl ->
+    Tel.Sink.event tl.sink ~time_ns:(tl.now ())
+      (Tel.Event.Dequeue
+         { queue = tl.queue; flow = Packet.flow p;
+           subflow = Packet.subflow p; depth = t.len })
+  | None -> ());
+  p
+
+let dequeue t = if t.len = 0 then None else Some (take t)
 
 let clear t =
   let n = t.len in

@@ -46,7 +46,13 @@ val enqueue : t -> Packet.t -> bool
     [false] when the packet was dropped (queue full, RED drop, or the
     queue is blacked out). *)
 
+val take : t -> Packet.t
+(** Removes and returns the head packet, allocating nothing. The queue
+    must hold a packet (test {!length} first); taking from an empty queue
+    raises [Invalid_argument]. *)
+
 val dequeue : t -> Packet.t option
+(** {!take} as an option: [None] when the queue is empty. *)
 
 val clear : t -> int
 (** Empties the queue (used when a link goes down); returns the number of

@@ -250,14 +250,17 @@ and refresh_rto t =
 and send_pending t =
   if not t.torn_down then begin
     if Invariant.enabled () then begin
-      Invariant.require ~name:"tcp.cwnd-at-least-one-mss"
-        (t.cc.Cc.cwnd () >= 1.) (fun () ->
-          Printf.sprintf "flow %d subflow %d: %s cwnd %.3f < 1 segment" t.flow
-            t.subflow t.cc.Cc.name (t.cc.Cc.cwnd ()));
-      Invariant.require ~name:"tcp.inflight-conservation"
-        (t.snd_una <= t.snd_nxt && t.snd_nxt <= t.snd_max) (fun () ->
-          Printf.sprintf "flow %d subflow %d: una=%d nxt=%d max=%d" t.flow
-            t.subflow t.snd_una t.snd_nxt t.snd_max)
+      if not (Invariant.holds (t.cc.Cc.cwnd () >= 1.)) then
+        Invariant.fail ~name:"tcp.cwnd-at-least-one-mss" (fun () ->
+            Printf.sprintf "flow %d subflow %d: %s cwnd %.3f < 1 segment"
+              t.flow t.subflow t.cc.Cc.name (t.cc.Cc.cwnd ()));
+      if
+        not
+          (Invariant.holds (t.snd_una <= t.snd_nxt && t.snd_nxt <= t.snd_max))
+      then
+        Invariant.fail ~name:"tcp.inflight-conservation" (fun () ->
+            Printf.sprintf "flow %d subflow %d: una=%d nxt=%d max=%d" t.flow
+              t.subflow t.snd_una t.snd_nxt t.snd_max)
     end;
     let window = Stdlib.max 1 (int_of_float (t.cc.Cc.cwnd ())) in
     if flight t < window then begin
@@ -440,9 +443,8 @@ let sender_rx t (p : Packet.t) =
     let sack_advanced = ingest_sack t p in
     let ack = Packet.seq p in
     if ack > t.snd_una then begin
-      if Invariant.enabled () then
-        Invariant.require ~name:"tcp.ack-within-sent" (ack <= t.snd_max)
-          (fun () ->
+      if not (Invariant.holds (ack <= t.snd_max)) then
+        Invariant.fail ~name:"tcp.ack-within-sent" (fun () ->
             Printf.sprintf "flow %d subflow %d: cumulative ACK %d beyond \
                             snd_max %d"
               t.flow t.subflow ack t.snd_max);

@@ -16,17 +16,21 @@ let contains ~sub s =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
 
-let test_require_passes () =
+(* The one check form every call site uses. *)
+let check ~name cond detail =
+  if not (Invariant.holds cond) then Invariant.fail ~name detail
+
+let test_check_passes () =
   Invariant.reset_counters ();
-  Invariant.require ~name:"unit.pass" true (fun () -> "never rendered");
+  check ~name:"unit.pass" true (fun () -> "never rendered");
   Alcotest.(check int) "one check run" 1 (Invariant.checks_run ());
   Alcotest.(check int) "no violations" 0 (Invariant.violations ())
 
-let test_require_raises () =
+let test_check_raises () =
   Invariant.reset_counters ();
   let raised =
     try
-      Invariant.require ~name:"unit.fail" false (fun () -> "detail here");
+      check ~name:"unit.fail" false (fun () -> "detail here");
       None
     with Invariant.Violation msg -> Some msg
   in
@@ -42,7 +46,7 @@ let test_require_raises () =
 let test_disabled_is_silent () =
   Invariant.reset_counters ();
   Invariant.with_enabled false (fun () ->
-      Invariant.require ~name:"unit.off" false (fun () ->
+      check ~name:"unit.off" false (fun () ->
           Alcotest.fail "detail thunk must not run when disabled"));
   Alcotest.(check int) "nothing checked" 0 (Invariant.checks_run ());
   Alcotest.(check bool) "re-enabled after with_enabled" true
@@ -54,7 +58,7 @@ let test_warn_mode_does_not_raise () =
   Fun.protect
     ~finally:(fun () -> Invariant.set_mode Invariant.Raise)
     (fun () ->
-      Invariant.require ~name:"unit.warn" false (fun () -> "warned");
+      check ~name:"unit.warn" false (fun () -> "warned");
       Alcotest.(check int) "violation still counted" 1
         (Invariant.violations ()))
 
@@ -137,7 +141,7 @@ let test_two_sims_keep_their_own_invariant_flag () =
       in
       let off_ran = ref false in
       Sim.at sim_off 10 (fun () ->
-          Invariant.require ~name:"two-sims.off" false (fun () ->
+          check ~name:"two-sims.off" false (fun () ->
               "must be ignored: checks are off for this sim");
           off_ran := true);
       (* must not raise even though sim_on switched the global on *)
@@ -146,7 +150,7 @@ let test_two_sims_keep_their_own_invariant_flag () =
         !off_ran;
       let caught = ref None in
       Sim.at sim_on 10 (fun () ->
-          Invariant.require ~name:"two-sims.on" false (fun () -> "caught"));
+          check ~name:"two-sims.on" false (fun () -> "caught"));
       (try Sim.run sim_on with Invariant.Violation msg -> caught := Some msg);
       match !caught with
       | None -> Alcotest.fail "second sim must still enforce its checks"
@@ -154,12 +158,45 @@ let test_two_sims_keep_their_own_invariant_flag () =
         Alcotest.(check bool) "names the invariant" true
           (contains ~sub:"two-sims.on" msg))
 
+(* ----- the packet path's cost, pinned on a fat-tree run ----- *)
+
+module Driver = Xmp_workload.Driver
+
+(* A passing check allocates nothing and neither does forwarding, so a
+   20 ms XMP-2 permutation on the k=4 fat tree (seed 1) allocates about
+   one minor word per event, setup included. One check site that builds
+   its detail closure before testing adds about two. *)
+let test_allocation_budget () =
+  Invariant.with_enabled true (fun () ->
+      let before = Gc.minor_words () in
+      let r = Driver.run { Driver.default_config with horizon = Time.ms 20 } in
+      let per_event =
+        (Gc.minor_words () -. before) /. float_of_int r.Driver.events
+      in
+      if per_event > 1.5 then
+        Alcotest.failf "%.2f minor words per event over %d events (want <= 1.5)"
+          per_event r.Driver.events)
+
+(* Every check site still runs exactly as often: a migration that drops
+   or duplicates one moves this tally. *)
+let test_checks_run_pinned () =
+  Invariant.with_enabled true (fun () ->
+      Invariant.reset_counters ();
+      let r =
+        Driver.run
+          {
+            Driver.default_config with
+            horizon = Time.ms 5;
+            pattern = Driver.Permutation { min_segments = 100; max_segments = 400 };
+          }
+      in
+      Alcotest.(check int) "events" 50_275 r.Driver.events;
+      Alcotest.(check int) "checks run" 164_063 (Invariant.checks_run ()))
+
 let suite =
   [
-    Alcotest.test_case "require true counts, does not raise" `Quick
-      test_require_passes;
-    Alcotest.test_case "require false raises Violation" `Quick
-      test_require_raises;
+    Alcotest.test_case "passing check counts" `Quick test_check_passes;
+    Alcotest.test_case "failing check raises" `Quick test_check_raises;
     Alcotest.test_case "disabled checker is silent and free" `Quick
       test_disabled_is_silent;
     Alcotest.test_case "Warn mode logs instead of raising" `Quick
@@ -170,4 +207,8 @@ let suite =
       test_sub_mss_cwnd_ignored_when_disabled;
     Alcotest.test_case "two sims keep their own invariant flag" `Quick
       test_two_sims_keep_their_own_invariant_flag;
+    Alcotest.test_case "allocation budget per event" `Quick
+      test_allocation_budget;
+    Alcotest.test_case "checks run on a permutation" `Quick
+      test_checks_run_pinned;
   ]

@@ -149,6 +149,25 @@ let test_host_rejects_transit () =
        false
      with Failure _ -> true)
 
+(* Every delivered packet walks one chain of the endpoint table, so its
+   cost is the longest chain, which must not grow with the flow count. A
+   hash whose low bits see only the subflow index would put these 16384
+   keys in two chains. *)
+let test_endpoint_spread () =
+  let net = Network.create (Sim.create ()) in
+  for host = 0 to 1 do
+    for flow = 0 to 4095 do
+      for subflow = 0 to 1 do
+        Network.register_endpoint net ~host ~flow ~subflow ignore
+      done
+    done
+  done;
+  let st = Network.endpoint_stats net in
+  Alcotest.(check int) "all bound" 16384 st.Hashtbl.num_bindings;
+  if st.Hashtbl.max_bucket_length > 16 then
+    Alcotest.failf "longest chain %d over %d buckets (want <= 16)"
+      st.Hashtbl.max_bucket_length st.Hashtbl.num_buckets
+
 let suite =
   [
     Alcotest.test_case "explicit ids" `Quick test_explicit_ids;
@@ -160,4 +179,5 @@ let suite =
     Alcotest.test_case "asymmetric connect" `Quick test_asym_connect;
     Alcotest.test_case "host rejects transit" `Quick
       test_host_rejects_transit;
+    Alcotest.test_case "endpoint spread" `Quick test_endpoint_spread;
   ]
