@@ -22,6 +22,34 @@ module Time = Xmp_engine.Time
 module Scheme = Xmp_workload.Scheme
 module Fault_spec = Xmp_engine.Fault_spec
 
+(* ----- checked numbers: a malformed value is a parse error (exit 124,
+   naming the option), never an exception halfway into a run ----- *)
+
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let is_even_arity k = k >= 2 && k mod 2 = 0
+
+let is_finite_positive x = Float.is_finite x && x > 0.
+
+let even_arity = checked Arg.int ~expected:"an even arity >= 2" is_even_arity
+
+let positive_int =
+  checked Arg.int ~expected:"a positive integer" (fun n -> n >= 1)
+
+let finite_positive =
+  checked Arg.float ~expected:"a finite positive number" is_finite_positive
+
+let fraction =
+  checked Arg.float ~expected:"a fraction in [0, 1]" (fun x ->
+      x >= 0. && x <= 1.)
+
 (* ----- shared options ----- *)
 
 let scale_t =
@@ -37,7 +65,7 @@ let beta_t =
 
 let k_arity_t =
   let doc = "Fat-tree arity $(docv) (even; 4 => 16 hosts, 8 => 128)." in
-  Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc)
+  Arg.(value & opt even_arity 4 & info [ "k" ] ~docv:"K" ~doc)
 
 let horizon_t =
   let doc = "Simulated horizon in seconds for fat-tree runs." in
@@ -586,11 +614,12 @@ let cdf_t =
 
 let wl_k_t =
   let doc = "Fat-tree arity $(docv) (even; 8 => 128 hosts)." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
+  Arg.(value & opt even_arity 8 & info [ "k" ] ~docv:"K" ~doc)
 
 let load_t =
   let doc = "Offered load as a fraction of the host line rate." in
-  Arg.(value & opt float 0.4 & info [ "load" ] ~docv:"FRACTION" ~doc)
+  Arg.(
+    value & opt finite_positive 0.4 & info [ "load" ] ~docv:"FRACTION" ~doc)
 
 let size_scale_t =
   let doc =
@@ -598,7 +627,9 @@ let size_scale_t =
      scaling)."
   in
   Arg.(
-    value & opt float (1. /. 32.) & info [ "size-scale" ] ~docv:"FACTOR" ~doc)
+    value
+    & opt finite_positive (1. /. 32.)
+    & info [ "size-scale" ] ~docv:"FACTOR" ~doc)
 
 let wl_horizon_t =
   let doc = "Arrival horizon in simulated seconds." in
@@ -614,7 +645,7 @@ let flows_t =
 
 let domains_t =
   let doc = "Worker domains for the pod-sharded run (never changes results)." in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let wl_out_t =
   let doc =
@@ -688,7 +719,7 @@ let dc_spec_conv =
     match String.split_on_char ':' s with
     | [ "ft"; k ] -> (
       match int_of_string_opt k with
-      | Some k when k >= 2 && k mod 2 = 0 -> Ok (Wan.Fat_tree_dc { k })
+      | Some k when is_even_arity k -> Ok (Wan.Fat_tree_dc { k })
       | _ ->
         Error (`Msg (Printf.sprintf "bad fat-tree arity %S (even, >= 2)" k)))
     | [ "ls"; dims ] -> (
@@ -740,20 +771,19 @@ let trunk_conv =
     in
     match fields with
     | delay_ms :: rest -> (
-      match (float_of_string_opt delay_ms, rest) with
-      | (None | Some 0.), _ -> bad ()
-      | Some ms, _ when ms < 0. -> bad ()
-      | Some ms, rest -> (
+      match float_of_string_opt delay_ms with
+      | Some ms when is_finite_positive ms -> (
         let delay = Time.of_float_s (ms /. 1000.) in
         match rest with
         | [] -> Ok (Wan.trunk ~delay ())
         | [ gbps ] -> (
           match float_of_string_opt gbps with
-          | Some g when g > 0. -> Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ())
+          | Some g when is_finite_positive g ->
+            Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ())
           | _ -> bad ())
         | [ gbps; queue ] -> (
           match (float_of_string_opt gbps, int_of_string_opt queue) with
-          | Some g, Some q when g > 0. && q >= 1 ->
+          | Some g, Some q when is_finite_positive g && q >= 1 ->
             Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q ())
           | _ -> bad ())
         | [ gbps; queue; mark ] -> (
@@ -762,14 +792,16 @@ let trunk_conv =
               int_of_string_opt queue,
               int_of_string_opt mark )
           with
-          | Some g, Some q, Some 0 when g > 0. && q >= 1 ->
+          | Some g, Some q, Some 0 when is_finite_positive g && q >= 1 ->
             Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q ())
-          | Some g, Some q, Some m when g > 0. && q >= 1 && m >= 1 ->
+          | Some g, Some q, Some m
+            when is_finite_positive g && q >= 1 && m >= 1 ->
             Ok
               (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q
                  ~marking_threshold:m ())
           | _ -> bad ())
-        | _ -> bad ()))
+        | _ -> bad ())
+      | _ -> bad ())
     | [] -> bad ()
   in
   let print fmt (t : Wan.trunk) =
@@ -791,7 +823,7 @@ let trunks_t =
 
 let cross_dc_t =
   let doc = "Fraction of arrivals aimed at the other data center." in
-  Arg.(value & opt float 0.5 & info [ "cross-dc" ] ~docv:"FRACTION" ~doc)
+  Arg.(value & opt fraction 0.5 & info [ "cross-dc" ] ~docv:"FRACTION" ~doc)
 
 let rto_min_ms_t =
   let doc =

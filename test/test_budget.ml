@@ -1,0 +1,148 @@
+(* Work budgets of the four xmpbench workloads: the CI perf gate.
+
+   Each case runs the benchmark's own measuring child,
+   [xmpbench.exe child W --seed 1], in a fresh process with a fresh
+   heap, and reads the last line it prints (one JSON object). The
+   output digest must equal the one pinned in xmpbench/pinned.json, so
+   a ceiling cannot be met by simply doing less work. Then the event
+   count, the event-heap peak and the GC words allocated per event must
+   stay at or under the ceilings below. None of these depends on how
+   fast the machine is, so a noisy runner cannot move them; wall time
+   is measured by xmpbench/run.py instead. *)
+
+let locate candidates =
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> List.hd candidates
+
+(* Under `dune runtest` the cwd is _build/default/test; under
+   `dune exec` from the repo root it is the root. *)
+let xmpbench_exe =
+  locate [ "../xmpbench/xmpbench.exe"; "_build/default/xmpbench/xmpbench.exe" ]
+
+let pinned_file = locate [ "../xmpbench/pinned.json"; "xmpbench/pinned.json" ]
+
+type budget = {
+  workload : string;
+  events : int;
+  heap_peak : int;
+  minor_words : float;  (** per event *)
+  major_words : float;  (** per event *)
+}
+
+(* Ceilings only go down. Raising one needs a CHANGES.md entry saying
+   why. Events and heap peak are exact counts, so their ceilings are the
+   measured values. GC words per event vary between children, because
+   the child's timed set-up loop runs a speed-dependent number of times
+   before the measured run and leaves the minor heap at a different
+   fill: up to 13% on bulk.k4's minor words and 27% on its small major
+   figure, 3% or less elsewhere. Their ceilings are about 1.25x the
+   highest of seven child runs (2-vCPU x86-64 VM, OCaml 5.1.1). *)
+let budgets =
+  [
+    {
+      workload = "bulk.k4";
+      events = 4_160_011;
+      heap_peak = 449;
+      minor_words = 0.96;
+      major_words = 0.037;
+    };
+    {
+      workload = "incast.k4";
+      events = 3_512_910;
+      heap_peak = 1133;
+      minor_words = 1.9;
+      major_words = 0.27;
+    };
+    {
+      workload = "websearch.k8";
+      events = 3_678_819;
+      heap_peak = 515;
+      minor_words = 10.5;
+      major_words = 1.44;
+    };
+    {
+      workload = "wan.2dc";
+      events = 2_908_201;
+      heap_peak = 3536;
+      minor_words = 3.55;
+      major_words = 1.67;
+    };
+  ]
+
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some (i + m)
+    else go (i + 1)
+  in
+  go 0
+
+(* The raw value of ["key": value] in flat JSON text, quotes stripped. *)
+let field json key =
+  match find_sub json (Printf.sprintf "%S: " key) with
+  | None -> Alcotest.failf "%s: no %S field" json key
+  | Some start ->
+    let stop = ref start in
+    while
+      !stop < String.length json && not (String.contains ",}\n" json.[!stop])
+    do
+      incr stop
+    done;
+    let v = String.trim (String.sub json start (!stop - start)) in
+    let n = String.length v in
+    if n >= 2 && v.[0] = '"' then String.sub v 1 (n - 2) else v
+
+let number json key =
+  match float_of_string_opt (field json key) with
+  | Some v -> v
+  | None -> Alcotest.failf "%S is not a number in %s" key json
+
+let last_line text =
+  match
+    List.rev
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+  with
+  | l :: _ -> l
+  | [] -> Alcotest.fail "the child printed nothing"
+
+let run_child workload =
+  let out = Filename.temp_file "xmp_budget" ".json" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s child %s --seed 1 > %s" (Filename.quote xmpbench_exe)
+         workload (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) (workload ^ ": child exits 0") 0 code;
+  last_line text
+
+let test_budget b () =
+  let pinned = In_channel.with_open_bin pinned_file In_channel.input_all in
+  let json = run_child b.workload in
+  Alcotest.(check string)
+    (b.workload ^ ": digest as pinned")
+    (field pinned b.workload) (field json "digest");
+  let at_most key measured ceiling pp =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s %s <= %s" b.workload key (pp measured)
+         (pp ceiling))
+      true (measured <= ceiling)
+  in
+  let count key ceiling =
+    at_most key (int_of_float (number json key)) ceiling string_of_int
+  in
+  let per_event key ceiling =
+    at_most key (number json key) ceiling (Printf.sprintf "%.4g")
+  in
+  count "engine.events" b.events;
+  count "engine.heap_peak" b.heap_peak;
+  per_event "gc.minor_words_per_event" b.minor_words;
+  per_event "gc.major_words_per_event" b.major_words
+
+let suite =
+  List.map
+    (fun b -> Alcotest.test_case b.workload `Slow (test_budget b))
+    budgets

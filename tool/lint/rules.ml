@@ -39,9 +39,6 @@ let category_of path =
 (* File-level waivers: (rule, exact path) pairs. *)
 let file_allowlist =
   [
-    (* bench times real executions of the simulator *)
-    ("wall-clock", "bench/main.ml");
-    ("wall-clock", "bench/perf.ml");
     (* the scenario runner forks workers and times whole simulations; it
        is process orchestration, not simulator code *)
     ("wall-clock", "lib/runner/runner.ml");
@@ -51,9 +48,8 @@ let file_allowlist =
     ("stdout-in-lib", "lib/experiments/render.ml");
     (* the runner replays captured scenario output to stdout *)
     ("stdout-in-lib", "lib/runner/runner.ml");
-    (* the sanctioned stderr sinks: the structured logger itself, the
-       invariant checker's Warn mode, and the runner's progress lines *)
-    ("direct-printf", "lib/engine/slog.ml");
+    (* the sanctioned stderr sinks: the invariant checker's Warn mode and
+       the runner's progress lines *)
     ("direct-printf", "lib/check/invariant.ml");
     ("direct-printf", "lib/runner/runner.ml");
     (* the transport acquires pooled packets and hands ownership to
@@ -190,8 +186,7 @@ let check_idents rep ~path ~cat (toks : token array) =
         then
           Report.add rep ~path ~line ~rule:"stdout-in-lib"
             (name
-           ^ " prints to stdout from lib/; route through Render/Table or \
-              Slog");
+           ^ " prints to stdout from lib/; route through Render/Table");
         if
           cat = Lib
           && List.mem name stderr_idents
@@ -199,8 +194,8 @@ let check_idents rep ~path ~cat (toks : token array) =
         then
           Report.add rep ~path ~line ~rule:"direct-printf"
             (name
-           ^ " is an ad-hoc stderr diagnostic in lib/; route through Slog \
-              or record telemetry instead")
+           ^ " is an ad-hoc stderr diagnostic in lib/; record telemetry \
+              instead")
       | Keyword _ | Op _ | Num _ | Str | Punct _ -> ())
     toks
 
