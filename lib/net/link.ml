@@ -89,12 +89,15 @@ and serialized t =
     | None -> ())
   | None -> ());
   (* Propagation: the packet is on the wire while the next one
-     serializes. Deliver only if the link is still up. *)
-  if t.up then begin
+     serializes. Deliver only if the link is still up. A zero-delay link
+     (a shard portal's egress) hands the packet over right here instead
+     of through a deliver event at the same instant. *)
+  if not t.up then Packet.release p
+  else if t.delay = Time.zero then t.receiver p
+  else begin
     wire_push t p;
     Sim.after t.sim t.delay t.on_deliver
-  end
-  else Packet.release p;
+  end;
   if Queue_disc.length t.disc > 0 then transmit t (Queue_disc.take t.disc)
   else t.busy <- false
 

@@ -6,7 +6,13 @@
     CE-marked or dropped). Transmission takes [size * 8 / rate]; the packet
     then arrives at the receiver after the propagation delay. Multiple
     packets can be in flight on the wire simultaneously (transmission
-    pipelining), as on a real link. *)
+    pipelining), as on a real link.
+
+    A link with zero delay (a {!Shard} portal's egress) calls its
+    receiver inside the serialization-complete event: one event per
+    packet instead of two. The hand-over happens within that event, so
+    taking the link down later at the same instant no longer drops the
+    packet. *)
 
 type t
 

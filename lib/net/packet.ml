@@ -195,38 +195,28 @@ let ack ?(sack = []) ~flow ~subflow ~src ~dst ~path ~seq ~ece_count ~ts () =
   List.iter (fun (start, stop) -> add_sack_block p ~start ~stop) sack;
   p
 
-(* ---- cross-domain image ----------------------------------------------- *)
+(* ---- packet words ----------------------------------------------------- *)
 
-type image = {
-  i_w0 : int;
-  i_w1 : int;
-  i_flags : int;
-  i_ts : Xmp_engine.Time.t;
-  i_sack0 : int;
-  i_sack1 : int;
-  i_sack2 : int;
-}
+let words = 7
 
-let image p =
-  {
-    i_w0 = p.w0;
-    i_w1 = p.w1;
-    i_flags = p.flags land lnot free_bit;
-    i_ts = p.ts;
-    i_sack0 = p.sack0;
-    i_sack1 = p.sack1;
-    i_sack2 = p.sack2;
-  }
+let store p a off =
+  a.(off) <- p.w0;
+  a.(off + 1) <- p.w1;
+  a.(off + 2) <- p.flags land lnot free_bit;
+  a.(off + 3) <- p.ts;
+  a.(off + 4) <- p.sack0;
+  a.(off + 5) <- p.sack1;
+  a.(off + 6) <- p.sack2
 
-let of_image im =
+let load a off =
   let p = acquire () in
-  p.w0 <- im.i_w0;
-  p.w1 <- im.i_w1;
-  p.flags <- im.i_flags land lnot free_bit;
-  p.ts <- im.i_ts;
-  p.sack0 <- im.i_sack0;
-  p.sack1 <- im.i_sack1;
-  p.sack2 <- im.i_sack2;
+  p.w0 <- a.(off);
+  p.w1 <- a.(off + 1);
+  p.flags <- a.(off + 2) land lnot free_bit;
+  p.ts <- a.(off + 3);
+  p.sack0 <- a.(off + 4);
+  p.sack1 <- a.(off + 5);
+  p.sack2 <- a.(off + 6);
   p
 
 let pp fmt p =

@@ -9,7 +9,7 @@
     are packed into two immediate words (range-checked at construction),
     flags and the up-to-3 SACK blocks into fixed slots, and records are
     recycled through a domain-local free-list pool. {!data}, {!ack} and
-    {!of_image} acquire from the pool; {!release} returns a record to it.
+    {!load} acquire from the pool; {!release} returns a record to it.
 
     Ownership rule: exactly one component owns a packet at any instant,
     and the owner either passes it on (link -> queue -> link -> dispatch)
@@ -167,16 +167,23 @@ val add_sack_block : t -> start:int -> stop:int -> unit
 val sack : t -> (int * int) list
 (** The blocks as a list (allocates — tests and pretty-printers only). *)
 
-(** {1 Cross-domain image}
+(** {1 Packet words}
 
-    A shard boundary copies the packet's words into an immutable [image],
-    releases the original into the sending domain's pool, and rebuilds
-    with {!of_image} from the receiving domain's pool. *)
+    A shard boundary carries a packet as {!words} plain ints: {!store}
+    copies it into a mail ring, the original is released into the
+    sending domain's pool, and {!load} rebuilds it from the receiving
+    domain's pool. *)
 
-type image
+val words : int
+(** 7: the ints one packet occupies. *)
 
-val image : t -> image
+val store : t -> int array -> int -> unit
+(** [store p a off] writes [p] into [a.(off)] .. [a.(off + words - 1)].
+    It does not release [p]. *)
 
-val of_image : image -> t
+val load : int array -> int -> t
+(** [load a off] acquires a record from the current domain's pool and
+    fills it from the words {!store} wrote at [off]. The record comes
+    back live (its free bit cleared), whatever the stored flags say. *)
 
 val pp : Format.formatter -> t -> unit

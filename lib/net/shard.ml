@@ -1,29 +1,38 @@
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 
-(* Cross-shard mail: a packet captured at a portal. The image is taken
-   (and the record released into the sending domain's pool) the moment
-   the packet finishes serializing; the portal's propagation delay is
-   applied across the barrier, so [arrival] is exactly the delivery time
-   the packet would have had on an ordinary link. *)
-type mail = {
-  arrival : Time.t;
-  src_shard : int;
-  emit_seq : int;  (* per-shard emission counter: total order within a shard *)
-  img : Packet.image;
-  dst_shard : int;
+(* Cross-shard mail travels as plain ints, so the barrier allocates
+   nothing per packet. A portal's egress has zero delay, so its receiver
+   runs when the packet finishes serializing: it appends one mail record
+   (portal index, arrival, packet words) to the source shard's outbox and
+   releases the packet into the sending domain's pool. [arrival] is
+   exactly the delivery time the packet would have had on an ordinary
+   link. At the barrier [inject] moves each record's packet words into
+   its portal's inbox ring and schedules the portal's one [on_arrive]
+   closure, which pops the ring head, rebuilds the packet from the
+   receiving domain's pool and hands it to the destination node. *)
+let mail_words = 2 + Packet.words
+
+type portal = {
+  dst_sim : Sim.t;
   dst_node : Node.t;
+  mutable inbox : int array;
+      (* FIFO ring of [Packet.words]-int slots; [||] until the first mail *)
+  mutable head : int;  (* slot index of the oldest mail *)
+  mutable len : int;  (* slots in use *)
+  mutable on_arrive : unit -> unit;  (* preallocated, see [portal] *)
 }
 
 type shard = {
   sim : Sim.t;
   net : Network.t;
-  mutable outbox_rev : mail list;
-  mutable emitted : int;
+  mutable outbox : int array;  (* [mail_words]-int records, emission order *)
+  mutable outbox_len : int;  (* ints in use *)
 }
 
 type t = {
   shards : shard array;
+  mutable portals : portal array;  (* creation order; [n_portals] in use *)
   mutable min_portal_delay : Time.t;  (* Time.infinity until a portal exists *)
   mutable n_portals : int;
   mutable epoch : int;  (* next epoch window to run *)
@@ -39,10 +48,11 @@ let create ?(config = Sim.default_config) ~shards:n () =
         let sim =
           Sim.create ~config:{ config with Sim.seed = config.seed + index } ()
         in
-        { sim; net = Network.create sim; outbox_rev = []; emitted = 0 })
+        { sim; net = Network.create sim; outbox = [||]; outbox_len = 0 })
   in
   {
     shards;
+    portals = [||];
     min_portal_delay = Time.infinity;
     n_portals = 0;
     epoch = 0;
@@ -66,6 +76,48 @@ let epoch_delta t = t.min_portal_delay
 
 let mail_injected t = t.injected
 
+(* Source domain, during the epoch. *)
+let post s ~portal ~arrival p =
+  let o = s.outbox_len in
+  if o + mail_words > Array.length s.outbox then begin
+    let box = Array.make (Stdlib.max (64 * mail_words) (2 * o)) 0 in
+    Array.blit s.outbox 0 box 0 o;
+    s.outbox <- box
+  end;
+  s.outbox.(o) <- portal;
+  s.outbox.(o + 1) <- arrival;
+  Packet.store p s.outbox (o + 2);
+  s.outbox_len <- o + mail_words
+
+(* Orchestrator, at the barrier: copy the packet words at [box.(off)]
+   into the inbox's tail slot, growing (and unwrapping) a full ring. *)
+let inbox_push pt box off =
+  let w = Packet.words in
+  let cap = Array.length pt.inbox / w in
+  if pt.len = cap then begin
+    let ring = Array.make (w * Stdlib.max 16 (2 * cap)) 0 in
+    let tail = cap - pt.head in
+    Array.blit pt.inbox (pt.head * w) ring 0 (tail * w);
+    Array.blit pt.inbox 0 ring (tail * w) (pt.head * w);
+    pt.inbox <- ring;
+    pt.head <- 0
+  end;
+  let cap = Array.length pt.inbox / w in
+  let slot = pt.head + pt.len in
+  let slot = if slot >= cap then slot - cap else slot in
+  Array.blit box off pt.inbox (slot * w) w;
+  pt.len <- pt.len + 1
+
+(* Destination domain, as the mail's arrival event. A portal's delay is
+   constant, so its mail arrives in the order it was injected. *)
+let arrive pt =
+  let p = Packet.load pt.inbox (pt.head * Packet.words) in
+  let next = pt.head + 1 in
+  pt.head <-
+    (if next * Packet.words >= Array.length pt.inbox then 0 else next);
+  pt.len <- pt.len - 1;
+  Node.receive pt.dst_node p
+
 (* A portal is one directed cross-shard link. Serialization (and the
    egress queue) runs in the source shard at the given rate; the
    propagation [delay] is applied across the epoch barrier. [delay] is
@@ -81,20 +133,27 @@ let portal t ?tag ~src:(src_shard, src_node) ~dst:(dst_shard, dst_node) ~rate
   if Time.compare delay Time.zero <= 0 then
     invalid_arg "Shard.portal: delay must be positive (it is the lookahead)";
   let s = t.shards.(src_shard) in
+  let pt =
+    {
+      dst_sim = t.shards.(dst_shard).sim;
+      dst_node;
+      inbox = [||];
+      head = 0;
+      len = 0;
+      on_arrive = ignore;
+    }
+  in
+  pt.on_arrive <- (fun () -> arrive pt);
+  let index = t.n_portals in
+  if index = Array.length t.portals then begin
+    let grown = Array.make (Stdlib.max 8 (2 * index)) pt in
+    Array.blit t.portals 0 grown 0 index;
+    t.portals <- grown
+  end;
+  t.portals.(index) <- pt;
   let name = Node.name src_node ^ "->" ^ Node.name dst_node in
   let receiver p =
-    let m =
-      {
-        arrival = Time.add (Sim.now s.sim) delay;
-        src_shard;
-        emit_seq = s.emitted;
-        img = Packet.image p;
-        dst_shard;
-        dst_node;
-      }
-    in
-    s.emitted <- s.emitted + 1;
-    s.outbox_rev <- m :: s.outbox_rev;
+    post s ~portal:index ~arrival:(Time.add (Sim.now s.sim) delay) p;
     Packet.release p
   in
   let link =
@@ -102,7 +161,7 @@ let portal t ?tag ~src:(src_shard, src_node) ~dst:(dst_shard, dst_node) ~rate
       receiver
   in
   if Time.compare delay t.min_portal_delay < 0 then t.min_portal_delay <- delay;
-  t.n_portals <- t.n_portals + 1;
+  t.n_portals <- index + 1;
   link
 
 let connect t ?tag ~rate ~delay ~disc (sa, a) (sb, b) =
@@ -114,37 +173,29 @@ let connect t ?tag ~rate ~delay ~disc (sa, a) (sb, b) =
 
 (* ---- the epoch barrier ------------------------------------------------ *)
 
-let mail_order a b =
-  let c = Time.compare a.arrival b.arrival in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.src_shard b.src_shard in
-    if c <> 0 then c else Int.compare a.emit_seq b.emit_seq
-
-(* Drain every outbox, then inject in one deterministic total order:
-   (arrival, src_shard, emit_seq). The order fixes the destination sims'
-   insertion sequence numbers, which is what makes a domains-1 run and a
-   domains-N run byte-identical. Runs on the orchestrating domain while
-   the workers are parked at the barrier. *)
+(* Drain every outbox in one pass: shards in index order, each outbox in
+   emission order. Each destination sim orders events by (time, seq),
+   and all mail injected here takes one contiguous block of its seqs, so
+   mail arriving at the same instant is delivered in (source shard,
+   emission) order whatever the domain count — which is what makes a
+   domains-1 run and a domains-N run byte-identical. Runs on the
+   orchestrating domain while the workers are parked at the barrier. *)
 let inject t =
-  let mails =
-    Array.fold_left
-      (fun acc s ->
-        let ms = List.rev s.outbox_rev in
-        s.outbox_rev <- [];
-        ms :: acc)
-      [] t.shards
-    |> List.concat |> List.sort mail_order
-  in
-  List.iter
-    (fun m ->
-      let img = m.img and node = m.dst_node in
-      Sim.at t.shards.(m.dst_shard).sim m.arrival (fun () ->
-          Node.receive node (Packet.of_image img)))
-    mails;
-  let n = List.length mails in
-  t.injected <- t.injected + n;
-  n
+  let injected = ref 0 in
+  for i = 0 to Array.length t.shards - 1 do
+    let s = t.shards.(i) in
+    let mails = s.outbox_len / mail_words in
+    for m = 0 to mails - 1 do
+      let o = m * mail_words in
+      let pt = t.portals.(s.outbox.(o)) in
+      inbox_push pt s.outbox (o + 2);
+      Sim.at pt.dst_sim s.outbox.(o + 1) pt.on_arrive
+    done;
+    s.outbox_len <- 0;
+    injected := !injected + mails
+  done;
+  t.injected <- t.injected + !injected;
+  !injected
 
 let run_share t ~offset ~stride ~until =
   let n = Array.length t.shards in
@@ -157,7 +208,7 @@ let run_share t ~offset ~stride ~until =
 (* Persistent worker crew: spawned once per [run] call, signalled once
    per epoch. Worker [w] owns shards {i | i mod domains = w+1}; the
    orchestrating domain takes residue 0 and runs the barrier phases
-   (mail merge, injection) alone while the workers wait. The mutex
+   (mail injection) alone while the workers wait. The mutex
    hand-offs at the barrier are also the happens-before edges that
    publish each epoch's simulator state between domains. *)
 type crew = {

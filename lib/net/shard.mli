@@ -4,10 +4,13 @@
     Each shard is an ordinary single-domain simulation. A {!portal} is a
     directed cross-shard link: its serializer and egress queue run in the
     source shard at the given rate, and its propagation delay is applied
-    across the epoch barrier — the packet is captured as an immutable
-    {!Packet.image} when it finishes serializing, released into the
-    sending domain's pool, and rebuilt from the receiving domain's pool
-    when it is injected.
+    across the epoch barrier. When a packet finishes serializing, its
+    {!Packet.words} are appended to the source shard's outbox together
+    with the portal index and the arrival time, and the packet is
+    released into the sending domain's pool. At the barrier the words
+    move into the portal's inbox ring, and one arrival event per mail
+    rebuilds the packet from the receiving domain's pool with
+    {!Packet.load}. No step allocates per mail.
 
     {2 Epoch-barrier semantics}
 
@@ -19,14 +22,27 @@
 
     {2 Determinism}
 
-    Shards are pinned to domains round-robin, each shard's event loop is
-    sequential, and the barrier merges all mail into one total order —
-    [(arrival, source shard, per-shard emission sequence)] — before
-    injection. That order fixes the destination sims' tie-breaking
-    sequence numbers, so a run with [domains:1] and a run with
-    [domains:N] produce byte-identical results. Nothing a shard computes
-    may depend on which domain hosts it (per-domain packet pools satisfy
-    this: pool identity never changes packet contents). *)
+    Shards are pinned to domains round-robin and each shard's event loop
+    is sequential. The barrier injects mail in one pass: shards in index
+    order, each outbox in emission order. A destination sim orders its
+    events by (time, scheduling sequence), and the mail of one barrier
+    takes one contiguous block of sequence numbers, so mail arriving at
+    the same instant is delivered in (source shard, emission) order
+    whatever the domain count. A portal's delay is constant, so its
+    inbox drains in the order it was filled. A run with [domains:1] and
+    a run with [domains:N] therefore produce byte-identical results.
+    Nothing a shard computes may depend on which domain hosts it
+    (per-domain packet pools satisfy this: pool identity never changes
+    packet contents).
+
+    {2 Domain safety}
+
+    Only the source shard's domain writes its outbox, and only during an
+    epoch. Only the orchestrating domain reads outboxes and writes
+    inboxes, and only at the barrier, while the workers are parked. Only
+    the destination shard's domain pops an inbox, during an epoch. The
+    crew mutex hand-offs at the barrier are the happens-before edges
+    between these phases. *)
 
 type t
 

@@ -8,7 +8,8 @@
    count, the event-heap peak and the GC words allocated per event must
    stay at or under the ceilings below. None of these depends on how
    fast the machine is, so a noisy runner cannot move them; wall time
-   is measured by xmpbench/run.py instead. *)
+   is measured by xmpbench/run.py instead. The two sharded workloads
+   run once more at [--domains 2], where only the digest is checked. *)
 
 let locate candidates =
   match List.find_opt Sys.file_exists candidates with
@@ -56,17 +57,17 @@ let budgets =
     };
     {
       workload = "websearch.k8";
-      events = 3_678_819;
+      events = 3_237_891;
       heap_peak = 515;
-      minor_words = 10.5;
-      major_words = 1.44;
+      minor_words = 2.4;
+      major_words = 1.1;
     };
     {
       workload = "wan.2dc";
-      events = 2_908_201;
+      events = 2_863_932;
       heap_peak = 3536;
-      minor_words = 3.55;
-      major_words = 1.67;
+      minor_words = 2.3;
+      major_words = 1.36;
     };
   ]
 
@@ -107,24 +108,27 @@ let last_line text =
   | l :: _ -> l
   | [] -> Alcotest.fail "the child printed nothing"
 
-let run_child workload =
+let run_child ?(domains = 1) workload =
   let out = Filename.temp_file "xmp_budget" ".json" in
   let code =
     Sys.command
-      (Printf.sprintf "%s child %s --seed 1 > %s" (Filename.quote xmpbench_exe)
-         workload (Filename.quote out))
+      (Printf.sprintf "%s child %s --seed 1 --domains %d > %s"
+         (Filename.quote xmpbench_exe) workload domains (Filename.quote out))
   in
   let text = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;
   Alcotest.(check int) (workload ^ ": child exits 0") 0 code;
   last_line text
 
-let test_budget b () =
+let check_digest workload json =
   let pinned = In_channel.with_open_bin pinned_file In_channel.input_all in
-  let json = run_child b.workload in
   Alcotest.(check string)
-    (b.workload ^ ": digest as pinned")
-    (field pinned b.workload) (field json "digest");
+    (workload ^ ": digest as pinned")
+    (field pinned workload) (field json "digest")
+
+let test_budget b () =
+  let json = run_child b.workload in
+  check_digest b.workload json;
   let at_most key measured ceiling pp =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %s %s <= %s" b.workload key (pp measured)
@@ -142,7 +146,17 @@ let test_budget b () =
   per_event "gc.minor_words_per_event" b.minor_words;
   per_event "gc.major_words_per_event" b.major_words
 
+(* The sharded workloads must also reach the pinned digest when their
+   shards run on two domains, which hands every portal's mail between
+   domains through the barrier. *)
+let test_two_domains workload () =
+  check_digest workload (run_child ~domains:2 workload)
+
 let suite =
   List.map
     (fun b -> Alcotest.test_case b.workload `Slow (test_budget b))
     budgets
+  @ List.map
+      (fun w ->
+        Alcotest.test_case (w ^ " at 2 domains") `Slow (test_two_domains w))
+      [ "websearch.k8"; "wan.2dc" ]

@@ -178,6 +178,157 @@ let test_domains_byte_equality () =
     (String.length one > 200);
   Alcotest.(check string) "domains=1 and domains=4 byte-identical" one four
 
+let rate10 = Net.Units.gbps 10.
+let tx10 = Net.Units.tx_time rate10 ~bytes:Packet.data_wire_bytes
+
+(* Equal-arrival tie-break. Shards 1 and 2 each send four packets (flow =
+   source shard) to host 0 on shard 0 at 10 Gbps, all emitted inside the
+   first epoch. With [skew] = 0 the two portals have equal delays, so
+   packet i of either shard lands on the same nanosecond. With [skew] =
+   one serialization, shard 2's portal is that much slower, so its packet
+   i lands with shard 1's packet i+1, which shard 1 emitted later. The
+   trace is printable so the domains-3 run can be compared byte for
+   byte. *)
+let tie_trace ~skew ~domains () =
+  let cluster = Shard.create ~shards:3 () in
+  let a = Network.add_host_at (Shard.net cluster 0) ~id:0 ~name:"a" in
+  let log = Buffer.create 256 in
+  for s = 1 to 2 do
+    let node =
+      Network.add_host_at (Shard.net cluster s) ~id:s
+        ~name:(Printf.sprintf "s%d" s)
+    in
+    Node.set_route node (fun _ -> 0);
+    let delay = Time.add (Time.us 10) (if s = 2 then skew else Time.zero) in
+    ignore
+      (Shard.portal cluster ~src:(s, node) ~dst:(0, a) ~rate:rate10 ~delay
+         ~disc ());
+    Network.register_endpoint (Shard.net cluster 0) ~host:0 ~flow:s ~subflow:0
+      (fun p ->
+        Buffer.add_string log
+          (Printf.sprintf "%d.%d@%d " (Packet.flow p) (Packet.seq p)
+             (Sim.now (Shard.sim cluster 0))));
+    for seq = 0 to 3 do
+      Node.send node
+        (Packet.data ~flow:s ~subflow:0 ~src:s ~dst:0 ~path:0 ~seq ~ect:false
+           ~cwr:false ~ts:Time.zero)
+    done
+  done;
+  Shard.run ~domains ~until:(Time.us 100) cluster;
+  Buffer.contents log
+
+let test_equal_arrival_order () =
+  let d = Time.us 10 in
+  let at i = Time.add (Time.mul tx10 (i + 1)) d in
+  let entry (flow, seq, t) = Printf.sprintf "%d.%d@%d " flow seq t in
+  let expect l = String.concat "" (List.map entry l) in
+  let aligned = tie_trace ~skew:Time.zero ~domains:1 () in
+  Alcotest.(check string) "equal delays: shard 1 first at each instant"
+    (expect
+       (List.concat_map
+          (fun i -> [ (1, i, at i); (2, i, at i) ])
+          [ 0; 1; 2; 3 ]))
+    aligned;
+  let skewed = tie_trace ~skew:tx10 ~domains:1 () in
+  Alcotest.(check string)
+    "shard 1's later emission still precedes shard 2's at the same instant"
+    (expect
+       ([ (1, 0, at 0) ]
+       @ List.concat_map
+           (fun i -> [ (1, i + 1, at (i + 1)); (2, i, at (i + 1)) ])
+           [ 0; 1; 2 ]
+       @ [ (2, 3, at 4) ]))
+    skewed;
+  Alcotest.(check string) "same order at 3 domains" (aligned ^ skewed)
+    (capture_in_child (fun () ->
+         tie_trace ~skew:Time.zero ~domains:3 ()
+         ^ tie_trace ~skew:tx10 ~domains:3 ()))
+
+(* Mail across several barriers: a 35 us portal in a cluster whose epoch
+   is 10 us (the reverse portal). A first burst of 10 packets drains and
+   leaves the inbox ring's head mid-ring; a second burst of 50 then keeps
+   about 29 packets in flight over four barriers, so the ring wraps and
+   grows past its initial 16 slots while wrapped. Every packet must
+   still arrive at serialization end plus its portal's delay, in send
+   order, in both directions. *)
+let test_mail_across_barriers () =
+  let cluster = Shard.create ~shards:2 () in
+  let a = Network.add_host_at (Shard.net cluster 0) ~id:0 ~name:"a" in
+  let b = Network.add_host_at (Shard.net cluster 1) ~id:1 ~name:"b" in
+  Node.set_route a (fun _ -> 0);
+  Node.set_route b (fun _ -> 0);
+  let slow = Time.us 35 and fast = Time.us 10 in
+  ignore
+    (Shard.portal cluster ~src:(0, a) ~dst:(1, b) ~rate:rate10 ~delay:slow
+       ~disc ());
+  ignore
+    (Shard.portal cluster ~src:(1, b) ~dst:(0, a) ~rate:rate10 ~delay:fast
+       ~disc ());
+  Alcotest.(check int) "epoch is the faster portal" fast
+    (Shard.epoch_delta cluster);
+  let bursts = [ (Time.zero, 10); (Time.us 100, 50) ] in
+  let check_direction ~src ~dst ~delay =
+    let arrivals = ref [] in
+    let dst_id = Node.id dst and src_id = Node.id src in
+    Network.register_endpoint (Shard.net cluster dst_id) ~host:dst_id ~flow:3
+      ~subflow:0 (fun p ->
+        arrivals :=
+          (Packet.seq p, Sim.now (Shard.sim cluster dst_id)) :: !arrivals);
+    let expected = ref [] and seq0 = ref 0 in
+    List.iter
+      (fun (start, n) ->
+        let first = !seq0 in
+        Sim.at (Shard.sim cluster src_id) start (fun () ->
+            for seq = first to first + n - 1 do
+              Node.send src
+                (Packet.data ~flow:3 ~subflow:0 ~src:src_id ~dst:dst_id
+                   ~path:0 ~seq ~ect:false ~cwr:false ~ts:Time.zero)
+            done);
+        for j = 0 to n - 1 do
+          expected :=
+            (first + j, start + Time.mul tx10 (j + 1) + delay) :: !expected
+        done;
+        seq0 := first + n)
+      bursts;
+    fun () ->
+      Alcotest.(check (list (pair int int)))
+        (Node.name src ^ ": FIFO at serialization end + delay")
+        (List.rev !expected) (List.rev !arrivals)
+  in
+  let check_ab = check_direction ~src:a ~dst:b ~delay:slow in
+  let check_ba = check_direction ~src:b ~dst:a ~delay:fast in
+  Shard.run ~until:(Time.ms 1) cluster;
+  check_ab ();
+  check_ba ();
+  Alcotest.(check int) "every packet was mail" 120
+    (Shard.mail_injected cluster)
+
+(* Portal egresses have zero delay, and a zero-delay link hands the
+   packet to its receiver inside the serialization-complete event: one
+   event per packet, at serialization end. *)
+let test_zero_delay_link () =
+  let sim = Sim.create () in
+  let net = Network.create sim in
+  let a = Network.add_host net ~name:"a" in
+  let b = Network.add_host net ~name:"b" in
+  ignore (Network.connect net ~rate:rate10 ~delay:Time.zero ~disc a b);
+  Node.set_route a (fun _ -> 0);
+  let arrivals = ref [] in
+  Network.register_endpoint net ~host:(Node.id b) ~flow:1 ~subflow:0 (fun p ->
+      arrivals := (Packet.seq p, Sim.now sim) :: !arrivals);
+  let n = 5 in
+  for seq = 0 to n - 1 do
+    Node.send a
+      (Packet.data ~flow:1 ~subflow:0 ~src:(Node.id a) ~dst:(Node.id b)
+         ~path:0 ~seq ~ect:false ~cwr:false ~ts:Time.zero)
+  done;
+  Sim.run sim;
+  Alcotest.(check (list (pair int int)))
+    "delivered at serialization end"
+    (List.init n (fun i -> (i, Time.mul tx10 (i + 1))))
+    (List.rev !arrivals);
+  Alcotest.(check int) "one event per packet" n (Sim.events_executed sim)
+
 let test_sharded_scenario_progress () =
   let r = Xmp_experiments.Fig4_sharded.run ~scale:0.05 ~domains:1 ~beta:4 () in
   Alcotest.(check bool) "simulated real work" true (r.events > 100_000);
@@ -205,4 +356,10 @@ let suite =
       test_domains_byte_equality;
     Alcotest.test_case "connect: links within, portals across" `Quick
       test_connect;
+    Alcotest.test_case "equal arrivals: source shard, then emission" `Quick
+      test_equal_arrival_order;
+    Alcotest.test_case "mail across several barriers" `Quick
+      test_mail_across_barriers;
+    Alcotest.test_case "zero-delay link: one event per packet" `Quick
+      test_zero_delay_link;
   ]

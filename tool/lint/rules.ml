@@ -199,7 +199,7 @@ let check_idents rep ~path ~cat (toks : token array) =
       | Keyword _ | Op _ | Num _ | Str | Punct _ -> ())
     toks
 
-(* Pooled-packet balance: Packet.data/ack/of_image acquire a record
+(* Pooled-packet balance: Packet.data/ack/load acquire a record
    from the domain-local pool, and exactly one owner must release it
    (or hand it to a sink that does). A lib/ file that acquires but
    never mentions Packet.release is either leaking pool records —
@@ -209,8 +209,8 @@ let check_idents rep ~path ~cat (toks : token array) =
    out of scope. *)
 let packet_acquire_idents =
   [
-    "Packet.data"; "Packet.ack"; "Packet.of_image"; "Xmp_net.Packet.data";
-    "Xmp_net.Packet.ack"; "Xmp_net.Packet.of_image";
+    "Packet.data"; "Packet.ack"; "Packet.load"; "Xmp_net.Packet.data";
+    "Xmp_net.Packet.ack"; "Xmp_net.Packet.load";
   ]
 
 let packet_release_idents = [ "Packet.release"; "Xmp_net.Packet.release" ]
