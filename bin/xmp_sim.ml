@@ -46,6 +46,12 @@ let positive_int =
 let finite_positive =
   checked Arg.float ~expected:"a finite positive number" is_finite_positive
 
+let finite_nonneg =
+  checked Arg.float ~expected:"a finite non-negative number" (fun x ->
+      Float.is_finite x && x >= 0.)
+
+let beta_divisor = checked Arg.int ~expected:"an integer >= 2" (fun b -> b >= 2)
+
 let fraction =
   checked Arg.float ~expected:"a fraction in [0, 1]" (fun x ->
       x >= 0. && x <= 1.)
@@ -57,11 +63,11 @@ let scale_t =
     "Time-scale factor applied to the paper's schedules (1.0 = the paper's \
      wall-clock timeline)."
   in
-  Arg.(value & opt float 0.2 & info [ "scale" ] ~docv:"FACTOR" ~doc)
+  Arg.(value & opt finite_positive 0.2 & info [ "scale" ] ~docv:"FACTOR" ~doc)
 
 let beta_t =
   let doc = "XMP window-reduction divisor (paper default 4)." in
-  Arg.(value & opt int 4 & info [ "beta" ] ~docv:"BETA" ~doc)
+  Arg.(value & opt beta_divisor 4 & info [ "beta" ] ~docv:"BETA" ~doc)
 
 let k_arity_t =
   let doc = "Fat-tree arity $(docv) (even; 4 => 16 hosts, 8 => 128)." in
@@ -69,7 +75,8 @@ let k_arity_t =
 
 let horizon_t =
   let doc = "Simulated horizon in seconds for fat-tree runs." in
-  Arg.(value & opt float 2.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt finite_positive 2.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
 
 let seed_t =
   let doc = "Deterministic random seed." in
@@ -81,7 +88,7 @@ let marking_t =
 
 let queue_t =
   let doc = "Switch queue capacity in packets." in
-  Arg.(value & opt int 100 & info [ "queue" ] ~docv:"PKTS" ~doc)
+  Arg.(value & opt positive_int 100 & info [ "queue" ] ~docv:"PKTS" ~doc)
 
 let sack_t =
   let doc =
@@ -320,7 +327,7 @@ let print_eval base scheme pattern =
   E.Render.subheading "RTT by locality (ms)";
   E.Render.five_number_table ~value_header:"locality"
     (List.map
-       (fun (loc, d) -> (Xmp_net.Fat_tree.locality_name loc, d))
+       (fun (loc, d) -> (Xmp_net.Topology.locality_name loc, d))
        (Xmp_workload.Metrics.rtts_by_locality m));
   Printf.printf "events executed: %d\n" r.Xmp_workload.Driver.events
 
@@ -486,7 +493,8 @@ let out_t =
 
 let capacity_t =
   let doc = "Flight-recorder capacity in events (oldest are evicted)." in
-  Arg.(value & opt int 65536 & info [ "capacity" ] ~docv:"EVENTS" ~doc)
+  Arg.(
+    value & opt positive_int 65536 & info [ "capacity" ] ~docv:"EVENTS" ~doc)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -633,15 +641,16 @@ let size_scale_t =
 
 let wl_horizon_t =
   let doc = "Arrival horizon in simulated seconds." in
-  Arg.(value & opt float 0.1 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt finite_positive 0.1 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
 
 let drain_t =
   let doc = "Extra simulated seconds for in-flight flows to finish." in
-  Arg.(value & opt float 0.2 & info [ "drain" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt finite_nonneg 0.2 & info [ "drain" ] ~docv:"SECONDS" ~doc)
 
 let flows_t =
   let doc = "Stop generating after $(docv) flows (before the horizon)." in
-  Arg.(value & opt (some int) None & info [ "flows" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "flows" ] ~docv:"N" ~doc)
 
 let domains_t =
   let doc = "Worker domains for the pod-sharded run (never changes results)." in
@@ -830,7 +839,10 @@ let rto_min_ms_t =
     "RTO floor in milliseconds (default: half the slowest zero-load \
      cross-DC RTT, at least 1 ms)."
   in
-  Arg.(value & opt (some float) None & info [ "rto-min" ] ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt (some finite_positive) None
+    & info [ "rto-min" ] ~docv:"MS" ~doc)
 
 let goodput_csv m =
   let buf = Buffer.create 256 in
@@ -841,7 +853,7 @@ let goodput_csv m =
       if not (Xmp_stats.Distribution.is_empty d) then
         Buffer.add_string buf
           (Printf.sprintf "%s,%d,%.6g,%.6g,%.6g,%.6g\n"
-             (Xmp_net.Fat_tree.locality_name loc)
+             (Xmp_net.Topology.locality_name loc)
              (Xmp_stats.Distribution.count d)
              (Xmp_stats.Distribution.mean d /. 1e6)
              (Xmp_stats.Distribution.percentile d 50. /. 1e6)

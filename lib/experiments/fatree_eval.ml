@@ -4,7 +4,7 @@ module Driver = Xmp_workload.Driver
 module Metrics = Xmp_workload.Metrics
 module Distribution = Xmp_stats.Distribution
 module Table = Xmp_stats.Table
-module Fat_tree = Xmp_net.Fat_tree
+module Topology = Xmp_net.Topology
 
 type pattern_id = Permutation | Random | Incast
 
@@ -264,7 +264,7 @@ let print_fig8 base =
                  Array.iter
                    (fun v -> Distribution.add scaled (v /. 1e9))
                    (Distribution.values d);
-                 (Fat_tree.locality_name loc, scaled))
+                 (Topology.locality_name loc, scaled))
                by_loc))
         bar_schemes)
     [ Permutation; Incast ]
@@ -289,7 +289,7 @@ let print_fig10 base =
           Render.five_number_table
             ~value_header:(Scheme.name scheme)
             (List.map
-               (fun (loc, d) -> (Fat_tree.locality_name loc, d))
+               (fun (loc, d) -> (Topology.locality_name loc, d))
                (Metrics.rtts_by_locality r.Driver.metrics)))
         bar_schemes)
     all_patterns

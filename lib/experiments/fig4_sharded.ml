@@ -46,9 +46,8 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
   let cluster =
     Net.Shard.create ~config:{ Sim.default_config with Sim.seed } ~shards:4 ()
   in
-  let view =
-    Net.Fat_tree.view
-      (Net.Fat_tree.create ~cluster ~k:4 ~rate:bottleneck_rate ~disc ())
+  let topo =
+    Net.Fat_tree.create ~cluster ~k:4 ~rate:bottleneck_rate ~disc ()
   in
   (* k=4: pod p holds hosts (p, e, s) = 4p + 2e + s *)
   let host pod e s = (pod * 4) + (e * 2) + s in
@@ -58,8 +57,8 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
     let recorders =
       Array.of_list (List.map (Probe.recorder probe) probe_names)
     in
-    let net = Net.Topology.host_net view src in
-    let rcv_net = Net.Topology.host_net view dst in
+    let net = Net.Topology.host_net topo src in
+    let rcv_net = Net.Topology.host_net topo dst in
     ignore
       (xmp_flow ~net ~rcv_net ~beta ~flow ~src ~dst ~paths
          ~observer:
@@ -85,7 +84,7 @@ let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
     Sim.at sim0
       (Time.sec (from_u *. unit_s))
       (fun () ->
-        let net = Net.Topology.host_net view src in
+        let net = Net.Topology.host_net topo src in
         let f = xmp_flow ~net ~beta ~flow ~src ~dst ~paths:[ path ] () in
         Sim.at sim0
           (Time.sec (until_u *. unit_s))

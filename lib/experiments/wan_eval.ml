@@ -26,7 +26,7 @@ module Open_loop = Xmp_workload.Open_loop
 module Flow_size = Xmp_workload.Flow_size
 module Wan = Xmp_net.Wan
 module Units = Xmp_net.Units
-module Fat_tree = Xmp_net.Fat_tree
+module Topology = Xmp_net.Topology
 module Table = Xmp_stats.Table
 
 let left = Wan.Fat_tree_dc { k = 4 }
@@ -129,7 +129,7 @@ let print_asym ~scale () =
     (Driver.utilization_by_layer r);
   Render.five_number_table ~value_header:"goodput Mbps"
     (List.map
-       (fun (loc, d) -> (Fat_tree.locality_name loc, d))
+       (fun (loc, d) -> (Topology.locality_name loc, d))
        (Metrics.goodputs_by_locality r.Driver.metrics));
   Render.subheading "determinism across the WAN cut";
   let config =

@@ -6,14 +6,10 @@ type locality = Topology.locality =
   | Inter_pod
   | Inter_dc
 
-let locality_name = Topology.locality_name
-
 (* One-way layer delays of §5.2.1. *)
 let rack_delay = Time.us 20
 let agg_delay = Time.us 30
 let core_delay = Time.us 40
-
-let layers = [ "core"; "aggregation"; "rack" ]
 
 (* Host index [i] decomposes as (pod, edge, slot) with k/2 hosts per edge
    switch and (k/2)^2 hosts per pod. *)
@@ -144,8 +140,6 @@ let build cluster ~shard_of_pod ~k ~prefix ~host_base ~switch_base ~n_exits
     cores;
   Array.concat (Array.to_list cores)
 
-type t = { k : int; shard_of_pod : int -> int; view : Topology.t }
-
 let create ~cluster ~k ?(rate = Units.gbps 1.) ~disc () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Fat_tree.create: k";
   let shard_of_pod =
@@ -160,58 +154,4 @@ let create ~cluster ~k ?(rate = Units.gbps 1.) ~disc () =
        ~switch_base:s.hosts ~n_exits:0 ~rate ~disc);
   let per_pod = k / 2 * (k / 2) in
   let shard_of_host i = shard_of_pod (i / per_pod) in
-  { k; shard_of_pod; view = Topology.of_shape ~cluster ~shard_of_host s }
-
-let k t = t.k
-let view t = t.view
-let n_hosts t = t.view.n_hosts
-
-let host_id t i =
-  if i < 0 || i >= n_hosts t then invalid_arg "Fat_tree.host_id";
-  i
-
-let host_index t id =
-  if id < 0 || id >= n_hosts t then invalid_arg "Fat_tree.host_index";
-  id
-
-let locality t = t.view.locality
-let n_paths t = t.view.n_paths
-
-(* host-edge-agg-core-agg-edge-host, both directions *)
-let max_rtt_no_queue t = Time.mul ((shape ~k:t.k).one_way Inter_pod) 2
-
-(* ---- link naming for fault schedules --------------------------------- *)
-
-let check_pod t pod = if pod < 0 || pod >= t.k then invalid_arg "Fat_tree: pod"
-
-let check_half t what i =
-  if i < 0 || i >= t.k / 2 then invalid_arg ("Fat_tree: " ^ what)
-
-let rack_uplink_name t ~pod ~edge ~agg =
-  check_pod t pod;
-  check_half t "edge" edge;
-  check_half t "agg" agg;
-  Printf.sprintf "e%d.%d->a%d.%d" pod edge pod agg
-
-let rack_downlink_name t ~pod ~edge ~agg =
-  check_pod t pod;
-  check_half t "edge" edge;
-  check_half t "agg" agg;
-  Printf.sprintf "a%d.%d->e%d.%d" pod agg pod edge
-
-let host_uplink_name t i =
-  let pod, edge, slot = decompose ~k:t.k (host_index t (host_id t i)) in
-  Printf.sprintf "h%d.%d.%d->e%d.%d" pod edge slot pod edge
-
-(* A rack link lives in its pod's shard, both directions. *)
-let find_link_exn t ~pod name =
-  let net = Shard.net t.view.cluster (t.shard_of_pod pod) in
-  match Network.find_link net ~name with
-  | Some l -> l
-  | None -> invalid_arg ("Fat_tree: no link named " ^ name)
-
-let rack_uplink t ~pod ~edge ~agg =
-  find_link_exn t ~pod (rack_uplink_name t ~pod ~edge ~agg)
-
-let rack_downlink t ~pod ~edge ~agg =
-  find_link_exn t ~pod (rack_downlink_name t ~pod ~edge ~agg)
+  Topology.of_shape ~cluster ~shard_of_host s

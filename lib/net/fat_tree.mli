@@ -22,8 +22,6 @@ type locality = Topology.locality =
   | Inter_pod
   | Inter_dc
 
-val locality_name : locality -> string
-
 val shape : k:int -> Topology.shape
 (** The tree's geometry — host and switch counts, locality classes, path
     counts and zero-load delays — independent of placement. *)
@@ -50,59 +48,16 @@ val build :
     caller wires those ports. Returns the [(shard, core)] pairs in
     selector order. *)
 
-type t
-
 val create :
   cluster:Shard.t ->
   k:int ->
   ?rate:Units.rate ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
-  t
+  Topology.t
 (** Builds the tree on a fresh cluster: all on shard 0 of a one-shard
     cluster, or one pod per shard on a [k]-shard cluster. [k] must be
-    even and ≥ 2; any other shard count raises [Invalid_argument]. *)
-
-val k : t -> int
-
-val view : t -> Topology.t
-
-val n_hosts : t -> int
-
-val host_id : t -> int -> int
-(** Node id of host index [i] (0 ≤ i < n_hosts). *)
-
-val host_index : t -> int -> int
-(** Inverse of {!host_id}. *)
-
-val locality : t -> src:int -> dst:int -> locality
-(** Locality class of a host-index pair. *)
-
-val n_paths : t -> src:int -> dst:int -> int
-(** Number of distinct path selectors between two hosts: 1 within a rack,
-    [k/2] within a pod, [(k/2)^2] across pods. *)
-
-val max_rtt_no_queue : t -> Xmp_engine.Time.t
-(** Zero-load RTT of the longest (inter-pod) path. *)
-
-val rack_uplink_name : t -> pod:int -> edge:int -> agg:int -> string
-(** ["e<pod>.<edge>->a<pod>.<agg>"] — the edge-to-aggregation uplink's
-    link name, for building {!Xmp_engine.Fault_spec} schedules that fail
-    a rack uplink mid-run. Raises on out-of-range coordinates. *)
-
-val rack_downlink_name : t -> pod:int -> edge:int -> agg:int -> string
-(** The reverse (aggregation-to-edge) direction; fail both names to cut
-    the cable rather than one direction. *)
-
-val host_uplink_name : t -> int -> string
-(** ["h<pod>.<edge>.<slot>-><edge switch>"] for host index [i]. *)
-
-val rack_uplink : t -> pod:int -> edge:int -> agg:int -> Link.t
-(** The live link for {!rack_uplink_name}; raises [Invalid_argument] if
-    absent. *)
-
-val rack_downlink : t -> pod:int -> edge:int -> agg:int -> Link.t
-
-val layers : string list
-(** [\["core"; "aggregation"; "rack"\]] — tags usable with
-    {!Network.links_tagged}. *)
+    even and ≥ 2; any other shard count raises [Invalid_argument]. Host
+    index [i] is node id [i]; links are named ["<from>-><to>"] (e.g. the
+    rack uplink ["e0.0->a0.0"]), the names {!Network.find_link} and
+    {!Xmp_engine.Fault_spec} schedules address. *)

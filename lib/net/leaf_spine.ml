@@ -4,8 +4,6 @@ module Time = Xmp_engine.Time
 let host_delay = Time.us 20
 let spine_delay = Time.us 30
 
-let layers = [ "spine"; "leaf" ]
-
 let shape ~leaves ~spines ~hosts_per_leaf =
   let ascent = Time.add host_delay spine_delay in
   {
@@ -74,13 +72,6 @@ let build cluster ~shard ~leaves ~spines ~hosts_per_leaf ~prefix ~host_base
     spine_sw;
   Array.map (fun sw -> (shard, sw)) spine_sw
 
-type t = {
-  leaves : int;
-  spines : int;
-  hosts_per_leaf : int;
-  shape : Topology.shape;
-}
-
 let create ~cluster ~leaves ~spines ~hosts_per_leaf ~disc () =
   if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
     invalid_arg "Leaf_spine.create";
@@ -90,33 +81,6 @@ let create ~cluster ~leaves ~spines ~hosts_per_leaf ~disc () =
     (build cluster ~shard:0 ~leaves ~spines ~hosts_per_leaf ~prefix:""
        ~host_base:0 ~switch_base:(leaves * hosts_per_leaf) ~n_exits:0
        ~host_rate:(Units.gbps 1.) ~spine_rate:(Units.gbps 10.) ~disc);
-  {
-    leaves;
-    spines;
-    hosts_per_leaf;
-    shape = shape ~leaves ~spines ~hosts_per_leaf;
-  }
-
-let n_hosts t = t.shape.hosts
-
-let host_id t i =
-  if i < 0 || i >= n_hosts t then invalid_arg "Leaf_spine.host_id";
-  i
-
-let host_index t id =
-  if id < 0 || id >= n_hosts t then invalid_arg "Leaf_spine.host_index";
-  id
-
-let uplink_name t ~leaf ~spine =
-  if leaf < 0 || leaf >= t.leaves then invalid_arg "Leaf_spine: leaf";
-  if spine < 0 || spine >= t.spines then invalid_arg "Leaf_spine: spine";
-  Printf.sprintf "leaf%d->spine%d" leaf spine
-
-let downlink_name t ~leaf ~spine =
-  if leaf < 0 || leaf >= t.leaves then invalid_arg "Leaf_spine: leaf";
-  if spine < 0 || spine >= t.spines then invalid_arg "Leaf_spine: spine";
-  Printf.sprintf "spine%d->leaf%d" spine leaf
-
-let same_leaf t ~src ~dst = src / t.hosts_per_leaf = dst / t.hosts_per_leaf
-
-let n_paths t ~src ~dst = t.shape.paths (t.shape.classify src dst)
+  Topology.of_shape ~cluster
+    ~shard_of_host:(fun _ -> 0)
+    (shape ~leaves ~spines ~hosts_per_leaf)

@@ -36,8 +36,6 @@ val build :
     n_exits]; the caller wires those ports. Returns the [(shard, spine)]
     pairs in selector order. *)
 
-type t
-
 val create :
   cluster:Shard.t ->
   leaves:int ->
@@ -45,30 +43,8 @@ val create :
   hosts_per_leaf:int ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
-  t
+  Topology.t
 (** Builds on shard 0 of a one-shard cluster (any other shard count
     raises [Invalid_argument]), with 1 Gbps host links and 10 Gbps spine
-    links (VL2 used 10 G up / 1 G down). *)
-
-val n_hosts : t -> int
-
-val host_id : t -> int -> int
-(** Node id of host index [i]. *)
-
-val host_index : t -> int -> int
-
-val same_leaf : t -> src:int -> dst:int -> bool
-(** Whether two host indices share a leaf switch. *)
-
-val uplink_name : t -> leaf:int -> spine:int -> string
-(** ["leaf<l>->spine<s>"] — for addressing the uplink in a
-    {!Xmp_engine.Fault_spec} schedule. Raises on out-of-range indices. *)
-
-val downlink_name : t -> leaf:int -> spine:int -> string
-(** ["spine<s>->leaf<l>"], the reverse direction. *)
-
-val n_paths : t -> src:int -> dst:int -> int
-(** 1 within a leaf, [spines] across leaves. *)
-
-val layers : string list
-(** [\["spine"; "leaf"\]]. *)
+    links (VL2 used 10 G up / 1 G down). Host index [i] is node id [i];
+    the uplink from leaf [l] to spine [s] is named ["leaf<l>->spine<s>"]. *)

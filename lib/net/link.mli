@@ -31,7 +31,7 @@ val set_receiver : t -> (Packet.t -> unit) -> unit
 
 val wrap_receiver : t -> ((Packet.t -> unit) -> Packet.t -> unit) -> unit
 (** [wrap_receiver t f] replaces the receiver [r] with [f r] — the hook
-    point for taps and fault injectors (see {!Trace}). Must be called
+    point for taps and fault injectors. Must be called
     after the topology builder wired the link. *)
 
 val set_drop_filter : t -> (Packet.t -> bool) option -> unit

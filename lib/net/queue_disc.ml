@@ -41,8 +41,6 @@ type t = {
   mutable avg : float;
   mutable count_since_mark : int;
   occupancy : Xmp_stats.Running.t;
-  mutable on_drop : (Packet.t -> unit) option;
-  mutable on_mark : (Packet.t -> unit) option;
   mutable telem : telem option;
   mutable blackout : bool;
 }
@@ -62,8 +60,6 @@ let create ~policy ~capacity_pkts =
     avg = 0.;
     count_since_mark = -1;
     occupancy = Xmp_stats.Running.create ();
-    on_drop = None;
-    on_mark = None;
     telem = None;
     blackout = false;
   }
@@ -108,8 +104,7 @@ let mark t (p : Packet.t) =
         (Tel.Event.Ce_mark
            { queue = tl.queue; flow = Packet.flow p;
              subflow = Packet.subflow p; depth = t.len })
-    | None -> ());
-    match t.on_mark with Some f -> f p | None -> ()
+    | None -> ())
   end
 
 (* RED decision for an arriving packet: [`Pass], [`Mark] or [`Drop].
@@ -162,8 +157,8 @@ let append t (p : Packet.t) =
     Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
         Printf.sprintf "occupancy %d outside [0, %d]" t.len t.capacity)
 
-(* A dropped packet's life ends here: account it, let the hook observe it,
-   then return the record to the pool. *)
+(* A dropped packet's life ends here: account it, then return the record
+   to the pool. *)
 let drop t (p : Packet.t) =
   t.dropped <- t.dropped + 1;
   (match t.telem with
@@ -174,7 +169,6 @@ let drop t (p : Packet.t) =
          { queue = tl.queue; flow = Packet.flow p;
            subflow = Packet.subflow p; depth = t.len })
   | None -> ());
-  (match t.on_drop with Some f -> f p | None -> ());
   Packet.release p;
   false
 
@@ -277,10 +271,6 @@ let clear t =
   t.len <- 0;
   t.dropped <- t.dropped + n;
   n
-
-let set_hooks t ?on_drop ?on_mark () =
-  t.on_drop <- on_drop;
-  t.on_mark <- on_mark
 
 let set_blackout t b = t.blackout <- b
 let blackout t = t.blackout

@@ -75,18 +75,9 @@ val sample_length : t -> unit
 val occupancy_stats : t -> Xmp_stats.Running.t
 (** Statistics over lengths recorded by {!sample_length}. *)
 
-val set_hooks :
-  t ->
-  ?on_drop:(Packet.t -> unit) ->
-  ?on_mark:(Packet.t -> unit) ->
-  unit ->
-  unit
-(** Per-packet observers for tracing. Unset hooks cost one branch per
-    enqueue. Calling again replaces both hooks (omitted = removed). *)
-
 val set_blackout : t -> bool -> unit
 (** While blacked out the queue drops every arriving packet with normal
-    drop accounting (counters, [on_drop], Drop events); packets already
+    drop accounting (counters, Drop events); packets already
     queued still drain. The fault injector's [Blackout] spec toggles
     this. *)
 

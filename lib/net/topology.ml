@@ -8,6 +8,9 @@ let locality_name = function
   | Inter_pod -> "Inter-Pod"
   | Inter_dc -> "Inter-DC"
 
+let layers =
+  [ "wan"; "border"; "core"; "aggregation"; "rack"; "leaf"; "spine" ]
+
 type shape = {
   hosts : int;
   switches : int;
@@ -42,6 +45,7 @@ let of_shape ~cluster ~shard_of_host s =
 let host_net t i = Shard.net t.cluster (t.shard_of_host i)
 
 let dc_of_host t i =
+  if i < 0 || i >= t.n_hosts then invalid_arg "Topology.dc_of_host";
   let d = ref 0 in
   Array.iteri (fun j (base, _) -> if i >= base then d := j) t.dc_ranges;
   !d

@@ -1,5 +1,6 @@
-(** What traffic generators see of a built topology, whatever its
-    placement.
+(** The handle of a built topology, whatever its placement: what
+    {!Fat_tree.create}, {!Leaf_spine.create} and {!Wan.create} return,
+    and all that traffic generators see of it.
 
     Every topology is a description built on a {!Shard} cluster: each
     node is placed on one shard, and a link whose two ends sit on
@@ -12,6 +13,11 @@ type locality = Inner_rack | Inter_rack | Inter_pod | Inter_dc
     for host pairs on opposite sides of the border trunks. *)
 
 val locality_name : locality -> string
+
+val layers : string list
+(** Every link tag the builders use, in display order: [\["wan"; "border";
+    "core"; "aggregation"; "rack"; "leaf"; "spine"\]]. A network carries
+    a subset; consumers skip tags with no links. *)
 
 type shape = {
   hosts : int;
@@ -49,4 +55,5 @@ val host_net : t -> int -> Network.t
     (sender side) or [rcv_net] (receiver side). *)
 
 val dc_of_host : t -> int -> int
-(** Index into [dc_ranges] of the DC holding host [i]. *)
+(** Index into [dc_ranges] of the DC holding host [i]; raises
+    [Invalid_argument] unless [0 ≤ i < n_hosts]. *)

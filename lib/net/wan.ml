@@ -40,9 +40,6 @@ let trunk ?(rate = Units.gbps 10.) ?(delay = Time.ms 40)
     trunk_marking_threshold = marking_threshold;
   }
 
-let layers =
-  [ "wan"; "border"; "core"; "aggregation"; "rack"; "leaf"; "spine" ]
-
 let validate_spec = function
   | Fat_tree_dc { k } ->
     if k < 2 || k mod 2 <> 0 then invalid_arg "Wan: fat-tree k"
@@ -86,12 +83,6 @@ let trunk_disc tr () =
     | None -> Queue_disc.Droptail
   in
   Queue_disc.create ~policy ~capacity_pkts:tr.trunk_queue_pkts
-
-type t = {
-  view : Topology.t;
-  specs : dc_spec array;  (* length 2 *)
-  trunks : trunk list;
-}
 
 let create ~cluster ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
   validate_spec left;
@@ -190,41 +181,18 @@ let create ~cluster ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
     in
     Time.mul one_way 2
   in
-  let view =
-    {
-      Topology.cluster;
-      n_hosts;
-      shard_of_host = (fun i -> shard_of_dc (dc_of i));
-      locality;
-      n_paths;
-      zero_load_rtt;
-      dc_ranges = [| (0, n0); (n0, n_hosts - n0) |];
-    }
-  in
-  { view; specs; trunks }
+  {
+    Topology.cluster;
+    n_hosts;
+    shard_of_host = (fun i -> shard_of_dc (dc_of i));
+    locality;
+    n_paths;
+    zero_load_rtt;
+    dc_ranges = [| (0, n0); (n0, n_hosts - n0) |];
+  }
 
-(* ---- accessors ------------------------------------------------------- *)
-
-let view t = t.view
-let n_hosts t = t.view.n_hosts
-let n_trunks t = List.length t.trunks
-
-let dc_of_host t i =
-  if i < 0 || i >= n_hosts t then invalid_arg "Wan.dc_of_host";
-  Topology.dc_of_host t.view i
-
-let locality t = t.view.locality
-let n_paths t = t.view.n_paths
-let zero_load_rtt t = t.view.zero_load_rtt
-
-let trunk_link_name t ~from_dc ~trunk =
-  if from_dc < 0 || from_dc > 1 then invalid_arg "Wan.trunk_link_name: dc";
-  if trunk < 0 || trunk >= n_trunks t then
-    invalid_arg "Wan.trunk_link_name: trunk";
-  Printf.sprintf "d%d.bdr%d->d%d.bdr%d" from_dc trunk (1 - from_dc) trunk
-
-(* Static form of [max_rtt_no_queue]: lets callers size RTO floors and
-   horizons from the specs alone, before any network exists. *)
+(* The slowest cross-DC path's zero-load RTT, from the specs alone, so
+   callers can size RTO floors and horizons before any network exists. *)
 let max_rtt_no_queue_of ~left ~right ~trunks =
   validate_spec left;
   validate_spec right;
@@ -236,6 +204,3 @@ let max_rtt_no_queue_of ~left ~right ~trunks =
     (Time.add (to_border (shape left))
        (Time.add max_trunk (to_border (shape right))))
     2
-
-let max_rtt_no_queue t =
-  max_rtt_no_queue_of ~left:t.specs.(0) ~right:t.specs.(1) ~trunks:t.trunks

@@ -12,7 +12,7 @@
 
     Host ids are globally unique across both DCs (DC 0's hosts first,
     switches after all hosts), so locality and routing classify a
-    destination with one range check, and {!Fat_tree.Inter_dc} extends
+    destination with one range check, and {!Topology.Inter_dc} extends
     the locality classes.
 
     Each DC is the {!Fat_tree} or {!Leaf_spine} description; placement
@@ -47,8 +47,6 @@ val trunk :
 (** Defaults: 10 Gbps, 40 ms one-way, 2000-packet droptail (no
     marking). [delay] must be positive — it is the shard lookahead. *)
 
-type t
-
 val create :
   cluster:Shard.t ->
   left:dc_spec ->
@@ -57,7 +55,7 @@ val create :
   ?rate:Units.rate ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
-  t
+  Topology.t
 (** Builds on a fresh cluster: everything on shard 0 of a one-shard
     cluster, or [left] on shard 0 and [right] on shard 1 of a two-shard
     one; any other shard count raises [Invalid_argument]. [rate]
@@ -65,51 +63,24 @@ val create :
     delays are the {!Fat_tree} / {!Leaf_spine} ones (rack 20 µs,
     aggregation 30 µs, core 40 µs, spine 30 µs); border attach links use
     the exit-layer delay and the trunk's rate. At least one trunk is
-    required. *)
+    required.
 
-val view : t -> Topology.t
-
-val layers : string list
-(** Link tags in display order, for utilization grouping: ["wan"],
-    ["border"], then the intra-DC layers of both topology families. *)
-
-val n_hosts : t -> int
+    In the returned handle, [dc_ranges] holds the two DCs' host ranges.
+    A pair across the cut is [Inter_dc], with [up_div(src DC) ×
+    n_trunks] path selectors and a zero-load RTT over the fastest trunk;
+    a pair within one DC keeps that DC's own class, path count and RTT.
+    Trunk [j]'s two directions are named ["d0.bdr<j>->d1.bdr<j>"] and
+    ["d1.bdr<j>->d0.bdr<j>"] and carry the ["wan"] tag. *)
 
 val dc_n_hosts : dc_spec -> int
 (** Host count of one DC spec ([k³/4] for a fat tree,
     [leaves × hosts_per_leaf] for a leaf-spine). *)
-
-val n_trunks : t -> int
-
-val dc_of_host : t -> int -> int
-(** 0 or 1. *)
-
-val locality : t -> src:int -> dst:int -> Fat_tree.locality
-(** {!Fat_tree.Inter_dc} across the cut; the host DC's own class
-    otherwise (a leaf-spine pair is [Inner_rack] on one leaf,
-    [Inter_rack] across leaves). *)
-
-val n_paths : t -> src:int -> dst:int -> int
-(** Distinct path selectors: the DC-local count within one DC;
-    [up_div(src DC) × n_trunks] across the cut. *)
-
-val zero_load_rtt : t -> src:int -> dst:int -> Xmp_engine.Time.t
-(** Propagation-only round trip between two hosts — the ideal-FCT
-    denominator. Cross-DC pairs use the fastest trunk. *)
-
-val max_rtt_no_queue : t -> Xmp_engine.Time.t
-(** Zero-load RTT of the slowest cross-DC path (slowest trunk) — what
-    RTO floors should be sized against. *)
 
 val max_rtt_no_queue_of :
   left:dc_spec ->
   right:dc_spec ->
   trunks:trunk list ->
   Xmp_engine.Time.t
-(** {!max_rtt_no_queue} computed from the specs alone, so drivers can
-    size RTO floors and horizons before building anything. *)
-
-val trunk_link_name : t -> from_dc:int -> trunk:int -> string
-(** The directed trunk link's ["d0.bdr0->d1.bdr0"]-style name, for
-    {!Xmp_engine.Fault_spec.Link} targeting. All trunk links also carry
-    the ["wan"] tag. *)
+(** Zero-load RTT of the slowest cross-DC path (slowest trunk), from the
+    specs alone — what RTO floors and horizons are sized against, before
+    anything is built. *)

@@ -35,11 +35,6 @@ type pattern =
       bg_cap_segments : float;
       bg_shape : float;
     }
-  | Permutation_churn of {
-      min_segments : int;
-      max_segments : int;
-      churn : Time.t;
-    }
   | Incast_sweep of {
       jobs : int;
       fanouts : int list;
@@ -127,7 +122,7 @@ type active = {
   a_scheme : Scheme.t;
   a_src : int;
   a_dst : int;
-  a_locality : Fat_tree.locality;
+  a_locality : Topology.locality;
   a_size : int;
   a_handle : Mptcp_flow.t;
 }
@@ -230,7 +225,7 @@ let pick_dst ctx ~src ~max_inbound ~other_rack =
     d <> src
     && ((not use_cap) || ctx.inbound.(d) < max_inbound)
     && ((not other_rack)
-       || topo.locality ~src ~dst:d <> Fat_tree.Inner_rack)
+       || topo.locality ~src ~dst:d <> Topology.Inner_rack)
   in
   (* single-DC candidates are uniform over all hosts, exactly as before;
      with a bridged topology and a positive [cross_dc], that fraction of
@@ -293,25 +288,6 @@ let run_permutation ctx ~min_segments ~max_segments =
           decr remaining;
           if !remaining = 0 then start_wave ())
     done
-  in
-  start_wave ()
-
-(* Permutation with churn: a fresh derangement wave starts every [churn]
-   period on the clock, regardless of whether earlier waves finished —
-   so the matrix rotates under the flows and a slow wave overlaps the
-   next one instead of gating it. *)
-let run_permutation_churn ctx ~min_segments ~max_segments ~churn =
-  if Time.compare churn Time.zero <= 0 then
-    invalid_arg "Driver: churn period must be positive";
-  let n = ctx.topo.n_hosts in
-  let rec start_wave () =
-    let perm = random_derangement ctx n in
-    for src = 0 to n - 1 do
-      let size_segments = uniform_size ctx ~min_segments ~max_segments in
-      launch_large ctx ~src ~dst:perm.(src) ~size_segments
-        ~on_complete:(fun () -> ())
-    done;
-    Sim.after ctx.sim churn start_wave
   in
   start_wave ()
 
@@ -472,9 +448,9 @@ let run cfg =
   in
   let topo =
     match cfg.topology with
-    | Single_dc -> Fat_tree.view (Fat_tree.create ~cluster ~k:cfg.k ~disc ())
+    | Single_dc -> Fat_tree.create ~cluster ~k:cfg.k ~disc ()
     | Bridged { left; right; trunks } ->
-      Wan.view (Wan.create ~cluster ~left ~right ~trunks ~disc ())
+      Wan.create ~cluster ~left ~right ~trunks ~disc ()
   in
   let injector = Xmp_faults.Injector.install ~net () in
   let ctx =
@@ -517,8 +493,6 @@ let run cfg =
       } ->
     run_incast ctx ~jobs ~fanout ~request_segments ~response_segments
       ~bg_mean_segments ~bg_cap_segments ~bg_shape
-  | Permutation_churn { min_segments; max_segments; churn } ->
-    run_permutation_churn ctx ~min_segments ~max_segments ~churn
   | Incast_sweep { jobs; fanouts; request_segments; response_segments } ->
     run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments
   | All_to_all { segments } -> run_all_to_all ctx ~segments);
@@ -562,9 +536,4 @@ let run cfg =
   }
 
 let utilization_by_layer (r : result) =
-  let layers =
-    match r.config.topology with
-    | Single_dc -> Fat_tree.layers
-    | Bridged _ -> Wan.layers
-  in
-  Metrics.utilization_by_layer ~layers ~net:r.net ~duration:r.config.horizon ()
+  Metrics.utilization_by_layer ~net:r.net ~duration:r.config.horizon

@@ -52,14 +52,6 @@ type pattern =
       bg_cap_segments : float;
       bg_shape : float;
     }
-  | Permutation_churn of {
-      min_segments : int;
-      max_segments : int;
-      churn : Xmp_engine.Time.t;
-          (** a fresh derangement wave starts every [churn] period
-              regardless of completions, so waves overlap and the traffic
-              matrix rotates under running flows; must be positive *)
-    }
   | Incast_sweep of {
       jobs : int;  (** concurrent request/response chains *)
       fanouts : int list;

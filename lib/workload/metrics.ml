@@ -1,13 +1,13 @@
 module Time = Xmp_engine.Time
 module Distribution = Xmp_stats.Distribution
-module Fat_tree = Xmp_net.Fat_tree
+module Topology = Xmp_net.Topology
 
 type flow_record = {
   flow : int;
   scheme : Scheme.t;
   src : int;
   dst : int;
-  locality : Fat_tree.locality;
+  locality : Topology.locality;
   size_segments : int;
   started : Time.t;
   finished : Time.t;
@@ -79,10 +79,10 @@ let create ?(keep_flows = false) ~rtt_subsample () =
   }
 
 let goodput_dist t = function
-  | Fat_tree.Inner_rack -> t.goodput_inner
-  | Fat_tree.Inter_rack -> t.goodput_rack
-  | Fat_tree.Inter_pod -> t.goodput_pod
-  | Fat_tree.Inter_dc -> t.goodput_dc
+  | Topology.Inner_rack -> t.goodput_inner
+  | Topology.Inter_rack -> t.goodput_rack
+  | Topology.Inter_pod -> t.goodput_pod
+  | Topology.Inter_dc -> t.goodput_dc
 
 let scheme_sum t scheme =
   match Hashtbl.find_opt t.scheme_sums scheme with
@@ -105,10 +105,10 @@ let record_flow t r =
   if t.keep_flows then t.flows <- r :: t.flows
 
 let rtt_dist t = function
-  | Fat_tree.Inner_rack -> t.rtt_inner
-  | Fat_tree.Inter_rack -> t.rtt_rack
-  | Fat_tree.Inter_pod -> t.rtt_pod
-  | Fat_tree.Inter_dc -> t.rtt_dc
+  | Topology.Inner_rack -> t.rtt_inner
+  | Topology.Inter_rack -> t.rtt_rack
+  | Topology.Inter_pod -> t.rtt_pod
+  | Topology.Inter_dc -> t.rtt_dc
 
 let record_rtt t ~locality rtt =
   t.rtt_counter <- t.rtt_counter + 1;
@@ -170,8 +170,8 @@ let goodputs t = t.goodput_all
 (* most-distant first; empty classes are filtered below, so runs inside
    one tree never show the Inter-DC row *)
 let localities =
-  [ Fat_tree.Inter_dc; Fat_tree.Inter_pod; Fat_tree.Inter_rack;
-    Fat_tree.Inner_rack ]
+  [ Topology.Inter_dc; Topology.Inter_pod; Topology.Inter_rack;
+    Topology.Inner_rack ]
 
 let goodputs_by_locality t =
   List.filter_map
@@ -282,7 +282,7 @@ let merge ~into src =
     (fun i d -> merge_dist ~into:into.slowdown_buckets.(i) d)
     src.slowdown_buckets
 
-let utilization_by_layer ?(layers = Fat_tree.layers) ~net ~duration () =
+let utilization_by_layer ~net ~duration =
   List.filter_map
     (fun layer ->
       let links = Xmp_net.Network.links_tagged net layer in
@@ -294,4 +294,4 @@ let utilization_by_layer ?(layers = Fat_tree.layers) ~net ~duration () =
           links;
         Some (layer, d)
       end)
-    layers
+    Topology.layers

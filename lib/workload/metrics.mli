@@ -14,7 +14,7 @@ type flow_record = {
   scheme : Scheme.t;
   src : int;  (** host index *)
   dst : int;
-  locality : Xmp_net.Fat_tree.locality;
+  locality : Xmp_net.Topology.locality;
   size_segments : int;
   started : Xmp_engine.Time.t;
   finished : Xmp_engine.Time.t;
@@ -37,7 +37,7 @@ val create : ?keep_flows:bool -> rtt_subsample:int -> unit -> t
 val record_flow : t -> flow_record -> unit
 
 val record_rtt :
-  t -> locality:Xmp_net.Fat_tree.locality -> Xmp_engine.Time.t -> unit
+  t -> locality:Xmp_net.Topology.locality -> Xmp_engine.Time.t -> unit
 
 val record_job : ?fanout:int -> t -> Xmp_engine.Time.t -> unit
 (** A completed incast job with its completion time; [fanout] additionally
@@ -76,11 +76,11 @@ val goodputs : t -> Distribution.t
 (** All completed-flow goodputs, bps (Figure 8a/b CDFs). *)
 
 val goodputs_by_locality :
-  t -> (Xmp_net.Fat_tree.locality * Distribution.t) list
+  t -> (Xmp_net.Topology.locality * Distribution.t) list
 (** Figure 8c/d bars. Localities with no flows are omitted. *)
 
 val rtts_by_locality :
-  t -> (Xmp_net.Fat_tree.locality * Distribution.t) list
+  t -> (Xmp_net.Topology.locality * Distribution.t) list
 (** Milliseconds (Figure 10 bars). *)
 
 val job_times_ms : t -> Distribution.t
@@ -113,12 +113,9 @@ val merge : into:t -> t -> unit
     over only when both collectors keep them. *)
 
 val utilization_by_layer :
-  ?layers:string list ->
   net:Xmp_net.Network.t ->
   duration:Xmp_engine.Time.t ->
-  unit ->
   (string * Distribution.t) list
 (** Per-layer link utilization distributions at the end of a run
-    (Figure 11 bars); [layers] defaults to {!Xmp_net.Fat_tree.layers}
-    (pass {!Xmp_net.Wan.layers} for a bridged run). Tags with no links
-    are dropped. *)
+    (Figure 11 bars), in {!Xmp_net.Topology.layers} order. Tags with no
+    links are dropped. *)

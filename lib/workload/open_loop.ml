@@ -18,7 +18,7 @@ module Mptcp_flow = Xmp_mptcp.Mptcp_flow
    is safe, and it runs on the orchestrating domain in a deterministic
    order, so the generated schedule is identical for any domain count.
 
-   The engine is written against the {!Topology} view, so the same
+   The engine is written against the {!Topology} handle, so the same
    generator drives the pod-sharded fat tree ({!run}) and the two-DC
    WAN bridge ({!run_wan}); the fat-tree path performs exactly the
    RNG draws it always did, keeping its digests stable. *)
@@ -118,7 +118,7 @@ let pick_dst (fb : Topology.t) ~cross_dc ~rng ~src =
 type active = {
   a_src : int;
   a_dst : int;
-  a_locality : Fat_tree.locality;
+  a_locality : Topology.locality;
   a_size : int;
   a_handle : Mptcp_flow.t;
 }
@@ -297,18 +297,16 @@ let cluster_of cfg ~shards =
 
 let run ?(config = default_config) ?(domains = 1) () =
   let cfg = config in
-  let ft =
-    Fat_tree.create
-      ~cluster:(cluster_of cfg ~shards:cfg.k)
-      ~k:cfg.k ~rate:cfg.rate ~disc:(disc_of cfg) ()
-  in
-  run_fabric ~cfg ~domains (Fat_tree.view ft)
+  run_fabric ~cfg ~domains
+    (Fat_tree.create
+       ~cluster:(cluster_of cfg ~shards:cfg.k)
+       ~k:cfg.k ~rate:cfg.rate ~disc:(disc_of cfg) ())
 
 let run_wan ?(config = default_config) ?(domains = 1) ?faults ~left ~right
     ~trunks () =
   let cfg = config in
   let cluster = cluster_of cfg ~shards:2 in
-  let wan =
+  let topo =
     Wan.create ~cluster ~left ~right ~trunks ~rate:cfg.rate ~disc:(disc_of cfg)
       ()
   in
@@ -323,4 +321,4 @@ let run_wan ?(config = default_config) ?(domains = 1) ?faults ~left ~right
       for s = 0 to 1 do
         ignore (Injector.install ~net:(Shard.net cluster s) ~schedule ())
       done);
-  run_fabric ~cfg ~domains (Wan.view wan)
+  run_fabric ~cfg ~domains topo

@@ -76,7 +76,7 @@ val ideal_fct :
   size_segments:int ->
   Xmp_engine.Time.t
 (** The slowdown denominator every run records: line-rate transfer time
-    plus the view's zero-load RTT between [src] and [dst] (a flow that
+    plus the handle's zero-load RTT between [src] and [dst] (a flow that
     never queues or shares scores 1). *)
 
 val run : ?config:config -> ?domains:int -> unit -> result
@@ -97,7 +97,7 @@ val run_wan :
     host in the other DC; the rest stay uniform within the source DC.
     Cross-DC ideals use the fastest trunk's zero-load RTT, so slowdown
     stays comparable across trunk configurations. [faults] (e.g.
-    Gilbert–Elliott loss targeting the ["wan"] tag or a
-    {!Xmp_net.Wan.trunk_link_name}) is installed on both DC networks.
+    Gilbert–Elliott loss targeting the ["wan"] tag or a trunk's
+    ["d0.bdr0->d1.bdr0"] link name) is installed on both DC networks.
     Determinism contract is unchanged: [domains:1 ≡ domains:2]
     byte-identical. *)

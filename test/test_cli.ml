@@ -41,6 +41,17 @@ let malformed =
     ("wan --trunk inf", "--trunk");
     ("wan --cross-dc 2", "--cross-dc");
     ("wan --cross-dc nan", "--cross-dc");
+    ("eval --queue 0", "--queue");
+    ("eval --beta 1", "--beta");
+    ("trace --capacity 0", "--capacity");
+    ("fig4 --scale=0", "--scale");
+    ("eval --horizon=-1", "--horizon");
+    ("eval --horizon nan", "--horizon");
+    ("workload --horizon 0", "--horizon");
+    ("workload --flows=0", "--flows");
+    ("workload --drain=-1", "--drain");
+    ("workload --drain nan", "--drain");
+    ("wan --rto-min=-5", "--rto-min");
   ]
 
 let test_rejected (args, option) () =

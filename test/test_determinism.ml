@@ -7,7 +7,7 @@
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Net = Xmp_net
-module Trace = Xmp_net.Trace
+module Tel = Xmp_telemetry
 module Testbed = Xmp_net.Testbed
 module Tcp = Xmp_transport.Tcp
 module Driver = Xmp_workload.Driver
@@ -54,10 +54,15 @@ let test_driver_seed_sensitivity () =
   let d2 = digest_of_run (Driver.run { fat_tree_config with seed = 8 }) in
   Alcotest.(check bool) "different seed, different run" true (d1 <> d2)
 
-(* Trace-level reproducibility: the full packet-event log of a dumbbell
-   scenario, byte for byte. *)
-let traced_run () =
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 21 } () in
+(* Trace-level reproducibility: the flight recorder's full event log
+   (every enqueue, dequeue, CE mark, drop and cwnd change) of a dumbbell
+   scenario, byte for byte. Flow start offsets come from the seeded RNG,
+   so the seed reaches the log. *)
+let traced_run ~seed =
+  let sink = Tel.Sink.create ~recorder_capacity:(1 lsl 20) () in
+  let sim =
+    Sim.create ~config:{ Sim.default_config with seed; telemetry = sink } ()
+  in
   let net = Net.Network.create sim in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
@@ -69,27 +74,43 @@ let traced_run () =
         [ { Testbed.rate = Net.Units.mbps 100.; delay = Time.us 50; disc } ]
       ()
   in
-  let trace = Trace.create ~sim () in
-  Trace.watch_link trace (Testbed.bottleneck_fwd tb 0);
   for host = 0 to 1 do
-    ignore
-      (Tcp.create ~net ~flow:(host + 1) ~subflow:0
-         ~src:(Testbed.left_id tb host)
-         ~dst:(Testbed.right_id tb host)
-         ~path:0
-         ~cc:(Xmp_core.Bos.make ())
-         ~config:Xmp_core.Xmp.tcp_config
-         ~source:(Tcp.Limited (ref 400))
-         ())
+    let start = Time.us (Random.State.int (Sim.rng sim) 1000) in
+    Sim.at sim start (fun () ->
+        ignore
+          (Tcp.create ~net ~flow:(host + 1) ~subflow:0
+             ~src:(Testbed.left_id tb host)
+             ~dst:(Testbed.right_id tb host)
+             ~path:0
+             ~cc:(Xmp_core.Bos.make ())
+             ~config:Xmp_core.Xmp.tcp_config
+             ~source:(Tcp.Limited (ref 400))
+             ()))
   done;
   Sim.run ~until:(Time.ms 80) sim;
-  Trace.dump trace
+  Tel.Export.events_csv (Tel.Sink.recorder sink)
 
 let test_trace_repeatable () =
-  let t1 = traced_run () in
-  let t2 = traced_run () in
+  let t1 = traced_run ~seed:21 in
+  let t2 = traced_run ~seed:21 in
+  let fingerprint csv = Digest.to_hex (Digest.string csv) in
   Alcotest.(check bool) "trace non-trivial" true (String.length t1 > 1000);
-  Alcotest.(check string) "byte-identical packet traces" t1 t2
+  let logged kind =
+    List.exists
+      (fun row ->
+        match String.split_on_char ',' row with
+        | _ :: k :: _ -> k = kind
+        | _ -> false)
+      (String.split_on_char '\n' t1)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " events logged") true (logged kind))
+    [ "enqueue"; "ce-mark"; "cwnd-change" ];
+  Alcotest.(check string) "byte-identical event logs" (fingerprint t1)
+    (fingerprint t2);
+  Alcotest.(check bool) "different seed, different log" true
+    (fingerprint t1 <> fingerprint (traced_run ~seed:22))
 
 let suite =
   [

@@ -6,7 +6,6 @@ module Time = Xmp_engine.Time
 module Fault_spec = Xmp_engine.Fault_spec
 module Net = Xmp_net
 module Testbed = Xmp_net.Testbed
-module Fat_tree = Xmp_net.Fat_tree
 module Injector = Xmp_faults.Injector
 module Tcp = Xmp_transport.Tcp
 module Reno = Xmp_transport.Reno
@@ -294,28 +293,28 @@ let make_fat_tree () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
       ~capacity_pkts:100
   in
-  let ft = Fat_tree.create ~cluster ~k:4 ~disc () in
-  (sim, net, ft)
+  ignore (Net.Fat_tree.create ~cluster ~k:4 ~disc ());
+  (sim, net)
 
 let test_fat_tree_uplink_helpers () =
-  let _sim, net, ft = make_fat_tree () in
-  let name = Fat_tree.rack_uplink_name ft ~pod:0 ~edge:0 ~agg:0 in
-  Alcotest.(check string) "uplink name" "e0.0->a0.0" name;
-  Alcotest.(check string) "downlink name" "a0.0->e0.0"
-    (Fat_tree.rack_downlink_name ft ~pod:0 ~edge:0 ~agg:0);
-  let link = Fat_tree.rack_uplink ft ~pod:0 ~edge:0 ~agg:0 in
-  Alcotest.(check string) "helper finds the live link" name
-    (Net.Link.name link);
-  (match Net.Network.find_link net ~name with
-  | Some l ->
-    Alcotest.(check int) "same link by name" (Net.Link.id link) (Net.Link.id l)
-  | None -> Alcotest.fail "find_link missed a known name");
-  check_invalid_arg "pod out of range" (fun () ->
-      ignore (Fat_tree.rack_uplink_name ft ~pod:9 ~edge:0 ~agg:0))
+  (* fault schedules address a rack cable by its two literal names *)
+  let _sim, net = make_fat_tree () in
+  List.iter
+    (fun name ->
+      match Net.Network.find_link net ~name with
+      | Some l ->
+        Alcotest.(check string) "find_link returns that link" name
+          (Net.Link.name l);
+        Alcotest.(check (option string)) (name ^ " carries the aggregation tag")
+          (Some "aggregation") (Net.Network.tag_of_link net l)
+      | None -> Alcotest.failf "find_link missed %s" name)
+    [ "e0.0->a0.0"; "a0.0->e0.0"; "e3.1->a3.0" ];
+  Alcotest.(check bool) "no pod 9 on a k=4 tree" true
+    (Net.Network.find_link net ~name:"e9.0->a9.0" = None)
 
 let test_host_pause () =
-  let sim, net, ft = make_fat_tree () in
-  let host = Fat_tree.host_id ft 0 in
+  let sim, net = make_fat_tree () in
+  let host = 0 in
   let schedule =
     Fault_spec.create
       [
@@ -333,7 +332,7 @@ let test_host_pause () =
     (Injector.link_ups inj)
 
 let test_host_pause_rejects_switch () =
-  let _sim, net, _ft = make_fat_tree () in
+  let _sim, net = make_fat_tree () in
   let rec find_switch i =
     let n = Net.Network.node net i in
     match Net.Node.kind n with

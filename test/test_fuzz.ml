@@ -142,25 +142,20 @@ let fat_tree_route_fuzz =
           ~capacity_pkts:50
       in
       let ft = Net.Fat_tree.create ~cluster ~k ~disc () in
-      let n = Net.Fat_tree.n_hosts ft in
+      let n = ft.Net.Topology.n_hosts in
       let src = src_raw mod n in
       let dst = dst_raw mod n in
       if src = dst then true
       else begin
-        let paths = Net.Fat_tree.n_paths ft ~src ~dst in
+        let paths = ft.n_paths ~src ~dst in
         let path = path_raw mod paths in
         let delivered = ref false in
-        Net.Network.register_endpoint net
-          ~host:(Net.Fat_tree.host_id ft dst)
-          ~flow:1 ~subflow:0
+        Net.Network.register_endpoint net ~host:dst ~flow:1 ~subflow:0
           (fun _ -> delivered := true);
         Net.Node.send
-          (Net.Network.node net (Net.Fat_tree.host_id ft src))
-          (Net.Packet.data
-             ~flow:1 ~subflow:0
-             ~src:(Net.Fat_tree.host_id ft src)
-             ~dst:(Net.Fat_tree.host_id ft dst)
-             ~path ~seq:0 ~ect:false ~cwr:false ~ts:0);
+          (Net.Network.node net src)
+          (Net.Packet.data ~flow:1 ~subflow:0 ~src ~dst ~path ~seq:0
+             ~ect:false ~cwr:false ~ts:0);
         Sim.run sim;
         !delivered
       end)

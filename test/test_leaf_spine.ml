@@ -18,7 +18,7 @@ let mk ?(seed = 42) ?(leaves = 3) ?(spines = 2) ?(hosts_per_leaf = 2) () =
 
 let test_structure () =
   let _sim, net, ls = mk () in
-  Alcotest.(check int) "hosts" 6 (LS.n_hosts ls);
+  Alcotest.(check int) "hosts" 6 ls.Net.Topology.n_hosts;
   (* 6 hosts + 3 leaves + 2 spines *)
   Alcotest.(check int) "nodes" 11 (Network.n_nodes net);
   Alcotest.(check int) "leaf links" 12
@@ -27,28 +27,29 @@ let test_structure () =
     (List.length (Network.links_tagged net "spine"))
 
 let test_locality_and_paths () =
-  let _, _, ls = mk () in
-  Alcotest.(check bool) "same leaf" true (LS.same_leaf ls ~src:0 ~dst:1);
-  Alcotest.(check bool) "cross leaf" false (LS.same_leaf ls ~src:0 ~dst:2);
-  Alcotest.(check int) "1 path in leaf" 1 (LS.n_paths ls ~src:0 ~dst:1);
-  Alcotest.(check int) "spines paths across" 2 (LS.n_paths ls ~src:0 ~dst:4);
-  Alcotest.(check int) "roundtrip" 5 (LS.host_index ls (LS.host_id ls 5))
+  let _, net, ls = mk () in
+  Alcotest.(check bool) "same leaf" true
+    (ls.Net.Topology.locality ~src:0 ~dst:1 = Net.Topology.Inner_rack);
+  Alcotest.(check bool) "cross leaf" true
+    (ls.locality ~src:0 ~dst:2 = Net.Topology.Inter_rack);
+  Alcotest.(check int) "1 path in leaf" 1 (ls.n_paths ~src:0 ~dst:1);
+  Alcotest.(check int) "spines paths across" 2 (ls.n_paths ~src:0 ~dst:4);
+  Alcotest.(check string) "host index is node id" "h2.1"
+    (Net.Node.name (Network.node net 5))
 
 let test_all_pairs_routable () =
   let sim, net, ls = mk ~leaves:4 ~spines:3 ~hosts_per_leaf:3 () in
-  let n = LS.n_hosts ls in
+  let n = ls.Net.Topology.n_hosts in
   let ok = ref 0 in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then
-        for path = 0 to LS.n_paths ls ~src ~dst - 1 do
+        for path = 0 to ls.n_paths ~src ~dst - 1 do
           let got = ref false in
-          Network.register_endpoint net ~host:(LS.host_id ls dst) ~flow:1
-            ~subflow:0 (fun _ -> got := true);
-          Net.Node.send
-            (Network.node net (LS.host_id ls src))
-            (Net.Packet.data ~flow:1 ~subflow:0
-               ~src:(LS.host_id ls src) ~dst:(LS.host_id ls dst) ~path ~seq:0
+          Network.register_endpoint net ~host:dst ~flow:1 ~subflow:0
+            (fun _ -> got := true);
+          Net.Node.send (Network.node net src)
+            (Net.Packet.data ~flow:1 ~subflow:0 ~src ~dst ~path ~seq:0
                ~ect:false ~cwr:false ~ts:0);
           Sim.run sim;
           if !got then incr ok
@@ -60,14 +61,11 @@ let test_all_pairs_routable () =
 
 let test_spine_diversity () =
   (* distinct selectors cross distinct spines *)
-  let sim, net, ls = mk () in
-  Network.register_endpoint net ~host:(LS.host_id ls 4) ~flow:1 ~subflow:0
-    (fun _ -> ());
+  let sim, net, _ = mk () in
+  Network.register_endpoint net ~host:4 ~flow:1 ~subflow:0 (fun _ -> ());
   for path = 0 to 1 do
-    Net.Node.send
-      (Network.node net (LS.host_id ls 0))
-      (Net.Packet.data ~flow:1 ~subflow:0
-         ~src:(LS.host_id ls 0) ~dst:(LS.host_id ls 4) ~path ~seq:0
+    Net.Node.send (Network.node net 0)
+      (Net.Packet.data ~flow:1 ~subflow:0 ~src:0 ~dst:4 ~path ~seq:0
          ~ect:false ~cwr:false ~ts:0)
   done;
   Sim.run sim;
@@ -82,13 +80,8 @@ let test_spine_diversity () =
 let test_xmp_flow_over_leaf_spine () =
   (* an XMP flow with one subflow per spine should aggregate close to its
      1 Gbps host-link limit (the spine tier is 10 Gbps and unloaded) *)
-  let sim, net, ls = mk ~seed:19 ~leaves:2 ~spines:2 ~hosts_per_leaf:2 () in
-  let f =
-    Xmp_core.Xmp.flow ~net ~flow:1
-      ~src:(LS.host_id ls 0)
-      ~dst:(LS.host_id ls 2)
-      ~paths:[ 0; 1 ] ()
-  in
+  let sim, net, _ = mk ~seed:19 ~leaves:2 ~spines:2 ~hosts_per_leaf:2 () in
+  let f = Xmp_core.Xmp.flow ~net ~flow:1 ~src:0 ~dst:2 ~paths:[ 0; 1 ] () in
   Sim.run ~until:(Time.ms 300) sim;
   let goodput =
     float_of_int

@@ -126,7 +126,7 @@ let mk_fat_tree ?(k = 4) () =
 
 let test_fat_tree_structure () =
   let net, ft = mk_fat_tree () in
-  Alcotest.(check int) "hosts" 16 (Fat_tree.n_hosts ft);
+  Alcotest.(check int) "hosts" 16 ft.n_hosts;
   (* 16 hosts + 8 edge + 8 agg + 4 core = 36 nodes *)
   Alcotest.(check int) "nodes" 36 (Network.n_nodes net);
   (* directed links: rack 16*2, aggregation 16*2, core 16*2 *)
@@ -135,13 +135,13 @@ let test_fat_tree_structure () =
     (fun layer ->
       Alcotest.(check int)
         (layer ^ " links")
-        32
+        (if List.mem layer [ "core"; "aggregation"; "rack" ] then 32 else 0)
         (List.length (Network.links_tagged net layer)))
-    Fat_tree.layers
+    Net.Topology.layers
 
 let test_fat_tree_k8_structure () =
   let net, ft = mk_fat_tree ~k:8 () in
-  Alcotest.(check int) "hosts" 128 (Fat_tree.n_hosts ft);
+  Alcotest.(check int) "hosts" 128 ft.n_hosts;
   (* 128 hosts + 32 edge + 32 agg + 16 core = 208 *)
   Alcotest.(check int) "nodes" 208 (Network.n_nodes net)
 
@@ -149,39 +149,40 @@ let test_locality () =
   let _, ft = mk_fat_tree () in
   (* k=4: hosts 0,1 share an edge; 0..3 share a pod *)
   Alcotest.(check bool) "inner rack" true
-    (Fat_tree.locality ft ~src:0 ~dst:1 = Fat_tree.Inner_rack);
+    (ft.locality ~src:0 ~dst:1 = Fat_tree.Inner_rack);
   Alcotest.(check bool) "inter rack" true
-    (Fat_tree.locality ft ~src:0 ~dst:2 = Fat_tree.Inter_rack);
+    (ft.locality ~src:0 ~dst:2 = Fat_tree.Inter_rack);
   Alcotest.(check bool) "inter pod" true
-    (Fat_tree.locality ft ~src:0 ~dst:4 = Fat_tree.Inter_pod)
+    (ft.locality ~src:0 ~dst:4 = Fat_tree.Inter_pod)
 
 let test_n_paths () =
   let _, ft = mk_fat_tree () in
-  Alcotest.(check int) "inner rack" 1 (Fat_tree.n_paths ft ~src:0 ~dst:1);
-  Alcotest.(check int) "inter rack" 2 (Fat_tree.n_paths ft ~src:0 ~dst:2);
-  Alcotest.(check int) "inter pod" 4 (Fat_tree.n_paths ft ~src:0 ~dst:4)
+  Alcotest.(check int) "inner rack" 1 (ft.n_paths ~src:0 ~dst:1);
+  Alcotest.(check int) "inter rack" 2 (ft.n_paths ~src:0 ~dst:2);
+  Alcotest.(check int) "inter pod" 4 (ft.n_paths ~src:0 ~dst:4)
 
+(* Host index [i] is node id [i]: its name decodes back to [i], and the
+   first id past the hosts is a switch. *)
 let test_host_id_roundtrip () =
-  let _, ft = mk_fat_tree () in
-  for i = 0 to Fat_tree.n_hosts ft - 1 do
-    Alcotest.(check int) "roundtrip" i
-      (Fat_tree.host_index ft (Fat_tree.host_id ft i))
+  let net, ft = mk_fat_tree () in
+  for i = 0 to ft.n_hosts - 1 do
+    let node = Network.node net i in
+    Alcotest.(check bool) "is a host" true (Node.kind node = Node.Host);
+    Scanf.sscanf (Node.name node) "h%d.%d.%d" (fun pod edge slot ->
+        Alcotest.(check int) "roundtrip" i ((pod * 4) + (edge * 2) + slot))
   done;
-  Alcotest.check_raises "bad index" (Invalid_argument "Fat_tree.host_id")
-    (fun () -> ignore (Fat_tree.host_id ft 16))
+  Alcotest.(check bool) "switch after the hosts" true
+    (Node.kind (Network.node net ft.n_hosts) = Node.Switch)
 
 let test_fat_tree_all_pairs_routable () =
   let net, ft = mk_fat_tree () in
-  let n = Fat_tree.n_hosts ft in
+  let n = ft.n_hosts in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then begin
-        let paths = Fat_tree.n_paths ft ~src ~dst in
+        let paths = ft.n_paths ~src ~dst in
         for path = 0 to paths - 1 do
-          match
-            send_and_await net ~src:(Fat_tree.host_id ft src)
-              ~dst:(Fat_tree.host_id ft dst) ~path
-          with
+          match send_and_await net ~src ~dst ~path with
           | Some _ -> ()
           | None -> Alcotest.failf "unroutable %d->%d path %d" src dst path
         done
@@ -193,11 +194,9 @@ let test_fat_tree_path_diversity () =
   (* distinct inter-pod path selectors traverse distinct core switches:
      with 4 selectors and one probe each, the 4 core uplink pairs each see
      exactly one packet *)
-  let net, ft = mk_fat_tree () in
+  let net, _ = mk_fat_tree () in
   for path = 0 to 3 do
-    ignore
-      (send_and_await net ~src:(Fat_tree.host_id ft 0)
-         ~dst:(Fat_tree.host_id ft 12) ~path)
+    ignore (send_and_await net ~src:0 ~dst:12 ~path)
   done;
   let core_links = Network.links_tagged net "core" in
   let used =
@@ -213,8 +212,8 @@ let test_fat_tree_path_diversity () =
 
 let test_fat_tree_ack_path_symmetry () =
   (* a reply with the same path selector crosses the same core switch *)
-  let net, ft = mk_fat_tree () in
-  let src = Fat_tree.host_id ft 0 and dst = Fat_tree.host_id ft 12 in
+  let net, _ = mk_fat_tree () in
+  let src = 0 and dst = 12 in
   ignore (send_and_await net ~src ~dst ~path:3);
   ignore (send_and_await net ~src:dst ~dst:src ~path:3);
   let core_nodes_used = ref 0 in
@@ -241,7 +240,7 @@ let test_max_rtt () =
   let _, ft = mk_fat_tree () in
   (* 2 * 2 * (20 + 30 + 40) us = 360 us *)
   Alcotest.(check int) "zero-load inter-pod RTT" (Time.us 360)
-    (Fat_tree.max_rtt_no_queue ft)
+    (ft.zero_load_rtt ~src:0 ~dst:12)
 
 (* ----- placement equivalence -----
 
@@ -346,8 +345,7 @@ let check_placement ~(flat : Net.Topology.t) ~(sharded : Net.Topology.t)
 
 let test_fat_tree_placement () =
   let build shards =
-    let cluster = Net.Shard.create ~shards () in
-    Fat_tree.view (Fat_tree.create ~cluster ~k:4 ~disc ())
+    Fat_tree.create ~cluster:(Net.Shard.create ~shards ()) ~k:4 ~disc ()
   in
   check_placement ~flat:(build 1) ~sharded:(build 4) ~lookahead:(Time.us 40);
   Alcotest.check_raises "other shard counts"

@@ -12,7 +12,7 @@ module Node = Xmp_net.Node
 module Packet = Xmp_net.Packet
 module Queue_disc = Xmp_net.Queue_disc
 module Wan = Xmp_net.Wan
-module Fat_tree = Xmp_net.Fat_tree
+module Topology = Xmp_net.Topology
 module Open_loop = Xmp_workload.Open_loop
 module Scheme = Xmp_workload.Scheme
 module Metrics = Xmp_workload.Metrics
@@ -32,38 +32,40 @@ let flat_wan ?(left = ft4) ?(right = ft4) ~trunks () =
 
 let test_geometry () =
   let trunks = [ Wan.trunk (); Wan.trunk ~delay:(Time.ms 10) () ] in
-  let _sim, _net, wan = flat_wan ~right:ls_dc ~trunks () in
-  Alcotest.(check int) "hosts: 16 fat-tree + 8 leaf-spine" 24
-    (Wan.n_hosts wan);
-  Alcotest.(check int) "trunks" 2 (Wan.n_trunks wan);
-  Alcotest.(check int) "host 0 in DC 0" 0 (Wan.dc_of_host wan 0);
-  Alcotest.(check int) "host 15 in DC 0" 0 (Wan.dc_of_host wan 15);
-  Alcotest.(check int) "host 16 in DC 1" 1 (Wan.dc_of_host wan 16);
-  Alcotest.(check int) "host 23 in DC 1" 1 (Wan.dc_of_host wan 23);
+  let _sim, net, wan = flat_wan ~right:ls_dc ~trunks () in
+  Alcotest.(check int) "hosts: 16 fat-tree + 8 leaf-spine" 24 wan.n_hosts;
+  Alcotest.(check (list string)) "one link per trunk direction"
+    [ "d0.bdr0->d1.bdr0"; "d1.bdr0->d0.bdr0"; "d0.bdr1->d1.bdr1";
+      "d1.bdr1->d0.bdr1" ]
+    (List.map Net.Link.name (Network.links_tagged net "wan"));
+  Alcotest.(check int) "host 0 in DC 0" 0 (Topology.dc_of_host wan 0);
+  Alcotest.(check int) "host 15 in DC 0" 0 (Topology.dc_of_host wan 15);
+  Alcotest.(check int) "host 16 in DC 1" 1 (Topology.dc_of_host wan 16);
+  Alcotest.(check int) "host 23 in DC 1" 1 (Topology.dc_of_host wan 23);
   (* locality: intra-DC classes come from each DC's own geometry *)
-  let loc = Wan.locality wan in
+  let loc = wan.locality in
   Alcotest.(check string) "same rack" "Inner-Rack"
-    (Fat_tree.locality_name (loc ~src:0 ~dst:1));
+    (Topology.locality_name (loc ~src:0 ~dst:1));
   Alcotest.(check string) "same pod" "Inter-Rack"
-    (Fat_tree.locality_name (loc ~src:0 ~dst:2));
+    (Topology.locality_name (loc ~src:0 ~dst:2));
   Alcotest.(check string) "across pods" "Inter-Pod"
-    (Fat_tree.locality_name (loc ~src:0 ~dst:4));
+    (Topology.locality_name (loc ~src:0 ~dst:4));
   Alcotest.(check string) "across the cut" "Inter-DC"
-    (Fat_tree.locality_name (loc ~src:0 ~dst:16));
+    (Topology.locality_name (loc ~src:0 ~dst:16));
   Alcotest.(check string) "leaf-spine same leaf" "Inner-Rack"
-    (Fat_tree.locality_name (loc ~src:16 ~dst:17));
+    (Topology.locality_name (loc ~src:16 ~dst:17));
   Alcotest.(check string) "leaf-spine across leaves" "Inter-Rack"
-    (Fat_tree.locality_name (loc ~src:16 ~dst:18));
+    (Topology.locality_name (loc ~src:16 ~dst:18));
   (* path diversity: intra-DC counts as before; cross-DC = source DC's
      up-division times the trunk count *)
   Alcotest.(check int) "fat-tree inter-pod paths" 4
-    (Wan.n_paths wan ~src:0 ~dst:4);
+    (wan.n_paths ~src:0 ~dst:4);
   Alcotest.(check int) "cross-DC paths from fat tree" 8
-    (Wan.n_paths wan ~src:0 ~dst:16);
+    (wan.n_paths ~src:0 ~dst:16);
   Alcotest.(check int) "cross-DC paths from leaf-spine" 4
-    (Wan.n_paths wan ~src:16 ~dst:0);
+    (wan.n_paths ~src:16 ~dst:0);
   Alcotest.(check int) "leaf-spine intra paths" 2
-    (Wan.n_paths wan ~src:16 ~dst:18)
+    (wan.n_paths ~src:16 ~dst:18)
 
 let test_validation () =
   Alcotest.check_raises "odd k"
@@ -89,12 +91,12 @@ let test_zero_load_rtt_pins () =
      (40 ms) + attach (40 us) + descent (90 us); doubled for the RTT *)
   Alcotest.(check int) "bridged fat-tree pair ideal RTT"
     (Time.us 80_520)
-    (Wan.zero_load_rtt wan ~src:0 ~dst:16);
+    (wan.zero_load_rtt ~src:0 ~dst:16);
   (* intra-DC ideals unchanged by the bridge *)
   Alcotest.(check int) "inner-rack RTT" (Time.us 80)
-    (Wan.zero_load_rtt wan ~src:0 ~dst:1);
+    (wan.zero_load_rtt ~src:0 ~dst:1);
   Alcotest.(check int) "inter-pod RTT" (Time.us 360)
-    (Wan.zero_load_rtt wan ~src:0 ~dst:4);
+    (wan.zero_load_rtt ~src:0 ~dst:4);
   (* multiple trunks: the ideal uses the fastest, RTO sizing the slowest *)
   let trunks =
     [ Wan.trunk ~delay:(Time.ms 10) (); Wan.trunk ~delay:(Time.ms 100) () ]
@@ -102,12 +104,15 @@ let test_zero_load_rtt_pins () =
   let _sim, _net, wan2 = flat_wan ~trunks () in
   Alcotest.(check int) "ideal uses fastest trunk"
     (Time.us 20_520)
-    (Wan.zero_load_rtt wan2 ~src:0 ~dst:16);
-  Alcotest.(check int) "max_rtt_no_queue uses slowest trunk"
+    (wan2.zero_load_rtt ~src:0 ~dst:16);
+  Alcotest.(check int) "max_rtt_no_queue_of uses slowest trunk"
     (Time.us 200_520)
-    (Wan.max_rtt_no_queue wan2);
-  Alcotest.(check int) "static helper agrees with built instance"
-    (Wan.max_rtt_no_queue wan2)
+    (Wan.max_rtt_no_queue_of ~left:ft4 ~right:ft4 ~trunks);
+  let _sim, _net, slow =
+    flat_wan ~trunks:[ Wan.trunk ~delay:(Time.ms 100) () ] ()
+  in
+  Alcotest.(check int) "static helper agrees with the built slowest path"
+    (slow.zero_load_rtt ~src:0 ~dst:16)
     (Wan.max_rtt_no_queue_of ~left:ft4 ~right:ft4 ~trunks);
   (* leaf-spine attach hop is the spine delay (30 us), not the core's *)
   Alcotest.(check int) "leaf-spine to leaf-spine ideal"
@@ -122,7 +127,7 @@ let deliver_all ~left ~right ~src ~dst () =
     [ Wan.trunk ~delay:(Time.ms 1) (); Wan.trunk ~delay:(Time.ms 1) () ]
   in
   let sim, net, wan = flat_wan ~left ~right ~trunks () in
-  let n = Wan.n_paths wan ~src ~dst in
+  let n = wan.Topology.n_paths ~src ~dst in
   let got = Array.make n 0 in
   Network.register_endpoint net ~host:dst ~flow:1 ~subflow:0 (fun p ->
       got.(Packet.seq p) <- got.(Packet.seq p) + 1);
@@ -193,7 +198,7 @@ let test_placement () =
   in
   let build shards =
     let cluster = Net.Shard.create ~shards () in
-    Wan.view (Wan.create ~cluster ~left:ft4 ~right:ls_dc ~trunks ~disc ())
+    Wan.create ~cluster ~left:ft4 ~right:ls_dc ~trunks ~disc ()
   in
   (* the fastest trunk is the lookahead *)
   Test_topologies.check_placement ~flat:(build 1) ~sharded:(build 2)
@@ -230,12 +235,12 @@ let test_cross_dc_flows_complete () =
   Alcotest.(check bool) "portal mail crossed the trunk" true (r.mail > 0);
   let locs = List.map fst (Metrics.goodputs_by_locality r.metrics) in
   Alcotest.(check bool) "Inter-DC goodput class populated" true
-    (List.mem Fat_tree.Inter_dc locs);
+    (List.mem Topology.Inter_dc locs);
   (* cross-DC flows really finished, not just local ones *)
   let cross_done =
     List.exists
       (fun (f : Metrics.flow_record) ->
-        f.locality = Fat_tree.Inter_dc && not f.truncated)
+        f.locality = Topology.Inter_dc && not f.truncated)
       (Metrics.completed_flows r.metrics)
   in
   Alcotest.(check bool) "a cross-DC flow completed" true cross_done
@@ -290,7 +295,7 @@ let digest_of (r : Open_loop.result) =
     (fun (f : Metrics.flow_record) ->
       Buffer.add_string b
         (Printf.sprintf "%d %d->%d %s %d %d %d %.6f %b\n" f.flow f.src f.dst
-           (Fat_tree.locality_name f.locality)
+           (Topology.locality_name f.locality)
            f.size_segments f.started f.finished f.goodput_bps f.truncated))
     (Metrics.completed_flows r.metrics);
   Buffer.contents b

@@ -692,30 +692,6 @@ let test_metrics_streaming_default () =
 
 (* ----- Driver: new traffic patterns ----- *)
 
-let test_driver_churn () =
-  let cfg =
-    mini_config
-      (Driver.Permutation_churn
-         { min_segments = 20; max_segments = 40; churn = Time.ms 60 })
-      (Scheme.xmp 2)
-  in
-  let r = Driver.run cfg in
-  let m = r.Driver.metrics in
-  (* 5 waves of 16 permutation flows within the 300 ms horizon; later
-     waves may be truncated but the early ones complete *)
-  Alcotest.(check bool) "several waves recorded" true
-    (Metrics.n_completed_flows m > 32);
-  Alcotest.(check bool) "some flows complete" true
-    (Metrics.n_completed_flows m - Metrics.n_truncated_flows m > 16);
-  Alcotest.check_raises "churn must be positive"
-    (Invalid_argument "Driver: churn period must be positive") (fun () ->
-      ignore
-        (Driver.run
-           (mini_config
-              (Driver.Permutation_churn
-                 { min_segments = 2; max_segments = 4; churn = Time.zero })
-              (Scheme.xmp 2))))
-
 let test_driver_incast_sweep () =
   let cfg =
     mini_config
@@ -846,7 +822,7 @@ let test_open_loop_max_flows () =
 
 let test_open_loop_ideal_fct () =
   let cfg = Open_loop.default_config in
-  let ft =
+  let topo =
     Xmp_net.Fat_tree.create
       ~cluster:(Xmp_net.Shard.create ~shards:1 ())
       ~k:8
@@ -855,18 +831,17 @@ let test_open_loop_ideal_fct () =
           ~capacity_pkts:100)
       ()
   in
-  let view = Xmp_net.Fat_tree.view ft in
-  let locality = view.Xmp_net.Topology.locality in
+  let locality = topo.Xmp_net.Topology.locality in
   (* k = 8: 4 hosts per rack, 16 per pod *)
   Alcotest.(check bool) "hosts 0 and 1 share a rack" true
     (locality ~src:0 ~dst:1 = Xmp_net.Topology.Inner_rack);
   Alcotest.(check bool) "hosts 0 and 16 sit in different pods" true
     (locality ~src:0 ~dst:16 = Xmp_net.Topology.Inter_pod);
   (* 1 segment inner-rack at 1 Gbps: 11.68 µs transfer + 80 µs RTT *)
-  let ideal = Open_loop.ideal_fct cfg view ~src:0 ~dst:1 ~size_segments:1 in
+  let ideal = Open_loop.ideal_fct cfg topo ~src:0 ~dst:1 ~size_segments:1 in
   Alcotest.(check int) "inner-rack single segment" 91_680 ideal;
   let inter_pod =
-    Open_loop.ideal_fct cfg view ~src:0 ~dst:16 ~size_segments:1
+    Open_loop.ideal_fct cfg topo ~src:0 ~dst:16 ~size_segments:1
   in
   Alcotest.(check int) "inter-pod adds core+agg legs" (91_680 + 280_000)
     inter_pod;
@@ -922,7 +897,6 @@ let suite =
     Alcotest.test_case "metrics fct buckets" `Quick test_metrics_fct_buckets;
     Alcotest.test_case "metrics streaming default" `Quick
       test_metrics_streaming_default;
-    Alcotest.test_case "driver permutation churn" `Slow test_driver_churn;
     Alcotest.test_case "driver incast sweep" `Slow test_driver_incast_sweep;
     Alcotest.test_case "driver all-to-all" `Slow test_driver_all_to_all;
     Alcotest.test_case "open loop domains invariance" `Slow
