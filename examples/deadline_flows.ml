@@ -12,8 +12,9 @@ module Tcp = Xmp_transport.Tcp
 module D2tcp = Xmp_transport.D2tcp
 
 let () =
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 12 } () in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed = 12 } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
       ~capacity_pkts:100
@@ -68,7 +69,7 @@ let () =
              Printf.printf "| %s: %6.1f Mbps " label mbps)
            flows;
          print_newline ()));
-  Sim.run ~until:(Time.sec 3.) sim;
+  Net.Shard.run ~until:(Time.sec 3.) cluster;
   print_endline
     "\nExpected shape: while the tight-deadline flow is behind schedule it \
      backs off less on each ECN mark (imminence factor d > 1) and holds \

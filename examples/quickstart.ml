@@ -14,9 +14,10 @@ module Tcp = Xmp_transport.Tcp
 module Flow = Xmp_mptcp.Mptcp_flow
 
 let () =
-  (* 1. A simulator and an empty network. *)
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 42 } () in
-  let net = Net.Network.create sim in
+  (* 1. A one-shard cluster: one simulator and its empty network. *)
+  let config = { Sim.default_config with seed = 42 } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
 
   (* 2. Switch queues: the paper's marking rule — CE-mark ECT packets when
      the instantaneous queue exceeds K = 10, over a 100-packet buffer. *)
@@ -53,9 +54,9 @@ let () =
   in
 
   (* 5. Run. *)
-  Sim.run ~until:(Time.sec 0.5) sim;
+  Net.Shard.run ~until:(Time.sec 0.5) cluster;
 
-  (* 6. Inspect. *)
+  (* 6. Inspect. Bottleneck j is the link "IN{j+1}->OUT{j+1}". *)
   Array.iteri
     (fun i conn ->
       Printf.printf
@@ -65,14 +66,15 @@ let () =
         (Tcp.segments_acked conn))
     (Flow.subflows flow);
   List.iteri
-    (fun j _ ->
-      let disc = Net.Link.disc (Net.Testbed.bottleneck_fwd tb j) in
+    (fun j name ->
+      let link = Option.get (Net.Network.find_link net ~name) in
+      let disc = Net.Link.disc link in
       Printf.printf
         "bottleneck %d: %d packets marked, %d dropped, max queue %d pkts\n" j
         (Net.Queue_disc.marked disc)
         (Net.Queue_disc.dropped disc)
         (Net.Queue_disc.max_length_seen disc))
-    [ (); () ];
+    [ "IN1->OUT1"; "IN2->OUT2" ];
   if not (Flow.is_complete flow) then
     Printf.printf "flow still running: %d of %d segments acked\n"
       (Flow.segments_acked flow) size_segments

@@ -20,8 +20,9 @@ let xmp_flow ~net ~flow ~src ~dst ~paths =
   Xmp_core.Xmp.flow ~net ~flow ~src ~dst ~paths ()
 
 let () =
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 3 } () in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed = 3 } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 15)
       ~capacity_pkts:100
@@ -66,7 +67,7 @@ let () =
       (Tcp.cwnd subflows.(1))
   in
   ignore (Xmp_engine.Periodic.start sim ~interval:(Time.ms 100) report);
-  Sim.run ~until:(Time.sec 3.0) sim;
+  Net.Shard.run ~until:(Time.sec 3.0) cluster;
   print_endline
     "Expected shape: subflow A's rate collapses while the background flow \
      is present (traffic shifts to B), then recovers — the Congestion \

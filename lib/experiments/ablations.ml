@@ -19,12 +19,17 @@ let print_beta_sweep ?scale ?(betas = [ 2; 3; 4; 5; 6; 8 ]) () =
   in
   Table.print ~header:[ "beta"; "Jain index" ] ~rows ()
 
+let bottleneck net = Option.get (Net.Network.find_link net ~name:"IN1->OUT1")
+
+let k_sweep_seed = 23
+
 (* One long-lived BOS flow on a 1 Gbps / 225 us bottleneck per K:
    utilization should cross ~1 at the Equation 1 bound and RTT should
    grow linearly in K beyond it. *)
 let k_sweep_point ~k ~beta =
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 23 } () in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed = k_sweep_seed } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark k)
       ~capacity_pkts:200
@@ -52,10 +57,8 @@ let k_sweep_point ~k ~beta =
          }
        ());
   let horizon = Time.sec 0.5 in
-  Sim.run ~until:horizon sim;
-  let util =
-    Net.Link.utilization (Net.Testbed.bottleneck_fwd tb 0) ~duration:horizon
-  in
+  Net.Shard.run ~until:horizon cluster;
+  let util = Net.Link.utilization (bottleneck net) ~duration:horizon in
   (util, Xmp_stats.Running.mean rtts)
 
 let print_k_sweep ?(ks = [ 2; 4; 6; 8; 10; 15; 20; 40 ]) ?(beta = 4) () =
@@ -237,10 +240,13 @@ let print_rto_min_sweep ?(base = Fatree_eval.default_base) () =
       [ "Scheme"; "RTOmin (ms)"; "Mean JCT (ms)"; "Jobs"; "Goodput (Mbps)" ]
     ~rows ()
 
+let queue_seed = 29
+
 (* Sample the bottleneck queue occupancy under four same-scheme flows. *)
 let queue_occupancy_point ~beta ~k scheme =
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 29 } () in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed = queue_seed } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let policy =
     if Scheme.uses_ecn scheme then Net.Queue_disc.Threshold_mark k
     else Net.Queue_disc.Droptail
@@ -260,14 +266,14 @@ let queue_occupancy_point ~beta ~k scheme =
          ~dst:(Net.Testbed.right_id tb i)
          ~paths:[ 0 ] scheme)
   done;
-  let queue = Net.Link.disc (Net.Testbed.bottleneck_fwd tb 0) in
+  let queue = Net.Link.disc (bottleneck net) in
   let occupancy = Xmp_stats.Distribution.create () in
   ignore
     (Xmp_engine.Periodic.start sim ~first_after:(Time.ms 20)
        ~interval:(Time.us 100) (fun () ->
          Xmp_stats.Distribution.add occupancy
            (float_of_int (Net.Queue_disc.length queue))));
-  Sim.run ~until:(Time.ms 200) sim;
+  Net.Shard.run ~until:(Time.ms 200) cluster;
   (occupancy, Net.Queue_disc.dropped queue)
 
 let print_sack_comparison ?(base = Fatree_eval.default_base) () =
@@ -315,14 +321,3 @@ let print_queue_occupancy ?(beta = 4) ?(k = 10) () =
     ~header:
       [ "Scheme"; "min"; "p10"; "p50"; "p90"; "max"; "drops" ]
     ~rows ()
-
-let print_all ?(base = Fatree_eval.default_base) () =
-  print_beta_sweep ();
-  print_k_sweep ();
-  print_subflow_sweep ~base ();
-  print_coupling_comparison ~base ();
-  print_flow_size_sweep ~base ();
-  print_incast_fanout_sweep ~base ();
-  print_rto_min_sweep ~base ();
-  print_sack_comparison ~base ();
-  print_queue_occupancy ()

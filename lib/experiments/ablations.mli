@@ -16,6 +16,9 @@ val print_beta_sweep : ?scale:float -> ?betas:int list -> unit -> unit
 
 val print_k_sweep : ?ks:int list -> ?beta:int -> unit -> unit
 
+val k_sweep_seed : int
+(** The simulator seed of every K-sweep point. *)
+
 val print_subflow_sweep :
   ?base:Fatree_eval.base -> ?counts:int list -> unit -> unit
 
@@ -49,4 +52,5 @@ val print_queue_occupancy : ?beta:int -> ?k:int -> unit -> unit
     scheme share one 1 Gbps bottleneck; the queue is sampled every 100 µs
     and summarized. *)
 
-val print_all : ?base:Fatree_eval.base -> unit -> unit
+val queue_seed : int
+(** The simulator seed of every queue-occupancy run. *)

@@ -22,9 +22,6 @@ val run :
   unit ->
   result
 
-val partners : Xmp_workload.Scheme.t list
-(** The paper's Table 2 partner column: LIA-2, TCP, DCTCP. *)
-
 val extended_partners : Xmp_workload.Scheme.t list
 (** The extension rows: BALIA-2, VENO-2, AMP-2. *)
 

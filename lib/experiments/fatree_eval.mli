@@ -54,12 +54,6 @@ val with_cache : (unit -> 'a) -> 'a
     evaluation can neither observe earlier runs nor leak its own into
     the enclosing scope. *)
 
-val table1_schemes : Xmp_workload.Scheme.t list
-(** DCTCP, LIA-2, LIA-4, XMP-2, XMP-4 — the paper's Table 1 row set. *)
-
-val bar_schemes : Xmp_workload.Scheme.t list
-(** DCTCP, LIA-4, XMP-2, XMP-4 — the set in Figures 8(c,d), 10 and 11. *)
-
 val print_fault_eval :
   base -> Xmp_workload.Scheme.t -> pattern_id -> unit
 (** One run of the base's fault schedule with a live telemetry sink:

@@ -27,14 +27,15 @@ let variant_name v =
 
 let rate = Net.Units.gbps 1.
 
-let run ?(scale = 0.2) ?(seed = 7) ?(telemetry = Xmp_telemetry.Sink.null)
+let seed = 7
+
+let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) v =
   let interval = 5. *. scale in
   let horizon_s = 7. *. interval in
-  let sim =
-    Sim.create ~config:{ Sim.default_config with seed; telemetry; faults } ()
-  in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed; telemetry; faults } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark v.k)
       ~capacity_pkts:100
@@ -91,7 +92,7 @@ let run ?(scale = 0.2) ?(seed = 7) ?(telemetry = Xmp_telemetry.Sink.null)
         | Some f -> Mptcp_flow.stop f
         | None -> ())
   done;
-  Sim.run ~until:(Time.sec horizon_s) sim;
+  Net.Shard.run ~until:(Time.sec horizon_s) cluster;
   let names = List.init 4 (fun i -> Printf.sprintf "Flow %d" (i + 1)) in
   let rates =
     List.map
@@ -108,7 +109,8 @@ let run ?(scale = 0.2) ?(seed = 7) ?(telemetry = Xmp_telemetry.Sink.null)
          names)
   in
   let utilization =
-    Net.Link.utilization (Net.Testbed.bottleneck_fwd tb 0)
+    Net.Link.utilization
+      (Option.get (Net.Network.find_link net ~name:"IN1->OUT1"))
       ~duration:(Time.sec horizon_s)
   in
   {

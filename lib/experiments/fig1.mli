@@ -26,6 +26,9 @@ type result = {
 val variants : variant list
 (** The paper's four panels: DCTCP/halving × K ∈ \{10, 20\}. *)
 
+val seed : int
+(** [run]'s default seed, which the scenario registry pins. *)
+
 val run :
   ?scale:float -> ?seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
   ?faults:Xmp_engine.Fault_spec.t -> variant -> result
@@ -34,8 +37,6 @@ val run :
     milliseconds, so the dwell time is still ≫ 100× convergence).
     [telemetry] (default the null sink) instruments the run for
     [xmp_sim trace]. *)
-
-val print : result -> unit
 
 val run_and_print_all :
   ?scale:float -> ?faults:Xmp_engine.Fault_spec.t -> unit -> unit

@@ -19,16 +19,17 @@ let xmp_flow ~net ~beta ~flow ~src ~dst ~paths ?observer () =
     ~coupling:(Xmp_core.Trash.coupling ~params ())
     ~config:Xmp_core.Xmp.tcp_config ?observer ()
 
-let run ?(scale = 0.2) ?(seed = 11) ?(telemetry = Xmp_telemetry.Sink.null)
+let seed = 11
+
+let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) ~beta () =
   let unit_s = 10. *. scale in
   (* paper schedule: bg on DN1 during [10,20) s, bg on DN2 during
      [20,30) s, run ends at 40 s *)
   let horizon_s = 4. *. unit_s in
-  let sim =
-    Sim.create ~config:{ Sim.default_config with seed; telemetry; faults } ()
-  in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed; telemetry; faults } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 15)
       ~capacity_pkts:100
@@ -78,7 +79,7 @@ let run ?(scale = 0.2) ?(seed = 11) ?(telemetry = Xmp_telemetry.Sink.null)
   in
   background ~flow:4 ~host:3 ~path:0 ~from_u:1. ~until_u:2.;
   background ~flow:5 ~host:4 ~path:1 ~from_u:2. ~until_u:3.;
-  Sim.run ~until:(Time.sec horizon_s) sim;
+  Net.Shard.run ~until:(Time.sec horizon_s) cluster;
   let norm = float_of_int bottleneck_rate in
   let rates =
     List.map

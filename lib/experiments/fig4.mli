@@ -22,6 +22,9 @@ type result = {
       (** Flow 2's total rate while DN1 is loaded / its unloaded total *)
 }
 
+val seed : int
+(** [run]'s default seed, which the scenario registry pins. *)
+
 val run :
   ?scale:float -> ?seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
   ?faults:Xmp_engine.Fault_spec.t -> beta:int -> unit -> result

@@ -36,7 +36,9 @@ let xmp_flow ~net ?rcv_net ~beta ~flow ~src ~dst ~paths ?observer () =
     ~coupling:(Xmp_core.Trash.coupling ~params ())
     ~config:Xmp_core.Xmp.tcp_config ?observer ()
 
-let run ?(scale = 0.2) ?(seed = 11) ?(domains = 1) ~beta () =
+let seed = 11
+
+let run ?(scale = 0.2) ?(seed = seed) ?(domains = 1) ~beta () =
   let unit_s = 10. *. scale in
   let horizon_s = 4. *. unit_s in
   let disc () =

@@ -16,9 +16,10 @@ type result = {
   mail : int;
 }
 
+val seed : int
+(** [run]'s default seed, which the scenario registry pins. *)
+
 val run :
   ?scale:float -> ?seed:int -> ?domains:int -> beta:int -> unit -> result
-
-val print : result -> unit
 
 val run_and_print : ?scale:float -> ?domains:int -> unit -> unit

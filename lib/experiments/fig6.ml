@@ -13,14 +13,15 @@ type result = {
 
 let bottleneck_rate = Net.Units.mbps 300.
 
-let run ?(scale = 0.2) ?(seed = 13) ?(telemetry = Xmp_telemetry.Sink.null)
+let seed = 13
+
+let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) ~beta () =
   let unit_s = 5. *. scale in
   let horizon_s = 6. *. unit_s (* paper: 30 s *) in
-  let sim =
-    Sim.create ~config:{ Sim.default_config with seed; telemetry; faults } ()
-  in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed; telemetry; faults } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 15)
       ~capacity_pkts:100
@@ -88,7 +89,7 @@ let run ?(scale = 0.2) ?(seed = 13) ?(telemetry = Xmp_telemetry.Sink.null)
     (fun () ->
       Mptcp_flow.stop f3;
       match !f4_cell with Some f -> Mptcp_flow.stop f | None -> ());
-  Sim.run ~until:(Time.sec horizon_s) sim;
+  Net.Shard.run ~until:(Time.sec horizon_s) cluster;
   let norm = float_of_int bottleneck_rate in
   let names = List.sort String.compare !subflow_names in
   let subflow_rates =

@@ -17,6 +17,9 @@ type result = {
           (the window just after Flow 2 joins) *)
 }
 
+val seed : int
+(** [run]'s default seed, which the scenario registry pins. *)
+
 val run :
   ?scale:float -> ?seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
   ?faults:Xmp_engine.Fault_spec.t -> beta:int -> unit -> result

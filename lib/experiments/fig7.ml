@@ -12,14 +12,15 @@ type result = {
 
 let capacities_gbps = [ 0.8; 1.2; 2.0; 1.5; 0.5 ]
 
-let run ?(scale = 0.2) ?(seed = 17) ?(telemetry = Xmp_telemetry.Sink.null)
+let seed = 17
+
+let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) ~beta ~k () =
   let unit_s = 5. *. scale in
   let horizon_s = 14. *. unit_s (* paper: 70 s *) in
-  let sim =
-    Sim.create ~config:{ Sim.default_config with seed; telemetry; faults } ()
-  in
-  let net = Net.Network.create sim in
+  let config = { Sim.default_config with seed; telemetry; faults } in
+  let cluster = Net.Shard.create ~config ~shards:1 () in
+  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark k)
       ~capacity_pkts:100
@@ -80,10 +81,14 @@ let run ?(scale = 0.2) ?(seed = 17) ?(telemetry = Xmp_telemetry.Sink.null)
           (fun () -> Mptcp_flow.stop f))
   done;
   (* L3 goes down at unit 12 (paper: 60 s) *)
+  let l3 name = Option.get (Net.Network.find_link net ~name) in
+  let l3_fwd = l3 "IN3->OUT3" and l3_rev = l3 "OUT3->IN3" in
   Sim.at sim
     (Time.sec (12. *. unit_s))
-    (fun () -> Net.Testbed.set_bottleneck_up tb 2 false);
-  Sim.run ~until:(Time.sec horizon_s) sim;
+    (fun () ->
+      Net.Link.set_up l3_fwd false;
+      Net.Link.set_up l3_rev false);
+  Net.Shard.run ~until:(Time.sec horizon_s) cluster;
   let names =
     List.concat_map
       (fun i -> [ Printf.sprintf "F%d-1" i; Printf.sprintf "F%d-2" i ])

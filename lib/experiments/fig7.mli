@@ -21,6 +21,9 @@ type result = {
           1 Gbps; one value per schedule interval *)
 }
 
+val seed : int
+(** [run]'s default seed, which the scenario registry pins. *)
+
 val run :
   ?scale:float -> ?seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
   ?faults:Xmp_engine.Fault_spec.t -> beta:int -> k:int -> unit -> result

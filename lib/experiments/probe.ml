@@ -43,8 +43,6 @@ let normalized t name ~norm_bps =
 
 let bucket_s t = t.bucket_s
 
-let n_buckets t = int_of_float (Float.ceil (t.horizon_s /. t.bucket_s))
-
 let window_mean t name ~from_s ~until_s =
   let rates = rates_bps t name in
   let lo = int_of_float (Float.ceil (from_s /. t.bucket_s)) in

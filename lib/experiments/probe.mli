@@ -22,8 +22,6 @@ val normalized : t -> string -> norm_bps:float -> float array
 
 val bucket_s : t -> float
 
-val n_buckets : t -> int
-
 val window_mean :
   t -> string -> from_s:float -> until_s:float -> float
 (** Mean bps over the buckets fully inside [from_s, until_s). *)

@@ -40,12 +40,15 @@ let base_params (b : Fatree_eval.base) =
 
 let scale_params scale = [ ("scale", string_of_float scale) ]
 
+let seed_param seed = ("seed", string_of_int seed)
+
 (* The testbed figures take their seed as an optional argument defaulting
-   inside each module; the registry pins the default explicitly so the
-   digest covers it. *)
-let fig ~name ~descr ~scale run =
-  Scenario.create ~name ~descr ~params:(scale_params scale) (fun () ->
-      run ~scale ())
+   to a named constant in each module; the registry pins that constant so
+   the digest covers it. *)
+let fig ~name ~descr ~scale ~seed run =
+  Scenario.create ~name ~descr
+    ~params:(seed_param seed :: scale_params scale)
+    (fun () -> run ~scale ())
 
 let table ~name ~descr ~base run =
   Scenario.create ~name ~descr ~params:(base_params base) (fun () -> run base)
@@ -90,13 +93,13 @@ let all cfg =
   let { scale; base; _ } = cfg in
   [
     fig ~name:"fig1" ~descr:"DCTCP vs halving-cwnd on one bottleneck" ~scale
-      (fun ~scale () -> Fig1.run_and_print_all ~scale ());
+      ~seed:Fig1.seed (fun ~scale () -> Fig1.run_and_print_all ~scale ());
     fig ~name:"fig4" ~descr:"traffic shifting on testbed 3(a)" ~scale
-      (fun ~scale () -> Fig4.run_and_print_all ~scale ());
+      ~seed:Fig4.seed (fun ~scale () -> Fig4.run_and_print_all ~scale ());
     fig ~name:"fig6" ~descr:"fairness on testbed 3(b)" ~scale
-      (fun ~scale () -> Fig6.run_and_print_all ~scale ());
+      ~seed:Fig6.seed (fun ~scale () -> Fig6.run_and_print_all ~scale ());
     fig ~name:"fig7" ~descr:"rate compensation on the ring" ~scale
-      (fun ~scale () -> Fig7.run_and_print_all ~scale ());
+      ~seed:Fig7.seed (fun ~scale () -> Fig7.run_and_print_all ~scale ());
     table ~name:"table1" ~descr:"average goodput matrix" ~base
       Fatree_eval.print_table1;
     table ~name:"fig8" ~descr:"goodput distributions" ~base
@@ -115,10 +118,10 @@ let all cfg =
     table ~name:"table3" ~descr:"job completion times" ~base
       Fatree_eval.print_table3;
     fig ~name:"ablations.beta" ~descr:"fairness/latency across beta" ~scale
-      (fun ~scale () -> Ablations.print_beta_sweep ~scale ());
+      ~seed:Fig6.seed (fun ~scale () -> Ablations.print_beta_sweep ~scale ());
     Scenario.create ~name:"ablations.k"
       ~descr:"utilization/RTT across marking threshold K"
-      ~params:[ ("beta", "4") ]
+      ~params:[ seed_param Ablations.k_sweep_seed; ("beta", "4") ]
       (fun () -> Ablations.print_k_sweep ());
     table ~name:"ablations.subflows" ~descr:"goodput across subflow counts"
       ~base (fun base -> Ablations.print_subflow_sweep ~base ());
@@ -135,16 +138,20 @@ let all cfg =
       (fun base -> Ablations.print_sack_comparison ~base ());
     Scenario.create ~name:"ablations.queue"
       ~descr:"buffer occupancy by scheme"
-      ~params:[ ("beta", "4"); ("k", "10") ]
+      ~params:[ seed_param Ablations.queue_seed; ("beta", "4"); ("k", "10") ]
       (fun () -> Ablations.print_queue_occupancy ());
     Scenario.create ~name:"fig4.sharded"
       ~descr:"traffic shifting on a pod-sharded fat tree (k=4)"
-      ~params:(scale_params scale @ [ ("beta", "4"); ("k", "4") ])
+      ~params:
+        ((seed_param Fig4_sharded.seed :: scale_params scale)
+        @ [ ("beta", "4"); ("k", "4") ])
       (fun () -> Fig4_sharded.run_and_print ~scale ());
     (let faults = fig4_linkfail_faults ~scale in
      Scenario.create ~name:"fig4.linkfail"
        ~descr:"traffic shifting with bottleneck DN2 failing mid-run"
-       ~params:(scale_params scale @ Fault_spec.to_params faults)
+       ~params:
+         ((seed_param Fig4.seed :: scale_params scale)
+         @ Fault_spec.to_params faults)
        (fun () ->
          Render.heading
            "Figure 4 variant: DN2 down for half a load interval";

@@ -27,10 +27,6 @@ val all : config -> Xmp_runner.Scenario.t list
     fig6, fig7, table1, fig8–fig11, table2, table3, then the
     [ablations.*] sweeps. *)
 
-val groups : (string * string list) list
-(** Alias -> member scenario names (e.g. ["ablations"] expands to every
-    ["ablations.*"] sweep). *)
-
 val select :
   config -> string list -> (Xmp_runner.Scenario.t list, string) result
 (** Resolves scenario names and group aliases, preserving request order

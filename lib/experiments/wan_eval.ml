@@ -51,11 +51,13 @@ let eq1_k ~rate ~delay ~beta =
 
 (* ---- shared open-loop configuration ---- *)
 
+let seed = 11
+
 let wan_config ~scale ~trunks ~cross_dc ~scheme =
   let rto_min = wan_rto_min ~trunks in
   {
     Open_loop.default_config with
-    Open_loop.seed = 11;
+    Open_loop.seed;
     scheme = Scheme.with_rto ~rto_min scheme;
     sizes = Flow_size.scaled Flow_size.web_search (1. /. 32.);
     load = 0.25;
@@ -288,6 +290,7 @@ let asym_params ~scale =
 
 let bdp_params =
   [
+    ("seed", string_of_int seed);
     ("rate_mbps", Printf.sprintf "%g" (Units.to_mbps bdp_rate));
     ("beta", string_of_int bdp_beta);
     ("delays_ms",

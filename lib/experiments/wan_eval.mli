@@ -6,33 +6,6 @@
     zero-load RTT, ≥ 1 ms) through the {!Xmp_workload.Scheme.with_rto}
     tunable. *)
 
-val wan_rto_min : trunks:Xmp_net.Wan.trunk list -> Xmp_engine.Time.t
-(** max(1 ms, {!Xmp_net.Wan.max_rtt_no_queue_of} / 2) for the bridged
-    k=4/k=4 pair. *)
-
-val bdp_packets :
-  rate:Xmp_net.Units.rate -> delay:Xmp_engine.Time.t -> int
-(** Propagation-RTT bandwidth-delay product in 1500 B packets. *)
-
-val eq1_k :
-  rate:Xmp_net.Units.rate -> delay:Xmp_engine.Time.t -> beta:int -> int
-(** Eq. 1's minimum marking threshold, ⌈BDP/(β−1)⌉ packets. *)
-
-val wan_config :
-  scale:float ->
-  trunks:Xmp_net.Wan.trunk list ->
-  cross_dc:float ->
-  scheme:Xmp_workload.Scheme.t ->
-  Xmp_workload.Open_loop.config
-(** The shared open-loop configuration: web-search sizes (×1/32), 25%
-    load, horizon 0.4·scale s, drain covering 25 trunk RTTs, flow cap
-    max(40, 400·scale), and the per-topology RTO floor applied both to
-    the config and as a scheme tunable. *)
-
-val asym_trunks : Xmp_net.Wan.trunk list
-(** The wan.asym pair: 10 ms and 40 ms trunks, 10 Gbps, 4000-packet
-    border queues marking at 1000. *)
-
 val print_asym : scale:float -> unit -> unit
 (** FCT slowdowns per scheme at cross-DC 0.6, the closed-loop
     utilization-by-layer table (TraSh shifting), and the

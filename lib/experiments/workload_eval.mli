@@ -11,19 +11,8 @@ val print_websearch : scale:float -> unit -> unit
 (** Runs {!websearch_config} and prints launch/completion counts plus the
     per-size-bucket FCT-slowdown table. *)
 
-val sweep_schemes : Xmp_workload.Scheme.t list
-(** DCTCP and XMP-2 — the pair compared in the sweep scenarios. *)
-
-val incast_sweep_fanouts : int list
-
-val incast_sweep_config :
-  Fatree_eval.base -> Xmp_workload.Scheme.t -> Xmp_workload.Driver.config
-
 val print_incast_sweep : Fatree_eval.base -> unit
 (** Per-fanout job completion times for each of {!sweep_schemes}. *)
-
-val shuffle_config :
-  Fatree_eval.base -> Xmp_workload.Scheme.t -> Xmp_workload.Driver.config
 
 val print_shuffle : Fatree_eval.base -> unit
 (** All-to-all shuffle goodput summary for each of {!sweep_schemes}. *)

@@ -6,16 +6,7 @@ type spec = {
   disc : unit -> Queue_disc.t;
 }
 
-type t = {
-  net : Network.t;
-  specs : spec array;
-  left_base : int;
-  n_left : int;
-  right_base : int;
-  n_right : int;
-  bottlenecks : (Link.t * Link.t) array;
-  access_delay : Time.t;
-}
+type t = { left_base : int; n_left : int; right_base : int; n_right : int }
 
 let default_access_rate = Units.gbps 10.
 let default_access_delay = Time.us 5
@@ -26,8 +17,7 @@ let create ~net ~n_left ~n_right ~bottlenecks
     =
   if n_left <= 0 || n_right <= 0 then invalid_arg "Testbed.create: hosts";
   if bottlenecks = [] then invalid_arg "Testbed.create: bottlenecks";
-  let specs = Array.of_list bottlenecks in
-  let m = Array.length specs in
+  let m = List.length bottlenecks in
   let left =
     Array.init n_left (fun i ->
         Network.add_host net ~name:(Printf.sprintf "S%d" (i + 1)))
@@ -63,12 +53,12 @@ let create ~net ~n_left ~n_right ~bottlenecks
            ~delay:access_delay ~disc:access_disc right.(i) out_sw.(j))
     done
   done;
-  let bnecks =
-    Array.init m (fun j ->
-        let spec = specs.(j) in
-        Network.connect net ~tag:"bottleneck" ~rate:spec.rate
-          ~delay:spec.delay ~disc:spec.disc in_sw.(j) out_sw.(j))
-  in
+  List.iteri
+    (fun j spec ->
+      ignore
+        (Network.connect net ~tag:"bottleneck" ~rate:spec.rate
+           ~delay:spec.delay ~disc:spec.disc in_sw.(j) out_sw.(j)))
+    bottlenecks;
   let left_base = Node.id left.(0) in
   let right_base = Node.id right.(0) in
   let is_left id = id >= left_base && id < left_base + n_left in
@@ -90,19 +80,7 @@ let create ~net ~n_left ~n_right ~bottlenecks
           if is_right (Packet.dst p) then Packet.dst p - right_base
           else n_right))
     out_sw;
-  {
-    net;
-    specs;
-    left_base;
-    n_left;
-    right_base;
-    n_right;
-    bottlenecks = bnecks;
-    access_delay;
-  }
-
-let net t = t.net
-let n_bottlenecks t = Array.length t.bottlenecks
+  { left_base; n_left; right_base; n_right }
 
 let left_id t i =
   if i < 0 || i >= t.n_left then invalid_arg "Testbed.left_id";
@@ -111,13 +89,3 @@ let left_id t i =
 let right_id t i =
   if i < 0 || i >= t.n_right then invalid_arg "Testbed.right_id";
   t.right_base + i
-
-let bottleneck_fwd t j = fst t.bottlenecks.(j)
-let bottleneck_rev t j = snd t.bottlenecks.(j)
-
-let set_bottleneck_up t j up =
-  Link.set_up (fst t.bottlenecks.(j)) up;
-  Link.set_up (snd t.bottlenecks.(j)) up
-
-let one_way_delay t j =
-  Time.add (Time.mul t.access_delay 2) t.specs.(j).delay

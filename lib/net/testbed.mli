@@ -18,7 +18,13 @@
 
     This one builder instantiates: Figure 1's single bottleneck, Figure
     3(a)'s two-path traffic-shifting testbed, Figure 3(b)'s shared
-    bottleneck fairness testbed, and Figure 5's five-bottleneck ring. *)
+    bottleneck fairness testbed, and Figure 5's five-bottleneck ring, each
+    in the network of a one-shard cluster ([Shard.create ~shards:1]).
+
+    Bottleneck [j] (0-based) is the link pair ["IN{j+1}->OUT{j+1}"] (left
+    to right) / ["OUT{j+1}->IN{j+1}"], found by name with
+    {!Network.find_link} as fault schedules do. Host to host, its one-way
+    propagation is [2 * access_delay + delay]. *)
 
 type spec = {
   rate : Units.rate;
@@ -26,7 +32,9 @@ type spec = {
   disc : unit -> Queue_disc.t;
 }
 
-type t
+type t = { left_base : int; n_left : int; right_base : int; n_right : int }
+(** Sender hosts are node ids [left_base .. left_base + n_left - 1],
+    receivers [right_base .. right_base + n_right - 1]. *)
 
 val create :
   net:Network.t ->
@@ -40,25 +48,7 @@ val create :
   t
 (** Access links default to 10 Gbps, 5 µs, 1000-packet drop-tail. *)
 
-val net : t -> Network.t
-
-val n_bottlenecks : t -> int
-
 val left_id : t -> int -> int
 (** Node id of sender host [i]. *)
 
 val right_id : t -> int -> int
-
-val bottleneck_fwd : t -> int -> Link.t
-(** Left-to-right direction of bottleneck [j]. *)
-
-val bottleneck_rev : t -> int -> Link.t
-
-val set_bottleneck_up : t -> int -> bool -> unit
-(** Takes both directions of bottleneck [j] up or down (Figure 7's "L3 is
-    closed" event). *)
-
-val one_way_delay : t -> int -> Xmp_engine.Time.t
-(** End-to-end propagation (host to host) through bottleneck [j]:
-    [2 * access_delay + bottleneck delay]. The zero-load RTT is twice
-    this. *)

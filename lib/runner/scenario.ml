@@ -35,7 +35,3 @@ let digest t =
       Buffer.add_char buf '\n')
     (canonical_params t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let describe t =
-  String.concat " "
-    (t.name :: List.map (fun (k, v) -> k ^ "=" ^ v) (canonical_params t))

@@ -31,6 +31,3 @@ val digest : t -> string
     changes the digest; reordering parameters does not. The digest is
     salted with a format version so cache layout changes invalidate old
     entries wholesale. *)
-
-val describe : t -> string
-(** ["name k=4 seed=1 ..."] — the canonical parameter line, for logs. *)

@@ -102,7 +102,7 @@ let test_queue_occupancy_physics () =
              ~cc:(fun v -> Xmp_transport.Reno.make v)
              ())
     done;
-    let queue = Xmp_net.Link.disc (Xmp_net.Testbed.bottleneck_fwd tb 0) in
+    let queue = Xmp_net.Link.disc (Bottleneck.fwd net 0) in
     let occ = Xmp_stats.Distribution.create () in
     let rec sample () =
       Xmp_stats.Distribution.add occ

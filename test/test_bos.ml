@@ -193,7 +193,7 @@ let run_bos_on_bottleneck ~k ~beta ~horizon =
        ~cc:(Bos.make ~params ())
        ~config:Xmp_core.Xmp.tcp_config ());
   Sim.run ~until:horizon sim;
-  let link = Testbed.bottleneck_fwd tb 0 in
+  let link = Bottleneck.fwd net 0 in
   ( Net.Link.utilization link ~duration:horizon,
     Net.Queue_disc.max_length_seen (Net.Link.disc link),
     Net.Queue_disc.dropped (Net.Link.disc link) )

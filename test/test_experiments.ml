@@ -172,6 +172,21 @@ let test_pattern_names () =
   Alcotest.(check string) "incast" "Incast"
     (E.Fatree_eval.pattern_name E.Fatree_eval.Incast)
 
+(* ----- scenario registry: digests cover the seed ----- *)
+
+(* The runner's cache keys a scenario by its params, so a run whose seed
+   is missing from them would be served stale output after a seed
+   change. *)
+let test_every_scenario_pins_its_seed () =
+  List.iter
+    (fun (cfg : E.Scenarios.config) ->
+      List.iter
+        (fun (s : Xmp_runner.Scenario.t) ->
+          if not (List.mem_assoc "seed" s.params) then
+            Alcotest.failf "%s (%s) has no seed param" s.name cfg.tag)
+        (E.Scenarios.all cfg))
+    [ E.Scenarios.quick; E.Scenarios.default; E.Scenarios.paper ]
+
 (* ----- workload scenarios: runner-width invariance ----- *)
 
 let test_workload_scenarios_across_jobs () =
@@ -238,6 +253,8 @@ let suite =
     Alcotest.test_case "coexistence direction" `Slow
       test_coexistence_direction;
     Alcotest.test_case "pattern names" `Quick test_pattern_names;
+    Alcotest.test_case "every scenario pins its seed" `Quick
+      test_every_scenario_pins_its_seed;
     Alcotest.test_case "workload scenarios across jobs" `Slow
       test_workload_scenarios_across_jobs;
   ]

@@ -121,10 +121,10 @@ let blackout_fuzz =
           ()
       in
       Sim.at sim (Time.ms blackout_start_ms) (fun () ->
-          Testbed.set_bottleneck_up tb 0 false);
+          Bottleneck.set_up net 0 false);
       Sim.at sim
         (Time.ms (blackout_start_ms + blackout_len_ms))
-        (fun () -> Testbed.set_bottleneck_up tb 0 true);
+        (fun () -> Bottleneck.set_up net 0 true);
       Sim.run ~until:(Time.sec 120.) sim;
       Tcp.is_complete conn && Tcp.segments_acked conn = size)
 

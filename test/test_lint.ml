@@ -196,6 +196,31 @@ let test_packet_release_fixtures () =
   Alcotest.(check int) "hand-off allowlist suppresses" 0
     (rule_count "packet-release" (Report.sorted rep))
 
+let test_bare_sim_fixtures () =
+  let flagged = lint_fixture "bare_sim_flagged.ml" in
+  Alcotest.(check (list int)) "every spelling flagged" [ 6; 7; 11 ]
+    (List.filter_map
+       (fun (f : Report.finding) ->
+         if f.Report.rule = "bare-sim" then Some f.Report.line else None)
+       flagged);
+  Alcotest.(check int) "cluster-built file clean" 0
+    (rule_count "bare-sim" (lint_fixture "bare_sim_clean.ml"));
+  Alcotest.(check int) "pragmas waive" 0
+    (rule_count "bare-sim" (lint_fixture "bare_sim_waived.ml"));
+  let lint_as path =
+    let rep = Report.create () in
+    Rules.lint_source rep ~path
+      (read_file (Filename.concat fixture_dir "bare_sim_flagged.ml"));
+    rule_count "bare-sim" (Report.sorted rep)
+  in
+  (* bin/, bench/ and examples/ are in scope; test/ builds bare fixtures *)
+  List.iter
+    (fun path -> Alcotest.(check int) (path ^ " in scope") 3 (lint_as path))
+    [ "bin/x.ml"; "bench/x.ml"; "examples/x.ml" ];
+  Alcotest.(check int) "test/ exempt" 0 (lint_as "test/x.ml");
+  Alcotest.(check int) "Shard itself allowlisted" 0
+    (lint_as "lib/net/shard.ml")
+
 let test_bad_example_still_fires () =
   let findings = lint_fixture "bad_example.ml" in
   List.iter
@@ -408,6 +433,7 @@ let suite =
       test_hashtbl_order_fixture;
     Alcotest.test_case "packet-release: fixture cases" `Quick
       test_packet_release_fixtures;
+    Alcotest.test_case "bare-sim: fixture cases" `Quick test_bare_sim_fixtures;
     Alcotest.test_case "legacy rules still fire on bad_example" `Quick
       test_bad_example_still_fires;
     Alcotest.test_case "self-lint: engine sources are clean" `Quick

@@ -47,8 +47,8 @@ let make_rig ~sack ~segments =
   {
     sim;
     conn;
-    fwd = Testbed.bottleneck_fwd tb 0;
-    rev = Testbed.bottleneck_rev tb 0;
+    fwd = Bottleneck.fwd net 0;
+    rev = Bottleneck.rev net 0;
   }
 
 (* Kill the first [n] transmissions of each listed data segment. *)

@@ -117,8 +117,8 @@ let test_flow_uses_both_paths () =
   Sim.run ~until:(Time.ms 500) sim;
   (* an MPTCP flow over two 100 Mbps paths should beat one path's rate *)
   let total_pkts =
-    Net.Link.packets_sent (Testbed.bottleneck_fwd tb 0)
-    + Net.Link.packets_sent (Testbed.bottleneck_fwd tb 1)
+    Net.Link.packets_sent (Bottleneck.fwd net 0)
+    + Net.Link.packets_sent (Bottleneck.fwd net 1)
   in
   let single_path_cap = 100e6 *. 0.5 /. 8. /. 1500. in
   Alcotest.(check bool) "aggregates both paths" true

@@ -77,8 +77,8 @@ let test_sack_skips_delivered_data_after_rto () =
   in
   (* kill the very first data packet by flapping the link during its
      flight; the rest of the initial window passes after restoration *)
-  Sim.at sim (Time.us 1) (fun () -> Testbed.set_bottleneck_up tb 0 false);
-  Sim.at sim (Time.us 30) (fun () -> Testbed.set_bottleneck_up tb 0 true);
+  Sim.at sim (Time.us 1) (fun () -> Bottleneck.set_up net 0 false);
+  Sim.at sim (Time.us 30) (fun () -> Bottleneck.set_up net 0 true);
   Sim.run ~until:(Time.sec 5.) sim;
   Alcotest.(check bool) "complete" true (Tcp.is_complete conn);
   Alcotest.(check bool) "RTO was involved" true (Tcp.timeouts conn >= 1);
@@ -106,8 +106,8 @@ let test_receiver_advertises_blocks () =
   let in_node = Net.Network.node net 2 in
   let out_node = Net.Network.node net 3 in
   Alcotest.(check string) "wiring assumption" "IN1" (Net.Node.name in_node);
-  let fwd = Testbed.bottleneck_fwd tb 0 in
-  let rev = Testbed.bottleneck_rev tb 0 in
+  let fwd = Bottleneck.fwd net 0 in
+  let rev = Bottleneck.rev net 0 in
   let dropped_once = ref false in
   Net.Link.set_receiver fwd (fun p ->
       if (Net.Packet.seq p) = 1 && not !dropped_once then begin

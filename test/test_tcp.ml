@@ -101,7 +101,7 @@ let test_delayed_acks () =
   ignore conn;
   (* the reverse bottleneck carried the ACKs: delayed acking means roughly
      one ACK per two data segments (plus timer-driven odd ones) *)
-  let acks = Net.Link.packets_sent (Testbed.bottleneck_rev rig.tb 0) in
+  let acks = Net.Link.packets_sent (Bottleneck.rev rig.net 0) in
   Alcotest.(check bool) "acks about half of data" true
     (acks >= 50 && acks <= 70)
 
@@ -113,7 +113,7 @@ let test_loss_recovery_fast_retransmit () =
   Alcotest.(check bool) "completed despite drops" true (Tcp.is_complete conn);
   Alcotest.(check int) "acked everything" 400 (Tcp.segments_acked conn);
   Alcotest.(check bool) "losses actually happened" true
-    (Queue_disc.dropped (Net.Link.disc (Testbed.bottleneck_fwd rig.tb 0)) > 0);
+    (Queue_disc.dropped (Net.Link.disc (Bottleneck.fwd rig.net 0)) > 0);
   Alcotest.(check bool) "fast retransmit used" true
     (Tcp.fast_retransmits conn > 0)
 
@@ -122,9 +122,9 @@ let test_rto_after_blackout () =
   let conn = make_conn rig ~source:(Tcp.Limited (ref 200)) in
   (* the bottleneck dies shortly after start and comes back 500 ms later *)
   Sim.at rig.sim (Time.ms 1) (fun () ->
-      Testbed.set_bottleneck_up rig.tb 0 false);
+      Bottleneck.set_up rig.net 0 false);
   Sim.at rig.sim (Time.ms 501) (fun () ->
-      Testbed.set_bottleneck_up rig.tb 0 true);
+      Bottleneck.set_up rig.net 0 true);
   Sim.run ~until:(Time.sec 5.) rig.sim;
   Alcotest.(check bool) "completed after blackout" true
     (Tcp.is_complete conn);
@@ -162,7 +162,7 @@ let test_ecn_echo_counted () =
       ~config:Xmp_core.Xmp.tcp_config ()
   in
   Sim.run ~until:(Time.ms 500) rig.sim;
-  let disc = Net.Link.disc (Testbed.bottleneck_fwd rig.tb 0) in
+  let disc = Net.Link.disc (Bottleneck.fwd rig.net 0) in
   Alcotest.(check bool) "marks generated" true (Queue_disc.marked disc > 0);
   Alcotest.(check int) "no drops with ECN" 0 (Queue_disc.dropped disc);
   Alcotest.(check bool) "queue bounded near K" true
@@ -184,7 +184,7 @@ let test_ecn_classic_mode () =
       ~config ()
   in
   Sim.run ~until:(Time.ms 500) rig.sim;
-  let disc = Net.Link.disc (Testbed.bottleneck_fwd rig.tb 0) in
+  let disc = Net.Link.disc (Bottleneck.fwd rig.net 0) in
   Alcotest.(check bool) "marks generated" true (Queue_disc.marked disc > 0);
   Alcotest.(check int) "classic ECN avoids drops" 0
     (Queue_disc.dropped disc);

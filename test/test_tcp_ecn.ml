@@ -52,7 +52,7 @@ let run_echo_experiment ~echo =
   Sim.run ~until:(Time.sec 5.) sim;
   Alcotest.(check bool) "transfer completed" true (Tcp.is_complete conn);
   let marked =
-    Net.Queue_disc.marked (Net.Link.disc (Testbed.bottleneck_fwd tb 0))
+    Net.Queue_disc.marked (Net.Link.disc (Bottleneck.fwd net 0))
   in
   (marked, !echoed)
 
@@ -99,7 +99,7 @@ let test_cap_three_per_ack () =
   Alcotest.(check bool) "echoes happened" true (!echoed > 0);
   Alcotest.(check bool) "never more than 3 per ack" true (!max_seen <= 3);
   let marked =
-    Net.Queue_disc.marked (Net.Link.disc (Testbed.bottleneck_fwd tb 0))
+    Net.Queue_disc.marked (Net.Link.disc (Bottleneck.fwd net 0))
   in
   Alcotest.(check int) "leftovers eventually delivered" marked !echoed
 

@@ -53,7 +53,7 @@ let test_rto_backoff_doubles () =
      conservative initial RTO (srtt 200 ms + 4 x 100 ms var = 600 ms)
      applies, then doubles: timeouts at 0.6, 1.8, 4.2, ... s *)
   let sim, net, tb = make_rig () in
-  Testbed.set_bottleneck_up tb 0 false;
+  Bottleneck.set_up net 0 false;
   let conn =
     Tcp.create ~net ~flow:1 ~subflow:0
       ~src:(Testbed.left_id tb 0)
@@ -102,7 +102,7 @@ let test_no_delack () =
        ~source:(Tcp.Limited (ref 100))
        ());
   Sim.run ~until:(Time.sec 1.) sim;
-  let acks = Net.Link.packets_sent (Testbed.bottleneck_rev tb 0) in
+  let acks = Net.Link.packets_sent (Bottleneck.rev net 0) in
   Alcotest.(check int) "one ack per segment" 100 acks
 
 let test_tiny_rto_min () =
@@ -124,8 +124,8 @@ let test_tiny_rto_min () =
          ());
     (* let RTT samples arrive first (so RTOmin is what matters), then a
        10 ms blackout *)
-    Sim.at sim (Time.ms 5) (fun () -> Testbed.set_bottleneck_up tb 0 false);
-    Sim.at sim (Time.ms 15) (fun () -> Testbed.set_bottleneck_up tb 0 true);
+    Sim.at sim (Time.ms 5) (fun () -> Bottleneck.set_up net 0 false);
+    Sim.at sim (Time.ms 15) (fun () -> Bottleneck.set_up net 0 true);
     Sim.run ~until:(Time.sec 2.) sim;
     !done_at
   in

@@ -105,7 +105,7 @@ let test_shifting_away_from_congested_path () =
   Alcotest.(check bool) "traffic shifted to the free path" true
     (acked 1 > 2. *. acked 0);
   (* and the free path is fully used *)
-  let pkts = Net.Link.packets_sent (Testbed.bottleneck_fwd tb 1) in
+  let pkts = Net.Link.packets_sent (Bottleneck.fwd net 1) in
   Alcotest.(check bool) "free path saturated" true
     (float_of_int pkts > 0.9 *. (100e6 *. 1.5 /. 8. /. 1500.))
 

@@ -52,7 +52,7 @@ let make_rig ~delay ~rto_min ~segments =
       ~on_segment_acked:(fun _ -> last_ack_at := Sim.now sim)
       ()
   in
-  { sim; conn; fwd = Testbed.bottleneck_fwd tb 0; samples; last_ack_at }
+  { sim; conn; fwd = Bottleneck.fwd net 0; samples; last_ack_at }
 
 (* Drop the first transmission of [seq]; record when the second one
    crosses the bottleneck and the last new-data ACK time as of that

@@ -20,7 +20,14 @@
      without an explicit conversion in the surrounding expression.
    - [hashtbl-order]   Hashtbl.iter / Hashtbl.fold in lib/ without the
      sorted-iteration idiom — iteration order is unspecified and
-     hash-function dependent, so it must never reach output or digests. *)
+     hash-function dependent, so it must never reach output or digests.
+
+   Token-stream passes:
+   - [packet-release]  a lib/ file that acquires pooled packets but never
+     releases one.
+   - [bare-sim]        Sim.create / Network.create outside Shard: every
+     run is a cluster, so run-wide hooks (the shard barrier, the end of
+     the run) have one home. *)
 
 type category = Lib | Bin | Bench | Examples | Test | OtherDir
 
@@ -55,6 +62,8 @@ let file_allowlist =
     (* the transport acquires pooled packets and hands ownership to
        Node.send; the network layer (links, discs, endpoints) releases *)
     ("packet-release", "lib/transport/tcp.ml");
+    (* the one place a simulator and its network are built *)
+    ("bare-sim", "lib/net/shard.ml");
   ]
 
 let file_allowed rule path = List.mem (rule, path) file_allowlist
@@ -237,6 +246,32 @@ let check_packet_release rep ~path ~cat (toks : token array) =
           allowlist the file as an ownership hand-off point")
     | Some _ | None -> ()
   end
+
+(* Every run is a cluster: a bare simulator or network in simulator,
+   CLI, bench or example code escapes the shard barrier and the end-of-run
+   hook that run-wide checks attach to. Matched on the last two path
+   components, so Xmp_engine.Sim.create and Net.Network.create count;
+   tests build bare fixtures freely. *)
+let bare_sim_idents = [ "Sim.create"; "Network.create" ]
+
+let check_bare_sim rep ~path ~cat (toks : token array) =
+  if
+    (cat = Lib || cat = Bin || cat = Bench || cat = Examples)
+    && not (file_allowed "bare-sim" path)
+  then
+    Array.iter
+      (fun (tok : token) ->
+        match tok.kind with
+        | Ident name
+          when List.exists
+                 (fun id -> name = id || has_suffix name ("." ^ id))
+                 bare_sim_idents ->
+          Report.add rep ~path ~line:tok.line ~rule:"bare-sim"
+            (name
+           ^ " builds a simulation outside a cluster; build on \
+              Shard.create ~shards:1 and use Shard.sim / Shard.net")
+        | Ident _ | Keyword _ | Op _ | Num _ | Str | Punct _ -> ())
+      toks
 
 (* ------------------------------------------------------------------ *)
 (* Line-scoped passes (ported from the PR 1 scanner; their adjacency
@@ -669,6 +704,7 @@ let lint_source rep ~path src =
   check_bare_compare rep ~path ~cat lx.tokens;
   check_poly_compare rep ~path ~cat lx.tokens;
   check_packet_release rep ~path ~cat lx.tokens;
+  check_bare_sim rep ~path ~cat lx.tokens;
   if Filename.check_suffix path ".ml" then begin
     check_mutable_global rep ~path ~cat items;
     check_unit_suffix rep ~path ~cat items;
