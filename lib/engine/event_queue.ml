@@ -6,11 +6,16 @@
    while the heap reorders itself, where swap-chaining boxed entries
    would call the barrier once per level per sift. A payload pointer is
    written exactly twice per event: once on [add] (into its slot) and
-   once on pop (the slot is scrubbed back to the dummy). *)
+   once on pop (the slot is scrubbed back to the dummy).
+
+   A coded entry stores [-1 - code] in [slots] and holds no payload slot
+   at all, so it writes no pointer. Heap positions and payload slots
+   therefore grow independently. *)
 type 'a t = {
   mutable times : int array;  (* heap-ordered *)
   mutable seqs : int array;  (* heap-ordered *)
-  mutable slots : int array;  (* heap-ordered: index into [payloads] *)
+  mutable slots : int array;
+      (* heap-ordered: index into [payloads], or [-1 - code] *)
   mutable payloads : 'a array;  (* slot-indexed *)
   mutable free : int array;  (* free slot stack: free.(0 .. free_top-1) *)
   mutable free_top : int;
@@ -53,10 +58,7 @@ let dead_count h = h.dead
 
 let rebuilds h = h.rebuilds
 
-(* Every entry holds exactly one slot, so capacity and slot count grow in
-   lockstep; freshly added capacity goes straight onto the free stack. *)
-let grow_to h cap' =
-  let cap = Array.length h.times in
+let resize_heap h cap' =
   let times' = Array.make cap' 0 in
   Array.blit h.times 0 times' 0 h.len;
   h.times <- times';
@@ -65,15 +67,18 @@ let grow_to h cap' =
   h.seqs <- seqs';
   let slots' = Array.make cap' 0 in
   Array.blit h.slots 0 slots' 0 h.len;
-  h.slots <- slots';
-  (* the dummy cells above the live region are never read *)
-  let payloads' = Array.make cap' h.payloads.(0) in
+  h.slots <- slots'
+
+(* Called with an empty free stack: double the payload table and push
+   the fresh slots. [fill] occupies the cells no payload holds yet. *)
+let grow_slots h fill =
+  let cap = Array.length h.payloads in
+  let cap' = Stdlib.max 64 (2 * cap) in
+  let payloads' = Array.make cap' fill in
   Array.blit h.payloads 0 payloads' 0 cap;
   h.payloads <- payloads';
-  let free' = Array.make cap' 0 in
-  Array.blit h.free 0 free' 0 h.free_top;
-  h.free <- free';
-  for s = cap to cap' - 1 do
+  h.free <- Array.make cap' 0;
+  for s = cap' - 1 downto cap do
     h.free.(h.free_top) <- s;
     h.free_top <- h.free_top + 1
   done
@@ -149,55 +154,72 @@ let sift_down h i0 =
     Array.unsafe_set slots !i slot
   end
 
-let add h ~time ~seq payload =
-  if Option.is_none h.dummy then h.dummy <- Some payload;
+let push_key h ~time ~seq slot =
   if h.len = Array.length h.times then
-    if h.len = 0 then begin
-      h.times <- Array.make 64 0;
-      h.seqs <- Array.make 64 0;
-      h.slots <- Array.make 64 0;
-      h.payloads <- Array.make 64 payload;
-      h.free <- Array.init 64 (fun s -> s);
-      h.free_top <- 64
-    end
-    else grow_to h (2 * h.len);
-  h.free_top <- h.free_top - 1;
-  let s = h.free.(h.free_top) in
-  h.payloads.(s) <- payload;
+    resize_heap h (Stdlib.max 64 (2 * h.len));
   let i = h.len in
   h.times.(i) <- time;
   h.seqs.(i) <- seq;
-  h.slots.(i) <- s;
+  h.slots.(i) <- slot;
   h.len <- i + 1;
   sift_up h i
+
+let add h ~time ~seq payload =
+  if Option.is_none h.dummy then h.dummy <- Some payload;
+  if h.free_top = 0 then grow_slots h (Option.value h.dummy ~default:payload);
+  h.free_top <- h.free_top - 1;
+  let s = h.free.(h.free_top) in
+  h.payloads.(s) <- payload;
+  push_key h ~time ~seq s
+
+let add_coded h ~time ~seq code =
+  if code < 0 then invalid_arg "Event_queue.add_coded: negative code";
+  push_key h ~time ~seq (-1 - code)
 
 let peek_time h = if h.len = 0 then None else Some h.times.(0)
 
 let top_time h = if h.len = 0 then Time.infinity else h.times.(0)
 
+let top_code h = if h.len = 0 then -1 else -1 - h.slots.(0)
+
+let rekey_top h ~time ~seq =
+  if h.len = 0 then invalid_arg "Event_queue.rekey_top: empty";
+  let t0 = h.times.(0) in
+  (* xmplint: allow poly-compare-time — int array cells, specialized *)
+  if time < t0 || (time = t0 && seq <= h.seqs.(0)) then
+    invalid_arg "Event_queue.rekey_top: the new key precedes the old one";
+  h.times.(0) <- time;
+  h.seqs.(0) <- seq;
+  sift_down h 0
+
 let scrub h s =
   match h.dummy with Some d -> h.payloads.(s) <- d | None -> ()
 
-(* Shared pop mechanics: read the root's payload, scrub and free its
-   slot (left populated it would keep the payload reachable — a drained
-   heap would pin a backing array's worth of dead payloads), move the
-   last entry up and restore the heap property, and settle the dead
-   count. An emptied heap keeps its capacity (bursty simulations would
+(* Move the last entry up into the root and restore the heap property.
+   An emptied heap keeps its capacity (bursty simulations would
    otherwise re-allocate from 64 on every burst — call [compact] or
    [clear] to release memory explicitly). *)
-let remove_top h =
-  let s = h.slots.(0) in
-  let top = h.payloads.(s) in
-  scrub h s;
-  h.free.(h.free_top) <- s;
-  h.free_top <- h.free_top + 1;
+let drop_root h =
   h.len <- h.len - 1;
   if h.len > 0 then begin
     h.times.(0) <- h.times.(h.len);
     h.seqs.(0) <- h.seqs.(h.len);
     h.slots.(0) <- h.slots.(h.len);
     sift_down h 0
-  end;
+  end
+
+(* Pop mechanics for a payload root: read its payload, scrub and free
+   its slot (left populated it would keep the payload reachable — a
+   drained heap would pin a backing array's worth of dead payloads),
+   drop the root and settle the dead count. *)
+let remove_top h =
+  let s = h.slots.(0) in
+  if s < 0 then invalid_arg "Event_queue.pop: the earliest entry is coded";
+  let top = h.payloads.(s) in
+  scrub h s;
+  h.free.(h.free_top) <- s;
+  h.free_top <- h.free_top + 1;
+  drop_root h;
   if not (h.live top) then h.dead <- h.dead - 1;
   top
 
@@ -213,16 +235,22 @@ let pop_payload h =
   if h.len = 0 then invalid_arg "Event_queue.pop_payload: empty"
   else remove_top h
 
+let pop_coded h =
+  if h.len = 0 || h.slots.(0) >= 0 then
+    invalid_arg "Event_queue.pop_coded: the earliest entry is not coded";
+  drop_root h
+
 (* Sift out every dead entry and re-establish the heap property with
    Floyd's bottom-up heapify. Dead entries are never dispatched, so
    removing them is invisible to pop order; heapify preserves the
-   (time, seq) total order of the survivors. *)
+   (time, seq) total order of the survivors. Coded entries are always
+   live. *)
 let purge h =
   if h.dead > 0 then begin
     let j = ref 0 in
     for i = 0 to h.len - 1 do
       let s = h.slots.(i) in
-      if h.live h.payloads.(s) then begin
+      if s < 0 || h.live h.payloads.(s) then begin
         h.times.(!j) <- h.times.(i);
         h.seqs.(!j) <- h.seqs.(i);
         h.slots.(!j) <- s;
@@ -249,49 +277,34 @@ let note_dead h =
      cancellations) under cancel-heavy workloads (per-ACK timer churn). *)
   if h.dead > (h.len - h.dead) / 2 then purge h
 
-let compact h =
-  purge h;
-  let cap = Array.length h.times in
-  if cap > 64 && h.len * 4 <= cap then
-    if h.len = 0 then begin
-      h.times <- [||];
-      h.seqs <- [||];
-      h.slots <- [||];
+(* Live payloads keep their slot numbers, so the slot table can only
+   shrink to just past the highest held slot. *)
+let shrink_slots h =
+  let cap = Array.length h.payloads in
+  let held = cap - h.free_top in
+  if cap > 64 && held * 4 <= cap then
+    if held = 0 then begin
       h.payloads <- [||];
       h.free <- [||];
       h.free_top <- 0
     end
     else begin
-      (* live payloads keep their slot numbers, so the slot table can
-         only shrink to just past the highest live slot *)
       let max_slot = ref 0 in
       for i = 0 to h.len - 1 do
         if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
       done;
-      let cap' = Stdlib.max 64 (Stdlib.max (2 * h.len) (!max_slot + 1)) in
+      let cap' = Stdlib.max 64 (Stdlib.max (2 * held) (!max_slot + 1)) in
       if cap' < cap then begin
-        let times' = Array.make cap' 0 in
-        Array.blit h.times 0 times' 0 h.len;
-        h.times <- times';
-        let seqs' = Array.make cap' 0 in
-        Array.blit h.seqs 0 seqs' 0 h.len;
-        h.seqs <- seqs';
-        let slots' = Array.make cap' 0 in
-        Array.blit h.slots 0 slots' 0 h.len;
-        h.slots <- slots';
-        let payloads' = Array.make cap' h.payloads.(0) in
-        Array.blit h.payloads 0 payloads' 0 cap';
-        h.payloads <- payloads';
-        (* rebuild the free stack from the slots not held by live
-           entries *)
-        let held = Array.make cap' false in
+        h.payloads <- Array.sub h.payloads 0 cap';
+        (* rebuild the free stack from the slots no entry holds *)
+        let taken = Array.make cap' false in
         for i = 0 to h.len - 1 do
-          held.(h.slots.(i)) <- true
+          if h.slots.(i) >= 0 then taken.(h.slots.(i)) <- true
         done;
         let free' = Array.make cap' 0 in
         let top = ref 0 in
         for s = cap' - 1 downto 0 do
-          if not held.(s) then begin
+          if not taken.(s) then begin
             free'.(!top) <- s;
             incr top
           end
@@ -300,6 +313,18 @@ let compact h =
         h.free_top <- !top
       end
     end
+
+let compact h =
+  purge h;
+  let cap = Array.length h.times in
+  if cap > 64 && h.len * 4 <= cap then
+    if h.len = 0 then begin
+      h.times <- [||];
+      h.seqs <- [||];
+      h.slots <- [||]
+    end
+    else resize_heap h (Stdlib.max 64 (2 * h.len));
+  shrink_slots h
 
 let clear h =
   h.len <- 0;

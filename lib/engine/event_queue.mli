@@ -11,7 +11,13 @@
     itself (drops every entry the [live] predicate rejects and rebuilds
     in O(n)), so heap size stays O(live entries) rather than O(total
     cancellations) under timer-churn workloads. Compaction never changes
-    the pop order of live entries. *)
+    the pop order of live entries.
+
+    An entry is either a payload entry ({!add}) or a coded entry
+    ({!add_coded}): a non-negative int and its key, with no payload and
+    no pointer written. {!Sim} keeps one coded entry per non-empty FIFO
+    lane, keyed by the lane's head; coded entries are always live and
+    survive {!compact}. *)
 
 type 'a t
 
@@ -27,8 +33,10 @@ val set_dummy : 'a t -> 'a -> unit
     heap's lifetime (O(1) retention). Only the first call has effect. *)
 
 val length : 'a t -> int
-(** Entries currently in the heap, dead (cancelled, not yet compacted)
-    entries included. *)
+(** Entries currently in the heap, coded entries and dead (cancelled,
+    not yet compacted) entries included. {!Sim}'s [heap_peak] is the
+    high-water mark of this length, so a lane counts once however long
+    its backlog; {!Sim.pending} adds the backlogs. *)
 
 val is_empty : 'a t -> bool
 
@@ -40,6 +48,10 @@ val rebuilds : 'a t -> int
 (** Number of lazy-deletion compactions performed so far. *)
 
 val add : 'a t -> time:Time.t -> seq:int -> 'a -> unit
+
+val add_coded : 'a t -> time:Time.t -> seq:int -> int -> unit
+(** [add_coded h ~time ~seq code] adds a coded entry. [code] must be
+    non-negative. *)
 
 val note_dead : 'a t -> unit
 (** Tells the heap one of its entries' payloads just became dead (the
@@ -60,15 +72,32 @@ val top_time : 'a t -> Time.t
 (** Like {!peek_time} but unboxed: [Time.infinity] when the heap is
     empty. The dispatcher's per-event peek allocates nothing. *)
 
+val top_code : 'a t -> int
+(** The earliest entry's code if it is a coded entry; a negative number
+    if it carries a payload or the heap is empty. *)
+
+val rekey_top : 'a t -> time:Time.t -> seq:int -> unit
+(** Gives the earliest entry a new key, keeping its code or payload, and
+    restores heap order with one sift-down. The new key must follow the
+    old one in [(time, seq)] order; raises [Invalid_argument] otherwise
+    or on an empty heap. This is how a lane's next entry replaces its
+    fired head without a pop and a push. *)
+
 val pop : 'a t -> (Time.t * int * 'a) option
 (** Removes and returns the earliest event as [(time, seq, payload)].
     Dead entries are returned too (adjusting the dead count) — the
-    caller decides whether to dispatch. *)
+    caller decides whether to dispatch. Raises [Invalid_argument] if the
+    earliest entry is coded (see {!top_code}). *)
 
 val pop_payload : 'a t -> 'a
 (** Removes the earliest event and returns only its payload (its time is
     whatever {!top_time} just said). Allocation-free counterpart of
-    {!pop}; raises [Invalid_argument] on an empty heap. *)
+    {!pop}; raises [Invalid_argument] on an empty heap or a coded
+    earliest entry. *)
+
+val pop_coded : 'a t -> unit
+(** Removes the earliest entry, which must be coded; raises
+    [Invalid_argument] otherwise. *)
 
 val clear : 'a t -> unit
 (** Empties the heap and releases the backing array. *)

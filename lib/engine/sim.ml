@@ -21,6 +21,11 @@ type t = {
   mutable free_events : event array;  (* free list of pooled records *)
   mutable free_top : int;
   mutable next_seq : int;
+  mutable lanes : lane array;  (* indexed by lane code; [n_lanes] in use *)
+  mutable n_lanes : int;
+  mutable handlers : (unit -> unit) array;  (* [n_handlers] in use *)
+  mutable n_handlers : int;
+  mutable backlog : int;  (* lane entries queued behind their lane's head *)
   mutable executed : int;
   mutable flushed : int;
       (* portion of [executed] already added to the process-wide counter;
@@ -36,6 +41,22 @@ type t = {
   telemetry : Xmp_telemetry.Sink.t;
   faults : Fault_spec.t;
 }
+
+(* A lane is a FIFO ring of (time, seq, handler) int triples whose keys
+   increase in push order. Only the head's key sits in the heap, as the
+   coded entry [code]; the heap holds no record for any lane event. *)
+and lane = {
+  sim : t;
+  code : int;
+  shared : bool;  (* found by [delay], or private *)
+  delay : Time.t;  (* [lane_after]'s offset from now; 0 on a private lane *)
+  mutable ring : int array;  (* [||] until the first push *)
+  mutable head : int;  (* index of the oldest triple's first int *)
+  mutable len : int;  (* triples queued, the head included *)
+  mutable last : Time.t;  (* time of the newest triple *)
+}
+
+type handler = int
 
 module Invariant = Xmp_check.Invariant
 
@@ -81,6 +102,11 @@ let rec raise_global_peak len =
   if len > cur && not (Atomic.compare_and_set global_peak cur len) then
     raise_global_peak len
 
+(* Handler 0 of every sim: what {!no_handler} fires. *)
+let unregistered () = failwith "Sim: lane event with no handler registered"
+
+let no_handler = 0
+
 let create ?(config = default_config) () =
   let invariants =
     match config.invariants with
@@ -99,6 +125,11 @@ let create ?(config = default_config) () =
     free_events = [||];
     free_top = 0;
     next_seq = 0;
+    lanes = [||];
+    n_lanes = 0;
+    handlers = [| unregistered |];
+    n_handlers = 1;
+    backlog = 0;
     executed = 0;
     flushed = 0;
     cancelled_skipped = 0;
@@ -115,7 +146,7 @@ let rng t = t.random
 let telemetry (t : t) = t.telemetry
 let faults (t : t) = t.faults
 let events_executed (t : t) = t.executed
-let pending t = Event_queue.length t.heap
+let pending t = Event_queue.length t.heap + t.backlog
 
 let stats (t : t) =
   {
@@ -131,9 +162,7 @@ let check_time t time =
       (Format.asprintf "Sim: scheduling at %a before now %a" Time.pp time
          Time.pp t.now)
 
-let enqueue t time ev =
-  Event_queue.add t.heap ~time ~seq:t.next_seq ev;
-  t.next_seq <- t.next_seq + 1;
+let note_heap_len t =
   let len = Event_queue.length t.heap in
   if len > t.heap_peak then begin
     t.heap_peak <- len;
@@ -141,6 +170,11 @@ let enqueue t time ev =
        stays off the per-event path *)
     raise_global_peak len
   end
+
+let enqueue t time ev =
+  Event_queue.add t.heap ~time ~seq:t.next_seq ev;
+  t.next_seq <- t.next_seq + 1;
+  note_heap_len t
 
 let acquire_event t f =
   if t.free_top > 0 then begin
@@ -191,21 +225,141 @@ let cancel (ev : timer) =
 
 let timer_active (ev : timer) = ev.live
 
+(* ---- FIFO lanes -------------------------------------------------------- *)
+
+let handler t f =
+  if t.n_handlers = Array.length t.handlers then begin
+    let grown = Array.make (2 * t.n_handlers) unregistered in
+    Array.blit t.handlers 0 grown 0 t.n_handlers;
+    t.handlers <- grown
+  end;
+  t.handlers.(t.n_handlers) <- f;
+  t.n_handlers <- t.n_handlers + 1;
+  t.n_handlers - 1
+
+let new_lane t ~shared delay =
+  let ln =
+    {
+      sim = t;
+      code = t.n_lanes;
+      shared;
+      delay;
+      ring = [||];
+      head = 0;
+      len = 0;
+      last = Time.zero;
+    }
+  in
+  if t.n_lanes = Array.length t.lanes then begin
+    let grown = Array.make (Stdlib.max 8 (2 * t.n_lanes)) ln in
+    Array.blit t.lanes 0 grown 0 t.n_lanes;
+    t.lanes <- grown
+  end;
+  t.lanes.(t.n_lanes) <- ln;
+  t.n_lanes <- t.n_lanes + 1;
+  ln
+
+(* A sim has a handful of distinct delays (five on a k=4 fat tree) and
+   one private lane per inbound portal, so a linear scan at set-up is
+   cheaper than hashing. *)
+let lane t delay =
+  if Time.compare delay Time.zero < 0 then
+    invalid_arg
+      (Format.asprintf "Sim.lane: negative delay %a" Time.pp delay);
+  let rec find i =
+    if i = t.n_lanes then new_lane t ~shared:true delay
+    else
+      let ln = t.lanes.(i) in
+      if ln.delay = delay && ln.shared then ln else find (i + 1)
+  in
+  find 0
+
+let private_lane t = new_lane t ~shared:false Time.zero
+
+(* Doubles a full ring, unwrapping it. *)
+let grow_ring ln =
+  let cap = Array.length ln.ring in
+  let ring = Array.make (Stdlib.max 48 (2 * cap)) 0 in
+  Array.blit ln.ring ln.head ring 0 (cap - ln.head);
+  Array.blit ln.ring 0 ring (cap - ln.head) ln.head;
+  ln.ring <- ring;
+  ln.head <- 0
+
+(* The seq is drawn exactly where [at] would draw it, so lane events
+   interleave with every other event in the same (time, seq) order as if
+   each had been scheduled with [at]. *)
+let lane_push ln time (h : handler) =
+  let t = ln.sim in
+  if Time.compare time ln.last < 0 then
+    invalid_arg
+      (Format.asprintf "Sim.lane_at: %a breaks lane order (last push %a)"
+         Time.pp time Time.pp ln.last);
+  if h < 0 || h >= t.n_handlers then invalid_arg "Sim.lane_at: handler";
+  ln.last <- time;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if ln.len = 0 then begin
+    Event_queue.add_coded t.heap ~time ~seq ln.code;
+    note_heap_len t
+  end
+  else t.backlog <- t.backlog + 1;
+  if 3 * ln.len = Array.length ln.ring then grow_ring ln;
+  let ring = ln.ring in
+  let tail = ln.head + (3 * ln.len) in
+  let cap = Array.length ring in
+  let tail = if tail >= cap then tail - cap else tail in
+  ring.(tail) <- time;
+  ring.(tail + 1) <- seq;
+  ring.(tail + 2) <- h;
+  ln.len <- ln.len + 1
+
+let lane_after ln h = lane_push ln (Time.add ln.sim.now ln.delay) h
+
+let lane_at ln time h =
+  check_time ln.sim time;
+  lane_push ln time h
+
+(* Clock and accounting for a live event about to run at [time]. *)
+let begin_event (t : t) time =
+  if Invariant.enabled () <> t.invariants then
+    Invariant.set_enabled t.invariants;
+  if t.invariants && not (Invariant.holds (Time.compare time t.now >= 0))
+  then
+    Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
+        Format.asprintf "event at %a dispatched after clock reached %a"
+          Time.pp time Time.pp t.now);
+  t.now <- time;
+  t.executed <- t.executed + 1
+
+(* The fired head leaves its lane; the lane's next triple, if any, takes
+   over the heap root with one sift-down. The heap is settled before the
+   handler runs, so whatever it schedules (this lane included) sees a
+   consistent queue. *)
+let fire_lane t time ln =
+  let ring = ln.ring in
+  let i = ln.head in
+  let h = ring.(i + 2) in
+  let next = if i + 3 = Array.length ring then 0 else i + 3 in
+  ln.head <- next;
+  ln.len <- ln.len - 1;
+  if ln.len = 0 then Event_queue.pop_coded t.heap
+  else begin
+    t.backlog <- t.backlog - 1;
+    Event_queue.rekey_top t.heap ~time:ring.(next) ~seq:ring.(next + 1)
+  end;
+  begin_event t time;
+  t.handlers.(h) ()
+
 (* Dispatch mechanics shared by [step] and the [run] loop; the caller has
    already established the heap is non-empty and read the top's time. *)
 let dispatch_top t time =
-  let ev = Event_queue.pop_payload t.heap in
-  if ev.live then begin
-      if Invariant.enabled () <> t.invariants then
-        Invariant.set_enabled t.invariants;
-      if t.invariants && not (Invariant.holds (Time.compare time t.now >= 0))
-      then
-        Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
-            Format.asprintf "event at %a dispatched after clock reached %a"
-              Time.pp time Time.pp t.now);
-      t.now <- time;
+  let code = Event_queue.top_code t.heap in
+  if code >= 0 then fire_lane t time t.lanes.(code)
+  else
+    let ev = Event_queue.pop_payload t.heap in
+    if ev.live then begin
+      begin_event t time;
       ev.live <- false;
-      t.executed <- t.executed + 1;
       let f = ev.run in
       (* recycle before running: [f] is saved, and anything [f] schedules
          may legitimately reuse this record *)
@@ -220,20 +374,25 @@ let dispatch_top t time =
       t.cancelled_skipped <- t.cancelled_skipped + 1
     end
 
-let step t =
-  if Event_queue.is_empty t.heap then false
-  else begin
-    dispatch_top t (Event_queue.top_time t.heap);
-    true
-  end
-
 let flush_total (t : t) =
   if t.executed > t.flushed then begin
     ignore (Atomic.fetch_and_add total (t.executed - t.flushed));
     t.flushed <- t.executed
   end
 
+let step t =
+  if Event_queue.is_empty t.heap then false
+  else begin
+    dispatch_top t (Event_queue.top_time t.heap);
+    flush_total t;
+    true
+  end
+
 let run ?(until = Time.infinity) t =
+  if Time.compare until t.now < 0 then
+    invalid_arg
+      (Format.asprintf "Sim.run: until %a is before now %a" Time.pp until
+         Time.pp t.now);
   let continue = ref true in
   while !continue do
     if Event_queue.is_empty t.heap then continue := false

@@ -8,7 +8,27 @@
     Cancelled timers are deleted lazily: {!cancel} is O(1) and the heap
     compacts itself once dead entries outnumber half the live ones, so
     pending-event count stays O(live timers) under per-ACK timer churn
-    (see {!stats}). Compaction is invisible to dispatch order. *)
+    (see {!stats}). Compaction is invisible to dispatch order.
+
+    {2 FIFO lanes}
+
+    Per-packet events go on lanes instead of the heap. A lane is a FIFO
+    ring of [(time, seq, handler)] ints whose keys increase in push
+    order; only its head sits in the event heap, as an int-coded entry
+    with no event record. When the head fires, the heap root is
+    re-keyed to the lane's next entry with one sift-down instead of a
+    pop and a push. Every lane push draws its [seq] exactly where {!at}
+    would, so events fire in the same [(time, seq)] order as if each had
+    been scheduled with {!at}.
+
+    A shared lane ({!lane}) holds the events scheduled a fixed delay
+    after [now]. It stays FIFO because [now] never decreases and [seq]
+    always increases, so any number of producers may share it: a sim
+    has one per distinct delay. A private lane ({!private_lane}) takes
+    explicit times, and a push earlier than the lane's previous one
+    raises [Invalid_argument]. Handlers are closures registered once
+    with {!handler}; a lane entry stores only the handler's number.
+    Lane events cannot be cancelled. *)
 
 type t
 
@@ -36,7 +56,11 @@ type stats = {
   executed : int;  (** live events dispatched *)
   cancelled_skipped : int;
       (** cancelled entries popped and skipped without dispatch *)
-  heap_peak : int;  (** largest pending-event count ever reached *)
+  heap_peak : int;
+      (** largest event-heap length ever reached: closure events, timers
+          (cancelled ones not yet reaped included) and one head per
+          non-empty lane. Entries queued behind a lane's head are not
+          in the heap and do not count; {!pending} does count them. *)
   rebuilds : int;  (** lazy-deletion compactions of the event heap *)
 }
 
@@ -76,9 +100,10 @@ val global_heap_peak : unit -> int
 val reset_global_heap_peak : unit -> unit
 
 val pending : t -> int
-(** Number of events still queued (cancelled timers not yet reaped
-    included — bounded at 1.5× the live count by lazy-deletion
-    compaction). *)
+(** Number of events still queued: every heap entry (cancelled timers
+    not yet reaped included — bounded at 1.5× the live count by
+    lazy-deletion compaction) plus every lane entry behind its lane's
+    head. *)
 
 val next_event_time : t -> Time.t
 (** Timestamp of the earliest queued event (cancelled entries included),
@@ -107,11 +132,43 @@ val cancel : timer -> unit
 val timer_active : timer -> bool
 (** True if the timer is scheduled and neither fired nor cancelled. *)
 
+type handler
+(** A closure registered with one sim, named by an int. *)
+
+val handler : t -> (unit -> unit) -> handler
+(** [handler sim f] registers [f] for lane events of [sim]. Register
+    once, at set-up: the table only grows. *)
+
+val no_handler : handler
+(** A placeholder for a handler field filled in after construction.
+    Firing it raises [Failure]. *)
+
+type lane
+
+val lane : t -> Time.t -> lane
+(** [lane sim d] is [sim]'s shared lane for events [d] after [now],
+    created on first request. Raises [Invalid_argument] if [d] is
+    negative. *)
+
+val private_lane : t -> lane
+(** A fresh lane for {!lane_at} at explicit times, used by one producer
+    whose times never decrease (a shard portal's arrivals). *)
+
+val lane_after : lane -> handler -> unit
+(** [lane_after ln h] schedules [h] at [now + d] on the shared lane [ln]
+    of delay [d] (a private lane's delay is 0). *)
+
+val lane_at : lane -> Time.t -> handler -> unit
+(** [lane_at ln time h] schedules [h] at absolute [time] on [ln]. Raises
+    [Invalid_argument] if [time] is before [now] or before the time of
+    the lane's previous push. [h] must be registered with [ln]'s sim. *)
+
 val run : ?until:Time.t -> t -> unit
 (** Runs events until the heap is empty, or until the clock would pass
     [until]. The clock is left at the last executed event's time (or at
     [until] if a cutoff was hit). Events scheduled exactly at [until] do
-    run. *)
+    run. Raises [Invalid_argument] if [until] is before [now]: the clock
+    never goes back. *)
 
 val step : t -> bool
 (** Executes the single earliest event. Returns [false] if none is queued. *)

@@ -4,19 +4,18 @@ module Invariant = Xmp_check.Invariant
 
 module Tel = Xmp_telemetry
 
-(* The serialize-complete and deliver events are the two hottest closures
-   in the simulator (two per packet per hop). Both are allocated once per
-   link: the serializing packet sits in the [tx] register (only one
-   packet serializes at a time), and in-flight packets sit in the [wire]
-   FIFO ring (propagation delay is constant per link, so deliveries
-   complete in push order and each deliver event pops the head). *)
+(* The serialize-complete and deliver events are the two hottest events
+   in the simulator (two per packet per hop). Both go on the sim's shared
+   FIFO lanes (one per distinct delay: the two serialization times and
+   the propagation delay), with handlers registered once per link: the
+   serializing packet sits in the [tx] register (only one packet
+   serializes at a time), and in-flight packets sit in the [wire] FIFO
+   ring (propagation delay is constant per link, so deliveries complete
+   in push order and each deliver event pops the head). *)
 type t = {
-  sim : Sim.t;
   id : int;
   name : string;
   rate : Units.rate;
-  tx_ns_data : Time.t;  (* Units.tx_time rate for the two wire sizes, *)
-  tx_ns_ack : Time.t;  (* computed once — kinds fix the sizes *)
   delay : Time.t;
   disc : Queue_disc.t;
   mutable receiver : Packet.t -> unit;
@@ -29,8 +28,11 @@ type t = {
   mutable wire : Packet.t array;  (* circular FIFO of in-flight packets *)
   mutable wire_head : int;
   mutable wire_len : int;
-  mutable on_serialized : unit -> unit;  (* preallocated, see [create] *)
-  mutable on_deliver : unit -> unit;
+  lane_data : Sim.lane;  (* serialize-complete of a data packet, *)
+  lane_ack : Sim.lane;  (* of an ACK: kinds fix the wire sizes *)
+  lane_wire : Sim.lane;  (* deliver; unused on a zero-delay link *)
+  mutable on_serialized : Sim.handler;  (* registered in [create] *)
+  mutable on_deliver : Sim.handler;
   (* resolved once at creation iff the sim's sink is active *)
   c_tx_packets : Tel.Metric.Counter.t option;
   c_tx_bytes : Tel.Metric.Counter.t option;
@@ -73,8 +75,8 @@ let rec transmit t (p : Packet.t) =
           (Queue_disc.length t.disc)
           (Queue_disc.capacity t.disc));
   t.tx <- p;
-  Sim.after t.sim
-    (if Packet.is_ack p then t.tx_ns_ack else t.tx_ns_data)
+  Sim.lane_after
+    (if Packet.is_ack p then t.lane_ack else t.lane_data)
     t.on_serialized
 
 and serialized t =
@@ -96,7 +98,7 @@ and serialized t =
   else if t.delay = Time.zero then t.receiver p
   else begin
     wire_push t p;
-    Sim.after t.sim t.delay t.on_deliver
+    Sim.lane_after t.lane_wire t.on_deliver
   end;
   if Queue_disc.length t.disc > 0 then transmit t (Queue_disc.take t.disc)
   else t.busy <- false
@@ -122,14 +124,14 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
     end
     else (None, None)
   in
+  let lane_data =
+    Sim.lane sim (Units.tx_time rate ~bytes:Packet.data_wire_bytes)
+  in
   let t =
     {
-      sim;
       id;
       name;
       rate;
-      tx_ns_data = Units.tx_time rate ~bytes:Packet.data_wire_bytes;
-      tx_ns_ack = Units.tx_time rate ~bytes:Packet.ack_wire_bytes;
       delay;
       disc;
       receiver = no_receiver;
@@ -142,14 +144,18 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
       wire = Array.make 16 Packet.dummy;
       wire_head = 0;
       wire_len = 0;
-      on_serialized = ignore;
-      on_deliver = ignore;
+      lane_data;
+      lane_ack =
+        Sim.lane sim (Units.tx_time rate ~bytes:Packet.ack_wire_bytes);
+      lane_wire = (if delay = Time.zero then lane_data else Sim.lane sim delay);
+      on_serialized = Sim.no_handler;
+      on_deliver = Sim.no_handler;
       c_tx_packets;
       c_tx_bytes;
     }
   in
-  t.on_serialized <- (fun () -> serialized t);
-  t.on_deliver <- (fun () -> deliver t);
+  t.on_serialized <- Sim.handler sim (fun () -> serialized t);
+  t.on_deliver <- Sim.handler sim (fun () -> deliver t);
   t
 
 let set_receiver t f = t.receiver <- f

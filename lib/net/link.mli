@@ -6,7 +6,9 @@
     CE-marked or dropped). Transmission takes [size * 8 / rate]; the packet
     then arrives at the receiver after the propagation delay. Multiple
     packets can be in flight on the wire simultaneously (transmission
-    pipelining), as on a real link.
+    pipelining), as on a real link. Both per-packet events go on the
+    sim's shared FIFO lanes, one per distinct delay
+    ({!Xmp_engine.Sim.lane}).
 
     A link with zero delay (a {!Shard} portal's egress) calls its
     receiver inside the serialization-complete event: one event per

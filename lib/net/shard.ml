@@ -8,19 +8,21 @@ module Time = Xmp_engine.Time
    releases the packet into the sending domain's pool. [arrival] is
    exactly the delivery time the packet would have had on an ordinary
    link. At the barrier [inject] moves each record's packet words into
-   its portal's inbox ring and schedules the portal's one [on_arrive]
-   closure, which pops the ring head, rebuilds the packet from the
-   receiving domain's pool and hands it to the destination node. *)
+   its portal's inbox ring and pushes the arrival onto the portal's
+   private FIFO lane in the destination sim, whose one [on_arrive]
+   handler pops the ring head, rebuilds the packet from the receiving
+   domain's pool and hands it to the destination node. A mail's arrival
+   time and seq live only in the lane. *)
 let mail_words = 2 + Packet.words
 
 type portal = {
-  dst_sim : Sim.t;
   dst_node : Node.t;
+  lane : Sim.lane;  (* private lane in the destination sim *)
   mutable inbox : int array;
       (* FIFO ring of [Packet.words]-int slots; [||] until the first mail *)
   mutable head : int;  (* slot index of the oldest mail *)
   mutable len : int;  (* slots in use *)
-  mutable on_arrive : unit -> unit;  (* preallocated, see [portal] *)
+  mutable on_arrive : Sim.handler;  (* registered in [portal] *)
 }
 
 type shard = {
@@ -109,7 +111,8 @@ let inbox_push pt box off =
   pt.len <- pt.len + 1
 
 (* Destination domain, as the mail's arrival event. A portal's delay is
-   constant, so its mail arrives in the order it was injected. *)
+   constant, so its mail arrives in the order it was injected: the lane
+   and the inbox ring stay in step. *)
 let arrive pt =
   let p = Packet.load pt.inbox (pt.head * Packet.words) in
   let next = pt.head + 1 in
@@ -133,17 +136,18 @@ let portal t ?tag ~src:(src_shard, src_node) ~dst:(dst_shard, dst_node) ~rate
   if Time.compare delay Time.zero <= 0 then
     invalid_arg "Shard.portal: delay must be positive (it is the lookahead)";
   let s = t.shards.(src_shard) in
+  let dst_sim = t.shards.(dst_shard).sim in
   let pt =
     {
-      dst_sim = t.shards.(dst_shard).sim;
       dst_node;
+      lane = Sim.private_lane dst_sim;
       inbox = [||];
       head = 0;
       len = 0;
-      on_arrive = ignore;
+      on_arrive = Sim.no_handler;
     }
   in
-  pt.on_arrive <- (fun () -> arrive pt);
+  pt.on_arrive <- Sim.handler dst_sim (fun () -> arrive pt);
   let index = t.n_portals in
   if index = Array.length t.portals then begin
     let grown = Array.make (Stdlib.max 8 (2 * index)) pt in
@@ -189,7 +193,7 @@ let inject t =
       let o = m * mail_words in
       let pt = t.portals.(s.outbox.(o)) in
       inbox_push pt s.outbox (o + 2);
-      Sim.at pt.dst_sim s.outbox.(o + 1) pt.on_arrive
+      Sim.lane_at pt.lane s.outbox.(o + 1) pt.on_arrive
     done;
     s.outbox_len <- 0;
     injected := !injected + mails

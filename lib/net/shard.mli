@@ -8,9 +8,10 @@
     {!Packet.words} are appended to the source shard's outbox together
     with the portal index and the arrival time, and the packet is
     released into the sending domain's pool. At the barrier the words
-    move into the portal's inbox ring, and one arrival event per mail
-    rebuilds the packet from the receiving domain's pool with
-    {!Packet.load}. No step allocates per mail.
+    move into the portal's inbox ring, and one arrival event per mail,
+    on the portal's private FIFO lane in the destination sim
+    ({!Xmp_engine.Sim.lane_at}), rebuilds the packet from the receiving
+    domain's pool with {!Packet.load}. No step allocates per mail.
 
     {2 Epoch-barrier semantics}
 

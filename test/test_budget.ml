@@ -5,7 +5,8 @@
    heap, and reads the last line it prints (one JSON object). The
    output digest must equal the one pinned in xmpbench/pinned.json, so
    a ceiling cannot be met by simply doing less work. Then the event
-   count, the event-heap peak and the GC words allocated per event must
+   count, the event-heap peak (closure events, timers and one head per
+   FIFO lane; see Sim.stats) and the GC words allocated per event must
    stay at or under the ceilings below. None of these depends on how
    fast the machine is, so a noisy runner cannot move them; wall time
    is measured by xmpbench/run.py instead. The two sharded workloads
@@ -44,28 +45,28 @@ let budgets =
     {
       workload = "bulk.k4";
       events = 4_160_011;
-      heap_peak = 449;
+      heap_peak = 86;
       minor_words = 0.96;
       major_words = 0.037;
     };
     {
       workload = "incast.k4";
       events = 3_512_910;
-      heap_peak = 1133;
+      heap_peak = 659;
       minor_words = 1.9;
       major_words = 0.27;
     };
     {
       workload = "websearch.k8";
       events = 3_237_891;
-      heap_peak = 515;
+      heap_peak = 232;
       minor_words = 2.4;
       major_words = 1.1;
     };
     {
       workload = "wan.2dc";
       events = 2_863_932;
-      heap_peak = 3536;
+      heap_peak = 1656;
       minor_words = 2.3;
       major_words = 1.36;
     };

@@ -168,6 +168,102 @@ let test_compact_shrinks () =
   | Some (0, 0, c) -> Alcotest.(check int) "survivor payload" 0 c.value
   | _ -> Alcotest.fail "expected the one live entry"
 
+(* ----- coded entries ----- *)
+
+(* Pops the earliest entry of either kind as (time, seq, code), with
+   code -1 for a payload entry. *)
+let pop_any q =
+  let time = Q.top_time q in
+  let code = Q.top_code q in
+  if code >= 0 then begin
+    Q.pop_coded q;
+    (time, code)
+  end
+  else begin
+    ignore (Q.pop_payload q);
+    (time, -1)
+  end
+
+let test_coded_survive_purge_and_compact () =
+  let q = Q.create ~live:(fun c -> c.alive) () in
+  let cells = ref [] in
+  for i = 0 to 999 do
+    if i mod 10 = 0 then Q.add_coded q ~time:(1_000 - i) ~seq:i (i / 10)
+    else begin
+      let c = { value = i; alive = true } in
+      Q.add q ~time:(1_000 - i) ~seq:i c;
+      cells := c :: !cells
+    end
+  done;
+  (* cancelling every cell triggers purges on the way *)
+  List.iter
+    (fun c ->
+      c.alive <- false;
+      Q.note_dead q)
+    !cells;
+  Alcotest.(check bool) "purged on the way" true (Q.rebuilds q > 0);
+  Q.compact q;
+  Alcotest.(check int) "the 100 coded entries remain" 100 (Q.length q);
+  Alcotest.(check int) "no dead entries" 0 (Q.dead_count q);
+  let popped = List.init 100 (fun _ -> pop_any q) in
+  Alcotest.(check (list (pair int int)))
+    "coded entries pop in time order"
+    (List.init 100 (fun k -> (1_000 - (10 * (99 - k)), 99 - k)))
+    popped;
+  Alcotest.(check bool) "drained" true (Q.is_empty q);
+  Q.add q ~time:5 ~seq:0 { value = 0; alive = true };
+  Alcotest.(check int) "payloads usable after shrinking" (-1) (Q.top_code q)
+
+let test_rekey_and_misuse () =
+  let q = Q.create () in
+  Q.add_coded q ~time:10 ~seq:0 7;
+  Q.add q ~time:20 ~seq:1 "x";
+  Alcotest.(check int) "coded root" 7 (Q.top_code q);
+  Alcotest.check_raises "pop of a coded root"
+    (Invalid_argument "Event_queue.pop: the earliest entry is coded")
+    (fun () -> ignore (Q.pop q));
+  Alcotest.check_raises "rekey backwards"
+    (Invalid_argument "Event_queue.rekey_top: the new key precedes the old one")
+    (fun () -> Q.rekey_top q ~time:10 ~seq:0);
+  Q.rekey_top q ~time:30 ~seq:2;
+  Alcotest.(check int) "rekeyed root sank" (-1) (Q.top_code q);
+  Alcotest.check_raises "pop_coded of a payload root"
+    (Invalid_argument "Event_queue.pop_coded: the earliest entry is not coded")
+    (fun () -> Q.pop_coded q);
+  Alcotest.(check string) "payload first" "x" (Q.pop_payload q);
+  Alcotest.(check int) "then the code" 7 (Q.top_code q);
+  Alcotest.(check int) "at its new time" 30 (Q.top_time q);
+  Alcotest.check_raises "negative code"
+    (Invalid_argument "Event_queue.add_coded: negative code") (fun () ->
+      Q.add_coded q ~time:1 ~seq:3 (-1))
+
+let prop_mixed_sorts =
+  QCheck.Test.make ~count:200
+    ~name:"coded and payload entries pop in (time, seq) order"
+    QCheck.(list (pair bool (int_bound 100)))
+    (fun entries ->
+      let q = Q.create () in
+      List.iteri
+        (fun i (coded, t) ->
+          if coded then Q.add_coded q ~time:t ~seq:i i
+          else Q.add q ~time:t ~seq:i i)
+        entries;
+      let popped =
+        List.init (List.length entries) (fun _ ->
+            let t = Q.top_time q in
+            let code = Q.top_code q in
+            if code >= 0 then begin
+              Q.pop_coded q;
+              (t, code, true)
+            end
+            else (t, Q.pop_payload q, false))
+      in
+      let expected =
+        List.sort compare
+          (List.mapi (fun i (coded, t) -> (t, i, coded)) entries)
+      in
+      popped = expected && Q.is_empty q)
+
 (* End-to-end heap hygiene: a real TCP transfer reschedules its RTO
    watchdog and delayed-ACK timers continuously; the superseded timers
    are cancelled, and lazy deletion must keep the pending-event count at
@@ -240,4 +336,9 @@ let suite =
     Alcotest.test_case "TCP transfer keeps pending events bounded" `Quick
       test_tcp_transfer_pending_bounded;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    Alcotest.test_case "purge and compact keep coded entries" `Quick
+      test_coded_survive_purge_and_compact;
+    Alcotest.test_case "rekey and coded-root misuse" `Quick
+      test_rekey_and_misuse;
+    QCheck_alcotest.to_alcotest prop_mixed_sorts;
   ]

@@ -153,6 +153,161 @@ let test_cascade () =
   Alcotest.(check int) "chain length" 1000 !count;
   Alcotest.(check int) "clock" 999 (Sim.now sim)
 
+let test_until_before_now_rejected () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.at sim (Time.ms 10) (fun () -> log := 10 :: !log);
+  Sim.at sim (Time.ms 20) (fun () -> log := 20 :: !log);
+  Sim.run ~until:(Time.ms 15) sim;
+  Alcotest.check_raises "until before now"
+    (Invalid_argument "Sim.run: until 5.000ms is before now 15.000ms")
+    (fun () -> Sim.run ~until:(Time.ms 5) sim);
+  Alcotest.(check int) "clock not rewound" (Time.ms 15) (Sim.now sim);
+  Alcotest.check_raises "past time still rejected"
+    (Invalid_argument "Sim: scheduling at 6.000ms before now 15.000ms")
+    (fun () -> Sim.at sim (Time.ms 6) ignore);
+  Sim.run sim;
+  Alcotest.(check (list int)) "order kept" [ 10; 20 ] (List.rev !log)
+
+let test_step_counts_total () =
+  let sim = Sim.create () in
+  Sim.at sim 1 ignore;
+  let before = Sim.total_events_executed () in
+  ignore (Sim.step sim);
+  Alcotest.(check int) "process-wide delta" 1
+    (Sim.total_events_executed () - before)
+
+(* ---- FIFO lanes ---- *)
+
+let shared_delays = [| 1; 3; 4; 7 |]
+
+(* A self-expanding random schedule: each fired event logs (now, id) and
+   schedules one or two more, on a shared lane, on the private lane (at
+   explicit times, often equal to the last one), as a closure event or
+   as a timer, and sometimes cancels an armed timer. With [lanes:false]
+   the lane events go through [after]/[at] instead. Every random draw
+   happens in firing order, so both runs make the same draws only if
+   they fire in the same order. *)
+let random_schedule ~lanes seed =
+  let sim = Sim.create () in
+  let rng = Random.State.make [| seed |] in
+  let log = ref [] in
+  let next_id = ref 0 in
+  let budget = ref 3_000 in
+  let shared = Array.map (Sim.lane sim) shared_delays in
+  let priv = Sim.private_lane sim in
+  let priv_last = ref 0 in
+  let timers = Array.make 8 None in
+  let rec fire id () =
+    log := (Sim.now sim, id) :: !log;
+    for _ = 0 to Random.State.int rng 2 do
+      if !budget > 0 then begin
+        decr budget;
+        schedule ()
+      end
+    done;
+    match timers.(Random.State.int rng 8) with
+    | Some tm when Random.State.bool rng -> Sim.cancel tm
+    | _ -> ()
+  and schedule () =
+    let id = !next_id in
+    incr next_id;
+    match Random.State.int rng 4 with
+    | 0 ->
+      let d = Random.State.int rng (Array.length shared_delays) in
+      if lanes then Sim.lane_after shared.(d) (Sim.handler sim (fire id))
+      else Sim.after sim shared_delays.(d) (fire id)
+    | 1 ->
+      let time = max !priv_last (Sim.now sim + Random.State.int rng 6) in
+      priv_last := time;
+      if lanes then Sim.lane_at priv time (Sim.handler sim (fire id))
+      else Sim.at sim time (fire id)
+    | 2 -> Sim.after sim (Random.State.int rng 8) (fire id)
+    | _ ->
+      timers.(Random.State.int rng 8) <-
+        Some (Sim.timer_after sim (Random.State.int rng 10) (fire id))
+  in
+  for _ = 1 to 20 do
+    schedule ()
+  done;
+  Sim.run sim;
+  (List.rev !log, Sim.stats sim)
+
+let test_lanes_match_closures () =
+  List.iter
+    (fun seed ->
+      let laned, st = random_schedule ~lanes:true seed in
+      let plain, st' = random_schedule ~lanes:false seed in
+      let ties =
+        let rec count acc = function
+          | (a, _) :: ((b, _) :: _ as rest) ->
+            count (if a = b then acc + 1 else acc) rest
+          | _ -> acc
+        in
+        count 0 laned
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d events, %d equal-time ties" seed
+           (List.length laned) ties)
+        true
+        (List.length laned > 1_000 && ties > 100);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "seed %d: same (time, id) order" seed)
+        plain laned;
+      (* cancelled_skipped may differ: compaction runs at other heap
+         lengths, and a compacted dead timer is never popped *)
+      Alcotest.(check int) "same executed" st'.Sim.executed st.Sim.executed;
+      Alcotest.(check bool) "smaller heap" true
+        (st.Sim.heap_peak < st'.Sim.heap_peak))
+    [ 1; 2; 3; 4; 5 ]
+
+let test_lane_backlog_off_heap () =
+  let sim = Sim.create () in
+  let ln = Sim.lane sim 10 in
+  let fired = ref [] in
+  let n = ref 0 in
+  let h =
+    Sim.handler sim (fun () ->
+        fired := (Sim.now sim, !n) :: !fired;
+        incr n)
+  in
+  for _ = 1 to 1_000 do
+    Sim.lane_after ln h
+  done;
+  Alcotest.(check int) "pending counts the backlog" 1_000 (Sim.pending sim);
+  Alcotest.(check int) "one heap entry" 1 (Sim.stats sim).Sim.heap_peak;
+  Alcotest.(check bool)
+    "same lane for the same delay" true
+    (Sim.lane sim 10 == ln);
+  Sim.run sim;
+  Alcotest.(check int) "all fired" 1_000 (Sim.events_executed sim);
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
+  Alcotest.(check int) "heap peak" 1 (Sim.stats sim).Sim.heap_peak;
+  Alcotest.(check (list (pair int int)))
+    "FIFO at equal times"
+    (List.init 1_000 (fun i -> (10, i)))
+    (List.rev !fired)
+
+let test_lane_order_enforced () =
+  let sim = Sim.create () in
+  let ln = Sim.private_lane sim in
+  let h = Sim.handler sim ignore in
+  Sim.lane_at ln 20 h;
+  Sim.lane_at ln 20 h;
+  Alcotest.check_raises "earlier than the last push"
+    (Invalid_argument "Sim.lane_at: 10ns breaks lane order (last push 20ns)")
+    (fun () -> Sim.lane_at ln 10 h);
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.lane: negative delay -1ns") (fun () ->
+      ignore (Sim.lane sim (-1)));
+  Alcotest.check_raises "no handler registered"
+    (Failure "Sim: lane event with no handler registered") (fun () ->
+      Sim.lane_at ln 30 Sim.no_handler;
+      Sim.run sim);
+  Alcotest.(check int) "the rejected push was not queued" 3
+    (Sim.events_executed sim);
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim)
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial;
@@ -172,4 +327,13 @@ let suite =
     Alcotest.test_case "cancelled entry skipped at pop" `Quick
       test_cancelled_entry_skipped_at_pop;
     Alcotest.test_case "event cascade" `Quick test_cascade;
+    Alcotest.test_case "run until before now rejected" `Quick
+      test_until_before_now_rejected;
+    Alcotest.test_case "step counts process-wide" `Quick
+      test_step_counts_total;
+    Alcotest.test_case "lanes fire as closures would" `Quick
+      test_lanes_match_closures;
+    Alcotest.test_case "lane backlog stays off the heap" `Quick
+      test_lane_backlog_off_heap;
+    Alcotest.test_case "lane order enforced" `Quick test_lane_order_enforced;
   ]
