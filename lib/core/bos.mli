@@ -15,8 +15,9 @@
       state machine ([cwr_seq]) suppresses further reductions until every
       ACK of the pre-reduction window has returned.
 
-    The gain [δ] is a closure so the TraSh coupling can retune it each
-    round; the single-path default is the constant 1 (plain BOS). *)
+    The gain [δ] is read once per round end, which is how the TraSh
+    coupling retunes it; the single-path default is the constant 1
+    (plain BOS). *)
 
 type params = {
   beta : int;  (** reduction divisor; paper default 4 *)
@@ -32,6 +33,34 @@ val make :
   ?on_round:(unit -> unit) ->
   unit ->
   Xmp_transport.Cc.factory
-(** [delta] is sampled once per round end (default: constant 1).
-    [on_round] fires after the round bookkeeping — the hook TraSh uses to
-    refresh its rate estimates. *)
+(** Plain single-path BOS. [delta] is sampled once per round end
+    (default: constant 1); [on_round] fires after the round bookkeeping.
+    Raises [Invalid_argument] if [params.beta < 2]. *)
+
+(** {1 The window body}
+
+    A family of BOS controllers is one {!ops} table, built once; each
+    controller is a {!state} carrying the family's per-subflow context
+    ['c] (TraSh's coupling group). *)
+
+type 'c state
+
+val ops :
+  name:string ->
+  delta:('c state -> float) ->
+  on_round:('c state -> unit) ->
+  'c state Xmp_transport.Cc.ops
+(** [delta s] is the additive-increase gain added to [adder] at each
+    congestion-avoidance round end; [on_round s] runs after every round
+    end's bookkeeping. *)
+
+val create :
+  'c state Xmp_transport.Cc.ops ->
+  ?params:params ->
+  'c ->
+  Xmp_transport.Cc.factory
+(** Raises [Invalid_argument] if [params.beta < 2]. *)
+
+val cwnd : 'c state -> float
+val ctx : 'c state -> 'c
+val view : 'c state -> Xmp_transport.Cc.view

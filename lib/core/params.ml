@@ -15,7 +15,7 @@ let bdp_packets ~rate ~rtt ~packet_bytes =
 
 let min_k ~bdp_packets ~beta =
   if beta < 2 then invalid_arg "Params.min_k: beta must be >= 2";
-  Stdlib.max 1 (int_of_float (Float.ceil (bdp_packets /. float_of_int (beta - 1))))
+  Int.max 1 (int_of_float (Float.ceil (bdp_packets /. float_of_int (beta - 1))))
 
 let sufficient t ~bdp_packets = t.k >= min_k ~bdp_packets ~beta:t.beta
 

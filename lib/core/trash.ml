@@ -7,28 +7,26 @@ let delta ~own_cwnd ~total_rate ~min_rtt_s =
     1.
   else own_cwnd /. (total_rate *. min_rtt_s)
 
-let coupling ?(params = Bos.default_params) () =
-  Coupling.coupled ~name:"xmp" (fun g view ->
-      (* The subflow's own window getter only exists once the BOS instance
-         is built; tie the knot through a cell. *)
-      let own_cwnd = ref (fun () -> params.Bos.init_cwnd) in
-      let subflow_delta () =
-        let d =
-          delta ~own_cwnd:(!own_cwnd ())
-            ~total_rate:(Coupling.total_rate g)
-            ~min_rtt_s:(Coupling.min_srtt g)
-        in
-        let tel = view.Cc.telemetry in
-        if Tel.Sink.active tel.Tel.Sink.sink then
-          Tel.Sink.event tel.Tel.Sink.sink ~time_ns:(view.Cc.now ())
-            (Tel.Event.Trash_delta
-               {
-                 flow = tel.Tel.Sink.flow;
-                 subflow = tel.Tel.Sink.subflow;
-                 delta = d;
-               });
-        d
-      in
-      let cc = Bos.make ~params ~delta:subflow_delta () view in
-      own_cwnd := cc.Cc.cwnd;
-      cc)
+(* the subflow's δ at a round end, read off its coupling group *)
+let subflow_delta s =
+  let g = Bos.ctx s in
+  let d =
+    delta ~own_cwnd:(Bos.cwnd s) ~total_rate:(Coupling.total_rate g)
+      ~min_rtt_s:(Coupling.min_srtt g)
+  in
+  let view = Bos.view s in
+  let tel = view.Cc.telemetry in
+  if Tel.Sink.active tel.Tel.Sink.sink then
+    Tel.Sink.event tel.Tel.Sink.sink ~time_ns:(view.Cc.now ())
+      (Tel.Event.Trash_delta
+         {
+           flow = tel.Tel.Sink.flow;
+           subflow = tel.Tel.Sink.subflow;
+           delta = d;
+         });
+  d
+
+let ops = Bos.ops ~name:"xmp" ~delta:subflow_delta ~on_round:ignore
+
+let coupling ?params () =
+  Coupling.coupled ~name:"xmp" (fun g view -> Bos.create ops ?params g view)

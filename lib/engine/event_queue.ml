@@ -73,7 +73,7 @@ let resize_heap h cap' =
    the fresh slots. [fill] occupies the cells no payload holds yet. *)
 let grow_slots h fill =
   let cap = Array.length h.payloads in
-  let cap' = Stdlib.max 64 (2 * cap) in
+  let cap' = Int.max 64 (2 * cap) in
   let payloads' = Array.make cap' fill in
   Array.blit h.payloads 0 payloads' 0 cap;
   h.payloads <- payloads';
@@ -156,7 +156,7 @@ let sift_down h i0 =
 
 let push_key h ~time ~seq slot =
   if h.len = Array.length h.times then
-    resize_heap h (Stdlib.max 64 (2 * h.len));
+    resize_heap h (Int.max 64 (2 * h.len));
   let i = h.len in
   h.times.(i) <- time;
   h.seqs.(i) <- seq;
@@ -293,7 +293,7 @@ let shrink_slots h =
       for i = 0 to h.len - 1 do
         if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
       done;
-      let cap' = Stdlib.max 64 (Stdlib.max (2 * held) (!max_slot + 1)) in
+      let cap' = Int.max 64 (Int.max (2 * held) (!max_slot + 1)) in
       if cap' < cap then begin
         h.payloads <- Array.sub h.payloads 0 cap';
         (* rebuild the free stack from the slots no entry holds *)
@@ -323,7 +323,7 @@ let compact h =
       h.seqs <- [||];
       h.slots <- [||]
     end
-    else resize_heap h (Stdlib.max 64 (2 * h.len));
+    else resize_heap h (Int.max 64 (2 * h.len));
   shrink_slots h
 
 let clear h =

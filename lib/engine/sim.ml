@@ -40,6 +40,7 @@ type t = {
   random : Random.State.t;
   telemetry : Xmp_telemetry.Sink.t;
   faults : Fault_spec.t;
+  clock : unit -> Time.t;  (* reads [now]; one closure per sim *)
 }
 
 (* A lane is a FIFO ring of (time, seq, handler) int triples whose keys
@@ -119,28 +120,33 @@ let create ?(config = default_config) () =
   in
   let heap = Event_queue.create ~live:(fun (ev : event) -> ev.live) () in
   Event_queue.set_dummy heap { run = ignore; live = false; pooled = false; heap };
-  {
-    now = Time.zero;
-    heap;
-    free_events = [||];
-    free_top = 0;
-    next_seq = 0;
-    lanes = [||];
-    n_lanes = 0;
-    handlers = [| unregistered |];
-    n_handlers = 1;
-    backlog = 0;
-    executed = 0;
-    flushed = 0;
-    cancelled_skipped = 0;
-    heap_peak = 0;
-    invariants;
-    random = Random.State.make [| config.seed; 0x584d50 (* "XMP" *) |];
-    telemetry = config.telemetry;
-    faults = config.faults;
-  }
+  let rec t =
+    {
+      now = Time.zero;
+      heap;
+      free_events = [||];
+      free_top = 0;
+      next_seq = 0;
+      lanes = [||];
+      n_lanes = 0;
+      handlers = [| unregistered |];
+      n_handlers = 1;
+      backlog = 0;
+      executed = 0;
+      flushed = 0;
+      cancelled_skipped = 0;
+      heap_peak = 0;
+      invariants;
+      random = Random.State.make [| config.seed; 0x584d50 (* "XMP" *) |];
+      telemetry = config.telemetry;
+      faults = config.faults;
+      clock = (fun () -> t.now);
+    }
+  in
+  t
 
 let now t = t.now
+let clock t = t.clock
 let next_event_time (t : t) = Event_queue.top_time t.heap
 let rng t = t.random
 let telemetry (t : t) = t.telemetry
@@ -192,7 +198,7 @@ let release_event t ev =
      an arbitrary closure graph (packets, connections) reachable *)
   ev.run <- ignore;
   if t.free_top = Array.length t.free_events then begin
-    let cap = Stdlib.max 64 (2 * t.free_top) in
+    let cap = Int.max 64 (2 * t.free_top) in
     let arr = Array.make cap ev in
     Array.blit t.free_events 0 arr 0 t.free_top;
     t.free_events <- arr
@@ -251,7 +257,7 @@ let new_lane t ~shared delay =
     }
   in
   if t.n_lanes = Array.length t.lanes then begin
-    let grown = Array.make (Stdlib.max 8 (2 * t.n_lanes)) ln in
+    let grown = Array.make (Int.max 8 (2 * t.n_lanes)) ln in
     Array.blit t.lanes 0 grown 0 t.n_lanes;
     t.lanes <- grown
   end;
@@ -279,7 +285,7 @@ let private_lane t = new_lane t ~shared:false Time.zero
 (* Doubles a full ring, unwrapping it. *)
 let grow_ring ln =
   let cap = Array.length ln.ring in
-  let ring = Array.make (Stdlib.max 48 (2 * cap)) 0 in
+  let ring = Array.make (Int.max 48 (2 * cap)) 0 in
   Array.blit ln.ring ln.head ring 0 (cap - ln.head);
   Array.blit ln.ring 0 ring (cap - ln.head) ln.head;
   ln.ring <- ring;

@@ -74,6 +74,11 @@ val create : ?config:config -> unit -> t
 
 val now : t -> Time.t
 
+val clock : t -> unit -> Time.t
+(** [clock sim] reads {!now}. The closure is allocated once per sim, so
+    holders of a clock (every connection's congestion-control view) share
+    it instead of each allocating their own. *)
+
 val rng : t -> Random.State.t
 
 val telemetry : t -> Xmp_telemetry.Sink.t

@@ -13,8 +13,8 @@ let add = ( + )
 let sub = ( - )
 let mul = ( * )
 let div = ( / )
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 let compare = Int.compare
 let infinity = max_int
 let is_infinite t = t >= max_int

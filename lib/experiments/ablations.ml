@@ -258,13 +258,15 @@ let queue_occupancy_point ~beta ~k scheme =
         [ { Net.Testbed.rate = Net.Units.gbps 1.; delay = Time.ns 62_500; disc } ]
       ~access_delay:(Time.us 25) ()
   in
-  let overrides = { Scheme.default_overrides with beta } in
+  let launcher =
+    Scheme.launcher scheme { Scheme.default_overrides with beta }
+  in
   for i = 0 to 3 do
     ignore
-      (Scheme.launch ~net ~overrides ~flow:i
+      (Scheme.launch ~net ~flow:i
          ~src:(Net.Testbed.left_id tb i)
          ~dst:(Net.Testbed.right_id tb i)
-         ~paths:[ 0 ] scheme)
+         ~paths:[ 0 ] launcher)
   done;
   let queue = Net.Link.disc (bottleneck net) in
   let occupancy = Xmp_stats.Distribution.create () in

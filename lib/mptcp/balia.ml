@@ -23,16 +23,17 @@ let increase g ~rtt_s ~cwnd =
     cwnd /. rtt_s /. rtt_s /. (sum *. sum) *. f
   end
 
+let srtt_s s = Xmp_engine.Time.to_float_s (Reno.view s).Cc.srtt
+
+let ops =
+  Reno.ops ~name:"balia"
+    ~increase:(fun s ~cwnd -> increase (Reno.ctx s) ~rtt_s:(srtt_s s) ~cwnd)
+      (* Loss cut: w ← w · (1 − min(α, 1.5)/2), i.e. between half (α = 1,
+         Reno-equivalent) and a quarter (α ≥ 1.5) of the window survives. *)
+    ~backoff:(fun s ~cwnd ->
+      1. -. (Float.min (alpha (Reno.ctx s) ~rtt_s:(srtt_s s) ~cwnd) 1.5 /. 2.))
+
 let coupling ?(params = Reno.default_params) () =
   (* loss-driven: Balia flows are not ECN-capable *)
   let params = { params with Reno.ecn = false } in
-  Coupling.coupled ~name:"balia" (fun g view ->
-      let srtt_s () = Xmp_engine.Time.to_float_s (view.Cc.srtt ()) in
-      (* Loss cut: w ← w · (1 − min(α, 1.5)/2), i.e. between half (α = 1,
-         Reno-equivalent) and a quarter (α ≥ 1.5) of the window survives. *)
-      let backoff ~cwnd =
-        1. -. (Float.min (alpha g ~rtt_s:(srtt_s ()) ~cwnd) 1.5 /. 2.)
-      in
-      Reno.make_with_increase ~params
-        ~increase:(fun ~cwnd -> increase g ~rtt_s:(srtt_s ()) ~cwnd)
-        ~backoff () view)
+  Coupling.coupled ~name:"balia" (fun g view -> Reno.create ops ~params g view)

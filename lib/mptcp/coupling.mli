@@ -1,20 +1,22 @@
 (** Coupled congestion control across the subflows of one MPTCP flow.
 
-    A coupling is instantiated once per flow ({!fresh}); the resulting
-    closure hands each subflow a {!Xmp_transport.Cc} factory whose
-    behaviour may depend on every sibling's state through the flow's
-    member {!group}.
+    A coupling is built once per scheme configuration and instantiated
+    once per flow ({!t.fresh}); each subflow's controller is then made
+    with {!attach}, and its behaviour may depend on every sibling's state
+    through the flow's member {!group}. A group holds each member's
+    controller and connection view directly; nothing here allocates a
+    closure per flow or per subflow.
 
     Every coupled scheme is built the same way, with {!coupled}: a window
-    body — {!Xmp_transport.Reno.make_with_increase} (loss; LIA, OLIA,
-    AMP, BALIA, MP-Veno) or {!Xmp_core.Bos} (XMP) — given a coupled
-    increase or gain read off the group, and, for Reno, a loss cut.
-    {!uncoupled} runs one single-path controller on every subflow. *)
+    body — {!Xmp_transport.Reno.ops} (loss; LIA, AMP, BALIA, MP-Veno)
+    or {!Xmp_core.Bos} (XMP) — given a coupled increase or gain read off
+    the group, and, for Reno, a loss cut. OLIA keeps its own per-flow
+    path list ({!custom}). {!uncoupled} runs one single-path controller
+    on every subflow. *)
 
 type member = {
-  cwnd : unit -> float;  (** subflow congestion window, segments *)
-  srtt_s : unit -> float;  (** smoothed RTT, seconds *)
-  in_slow_start : unit -> bool;
+  cc : Xmp_transport.Cc.t;  (** the subflow's controller *)
+  view : Xmp_transport.Cc.view;  (** its connection view *)
 }
 
 type group
@@ -22,14 +24,17 @@ type group
 
 val group : unit -> group
 
-val register : group -> member -> unit
+val register :
+  group -> cc:Xmp_transport.Cc.t -> view:Xmp_transport.Cc.view -> unit
 
 val members : group -> member list
 (** In registration order. *)
 
-val member_of : Xmp_transport.Cc.view -> Xmp_transport.Cc.t -> member
-(** A subflow's member: window and slow-start state from the controller,
-    smoothed RTT from the connection view. *)
+val cwnd : member -> float
+(** The member's congestion window, segments. *)
+
+val srtt_s : member -> float
+(** The member's smoothed RTT, seconds. *)
 
 val total_cwnd : group -> float
 
@@ -44,21 +49,35 @@ val max_rate : group -> float
 val min_srtt : group -> float
 (** Smallest smoothed RTT across members, seconds. *)
 
+type flow
+(** One flow's instance of a coupling: its shared state (the group, or
+    a scheme's own per-flow record) and the code that attaches
+    subflows to it. *)
+
 type t = {
   name : string;
-  fresh : unit -> int -> Xmp_transport.Cc.factory;
-      (** [fresh ()] creates the per-flow group; applying the result to a
-          subflow index yields that subflow's controller factory. *)
+  fresh : unit -> flow;  (** the per-flow instance *)
 }
+
+val attach : flow -> Xmp_transport.Cc.factory
+(** A new subflow's controller, joined to the flow's shared state. *)
 
 val uncoupled : name:string -> Xmp_transport.Cc.factory -> t
 (** Runs the given controller independently on every subflow (the paper's
-    "violates fairness" strawman; useful as an experimental control). *)
+    "violates fairness" strawman; useful as an experimental control).
+    Its flows share nothing, so [fresh] allocates nothing. *)
 
-val coupled : name:string -> (group -> Xmp_transport.Cc.factory) -> t
-(** [coupled ~name build]: [fresh ()] makes the flow's group and applies
-    [build] to it once, so per-flow state (OLIA's path list) lives in
-    that partial application. Each subflow's factory builds its
-    controller, registers it as a group member ({!member_of}) — so
-    registration order equals subflow order — and returns it renamed to
-    [name]. *)
+val coupled :
+  name:string -> (group -> Xmp_transport.Cc.factory) -> t
+(** [coupled ~name build]: [fresh ()] makes the flow's group; each
+    subflow's controller is [build group view], registered as a group
+    member — so registration order equals subflow order. [build] is
+    applied in full per subflow, so a toplevel [build] allocates no
+    closure. The controller's name is its ops' name: schemes name their
+    ops [name]. *)
+
+val custom :
+  name:string -> fresh:(unit -> 'f) -> ('f -> Xmp_transport.Cc.factory) -> t
+(** A coupling over a scheme's own per-flow state ['f] (OLIA's path
+    list): [fresh ()] makes it once per flow and every subflow's
+    controller is built against it. *)

@@ -19,14 +19,17 @@ let alpha ~windows_rtts =
 let increase g ~cwnd =
   let windows_rtts =
     List.map
-      (fun m -> (m.Coupling.cwnd (), m.Coupling.srtt_s ()))
+      (fun m -> (Coupling.cwnd m, Coupling.srtt_s m))
       (Coupling.members g)
   in
   let total = Coupling.total_cwnd g in
   let a = alpha ~windows_rtts in
   if total <= 0. then 1. /. cwnd else Float.min (a /. total) (1. /. cwnd)
 
-let coupling ?(params = Reno.default_params) () =
-  Coupling.coupled ~name:"lia" (fun g ->
-      Reno.make_with_increase ~params ~increase:(increase g)
-        ~backoff:Reno.halving ())
+let ops =
+  Reno.ops ~name:"lia"
+    ~increase:(fun s ~cwnd -> increase (Reno.ctx s) ~cwnd)
+    ~backoff:Reno.halving
+
+let coupling ?params () =
+  Coupling.coupled ~name:"lia" (fun g view -> Reno.create ops ?params g view)

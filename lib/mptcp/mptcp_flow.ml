@@ -6,21 +6,21 @@ module Tel = Xmp_telemetry
 
 type t = {
   net : Network.t;
-  rcv_net : Network.t option;  (* split receiver shard, if any *)
+  rcv_net : Network.t;  (* the receiver shard's network; [net] unless split *)
   flow : int;
   src : int;
   dst : int;
   size_segments : int option;
-  config : Tcp.config option;
+  config : Tcp.config;
   source : Tcp.source;
-  group_factory : int -> Xmp_transport.Cc.factory;
+  coupling : Coupling.flow;
   mutable subflows : Tcp.t array;
   mutable acked : int;
   mutable n_done : int;
   mutable completed_at : Time.t option;
   started_at : Time.t;
-  start_at : Time.t option;
   observer : observer;
+  owner : Tcp.owner;  (* this flow, as every subflow's owner *)
 }
 
 and observer = {
@@ -68,21 +68,26 @@ let check_complete t =
     t.observer.on_complete t
   end
 
-let launch_subflow t ~path =
-  let idx = Array.length t.subflows in
-  let conn =
-    Tcp.create ~net:t.net ?rcv_net:t.rcv_net ~flow:t.flow ~subflow:idx
-      ~src:t.src ~dst:t.dst
-      ~path ~cc:(t.group_factory idx) ?config:t.config ~source:t.source
-      ?start_at:t.start_at
-      ~on_segment_acked:(fun n ->
+(* what every subflow reports to its flow *)
+let hooks =
+  {
+    Tcp.acked =
+      (fun t conn n ->
         t.acked <- t.acked + n;
-        t.observer.on_subflow_acked idx n)
-      ~on_rtt_sample:t.observer.on_rtt_sample
-      ~on_complete:(fun () ->
+        t.observer.on_subflow_acked (Tcp.subflow conn) n);
+    rtt_sample = (fun t rtt -> t.observer.on_rtt_sample rtt);
+    complete =
+      (fun t _ ->
         t.n_done <- t.n_done + 1;
-        check_complete t)
-      ()
+        check_complete t);
+  }
+
+let launch_subflow t ~path =
+  let conn =
+    Tcp.create ~net:t.net ~rcv_net:t.rcv_net ~flow:t.flow
+      ~subflow:(Array.length t.subflows) ~src:t.src ~dst:t.dst ~path
+      ~cc:(Coupling.attach t.coupling) ~config:t.config ~source:t.source
+      ~start_at:t.started_at ~owner:t.owner ()
   in
   t.subflows <- Array.append t.subflows [| conn |];
   (* a zero-size source can complete a subflow synchronously inside
@@ -90,8 +95,9 @@ let launch_subflow t ~path =
   check_complete t;
   conn
 
-let create ~net ?rcv_net ~flow ~src ~dst ~paths ~coupling ?config
-    ?size_segments ?start_at ?(observer = silent) () =
+let create ~net ?(rcv_net = net) ~flow ~src ~dst ~paths ~coupling
+    ?(config = Tcp.default_config) ?size_segments ?start_at
+    ?(observer = silent) () =
   if paths = [] then invalid_arg "Mptcp_flow.create: paths";
   let sim = Network.sim net in
   let source =
@@ -101,7 +107,13 @@ let create ~net ?rcv_net ~flow ~src ~dst ~paths ~coupling ?config
       if n < 0 then invalid_arg "Mptcp_flow.create: size_segments";
       Tcp.Limited (ref n)
   in
-  let t =
+  let coupling = coupling.Coupling.fresh () in
+  let started_at =
+    match start_at with
+    | None -> Xmp_engine.Sim.now sim
+    | Some ts -> Time.max (Xmp_engine.Sim.now sim) ts
+  in
+  let rec t =
     {
       net;
       rcv_net;
@@ -111,17 +123,14 @@ let create ~net ?rcv_net ~flow ~src ~dst ~paths ~coupling ?config
       size_segments;
       config;
       source;
-      group_factory = coupling.Coupling.fresh ();
+      coupling;
       subflows = [||];
       acked = 0;
       n_done = 0;
       completed_at = None;
-      started_at =
-        (match start_at with
-        | None -> Xmp_engine.Sim.now sim
-        | Some ts -> Time.max (Xmp_engine.Sim.now sim) ts);
-      start_at;
+      started_at;
       observer;
+      owner = Tcp.Owner (hooks, t);
     }
   in
   List.iter (fun path -> ignore (launch_subflow t ~path)) paths;

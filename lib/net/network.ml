@@ -107,7 +107,7 @@ let add_node_opt t ~id ~kind ~name =
   in
   let node = Node.create ~kind ~id ~name in
   if id >= Array.length t.node_arr then begin
-    let cap = Stdlib.max 16 (Stdlib.max (2 * Array.length t.node_arr) (id + 1)) in
+    let cap = Int.max 16 (Int.max (2 * Array.length t.node_arr) (id + 1)) in
     let arr = Array.make cap None in
     Array.blit t.node_arr 0 arr 0 (Array.length t.node_arr);
     t.node_arr <- arr

@@ -150,7 +150,7 @@ let release p =
   p.flags <- free_bit;
   let pool = Domain.DLS.get pool_key in
   if pool.top = Array.length pool.stack then begin
-    let cap = Stdlib.max 64 (2 * pool.top) in
+    let cap = Int.max 64 (2 * pool.top) in
     let stack = Array.make cap dummy in
     Array.blit pool.stack 0 stack 0 pool.top;
     pool.stack <- stack

@@ -82,7 +82,7 @@ let mail_injected t = t.injected
 let post s ~portal ~arrival p =
   let o = s.outbox_len in
   if o + mail_words > Array.length s.outbox then begin
-    let box = Array.make (Stdlib.max (64 * mail_words) (2 * o)) 0 in
+    let box = Array.make (Int.max (64 * mail_words) (2 * o)) 0 in
     Array.blit s.outbox 0 box 0 o;
     s.outbox <- box
   end;
@@ -97,7 +97,7 @@ let inbox_push pt box off =
   let w = Packet.words in
   let cap = Array.length pt.inbox / w in
   if pt.len = cap then begin
-    let ring = Array.make (w * Stdlib.max 16 (2 * cap)) 0 in
+    let ring = Array.make (w * Int.max 16 (2 * cap)) 0 in
     let tail = cap - pt.head in
     Array.blit pt.inbox (pt.head * w) ring 0 (tail * w);
     Array.blit pt.inbox 0 ring (tail * w) (pt.head * w);
@@ -150,7 +150,7 @@ let portal t ?tag ~src:(src_shard, src_node) ~dst:(dst_shard, dst_node) ~rate
   pt.on_arrive <- Sim.handler dst_sim (fun () -> arrive pt);
   let index = t.n_portals in
   if index = Array.length t.portals then begin
-    let grown = Array.make (Stdlib.max 8 (2 * index)) pt in
+    let grown = Array.make (Int.max 8 (2 * index)) pt in
     Array.blit t.portals 0 grown 0 index;
     t.portals <- grown
   end;
@@ -316,7 +316,7 @@ let run ?(domains = 1) ?(until = Time.infinity) ?on_epoch t =
     let delta = t.min_portal_delay in
     let crew =
       if domains > 1 && Array.length t.shards > 1 then
-        Some (start_crew t ~domains:(Stdlib.min domains (Array.length t.shards)))
+        Some (start_crew t ~domains:(Int.min domains (Array.length t.shards)))
       else None
     in
     let run_epoch ~until =
@@ -359,7 +359,7 @@ let run ?(domains = 1) ?(until = Time.infinity) ?on_epoch t =
                 if not (Time.is_infinite until) then run_epoch ~until;
                 continue := false
               end
-              else t.epoch <- Stdlib.max t.epoch (Time.div nt delta)
+              else t.epoch <- Int.max t.epoch (Time.div nt delta)
             end
           end
         done)

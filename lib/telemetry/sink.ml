@@ -33,4 +33,6 @@ type scope = {
 }
 
 let unscoped = { sink = null; flow = 0; subflow = 0 }
-let scope t ~flow ~subflow = { sink = t; flow; subflow }
+(* a disabled sink never reads the identity, so every subflow shares one *)
+let scope t ~flow ~subflow =
+  if active t then { sink = t; flow; subflow } else unscoped

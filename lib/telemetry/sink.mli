@@ -51,3 +51,5 @@ val unscoped : scope
     tests. *)
 
 val scope : t -> flow:int -> subflow:int -> scope
+(** A disabled sink yields the shared {!unscoped}, so a run without
+    telemetry allocates no scope per subflow. *)

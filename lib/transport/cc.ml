@@ -1,23 +1,41 @@
+module Time = Xmp_engine.Time
+
 type view = {
-  snd_una : unit -> int;
-  snd_nxt : unit -> int;
-  srtt : unit -> Xmp_engine.Time.t;
-  min_rtt : unit -> Xmp_engine.Time.t;
-  now : unit -> Xmp_engine.Time.t;
+  mutable snd_una : int;
+  mutable snd_nxt : int;
+  mutable srtt : Time.t;
+  mutable min_rtt : Time.t;
+  now : unit -> Time.t;
   telemetry : Xmp_telemetry.Sink.scope;
 }
 
-type t = {
+let view ?(telemetry = Xmp_telemetry.Sink.unscoped) ?(srtt = Time.ms 200)
+    ?(min_rtt = Time.infinity) ~now () =
+  { snd_una = 0; snd_nxt = 0; srtt; min_rtt; now; telemetry }
+
+type 's ops = {
   name : string;
-  cwnd : unit -> float;
-  on_ack : ack:int -> newly_acked:int -> ce_count:int -> unit;
-  on_ecn : count:int -> unit;
-  on_fast_retransmit : unit -> unit;
-  on_timeout : unit -> unit;
-  in_slow_start : unit -> bool;
-  take_cwr : unit -> bool;
+  cwnd : 's -> float;
+  on_ack : 's -> ack:int -> newly_acked:int -> ce_count:int -> unit;
+  on_ecn : 's -> count:int -> unit;
+  on_fast_retransmit : 's -> unit;
+  on_timeout : 's -> unit;
+  in_slow_start : 's -> bool;
+  take_cwr : 's -> bool;
 }
 
+type t = Cc : 's ops * 's -> t
 type factory = view -> t
 
-let nop_take_cwr () = false
+let name (Cc (o, _)) = o.name
+let cwnd (Cc (o, s)) = o.cwnd s
+
+let on_ack (Cc (o, s)) ~ack ~newly_acked ~ce_count =
+  o.on_ack s ~ack ~newly_acked ~ce_count
+
+let on_ecn (Cc (o, s)) ~count = o.on_ecn s ~count
+let on_fast_retransmit (Cc (o, s)) = o.on_fast_retransmit s
+let on_timeout (Cc (o, s)) = o.on_timeout s
+let in_slow_start (Cc (o, s)) = o.in_slow_start s
+let take_cwr (Cc (o, s)) = o.take_cwr s
+let nop_take_cwr _ = false

@@ -1,19 +1,27 @@
 (** Pluggable congestion-control interface.
 
-    A congestion controller owns [cwnd] (in segments) and reacts to the
-    events the connection machinery reports. The connection reads the
-    window through {!cwnd} before sending.
+    A controller is one state record driven by a statically allocated
+    {!ops} table: [Cc (ops, state)]. Every instance of a scheme shares
+    its [ops] (built once, at module initialisation), so an instance
+    costs its state record and the three-word {!t} pair — no closures.
+    The controller owns [cwnd] (in segments) and reacts to the events the
+    connection machinery reports; the connection reads the window
+    through {!cwnd} before sending.
 
     Controllers that need connection state (sequence numbers for round
-    tracking, smoothed RTT) receive a read-only {!view} at construction
+    tracking, smoothed RTT) read a {!view}: plain fields that the
+    connection keeps current, handed to the controller at construction
     time. *)
 
 type view = {
-  snd_una : unit -> int;  (** highest unacknowledged segment *)
-  snd_nxt : unit -> int;  (** next segment to be sent *)
-  srtt : unit -> Xmp_engine.Time.t;  (** smoothed RTT *)
-  min_rtt : unit -> Xmp_engine.Time.t;
+  mutable snd_una : int;  (** highest unacknowledged segment *)
+  mutable snd_nxt : int;
+      (** next new segment: the send high-water mark, which does not
+          regress when a timeout rolls retransmission back *)
+  mutable srtt : Xmp_engine.Time.t;  (** smoothed RTT *)
+  mutable min_rtt : Xmp_engine.Time.t;  (** smallest RTT sample *)
   now : unit -> Xmp_engine.Time.t;
+      (** the simulator clock (one closure per sim, {!Xmp_engine.Sim.clock}) *)
   telemetry : Xmp_telemetry.Sink.scope;
       (** the connection's telemetry sink, pre-bound to this subflow's
           [flow]/[subflow] identity, so controllers can emit cwnd-change /
@@ -21,30 +29,53 @@ type view = {
           Hand-built views use [Xmp_telemetry.Sink.unscoped]. *)
 }
 
-type t = {
+val view :
+  ?telemetry:Xmp_telemetry.Sink.scope ->
+  ?srtt:Xmp_engine.Time.t ->
+  ?min_rtt:Xmp_engine.Time.t ->
+  now:(unit -> Xmp_engine.Time.t) ->
+  unit ->
+  view
+(** A view at sequence 0. [srtt] and [min_rtt] default to the values a
+    connection reports before its first RTT sample (200 ms and
+    [Time.infinity]); [telemetry] defaults to [Sink.unscoped]. *)
+
+type 's ops = {
   name : string;
-  cwnd : unit -> float;
+  cwnd : 's -> float;
       (** current congestion window in segments; the connection sends while
           flight-size < ⌊cwnd⌋ (at least 1). *)
-  on_ack : ack:int -> newly_acked:int -> ce_count:int -> unit;
+  on_ack : 's -> ack:int -> newly_acked:int -> ce_count:int -> unit;
       (** a cumulative ACK advanced [snd_una] by [newly_acked] segments;
           [ce_count] CE echoes rode on it. *)
-  on_ecn : count:int -> unit;
+  on_ecn : 's -> count:int -> unit;
       (** an ACK (including a duplicate) carried [count ≥ 1] CE echoes.
-          Called before {!on_ack} for the same ACK. *)
-  on_fast_retransmit : unit -> unit;
+          Called before [on_ack] for the same ACK. *)
+  on_fast_retransmit : 's -> unit;
       (** third duplicate ACK: a loss was repaired by fast retransmit. *)
-  on_timeout : unit -> unit;  (** retransmission timeout fired. *)
-  in_slow_start : unit -> bool;
-  take_cwr : unit -> bool;
+  on_timeout : 's -> unit;  (** retransmission timeout fired. *)
+  in_slow_start : 's -> bool;
+  take_cwr : 's -> bool;
       (** classic-ECN support: [true] exactly once after an ECN-triggered
           reduction, telling the sender to set CWR on its next data
           packet. Controllers that repurpose CWR (XMP) always return
           [false]. *)
 }
+(** The code of one controller family over its state type ['s]. *)
+
+type t = Cc : 's ops * 's -> t  (** a controller instance *)
 
 type factory = view -> t
 (** How connections are given their controller. *)
 
-val nop_take_cwr : unit -> bool
-(** Always [false]; convenience for controllers without classic ECN. *)
+val name : t -> string
+val cwnd : t -> float
+val on_ack : t -> ack:int -> newly_acked:int -> ce_count:int -> unit
+val on_ecn : t -> count:int -> unit
+val on_fast_retransmit : t -> unit
+val on_timeout : t -> unit
+val in_slow_start : t -> bool
+val take_cwr : t -> bool
+
+val nop_take_cwr : 's -> bool
+(** Always [false]; for controllers without classic ECN. *)

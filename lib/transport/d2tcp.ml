@@ -29,29 +29,34 @@ let imminence ~params ~remaining_segments ~rate_segments_per_s ~time_left_s =
     Float.min params.d_max (Float.max params.d_min (needed_s /. time_left_s))
   end
 
+type ctx = { params : params; deadline : deadline option; acked : unit -> int }
+
+let imminence_now c (view : Cc.view) ~cwnd =
+  match c.deadline with
+  | None -> 1.
+  | Some dl ->
+    let now = view.Cc.now () in
+    let srtt = view.Cc.srtt in
+    let rate =
+      if Time.compare srtt Time.zero > 0 then cwnd /. Time.to_float_s srtt
+      else 0.
+    in
+    imminence ~params:c.params
+      ~remaining_segments:(dl.total_segments - c.acked ())
+      ~rate_segments_per_s:rate
+      ~time_left_s:(Time.to_float_s (Time.sub dl.deadline_at now))
+
+(* the D2TCP gamma correction: penalty = alpha^d / 2 *)
+let d2tcp_ops =
+  Dctcp.ops ~name:"d2tcp" ~penalty:(fun c view ~alpha ~cwnd ->
+      (alpha ** imminence_now c view ~cwnd) /. 2.)
+
 let make_cc ?(params = default_params) ?deadline ~acked () view =
-  let imminence_now ~cwnd =
-    match deadline with
-    | None -> 1.
-    | Some dl ->
-      let now = view.Cc.now () in
-      let srtt = view.Cc.srtt () in
-      let rate =
-        if Time.compare srtt Time.zero > 0 then cwnd /. Time.to_float_s srtt
-        else 0.
-      in
-      imminence ~params
-        ~remaining_segments:(dl.total_segments - acked ())
-        ~rate_segments_per_s:rate
-        ~time_left_s:(Time.to_float_s (Time.sub dl.deadline_at now))
-  in
-  (* the D2TCP gamma correction: penalty = alpha^d / 2 *)
-  Dctcp.make_cc ~name:"d2tcp"
-    ~penalty:(fun ~alpha ~cwnd -> (alpha ** imminence_now ~cwnd) /. 2.)
+  Dctcp.create d2tcp_ops
     {
       Dctcp.g = params.g;
       init_alpha = params.init_alpha;
       init_cwnd = params.init_cwnd;
       min_cwnd = params.min_cwnd;
     }
-    view
+    { params; deadline; acked } view

@@ -4,7 +4,7 @@
     bandwidth").
 
     D²TCP is DCTCP with a gamma-corrected cut: it runs on the DCTCP
-    window body ({!Dctcp.make_cc}) — same α estimate, slow start and loss
+    window body ({!Dctcp.ops}) — same α estimate, slow start and loss
     rules — but raises α to a deadline-imminence factor [d]:
 
     {v cwnd ← cwnd · (1 − α^d / 2) v}

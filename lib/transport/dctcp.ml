@@ -8,9 +8,10 @@ type params = {
 let default_params =
   { g = 1. /. 16.; init_alpha = 1.; init_cwnd = 3.; min_cwnd = 1. }
 
-type state = {
+type 'c state = {
   params : params;
   view : Cc.view;
+  ctx : 'c;
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable alpha : float;
@@ -20,72 +21,77 @@ type state = {
   mutable reduced_this_window : bool;
 }
 
-let make_cc ~name ~penalty params view =
-  let s =
-    {
-      params;
-      view;
-      cwnd = params.init_cwnd;
-      ssthresh = Float.max_float;
-      alpha = params.init_alpha;
-      window_end = 0;
-      acked_in_window = 0;
-      marked_in_window = 0;
-      reduced_this_window = false;
-    }
-  in
-  let in_slow_start () = s.cwnd < s.ssthresh in
-  let on_ecn ~count:_ =
-    let was_slow_start = in_slow_start () in
-    if not s.reduced_this_window then begin
-      s.reduced_this_window <- true;
-      let p = penalty ~alpha:s.alpha ~cwnd:s.cwnd in
-      s.cwnd <- Float.max s.params.min_cwnd (s.cwnd *. (1. -. p))
+let in_slow_start s = s.cwnd < s.ssthresh
+
+let on_ack s ~ack ~newly_acked ~ce_count =
+  s.acked_in_window <- s.acked_in_window + newly_acked;
+  s.marked_in_window <- s.marked_in_window + ce_count;
+  if ack > s.window_end then begin
+    (* one observation window (≈ one RTT of data) completed *)
+    if s.acked_in_window > 0 then begin
+      let f =
+        float_of_int s.marked_in_window /. float_of_int s.acked_in_window
+      in
+      s.alpha <-
+        ((1. -. s.params.g) *. s.alpha) +. (s.params.g *. Float.min 1. f)
     end;
-    (* leave (and do not re-enter) slow start on a congestion signal *)
-    if was_slow_start then
-      s.ssthresh <- Float.max s.params.min_cwnd s.cwnd
-  in
-  let on_ack ~ack ~newly_acked ~ce_count =
-    s.acked_in_window <- s.acked_in_window + newly_acked;
-    s.marked_in_window <- s.marked_in_window + ce_count;
-    if ack > s.window_end then begin
-      (* one observation window (≈ one RTT of data) completed *)
-      if s.acked_in_window > 0 then begin
-        let f =
-          float_of_int s.marked_in_window /. float_of_int s.acked_in_window
-        in
-        s.alpha <-
-          ((1. -. s.params.g) *. s.alpha) +. (s.params.g *. Float.min 1. f)
-      end;
-      s.acked_in_window <- 0;
-      s.marked_in_window <- 0;
-      s.reduced_this_window <- false;
-      s.window_end <- s.view.Cc.snd_nxt ()
-    end;
-    for _ = 1 to newly_acked do
-      if in_slow_start () then s.cwnd <- s.cwnd +. 1.
-      else s.cwnd <- s.cwnd +. (1. /. s.cwnd)
-    done
-  in
-  let on_fast_retransmit () =
-    s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-    s.cwnd <- s.ssthresh
-  in
-  let on_timeout () =
-    s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-    s.cwnd <- Float.max s.params.min_cwnd 1.
-  in
+    s.acked_in_window <- 0;
+    s.marked_in_window <- 0;
+    s.reduced_this_window <- false;
+    s.window_end <- s.view.Cc.snd_nxt
+  end;
+  for _ = 1 to newly_acked do
+    if in_slow_start s then s.cwnd <- s.cwnd +. 1.
+    else s.cwnd <- s.cwnd +. (1. /. s.cwnd)
+  done
+
+let on_fast_retransmit s =
+  s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
+  s.cwnd <- s.ssthresh
+
+let on_timeout s =
+  s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
+  s.cwnd <- Float.max s.params.min_cwnd 1.
+
+let ops ~name ~penalty =
   {
     Cc.name;
-    cwnd = (fun () -> s.cwnd);
+    cwnd = (fun s -> s.cwnd);
     on_ack;
-    on_ecn;
+    on_ecn =
+      (fun s ~count:_ ->
+        let was_slow_start = in_slow_start s in
+        if not s.reduced_this_window then begin
+          s.reduced_this_window <- true;
+          let p = penalty s.ctx s.view ~alpha:s.alpha ~cwnd:s.cwnd in
+          s.cwnd <- Float.max s.params.min_cwnd (s.cwnd *. (1. -. p))
+        end;
+        (* leave (and do not re-enter) slow start on a congestion signal *)
+        if was_slow_start then
+          s.ssthresh <- Float.max s.params.min_cwnd s.cwnd);
     on_fast_retransmit;
     on_timeout;
-    in_slow_start = (fun () -> in_slow_start ());
+    in_slow_start;
     take_cwr = Cc.nop_take_cwr;
   }
 
-let make ?(params = default_params) view =
-  make_cc ~name:"dctcp" ~penalty:(fun ~alpha ~cwnd:_ -> alpha /. 2.) params view
+let create ops params ctx view =
+  Cc.Cc
+    ( ops,
+      {
+        params;
+        view;
+        ctx;
+        cwnd = params.init_cwnd;
+        ssthresh = Float.max_float;
+        alpha = params.init_alpha;
+        window_end = 0;
+        acked_in_window = 0;
+        marked_in_window = 0;
+        reduced_this_window = false;
+      } )
+
+let dctcp_ops =
+  ops ~name:"dctcp" ~penalty:(fun () _ ~alpha ~cwnd:_ -> alpha /. 2.)
+
+let make ?(params = default_params) view = create dctcp_ops params () view

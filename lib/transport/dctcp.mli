@@ -9,7 +9,7 @@
     cuts [cwnd ← cwnd·(1 − alpha/2)]. Losses are handled as in NewReno.
 
     The same body runs D²TCP ({!D2tcp}): DCTCP with a gamma-corrected
-    cut [alpha^d/2] supplied through {!make_cc}'s [penalty]. *)
+    cut [alpha^d/2] supplied through {!ops}' [penalty]. *)
 
 type params = {
   g : float;  (** EWMA gain for alpha, paper value 1/16 *)
@@ -21,13 +21,19 @@ type params = {
 val default_params : params
 
 val make : ?params:params -> Cc.factory
-(** [make_cc ~name:"dctcp" ~penalty:(α/2)]. *)
+(** DCTCP: the window body below with the cut [penalty = α/2]. *)
 
-val make_cc :
+type 'c state
+(** One controller of the DCTCP window body: state, the α EWMA, slow
+    start and the NewReno loss rules, plus the family's per-instance
+    context ['c]. *)
+
+val ops :
   name:string ->
-  penalty:(alpha:float -> cwnd:float -> float) ->
-  params ->
-  Cc.factory
-(** The DCTCP window body: state, the α EWMA, slow start and the NewReno
-    loss rules. On the first CE echo of a window the window is cut to
-    [cwnd·(1 − penalty ~alpha ~cwnd)], floored at [min_cwnd]. *)
+  penalty:('c -> Cc.view -> alpha:float -> cwnd:float -> float) ->
+  'c state Cc.ops
+(** A family of the DCTCP body, built once: on the first CE echo of a
+    window the window is cut to [cwnd·(1 − penalty ctx view ~alpha
+    ~cwnd)], floored at [min_cwnd]. *)
+
+val create : 'c state Cc.ops -> params -> 'c -> Cc.factory

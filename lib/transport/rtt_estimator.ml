@@ -59,7 +59,7 @@ let rto t =
     Time.add t.srtt (Time.max t.granularity (Time.mul t.rttvar 4))
   in
   let clamped = Time.max t.rto_min (Time.min t.rto_max base) in
-  let backed = clamped * (1 lsl Stdlib.min t.backoff 16) in
+  let backed = clamped * (1 lsl Int.min t.backoff 16) in
   Time.min t.rto_max backed
 
 let backoff t = t.backoff <- t.backoff + 1

@@ -33,7 +33,7 @@ let add_range ~start ~stop t =
       | ((a, b) as iv) :: rest ->
         if b < start then place (iv :: acc) start stop rest
         else if stop < a then List.rev_append acc ((start, stop) :: iv :: rest)
-        else place acc (Stdlib.min a start) (Stdlib.max b stop) rest
+        else place acc (Int.min a start) (Int.max b stop) rest
     in
     place [] start stop t
 

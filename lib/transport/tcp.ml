@@ -61,14 +61,15 @@ type t = {
   dst_node : Node.t;
   (* Receiver half. In split mode ([rcv_net] differs from [net]) the
      receiver lives on another shard: its endpoint registers on
-     [rcv_net], its timers run on [rcv_sim], and no mutable field is
+     [rcv_net], its timers run on that network's sim, and no mutable field is
      touched by both halves — the sender and receiver then communicate
      through packets alone, which keeps a cross-shard flow free of
      cross-domain data races. *)
-  rcv_net : Network.t;
-  rcv_sim : Sim.t;
-  split : bool;
-  mutable cc : Cc.t;
+  rcv_net : Network.t;  (* [net] itself unless split *)
+  cc : Cc.t;
+  view : Cc.view;
+      (* what the controller reads, kept current here; it also holds the
+         sender's [snd_una] and [snd_max] (as [view.snd_nxt]) *)
   est : Rtt_estimator.t;
   source : source;
   started_at : Time.t;
@@ -77,9 +78,7 @@ type t = {
      [snd_nxt] is the next segment to (re)transmit — after a timeout it is
      rolled back to [snd_una] (go-back-N), so segments in
      [snd_nxt, snd_max) are pending retransmission. *)
-  mutable snd_una : int;
   mutable snd_nxt : int;
-  mutable snd_max : int;
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;
@@ -116,24 +115,62 @@ type t = {
   mutable retransmits : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
-  on_segment_acked : int -> unit;
-  on_rtt_sample : Time.t -> unit;
-  on_complete : unit -> unit;
-  (* telemetry: [tel] is the sim's sink; the metric handles are resolved
-     once at creation and are [None] exactly when the sink is disabled, so
-     the disabled case stays a single branch per site *)
+  owner : owner;
+  (* telemetry: resolved once at creation, [None] exactly when the sink
+     is disabled, so the disabled case stays a single branch per site *)
+  instruments : instruments option;
+}
+
+and owner = Owner : 'a hooks * 'a -> owner
+
+and 'a hooks = {
+  acked : 'a -> t -> int -> unit;
+  rtt_sample : 'a -> Time.t -> unit;
+  complete : 'a -> t -> unit;
+}
+
+and instruments = {
   tel : Tel.Sink.t;
-  h_rtt : Tel.Metric.Histogram.t option;
-  c_retransmits : Tel.Metric.Counter.t option;
-  c_timeouts : Tel.Metric.Counter.t option;
+  h_rtt : Tel.Metric.Histogram.t;
+  c_retransmits : Tel.Metric.Counter.t;
+  c_timeouts : Tel.Metric.Counter.t;
 }
 
 let nop1 _ = ()
 
-let flight t = t.snd_nxt - t.snd_una
+let silent =
+  Owner
+    ( {
+        acked = (fun () _ _ -> ());
+        rtt_sample = (fun () _ -> ());
+        complete = (fun () _ -> ());
+      },
+      () )
+
+(* the owner of a connection built with the plain callback arguments *)
+type callbacks = {
+  on_segment_acked : int -> unit;
+  on_rtt_sample : Time.t -> unit;
+  on_complete : unit -> unit;
+}
+
+let callback_hooks =
+  {
+    acked = (fun c _ n -> c.on_segment_acked n);
+    rtt_sample = (fun c rtt -> c.on_rtt_sample rtt);
+    complete = (fun c _ -> c.on_complete ());
+  }
+
+let notify_acked t n = match t.owner with Owner (h, o) -> h.acked o t n
+let notify_rtt t rtt = match t.owner with Owner (h, o) -> h.rtt_sample o rtt
+let notify_complete t = match t.owner with Owner (h, o) -> h.complete o t
+let snd_una t = t.view.Cc.snd_una
+let snd_max t = t.view.Cc.snd_nxt
+let split t = not (t.rcv_net == t.net)
+let flight t = t.snd_nxt - snd_una t
 
 (* data taken from the source but not yet acknowledged *)
-let outstanding t = t.snd_max - t.snd_una
+let outstanding t = snd_max t - snd_una t
 
 let take_segment t =
   match t.source with
@@ -151,7 +188,7 @@ let source_drained t =
 let teardown t =
   if not t.torn_down then begin
     t.torn_down <- true;
-    if not t.split then begin
+    if not (split t) then begin
       (match t.delack_timer with Some tm -> Sim.cancel tm | None -> ());
       t.delack_timer <- None;
       t.rcv_closed <- true
@@ -162,7 +199,7 @@ let teardown t =
       ~subflow:t.subflow;
     (* a split receiver's registration belongs to another shard's network
        (and domain); it stays registered and late packets dead-letter *)
-    if not t.split then
+    if not (split t) then
       Network.unregister_endpoint t.rcv_net ~host:t.dst ~flow:t.flow
         ~subflow:t.subflow
   end
@@ -171,26 +208,28 @@ let complete t =
   if Option.is_none t.completed_at then begin
     t.completed_at <- Some (Sim.now t.sim);
     teardown t;
-    if Tel.Sink.active t.tel then
-      Tel.Sink.event t.tel ~time_ns:(Sim.now t.sim)
+    (match t.instruments with
+    | Some i ->
+      Tel.Sink.event i.tel ~time_ns:(Sim.now t.sim)
         (Tel.Event.Subflow_complete
-           { flow = t.flow; subflow = t.subflow; acked = t.segments_acked });
-    t.on_complete ()
+           { flow = t.flow; subflow = t.subflow; acked = t.segments_acked })
+    | None -> ());
+    notify_complete t
   end
 
 let send_data t ~seq ~retx =
   let now = Sim.now t.sim in
-  let cwr = (not retx) && t.cc.Cc.take_cwr () in
+  let cwr = (not retx) && Cc.take_cwr t.cc in
   let p =
     Packet.data ~flow:t.flow ~subflow:t.subflow ~src:t.src ~dst:t.dst
       ~path:t.path ~seq ~ect:t.config.ect ~cwr ~ts:now
   in
   if retx then begin
     t.retransmits <- t.retransmits + 1;
-    match t.c_retransmits with
-    | Some c ->
-      Tel.Metric.Counter.inc c;
-      Tel.Sink.event t.tel ~time_ns:now
+    match t.instruments with
+    | Some i ->
+      Tel.Metric.Counter.inc i.c_retransmits;
+      Tel.Sink.event i.tel ~time_ns:now
         (Tel.Event.Retransmit { flow = t.flow; subflow = t.subflow; seq })
     | None -> ()
   end
@@ -218,19 +257,19 @@ let rec watchdog_fire t =
       let now = Sim.now t.sim in
       if Time.compare now t.rto_deadline >= 0 then begin
         t.timeouts <- t.timeouts + 1;
-        (match t.c_timeouts with
-        | Some c ->
-          Tel.Metric.Counter.inc c;
-          Tel.Sink.event t.tel ~time_ns:now
+        (match t.instruments with
+        | Some i ->
+          Tel.Metric.Counter.inc i.c_timeouts;
+          Tel.Sink.event i.tel ~time_ns:now
             (Tel.Event.Rto_timeout { flow = t.flow; subflow = t.subflow })
         | None -> ());
         Rtt_estimator.backoff t.est;
-        t.cc.Cc.on_timeout ();
+        Cc.on_timeout t.cc;
         t.in_recovery <- false;
         t.dupacks <- 0;
         (* go-back-N: resume (re)transmission from the unacknowledged
            point; the send loop resends forward as the window allows *)
-        t.snd_nxt <- t.snd_una;
+        t.snd_nxt <- snd_una t;
         t.rto_deadline <- Time.add now (Rtt_estimator.rto t.est);
         schedule_watchdog t t.rto_deadline;
         send_pending t
@@ -250,25 +289,26 @@ and refresh_rto t =
 and send_pending t =
   if not t.torn_down then begin
     if Invariant.enabled () then begin
-      if not (Invariant.holds (t.cc.Cc.cwnd () >= 1.)) then
+      if not (Invariant.holds (Cc.cwnd t.cc >= 1.)) then
         Invariant.fail ~name:"tcp.cwnd-at-least-one-mss" (fun () ->
             Printf.sprintf "flow %d subflow %d: %s cwnd %.3f < 1 segment"
-              t.flow t.subflow t.cc.Cc.name (t.cc.Cc.cwnd ()));
+              t.flow t.subflow (Cc.name t.cc) (Cc.cwnd t.cc));
       if
         not
-          (Invariant.holds (t.snd_una <= t.snd_nxt && t.snd_nxt <= t.snd_max))
+          (Invariant.holds
+             (snd_una t <= t.snd_nxt && t.snd_nxt <= snd_max t))
       then
         Invariant.fail ~name:"tcp.inflight-conservation" (fun () ->
             Printf.sprintf "flow %d subflow %d: una=%d nxt=%d max=%d" t.flow
-              t.subflow t.snd_una t.snd_nxt t.snd_max)
+              t.subflow (snd_una t) t.snd_nxt (snd_max t))
     end;
-    let window = Stdlib.max 1 (int_of_float (t.cc.Cc.cwnd ())) in
+    let window = Int.max 1 (int_of_float (Cc.cwnd t.cc)) in
     if flight t < window then begin
       (* skip segments the SACK scoreboard says the receiver already has *)
       if not (Seqset.is_empty t.sacked) then
         t.snd_nxt <-
-          Stdlib.min t.snd_max (Seqset.first_absent_from t.snd_nxt t.sacked);
-      if t.snd_nxt < t.snd_max then begin
+          Int.min (snd_max t) (Seqset.first_absent_from t.snd_nxt t.sacked);
+      if t.snd_nxt < snd_max t then begin
         (* retransmission of taken-but-unacked data (post-timeout) *)
         let seq = t.snd_nxt in
         t.snd_nxt <- t.snd_nxt + 1;
@@ -278,7 +318,7 @@ and send_pending t =
       else if take_segment t then begin
         let seq = t.snd_nxt in
         t.snd_nxt <- t.snd_nxt + 1;
-        t.snd_max <- t.snd_nxt;
+        t.view.Cc.snd_nxt <- t.snd_nxt;
         if outstanding t = 1 then refresh_rto t;
         send_data t ~seq ~retx:false;
         send_pending t
@@ -314,7 +354,7 @@ let make_ack t =
     | Counted cap ->
       let n =
         match cap with
-        | Some limit -> Stdlib.min t.pending_ce limit
+        | Some limit -> Int.min t.pending_ce limit
         | None -> t.pending_ce
       in
       t.pending_ce <- t.pending_ce - n;
@@ -338,7 +378,9 @@ let arm_delack t =
   | Some _ -> ()
   | None ->
     t.delack_timer <-
-      Some (Sim.timer_after t.rcv_sim t.config.delack_timeout t.delack_fire)
+      Some
+        (Sim.timer_after (Network.sim t.rcv_net) t.config.delack_timeout
+           t.delack_fire)
 
 let receiver_rx t (p : Packet.t) =
   (* Echo the timestamp of the most recent arrival: re-ACKs triggered by
@@ -355,10 +397,13 @@ let receiver_rx t (p : Packet.t) =
   if seq = t.rcv_nxt then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
     (* the reorder buffer keeps maximal runs, so the whole contiguous
-       stretch above the new rcv_nxt lifts out in one step *)
-    let nxt, rest = Seqset.consume_from t.rcv_nxt t.rcv_ooo in
-    t.rcv_nxt <- nxt;
-    t.rcv_ooo <- rest;
+       stretch above the new rcv_nxt lifts out in one step; an empty
+       buffer (the in-order common case) has nothing to lift *)
+    if not (Seqset.is_empty t.rcv_ooo) then begin
+      let nxt, rest = Seqset.consume_from t.rcv_nxt t.rcv_ooo in
+      t.rcv_nxt <- nxt;
+      t.rcv_ooo <- rest
+    end;
     t.delack_pending <- t.delack_pending + 1;
     if t.delack_pending >= t.config.delack_segments then send_ack t
     else arm_delack t
@@ -392,14 +437,14 @@ let ingest_sack t (p : Packet.t) =
   else begin
     let before = Seqset.cardinal t.sacked in
     for i = 0 to n - 1 do
-      let start = Stdlib.max (Packet.sack_start p i) (t.snd_una + 1) in
+      let start = Int.max (Packet.sack_start p i) (snd_una t + 1) in
       let stop = Packet.sack_stop p i in
       if start < stop then t.sacked <- Seqset.add_range ~start ~stop t.sacked
     done;
     Seqset.cardinal t.sacked > before
   end
 
-let prune_scoreboard t = t.sacked <- Seqset.remove_below t.snd_una t.sacked
+let prune_scoreboard t = t.sacked <- Seqset.remove_below (snd_una t) t.sacked
 
 (* First unSACKed hole at or above [from] that is safe to declare lost:
    a repair needs SACK evidence *above* the hole (RFC 6675's IsLost
@@ -439,17 +484,17 @@ let repair_hole t hole =
 let sender_rx t (p : Packet.t) =
   if not t.torn_down then begin
     let ece_count = Packet.ece_count p in
-    if ece_count > 0 then t.cc.Cc.on_ecn ~count:ece_count;
+    if ece_count > 0 then Cc.on_ecn t.cc ~count:ece_count;
     let sack_advanced = ingest_sack t p in
     let ack = Packet.seq p in
-    if ack > t.snd_una then begin
-      if not (Invariant.holds (ack <= t.snd_max)) then
+    if ack > snd_una t then begin
+      if not (Invariant.holds (ack <= snd_max t)) then
         Invariant.fail ~name:"tcp.ack-within-sent" (fun () ->
             Printf.sprintf "flow %d subflow %d: cumulative ACK %d beyond \
                             snd_max %d"
-              t.flow t.subflow ack t.snd_max);
-      let newly = ack - t.snd_una in
-      t.snd_una <- ack;
+              t.flow t.subflow ack (snd_max t));
+      let newly = ack - snd_una t in
+      t.view.Cc.snd_una <- ack;
       if ack > t.snd_nxt then t.snd_nxt <- ack;
       t.dupacks <- 0;
       prune_scoreboard t;
@@ -457,17 +502,19 @@ let sender_rx t (p : Packet.t) =
       let rtt = Time.sub now (Packet.ts p) in
       if Time.compare rtt Time.zero >= 0 then begin
         Rtt_estimator.sample t.est rtt;
-        (match t.h_rtt with
-        | Some h -> Tel.Metric.Histogram.add h (Time.to_us rtt)
+        t.view.Cc.srtt <- Rtt_estimator.srtt t.est;
+        t.view.Cc.min_rtt <- Rtt_estimator.min_rtt t.est;
+        (match t.instruments with
+        | Some i -> Tel.Metric.Histogram.add i.h_rtt (Time.to_us rtt)
         | None -> ());
-        t.on_rtt_sample rtt
+        notify_rtt t rtt
       end;
       Rtt_estimator.reset_backoff t.est;
-      t.cc.Cc.on_ack ~ack ~newly_acked:newly ~ce_count:ece_count;
+      Cc.on_ack t.cc ~ack ~newly_acked:newly ~ce_count:ece_count;
       t.segments_acked <- t.segments_acked + newly;
-      t.on_segment_acked newly;
+      notify_acked t newly;
       if t.in_recovery then begin
-        if t.snd_una >= t.recover then t.in_recovery <- false
+        if snd_una t >= t.recover then t.in_recovery <- false
         else
           (* NewReno partial ACK: repair the next hole immediately.
              The hole is not necessarily snd_una — with SACK the
@@ -480,9 +527,9 @@ let sender_rx t (p : Packet.t) =
              lost, the RTO backstop recovers it). Without a scoreboard
              there is nothing to consult and the hole is snd_una, as in
              classic NewReno. *)
-          if Seqset.is_empty t.sacked then repair_hole t t.snd_una
+          if Seqset.is_empty t.sacked then repair_hole t (snd_una t)
           else
-            match next_hole t ~from:t.snd_una with
+            match next_hole t ~from:(snd_una t) with
             | Some hole when hole > t.rexmit_high -> repair_hole t hole
             | Some _ | None -> ()
       end;
@@ -493,13 +540,13 @@ let sender_rx t (p : Packet.t) =
       t.dupacks <- t.dupacks + 1;
       if t.dupacks = t.config.dupack_threshold && not t.in_recovery then begin
         t.in_recovery <- true;
-        t.recover <- t.snd_max;
-        t.rexmit_high <- t.snd_una - 1;
+        t.recover <- snd_max t;
+        t.rexmit_high <- snd_una t - 1;
         t.fast_retransmits <- t.fast_retransmits + 1;
-        t.cc.Cc.on_fast_retransmit ();
-        match next_hole t ~from:t.snd_una with
+        Cc.on_fast_retransmit t.cc;
+        match next_hole t ~from:(snd_una t) with
         | Some hole -> repair_hole t hole
-        | None -> repair_hole t t.snd_una
+        | None -> repair_hole t (snd_una t)
       end
       else if t.in_recovery && sack_advanced then begin
         (* Dup ACKs during recovery that carry fresh SACK news used to be
@@ -509,11 +556,11 @@ let sender_rx t (p : Packet.t) =
            idea): data in flight that the scoreboard does not cover must
            stay under the window, else the repairs themselves overflow
            the bottleneck and are lost in turn. *)
-        let window = Stdlib.max 1 (int_of_float (t.cc.Cc.cwnd ())) in
+        let window = Int.max 1 (int_of_float (Cc.cwnd t.cc)) in
         let pipe = flight t - Seqset.cardinal t.sacked in
         if pipe < window then
           match
-            next_hole t ~from:(Stdlib.max t.snd_una (t.rexmit_high + 1))
+            next_hole t ~from:(Int.max (snd_una t) (t.rexmit_high + 1))
           with
           | Some hole when hole_is_lost t hole -> repair_hole t hole
           | Some _ | None -> ()
@@ -522,41 +569,55 @@ let sender_rx t (p : Packet.t) =
   end
 
 let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
-    ?(config = default_config) ?(source = Infinite) ?start_at
-    ?(on_segment_acked = nop1) ?(on_rtt_sample = nop1)
-    ?(on_complete = fun () -> ()) () =
+    ?(config = default_config) ?(source = Infinite) ?start_at ?owner
+    ?on_segment_acked ?on_rtt_sample ?on_complete () =
+  let owner =
+    match (owner, on_segment_acked, on_rtt_sample, on_complete) with
+    | Some o, None, None, None -> o
+    | None, None, None, None -> silent
+    | None, _, _, _ ->
+      let value = Option.value ~default:nop1 in
+      Owner
+        ( callback_hooks,
+          {
+            on_segment_acked = value on_segment_acked;
+            on_rtt_sample = value on_rtt_sample;
+            on_complete = Option.value on_complete ~default:ignore;
+          } )
+    | Some _, _, _, _ -> invalid_arg "Tcp.create: owner and callbacks"
+  in
   let sim = Network.sim net in
   let rcv_net = match rcv_net with Some n -> n | None -> net in
-  let split = not (rcv_net == net) in
   let est =
     Rtt_estimator.create ~rto_min:config.rto_min ~rto_max:config.rto_max
       ~granularity:config.rto_granularity ()
   in
   let tel = Sim.telemetry sim in
-  let h_rtt, c_retransmits, c_timeouts =
+  let instruments =
     if Tel.Sink.active tel then begin
       let reg = Tel.Sink.registry tel in
-      ( Some (Tel.Registry.histogram reg ~subsystem:"transport" ~name:"rtt_us" ()),
-        Some
-          (Tel.Registry.counter reg ~subsystem:"transport" ~name:"retransmits"
-             ()),
-        Some
-          (Tel.Registry.counter reg ~subsystem:"transport" ~name:"timeouts" ())
-      )
+      Some
+        {
+          tel;
+          h_rtt =
+            Tel.Registry.histogram reg ~subsystem:"transport" ~name:"rtt_us" ();
+          c_retransmits =
+            Tel.Registry.counter reg ~subsystem:"transport" ~name:"retransmits"
+              ();
+          c_timeouts =
+            Tel.Registry.counter reg ~subsystem:"transport" ~name:"timeouts" ();
+        }
     end
-    else (None, None, None)
+    else None
   in
-  let placeholder_cc =
-    {
-      Cc.name = "uninitialized";
-      cwnd = (fun () -> 1.);
-      on_ack = (fun ~ack:_ ~newly_acked:_ ~ce_count:_ -> ());
-      on_ecn = (fun ~count:_ -> ());
-      on_fast_retransmit = ignore;
-      on_timeout = ignore;
-      in_slow_start = (fun () -> true);
-      take_cwr = Cc.nop_take_cwr;
-    }
+  (* Algorithm 1's snd_nxt means "next new sequence"; after a timeout
+     rollback the transmission pointer regresses, but round/cwr
+     snapshots must not, so controllers see the high-water mark. *)
+  let view =
+    Cc.view
+      ~telemetry:(Tel.Sink.scope tel ~flow ~subflow)
+      ~srtt:(Rtt_estimator.srtt est) ~min_rtt:(Rtt_estimator.min_rtt est)
+      ~now:(Sim.clock sim) ()
   in
   let t =
     {
@@ -571,18 +632,15 @@ let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
       src_node = Network.node net src;
       dst_node = Network.node rcv_net dst;
       rcv_net;
-      rcv_sim = Network.sim rcv_net;
-      split;
-      cc = placeholder_cc;
+      cc = cc view;
+      view;
       est;
       source;
       started_at =
         (match start_at with
         | None -> Sim.now sim
         | Some ts -> Time.max (Sim.now sim) ts);
-      snd_una = 0;
       snd_nxt = 0;
-      snd_max = 0;
       dupacks = 0;
       in_recovery = false;
       recover = 0;
@@ -608,36 +666,19 @@ let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
       retransmits = 0;
       timeouts = 0;
       fast_retransmits = 0;
-      on_segment_acked;
-      on_rtt_sample;
-      on_complete;
-      tel;
-      h_rtt;
-      c_retransmits;
-      c_timeouts;
+      owner;
+      instruments;
     }
   in
-  let view =
-    {
-      Cc.snd_una = (fun () -> t.snd_una);
-      (* Algorithm 1's snd_nxt means "next new sequence"; after a timeout
-         rollback the transmission pointer regresses, but round/cwr
-         snapshots must not, so controllers see the high-water mark. *)
-      snd_nxt = (fun () -> t.snd_max);
-      srtt = (fun () -> Rtt_estimator.srtt t.est);
-      min_rtt = (fun () -> Rtt_estimator.min_rtt t.est);
-      now = (fun () -> Sim.now sim);
-      telemetry = Tel.Sink.scope tel ~flow ~subflow;
-    }
-  in
-  t.cc <- cc view;
   t.wd_fire <- (fun () -> watchdog_fire t);
   t.delack_fire <-
     (fun () ->
       t.delack_timer <- None;
       if not t.rcv_closed then send_ack t);
-  Network.register_endpoint net ~host:src ~flow ~subflow (sender_rx t);
-  Network.register_endpoint rcv_net ~host:dst ~flow ~subflow (receiver_rx t);
+  Network.register_endpoint net ~host:src ~flow ~subflow (fun p ->
+      sender_rx t p);
+  Network.register_endpoint rcv_net ~host:dst ~flow ~subflow (fun p ->
+      receiver_rx t p);
   (* A deferred start keeps registration immediate (so the receiver half
      exists before any packet can arrive) but first transmits at
      [started_at]; the guard covers flows stopped before their start. *)
@@ -649,7 +690,7 @@ let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
 let stop t = teardown t
 
 let close_receiver t =
-  if t.split && not t.rcv_closed then begin
+  if split t && not t.rcv_closed then begin
     t.rcv_closed <- true;
     (match t.delack_timer with Some tm -> Sim.cancel tm | None -> ());
     t.delack_timer <- None;
@@ -659,12 +700,10 @@ let close_receiver t =
 let flow t = t.flow
 let subflow t = t.subflow
 let path t = t.path
-let cwnd t = t.cc.Cc.cwnd ()
-let cc_name t = t.cc.Cc.name
+let cwnd t = Cc.cwnd t.cc
+let cc_name t = Cc.name t.cc
 let srtt t = Rtt_estimator.srtt t.est
-let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
-let snd_max t = t.snd_max
 let outstanding_segments t = outstanding t
 let segments_acked t = t.segments_acked
 let segments_sent t = t.segments_sent

@@ -59,6 +59,22 @@ type source = Infinite | Limited of int ref
 
 type t
 
+(** {1 Owners}
+
+    The code a connection reports its progress to. An owner is a static
+    table of hooks plus the value they act on (an MPTCP flow), so a
+    connection holds one word for it and allocates no callback closure. *)
+
+type 'a hooks = {
+  acked : 'a -> t -> int -> unit;
+      (** [acked owner conn n]: [n] segments newly acknowledged *)
+  rtt_sample : 'a -> Xmp_engine.Time.t -> unit;  (** a fresh RTT sample *)
+  complete : 'a -> t -> unit;
+      (** a [Limited] source is exhausted and fully acknowledged *)
+}
+
+type owner = Owner : 'a hooks * 'a -> owner
+
 val create :
   net:Xmp_net.Network.t ->
   ?rcv_net:Xmp_net.Network.t ->
@@ -71,6 +87,7 @@ val create :
   ?config:config ->
   ?source:source ->
   ?start_at:Xmp_engine.Time.t ->
+  ?owner:owner ->
   ?on_segment_acked:(int -> unit) ->
   ?on_rtt_sample:(Xmp_engine.Time.t -> unit) ->
   ?on_complete:(unit -> unit) ->
@@ -82,7 +99,9 @@ val create :
     [started_at] reports the deferred time). [source] defaults to
     [Infinite]. [on_complete] fires once, when a [Limited] source is
     exhausted and every segment is acknowledged; the connection then
-    tears down.
+    tears down. Progress goes either to [owner] or to the three callback
+    arguments, which are a convenience for tests and single connections
+    (passing both raises [Invalid_argument]).
 
     [rcv_net] places the receiver half on a different network (a sharded
     run's destination shard): the data endpoint registers there, its

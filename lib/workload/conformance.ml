@@ -70,7 +70,7 @@ let schemes =
     Scheme.amp 2;
   ]
 
-type sub = { cc : Cc.t; una : int ref; nxt : int ref }
+type sub = { cc : Cc.t; view : Cc.view }
 
 type rig = { scheme : Scheme.t; subs : sub array; now : Time.t ref }
 
@@ -109,23 +109,14 @@ let asym_episode =
 let make_rig ?(srtt_of = srtt_of_index) ?(min_rtt_of = fun _ -> base_rtt)
     scheme =
   let coupling = Scheme.coupling scheme Scheme.default_overrides in
-  let factory = coupling.Coupling.fresh () in
+  let flow = coupling.Coupling.fresh () in
   let now = ref (Time.us 0) in
+  let clock () = !now in
   let make_sub i =
-    let una = ref 0 and nxt = ref 0 in
-    let srtt = srtt_of i in
-    let min_rtt = min_rtt_of i in
     let view =
-      {
-        Cc.snd_una = (fun () -> !una);
-        snd_nxt = (fun () -> !nxt);
-        srtt = (fun () -> srtt);
-        min_rtt = (fun () -> min_rtt);
-        now = (fun () -> !now);
-        telemetry = Xmp_telemetry.Sink.unscoped;
-      }
+      Cc.view ~srtt:(srtt_of i) ~min_rtt:(min_rtt_of i) ~now:clock ()
     in
-    { cc = factory i view; una; nxt }
+    { cc = Coupling.attach flow view; view }
   in
   { scheme; subs = Array.init (Scheme.n_subflows scheme) make_sub; now }
 
@@ -133,12 +124,12 @@ let make_asym_rig scheme =
   make_rig ~srtt_of:asym_srtt_of_index ~min_rtt_of:asym_min_rtt_of_index
     scheme
 
-let cwnd rig i = rig.subs.(i).cc.Cc.cwnd ()
+let cwnd rig i = Cc.cwnd rig.subs.(i).cc
 
-let in_slow_start rig i = rig.subs.(i).cc.Cc.in_slow_start ()
+let in_slow_start rig i = Cc.in_slow_start rig.subs.(i).cc
 
 let total_cwnd rig =
-  Array.fold_left (fun acc s -> acc +. s.cc.Cc.cwnd ()) 0. rig.subs
+  Array.fold_left (fun acc s -> acc +. Cc.cwnd s.cc) 0. rig.subs
 
 (* Deliver a cumulative ACK for [k] segments on subflow [i], CE-marking
    every one of them when [ce]. A full window is put "in flight" first so
@@ -146,21 +137,22 @@ let total_cwnd rig =
    see the sequence space advance the way a live connection's would. *)
 let deliver rig i ~ce k =
   let sub = rig.subs.(i) in
-  let w = Stdlib.max 1 (int_of_float (sub.cc.Cc.cwnd ())) in
-  if !(sub.nxt) < !(sub.una) + w then sub.nxt := !(sub.una) + w;
-  sub.una := !(sub.una) + k;
-  if !(sub.nxt) < !(sub.una) then sub.nxt := !(sub.una);
+  let v = sub.view in
+  let w = Int.max 1 (int_of_float (Cc.cwnd sub.cc)) in
+  if v.Cc.snd_nxt < v.Cc.snd_una + w then v.Cc.snd_nxt <- v.Cc.snd_una + w;
+  v.Cc.snd_una <- v.Cc.snd_una + k;
+  if v.Cc.snd_nxt < v.Cc.snd_una then v.Cc.snd_nxt <- v.Cc.snd_una;
   let ce_count = if ce then k else 0 in
-  if ce_count > 0 then sub.cc.Cc.on_ecn ~count:ce_count;
-  sub.cc.Cc.on_ack ~ack:!(sub.una) ~newly_acked:k ~ce_count
+  if ce_count > 0 then Cc.on_ecn sub.cc ~count:ce_count;
+  Cc.on_ack sub.cc ~ack:v.Cc.snd_una ~newly_acked:k ~ce_count
 
 let apply rig step =
   rig.now := !(rig.now) + Time.us 150;
   match step with
   | Ack k -> deliver rig 0 ~ce:false k
   | Ce_ack k -> deliver rig 0 ~ce:true k
-  | Fast_retransmit -> rig.subs.(0).cc.Cc.on_fast_retransmit ()
-  | Timeout -> rig.subs.(0).cc.Cc.on_timeout ()
+  | Fast_retransmit -> Cc.on_fast_retransmit rig.subs.(0).cc
+  | Timeout -> Cc.on_timeout rig.subs.(0).cc
   | Sibling_ack k ->
     if Array.length rig.subs > 1 then deliver rig 1 ~ce:false k
 

@@ -26,7 +26,11 @@ val schemes : Scheme.t list
 (** The 8 conformance schemes: DCTCP, TCP, LIA-2, OLIA-2, XMP-2,
     BALIA-2, VENO-2, AMP-2. *)
 
-type sub = { cc : Xmp_transport.Cc.t; una : int ref; nxt : int ref }
+type sub = {
+  cc : Xmp_transport.Cc.t;
+  view : Xmp_transport.Cc.view;
+      (** hand-driven: [apply] moves its [snd_una]/[snd_nxt] *)
+}
 
 type rig = {
   scheme : Scheme.t;

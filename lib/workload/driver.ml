@@ -162,8 +162,7 @@ let launch_large ctx ~src ~dst ~size_segments ~on_complete =
   in
   let flow = fresh_flow ctx in
   let handle =
-    Scheme.launch ~net:ctx.net ~overrides:ctx.overrides ~flow ~src ~dst
-      ~paths ~size_segments
+    Scheme.launch ~net:ctx.net ~flow ~src ~dst ~paths ~size_segments
       ~observer:
         {
           Scheme.silent with
@@ -188,7 +187,7 @@ let launch_large ctx ~src ~dst ~size_segments ~on_complete =
                 };
               on_complete ());
         }
-      scheme
+      (Scheme.launcher scheme ctx.overrides)
   in
   if not (Mptcp_flow.is_complete handle) then
     Hashtbl.replace ctx.running flow
@@ -208,10 +207,9 @@ let launch_small ctx ~src ~dst ~size_segments ~on_complete =
   let paths = Scheme.pick_paths ~rng:ctx.rng ~available ~wanted:1 in
   let flow = fresh_flow ctx in
   ignore
-    (Scheme.launch ~net:ctx.net ~overrides:ctx.overrides ~flow ~src ~dst
-       ~paths ~size_segments
+    (Scheme.launch ~net:ctx.net ~flow ~src ~dst ~paths ~size_segments
        ~observer:{ Scheme.silent with on_complete = (fun _ -> on_complete ()) }
-       Scheme.reno)
+       (Scheme.launcher Scheme.reno ctx.overrides))
 
 let uniform_size ctx ~min_segments ~max_segments =
   min_segments + Random.State.int ctx.rng (max_segments - min_segments + 1)

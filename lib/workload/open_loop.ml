@@ -115,23 +115,27 @@ let pick_dst (fb : Topology.t) ~cross_dc ~rng ~src =
     end
   end
 
-type active = {
-  a_src : int;
-  a_dst : int;
-  a_locality : Topology.locality;
-  a_size : int;
-  a_handle : Mptcp_flow.t;
-}
-
 (* Everything one shard's domain writes during an epoch; drained by the
-   orchestrator at the barrier (the crew mutex publishes it). *)
+   orchestrator at the barrier (the crew mutex publishes it). A flow's
+   source, destination and size live in its handle, and everything else
+   recorded about it (locality, ideal FCT) is a function of those, so a
+   running flow costs one table entry. *)
 type shard_state = {
   metrics : Metrics.t;
-  running : (int, active) Hashtbl.t;
+  running : (int, Mptcp_flow.t) Hashtbl.t;
   mutable done_rev : Mptcp_flow.t list;
       (* completed this epoch: receivers reaped at the next barrier *)
   mutable n_completed : int;
 }
+
+(* every flow Open_loop launches is sized *)
+let size_of f = Option.get (Mptcp_flow.size_segments f)
+
+let locality_index : Topology.locality -> int = function
+  | Inner_rack -> 0
+  | Inter_rack -> 1
+  | Inter_pod -> 2
+  | Inter_dc -> 3
 
 let run_fabric ~cfg ~domains (fb : Topology.t) =
   let overrides =
@@ -142,6 +146,7 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
       sack = cfg.sack;
     }
   in
+  let launcher = Scheme.launcher cfg.scheme overrides in
   let shards =
     Array.init (Shard.n_shards fb.cluster) (fun _ ->
         {
@@ -152,6 +157,48 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
           done_rev = [];
           n_completed = 0;
         })
+  in
+  (* One observer per (source shard, locality), shared by all its flows:
+     runs in the source shard's domain. *)
+  let observer shard locality =
+    let st = shards.(shard) in
+    {
+      Scheme.silent with
+      on_rtt_sample = (fun rtt -> Metrics.record_rtt st.metrics ~locality rtt);
+      on_complete =
+        (fun f ->
+          let flow = Mptcp_flow.flow_id f in
+          Hashtbl.remove st.running flow;
+          let src = Mptcp_flow.src f and dst = Mptcp_flow.dst f in
+          let size_segments = size_of f in
+          let finished = Sim.now (Shard.sim fb.cluster shard) in
+          let started = Mptcp_flow.started_at f in
+          Metrics.record_flow st.metrics
+            {
+              Metrics.flow;
+              scheme = cfg.scheme;
+              src;
+              dst;
+              locality;
+              size_segments;
+              started;
+              finished;
+              goodput_bps = Mptcp_flow.goodput_bps f;
+              truncated = false;
+            };
+          Metrics.record_fct st.metrics ~size_segments
+            ~fct:(Time.sub finished started)
+            ~ideal:(ideal_fct cfg fb ~src ~dst ~size_segments);
+          st.done_rev <- f :: st.done_rev;
+          st.n_completed <- st.n_completed + 1);
+    }
+  in
+  let observers =
+    Array.mapi
+      (fun shard _ ->
+        Array.map (observer shard)
+          [| Topology.Inner_rack; Inter_rack; Inter_pod; Inter_dc |])
+      shards
   in
   let arrivals =
     Arrivals.create ~seed:cfg.seed ~hosts:fb.n_hosts
@@ -170,47 +217,16 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
     let flow = !launched in
     incr launched;
     let shard = fb.shard_of_host src in
-    let st = shards.(shard) in
-    let ideal = ideal_fct cfg fb ~src ~dst ~size_segments in
     let handle =
       Scheme.launch
         ~net:(Topology.host_net fb src)
         ~rcv_net:(Topology.host_net fb dst)
-        ~overrides ~flow ~src ~dst ~paths ~size_segments ~start_at:at
-        ~observer:
-          {
-            Scheme.silent with
-            on_rtt_sample = (fun rtt -> Metrics.record_rtt st.metrics ~locality rtt);
-            on_complete =
-              (fun f ->
-                (* runs in the source shard's domain *)
-                Hashtbl.remove st.running flow;
-                let finished = Sim.now (Shard.sim fb.cluster shard) in
-                let started = Mptcp_flow.started_at f in
-                Metrics.record_flow st.metrics
-                  {
-                    Metrics.flow;
-                    scheme = cfg.scheme;
-                    src;
-                    dst;
-                    locality;
-                    size_segments;
-                    started;
-                    finished;
-                    goodput_bps = Mptcp_flow.goodput_bps f;
-                    truncated = false;
-                  };
-                Metrics.record_fct st.metrics ~size_segments
-                  ~fct:(Time.sub finished started) ~ideal;
-                st.done_rev <- f :: st.done_rev;
-                st.n_completed <- st.n_completed + 1);
-          }
-        cfg.scheme
+        ~flow ~src ~dst ~paths ~size_segments ~start_at:at
+        ~observer:observers.(shard).(locality_index locality)
+        launcher
     in
     if not (Mptcp_flow.is_complete handle) then
-      Hashtbl.replace st.running flow
-        { a_src = src; a_dst = dst; a_locality = locality;
-          a_size = size_segments; a_handle = handle }
+      Hashtbl.replace shards.(shard).running flow handle
   in
   let at_max () =
     match cfg.max_flows with Some m -> !launched >= m | None -> false
@@ -248,22 +264,23 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
   Array.iter
     (fun st ->
       let still =
-        Hashtbl.fold (fun flow a acc -> (flow, a) :: acc) st.running []
+        Hashtbl.fold (fun flow f acc -> (flow, f) :: acc) st.running []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
       in
       List.iter
-        (fun (flow, a) ->
+        (fun (flow, f) ->
+          let src = Mptcp_flow.src f and dst = Mptcp_flow.dst f in
           Metrics.record_flow st.metrics
             {
               Metrics.flow;
               scheme = cfg.scheme;
-              src = a.a_src;
-              dst = a.a_dst;
-              locality = a.a_locality;
-              size_segments = a.a_size;
-              started = Mptcp_flow.started_at a.a_handle;
+              src;
+              dst;
+              locality = fb.locality ~src ~dst;
+              size_segments = size_of f;
+              started = Mptcp_flow.started_at f;
               finished = until;
-              goodput_bps = Mptcp_flow.goodput_bps_until a.a_handle until;
+              goodput_bps = Mptcp_flow.goodput_bps_until f until;
               truncated = true;
             })
         still;

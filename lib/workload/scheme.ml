@@ -292,17 +292,26 @@ type observer = Mptcp_flow.observer = {
 
 let silent = Mptcp_flow.silent
 
-let launch ~net ?rcv_net ~overrides ~flow ~src ~dst ~paths ?size_segments
-    ?start_at ?observer t =
-  let wanted = n_subflows t in
+type launcher = { scheme : t; config : Tcp.config; coupling : Coupling.t }
+
+let launcher t overrides =
+  {
+    scheme = t;
+    config = tcp_config t overrides;
+    coupling = coupling t overrides;
+  }
+
+let launch ~net ?rcv_net ~flow ~src ~dst ~paths ?size_segments ?start_at
+    ?observer l =
+  let wanted = n_subflows l.scheme in
   let given = List.length paths in
   if given = 0 || given > wanted then
     invalid_arg
-      (Printf.sprintf "Scheme.launch: %s takes 1..%d paths, got %d" (name t)
-         wanted given);
+      (Printf.sprintf "Scheme.launch: %s takes 1..%d paths, got %d"
+         (name l.scheme) wanted given);
   Mptcp_flow.create ~net ?rcv_net ~flow ~src ~dst ~paths
-    ~coupling:(coupling t overrides) ~config:(tcp_config t overrides)
-    ?size_segments ?start_at ?observer ()
+    ~coupling:l.coupling ~config:l.config ?size_segments ?start_at
+    ?observer ()
 
 let pick_paths ~rng ~available ~wanted =
   if available <= 0 then invalid_arg "Scheme.pick_paths: available";

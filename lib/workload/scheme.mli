@@ -159,10 +159,18 @@ type observer = Xmp_mptcp.Mptcp_flow.observer = {
 val silent : observer
 (** Ignores every event — the default for {!launch}. *)
 
+type launcher
+(** A scheme resolved against transport overrides: its transport
+    configuration and its coupling, built once and shared by every flow
+    launched through it, so a flow keeps no copy of either. *)
+
+val launcher : t -> transport_overrides -> launcher
+(** Build once per run (or per scheme of a run) and launch every flow of
+    that scheme with it. *)
+
 val launch :
   net:Xmp_net.Network.t ->
   ?rcv_net:Xmp_net.Network.t ->
-  overrides:transport_overrides ->
   flow:int ->
   src:int ->
   dst:int ->
@@ -170,9 +178,9 @@ val launch :
   ?size_segments:int ->
   ?start_at:Xmp_engine.Time.t ->
   ?observer:observer ->
-  t ->
+  launcher ->
   Xmp_mptcp.Mptcp_flow.t
-(** Starts a flow of this scheme. [paths] carries up to {!n_subflows}
+(** Starts a flow of the launcher's scheme. [paths] carries up to {!n_subflows}
     selectors — fewer when the host pair has less path diversity than the
     scheme wants (e.g. XMP-4 within a rack). [observer] (default
     {!silent}) receives the flow's lifecycle events. [rcv_net] places the

@@ -11,34 +11,25 @@ module Testbed = Xmp_net.Testbed
 
 let checkf = Alcotest.(check (float 1e-6))
 
-type fake = { mutable una : int; mutable nxt : int }
-
+(* the scripted connection is the view itself: tests move its fields *)
 let fake_view () =
-  let f = { una = 0; nxt = 0 } in
   let view =
-    {
-      Cc.snd_una = (fun () -> f.una);
-      snd_nxt = (fun () -> f.nxt);
-      srtt = (fun () -> Time.us 200);
-      min_rtt = (fun () -> Time.us 200);
-      now = (fun () -> 0);
-      telemetry = Xmp_telemetry.Sink.unscoped;
-    }
+    Cc.view ~srtt:(Time.us 200) ~min_rtt:(Time.us 200) ~now:(fun () -> 0) ()
   in
-  (f, view)
+  (view, view)
 
-let ack cc (f : fake) n =
-  f.una <- f.una + n;
-  if f.nxt < f.una then f.nxt <- f.una;
-  cc.Cc.on_ack ~ack:f.una ~newly_acked:n ~ce_count:0
+let ack cc (f : Cc.view) n =
+  f.Cc.snd_una <- f.Cc.snd_una + n;
+  if f.Cc.snd_nxt < f.Cc.snd_una then f.Cc.snd_nxt <- f.Cc.snd_una;
+  Cc.on_ack cc ~ack:f.Cc.snd_una ~newly_acked:n ~ce_count:0
 
 let test_slow_start () =
   let f, view = fake_view () in
   let cc = Bos.make () view in
-  checkf "initial" 3. (cc.Cc.cwnd ());
-  Alcotest.(check bool) "in SS" true (cc.Cc.in_slow_start ());
+  checkf "initial" 3. (Cc.cwnd cc);
+  Alcotest.(check bool) "in SS" true (Cc.in_slow_start cc);
   ack cc f 1;
-  checkf "+1 per clean ack" 4. (cc.Cc.cwnd ())
+  checkf "+1 per clean ack" 4. (Cc.cwnd cc)
 
 let test_first_mark_exits_slow_start () =
   let f, view = fake_view () in
@@ -46,16 +37,16 @@ let test_first_mark_exits_slow_start () =
   for _ = 1 to 10 do
     ack cc f 1
   done;
-  checkf "grew to 13" 13. (cc.Cc.cwnd ());
-  f.nxt <- 30;
-  cc.Cc.on_ecn ~count:1;
+  checkf "grew to 13" 13. (Cc.cwnd cc);
+  f.Cc.snd_nxt <- 30;
+  Cc.on_ecn cc ~count:1;
   (* in slow start: no multiplicative cut, just ssthresh = cwnd - 1 *)
-  checkf "no cut on SS exit" 13. (cc.Cc.cwnd ());
-  Alcotest.(check bool) "left SS" false (cc.Cc.in_slow_start ())
+  checkf "no cut on SS exit" 13. (Cc.cwnd cc);
+  Alcotest.(check bool) "left SS" false (Cc.in_slow_start cc)
 
-let exit_slow_start cc (f : fake) =
-  f.nxt <- f.una + 10;
-  cc.Cc.on_ecn ~count:1;
+let exit_slow_start cc (f : Cc.view) =
+  f.Cc.snd_nxt <- f.Cc.snd_una + 10;
+  Cc.on_ecn cc ~count:1;
   (* drain the REDUCED state: ack past cwr_seq *)
   ack cc f 10
 
@@ -67,10 +58,10 @@ let test_reduction_by_beta () =
   done;
   (* cwnd = 20, leave SS *)
   exit_slow_start cc f;
-  checkf "still 20 after SS exit" 20. (cc.Cc.cwnd ());
-  f.nxt <- f.una + 20;
-  cc.Cc.on_ecn ~count:1;
-  checkf "cut by 1/beta" 15. (cc.Cc.cwnd ())
+  checkf "still 20 after SS exit" 20. (Cc.cwnd cc);
+  f.Cc.snd_nxt <- f.Cc.snd_una + 20;
+  Cc.on_ecn cc ~count:1;
+  checkf "cut by 1/beta" 15. (Cc.cwnd cc)
 
 let test_reduction_once_per_round () =
   let f, view = fake_view () in
@@ -79,28 +70,28 @@ let test_reduction_once_per_round () =
     ack cc f 1
   done;
   exit_slow_start cc f;
-  f.nxt <- f.una + 20;
-  cc.Cc.on_ecn ~count:1;
-  let w = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:3;
-  cc.Cc.on_ecn ~count:1;
-  checkf "further marks ignored in the round" w (cc.Cc.cwnd ());
+  f.Cc.snd_nxt <- f.Cc.snd_una + 20;
+  Cc.on_ecn cc ~count:1;
+  let w = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:3;
+  Cc.on_ecn cc ~count:1;
+  checkf "further marks ignored in the round" w (Cc.cwnd cc);
   (* acking past cwr_seq re-enables reduction *)
   ack cc f 20;
-  cc.Cc.on_ecn ~count:1;
+  Cc.on_ecn cc ~count:1;
   Alcotest.(check bool) "next round can reduce again" true
-    (cc.Cc.cwnd () < w)
+    (Cc.cwnd cc < w)
 
 let test_min_cwnd_floor () =
   let f, view = fake_view () in
   let cc = Bos.make () view in
   exit_slow_start cc f;
   for _ = 1 to 20 do
-    f.nxt <- f.una + 5;
-    cc.Cc.on_ecn ~count:1;
+    f.Cc.snd_nxt <- f.Cc.snd_una + 5;
+    Cc.on_ecn cc ~count:1;
     ack cc f 5
   done;
-  Alcotest.(check bool) "floor at 2" true (cc.Cc.cwnd () >= 2.)
+  Alcotest.(check bool) "floor at 2" true (Cc.cwnd cc >= 2.)
 
 let test_per_round_additive_increase () =
   let f, view = fake_view () in
@@ -109,16 +100,16 @@ let test_per_round_additive_increase () =
     ack cc f 1
   done;
   exit_slow_start cc f;
-  let w = cc.Cc.cwnd () in
+  let w = Cc.cwnd cc in
   (* a round: many acks, only the one passing beg_seq adds delta *)
-  f.nxt <- f.una + 10;
+  f.Cc.snd_nxt <- f.Cc.snd_una + 10;
   (* this ack passes beg_seq (set during SS exit) -> round end *)
   ack cc f 1;
-  checkf "one delta per round" (w +. 1.) (cc.Cc.cwnd ());
+  checkf "one delta per round" (w +. 1.) (Cc.cwnd cc);
   (* remaining acks of the same round add nothing *)
   ack cc f 1;
   ack cc f 1;
-  checkf "no per-ack growth in CA" (w +. 1.) (cc.Cc.cwnd ())
+  checkf "no per-ack growth in CA" (w +. 1.) (Cc.cwnd cc)
 
 let test_fractional_delta_accumulates () =
   let f, view = fake_view () in
@@ -127,18 +118,18 @@ let test_fractional_delta_accumulates () =
     ack cc f 1
   done;
   exit_slow_start cc f;
-  let w = cc.Cc.cwnd () in
+  let w = Cc.cwnd cc in
   (* rounds: adder 0.4, 0.8, 1.2 -> +1 on the third round *)
   let round () =
-    f.nxt <- f.una + 5;
+    f.Cc.snd_nxt <- f.Cc.snd_una + 5;
     ack cc f 5
   in
   round ();
-  checkf "no whole segment yet" w (cc.Cc.cwnd ());
+  checkf "no whole segment yet" w (Cc.cwnd cc);
   round ();
-  checkf "still accumulating" w (cc.Cc.cwnd ());
+  checkf "still accumulating" w (Cc.cwnd cc);
   round ();
-  checkf "integer part applied" (w +. 1.) (cc.Cc.cwnd ())
+  checkf "integer part applied" (w +. 1.) (Cc.cwnd cc)
 
 let test_round_hook () =
   let f, view = fake_view () in
@@ -157,11 +148,11 @@ let test_timeout_and_fast_retx () =
     ack cc f 1
   done;
   exit_slow_start cc f;
-  let w = cc.Cc.cwnd () in
-  cc.Cc.on_fast_retransmit ();
-  checkf "halved" (w /. 2.) (cc.Cc.cwnd ());
-  cc.Cc.on_timeout ();
-  checkf "timeout collapses" 1. (cc.Cc.cwnd ())
+  let w = Cc.cwnd cc in
+  Cc.on_fast_retransmit cc;
+  checkf "halved" (w /. 2.) (Cc.cwnd cc);
+  Cc.on_timeout cc;
+  checkf "timeout collapses" 1. (Cc.cwnd cc)
 
 let test_beta_validation () =
   let _, view = fake_view () in

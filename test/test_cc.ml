@@ -6,31 +6,17 @@ module Reno = Xmp_transport.Reno
 module Dctcp = Xmp_transport.Dctcp
 module Time = Xmp_engine.Time
 
-type fake = {
-  mutable una : int;
-  mutable nxt : int;
-  mutable now : Time.t;
-  mutable srtt : Time.t;
-}
-
+(* the scripted connection is the view itself: tests move its fields *)
 let fake_view () =
-  let f = { una = 0; nxt = 0; now = 0; srtt = Time.us 200 } in
   let view =
-    {
-      Cc.snd_una = (fun () -> f.una);
-      snd_nxt = (fun () -> f.nxt);
-      srtt = (fun () -> f.srtt);
-      min_rtt = (fun () -> f.srtt);
-      now = (fun () -> f.now);
-      telemetry = Xmp_telemetry.Sink.unscoped;
-    }
+    Cc.view ~srtt:(Time.us 200) ~min_rtt:(Time.us 200) ~now:(fun () -> 0) ()
   in
-  (f, view)
+  (view, view)
 
 let ack cc f n =
-  f.una <- f.una + n;
-  if f.nxt < f.una then f.nxt <- f.una;
-  cc.Cc.on_ack ~ack:f.una ~newly_acked:n ~ce_count:0
+  f.Cc.snd_una <- f.Cc.snd_una + n;
+  if f.Cc.snd_nxt < f.Cc.snd_una then f.Cc.snd_nxt <- f.Cc.snd_una;
+  Cc.on_ack cc ~ack:f.Cc.snd_una ~newly_acked:n ~ce_count:0
 
 let checkf = Alcotest.(check (float 1e-6))
 
@@ -39,14 +25,14 @@ let checkf = Alcotest.(check (float 1e-6))
 let test_reno_slow_start () =
   let _, view = fake_view () in
   let cc = Reno.make view in
-  checkf "initial window" 3. (cc.Cc.cwnd ());
-  Alcotest.(check bool) "starts in slow start" true (cc.Cc.in_slow_start ());
+  checkf "initial window" 3. (Cc.cwnd cc);
+  Alcotest.(check bool) "starts in slow start" true (Cc.in_slow_start cc);
   let f, view = fake_view () in
   let cc = Reno.make view in
   ack cc f 1;
-  checkf "+1 per ack" 4. (cc.Cc.cwnd ());
+  checkf "+1 per ack" 4. (Cc.cwnd cc);
   ack cc f 2;
-  checkf "+1 per acked segment" 6. (cc.Cc.cwnd ())
+  checkf "+1 per acked segment" 6. (Cc.cwnd cc)
 
 let test_reno_fast_retransmit () =
   let f, view = fake_view () in
@@ -54,12 +40,12 @@ let test_reno_fast_retransmit () =
   for _ = 1 to 17 do
     ack cc f 1
   done;
-  checkf "grown" 20. (cc.Cc.cwnd ());
-  cc.Cc.on_fast_retransmit ();
-  checkf "halved" 10. (cc.Cc.cwnd ());
-  Alcotest.(check bool) "left slow start" false (cc.Cc.in_slow_start ());
+  checkf "grown" 20. (Cc.cwnd cc);
+  Cc.on_fast_retransmit cc;
+  checkf "halved" 10. (Cc.cwnd cc);
+  Alcotest.(check bool) "left slow start" false (Cc.in_slow_start cc);
   ack cc f 1;
-  checkf "CA growth is 1/w" 10.1 (cc.Cc.cwnd ())
+  checkf "CA growth is 1/w" 10.1 (Cc.cwnd cc)
 
 let test_reno_timeout () =
   let f, view = fake_view () in
@@ -67,17 +53,17 @@ let test_reno_timeout () =
   for _ = 1 to 17 do
     ack cc f 1
   done;
-  cc.Cc.on_timeout ();
-  checkf "collapsed" 1. (cc.Cc.cwnd ());
-  Alcotest.(check bool) "back to slow start" true (cc.Cc.in_slow_start ());
+  Cc.on_timeout cc;
+  checkf "collapsed" 1. (Cc.cwnd cc);
+  Alcotest.(check bool) "back to slow start" true (Cc.in_slow_start cc);
   ack cc f 1;
-  checkf "slow-start regrowth" 2. (cc.Cc.cwnd ())
+  checkf "slow-start regrowth" 2. (Cc.cwnd cc)
 
 let test_reno_min_cwnd () =
   let _, view = fake_view () in
   let cc = Reno.make view in
-  cc.Cc.on_fast_retransmit ();
-  checkf "never below 2 on halving" 2. (cc.Cc.cwnd ())
+  Cc.on_fast_retransmit cc;
+  checkf "never below 2 on halving" 2. (Cc.cwnd cc)
 
 let test_reno_no_ecn_by_default () =
   let f, view = fake_view () in
@@ -85,44 +71,45 @@ let test_reno_no_ecn_by_default () =
   for _ = 1 to 7 do
     ack cc f 1
   done;
-  let before = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:3;
-  checkf "ECN ignored" before (cc.Cc.cwnd ());
-  Alcotest.(check bool) "no CWR" false (cc.Cc.take_cwr ())
+  let before = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:3;
+  checkf "ECN ignored" before (Cc.cwnd cc);
+  Alcotest.(check bool) "no CWR" false (Cc.take_cwr cc)
 
 let test_reno_ecn_mode () =
   let f, view = fake_view () in
   let params = { Reno.default_params with ecn = true } in
   let cc = Reno.make ~params view in
-  f.nxt <- 100;
+  f.Cc.snd_nxt <- 100;
   for _ = 1 to 17 do
     ack cc f 1
   done;
-  f.nxt <- 120;
-  let before = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:1;
-  checkf "halved on ECE" (before /. 2.) (cc.Cc.cwnd ());
-  Alcotest.(check bool) "CWR pending once" true (cc.Cc.take_cwr ());
-  Alcotest.(check bool) "CWR consumed" false (cc.Cc.take_cwr ());
+  f.Cc.snd_nxt <- 120;
+  let before = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:1;
+  checkf "halved on ECE" (before /. 2.) (Cc.cwnd cc);
+  Alcotest.(check bool) "CWR pending once" true (Cc.take_cwr cc);
+  Alcotest.(check bool) "CWR consumed" false (Cc.take_cwr cc);
   (* second ECE within the same window is ignored *)
-  let w = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:1;
-  checkf "once per window" w (cc.Cc.cwnd ())
+  let w = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:1;
+  checkf "once per window" w (Cc.cwnd cc)
 
 let test_custom_increase () =
   let f, view = fake_view () in
   let cc =
-    Reno.make_with_increase
-      ~increase:(fun ~cwnd:_ -> 0.5)
-      ~backoff:(fun ~cwnd:_ -> 0.8)
+    Reno.create
+      (Reno.ops ~name:"custom"
+         ~increase:(fun _ ~cwnd:_ -> 0.5)
+         ~backoff:(fun _ ~cwnd:_ -> 0.8))
       () view
   in
-  cc.Cc.on_fast_retransmit ();
+  Cc.on_fast_retransmit cc;
   (* leave slow start, keeping 4/5 of the initial 3 segments *)
-  let w = cc.Cc.cwnd () in
+  let w = Cc.cwnd cc in
   checkf "custom backoff" (3. *. 0.8) w;
   ack cc f 1;
-  checkf "custom gain" (w +. 0.5) (cc.Cc.cwnd ())
+  checkf "custom gain" (w +. 0.5) (Cc.cwnd cc)
 
 (* ----- DCTCP ----- *)
 
@@ -132,10 +119,10 @@ let test_dctcp_slow_start_exit () =
   for _ = 1 to 10 do
     ack cc f 1
   done;
-  Alcotest.(check bool) "in slow start" true (cc.Cc.in_slow_start ());
-  cc.Cc.on_ecn ~count:1;
+  Alcotest.(check bool) "in slow start" true (Cc.in_slow_start cc);
+  Cc.on_ecn cc ~count:1;
   Alcotest.(check bool) "left slow start on mark" false
-    (cc.Cc.in_slow_start ())
+    (Cc.in_slow_start cc)
 
 let test_dctcp_cut_proportional_to_alpha () =
   let f, view = fake_view () in
@@ -146,9 +133,9 @@ let test_dctcp_cut_proportional_to_alpha () =
   for _ = 1 to 17 do
     ack cc f 1
   done;
-  let w = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:1;
-  checkf "alpha=1 halves" (w /. 2.) (cc.Cc.cwnd ())
+  let w = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:1;
+  checkf "alpha=1 halves" (w /. 2.) (Cc.cwnd cc)
 
 let test_dctcp_alpha_decays_when_clean () =
   let f, view = fake_view () in
@@ -156,14 +143,14 @@ let test_dctcp_alpha_decays_when_clean () =
   let cc = Dctcp.make ~params view in
   (* three clean window-boundary updates with g = 1/2 and F = 0:
      alpha = 1 -> 0.5 -> 0.25 -> 0.125; cwnd slow-starts to 33 *)
-  f.nxt <- 10;
+  f.Cc.snd_nxt <- 10;
   ack cc f 10;
-  f.nxt <- 20;
+  f.Cc.snd_nxt <- 20;
   ack cc f 10;
-  f.nxt <- 30;
+  f.Cc.snd_nxt <- 30;
   ack cc f 10;
-  cc.Cc.on_ecn ~count:1;
-  checkf "cut by alpha/2 = 6.25%" (33. *. (1. -. 0.0625)) (cc.Cc.cwnd ())
+  Cc.on_ecn cc ~count:1;
+  checkf "cut by alpha/2 = 6.25%" (33. *. (1. -. 0.0625)) (Cc.cwnd cc)
 
 let test_dctcp_once_per_window () =
   let f, view = fake_view () in
@@ -171,17 +158,17 @@ let test_dctcp_once_per_window () =
   for _ = 1 to 17 do
     ack cc f 1
   done;
-  f.nxt <- 100;
-  cc.Cc.on_ecn ~count:1;
-  let w = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:1;
-  checkf "second mark in window ignored" w (cc.Cc.cwnd ());
+  f.Cc.snd_nxt <- 100;
+  Cc.on_ecn cc ~count:1;
+  let w = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:1;
+  checkf "second mark in window ignored" w (Cc.cwnd cc);
   (* crossing the window boundary re-arms the cut *)
-  f.una <- 120;
-  f.nxt <- 130;
-  cc.Cc.on_ack ~ack:120 ~newly_acked:20 ~ce_count:5;
-  cc.Cc.on_ecn ~count:1;
-  Alcotest.(check bool) "re-armed after window" true (cc.Cc.cwnd () < w +. 21.)
+  f.Cc.snd_una <- 120;
+  f.Cc.snd_nxt <- 130;
+  Cc.on_ack cc ~ack:120 ~newly_acked:20 ~ce_count:5;
+  Cc.on_ecn cc ~count:1;
+  Alcotest.(check bool) "re-armed after window" true (Cc.cwnd cc < w +. 21.)
 
 let test_dctcp_loss_reactions () =
   let f, view = fake_view () in
@@ -189,11 +176,11 @@ let test_dctcp_loss_reactions () =
   for _ = 1 to 17 do
     ack cc f 1
   done;
-  let w = cc.Cc.cwnd () in
-  cc.Cc.on_fast_retransmit ();
-  checkf "halves on loss" (w /. 2.) (cc.Cc.cwnd ());
-  cc.Cc.on_timeout ();
-  checkf "collapses on timeout" 1. (cc.Cc.cwnd ())
+  let w = Cc.cwnd cc in
+  Cc.on_fast_retransmit cc;
+  checkf "halves on loss" (w /. 2.) (Cc.cwnd cc);
+  Cc.on_timeout cc;
+  checkf "collapses on timeout" 1. (Cc.cwnd cc)
 
 let suite =
   [

@@ -30,28 +30,19 @@ let test_imminence_clamps () =
     (D2tcp.imminence ~params ~remaining_segments:0 ~rate_segments_per_s:10.
        ~time_left_s:1.)
 
-(* scripted-view unit check: imminent flows cut less than far ones *)
-type fake = { mutable una : int; mutable nxt : int; mutable now : Time.t }
-
+(* scripted-view unit check: imminent flows cut less than far ones; the
+   scripted connection is the view itself, and tests move its fields *)
 let fake_view () =
-  let f = { una = 0; nxt = 0; now = 0 } in
   let view =
-    {
-      Cc.snd_una = (fun () -> f.una);
-      snd_nxt = (fun () -> f.nxt);
-      srtt = (fun () -> Time.us 200);
-      min_rtt = (fun () -> Time.us 200);
-      now = (fun () -> f.now);
-      telemetry = Xmp_telemetry.Sink.unscoped;
-    }
+    Cc.view ~srtt:(Time.us 200) ~min_rtt:(Time.us 200) ~now:(fun () -> 0) ()
   in
-  (f, view)
+  (view, view)
 
 let grow cc f n =
   for _ = 1 to n do
-    f.una <- f.una + 1;
-    if f.nxt < f.una then f.nxt <- f.una;
-    cc.Cc.on_ack ~ack:f.una ~newly_acked:1 ~ce_count:0
+    f.Cc.snd_una <- f.Cc.snd_una + 1;
+    if f.Cc.snd_nxt < f.Cc.snd_una then f.Cc.snd_nxt <- f.Cc.snd_una;
+    Cc.on_ack cc ~ack:f.Cc.snd_una ~newly_acked:1 ~ce_count:0
   done
 
 let cut_with ~deadline =
@@ -66,10 +57,10 @@ let cut_with ~deadline =
   in
   grow cc f 17;
   acked := 17;
-  f.nxt <- 100;
-  let before = cc.Cc.cwnd () in
-  cc.Cc.on_ecn ~count:1;
-  (before, cc.Cc.cwnd ())
+  f.Cc.snd_nxt <- 100;
+  let before = Cc.cwnd cc in
+  Cc.on_ecn cc ~count:1;
+  (before, Cc.cwnd cc)
 
 let test_no_deadline_is_dctcp () =
   let before, after = cut_with ~deadline:None in
@@ -107,15 +98,15 @@ let script =
     ]
 
 let apply cc f = function
-  | Send n -> f.nxt <- f.una + n
+  | Send n -> f.Cc.snd_nxt <- f.Cc.snd_una + n
   | Ack (n, ce) ->
-    f.una <- f.una + n;
-    if f.nxt < f.una then f.nxt <- f.una;
+    f.Cc.snd_una <- f.Cc.snd_una + n;
+    if f.Cc.snd_nxt < f.Cc.snd_una then f.Cc.snd_nxt <- f.Cc.snd_una;
     (* the transport reports CE echoes before the ACK they ride on *)
-    if ce > 0 then cc.Cc.on_ecn ~count:ce;
-    cc.Cc.on_ack ~ack:f.una ~newly_acked:n ~ce_count:ce
-  | Fast_retransmit -> cc.Cc.on_fast_retransmit ()
-  | Timeout -> cc.Cc.on_timeout ()
+    if ce > 0 then Cc.on_ecn cc ~count:ce;
+    Cc.on_ack cc ~ack:f.Cc.snd_una ~newly_acked:n ~ce_count:ce
+  | Fast_retransmit -> Cc.on_fast_retransmit cc
+  | Timeout -> Cc.on_timeout cc
 
 let test_no_deadline_tracks_dctcp () =
   let p = { params with init_alpha = 0.3; g = 1. /. 16. } in
@@ -132,21 +123,23 @@ let test_no_deadline_tracks_dctcp () =
       dview
   in
   let f2, view2 = fake_view () in
-  let d2tcp = D2tcp.make_cc ~params:p ~acked:(fun () -> f2.una) () view2 in
+  let d2tcp =
+    D2tcp.make_cc ~params:p ~acked:(fun () -> f2.Cc.snd_una) () view2
+  in
   let cuts = ref 0 in
   List.iteri
     (fun i step ->
-      let before = dctcp.Cc.cwnd () in
+      let before = Cc.cwnd dctcp in
       apply dctcp fd step;
       apply d2tcp f2 step;
-      if dctcp.Cc.cwnd () < before then incr cuts;
+      if Cc.cwnd dctcp < before then incr cuts;
       Alcotest.(check (float 0.))
         (Printf.sprintf "cwnd after step %d" i)
-        (dctcp.Cc.cwnd ()) (d2tcp.Cc.cwnd ());
+        (Cc.cwnd dctcp) (Cc.cwnd d2tcp);
       Alcotest.(check bool)
         (Printf.sprintf "slow start after step %d" i)
-        (dctcp.Cc.in_slow_start ())
-        (d2tcp.Cc.in_slow_start ()))
+        (Cc.in_slow_start dctcp)
+        (Cc.in_slow_start d2tcp))
     script;
   (* the script exercises ECN cuts beyond the loss and timeout ones *)
   Alcotest.(check bool) (Printf.sprintf "%d cuts" !cuts) true (!cuts >= 5)
@@ -166,10 +159,10 @@ let test_imminent_cuts_less () =
     in
     grow cc f 17;
     acked := 17;
-    f.nxt <- 100;
-    let before = cc.Cc.cwnd () in
-    cc.Cc.on_ecn ~count:1;
-    before -. cc.Cc.cwnd ()
+    f.Cc.snd_nxt <- 100;
+    let before = Cc.cwnd cc in
+    Cc.on_ecn cc ~count:1;
+    before -. Cc.cwnd cc
   in
   let tight =
     Some { D2tcp.total_segments = 1_000_000; deadline_at = Time.us 1 }

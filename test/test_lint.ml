@@ -221,6 +221,36 @@ let test_bare_sim_fixtures () =
   Alcotest.(check int) "Shard itself allowlisted" 0
     (lint_as "lib/net/shard.ml")
 
+let test_poly_minmax_fixtures () =
+  let lint_as path name =
+    let rep = Report.create () in
+    Rules.lint_source rep ~path (read_file (Filename.concat fixture_dir name));
+    Report.sorted rep
+  in
+  Alcotest.(check (list int)) "every spelling flagged" [ 5; 7; 7; 9 ]
+    (List.filter_map
+       (fun (f : Report.finding) ->
+         if f.Report.rule = "poly-minmax" then Some f.Report.line else None)
+       (lint_as "lib/transport/x.ml" "poly_minmax_flagged.ml"));
+  Alcotest.(check int) "monomorphic file clean" 0
+    (rule_count "poly-minmax"
+       (lint_as "lib/transport/x.ml" "poly_minmax_clean.ml"));
+  Alcotest.(check int) "pragmas waive" 0
+    (rule_count "poly-minmax"
+       (lint_as "lib/transport/x.ml" "poly_minmax_waived.ml"));
+  (* the hot-path libraries are in scope; the rest of lib/ is not *)
+  List.iter
+    (fun dir ->
+      Alcotest.(check int) (dir ^ " in scope") 4
+        (rule_count "poly-minmax"
+           (lint_as ("lib/" ^ dir ^ "/x.ml") "poly_minmax_flagged.ml")))
+    [ "engine"; "net"; "transport"; "mptcp"; "core" ];
+  List.iter
+    (fun path ->
+      Alcotest.(check int) (path ^ " exempt") 0
+        (rule_count "poly-minmax" (lint_as path "poly_minmax_flagged.ml")))
+    [ "lib/workload/x.ml"; "lib/stats/x.ml"; "test/x.ml"; "bin/x.ml" ]
+
 let test_bad_example_still_fires () =
   let findings = lint_fixture "bad_example.ml" in
   List.iter
@@ -448,4 +478,6 @@ let suite =
       test_ratchet_json_names_rule;
     Alcotest.test_case "main.exe: injected finding fails, pin restores" `Quick
       test_main_exe_ratchet;
+    Alcotest.test_case "poly-minmax: fixture cases" `Quick
+      test_poly_minmax_fixtures;
   ]

@@ -31,20 +31,14 @@ let test_uncoupled_independence () =
   (* two members from the same group are independent controllers *)
   let group = c.Coupling.fresh () in
   let view =
-    {
-      Xmp_transport.Cc.snd_una = (fun () -> 0);
-      snd_nxt = (fun () -> 0);
-      srtt = (fun () -> Xmp_engine.Time.us 100);
-      min_rtt = (fun () -> Xmp_engine.Time.us 100);
-      now = (fun () -> 0);
-      telemetry = Xmp_telemetry.Sink.unscoped;
-    }
+    Xmp_transport.Cc.view ~srtt:(Xmp_engine.Time.us 100)
+      ~min_rtt:(Xmp_engine.Time.us 100) ~now:(fun () -> 0) ()
   in
-  let cc0 = group 0 view in
-  let cc1 = group 1 view in
-  cc0.Xmp_transport.Cc.on_ack ~ack:1 ~newly_acked:1 ~ce_count:0;
+  let cc0 = Coupling.attach group view in
+  let cc1 = Coupling.attach group view in
+  Xmp_transport.Cc.on_ack cc0 ~ack:1 ~newly_acked:1 ~ce_count:0;
   Alcotest.(check bool) "state not shared" true
-    (cc0.Xmp_transport.Cc.cwnd () > cc1.Xmp_transport.Cc.cwnd ())
+    (Xmp_transport.Cc.cwnd cc0 > Xmp_transport.Cc.cwnd cc1)
 
 let test_testbed_host_bounds () =
   let sim = Sim.create () in

@@ -2,6 +2,7 @@ module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Net = Xmp_net
 module Tcp = Xmp_transport.Tcp
+module Cc = Xmp_transport.Cc
 module Coupling = Xmp_mptcp.Coupling
 module Lia = Xmp_mptcp.Lia
 module Olia = Xmp_mptcp.Olia
@@ -30,22 +31,25 @@ let make_rig ?(m = 2) ?(rate = Net.Units.mbps 100.) () =
 let test_group_registry () =
   let g = Coupling.group () in
   Alcotest.(check int) "empty" 0 (List.length (Coupling.members g));
-  let m1 =
-    {
-      Coupling.cwnd = (fun () -> 10.);
-      srtt_s = (fun () -> 0.001);
-      in_slow_start = (fun () -> false);
-    }
+  (* a member with a fixed window and slow-start flag *)
+  let member ~cwnd ~srtt ~slow_start =
+    let ops =
+      {
+        Cc.name = "fixed";
+        cwnd = (fun () -> cwnd);
+        on_ack = (fun () ~ack:_ ~newly_acked:_ ~ce_count:_ -> ());
+        on_ecn = (fun () ~count:_ -> ());
+        on_fast_retransmit = ignore;
+        on_timeout = ignore;
+        in_slow_start = (fun () -> slow_start);
+        take_cwr = Cc.nop_take_cwr;
+      }
+    in
+    Coupling.register g ~cc:(Cc.Cc (ops, ()))
+      ~view:(Cc.view ~srtt ~now:(fun () -> 0) ())
   in
-  let m2 =
-    {
-      Coupling.cwnd = (fun () -> 30.);
-      srtt_s = (fun () -> 0.002);
-      in_slow_start = (fun () -> true);
-    }
-  in
-  Coupling.register g m1;
-  Coupling.register g m2;
+  member ~cwnd:10. ~srtt:(Time.ms 1) ~slow_start:false;
+  member ~cwnd:30. ~srtt:(Time.ms 2) ~slow_start:true;
   Alcotest.(check int) "two members" 2 (List.length (Coupling.members g));
   checkf "total cwnd" 40. (Coupling.total_cwnd g);
   checkf "total rate" ((10. /. 0.001) +. (30. /. 0.002)) (Coupling.total_rate g);

@@ -283,7 +283,7 @@ let test_controller_names () =
         (fun i (sub : Conformance.sub) ->
           Alcotest.(check string)
             (Printf.sprintf "%s subflow %d" (Scheme.name scheme) i)
-            name sub.cc.Xmp_transport.Cc.name)
+            name (Xmp_transport.Cc.name sub.cc))
         rig.Conformance.subs)
     Conformance.schemes expected
 

@@ -24,16 +24,33 @@ let make_rig ~k =
   in
   (sim, net, tb)
 
-(* wrap a controller to count the echoes it receives *)
-let counting_cc inner_factory echoed view =
-  let inner = inner_factory view in
+(* wrap a controller to observe the echoes it receives *)
+type counting = { inner : Cc.t; on_echo : int -> unit }
+
+let counting_ops =
   {
-    inner with
-    Cc.on_ecn =
-      (fun ~count ->
-        echoed := !echoed + count;
-        inner.Cc.on_ecn ~count);
+    Cc.name = "counting";
+    cwnd = (fun c -> Cc.cwnd c.inner);
+    on_ack =
+      (fun c ~ack ~newly_acked ~ce_count ->
+        Cc.on_ack c.inner ~ack ~newly_acked ~ce_count);
+    on_ecn =
+      (fun c ~count ->
+        c.on_echo count;
+        Cc.on_ecn c.inner ~count);
+    on_fast_retransmit = (fun c -> Cc.on_fast_retransmit c.inner);
+    on_timeout = (fun c -> Cc.on_timeout c.inner);
+    in_slow_start = (fun c -> Cc.in_slow_start c.inner);
+    take_cwr = (fun c -> Cc.take_cwr c.inner);
   }
+
+let counting_cc inner_factory echoed view =
+  Cc.Cc
+    ( counting_ops,
+      {
+        inner = inner_factory view;
+        on_echo = (fun count -> echoed := !echoed + count);
+      } )
 
 let run_echo_experiment ~echo =
   let sim, net, tb = make_rig ~k:5 in
@@ -76,15 +93,15 @@ let test_cap_three_per_ack () =
   let echoed = ref 0 in
   let max_seen = ref 0 in
   let counting view =
-    let inner = Xmp_core.Bos.make () view in
-    {
-      inner with
-      Cc.on_ecn =
-        (fun ~count ->
-          if count > !max_seen then max_seen := count;
-          echoed := !echoed + count;
-          inner.Cc.on_ecn ~count);
-    }
+    Cc.Cc
+      ( counting_ops,
+        {
+          inner = Xmp_core.Bos.make () view;
+          on_echo =
+            (fun count ->
+              if count > !max_seen then max_seen := count;
+              echoed := !echoed + count);
+        } )
   in
   let conn =
     Tcp.create ~net ~flow:1 ~subflow:0

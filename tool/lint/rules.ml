@@ -27,7 +27,10 @@
      releases one.
    - [bare-sim]        Sim.create / Network.create outside Shard: every
      run is a cluster, so run-wide hooks (the shard barrier, the end of
-     the run) have one home. *)
+     the run) have one home.
+   - [poly-minmax]     Stdlib.min / Stdlib.max, qualified or bare, in the
+     simulator's hot-path libraries: each call is a generic
+     caml_lessequal; Int.min / Float.max / Time.min are not. *)
 
 type category = Lib | Bin | Bench | Examples | Test | OtherDir
 
@@ -270,6 +273,42 @@ let check_bare_sim rep ~path ~cat (toks : token array) =
             (name
            ^ " builds a simulation outside a cluster; build on \
               Shard.create ~shards:1 and use Shard.sim / Shard.net")
+        | Ident _ | Keyword _ | Op _ | Num _ | Str | Punct _ -> ())
+      toks
+
+(* The polymorphic min/max compile to a call of the generic comparison
+   even on ints, so the packet and ACK paths use the monomorphic
+   Int/Float/Time versions. Scoped to the libraries those paths run in;
+   a bare [min]/[max] being defined (let, argument label, record field)
+   is not a use, but a local variable of that name is reported like the
+   Stdlib function it shadows: rename it. *)
+let poly_minmax_dirs =
+  [ "lib/engine/"; "lib/net/"; "lib/transport/"; "lib/mptcp/"; "lib/core/" ]
+
+let check_poly_minmax rep ~path (toks : token array) =
+  if List.exists (has_prefix path) poly_minmax_dirs then
+    Array.iteri
+      (fun i (tok : token) ->
+        match tok.kind with
+        | Ident (("min" | "max" | "Stdlib.min" | "Stdlib.max") as name) ->
+          let defined =
+            (i > 0
+            &&
+            match toks.(i - 1).kind with
+            | Keyword ("let" | "and" | "val" | "external") | Op ("~" | "?") ->
+              true
+            | _ -> false)
+            || i + 1 < Array.length toks
+               &&
+               match toks.(i + 1).kind with
+               | Op ("=" | ":") -> name = "min" || name = "max"
+               | _ -> false
+          in
+          if not defined then
+            Report.add rep ~path ~line:tok.line ~rule:"poly-minmax"
+              (name
+             ^ " is polymorphic (a generic comparison per call); use \
+                Int.min/Int.max, Float.min/Float.max or Time.min/Time.max")
         | Ident _ | Keyword _ | Op _ | Num _ | Str | Punct _ -> ())
       toks
 
@@ -705,6 +744,7 @@ let lint_source rep ~path src =
   check_poly_compare rep ~path ~cat lx.tokens;
   check_packet_release rep ~path ~cat lx.tokens;
   check_bare_sim rep ~path ~cat lx.tokens;
+  check_poly_minmax rep ~path lx.tokens;
   if Filename.check_suffix path ".ml" then begin
     check_mutable_global rep ~path ~cat items;
     check_unit_suffix rep ~path ~cat items;
