@@ -7,7 +7,7 @@
 
    Every spec has an exact canonical string form ([spec_to_string] /
    [spec_of_string] round-trip) which doubles as the CLI syntax and as
-   the serialization mixed into scenario digests ([to_params]). *)
+   the [fault=] field of a run spec, and so of its digest. *)
 
 type target = Link of string | Tag of string | All_links
 
@@ -116,11 +116,16 @@ let filter_to_string = function
   | Data_only -> "data"
   | Ack_only -> "ack"
 
+let float_to_string x =
+  let s = Printf.sprintf "%.15g" x in
+  if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x
+
 let model_to_string = function
-  | Bernoulli p -> Printf.sprintf "bern=%.12g" p
+  | Bernoulli p -> "bern=" ^ float_to_string p
   | Gilbert_elliott g ->
-    Printf.sprintf "ge=%.12g,%.12g,%.12g,%.12g" g.enter_bad g.exit_bad
-      g.loss_good g.loss_bad
+    Printf.sprintf "ge=%s,%s,%s,%s" (float_to_string g.enter_bad)
+      (float_to_string g.exit_bad) (float_to_string g.loss_good)
+      (float_to_string g.loss_bad)
 
 let spec_to_string = function
   | Link_down { target; at } ->
@@ -141,7 +146,7 @@ let parse_error s why = fail "Fault_spec: cannot parse %S (%s)" s why
 
 (* a time is canonical integer nanoseconds, "inf", or a human-friendly
    float with an s/ms/us suffix ("1.5s", "250ms") *)
-let time_of_string s full =
+let parse_time s full =
   match int_of_string_opt s with
   | Some ns -> ns
   | None -> (
@@ -160,6 +165,8 @@ let time_of_string s full =
       | Some ns, _, _ | None, Some ns, _ | None, None, Some ns -> ns
       | None, None, None -> parse_error full ("bad time " ^ s))
 
+let time_of_string s = parse_time s s
+
 (* "<from>..<until>"; the split is on the last ".." so float starts like
    "1.5s..inf" parse unambiguously *)
 let window_of_string s full =
@@ -172,8 +179,8 @@ let window_of_string s full =
   else
     let i = !sep in
     {
-      from_ns = time_of_string (String.sub s 0 i) full;
-      until_ns = time_of_string (String.sub s (i + 2) (String.length s - i - 2)) full;
+      from_ns = parse_time (String.sub s 0 i) full;
+      until_ns = parse_time (String.sub s (i + 2) (String.length s - i - 2)) full;
     }
 
 let target_of_string s full =
@@ -213,9 +220,9 @@ let spec_of_string s =
     match String.split_on_char '@' s with
     | [ "down"; at; target ] ->
       Link_down
-        { target = target_of_string target s; at = time_of_string at s }
+        { target = target_of_string target s; at = parse_time at s }
     | [ "up"; at; target ] ->
-      Link_up { target = target_of_string target s; at = time_of_string at s }
+      Link_up { target = target_of_string target s; at = parse_time at s }
     | [ "loss"; window; target; model ] ->
       Loss
         {
@@ -257,14 +264,3 @@ let spec_of_string s =
   in
   validate_spec spec;
   spec
-
-(* ---- digest serialization ------------------------------------------- *)
-
-let to_params t =
-  if is_empty t then []
-  else
-    ("faults.seed", string_of_int t.seed)
-    :: List.mapi
-         (fun i spec ->
-           (Printf.sprintf "faults.%d" i, spec_to_string spec))
-         t.specs

@@ -47,9 +47,7 @@ type spec =
 type t = { seed : int; specs : spec list }
 
 val empty : t
-(** No faults; the default of [Sim.config.faults]. [to_params empty = []],
-    so fault-free scenario digests are unchanged by this module's
-    existence. *)
+(** No faults; the default of [Sim.config.faults]. *)
 
 val is_empty : t -> bool
 
@@ -78,8 +76,11 @@ val spec_of_string : string -> spec
     field of [loss@...] may be omitted (defaults to [any]). Raises
     [Invalid_argument] on anything else. *)
 
-val to_params : t -> (string * string) list
-(** Digest serialization: [[]] for an empty schedule, otherwise
-    [("faults.seed", ...)] followed by one ["faults.<i>"] pair per spec in
-    canonical form. Scenario digests therefore change exactly when the
-    effective fault schedule does. *)
+val float_to_string : float -> string
+(** The shortest decimal that reads back as the same float: how
+    {!spec_to_string} prints probabilities, exactly. *)
+
+val time_of_string : string -> Time.t
+(** The time grammar of {!spec_of_string}: integer nanoseconds, ["inf"],
+    or a non-negative decimal with an [s]/[ms]/[us] suffix. Raises
+    [Invalid_argument] on anything else. *)

@@ -89,10 +89,10 @@ let print_k_sweep ?(ks = [ 2; 4; 6; 8; 10; 15; 20; 40 ]) ?(beta = 4) () =
     ~rows ()
 
 let mean_goodput base scheme pattern =
-  let r = Fatree_eval.result base scheme pattern in
+  let r = Run_spec.result base scheme pattern in
   Metrics.mean_goodput_bps r.Driver.metrics /. 1e6
 
-let print_subflow_sweep ?(base = Fatree_eval.default_base)
+let print_subflow_sweep ?(base = Run_spec.default_base)
     ?(counts = [ 1; 2; 3; 4 ]) () =
   Render.heading
     "Ablation: subflow count vs mean goodput (Permutation pattern, Mbps)";
@@ -102,15 +102,15 @@ let print_subflow_sweep ?(base = Fatree_eval.default_base)
         [
           string_of_int n;
           Table.fixed 1
-            (mean_goodput base (Scheme.lia n) Fatree_eval.Permutation);
+            (mean_goodput base (Scheme.lia n) Run_spec.Permutation);
           Table.fixed 1
-            (mean_goodput base (Scheme.xmp n) Fatree_eval.Permutation);
+            (mean_goodput base (Scheme.xmp n) Run_spec.Permutation);
         ])
       counts
   in
   Table.print ~header:[ "subflows"; "LIA"; "XMP" ] ~rows ()
 
-let print_coupling_comparison ?(base = Fatree_eval.default_base) () =
+let print_coupling_comparison ?(base = Run_spec.default_base) () =
   Render.heading
     "Ablation: coupling comparison LIA / OLIA / XMP (mean goodput, Mbps)";
   let rows =
@@ -121,8 +121,8 @@ let print_coupling_comparison ?(base = Fatree_eval.default_base) () =
             [
               Printf.sprintf "%s-%d" label n;
               Table.fixed 1
-                (mean_goodput base scheme Fatree_eval.Permutation);
-              Table.fixed 1 (mean_goodput base scheme Fatree_eval.Random);
+                (mean_goodput base scheme Run_spec.Permutation);
+              Table.fixed 1 (mean_goodput base scheme Run_spec.Random);
             ])
           [
             ("LIA", Scheme.lia n);
@@ -133,7 +133,7 @@ let print_coupling_comparison ?(base = Fatree_eval.default_base) () =
   in
   Table.print ~header:[ "Coupling"; "Permutation"; "Random" ] ~rows ()
 
-let print_flow_size_sweep ?(base = Fatree_eval.default_base) () =
+let print_flow_size_sweep ?(base = Run_spec.default_base) () =
   Render.heading
     "Ablation: flow size vs LIA's multipath gain (Permutation, Mbps)";
   Render.say
@@ -145,9 +145,9 @@ let print_flow_size_sweep ?(base = Fatree_eval.default_base) () =
   let rows =
     List.map
       (fun size_scale ->
-        let base = { base with Fatree_eval.size_scale } in
+        let base = { base with Run_spec.size_scale } in
         let gp s =
-          Table.fixed 1 (mean_goodput base s Fatree_eval.Permutation)
+          Table.fixed 1 (mean_goodput base s Run_spec.Permutation)
         in
         [
           Printf.sprintf "%g-%g MB" (2. *. size_scale) (16. *. size_scale);
@@ -161,7 +161,7 @@ let print_flow_size_sweep ?(base = Fatree_eval.default_base) () =
     ~header:[ "Flow sizes"; "LIA-2"; "LIA-4"; "XMP-2" ]
     ~rows ()
 
-let print_incast_fanout_sweep ?(base = Fatree_eval.default_base) () =
+let print_incast_fanout_sweep ?(base = Run_spec.default_base) () =
   Render.heading
     "Ablation: pure incast fanout (no background flows, TCP small flows)";
   Render.say
@@ -185,8 +185,8 @@ let print_incast_fanout_sweep ?(base = Fatree_eval.default_base) () =
         in
         let cfg =
           {
-            (Fatree_eval.driver_config base (Scheme.xmp 2)
-               Fatree_eval.Incast)
+            (Run_spec.driver_config base (Scheme.xmp 2)
+               Run_spec.Incast)
             with
             Driver.pattern;
           }
@@ -211,7 +211,7 @@ let print_incast_fanout_sweep ?(base = Fatree_eval.default_base) () =
       [ "Fanout"; "Median JCT (ms)"; "Mean JCT (ms)"; "> 200 ms (%)" ]
     ~rows ()
 
-let print_rto_min_sweep ?(base = Fatree_eval.default_base) () =
+let print_rto_min_sweep ?(base = Run_spec.default_base) () =
   Render.heading
     "Ablation: RTOmin under Incast (jobs + background goodput)";
   let rows =
@@ -219,8 +219,8 @@ let print_rto_min_sweep ?(base = Fatree_eval.default_base) () =
       (fun scheme ->
         List.map
           (fun rto_ms ->
-            let base = { base with Fatree_eval.rto_min = Time.ms rto_ms } in
-            let r = Fatree_eval.result base scheme Fatree_eval.Incast in
+            let base = { base with Run_spec.rto_min = Time.ms rto_ms } in
+            let r = Run_spec.result base scheme Run_spec.Incast in
             let m = r.Driver.metrics in
             let jobs = Xmp_workload.Metrics.job_times_ms m in
             [
@@ -278,7 +278,7 @@ let queue_occupancy_point ~beta ~k scheme =
   Net.Shard.run ~until:(Time.ms 200) cluster;
   (occupancy, Net.Queue_disc.dropped queue)
 
-let print_sack_comparison ?(base = Fatree_eval.default_base) () =
+let print_sack_comparison ?(base = Run_spec.default_base) () =
   Render.heading
     "Ablation: SACK vs go-back-N recovery (Permutation goodput, Mbps)";
   Render.say
@@ -291,8 +291,8 @@ let print_sack_comparison ?(base = Fatree_eval.default_base) () =
     List.map
       (fun scheme ->
         let gp sack =
-          let base = { base with Fatree_eval.sack } in
-          Table.fixed 1 (mean_goodput base scheme Fatree_eval.Permutation)
+          let base = { base with Run_spec.sack } in
+          Table.fixed 1 (mean_goodput base scheme Run_spec.Permutation)
         in
         [ Scheme.name scheme; gp false; gp true ])
       [ Scheme.reno; Scheme.lia 2; Scheme.lia 4; Scheme.xmp 2 ]

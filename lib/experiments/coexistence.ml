@@ -13,11 +13,11 @@ type result = {
 
 let xmp = Scheme.xmp 2
 
-let run ?(base = Fatree_eval.default_base) ~partner ~queue_pkts () =
-  let base = { base with Fatree_eval.queue_pkts } in
+let run ?(base = Run_spec.default_base) ~partner ~queue_pkts () =
+  let base = { base with Run_spec.queue_pkts } in
   let cfg =
     {
-      (Fatree_eval.driver_config base xmp Fatree_eval.Random) with
+      (Run_spec.driver_config base xmp Run_spec.Random) with
       Driver.assignment = Driver.Split (xmp, partner);
     }
   in
@@ -58,12 +58,12 @@ let print_rows ~base partners =
     ~header:[ "Pairing"; "Queue 50 pkts"; "Queue 100 pkts" ]
     ~rows ()
 
-let print_table2 ?(base = Fatree_eval.default_base) () =
+let print_table2 ?(base = Run_spec.default_base) () =
   Render.heading
     "Table 2: average goodput (Mbps), XMP-2 coexisting per Random pattern";
   print_rows ~base partners
 
-let print_table2_extended ?(base = Fatree_eval.default_base) () =
+let print_table2_extended ?(base = Run_spec.default_base) () =
   Render.heading
     "Table 2 (extended): XMP-2 coexisting with BALIA/VENO/AMP per Random \
      pattern";

@@ -16,7 +16,7 @@ type result = {
 }
 
 val run :
-  ?base:Fatree_eval.base ->
+  ?base:Run_spec.base ->
   partner:Xmp_workload.Scheme.t ->
   queue_pkts:int ->
   unit ->
@@ -25,7 +25,7 @@ val run :
 val extended_partners : Xmp_workload.Scheme.t list
 (** The extension rows: BALIA-2, VENO-2, AMP-2. *)
 
-val print_table2 : ?base:Fatree_eval.base -> unit -> unit
+val print_table2 : ?base:Run_spec.base -> unit -> unit
 
-val print_table2_extended : ?base:Fatree_eval.base -> unit -> unit
+val print_table2_extended : ?base:Run_spec.base -> unit -> unit
 (** Same layout as {!print_table2} over {!extended_partners}. *)

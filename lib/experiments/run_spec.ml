@@ -1,0 +1,697 @@
+(* One run as a value. The parser is strict and the printer canonical,
+   so the printed form can serve as the run's identity everywhere a key
+   is needed: a field the printer left out could not be set at all. *)
+
+module Time = Xmp_engine.Time
+module Fault_spec = Xmp_engine.Fault_spec
+module Scheme = Xmp_workload.Scheme
+module Driver = Xmp_workload.Driver
+module Metrics = Xmp_workload.Metrics
+module Open_loop = Xmp_workload.Open_loop
+module Flow_size = Xmp_workload.Flow_size
+module Wan = Xmp_net.Wan
+module Units = Xmp_net.Units
+module Topology = Xmp_net.Topology
+module Distribution = Xmp_stats.Distribution
+module Table = Xmp_stats.Table
+
+type pattern = Permutation | Random | Incast
+
+let pattern_name = function
+  | Permutation -> "Permutation"
+  | Random -> "Random"
+  | Incast -> "Incast"
+
+type base = {
+  k : int;
+  horizon : Time.t;
+  seed : int;
+  queue_pkts : int;
+  marking_threshold : int;
+  beta : int;
+  rto_min : Time.t;
+  sack : bool;
+  size_scale : float;
+  incast_jobs : int;
+  faults : Fault_spec.t;
+}
+
+let default_base =
+  {
+    k = 4;
+    horizon = Time.sec 2.5;
+    seed = 1;
+    queue_pkts = 100;
+    marking_threshold = 10;
+    beta = 4;
+    rto_min = Time.ms 200;
+    sack = false;
+    (* size_scale 4 gives 8-64 MB flows: long-lived enough that slow-start
+       restarts do not dominate (the paper's flows are 64-512 MB); with
+       smaller flows the synchronized restarts systematically punish
+       many-subflow LIA (see the flow-size ablation) *)
+    size_scale = 4.;
+    incast_jobs = 3;
+    faults = Fault_spec.empty;
+  }
+
+let paper_scale_base =
+  {
+    default_base with
+    k = 8;
+    horizon = Time.sec 3.;
+    size_scale = 8.;
+    incast_jobs = 8;
+  }
+
+type cdf = Websearch | Datamining | Cdf_file of string
+
+type fabric =
+  | Fat_tree of int
+  | Bridged of {
+      left : Wan.dc_spec;
+      right : Wan.dc_spec;
+      trunks : Wan.trunk list;
+      cross_dc : float;
+      faults : Fault_spec.t;
+    }
+
+type workload = {
+  fabric : fabric;
+  scheme : Scheme.t;
+  cdf : cdf;
+  size_scale : float;
+  load : float;
+  seed : int;
+  horizon : Time.t;
+  drain : Time.t;
+  max_flows : int option;
+  queue_pkts : int;
+  marking_threshold : int;
+  beta : int;
+  rto_min : Time.t;
+  sack : bool;
+}
+
+type t =
+  | Pattern of { base : base; scheme : Scheme.t; pattern : pattern }
+  | Workload of workload
+
+(* Per-topology RTO floor: half the slowest zero-load cross-DC RTT,
+   never below 1 ms. On a 40 ms trunk this is ~40 ms — above any
+   delayed-ACK hold, far below the 200 ms intra-DC default. *)
+let wan_rto_min ~left ~right ~trunks =
+  Stdlib.max (Time.ms 1) (Wan.max_rtt_no_queue_of ~left ~right ~trunks / 2)
+
+let workload fabric scheme cdf =
+  let d = Open_loop.default_config in
+  {
+    fabric;
+    scheme;
+    cdf;
+    size_scale = 1. /. 32.;
+    load = d.load;
+    seed = d.seed;
+    horizon = d.horizon;
+    drain = d.drain;
+    max_flows = d.max_flows;
+    queue_pkts = d.queue_pkts;
+    marking_threshold = d.marking_threshold;
+    beta = d.beta;
+    rto_min =
+      (match fabric with
+      | Fat_tree _ -> d.rto_min
+      | Bridged { left; right; trunks; _ } -> wan_rto_min ~left ~right ~trunks);
+    sack = d.sack;
+  }
+
+(* ---- printing ---- *)
+
+let float_to_string = Fault_spec.float_to_string
+
+(* the largest unit that keeps the value whole *)
+let time_to_string t =
+  let unit = List.find_opt (fun (ns, _) -> t mod ns = 0) in
+  match unit [ (1_000_000_000, "s"); (1_000_000, "ms"); (1_000, "us") ] with
+  | Some (ns, suffix) -> string_of_int (t / ns) ^ suffix
+  | None -> string_of_int t
+
+let dc_to_string = function
+  | Wan.Fat_tree_dc { k } -> Printf.sprintf "ft:%d" k
+  | Wan.Leaf_spine_dc { leaves; spines; hosts_per_leaf } ->
+    Printf.sprintf "ls:%d,%d,%d" leaves spines hosts_per_leaf
+
+let trunk_to_string (t : Wan.trunk) =
+  Printf.sprintf "%s:%s:%d:%d"
+    (float_to_string (float_of_int t.trunk_delay /. 1e6))
+    (float_to_string (Units.to_gbps t.trunk_rate))
+    t.trunk_queue_pkts
+    (Option.value t.trunk_marking_threshold ~default:0)
+
+let cdf_to_string = function
+  | Websearch -> "websearch"
+  | Datamining -> "datamining"
+  | Cdf_file path -> path
+
+let fault_words (f : Fault_spec.t) =
+  if Fault_spec.is_empty f then []
+  else
+    Printf.sprintf "fault-seed=%d" f.seed
+    :: List.map (fun s -> "fault=" ^ Fault_spec.spec_to_string s) f.specs
+
+let faults_to_string f = String.concat " " (fault_words f)
+
+(* Structured words (trunks, faults) come first and [sack=] last, so
+   nothing appended to a printed spec can extend a valid value. *)
+let common_words ~seed ~horizon ~queue ~mark ~beta ~rto_min ~size_scale =
+  [
+    Printf.sprintf "seed=%d" seed;
+    "horizon=" ^ time_to_string horizon;
+    Printf.sprintf "queue=%d" queue;
+    Printf.sprintf "mark=%d" mark;
+    Printf.sprintf "beta=%d" beta;
+    "rto-min=" ^ time_to_string rto_min;
+    "size-scale=" ^ float_to_string size_scale;
+  ]
+
+let base_words (b : base) =
+  fault_words b.faults
+  @ common_words ~seed:b.seed ~horizon:b.horizon ~queue:b.queue_pkts
+      ~mark:b.marking_threshold ~beta:b.beta ~rto_min:b.rto_min
+      ~size_scale:b.size_scale
+  @ [ Printf.sprintf "incast-jobs=%d" b.incast_jobs; Printf.sprintf "sack=%b" b.sack ]
+
+let base_to_string b =
+  String.concat " " (Printf.sprintf "ft:%d" b.k :: base_words b)
+
+let to_string = function
+  | Pattern { base; scheme; pattern } ->
+    String.concat " "
+      (Printf.sprintf "ft:%d" base.k
+      :: Scheme.name scheme
+      :: String.lowercase_ascii (pattern_name pattern)
+      :: base_words base)
+  | Workload w ->
+    let topology, fabric_words =
+      match w.fabric with
+      | Fat_tree k -> (Printf.sprintf "ft:%d" k, [])
+      | Bridged { left; right; trunks; cross_dc; faults } ->
+        ( dc_to_string left ^ "+" ^ dc_to_string right,
+          List.map (fun t -> "trunk=" ^ trunk_to_string t) trunks
+          @ ("cross-dc=" ^ float_to_string cross_dc)
+            :: fault_words faults )
+    in
+    String.concat " "
+      ((topology :: Scheme.name w.scheme :: cdf_to_string w.cdf :: fabric_words)
+      @ common_words ~seed:w.seed ~horizon:w.horizon ~queue:w.queue_pkts
+          ~mark:w.marking_threshold ~beta:w.beta ~rto_min:w.rto_min
+          ~size_scale:w.size_scale
+      @ [
+          "load=" ^ float_to_string w.load;
+          "drain=" ^ time_to_string w.drain;
+          (match w.max_flows with
+          | None -> "flows=none"
+          | Some n -> Printf.sprintf "flows=%d" n);
+          Printf.sprintf "sack=%b" w.sack;
+        ])
+
+let key t =
+  match t with
+  | Workload { cdf = Cdf_file path; _ } -> to_string t ^ "\n" ^ Digest.to_hex (Digest.file path)
+  | Pattern _ | Workload _ -> to_string t
+
+(* ---- parsing ---- *)
+
+exception Bad of string * string
+
+let bad field fmt = Printf.ksprintf (fun why -> raise (Bad (field, why))) fmt
+
+(* bare decimal: no sign but '-', no hex, no underscores *)
+let decimal s =
+  let n = String.length s in
+  let digits = if n > 1 && s.[0] = '-' then String.sub s 1 (n - 1) else s in
+  if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+  then int_of_string_opt s
+  else None
+
+let int_at_least lo field v =
+  match decimal v with
+  | Some n when n >= lo -> n
+  | _ -> bad field "%S is not an integer >= %d" v lo
+
+let any_int field v =
+  match decimal v with Some n -> n | None -> bad field "%S is not an integer" v
+
+let float_in ok what field v =
+  match float_of_string_opt v with
+  | Some x when Float.is_finite x && ok x -> x
+  | _ -> bad field "%S is not %s" v what
+
+let positive = float_in (fun x -> x > 0.) "a finite positive number"
+
+let fraction = float_in (fun x -> x >= 0. && x <= 1.) "a fraction in [0, 1]"
+
+let time_in lo field v =
+  match Fault_spec.time_of_string v with
+  | t when t >= lo && not (Time.is_infinite t) -> t
+  | _ -> bad field "%S is not a finite time >= %dns (2s, 250ms, 40us)" v lo
+  | exception Invalid_argument _ ->
+    bad field "%S is not a time (2s, 250ms, 40us or integer ns)" v
+
+let bool field = function
+  | "true" -> true
+  | "false" -> false
+  | v -> bad field "%S is not true or false" v
+
+let dc_of_string s =
+  match String.split_on_char ':' s with
+  | [ "ft"; k ] -> (
+    match decimal k with
+    | Some k when k >= 2 && k mod 2 = 0 -> Wan.Fat_tree_dc { k }
+    | _ -> bad "topology" "bad fat-tree arity %S (even, >= 2)" k)
+  | [ "ls"; dims ] -> (
+    match List.map decimal (String.split_on_char ',' dims) with
+    | [ Some leaves; Some spines; Some hosts_per_leaf ]
+      when leaves >= 1 && spines >= 1 && hosts_per_leaf >= 1 ->
+      Wan.Leaf_spine_dc { leaves; spines; hosts_per_leaf }
+    | _ -> bad "topology" "bad leaf-spine dims %S" dims)
+  | _ -> bad "topology" "%S is not ft:K or ls:LEAVES,SPINES,HOSTS" s
+
+let trunk_of_string v =
+  let fail () =
+    bad "trunk" "%S is not DELAY_MS[:RATE_GBPS[:QUEUE_PKTS[:MARK_PKTS]]]" v
+  in
+  let pos x = try positive "trunk" x with Bad _ -> fail () in
+  let count lo x = match decimal x with Some n when n >= lo -> n | _ -> fail () in
+  match String.split_on_char ':' v with
+  | delay_ms :: rest when List.length rest <= 3 -> (
+    let field i f = Option.map f (List.nth_opt rest i) in
+    try
+      Wan.trunk
+        ~delay:(Time.of_float_s (pos delay_ms /. 1000.))
+        ?rate:
+          (field 0 (fun g ->
+               match int_of_float (Float.round (pos g *. 1e9)) with
+               | bps when bps > 0 -> bps
+               | _ -> fail ()))
+        ?queue_pkts:(field 1 (count 1))
+        ?marking_threshold:
+          (Option.bind (field 2 (count 0)) (function 0 -> None | m -> Some m))
+        ()
+    with Invalid_argument _ -> fail ())
+  | _ -> fail ()
+
+let parse s =
+  let blank = function '\t' | '\n' | '\r' -> ' ' | c -> c in
+  match List.filter (( <> ) "") (String.split_on_char ' ' (String.map blank s)) with
+  | topology :: scheme_word :: traffic :: words ->
+    let fabric =
+      match String.split_on_char '+' topology with
+      | [ one ] -> (
+        match dc_of_string one with
+        | Wan.Fat_tree_dc { k } -> `Fat_tree k
+        | Wan.Leaf_spine_dc _ -> bad "topology" "one data center must be ft:K")
+      | [ left; right ] -> `Bridged (dc_of_string left, dc_of_string right)
+      | _ -> bad "topology" "%S is not ft:K or LEFT+RIGHT" topology
+    in
+    let scheme =
+      match Scheme.of_name scheme_word with
+      | Some scheme -> scheme
+      | None -> bad "scheme" "unknown scheme %S (e.g. XMP-2, DCTCP, XMP-2:beta=6)" scheme_word
+    in
+    let fields =
+      List.map
+        (fun w ->
+          match String.index_opt w '=' with
+          | Some i when i > 0 ->
+            (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
+          | _ -> bad w "expected KEY=VALUE")
+        words
+    in
+    let used = ref [] in
+    let all key =
+      used := key :: !used;
+      List.filter_map (fun (k, v) -> if k = key then Some v else None) fields
+    in
+    let opt key conv =
+      match all key with
+      | [] -> None
+      | [ v ] -> Some (conv key v)
+      | _ -> bad key "given twice"
+    in
+    let get key conv default = Option.value (opt key conv) ~default in
+    let faults () =
+      let specs =
+        List.map
+          (fun v ->
+            try Fault_spec.spec_of_string v
+            with Invalid_argument m -> bad "fault" "%s" m)
+          (all "fault")
+      in
+      match (specs, opt "fault-seed" any_int) with
+      | [], None -> Fault_spec.empty
+      | [], Some _ -> bad "fault-seed" "needs at least one fault="
+      | specs, seed -> (
+        try Fault_spec.create ?seed specs
+        with Invalid_argument m -> bad "fault" "%s" m)
+    in
+    let pattern =
+      List.assoc_opt traffic
+        [ ("permutation", Permutation); ("random", Random); ("incast", Incast) ]
+    in
+    let spec =
+      match (pattern, fabric) with
+      | Some pattern, `Fat_tree k ->
+        let d = default_base in
+        let base =
+          {
+            k;
+            faults = faults ();
+            seed = get "seed" any_int d.seed;
+            horizon = get "horizon" (time_in 1) d.horizon;
+            queue_pkts = get "queue" (int_at_least 1) d.queue_pkts;
+            marking_threshold = get "mark" (int_at_least 0) d.marking_threshold;
+            beta = get "beta" (int_at_least 2) d.beta;
+            rto_min = get "rto-min" (time_in 1) d.rto_min;
+            size_scale = get "size-scale" positive d.size_scale;
+            incast_jobs = get "incast-jobs" (int_at_least 1) d.incast_jobs;
+            sack = get "sack" bool d.sack;
+          }
+        in
+        Pattern { base; scheme; pattern }
+      | Some _, `Bridged _ -> bad "traffic" "a pattern runs on one ft:K fabric, not a WAN"
+      | None, _ ->
+        let cdf =
+          match traffic with
+          | "websearch" -> Websearch
+          | "datamining" -> Datamining
+          | path when Sys.file_exists path -> (
+            match Flow_size.of_file path with
+            | _ -> Cdf_file path
+            | exception (Invalid_argument m | Sys_error m) ->
+              bad "traffic" "%s" m)
+          | w ->
+            bad "traffic"
+              "%S is not permutation, random, incast, websearch, datamining \
+               or a CDF file" w
+        in
+        let fabric =
+          match fabric with
+          | `Fat_tree k -> Fat_tree k
+          | `Bridged (left, right) ->
+            let trunks =
+              match List.map trunk_of_string (all "trunk") with
+              | [] -> [ Wan.trunk () ]
+              | trunks -> trunks
+            in
+            let cross_dc = get "cross-dc" fraction 0.5 in
+            Bridged { left; right; trunks; cross_dc; faults = faults () }
+        in
+        let d = workload fabric scheme cdf in
+        Workload
+          {
+            d with
+            seed = get "seed" any_int d.seed;
+            horizon = get "horizon" (time_in 1) d.horizon;
+            queue_pkts = get "queue" (int_at_least 1) d.queue_pkts;
+            marking_threshold = get "mark" (int_at_least 0) d.marking_threshold;
+            beta = get "beta" (int_at_least 2) d.beta;
+            rto_min = get "rto-min" (time_in 1) d.rto_min;
+            size_scale = get "size-scale" positive d.size_scale;
+            load = get "load" positive d.load;
+            drain = get "drain" (time_in 0) d.drain;
+            max_flows =
+              get "flows"
+                (fun key v ->
+                  if v = "none" then None else Some (int_at_least 1 key v))
+                d.max_flows;
+            sack = get "sack" bool d.sack;
+          }
+    in
+    (match List.find_opt (fun (k, _) -> not (List.mem k !used)) fields with
+    | Some (k, _) -> bad k "is not a field of this run"
+    | None -> ());
+    spec
+  | _ -> bad "spec" "%S is not TOPOLOGY SCHEME TRAFFIC [KEY=VALUE ...]" s
+
+let of_string s =
+  match parse s with
+  | t -> Ok t
+  | exception Bad (field, why) -> Error (Printf.sprintf "field '%s': %s" field why)
+
+(* ---- pattern runs ---- *)
+
+let scaled_segments (base : base) s =
+  Stdlib.max 1 (int_of_float (Float.round (float_of_int s *. base.size_scale)))
+
+let segs_of_mb mb = int_of_float (Float.ceil (mb *. 1e6 /. 1460.))
+
+let pattern_of base = function
+  | Permutation ->
+    Driver.Permutation
+      {
+        min_segments = scaled_segments base (segs_of_mb 2.);
+        max_segments = scaled_segments base (segs_of_mb 16.);
+      }
+  | Random ->
+    Driver.Random_pattern
+      {
+        mean_segments = float_of_int (scaled_segments base (segs_of_mb 6.));
+        cap_segments = float_of_int (scaled_segments base (segs_of_mb 24.));
+        shape = 1.5;
+        max_inbound = 4;
+      }
+  | Incast ->
+    Driver.Incast
+      {
+        jobs = base.incast_jobs;
+        fanout = 8;
+        request_segments = 2;
+        response_segments = 45;
+        bg_mean_segments = float_of_int (scaled_segments base (segs_of_mb 6.));
+        bg_cap_segments = float_of_int (scaled_segments base (segs_of_mb 24.));
+        bg_shape = 1.5;
+      }
+
+let driver_config (base : base) scheme pattern =
+  {
+    Driver.k = base.k;
+    seed = base.seed;
+    topology = Driver.Single_dc;
+    cross_dc = 0.;
+    horizon = base.horizon;
+    queue_pkts = base.queue_pkts;
+    marking_threshold = base.marking_threshold;
+    beta = base.beta;
+    rto_min = base.rto_min;
+    sack = base.sack;
+    assignment = Driver.Uniform scheme;
+    pattern = pattern_of base pattern;
+    rtt_subsample = 16;
+    keep_flows = true;
+    faults = base.faults;
+    telemetry = Xmp_telemetry.Sink.null;
+  }
+
+(* xmplint: allow mutable-global — per-process memo of completed runs,
+   keyed by the run's canonical spec; it is an explicitly scoped cache
+   (clear_cache / with_cache below let runner workers isolate
+   scenarios), and a stale entry cannot change results because the key
+   covers every input that affects a run. Not yet domain-safe: guard or
+   shard it before Domains-parallel evaluation. *)
+let cache : (string, Driver.result) Hashtbl.t = Hashtbl.create 32
+
+let cache_size () = Hashtbl.length cache
+let clear_cache () = Hashtbl.reset cache
+
+let with_cache f =
+  let saved = Hashtbl.copy cache in
+  Hashtbl.reset cache;
+  Fun.protect
+    ~finally:(fun () ->
+      Hashtbl.reset cache;
+      (* xmplint: allow hashtbl-order — restoring a snapshot into an
+         empty table; only lookups ever read it, so insertion order is
+         unobservable *)
+      Hashtbl.iter (fun k v -> Hashtbl.replace cache k v) saved)
+    f
+
+let result base scheme pattern =
+  let key = to_string (Pattern { base; scheme; pattern }) in
+  match Hashtbl.find_opt cache key with
+  | Some r -> r
+  | None ->
+    let r = Driver.run (driver_config base scheme pattern) in
+    Hashtbl.replace cache key r;
+    r
+
+let print_eval base scheme pattern =
+  let r = result base scheme pattern in
+  let m = r.Driver.metrics in
+  Render.heading
+    (Printf.sprintf "%s under %s" (Scheme.name scheme) (pattern_name pattern));
+  Render.printf "large flows recorded: %d\n" (Metrics.n_completed_flows m);
+  Render.printf "mean goodput: %.1f Mbps\n" (Metrics.mean_goodput_bps m /. 1e6);
+  let jobs = Metrics.job_times_ms m in
+  if not (Distribution.is_empty jobs) then
+    Render.printf "jobs: %d, mean completion %.1f ms, >300ms %.1f%%\n"
+      (Distribution.count jobs) (Distribution.mean jobs)
+      (100. *. Metrics.jobs_over_ms m 300.);
+  Render.subheading "link utilization by layer";
+  Render.five_number_table ~value_header:"layer" (Driver.utilization_by_layer r);
+  Render.subheading "RTT by locality (ms)";
+  Render.five_number_table ~value_header:"locality"
+    (List.map
+       (fun (loc, d) -> (Topology.locality_name loc, d))
+       (Metrics.rtts_by_locality m));
+  Render.printf "events executed: %d\n" r.Driver.events
+
+(* Fault-injection evaluation: one run with a live telemetry sink so the
+   injector's Link_down / Link_up / Injected_drop events are observable,
+   summarized as a deterministic table. Not memoized — the run is cheap at
+   scenario scale and the sink makes the result unshareable. *)
+let print_fault_eval (base : base) scheme pattern =
+  Render.heading
+    (Printf.sprintf "Fault evaluation: %s under %s" (Scheme.name scheme)
+       (pattern_name pattern));
+  List.iter
+    (fun spec ->
+      Render.say (Printf.sprintf "fault: %s" (Fault_spec.spec_to_string spec)))
+    base.faults.Fault_spec.specs;
+  let sink = Xmp_telemetry.Sink.create () in
+  let cfg = { (driver_config base scheme pattern) with telemetry = sink } in
+  let r = Driver.run cfg in
+  let count kind =
+    let n = ref 0 in
+    Xmp_telemetry.Recorder.iter
+      (fun e -> if Xmp_telemetry.Event.kind e.event = kind then incr n)
+      (Xmp_telemetry.Sink.recorder sink);
+    !n
+  in
+  let m = r.Driver.metrics in
+  let jobs = Metrics.job_times_ms m in
+  Table.print
+    ~header:[ "Metric"; "Value" ]
+    ~rows:
+      [
+        [ "Flows recorded"; string_of_int (Metrics.n_completed_flows m) ];
+        [
+          "Flows truncated at horizon";
+          string_of_int (Metrics.n_truncated_flows m);
+        ];
+        [
+          "Mean goodput (Mbps)";
+          Table.fixed 1 (Metrics.mean_goodput_bps r.Driver.metrics /. 1e6);
+        ];
+        [ "Jobs completed"; string_of_int (Distribution.count jobs) ];
+        [ "Injected drops"; string_of_int r.Driver.injected_drops ];
+        [ "link-down events"; string_of_int (count "link-down") ];
+        [ "link-up events"; string_of_int (count "link-up") ];
+        [ "injected-drop events"; string_of_int (count "injected-drop") ];
+      ]
+    ()
+
+(* ---- open-loop runs ---- *)
+
+let config (w : workload) =
+  let d = Open_loop.default_config in
+  let cdf =
+    match w.cdf with
+    | Websearch -> Flow_size.web_search
+    | Datamining -> Flow_size.data_mining
+    | Cdf_file path -> Flow_size.of_file path
+  in
+  let k, scheme, cross_dc =
+    match w.fabric with
+    | Fat_tree k -> (k, w.scheme, d.cross_dc)
+    | Bridged b -> (d.k, Scheme.with_rto ~rto_min:w.rto_min w.scheme, b.cross_dc)
+  in
+  {
+    d with
+    Open_loop.k;
+    seed = w.seed;
+    scheme;
+    sizes = (if w.size_scale = 1. then cdf else Flow_size.scaled cdf w.size_scale);
+    load = w.load;
+    horizon = w.horizon;
+    drain = w.drain;
+    max_flows = w.max_flows;
+    queue_pkts = w.queue_pkts;
+    marking_threshold = w.marking_threshold;
+    beta = w.beta;
+    rto_min = w.rto_min;
+    sack = w.sack;
+    cross_dc;
+  }
+
+let simulate ?(domains = 1) w =
+  let config = config w in
+  match w.fabric with
+  | Fat_tree _ -> Open_loop.run ~config ~domains ()
+  | Bridged { left; right; trunks; faults; _ } ->
+    Open_loop.run_wan ~config ~domains ~faults ~left ~right ~trunks ()
+
+let goodput_csv m =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "locality,flows,mean_mbps,p50_mbps,p90_mbps,max_mbps\n";
+  List.iter
+    (fun (loc, d) ->
+      if not (Distribution.is_empty d) then
+        Buffer.add_string buf
+          (Printf.sprintf "%s,%d,%.6g,%.6g,%.6g,%.6g\n"
+             (Topology.locality_name loc) (Distribution.count d)
+             (Distribution.mean d /. 1e6)
+             (Distribution.percentile d 50. /. 1e6)
+             (Distribution.percentile d 90. /. 1e6)
+             (Distribution.max d /. 1e6)))
+    (Metrics.goodputs_by_locality m);
+  Buffer.contents buf
+
+let run ?domains = function
+  | Pattern { base; scheme; pattern } ->
+    if Fault_spec.is_empty base.faults then print_eval base scheme pattern
+    else print_fault_eval base scheme pattern;
+    []
+  | Workload w ->
+    let r = simulate ?domains w in
+    let c = r.Open_loop.config and m = r.Open_loop.metrics in
+    (match w.fabric with
+    | Fat_tree k ->
+      Render.printf
+        "workload %s: k=%d seed=%d load=%.3f cdf=%s mean_size=%.1f segments\n"
+        (Scheme.name w.scheme) k w.seed w.load (Flow_size.name c.sizes)
+        (Flow_size.mean_segments c.sizes)
+    | Bridged { left; right; trunks; cross_dc; _ } ->
+      Render.printf
+        "wan %s: %d+%d hosts, %d trunk(s), cross-dc %.3f, rto_min %.1f ms\n"
+        (Scheme.name c.scheme) (Wan.dc_n_hosts left) (Wan.dc_n_hosts right)
+        (List.length trunks) cross_dc
+        (float_of_int w.rto_min /. 1e6));
+    Render.printf
+      "flows: %d launched, %d completed, %d truncated (horizon %.3fs + drain \
+       %.3fs)\n"
+      r.Open_loop.launched r.Open_loop.completed r.Open_loop.truncated
+      (Time.to_float_s w.horizon) (Time.to_float_s w.drain);
+    Render.printf "events executed: %d (portal mail %d)\n" r.Open_loop.events
+      r.Open_loop.mail;
+    let fct = Metrics.fct_summary_csv m in
+    Render.printf "%s" fct;
+    (".fct.csv", fct)
+    :: (".cdf.csv", Metrics.fct_cdf_csv m)
+    ::
+    (match w.fabric with
+    | Bridged _ -> [ (".goodput.csv", goodput_csv m) ]
+    | Fat_tree _ -> [])
+
+let link_names t =
+  let cluster = Xmp_net.Shard.create ~shards:1 () in
+  let disc () =
+    Xmp_net.Queue_disc.create ~policy:Xmp_net.Queue_disc.Droptail
+      ~capacity_pkts:1
+  in
+  (match t with
+  | Pattern { base = { k; _ }; _ } | Workload { fabric = Fat_tree k; _ } ->
+    ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ())
+  | Workload { fabric = Bridged { left; right; trunks; _ }; _ } ->
+    ignore (Wan.create ~cluster ~left ~right ~trunks ~disc ()));
+  List.map Xmp_net.Link.name (Xmp_net.Network.links (Xmp_net.Shard.net cluster 0))

@@ -5,53 +5,35 @@ module Fault_spec = Xmp_engine.Fault_spec
 type config = {
   tag : string;
   scale : float;
-  base : Fatree_eval.base;
+  base : Run_spec.base;
 }
 
-let default = { tag = "default"; scale = 0.2; base = Fatree_eval.default_base }
+let default = { tag = "default"; scale = 0.2; base = Run_spec.default_base }
 
 let quick =
   {
     tag = "quick";
     scale = 0.1;
-    base = { Fatree_eval.default_base with horizon = Time.sec 0.5 };
+    base = { Run_spec.default_base with horizon = Time.sec 0.5 };
   }
 
-let paper = { tag = "paper"; scale = 1.0; base = Fatree_eval.paper_scale_base }
+let paper = { tag = "paper"; scale = 1.0; base = Run_spec.paper_scale_base }
 
-(* Every input a fat-tree run depends on. Time.t is integer nanoseconds,
-   so the serialization is exact. *)
-let base_params (b : Fatree_eval.base) =
-  [
-    ("k", string_of_int b.k);
-    ("horizon_ns", string_of_int b.horizon);
-    ("seed", string_of_int b.seed);
-    ("queue_pkts", string_of_int b.queue_pkts);
-    ("marking_threshold", string_of_int b.marking_threshold);
-    ("beta", string_of_int b.beta);
-    ("rto_min_ns", string_of_int b.rto_min);
-    ("sack", string_of_bool b.sack);
-    ("size_scale", string_of_float b.size_scale);
-    ("incast_jobs", string_of_int b.incast_jobs);
-  ]
-  (* empty schedule contributes nothing, so fault-free digests are
-     untouched *)
-  @ Fault_spec.to_params b.faults
-
-let scale_params scale = [ ("scale", string_of_float scale) ]
-
-let seed_param seed = ("seed", string_of_int seed)
+(* A scenario's key is the canonical text of everything its output
+   depends on, built by Run_spec's printers. *)
+let keyed ~name ~descr key run =
+  Scenario.create ~name ~descr ~params:[ ("key", key) ] run
 
 (* The testbed figures take their seed as an optional argument defaulting
-   to a named constant in each module; the registry pins that constant so
-   the digest covers it. *)
+   to a named constant in each module; the key pins that constant. *)
+let fig_key ~seed ~scale =
+  Printf.sprintf "seed=%d scale=%s" seed (Fault_spec.float_to_string scale)
+
 let fig ~name ~descr ~scale ~seed run =
-  Scenario.create ~name ~descr
-    ~params:(seed_param seed :: scale_params scale)
-    (fun () -> run ~scale ())
+  keyed ~name ~descr (fig_key ~seed ~scale) (fun () -> run ~scale ())
 
 let table ~name ~descr ~base run =
-  Scenario.create ~name ~descr ~params:(base_params base) (fun () -> run base)
+  keyed ~name ~descr (Run_spec.base_to_string base) (fun () -> run base)
 
 (* fig4 with bottleneck DN2 failing mid-run: both directions of the
    second bottleneck go down at 1.0 schedule units and come back at 1.5
@@ -76,17 +58,9 @@ let fig4_linkfail_faults ~scale =
 let incast_lossy_base base =
   {
     base with
-    Fatree_eval.faults =
+    Run_spec.faults =
       Fault_spec.create ~seed:97
-        [
-          Fault_spec.Loss
-            {
-              target = Fault_spec.Tag "rack";
-              window = Fault_spec.always;
-              model = Fault_spec.Bernoulli 0.01;
-              filter = Fault_spec.Any_packet;
-            };
-        ];
+        [ Fault_spec.spec_of_string "loss@0..inf@tag=rack@bern=0.01@any" ];
   }
 
 let all cfg =
@@ -119,9 +93,9 @@ let all cfg =
       Fatree_eval.print_table3;
     fig ~name:"ablations.beta" ~descr:"fairness/latency across beta" ~scale
       ~seed:Fig6.seed (fun ~scale () -> Ablations.print_beta_sweep ~scale ());
-    Scenario.create ~name:"ablations.k"
+    keyed ~name:"ablations.k"
       ~descr:"utilization/RTT across marking threshold K"
-      ~params:[ seed_param Ablations.k_sweep_seed; ("beta", "4") ]
+      (Printf.sprintf "seed=%d beta=4" Ablations.k_sweep_seed)
       (fun () -> Ablations.print_k_sweep ());
     table ~name:"ablations.subflows" ~descr:"goodput across subflow counts"
       ~base (fun base -> Ablations.print_subflow_sweep ~base ());
@@ -136,65 +110,56 @@ let all cfg =
       (fun base -> Ablations.print_rto_min_sweep ~base ());
     table ~name:"ablations.sack" ~descr:"matrix with SACK recovery" ~base
       (fun base -> Ablations.print_sack_comparison ~base ());
-    Scenario.create ~name:"ablations.queue"
-      ~descr:"buffer occupancy by scheme"
-      ~params:[ seed_param Ablations.queue_seed; ("beta", "4"); ("k", "10") ]
+    keyed ~name:"ablations.queue" ~descr:"buffer occupancy by scheme"
+      (Printf.sprintf "seed=%d beta=4 k=10" Ablations.queue_seed)
       (fun () -> Ablations.print_queue_occupancy ());
-    Scenario.create ~name:"fig4.sharded"
+    keyed ~name:"fig4.sharded"
       ~descr:"traffic shifting on a pod-sharded fat tree (k=4)"
-      ~params:
-        ((seed_param Fig4_sharded.seed :: scale_params scale)
-        @ [ ("beta", "4"); ("k", "4") ])
+      (fig_key ~seed:Fig4_sharded.seed ~scale ^ " beta=4 k=4")
       (fun () -> Fig4_sharded.run_and_print ~scale ());
     (let faults = fig4_linkfail_faults ~scale in
-     Scenario.create ~name:"fig4.linkfail"
+     keyed ~name:"fig4.linkfail"
        ~descr:"traffic shifting with bottleneck DN2 failing mid-run"
-       ~params:
-         ((seed_param Fig4.seed :: scale_params scale)
-         @ Fault_spec.to_params faults)
+       (fig_key ~seed:Fig4.seed ~scale ^ " " ^ Run_spec.faults_to_string faults)
        (fun () ->
          Render.heading
            "Figure 4 variant: DN2 down for half a load interval";
          Fig4.print (Fig4.run ~scale ~faults ~beta:4 ())));
-    (let base = incast_lossy_base base in
-     Scenario.create ~name:"incast.lossy"
+    (let spec =
+       Run_spec.Pattern
+         {
+           base = incast_lossy_base base;
+           scheme = Xmp_workload.Scheme.xmp 2;
+           pattern = Run_spec.Incast;
+         }
+     in
+     keyed ~name:"incast.lossy"
        ~descr:"incast with 1% Bernoulli loss on rack links"
-       ~params:(base_params base)
-       (fun () ->
-         Fatree_eval.print_fault_eval base (Xmp_workload.Scheme.xmp 2)
-           Fatree_eval.Incast));
-    (let wl = Workload_eval.websearch_config ~scale in
-     Scenario.create ~name:"wl.websearch.k8"
-       ~descr:"open-loop web-search FCT slowdowns on the sharded k=8 tree"
-       ~params:
-         [
-           ("k", string_of_int wl.Xmp_workload.Open_loop.k);
-           ("seed", string_of_int wl.Xmp_workload.Open_loop.seed);
-           ("scheme", Xmp_workload.Scheme.name wl.Xmp_workload.Open_loop.scheme);
-           ("cdf", Xmp_workload.Flow_size.name wl.Xmp_workload.Open_loop.sizes);
-           ("load", string_of_float wl.Xmp_workload.Open_loop.load);
-           ("horizon_ns", string_of_int wl.Xmp_workload.Open_loop.horizon);
-           ("drain_ns", string_of_int wl.Xmp_workload.Open_loop.drain);
-         ]
-       (fun () -> Workload_eval.print_websearch ~scale ()));
+       (Run_spec.to_string spec)
+       (fun () -> ignore (Run_spec.run spec)));
+    keyed ~name:"wl.websearch.k8"
+      ~descr:"open-loop web-search FCT slowdowns on the sharded k=8 tree"
+      (Run_spec.to_string
+         (Run_spec.Workload (Workload_eval.websearch_spec ~scale)))
+      (fun () -> Workload_eval.print_websearch ~scale ());
     table ~name:"wl.incast.sweep"
       ~descr:"job completion times across incast fanout" ~base
       Workload_eval.print_incast_sweep;
     table ~name:"wl.shuffle" ~descr:"all-to-all shuffle goodput" ~base
       Workload_eval.print_shuffle;
-    Scenario.create ~name:"wan.asym"
+    keyed ~name:"wan.asym"
       ~descr:
         "bridged k=4/k=4 with 10 ms vs 40 ms trunks: per-subflow RTT \
          asymmetry, TraSh shifting, domains byte-equality"
-      ~params:(Wan_eval.asym_params ~scale)
+      (Wan_eval.asym_key ~scale)
       (fun () -> Wan_eval.print_asym ~scale ());
-    Scenario.create ~name:"wan.bdp"
+    keyed ~name:"wan.bdp"
       ~descr:"Eq. 1 marking threshold at 10/40/100 ms WAN BDPs"
-      ~params:Wan_eval.bdp_params
+      Wan_eval.bdp_key
       (fun () -> Wan_eval.print_bdp ~scale ());
-    Scenario.create ~name:"wan.mixed"
+    keyed ~name:"wan.mixed"
       ~descr:"cross-DC traffic fraction sweep over a 40 ms trunk"
-      ~params:(Wan_eval.mixed_params ~scale)
+      (Wan_eval.mixed_key ~scale)
       (fun () -> Wan_eval.print_mixed ~scale ());
   ]
 

@@ -1,26 +1,27 @@
 (** The paper's figures, tables and ablation sweeps as registered
     {!Xmp_runner.Scenario} values.
 
-    This is the single source of truth for what "the evaluation" is: the
-    bench harness, the CLI and the golden-output regression tests all
-    select from this registry instead of hard-wiring experiment calls.
-    Each scenario declares every parameter its output depends on, which
-    gives it a stable content digest for the runner's result cache. *)
+    This is the single source of truth for what "the evaluation" is:
+    [xmp_sim run] and the golden-output regression tests both select
+    from this registry instead of hard-wiring experiment calls.
+    Each scenario's key is the canonical text of every input its output
+    depends on, which gives it a stable content digest for the runner's
+    result cache. *)
 
 type config = {
   tag : string;  (** "quick" | "default" | "paper" — for display only *)
   scale : float;  (** time-scale factor of the testbed figure schedules *)
-  base : Fatree_eval.base;  (** fat-tree configuration for tables/CDFs *)
+  base : Run_spec.base;  (** fat-tree configuration for tables/CDFs *)
 }
 
 val default : config
-(** The bench's default scale: 0.2× schedules, [Fatree_eval.default_base]. *)
+(** The default scale: 0.2× schedules, [Run_spec.default_base]. *)
 
 val quick : config
 (** [--quick]: 0.1× schedules, 0.5 s fat-tree horizon. *)
 
 val paper : config
-(** [--paper-scale]: 1.0× schedules, [Fatree_eval.paper_scale_base]. *)
+(** [--paper-scale]: 1.0× schedules, [Run_spec.paper_scale_base]. *)
 
 val all : config -> Xmp_runner.Scenario.t list
 (** Every registered scenario, in canonical (paper) order: fig1, fig4,
@@ -32,9 +33,11 @@ val select :
 (** Resolves scenario names and group aliases, preserving request order
     and dropping duplicates; [Error name] on an unknown id. *)
 
-val base_params : Fatree_eval.base -> (string * string) list
-(** Exact serialization of a fat-tree configuration, for building custom
-    scenarios (user sweeps) whose digests cover the full configuration. *)
+val keyed :
+  name:string -> descr:string -> string -> (unit -> unit) -> Xmp_runner.Scenario.t
+(** [keyed ~name ~descr key run]: a scenario whose digest covers [key],
+    the canonical text ({!Run_spec}'s printers) of every input [run]
+    depends on. *)
 
 val golden : unit -> Xmp_runner.Scenario.t list
 (** The golden-regression set: fig1/fig4/fig6/fig7 at [quick] scale —

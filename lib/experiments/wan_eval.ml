@@ -32,12 +32,6 @@ module Table = Xmp_stats.Table
 let left = Wan.Fat_tree_dc { k = 4 }
 let right = Wan.Fat_tree_dc { k = 4 }
 
-(* Per-topology RTO floor: half the slowest zero-load cross-DC RTT,
-   never below 1 ms. On a 40 ms trunk this is ~40 ms — above any
-   delayed-ACK hold, far below the 200 ms intra-DC default. *)
-let wan_rto_min ~trunks =
-  Stdlib.max (Time.ms 1) (Wan.max_rtt_no_queue_of ~left ~right ~trunks / 2)
-
 (* Eq. 1 of the paper at a trunk's BDP: K >= BDP/(beta-1), with the BDP
    counted in 1500 B packets over the propagation round trip. *)
 let bdp_packets ~rate ~delay =
@@ -49,17 +43,18 @@ let eq1_k ~rate ~delay ~beta =
     (Float.ceil
        (float_of_int (bdp_packets ~rate ~delay) /. float_of_int (beta - 1)))
 
-(* ---- shared open-loop configuration ---- *)
+(* ---- shared open-loop run ---- *)
 
 let seed = 11
 
-let wan_config ~scale ~trunks ~cross_dc ~scheme =
-  let rto_min = wan_rto_min ~trunks in
+let wan_spec ~scale ~trunks ~cross_dc ~scheme =
+  let fabric =
+    Run_spec.Bridged
+      { left; right; trunks; cross_dc; faults = Xmp_engine.Fault_spec.empty }
+  in
   {
-    Open_loop.default_config with
-    Open_loop.seed;
-    scheme = Scheme.with_rto ~rto_min scheme;
-    sizes = Flow_size.scaled Flow_size.web_search (1. /. 32.);
+    (Run_spec.workload fabric scheme Run_spec.Websearch) with
+    seed;
     load = 0.25;
     horizon = Time.of_float_s (0.4 *. scale);
     (* flows that cross a trunk need tens of trunk RTTs to finish *)
@@ -68,19 +63,7 @@ let wan_config ~scale ~trunks ~cross_dc ~scheme =
         (Time.of_float_s scale)
         (Time.mul (Wan.max_rtt_no_queue_of ~left ~right ~trunks) 25);
     max_flows = Some (Stdlib.max 40 (int_of_float (400. *. scale)));
-    rto_min;
-    cross_dc;
   }
-
-let print_open_loop (r : Open_loop.result) =
-  Render.say
-    (Printf.sprintf "flows: %d launched, %d completed, %d truncated"
-       r.Open_loop.launched r.Open_loop.completed r.Open_loop.truncated);
-  Render.say
-    (Printf.sprintf "events: %d (portal mail %d)" r.Open_loop.events
-       r.Open_loop.mail);
-  Render.five_number_table ~value_header:"FCT slowdown"
-    (Metrics.fct_slowdowns r.Open_loop.metrics)
 
 (* Everything a run's observable outcome feeds through: the digest two
    domain counts must agree on byte for byte. *)
@@ -101,17 +84,16 @@ let asym_trunks =
 
 let asym_schemes = [ Scheme.xmp 2; Scheme.lia 2; Scheme.dctcp ]
 
+let asym_base ~scale = { Run_spec.default_base with horizon = Time.of_float_s scale }
+
 (* Closed-loop bridged run for the utilization read-out: TraSh shifting
    shows up as the wan/border layers' utilization spread. *)
 let asym_driver_config ~scale scheme =
-  let base =
-    { Fatree_eval.default_base with horizon = Time.of_float_s scale }
-  in
   {
-    (Fatree_eval.driver_config base scheme Fatree_eval.Random) with
+    (Run_spec.driver_config (asym_base ~scale) scheme Run_spec.Random) with
     Driver.topology = Driver.Bridged { left; right; trunks = asym_trunks };
     cross_dc = 0.5;
-    rto_min = wan_rto_min ~trunks:asym_trunks;
+    rto_min = Run_spec.wan_rto_min ~left ~right ~trunks:asym_trunks;
   }
 
 let print_asym ~scale () =
@@ -120,10 +102,9 @@ let print_asym ~scale () =
   List.iter
     (fun scheme ->
       Render.subheading (Scheme.name scheme);
-      let config = wan_config ~scale ~trunks:asym_trunks ~cross_dc:0.6 ~scheme in
-      print_open_loop
-        (Open_loop.run_wan ~config ~domains:1 ~left ~right
-           ~trunks:asym_trunks ()))
+      Workload_eval.print_open_loop
+        (Run_spec.simulate
+           (wan_spec ~scale ~trunks:asym_trunks ~cross_dc:0.6 ~scheme)))
     asym_schemes;
   Render.subheading "TraSh shifting: utilization by layer (XMP-2, closed loop)";
   let r = Driver.run (asym_driver_config ~scale (Scheme.xmp 2)) in
@@ -134,17 +115,11 @@ let print_asym ~scale () =
        (fun (loc, d) -> (Topology.locality_name loc, d))
        (Metrics.goodputs_by_locality r.Driver.metrics));
   Render.subheading "determinism across the WAN cut";
-  let config =
-    wan_config ~scale ~trunks:asym_trunks ~cross_dc:0.6 ~scheme:(Scheme.xmp 2)
+  let spec =
+    wan_spec ~scale ~trunks:asym_trunks ~cross_dc:0.6 ~scheme:(Scheme.xmp 2)
   in
-  let d1 =
-    result_digest
-      (Open_loop.run_wan ~config ~domains:1 ~left ~right ~trunks:asym_trunks ())
-  in
-  let d2 =
-    result_digest
-      (Open_loop.run_wan ~config ~domains:2 ~left ~right ~trunks:asym_trunks ())
-  in
+  let d1 = result_digest (Run_spec.simulate ~domains:1 spec) in
+  let d2 = result_digest (Run_spec.simulate ~domains:2 spec) in
   Render.say (Printf.sprintf "domains:1 digest %s" d1);
   Render.say
     (Printf.sprintf "domains:1 == domains:2 : %b" (String.equal d1 d2))
@@ -167,10 +142,10 @@ let bdp_probe_sizes =
   Flow_size.of_points ~name:"bdp-probe"
     [ (float_of_int bdp_probe_segments, 1.) ]
 
-let bdp_config ~trunks =
+(* a websearch spec whose sizes the run replaces with the probe's *)
+let bdp_spec ~trunks =
   {
-    (wan_config ~scale:0.1 ~trunks ~cross_dc:1.0 ~scheme:(Scheme.xmp 2)) with
-    Open_loop.sizes = bdp_probe_sizes;
+    (wan_spec ~scale:0.1 ~trunks ~cross_dc:1.0 ~scheme:(Scheme.xmp 2)) with
     (* nominally oversubscribed so the first arrivals land within a few
        ms; max_flows caps the probe at its two flows regardless *)
     load = 8.;
@@ -184,6 +159,21 @@ let bdp_config ~trunks =
        recovery tail would dwarf the steady state Eq. 1 is about *)
     sack = true;
   }
+
+(* marking at K with enough droptail headroom above it to absorb the
+   slow-start overshoot before the first mark takes effect (one RTT
+   later) *)
+let bdp_trunks ~delay ~k =
+  [
+    Wan.trunk ~rate:bdp_rate ~delay
+      ~queue_pkts:(bdp_packets ~rate:bdp_rate ~delay + (2 * k) + 64)
+      ~marking_threshold:k ();
+  ]
+
+(* the probed thresholds: Eq. 1's, and a starved sixteenth of it *)
+let bdp_ks ~delay =
+  let k_eq1 = eq1_k ~rate:bdp_rate ~delay ~beta:bdp_beta in
+  [ ("K = K_eq1   ", k_eq1); ("K = K_eq1/16", Stdlib.max 1 (k_eq1 / 16)) ]
 
 let print_bdp ~scale:_ () =
   Render.heading "wan.bdp: Eq. 1 marking threshold at WAN BDPs (1 Gbps trunk)";
@@ -202,27 +192,22 @@ let print_bdp ~scale:_ () =
   List.iter
     (fun delay ->
       Render.subheading (Printf.sprintf "trunk %d ms" (delay / 1_000_000));
-      let k_eq1 = eq1_k ~rate:bdp_rate ~delay ~beta:bdp_beta in
       List.iter
         (fun (label, k) ->
-          let trunks =
-            [
-              (* marking at K with enough droptail headroom above it to
-                 absorb the slow-start overshoot before the first mark
-                 takes effect (one RTT later) *)
-              Wan.trunk ~rate:bdp_rate ~delay
-                ~queue_pkts:(bdp_packets ~rate:bdp_rate ~delay + (2 * k) + 64)
-                ~marking_threshold:k ();
-            ]
+          let trunks = bdp_trunks ~delay ~k in
+          let config =
+            {
+              (Run_spec.config (bdp_spec ~trunks)) with
+              Open_loop.sizes = bdp_probe_sizes;
+            }
           in
-          let config = bdp_config ~trunks in
           let r = Open_loop.run_wan ~config ~left ~right ~trunks () in
           Render.say
             (Printf.sprintf
                "%s (K=%d): %d/%d flows completed, mean goodput %.1f Mbps"
                label k r.Open_loop.completed r.Open_loop.launched
                (Metrics.mean_goodput_bps r.Open_loop.metrics /. 1e6)))
-        [ ("K = K_eq1   ", k_eq1); ("K = K_eq1/16", Stdlib.max 1 (k_eq1 / 16)) ])
+        (bdp_ks ~delay))
     bdp_delays
 
 (* ---- wan.mixed ---- *)
@@ -238,74 +223,39 @@ let print_mixed ~scale () =
   List.iter
     (fun cross_dc ->
       Render.subheading (Printf.sprintf "cross-DC fraction %.2f" cross_dc);
-      let config =
-        wan_config ~scale ~trunks:mixed_trunks ~cross_dc ~scheme:(Scheme.xmp 2)
-      in
-      print_open_loop
-        (Open_loop.run_wan ~config ~left ~right ~trunks:mixed_trunks ()))
+      Workload_eval.print_open_loop
+        (Run_spec.simulate
+           (wan_spec ~scale ~trunks:mixed_trunks ~cross_dc
+              ~scheme:(Scheme.xmp 2))))
     mixed_fractions
 
-(* ---- scenario parameter lists (everything a run depends on) ---- *)
+(* ---- scenario keys: the canonical spec of every run ---- *)
 
-let trunk_params trunks =
-  List.concat
-    (List.mapi
-       (fun i (t : Wan.trunk) ->
-         [
-           (Printf.sprintf "trunk%d_rate_mbps" i,
-            Printf.sprintf "%g" (Units.to_mbps t.Wan.trunk_rate));
-           (Printf.sprintf "trunk%d_delay_ns" i,
-            string_of_int t.Wan.trunk_delay);
-           (Printf.sprintf "trunk%d_queue_pkts" i,
-            string_of_int t.Wan.trunk_queue_pkts);
-           (Printf.sprintf "trunk%d_mark" i,
-            match t.Wan.trunk_marking_threshold with
-            | None -> "droptail"
-            | Some k -> string_of_int k);
-         ])
-       trunks)
+let key specs = String.concat "\n" (List.map Run_spec.to_string specs)
 
-let open_loop_params (c : Open_loop.config) =
-  [
-    ("scheme", Scheme.name c.Open_loop.scheme);
-    ("cdf", Flow_size.name c.Open_loop.sizes);
-    ("seed", string_of_int c.Open_loop.seed);
-    ("load", string_of_float c.Open_loop.load);
-    ("horizon_ns", string_of_int c.Open_loop.horizon);
-    ("drain_ns", string_of_int c.Open_loop.drain);
-    ("max_flows",
-     match c.Open_loop.max_flows with
-     | None -> "none"
-     | Some n -> string_of_int n);
-    ("rto_min_ns", string_of_int c.Open_loop.rto_min);
-    ("cross_dc", string_of_float c.Open_loop.cross_dc);
-  ]
+let asym_key ~scale =
+  key
+    (Run_spec.Pattern
+       { base = asym_base ~scale; scheme = Scheme.xmp 2; pattern = Run_spec.Random }
+    :: List.map
+         (fun scheme ->
+           Run_spec.Workload (wan_spec ~scale ~trunks:asym_trunks ~cross_dc:0.6 ~scheme))
+         asym_schemes)
 
-let asym_params ~scale =
-  let config =
-    wan_config ~scale ~trunks:asym_trunks ~cross_dc:0.6 ~scheme:(Scheme.xmp 2)
-  in
-  (("scale", string_of_float scale) :: trunk_params asym_trunks)
-  @ open_loop_params config
+let bdp_key =
+  Printf.sprintf "probe-segments=%d\n" bdp_probe_segments
+  ^ key
+      (List.concat_map
+         (fun delay ->
+           List.map
+             (fun (_, k) -> Run_spec.Workload (bdp_spec ~trunks:(bdp_trunks ~delay ~k)))
+             (bdp_ks ~delay))
+         bdp_delays)
 
-let bdp_params =
-  [
-    ("seed", string_of_int seed);
-    ("rate_mbps", Printf.sprintf "%g" (Units.to_mbps bdp_rate));
-    ("beta", string_of_int bdp_beta);
-    ("delays_ms",
-     String.concat ","
-       (List.map (fun d -> string_of_int (d / 1_000_000)) bdp_delays));
-    ("probe_segments", string_of_int bdp_probe_segments);
-    ("probe_flows", "2");
-  ]
-
-let mixed_params ~scale =
-  let config =
-    wan_config ~scale ~trunks:mixed_trunks ~cross_dc:0. ~scheme:(Scheme.xmp 2)
-  in
-  (("scale", string_of_float scale)
-   :: ("fractions",
-       String.concat "," (List.map string_of_float mixed_fractions))
-   :: trunk_params mixed_trunks)
-  @ open_loop_params config
+let mixed_key ~scale =
+  key
+    (List.map
+       (fun cross_dc ->
+         Run_spec.Workload
+           (wan_spec ~scale ~trunks:mixed_trunks ~cross_dc ~scheme:(Scheme.xmp 2)))
+       mixed_fractions)

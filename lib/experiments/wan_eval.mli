@@ -20,9 +20,12 @@ val print_mixed : scale:float -> unit -> unit
 (** FCT slowdowns at cross-DC fractions 0 / 0.25 / 0.75 over a single
     40 ms trunk. *)
 
-val asym_params : scale:float -> (string * string) list
-(** Scenario digest parameters covering every input of {!print_asym}. *)
+val asym_key : scale:float -> string
+(** Scenario key of {!print_asym}: the canonical {!Run_spec} of every
+    run it makes. *)
 
-val bdp_params : (string * string) list
+val bdp_key : string
+(** Scenario key of {!print_bdp}: the probe size and each probe's spec. *)
 
-val mixed_params : scale:float -> (string * string) list
+val mixed_key : scale:float -> string
+(** Scenario key of {!print_mixed}. *)

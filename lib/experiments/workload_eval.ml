@@ -10,20 +10,26 @@ module Open_loop = Xmp_workload.Open_loop
    ride on the same Driver. Flow sizes follow the repo-wide ×1/32
    convention for paper sizes (see Driver.segs_of_mb). *)
 
-let websearch_config ~scale =
+let websearch_spec ~scale =
   {
-    Open_loop.default_config with
-    Open_loop.horizon = Time.of_float_s (0.25 *. scale);
+    (Run_spec.workload (Run_spec.Fat_tree 8) (Scheme.xmp 2) Run_spec.Websearch) with
+    horizon = Time.of_float_s (0.25 *. scale);
     drain = Time.of_float_s (0.5 *. scale);
-    sizes = Flow_size.scaled Flow_size.web_search (1. /. 32.);
   }
 
-let print_slowdowns m =
+let print_open_loop (r : Open_loop.result) =
+  Render.say
+    (Printf.sprintf "flows: %d launched, %d completed, %d truncated"
+       r.Open_loop.launched r.Open_loop.completed r.Open_loop.truncated);
+  Render.say
+    (Printf.sprintf "events: %d (portal mail %d)" r.Open_loop.events
+       r.Open_loop.mail);
   Render.five_number_table ~value_header:"FCT slowdown"
-    (Metrics.fct_slowdowns m)
+    (Metrics.fct_slowdowns r.Open_loop.metrics)
 
 let print_websearch ~scale () =
-  let config = websearch_config ~scale in
+  let spec = websearch_spec ~scale in
+  let config = Run_spec.config spec in
   Render.heading
     (Printf.sprintf
        "Open-loop web-search workload: k=%d, %s, load %.2f, %s sizes"
@@ -32,33 +38,26 @@ let print_websearch ~scale () =
        config.Open_loop.load
        (Flow_size.name config.Open_loop.sizes))
   ;
-  let r = Open_loop.run ~config () in
-  Render.say
-    (Printf.sprintf "flows: %d launched, %d completed, %d truncated"
-       r.Open_loop.launched r.Open_loop.completed r.Open_loop.truncated);
-  Render.say
-    (Printf.sprintf "events: %d (portal mail %d)" r.Open_loop.events
-       r.Open_loop.mail);
-  print_slowdowns r.Open_loop.metrics
+  print_open_loop (Run_spec.simulate spec)
 
 let sweep_schemes = [ Scheme.dctcp; Scheme.xmp 2 ]
 
 let incast_sweep_fanouts = [ 2; 4; 8 ]
 
-let incast_sweep_config (base : Fatree_eval.base) scheme =
+let incast_sweep_config (base : Run_spec.base) scheme =
   {
-    (Fatree_eval.driver_config base scheme Fatree_eval.Incast) with
+    (Run_spec.driver_config base scheme Run_spec.Incast) with
     Driver.pattern =
       Driver.Incast_sweep
         {
-          jobs = base.Fatree_eval.incast_jobs;
+          jobs = base.Run_spec.incast_jobs;
           fanouts = incast_sweep_fanouts;
           request_segments = 2;
           response_segments = 45;
         };
   }
 
-let print_incast_sweep (base : Fatree_eval.base) =
+let print_incast_sweep (base : Run_spec.base) =
   Render.heading "Incast sweep: job completion time (ms) across fanout";
   List.iter
     (fun scheme ->
@@ -70,17 +69,17 @@ let print_incast_sweep (base : Fatree_eval.base) =
            (Metrics.job_times_by_fanout r.Driver.metrics)))
     sweep_schemes
 
-let shuffle_config (base : Fatree_eval.base) scheme =
+let shuffle_config (base : Run_spec.base) scheme =
   let segments =
     Stdlib.max 1
-      (int_of_float (Float.round (45. *. base.Fatree_eval.size_scale)))
+      (int_of_float (Float.round (45. *. base.Run_spec.size_scale)))
   in
   {
-    (Fatree_eval.driver_config base scheme Fatree_eval.Permutation) with
+    (Run_spec.driver_config base scheme Run_spec.Permutation) with
     Driver.pattern = Driver.All_to_all { segments };
   }
 
-let print_shuffle (base : Fatree_eval.base) =
+let print_shuffle (base : Run_spec.base) =
   Render.heading "All-to-all shuffle: goodput of n(n-1) concurrent flows";
   List.iter
     (fun scheme ->

@@ -10,7 +10,7 @@ let create ~name ?(descr = "") ?(params = []) run =
 
 (* Bump whenever the cache entry layout or the digest input changes; a
    bump orphans every existing cache entry rather than misreading it. *)
-let format_version = "1"
+let format_version = "2"
 
 let canonical_params t =
   List.sort_uniq

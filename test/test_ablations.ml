@@ -123,7 +123,7 @@ let test_queue_occupancy_physics () =
 
 let test_rto_sweep_prints () =
   let base =
-    { E.Fatree_eval.default_base with horizon = Time.ms 400 }
+    { E.Run_spec.default_base with horizon = Time.ms 400 }
   in
   let out = capture (fun () -> E.Ablations.print_rto_min_sweep ~base ()) in
   Alcotest.(check bool) "rows for both schemes" true

@@ -1,5 +1,6 @@
 (* The CLI rejects malformed numbers at parse time: xmp_sim exits 124
-   (cmdliner's command-line error) with a message naming the option,
+   (cmdliner's command-line error) with a message naming the option or
+   run-spec field,
    before any simulation starts, instead of raising halfway into a run
    or running silently with a meaningless value. *)
 
@@ -28,50 +29,86 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* (arguments, the option the error must name) *)
+let spec s = Filename.quote s
+
+(* (test name, arguments, what the error must name). Rows ported from
+   the flag forms that [run] specs replaced keep the old invocation as
+   their name. *)
 let malformed =
   [
-    ("workload -k 5", "-k");
-    ("sweep -k 5", "-k");
-    ("workload --load 0", "--load");
-    ("workload --size-scale 0", "--size-scale");
-    ("workload --domains 0", "--domains");
-    ("wan --domains 0", "--domains");
-    ("wan --trunk nan", "--trunk");
-    ("wan --trunk inf", "--trunk");
-    ("wan --cross-dc 2", "--cross-dc");
-    ("wan --cross-dc nan", "--cross-dc");
-    ("eval --queue 0", "--queue");
-    ("eval --beta 1", "--beta");
-    ("trace --capacity 0", "--capacity");
-    ("fig4 --scale=0", "--scale");
-    ("eval --horizon=-1", "--horizon");
-    ("eval --horizon nan", "--horizon");
-    ("workload --horizon 0", "--horizon");
-    ("workload --flows=0", "--flows");
-    ("workload --drain=-1", "--drain");
-    ("workload --drain nan", "--drain");
-    ("wan --rto-min=-5", "--rto-min");
+    ("workload -k 5", "run " ^ spec "ft:5 XMP-2 websearch", "field 'topology'");
+    ("sweep -k 5", "run " ^ spec "ft:5 XMP-2 permutation", "field 'topology'");
+    ("workload --load 0", "run " ^ spec "ft:8 XMP-2 websearch load=0", "field 'load'");
+    ( "workload --size-scale 0",
+      "run " ^ spec "ft:8 XMP-2 websearch size-scale=0",
+      "field 'size-scale'" );
+    ("workload --domains 0", "run --domains 0 " ^ spec "ft:8 XMP-2 websearch", "option '--domains'");
+    ("wan --domains 0", "run --domains 0 " ^ spec "ft:4+ft:4 XMP-2 websearch", "option '--domains'");
+    ("wan --trunk nan", "run " ^ spec "ft:4+ft:4 XMP-2 websearch trunk=nan", "field 'trunk'");
+    ("wan --trunk inf", "run " ^ spec "ft:4+ft:4 XMP-2 websearch trunk=inf", "field 'trunk'");
+    ("wan --cross-dc 2", "run " ^ spec "ft:4+ft:4 XMP-2 websearch cross-dc=2", "field 'cross-dc'");
+    ( "wan --cross-dc nan",
+      "run " ^ spec "ft:4+ft:4 XMP-2 websearch cross-dc=nan",
+      "field 'cross-dc'" );
+    ("eval --queue 0", "run " ^ spec "ft:4 XMP-2 permutation queue=0", "field 'queue'");
+    ("eval --beta 1", "run " ^ spec "ft:4 XMP-2 permutation beta=1", "field 'beta'");
+    ("trace --capacity 0", "trace --capacity 0", "option '--capacity'");
+    ("fig4 --scale=0", "fig4 --scale=0", "option '--scale'");
+    ("eval --horizon=-1", "run " ^ spec "ft:4 XMP-2 permutation horizon=-1", "field 'horizon'");
+    ("eval --horizon nan", "run " ^ spec "ft:4 XMP-2 permutation horizon=nan", "field 'horizon'");
+    ("workload --horizon 0", "run " ^ spec "ft:8 XMP-2 websearch horizon=0", "field 'horizon'");
+    ("workload --flows=0", "run " ^ spec "ft:8 XMP-2 websearch flows=0", "field 'flows'");
+    ("workload --drain=-1", "run " ^ spec "ft:8 XMP-2 websearch drain=-1", "field 'drain'");
+    ("workload --drain nan", "run " ^ spec "ft:8 XMP-2 websearch drain=nan", "field 'drain'");
+    ("wan --rto-min=-5", "run " ^ spec "ft:4+ft:4 XMP-2 websearch rto-min=-5", "field 'rto-min'");
+    (* a negative marking threshold and a job count below one used to run *)
+    ("run mark=-5 (pattern)", "run " ^ spec "ft:4 XMP-2 permutation mark=-5", "field 'mark'");
+    ("run mark=-3 (open loop)", "run " ^ spec "ft:8 XMP-2 websearch mark=-3", "field 'mark'");
+    ("matrix --mark=-5", "matrix --mark=-5", "option '--mark'");
+    ("coexist --mark=-5", "coexist --mark=-5", "option '--mark'");
+    ("fig7 --mark=-5", "fig7 --mark=-5", "option '--mark'");
+    ("trace --mark=-5", "trace --mark=-5", "option '--mark'");
+    ("run --jobs=-4", "run --jobs=-4 fig1", "option '--jobs'");
+    ("run --jobs 0", "run --jobs 0 fig1", "option '--jobs'");
+    ("run -j-3", "run -j-3 fig1", "option '-j'");
+    (* combinations a run spec cannot express *)
+    ("run pattern on a WAN", "run " ^ spec "ft:4+ft:4 XMP-2 incast", "field 'traffic'");
+    ( "run fault on an open-loop ft:K",
+      "run " ^ spec "ft:8 XMP-2 websearch fault=down@1ms@all",
+      "field 'fault'" );
+    ("run --out with two items", "run --out x fig1 fig4", "option '--out'");
+    ("run --list-links without a spec", "run --list-links fig1", "option '--list-links'");
   ]
 
-let test_rejected (args, option) () =
+(* cmdliner wraps long messages, so compare with whitespace collapsed *)
+let squash s =
+  String.concat " "
+    (List.filter (( <> ) "") (String.split_on_char ' ' (String.map (function '\n' -> ' ' | c -> c) s)))
+
+let test_rejected (_, args, what) () =
   let code, msg = run args in
   Alcotest.(check int) (args ^ ": exit code") 124 code;
   Alcotest.(check bool)
-    (Printf.sprintf "%s: message names %s" args option)
+    (Printf.sprintf "%s: message names %s" args what)
     true
-    (contains msg (Printf.sprintf "option '%s'" option))
+    (contains (squash msg) what)
 
+(* the runner reports progress on stderr; nothing else may appear there *)
 let test_valid () =
   let code, msg =
-    run "workload -k 4 --load 0.4 --size-scale 0.03 --domains 2 --horizon \
-         0.0001 --drain 0.0001"
+    run
+      ("run --no-cache --domains 2 "
+      ^ spec "ft:4 XMP-2 websearch load=0.4 size-scale=0.03 horizon=100us drain=100us")
   in
-  Alcotest.(check string) "no error message" "" msg;
+  List.iter
+    (fun line ->
+      if line <> "" && not (String.starts_with ~prefix:"[runner] " line) then
+        Alcotest.failf "unexpected stderr line %S" line)
+    (String.split_on_char '\n' msg);
   Alcotest.(check int) "exit code" 0 code
 
 let suite =
   List.map
-    (fun case -> Alcotest.test_case (fst case) `Quick (test_rejected case))
+    (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_rejected case))
     malformed
   @ [ Alcotest.test_case "a valid workload run exits 0" `Quick test_valid ]

@@ -17,8 +17,10 @@ let pairing_scenario partner =
     ~name:(Printf.sprintf "table2.ext.%s" (Scheme.name partner))
     ~descr:"one extended Table 2 pairing at quick scale"
     ~params:
-      (("partner", Scheme.name partner)
-      :: Scenarios.base_params quick_base)
+      [
+        ("partner", Scheme.name partner);
+        ("base", Xmp_experiments.Run_spec.base_to_string quick_base);
+      ]
     (fun () ->
       List.iter
         (fun queue_pkts ->

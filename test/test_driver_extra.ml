@@ -101,13 +101,13 @@ let test_permutation_paths_spread () =
     (used > List.length core * 3 / 4)
 
 let test_paper_scale_base_fields () =
-  let b = Xmp_experiments.Fatree_eval.paper_scale_base in
-  Alcotest.(check int) "k = 8" 8 b.Xmp_experiments.Fatree_eval.k;
-  Alcotest.(check int) "8 jobs" 8 b.Xmp_experiments.Fatree_eval.incast_jobs;
+  let b = Xmp_experiments.Run_spec.paper_scale_base in
+  Alcotest.(check int) "k = 8" 8 b.Xmp_experiments.Run_spec.k;
+  Alcotest.(check int) "8 jobs" 8 b.Xmp_experiments.Run_spec.incast_jobs;
   Alcotest.(check bool) "larger flows" true
-    (b.Xmp_experiments.Fatree_eval.size_scale
-    > Xmp_experiments.Fatree_eval.default_base
-        .Xmp_experiments.Fatree_eval.size_scale)
+    (b.Xmp_experiments.Run_spec.size_scale
+    > Xmp_experiments.Run_spec.default_base
+        .Xmp_experiments.Run_spec.size_scale)
 
 let suite =
   [

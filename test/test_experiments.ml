@@ -100,10 +100,10 @@ let test_fig7_compensation () =
 let test_fatree_matrix_shape () =
   (* 200 ms runs: XMP-2 must beat DCTCP and LIA-2 on permutation goodput *)
   let base =
-    { E.Fatree_eval.default_base with horizon = Time.ms 300 }
+    { E.Run_spec.default_base with horizon = Time.ms 300 }
   in
   let gp scheme =
-    let r = E.Fatree_eval.result base scheme E.Fatree_eval.Permutation in
+    let r = E.Run_spec.result base scheme E.Run_spec.Permutation in
     Xmp_workload.Metrics.mean_goodput_bps r.Xmp_workload.Driver.metrics
   in
   let xmp2 = gp (Xmp_workload.Scheme.xmp 2) in
@@ -113,49 +113,49 @@ let test_fatree_matrix_shape () =
   Alcotest.(check bool) "XMP-2 > LIA-2" true (xmp2 > lia2)
 
 let test_fatree_result_cached () =
-  let base = { E.Fatree_eval.default_base with horizon = Time.ms 100 } in
+  let base = { E.Run_spec.default_base with horizon = Time.ms 100 } in
   let r1 =
-    E.Fatree_eval.result base Xmp_workload.Scheme.dctcp
-      E.Fatree_eval.Permutation
+    E.Run_spec.result base Xmp_workload.Scheme.dctcp
+      E.Run_spec.Permutation
   in
   let r2 =
-    E.Fatree_eval.result base Xmp_workload.Scheme.dctcp
-      E.Fatree_eval.Permutation
+    E.Run_spec.result base Xmp_workload.Scheme.dctcp
+      E.Run_spec.Permutation
   in
   Alcotest.(check bool) "memoized (same object)" true (r1 == r2)
 
 let test_fatree_cache_scoping () =
-  E.Fatree_eval.clear_cache ();
-  Alcotest.(check int) "cleared" 0 (E.Fatree_eval.cache_size ());
-  let base = { E.Fatree_eval.default_base with horizon = Time.ms 100 } in
+  E.Run_spec.clear_cache ();
+  Alcotest.(check int) "cleared" 0 (E.Run_spec.cache_size ());
+  let base = { E.Run_spec.default_base with horizon = Time.ms 100 } in
   let r1 =
-    E.Fatree_eval.result base Xmp_workload.Scheme.dctcp
-      E.Fatree_eval.Permutation
+    E.Run_spec.result base Xmp_workload.Scheme.dctcp
+      E.Run_spec.Permutation
   in
-  Alcotest.(check int) "one entry" 1 (E.Fatree_eval.cache_size ());
+  Alcotest.(check int) "one entry" 1 (E.Run_spec.cache_size ());
   (* with_cache runs its body against a fresh cache... *)
   let inner_size_before, inner_r, inner_size_after =
-    E.Fatree_eval.with_cache (fun () ->
-        let before = E.Fatree_eval.cache_size () in
+    E.Run_spec.with_cache (fun () ->
+        let before = E.Run_spec.cache_size () in
         let r =
-          E.Fatree_eval.result base Xmp_workload.Scheme.dctcp
-            E.Fatree_eval.Permutation
+          E.Run_spec.result base Xmp_workload.Scheme.dctcp
+            E.Run_spec.Permutation
         in
-        (before, r, E.Fatree_eval.cache_size ()))
+        (before, r, E.Run_spec.cache_size ()))
   in
   Alcotest.(check int) "fresh inside" 0 inner_size_before;
   Alcotest.(check int) "populated inside" 1 inner_size_after;
   Alcotest.(check bool) "recomputed, not shared" true (inner_r != r1);
   (* ...and restores the outer cache afterwards *)
-  Alcotest.(check int) "outer cache restored" 1 (E.Fatree_eval.cache_size ());
+  Alcotest.(check int) "outer cache restored" 1 (E.Run_spec.cache_size ());
   let r2 =
-    E.Fatree_eval.result base Xmp_workload.Scheme.dctcp
-      E.Fatree_eval.Permutation
+    E.Run_spec.result base Xmp_workload.Scheme.dctcp
+      E.Run_spec.Permutation
   in
   Alcotest.(check bool) "outer entry survives" true (r1 == r2)
 
 let test_coexistence_direction () =
-  let base = { E.Fatree_eval.default_base with horizon = Time.ms 500 } in
+  let base = { E.Run_spec.default_base with horizon = Time.ms 500 } in
   let r =
     E.Coexistence.run ~base ~partner:Xmp_workload.Scheme.reno
       ~queue_pkts:100 ()
@@ -166,24 +166,30 @@ let test_coexistence_direction () =
 
 let test_pattern_names () =
   Alcotest.(check string) "perm" "Permutation"
-    (E.Fatree_eval.pattern_name E.Fatree_eval.Permutation);
+    (E.Run_spec.pattern_name E.Run_spec.Permutation);
   Alcotest.(check string) "random" "Random"
-    (E.Fatree_eval.pattern_name E.Fatree_eval.Random);
+    (E.Run_spec.pattern_name E.Run_spec.Random);
   Alcotest.(check string) "incast" "Incast"
-    (E.Fatree_eval.pattern_name E.Fatree_eval.Incast)
+    (E.Run_spec.pattern_name E.Run_spec.Incast)
 
 (* ----- scenario registry: digests cover the seed ----- *)
 
-(* The runner's cache keys a scenario by its params, so a run whose seed
-   is missing from them would be served stale output after a seed
-   change. *)
+(* The runner's cache keys a scenario by its canonical key, so a run
+   whose seed is missing from it would be served stale output after a
+   seed change. *)
 let test_every_scenario_pins_its_seed () =
+  let pins_seed key =
+    List.exists
+      (String.starts_with ~prefix:"seed=")
+      (String.split_on_char ' ' (String.map (function '\n' -> ' ' | c -> c) key))
+  in
   List.iter
     (fun (cfg : E.Scenarios.config) ->
       List.iter
         (fun (s : Xmp_runner.Scenario.t) ->
-          if not (List.mem_assoc "seed" s.params) then
-            Alcotest.failf "%s (%s) has no seed param" s.name cfg.tag)
+          match s.params with
+          | [ ("key", key) ] when pins_seed key -> ()
+          | _ -> Alcotest.failf "%s (%s) has no seed= in its key" s.name cfg.tag)
         (E.Scenarios.all cfg))
     [ E.Scenarios.quick; E.Scenarios.default; E.Scenarios.paper ]
 

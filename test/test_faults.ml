@@ -107,18 +107,24 @@ let test_validation () =
   bad "negative host"
     (Fault_spec.Host_pause { host = -1; window = Fault_spec.always })
 
-let test_to_params () =
-  Alcotest.(check (list (pair string string)))
-    "empty schedule has no params" []
-    (Fault_spec.to_params Fault_spec.empty);
+(* A schedule reaches digests only through the run spec's fault words:
+   an empty schedule adds nothing, so fault-free keys stay fault-free. *)
+let test_fault_words () =
+  let module R = Xmp_experiments.Run_spec in
+  Alcotest.(check string) "empty schedule has no words" ""
+    (R.faults_to_string Fault_spec.empty);
   let t =
     Fault_spec.create ~seed:9
       [ Fault_spec.Link_down { target = Fault_spec.Link "x->y"; at = Time.ms 1 } ]
   in
-  Alcotest.(check (list (pair string string)))
-    "seed + one spec"
-    [ ("faults.seed", "9"); ("faults.0", "down@1000000@link=x->y") ]
-    (Fault_spec.to_params t)
+  Alcotest.(check string)
+    "seed + one spec" "fault-seed=9 fault=down@1000000@link=x->y"
+    (R.faults_to_string t);
+  Alcotest.(check bool)
+    "an empty schedule leaves the base's key without fault words" false
+    (List.exists
+       (fun w -> String.starts_with ~prefix:"fault" w)
+       (String.split_on_char ' ' (R.base_to_string R.default_base)))
 
 (* ----- injector over a testbed ----- *)
 
@@ -381,7 +387,7 @@ let suite =
       test_spec_human_times;
     Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
     Alcotest.test_case "schedule validation" `Quick test_validation;
-    Alcotest.test_case "digest params" `Quick test_to_params;
+    Alcotest.test_case "digest params" `Quick test_fault_words;
     Alcotest.test_case "unknown target raises at install" `Quick
       test_unknown_target_raises;
     Alcotest.test_case "link flap: events + recovery" `Quick

@@ -276,6 +276,124 @@ let scheme_name_garbage_fuzz =
         (oneofl [ "x"; "_"; "+"; "-"; " 3"; ".0"; "e1"; "x2"; "-2"; ":" ]))
     (fun (scheme, junk) -> Scheme.of_name (Scheme.name scheme ^ junk) = None)
 
+module Run_spec = Xmp_experiments.Run_spec
+module Fault_spec = Xmp_engine.Fault_spec
+
+let cdf_file =
+  lazy
+    (let path = Filename.temp_file "xmp_cdf" ".txt" in
+     Out_channel.with_open_bin path (fun oc ->
+         output_string oc "1 0.5\n40 1\n");
+     at_exit (fun () -> Sys.remove path);
+     path)
+
+let fault_pool =
+  [
+    "down@1000000@link=e0.0->a0.0"; "up@2s@link=d0.bdr0->d1.bdr0";
+    "loss@0..inf@tag=rack@bern=0.01@any";
+    "loss@1ms..2ms@all@ge=0.1,0.2,0,0.5@data";
+    "loss@0..inf@tag=wan@bern=0.3333333333333333@ack";
+    "blackout@1ms..3ms@tag=wan"; "pause@0..1s@host=3";
+  ]
+
+(* every variant and field of a run spec, with values drawn across the
+   printer's cases: whole s/ms/us/ns times, floats needing 17 digits,
+   fault schedules, leaf-spine DCs and several trunks *)
+let arbitrary_spec =
+  let open QCheck.Gen in
+  let time = oneofl [ 1; 999; 40_000; 1_500_000; 2_500_000_000; 3_000_000_000; 123_456_789 ] in
+  let pos = oneofl [ 0.03125; 0.4; 1.; 4.; 1e-3; 2.5; 1. /. 3. ] in
+  let mark = int_range 0 200 and queue = int_range 1 5000 in
+  let beta = int_range 2 16 and seed = int_range (-5) 1000 in
+  let scheme = QCheck.gen arbitrary_scheme in
+  let faults =
+    oneof
+      [
+        return Fault_spec.empty;
+        (let+ seed = seed
+         and+ specs = list_size (int_range 1 3) (oneofl fault_pool) in
+         Fault_spec.create ~seed (List.map Fault_spec.spec_of_string specs));
+      ]
+  in
+  let dc =
+    oneof
+      [
+        map (fun k -> Xmp_net.Wan.Fat_tree_dc { k = 2 * k }) (int_range 1 4);
+        (let+ leaves = int_range 1 8
+         and+ spines = int_range 1 4
+         and+ hosts_per_leaf = int_range 1 8 in
+         Xmp_net.Wan.Leaf_spine_dc { leaves; spines; hosts_per_leaf });
+      ]
+  in
+  let trunk =
+    let+ delay = map Time.us (int_range 1 200_000)
+    and+ rate = map Xmp_net.Units.gbps (oneofl [ 0.1; 1.; 2.5; 10. ])
+    and+ queue_pkts = queue
+    and+ marking_threshold = opt (int_range 1 1000) in
+    Xmp_net.Wan.trunk ~delay ~rate ~queue_pkts ?marking_threshold ()
+  in
+  let pattern =
+    let+ scheme = scheme
+    and+ pattern = oneofl Run_spec.[ Permutation; Random; Incast ]
+    and+ k = map (fun k -> 2 * k) (int_range 1 4)
+    and+ horizon = time and+ seed = seed and+ queue_pkts = queue
+    and+ marking_threshold = mark and+ beta = beta and+ rto_min = time
+    and+ sack = bool and+ size_scale = pos
+    and+ incast_jobs = int_range 1 8 and+ faults = faults in
+    Run_spec.Pattern
+      {
+        scheme;
+        pattern;
+        base =
+          { k; horizon; seed; queue_pkts; marking_threshold; beta; rto_min;
+            sack; size_scale; incast_jobs; faults };
+      }
+  in
+  let workload =
+    let* fabric =
+      oneof
+        [
+          map (fun k -> Run_spec.Fat_tree (2 * k)) (int_range 1 4);
+          (let+ left = dc and+ right = dc
+           and+ trunks = list_size (int_range 1 3) trunk
+           and+ cross_dc = oneofl [ 0.; 0.25; 1.; 1. /. 3. ]
+           and+ faults = faults in
+           Run_spec.Bridged { left; right; trunks; cross_dc; faults });
+        ]
+    in
+    let+ scheme = scheme
+    and+ cdf =
+      oneofl Run_spec.[ Websearch; Datamining; Cdf_file (Lazy.force cdf_file) ]
+    and+ size_scale = pos and+ load = pos and+ seed = seed
+    and+ horizon = time and+ drain = oneof [ return 0; time ]
+    and+ max_flows = opt (int_range 1 100_000) and+ queue_pkts = queue
+    and+ marking_threshold = mark and+ beta = beta and+ rto_min = time
+    and+ sack = bool in
+    Run_spec.Workload
+      {
+        fabric; scheme; cdf; size_scale; load; seed; horizon; drain;
+        max_flows; queue_pkts; marking_threshold; beta; rto_min; sack;
+      }
+  in
+  QCheck.make ~print:Run_spec.to_string (oneof [ pattern; workload ])
+
+let run_spec_roundtrip_fuzz =
+  QCheck.Test.make ~count:500 ~name:"run spec to_string <-> of_string round-trips"
+    arbitrary_spec
+    (fun spec -> Run_spec.of_string (Run_spec.to_string spec) = Ok spec)
+
+(* a printed spec ends in "sack=true|false", so a suffix cannot extend a
+   valid value; a new word is unknown, repeated or malformed *)
+let run_spec_garbage_fuzz =
+  QCheck.Test.make ~count:200 ~name:"run spec of_string rejects junk"
+    QCheck.(
+      pair arbitrary_spec
+        (oneofl
+           [ "x"; "!"; "=1"; ".0"; "0"; " x"; " =1"; " bogus=1"; " seed=2";
+             " sack=true"; " ft:4"; " XMP-2" ]))
+    (fun (spec, junk) ->
+      Result.is_error (Run_spec.of_string (Run_spec.to_string spec ^ junk)))
+
 module Conformance = Xmp_workload.Conformance
 
 (* The property matrix pins each (scheme, episode) cell in isolation;
@@ -326,5 +444,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false scenario_digest_semantics_fuzz;
     QCheck_alcotest.to_alcotest ~long:false scheme_name_roundtrip_fuzz;
     QCheck_alcotest.to_alcotest ~long:false scheme_name_garbage_fuzz;
+    QCheck_alcotest.to_alcotest ~long:false run_spec_roundtrip_fuzz;
+    QCheck_alcotest.to_alcotest ~long:false run_spec_garbage_fuzz;
     QCheck_alcotest.to_alcotest ~long:false episode_order_safety_fuzz;
   ]

@@ -213,10 +213,10 @@ let test_bare_sim_fixtures () =
       (read_file (Filename.concat fixture_dir "bare_sim_flagged.ml"));
     rule_count "bare-sim" (Report.sorted rep)
   in
-  (* bin/, bench/ and examples/ are in scope; test/ builds bare fixtures *)
+  (* bin/ and examples/ are in scope; test/ builds bare fixtures *)
   List.iter
     (fun path -> Alcotest.(check int) (path ^ " in scope") 3 (lint_as path))
-    [ "bin/x.ml"; "bench/x.ml"; "examples/x.ml" ];
+    [ "bin/x.ml"; "examples/x.ml" ];
   Alcotest.(check int) "test/ exempt" 0 (lint_as "test/x.ml");
   Alcotest.(check int) "Shard itself allowlisted" 0
     (lint_as "lib/net/shard.ml")

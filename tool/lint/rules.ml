@@ -32,7 +32,7 @@
      simulator's hot-path libraries: each call is a generic
      caml_lessequal; Int.min / Float.max / Time.min are not. *)
 
-type category = Lib | Bin | Bench | Examples | Test | OtherDir
+type category = Lib | Bin | Examples | Test | OtherDir
 
 let category_of path =
   match String.index_opt path '/' with
@@ -41,7 +41,6 @@ let category_of path =
     match String.sub path 0 i with
     | "lib" -> Lib
     | "bin" -> Bin
-    | "bench" -> Bench
     | "examples" -> Examples
     | "test" -> Test
     | _ -> OtherDir)
@@ -160,7 +159,6 @@ let check_idents rep ~path ~cat (toks : token array) =
         let line = tok.line in
         if
           List.mem name wall_clock_idents
-          && cat <> Bench
           && not (file_allowed "wall-clock" path)
         then
           Report.add rep ~path ~line ~rule:"wall-clock"
@@ -251,7 +249,7 @@ let check_packet_release rep ~path ~cat (toks : token array) =
   end
 
 (* Every run is a cluster: a bare simulator or network in simulator,
-   CLI, bench or example code escapes the shard barrier and the end-of-run
+   CLI or example code escapes the shard barrier and the end-of-run
    hook that run-wide checks attach to. Matched on the last two path
    components, so Xmp_engine.Sim.create and Net.Network.create count;
    tests build bare fixtures freely. *)
@@ -259,7 +257,7 @@ let bare_sim_idents = [ "Sim.create"; "Network.create" ]
 
 let check_bare_sim rep ~path ~cat (toks : token array) =
   if
-    (cat = Lib || cat = Bin || cat = Bench || cat = Examples)
+    (cat = Lib || cat = Bin || cat = Examples)
     && not (file_allowed "bare-sim" path)
   then
     Array.iter
