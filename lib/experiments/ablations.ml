@@ -7,7 +7,9 @@ module Driver = Xmp_workload.Driver
 module Table = Xmp_stats.Table
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 
-let print_beta_sweep ?scale ?(betas = [ 2; 3; 4; 5; 6; 8 ]) () =
+let sweep_betas = [ 2; 3; 4; 5; 6; 8 ]
+
+let print_beta_sweep ?scale ?(betas = sweep_betas) () =
   Render.heading
     "Ablation: beta vs fairness (Figure 6 scenario, Jain across flows)";
   let rows =

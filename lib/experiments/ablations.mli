@@ -13,6 +13,9 @@
       (OLIA is the §7 future-work fix). *)
 
 val print_beta_sweep : ?scale:float -> ?betas:int list -> unit -> unit
+(** One Figure 6 panel per β in [betas] (default {!sweep_betas}). *)
+
+val sweep_betas : int list
 
 val print_k_sweep : ?ks:int list -> ?beta:int -> unit -> unit
 

@@ -29,6 +29,12 @@ let rate = Net.Units.gbps 1.
 
 let seed = 7
 
+(* zero-load RTT 225 us: 2 * (2 * 25 us + 62.5 us) *)
+let testbed ~net ~disc =
+  Net.Testbed.create ~net ~n_left:4 ~n_right:4
+    ~bottlenecks:[ { Net.Testbed.rate; delay = Time.ns 62_500; disc } ]
+    ~access_delay:(Time.us 25) ()
+
 let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) v =
   let interval = 5. *. scale in
@@ -40,12 +46,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark v.k)
       ~capacity_pkts:100
   in
-  (* zero-load RTT 225 us: 2 * (2 * 25 us + 62.5 us) *)
-  let tb =
-    Net.Testbed.create ~net ~n_left:4 ~n_right:4
-      ~bottlenecks:[ { Net.Testbed.rate; delay = Time.ns 62_500; disc } ]
-      ~access_delay:(Time.us 25) ()
-  in
+  let tb = testbed ~net ~disc in
   ignore (Xmp_faults.Injector.install ~net ());
   let probe =
     Probe.create ~sim ~bucket_s:(interval /. 10.) ~horizon_s
@@ -128,8 +129,3 @@ let print r =
   Render.printf
     "bottleneck utilization = %.3f, Jain index (4 flows active) = %.3f\n"
     r.utilization r.jain_all_active
-
-let run_and_print_all ?scale ?faults () =
-  Render.heading
-    "Figure 1: four flows on a 1 Gbps bottleneck (normalized rates)";
-  List.iter (fun v -> print (run ?scale ?faults v)) variants

@@ -26,6 +26,13 @@ type result = {
 val variants : variant list
 (** The paper's four panels: DCTCP/halving × K ∈ \{10, 20\}. *)
 
+val testbed :
+  net:Xmp_net.Network.t ->
+  disc:(unit -> Xmp_net.Queue_disc.t) ->
+  Xmp_net.Testbed.t
+(** The figure's testbed on [net], every bottleneck queue built by
+    [disc]. *)
+
 val seed : int
 (** [run]'s default seed, which the scenario registry pins. *)
 
@@ -38,5 +45,4 @@ val run :
     [telemetry] (default the null sink) instruments the run for
     [xmp_sim trace]. *)
 
-val run_and_print_all :
-  ?scale:float -> ?faults:Xmp_engine.Fault_spec.t -> unit -> unit
+val print : result -> unit

@@ -21,6 +21,12 @@ let xmp_flow ~net ~beta ~flow ~src ~dst ~paths ?observer () =
 
 let seed = 11
 
+(* zero-load RTT 1.8 ms: 2 * (2 * 150 us + 600 us) *)
+let testbed ~net ~disc =
+  let spec = { Net.Testbed.rate = bottleneck_rate; delay = Time.us 600; disc } in
+  Net.Testbed.create ~net ~n_left:5 ~n_right:5 ~bottlenecks:[ spec; spec ]
+    ~access_delay:(Time.us 150) ()
+
 let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) ~beta () =
   let unit_s = 10. *. scale in
@@ -34,14 +40,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 15)
       ~capacity_pkts:100
   in
-  (* zero-load RTT 1.8 ms: 2 * (2 * 150 us + 600 us) *)
-  let spec =
-    { Net.Testbed.rate = bottleneck_rate; delay = Time.us 600; disc }
-  in
-  let tb =
-    Net.Testbed.create ~net ~n_left:5 ~n_right:5 ~bottlenecks:[ spec; spec ]
-      ~access_delay:(Time.us 150) ()
-  in
+  let tb = testbed ~net ~disc in
   ignore (Xmp_faults.Injector.install ~net ());
   let probe = Probe.create ~sim ~bucket_s:(unit_s /. 20.) ~horizon_s in
   let launch ~flow ~host ~paths ~probe_names =
@@ -117,10 +116,3 @@ let print r =
   Render.printf
     "Flow 2-1 share while DN1 loaded = %.3f; total-rate retention = %.3f\n"
     r.shifted_share r.compensation
-
-let run_and_print_all ?scale ?faults () =
-  Render.heading
-    "Figure 4: traffic shifting of Flow 2 (testbed 3a, rates / 300 Mbps)";
-  List.iter
-    (fun beta -> print (run ?scale ?faults ~beta ()))
-    [ 4; 6 ]

@@ -22,6 +22,13 @@ type result = {
       (** Flow 2's total rate while DN1 is loaded / its unloaded total *)
 }
 
+val testbed :
+  net:Xmp_net.Network.t ->
+  disc:(unit -> Xmp_net.Queue_disc.t) ->
+  Xmp_net.Testbed.t
+(** The figure's testbed on [net], every bottleneck queue built by
+    [disc]. *)
+
 val seed : int
 (** [run]'s default seed, which the scenario registry pins. *)
 
@@ -33,7 +40,3 @@ val run :
     testbed before the flows start. *)
 
 val print : result -> unit
-
-val run_and_print_all :
-  ?scale:float -> ?faults:Xmp_engine.Fault_spec.t -> unit -> unit
-(** The paper's two panels: β = 4 and β = 6. *)

@@ -15,6 +15,12 @@ let bottleneck_rate = Net.Units.mbps 300.
 
 let seed = 13
 
+let testbed ~net ~disc =
+  Net.Testbed.create ~net ~n_left:4 ~n_right:4
+    ~bottlenecks:
+      [ { Net.Testbed.rate = bottleneck_rate; delay = Time.us 600; disc } ]
+    ~access_delay:(Time.us 150) ()
+
 let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) ~beta () =
   let unit_s = 5. *. scale in
@@ -26,12 +32,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 15)
       ~capacity_pkts:100
   in
-  let tb =
-    Net.Testbed.create ~net ~n_left:4 ~n_right:4
-      ~bottlenecks:
-        [ { Net.Testbed.rate = bottleneck_rate; delay = Time.us 600; disc } ]
-      ~access_delay:(Time.us 150) ()
-  in
+  let tb = testbed ~net ~disc in
   ignore (Xmp_faults.Injector.install ~net ());
   let params = { Xmp_core.Bos.default_params with beta } in
   let probe = Probe.create ~sim ~bucket_s:(unit_s /. 10.) ~horizon_s in
@@ -142,8 +143,3 @@ let print r =
   Render.printf "per-flow totals:\n";
   Render.series_table ~bucket_s:r.bucket_s ~every:5 r.flow_rates;
   Render.printf "Jain index across flows (all active) = %.3f\n" r.jain_flows
-
-let run_and_print_all ?scale ?faults () =
-  Render.heading
-    "Figure 6: four flows, 3/2/1/1 subflows, one 300 Mbps bottleneck";
-  List.iter (fun beta -> print (run ?scale ?faults ~beta ())) [ 4; 6 ]

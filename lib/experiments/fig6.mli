@@ -17,6 +17,13 @@ type result = {
           (the window just after Flow 2 joins) *)
 }
 
+val testbed :
+  net:Xmp_net.Network.t ->
+  disc:(unit -> Xmp_net.Queue_disc.t) ->
+  Xmp_net.Testbed.t
+(** The figure's testbed on [net], every bottleneck queue built by
+    [disc]. *)
+
 val seed : int
 (** [run]'s default seed, which the scenario registry pins. *)
 
@@ -27,6 +34,3 @@ val run :
     [xmp_sim trace]. *)
 
 val print : result -> unit
-
-val run_and_print_all :
-  ?scale:float -> ?faults:Xmp_engine.Fault_spec.t -> unit -> unit

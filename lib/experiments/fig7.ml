@@ -14,6 +14,16 @@ let capacities_gbps = [ 0.8; 1.2; 2.0; 1.5; 0.5 ]
 
 let seed = 17
 
+(* zero-load RTT 350 us: 2 * (2 * 40 us + 95 us) *)
+let testbed ~net ~disc =
+  Net.Testbed.create ~net ~n_left:9 ~n_right:9
+    ~bottlenecks:
+      (List.map
+         (fun g ->
+           { Net.Testbed.rate = Net.Units.gbps g; delay = Time.us 95; disc })
+         capacities_gbps)
+    ~access_delay:(Time.us 40) ()
+
 let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     ?(faults = Xmp_engine.Fault_spec.empty) ~beta ~k () =
   let unit_s = 5. *. scale in
@@ -25,17 +35,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark k)
       ~capacity_pkts:100
   in
-  (* zero-load RTT 350 us: 2 * (2 * 40 us + 95 us) *)
-  let specs =
-    List.map
-      (fun g ->
-        { Net.Testbed.rate = Net.Units.gbps g; delay = Time.us 95; disc })
-      capacities_gbps
-  in
-  let tb =
-    Net.Testbed.create ~net ~n_left:9 ~n_right:9 ~bottlenecks:specs
-      ~access_delay:(Time.us 40) ()
-  in
+  let tb = testbed ~net ~disc in
   ignore (Xmp_faults.Injector.install ~net ());
   let params = { Xmp_core.Bos.default_params with beta } in
   let probe = Probe.create ~sim ~bucket_s:unit_s ~horizon_s in
@@ -105,10 +105,3 @@ let print r =
   Render.subheading
     (Printf.sprintf "Figure 7 panel: beta = %d, K = %d" r.beta r.k);
   Render.series_table ~bucket_s:r.interval_s r.rates
-
-let run_and_print_all ?scale ?faults () =
-  Render.heading
-    "Figure 7: rate compensation on the ring (interval-averaged, / 1 Gbps)";
-  List.iter
-    (fun (beta, k) -> print (run ?scale ?faults ~beta ~k ()))
-    [ (4, 20); (5, 15); (6, 10) ]

@@ -21,6 +21,13 @@ type result = {
           1 Gbps; one value per schedule interval *)
 }
 
+val testbed :
+  net:Xmp_net.Network.t ->
+  disc:(unit -> Xmp_net.Queue_disc.t) ->
+  Xmp_net.Testbed.t
+(** The figure's testbed on [net], every bottleneck queue built by
+    [disc]. *)
+
 val seed : int
 (** [run]'s default seed, which the scenario registry pins. *)
 
@@ -31,7 +38,3 @@ val run :
     [xmp_sim trace]. *)
 
 val print : result -> unit
-
-val run_and_print_all :
-  ?scale:float -> ?faults:Xmp_engine.Fault_spec.t -> unit -> unit
-(** The paper's three parameterizations: (β,K) = (4,20), (5,15), (6,10). *)

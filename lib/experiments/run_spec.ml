@@ -93,9 +93,36 @@ type workload = {
   sack : bool;
 }
 
+type panel =
+  | Fig1 of { dctcp : bool; mark : int }
+  | Fig4 of { beta : int }
+  | Fig6 of { beta : int }
+  | Fig7 of { beta : int; mark : int }
+
+type testbed = {
+  panel : panel;
+  scale : float;
+  seed : int;
+  faults : Fault_spec.t;
+}
+
+let testbed panel =
+  let seed =
+    match panel with
+    | Fig1 _ -> Fig1.seed
+    | Fig4 _ -> Fig4.seed
+    | Fig6 _ -> Fig6.seed
+    | Fig7 _ -> Fig7.seed
+  in
+  { panel; scale = 0.2; seed; faults = Fault_spec.empty }
+
 type t =
   | Pattern of { base : base; scheme : Scheme.t; pattern : pattern }
   | Workload of workload
+  | Testbed of testbed
+
+(* Driver.run_incast draws fanout + 1 distinct hosts *)
+let incast_fanout = 8
 
 (* Per-topology RTO floor: half the slowest zero-load cross-DC RTT,
    never below 1 ms. On a 40 ms trunk this is ~40 ms — above any
@@ -161,8 +188,9 @@ let fault_words (f : Fault_spec.t) =
 
 let faults_to_string f = String.concat " " (fault_words f)
 
-(* Structured words (trunks, faults) come first and [sack=] last, so
-   nothing appended to a printed spec can extend a valid value. *)
+(* Structured words (trunks, faults) come first and [sack=] (on a
+   testbed, [cc=]) last, so nothing appended to a printed spec can extend
+   a valid value. *)
 let common_words ~seed ~horizon ~queue ~mark ~beta ~rto_min ~size_scale =
   [
     Printf.sprintf "seed=%d" seed;
@@ -185,6 +213,19 @@ let base_to_string b =
   String.concat " " (Printf.sprintf "ft:%d" b.k :: base_words b)
 
 let to_string = function
+  | Testbed { panel; scale; seed; faults } ->
+    let beta = Printf.sprintf "beta=%d" and mark = Printf.sprintf "mark=%d" in
+    let name, fields =
+      match panel with
+      | Fig1 { dctcp; mark = m } ->
+        ("fig1", [ mark m; "cc=" ^ if dctcp then "dctcp" else "halving" ])
+      | Fig4 { beta = b } -> ("fig4", [ beta b; "cc=xmp" ])
+      | Fig6 { beta = b } -> ("fig6", [ beta b; "cc=xmp" ])
+      | Fig7 { beta = b; mark = m } -> ("fig7", [ beta b; mark m; "cc=xmp" ])
+    in
+    String.concat " "
+      ((("tb:" ^ name) :: fault_words faults)
+      @ (Printf.sprintf "seed=%d" seed :: ("scale=" ^ float_to_string scale) :: fields))
   | Pattern { base; scheme; pattern } ->
     String.concat " "
       (Printf.sprintf "ft:%d" base.k
@@ -218,7 +259,9 @@ let to_string = function
 let key t =
   match t with
   | Workload { cdf = Cdf_file path; _ } -> to_string t ^ "\n" ^ Digest.to_hex (Digest.file path)
-  | Pattern _ | Workload _ -> to_string t
+  | Pattern _ | Workload _ | Testbed _ -> to_string t
+
+let keys specs = String.concat "\n" (List.map key specs)
 
 (* ---- parsing ---- *)
 
@@ -301,143 +344,205 @@ let trunk_of_string v =
     with Invalid_argument _ -> fail ())
   | _ -> fail ()
 
-let parse s =
+let words s =
   let blank = function '\t' | '\n' | '\r' -> ' ' | c -> c in
-  match List.filter (( <> ) "") (String.split_on_char ' ' (String.map blank s)) with
-  | topology :: scheme_word :: traffic :: words ->
-    let fabric =
-      match String.split_on_char '+' topology with
-      | [ one ] -> (
-        match dc_of_string one with
-        | Wan.Fat_tree_dc { k } -> `Fat_tree k
-        | Wan.Leaf_spine_dc _ -> bad "topology" "one data center must be ft:K")
-      | [ left; right ] -> `Bridged (dc_of_string left, dc_of_string right)
-      | _ -> bad "topology" "%S is not ft:K or LEFT+RIGHT" topology
+  List.filter (( <> ) "") (String.split_on_char ' ' (String.map blank s))
+
+(* [f] reads the KEY=VALUE [words] through [all key]; a word no read
+   asked for is an error *)
+let with_fields words f =
+  let fields =
+    List.map
+      (fun w ->
+        match String.index_opt w '=' with
+        | Some i when i > 0 ->
+          (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
+        | _ -> bad w "expected KEY=VALUE")
+      words
+  in
+  let used = ref [] in
+  let all key =
+    used := key :: !used;
+    List.filter_map (fun (k, v) -> if k = key then Some v else None) fields
+  in
+  let t = f all in
+  (match List.find_opt (fun (k, _) -> not (List.mem k !used)) fields with
+  | Some (k, _) -> bad k "is not a field of this run"
+  | None -> ());
+  t
+
+let opt all key conv =
+  match all key with
+  | [] -> None
+  | [ v ] -> Some (conv key v)
+  | _ -> bad key "given twice"
+
+let get all key conv default = Option.value (opt all key conv) ~default
+
+let faults_of all =
+  let specs =
+    List.map
+      (fun v ->
+        try Fault_spec.spec_of_string v
+        with Invalid_argument m -> bad "fault" "%s" m)
+      (all "fault")
+  in
+  match (specs, opt all "fault-seed" any_int) with
+  | [], None -> Fault_spec.empty
+  | [], Some _ -> bad "fault-seed" "needs at least one fault="
+  | specs, seed -> (
+    try Fault_spec.create ?seed specs
+    with Invalid_argument m -> bad "fault" "%s" m)
+
+let base_of k all =
+  let d = default_base in
+  {
+    k;
+    faults = faults_of all;
+    seed = get all "seed" any_int d.seed;
+    horizon = get all "horizon" (time_in 1) d.horizon;
+    queue_pkts = get all "queue" (int_at_least 1) d.queue_pkts;
+    marking_threshold = get all "mark" (int_at_least 0) d.marking_threshold;
+    beta = get all "beta" (int_at_least 2) d.beta;
+    rto_min = get all "rto-min" (time_in 1) d.rto_min;
+    size_scale = get all "size-scale" positive d.size_scale;
+    incast_jobs = get all "incast-jobs" (int_at_least 1) d.incast_jobs;
+    sack = get all "sack" bool d.sack;
+  }
+
+let fabric_of topology =
+  match String.split_on_char '+' topology with
+  | [ one ] -> (
+    match dc_of_string one with
+    | Wan.Fat_tree_dc { k } -> `Fat_tree k
+    | Wan.Leaf_spine_dc _ -> bad "topology" "one data center must be ft:K")
+  | [ left; right ] -> `Bridged (dc_of_string left, dc_of_string right)
+  | _ -> bad "topology" "%S is not ft:K or LEFT+RIGHT" topology
+
+(* the first choice of [cc=] is the default *)
+let testbed_of head all =
+  let mark default = get all "mark" (int_at_least 0) default in
+  let cc choices =
+    let pick key v =
+      match List.assoc_opt v choices with
+      | Some c -> c
+      | None -> bad key "%S is not %s on %s" v (String.concat " or " (List.map fst choices)) head
     in
+    get all "cc" pick (snd (List.hd choices))
+  in
+  let panel =
+    match head with
+    | "tb:fig1" -> Fig1 { dctcp = cc [ ("dctcp", true); ("halving", false) ]; mark = mark 10 }
+    | "tb:fig4" | "tb:fig6" | "tb:fig7" -> (
+      let () = cc [ ("xmp", ()) ] and beta = get all "beta" (int_at_least 2) 4 in
+      match head with
+      | "tb:fig4" -> Fig4 { beta }
+      | "tb:fig6" -> Fig6 { beta }
+      | _ -> Fig7 { beta; mark = mark 20 })
+    | _ -> bad "topology" "%S is not tb:fig1, tb:fig4, tb:fig6 or tb:fig7" head
+  in
+  let d = testbed panel in
+  {
+    panel;
+    seed = get all "seed" any_int d.seed;
+    scale = get all "scale" positive d.scale;
+    faults = faults_of all;
+  }
+
+let parse s =
+  match words s with
+  | head :: words when String.starts_with ~prefix:"tb:" head ->
+    Testbed (with_fields words (testbed_of head))
+  | topology :: scheme_word :: traffic :: words ->
+    let fabric = fabric_of topology in
     let scheme =
       match Scheme.of_name scheme_word with
       | Some scheme -> scheme
       | None -> bad "scheme" "unknown scheme %S (e.g. XMP-2, DCTCP, XMP-2:beta=6)" scheme_word
     in
-    let fields =
-      List.map
-        (fun w ->
-          match String.index_opt w '=' with
-          | Some i when i > 0 ->
-            (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
-          | _ -> bad w "expected KEY=VALUE")
-        words
-    in
-    let used = ref [] in
-    let all key =
-      used := key :: !used;
-      List.filter_map (fun (k, v) -> if k = key then Some v else None) fields
-    in
-    let opt key conv =
-      match all key with
-      | [] -> None
-      | [ v ] -> Some (conv key v)
-      | _ -> bad key "given twice"
-    in
-    let get key conv default = Option.value (opt key conv) ~default in
-    let faults () =
-      let specs =
-        List.map
-          (fun v ->
-            try Fault_spec.spec_of_string v
-            with Invalid_argument m -> bad "fault" "%s" m)
-          (all "fault")
-      in
-      match (specs, opt "fault-seed" any_int) with
-      | [], None -> Fault_spec.empty
-      | [], Some _ -> bad "fault-seed" "needs at least one fault="
-      | specs, seed -> (
-        try Fault_spec.create ?seed specs
-        with Invalid_argument m -> bad "fault" "%s" m)
-    in
     let pattern =
       List.assoc_opt traffic
         [ ("permutation", Permutation); ("random", Random); ("incast", Incast) ]
     in
-    let spec =
-      match (pattern, fabric) with
-      | Some pattern, `Fat_tree k ->
-        let d = default_base in
-        let base =
-          {
-            k;
-            faults = faults ();
-            seed = get "seed" any_int d.seed;
-            horizon = get "horizon" (time_in 1) d.horizon;
-            queue_pkts = get "queue" (int_at_least 1) d.queue_pkts;
-            marking_threshold = get "mark" (int_at_least 0) d.marking_threshold;
-            beta = get "beta" (int_at_least 2) d.beta;
-            rto_min = get "rto-min" (time_in 1) d.rto_min;
-            size_scale = get "size-scale" positive d.size_scale;
-            incast_jobs = get "incast-jobs" (int_at_least 1) d.incast_jobs;
-            sack = get "sack" bool d.sack;
-          }
-        in
-        Pattern { base; scheme; pattern }
-      | Some _, `Bridged _ -> bad "traffic" "a pattern runs on one ft:K fabric, not a WAN"
-      | None, _ ->
-        let cdf =
-          match traffic with
-          | "websearch" -> Websearch
-          | "datamining" -> Datamining
-          | path when Sys.file_exists path -> (
-            match Flow_size.of_file path with
-            | _ -> Cdf_file path
-            | exception (Invalid_argument m | Sys_error m) ->
-              bad "traffic" "%s" m)
-          | w ->
-            bad "traffic"
-              "%S is not permutation, random, incast, websearch, datamining \
-               or a CDF file" w
-        in
-        let fabric =
-          match fabric with
-          | `Fat_tree k -> Fat_tree k
-          | `Bridged (left, right) ->
-            let trunks =
-              match List.map trunk_of_string (all "trunk") with
-              | [] -> [ Wan.trunk () ]
-              | trunks -> trunks
-            in
-            let cross_dc = get "cross-dc" fraction 0.5 in
-            Bridged { left; right; trunks; cross_dc; faults = faults () }
-        in
-        let d = workload fabric scheme cdf in
-        Workload
-          {
-            d with
-            seed = get "seed" any_int d.seed;
-            horizon = get "horizon" (time_in 1) d.horizon;
-            queue_pkts = get "queue" (int_at_least 1) d.queue_pkts;
-            marking_threshold = get "mark" (int_at_least 0) d.marking_threshold;
-            beta = get "beta" (int_at_least 2) d.beta;
-            rto_min = get "rto-min" (time_in 1) d.rto_min;
-            size_scale = get "size-scale" positive d.size_scale;
-            load = get "load" positive d.load;
-            drain = get "drain" (time_in 0) d.drain;
-            max_flows =
-              get "flows"
-                (fun key v ->
-                  if v = "none" then None else Some (int_at_least 1 key v))
-                d.max_flows;
-            sack = get "sack" bool d.sack;
-          }
-    in
-    (match List.find_opt (fun (k, _) -> not (List.mem k !used)) fields with
-    | Some (k, _) -> bad k "is not a field of this run"
-    | None -> ());
-    spec
-  | _ -> bad "spec" "%S is not TOPOLOGY SCHEME TRAFFIC [KEY=VALUE ...]" s
+    with_fields words (fun all ->
+        match (pattern, fabric) with
+        | Some pattern, `Fat_tree k ->
+          if pattern = Incast && k * k * k / 4 <= incast_fanout then
+            bad "traffic" "incast's fanout %d needs %d hosts; ft:%d has %d"
+              incast_fanout (incast_fanout + 1) k (k * k * k / 4);
+          Pattern { base = base_of k all; scheme; pattern }
+        | Some _, `Bridged _ -> bad "traffic" "a pattern runs on one ft:K fabric, not a WAN"
+        | None, _ ->
+          let cdf =
+            match traffic with
+            | "websearch" -> Websearch
+            | "datamining" -> Datamining
+            | path when Sys.file_exists path -> (
+              match Flow_size.of_file path with
+              | _ -> Cdf_file path
+              | exception (Invalid_argument m | Sys_error m) ->
+                bad "traffic" "%s" m)
+            | w ->
+              bad "traffic"
+                "%S is not permutation, random, incast, websearch, datamining \
+                 or a CDF file" w
+          in
+          let fabric =
+            match fabric with
+            | `Fat_tree k -> Fat_tree k
+            | `Bridged (left, right) ->
+              let trunks =
+                match List.map trunk_of_string (all "trunk") with
+                | [] -> [ Wan.trunk () ]
+                | trunks -> trunks
+              in
+              let cross_dc = get all "cross-dc" fraction 0.5 in
+              (* a mixed draw picks a local destination, which a
+                 one-host data center does not have *)
+              if cross_dc > 0. && cross_dc < 1.
+                 && (Wan.dc_n_hosts left = 1 || Wan.dc_n_hosts right = 1)
+              then
+                bad "cross-dc" "%s needs 0 or 1: a data center of %s has one host"
+                  (float_to_string cross_dc) topology;
+              Bridged { left; right; trunks; cross_dc; faults = faults_of all }
+          in
+          let d = workload fabric scheme cdf in
+          Workload
+            {
+              d with
+              seed = get all "seed" any_int d.seed;
+              horizon = get all "horizon" (time_in 1) d.horizon;
+              queue_pkts = get all "queue" (int_at_least 1) d.queue_pkts;
+              marking_threshold = get all "mark" (int_at_least 0) d.marking_threshold;
+              beta = get all "beta" (int_at_least 2) d.beta;
+              rto_min = get all "rto-min" (time_in 1) d.rto_min;
+              size_scale = get all "size-scale" positive d.size_scale;
+              load = get all "load" positive d.load;
+              drain = get all "drain" (time_in 0) d.drain;
+              max_flows =
+                get all "flows"
+                  (fun key v ->
+                    if v = "none" then None else Some (int_at_least 1 key v))
+                  d.max_flows;
+              sack = get all "sack" bool d.sack;
+            })
+  | _ -> bad "spec" "%S is not TOPOLOGY SCHEME TRAFFIC [KEY=VALUE ...] or tb:FIG [KEY=VALUE ...]" s
 
-let of_string s =
-  match parse s with
+let catch f s =
+  match f s with
   | t -> Ok t
   | exception Bad (field, why) -> Error (Printf.sprintf "field '%s': %s" field why)
+
+let of_string = catch parse
+
+let base_of_string =
+  catch (fun s ->
+      match words s with
+      | topology :: words -> (
+        match fabric_of topology with
+        | `Fat_tree k -> with_fields words (base_of k)
+        | `Bridged _ -> bad "topology" "a base is one ft:K fabric, not a WAN")
+      | [] -> bad "spec" "%S is not ft:K [KEY=VALUE ...]" s)
 
 (* ---- pattern runs ---- *)
 
@@ -465,7 +570,7 @@ let pattern_of base = function
     Driver.Incast
       {
         jobs = base.incast_jobs;
-        fanout = 8;
+        fanout = incast_fanout;
         request_segments = 2;
         response_segments = 45;
         bg_mean_segments = float_of_int (scaled_segments base (segs_of_mb 6.));
@@ -647,7 +752,27 @@ let goodput_csv m =
     (Metrics.goodputs_by_locality m);
   Buffer.contents buf
 
+(* ---- testbed panels ---- *)
+
+let simulate_panel ?telemetry { panel; scale; seed; faults } =
+  match panel with
+  | Fig1 { dctcp; mark } ->
+    let r = Fig1.run ~scale ~seed ?telemetry ~faults { Fig1.dctcp; k = mark } in
+    fun () -> Fig1.print r
+  | Fig4 { beta } ->
+    let r = Fig4.run ~scale ~seed ?telemetry ~faults ~beta () in
+    fun () -> Fig4.print r
+  | Fig6 { beta } ->
+    let r = Fig6.run ~scale ~seed ?telemetry ~faults ~beta () in
+    fun () -> Fig6.print r
+  | Fig7 { beta; mark } ->
+    let r = Fig7.run ~scale ~seed ?telemetry ~faults ~beta ~k:mark () in
+    fun () -> Fig7.print r
+
 let run ?domains = function
+  | Testbed tb ->
+    simulate_panel tb ();
+    []
   | Pattern { base; scheme; pattern } ->
     if Fault_spec.is_empty base.faults then print_eval base scheme pattern
     else print_fault_eval base scheme pattern;
@@ -689,9 +814,14 @@ let link_names t =
     Xmp_net.Queue_disc.create ~policy:Xmp_net.Queue_disc.Droptail
       ~capacity_pkts:1
   in
+  let net = Xmp_net.Shard.net cluster 0 in
   (match t with
+  | Testbed { panel = Fig1 _; _ } -> ignore (Fig1.testbed ~net ~disc)
+  | Testbed { panel = Fig4 _; _ } -> ignore (Fig4.testbed ~net ~disc)
+  | Testbed { panel = Fig6 _; _ } -> ignore (Fig6.testbed ~net ~disc)
+  | Testbed { panel = Fig7 _; _ } -> ignore (Fig7.testbed ~net ~disc)
   | Pattern { base = { k; _ }; _ } | Workload { fabric = Fat_tree k; _ } ->
     ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ())
   | Workload { fabric = Bridged { left; right; trunks; _ }; _ } ->
     ignore (Wan.create ~cluster ~left ~right ~trunks ~disc ()));
-  List.map Xmp_net.Link.name (Xmp_net.Network.links (Xmp_net.Shard.net cluster 0))
+  List.map Xmp_net.Link.name (Xmp_net.Network.links net)

@@ -4,7 +4,9 @@
     A spec is a list of whitespace-separated words:
     [TOPOLOGY SCHEME TRAFFIC [KEY=VALUE ...]], e.g.
     ["ft:4 XMP-4 incast horizon=2s"] or
-    ["ls:4,2,4+ft:4 XMP-2 websearch horizon=10ms drain=50ms"].
+    ["ls:4,2,4+ft:4 XMP-2 websearch horizon=10ms drain=50ms"], or one
+    testbed panel [tb:FIGURE [KEY=VALUE ...]], e.g.
+    ["tb:fig7 beta=5 mark=15"].
 
     - [TOPOLOGY] is [ft:K] (even [K ≥ 2]) or a bridged WAN [LEFT+RIGHT],
       each side [ft:K] or [ls:LEAVES,SPINES,HOSTS].
@@ -25,7 +27,15 @@
       {!Xmp_engine.Fault_spec.spec_of_string}) and [fault-seed];
     - WAN runs: [trunk=DELAY_MS[:RATE_GBPS[:QUEUE_PKTS[:MARK_PKTS]]]]
       (repeatable; [MARK_PKTS] 0 is deep droptail) and [cross-dc]
-      (a fraction).
+      (a fraction; 0 or 1 when a data center has one host).
+    - testbed panels ([tb:fig1], [tb:fig4], [tb:fig6], [tb:fig7]):
+      [seed], [scale] (the factor on the paper's schedule, default 0.2),
+      [fault=]/[fault-seed]; [beta] on fig4/6/7; [mark] on fig1
+      (default 10) and fig7 (default 20); [cc] is fig1's [dctcp]
+      (default) or [halving], and [xmp] on the others.
+
+    An incast needs more hosts than its fanout of 8, so [ft:2 ... incast]
+    is rejected.
 
     {!to_string} prints every field, floats exactly, so
     [of_string (to_string s) = Ok s], and the printed form is the run's
@@ -99,9 +109,27 @@ type workload = {
 val workload : fabric -> Xmp_workload.Scheme.t -> cdf -> workload
 (** An open-loop run with every other field at its default. *)
 
+type panel =
+  | Fig1 of { dctcp : bool; mark : int }  (** DCTCP or halving cwnd, K *)
+  | Fig4 of { beta : int }
+  | Fig6 of { beta : int }
+  | Fig7 of { beta : int; mark : int }
+
+type testbed = {
+  panel : panel;
+  scale : float;  (** multiplies the paper's schedule *)
+  seed : int;
+  faults : Xmp_engine.Fault_spec.t;
+}
+(** One panel of a testbed figure (Figures 1, 4, 6 and 7). *)
+
+val testbed : panel -> testbed
+(** A panel at scale 0.2 with the figure's own seed and no faults. *)
+
 type t =
   | Pattern of { base : base; scheme : Xmp_workload.Scheme.t; pattern : pattern }
   | Workload of workload
+  | Testbed of testbed
 
 val of_string : string -> (t, string) result
 (** Strict: unknown, repeated or misplaced fields and out-of-range values
@@ -114,9 +142,17 @@ val key : t -> string
 (** The digest input: {!to_string}, plus the CDF file's content digest
     when the spec names one. *)
 
+val keys : t list -> string
+(** The key of a scenario that makes several runs: their {!key}s, one per
+    line. *)
+
 val base_to_string : base -> string
 (** [ft:K] and the fields of a pattern run over [base] — the key of the
     table views that run every (scheme, pattern) over one base. *)
+
+val base_of_string : string -> (base, string) result
+(** Parses {!base_to_string}'s form with {!of_string}'s pattern-run
+    fields and messages; an absent field takes {!default_base}'s value. *)
 
 val faults_to_string : Xmp_engine.Fault_spec.t -> string
 (** The [fault-seed=] and [fault=] words of a schedule; [""] when it is
@@ -155,9 +191,14 @@ val config : workload -> Xmp_workload.Open_loop.config
 val simulate : ?domains:int -> workload -> Xmp_workload.Open_loop.result
 (** [domains] (default 1) never changes the result. *)
 
+val simulate_panel :
+  ?telemetry:Xmp_telemetry.Sink.t -> testbed -> unit -> unit
+(** Runs the panel ([telemetry] defaults to the null sink) and returns
+    its printer. *)
+
 val run : ?domains:int -> t -> (string * string) list
 (** Prints the run's report and returns its CSV exports as
-    [(suffix, contents)]: none for a pattern run, [.fct.csv] and
+    [(suffix, contents)]: none for a pattern or testbed run, [.fct.csv] and
     [.cdf.csv] for an open-loop run, plus [.goodput.csv] on a WAN. A
     pattern run with a fault schedule reports through a telemetry sink:
     flows, goodput, injected drops and link events. *)

@@ -3,10 +3,13 @@
 
     This is the single source of truth for what "the evaluation" is:
     [xmp_sim run] and the golden-output regression tests both select
-    from this registry instead of hard-wiring experiment calls.
-    Each scenario's key is the canonical text of every input its output
-    depends on, which gives it a stable content digest for the runner's
-    result cache. *)
+    from this registry instead of hard-wiring experiment calls. A testbed
+    figure is a heading over its paper panels, each a {!Run_spec.testbed},
+    and its key is those specs' canonical strings. A base view (the
+    tables, figs 8–11 and the sweeps over one fat-tree base) is keyed by
+    {!Run_spec.base_to_string}. Every key is the canonical text of every
+    input the output depends on, which gives each scenario a stable
+    content digest for the runner's result cache. *)
 
 type config = {
   tag : string;  (** "quick" | "default" | "paper" — for display only *)
@@ -31,7 +34,10 @@ val all : config -> Xmp_runner.Scenario.t list
 val select :
   config -> string list -> (Xmp_runner.Scenario.t list, string) result
 (** Resolves scenario names and group aliases, preserving request order
-    and dropping duplicates; [Error name] on an unknown id. *)
+    and dropping duplicates. A base view may be followed by a base in
+    {!Run_spec.base_to_string}'s form (["table1 ft:8 horizon=4s"]); that
+    scenario is named by the id's text and ignores [config]. [Error] is a
+    message naming the unknown id or the offending field. *)
 
 val keyed :
   name:string -> descr:string -> string -> (unit -> unit) -> Xmp_runner.Scenario.t

@@ -231,10 +231,8 @@ let print_mixed ~scale () =
 
 (* ---- scenario keys: the canonical spec of every run ---- *)
 
-let key specs = String.concat "\n" (List.map Run_spec.to_string specs)
-
 let asym_key ~scale =
-  key
+  Run_spec.keys
     (Run_spec.Pattern
        { base = asym_base ~scale; scheme = Scheme.xmp 2; pattern = Run_spec.Random }
     :: List.map
@@ -244,7 +242,7 @@ let asym_key ~scale =
 
 let bdp_key =
   Printf.sprintf "probe-segments=%d\n" bdp_probe_segments
-  ^ key
+  ^ Run_spec.keys
       (List.concat_map
          (fun delay ->
            List.map
@@ -253,7 +251,7 @@ let bdp_key =
          bdp_delays)
 
 let mixed_key ~scale =
-  key
+  Run_spec.keys
     (List.map
        (fun cross_dc ->
          Run_spec.Workload

@@ -75,8 +75,9 @@ let capture f =
    result_file(i) and answers "<i> <elapsed_s> <events>" on the done
    pipe, where <events> is the number of simulation events the scenario
    executed (the process-wide counter delta, so it also covers nested
-   simulations). All messages are far below PIPE_BUF, so writes are
-   atomic. *)
+   simulations). A scenario that raises is answered "<i> raised <text>"
+   (one line, at most 512 bytes), and the child exits. All messages are
+   far below PIPE_BUF, so writes are atomic. *)
 
 let child_loop scenarios ~result_file ~work_r ~done_w =
   let ic = Unix.in_channel_of_descr work_r in
@@ -97,8 +98,9 @@ let child_loop scenarios ~result_file ~work_r ~done_w =
              (Xmp_engine.Sim.total_events_executed () - e0));
         loop ()
       | exception e ->
-        Printf.eprintf "[runner] scenario %s raised: %s\n%!" sc.Scenario.name
-          (Printexc.to_string e);
+        let text = String.map (function '\n' -> ' ' | c -> c) (Printexc.to_string e) in
+        let text = if String.length text > 512 then String.sub text 0 512 else text in
+        send_line done_w (Printf.sprintf "%d raised %s" i text);
         1)
   in
   let status = loop () in
@@ -208,6 +210,12 @@ let execute_pool scenarios ~jobs ~result_file ~pending ~on_done =
                    String.split_on_char '\n' (String.sub s 0 last)
                    |> List.iter (fun line ->
                           match String.split_on_char ' ' line with
+                          | i :: "raised" :: text ->
+                            w.running <- None;
+                            fail
+                              (Printf.sprintf "scenario %s raised %s"
+                                 scenarios.(int_of_string i).Scenario.name
+                                 (String.concat " " text))
                           | [ i; dt; ev ] ->
                             on_done (int_of_string i) (float_of_string dt)
                               (int_of_string ev);

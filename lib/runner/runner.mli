@@ -58,7 +58,8 @@ val run :
     final cache-statistics line to stderr.
 
     A worker that dies or a scenario that raises aborts the whole run
-    with [Failure] after the remaining children are reaped. *)
+    with [Failure] after the remaining children are reaped; the message
+    names the scenario and, when it raised, the exception. *)
 
 val run_and_print :
   ?jobs:int ->

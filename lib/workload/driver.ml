@@ -69,15 +69,6 @@ let permutation_scaled =
   Permutation
     { min_segments = segs_of_mb 2.; max_segments = segs_of_mb 16. }
 
-let random_scaled =
-  Random_pattern
-    {
-      mean_segments = float_of_int (segs_of_mb 6.);
-      cap_segments = float_of_int (segs_of_mb 24.);
-      shape = 1.5;
-      max_inbound = 4;
-    }
-
 let incast_scaled =
   Incast
     {

@@ -103,12 +103,6 @@ val default_config : config
     sizes, per-flow records kept, no faults, null telemetry sink, no
     cross-DC bias. *)
 
-val permutation_scaled : pattern
-(** Paper's 64–512 MB uniform sizes scaled by 1/32 (2–16 MB). *)
-
-val random_scaled : pattern
-(** Paper's Pareto(1.5, mean 192 MB, cap 768 MB) scaled by 1/32. *)
-
 val incast_scaled : pattern
 (** 2 KB requests / 64 KB responses exactly as the paper; 3 concurrent
     jobs (scaled from 8 for the k = 4 topology) over scaled Random

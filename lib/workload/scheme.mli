@@ -39,9 +39,6 @@ type tunables = {
           {!transport_overrides.rto_max} (generic key, any kind) *)
 }
 
-val default_tunables : tunables
-(** All-default: every option [None], [amp_ect = Counted]. *)
-
 type t = private { kind : kind; subflows : int; tunables : tunables }
 (** Private: build values with the constructors below so invariants
     (subflow count ≥ 1, tunables only on the kind they apply to, names

@@ -52,8 +52,8 @@ let malformed =
       "field 'cross-dc'" );
     ("eval --queue 0", "run " ^ spec "ft:4 XMP-2 permutation queue=0", "field 'queue'");
     ("eval --beta 1", "run " ^ spec "ft:4 XMP-2 permutation beta=1", "field 'beta'");
-    ("trace --capacity 0", "trace --capacity 0", "option '--capacity'");
-    ("fig4 --scale=0", "fig4 --scale=0", "option '--scale'");
+    ("trace --capacity 0", "trace --capacity 0 " ^ spec "tb:fig4", "option '--capacity'");
+    ("fig4 --scale=0", "run " ^ spec "tb:fig4 scale=0", "field 'scale'");
     ("eval --horizon=-1", "run " ^ spec "ft:4 XMP-2 permutation horizon=-1", "field 'horizon'");
     ("eval --horizon nan", "run " ^ spec "ft:4 XMP-2 permutation horizon=nan", "field 'horizon'");
     ("workload --horizon 0", "run " ^ spec "ft:8 XMP-2 websearch horizon=0", "field 'horizon'");
@@ -64,10 +64,10 @@ let malformed =
     (* a negative marking threshold and a job count below one used to run *)
     ("run mark=-5 (pattern)", "run " ^ spec "ft:4 XMP-2 permutation mark=-5", "field 'mark'");
     ("run mark=-3 (open loop)", "run " ^ spec "ft:8 XMP-2 websearch mark=-3", "field 'mark'");
-    ("matrix --mark=-5", "matrix --mark=-5", "option '--mark'");
-    ("coexist --mark=-5", "coexist --mark=-5", "option '--mark'");
-    ("fig7 --mark=-5", "fig7 --mark=-5", "option '--mark'");
-    ("trace --mark=-5", "trace --mark=-5", "option '--mark'");
+    ("matrix --mark=-5", "run " ^ spec "table1 ft:4 mark=-5", "field 'mark'");
+    ("coexist --mark=-5", "run " ^ spec "table2 ft:4 mark=-5", "field 'mark'");
+    ("fig7 --mark=-5", "run " ^ spec "tb:fig7 mark=-5", "field 'mark'");
+    ("trace --mark=-5", "trace " ^ spec "tb:fig7 mark=-5", "field 'mark'");
     ("run --jobs=-4", "run --jobs=-4 fig1", "option '--jobs'");
     ("run --jobs 0", "run --jobs 0 fig1", "option '--jobs'");
     ("run -j-3", "run -j-3 fig1", "option '-j'");
@@ -77,6 +77,17 @@ let malformed =
       "run " ^ spec "ft:8 XMP-2 websearch fault=down@1ms@all",
       "field 'fault'" );
     ("run --out with two items", "run --out x fig1 fig4", "option '--out'");
+    (* combinations that parsed, then killed the worker *)
+    ("run incast on ft:2", "run " ^ spec "ft:2 XMP-2 incast horizon=1ms", "field 'traffic'");
+    ( "run mixed draw from a one-host DC",
+      "run " ^ spec "ls:1,1,1+ft:4 XMP-2 websearch horizon=1ms drain=1ms",
+      "field 'cross-dc'" );
+    ("run a field on a name that takes none", "run " ^ spec "wl.websearch.k8 seed=2", "field 'seed'");
+    ("run a view base with a bad field", "run " ^ spec "table1 ft:4 queue=0", "field 'queue'");
+    ("run an unknown testbed figure", "run " ^ spec "tb:fig5", "field 'topology'");
+    ("run a field fig4 does not take", "run " ^ spec "tb:fig4 mark=15", "field 'mark'");
+    ("run fig1 cc=xmp", "run " ^ spec "tb:fig1 cc=xmp", "field 'cc'");
+    ("trace a non-testbed spec", "trace " ^ spec "ft:4 XMP-2 permutation", "field 'topology'");
     ("run --list-links without a spec", "run --list-links fig1", "option '--list-links'");
   ]
 
@@ -107,8 +118,24 @@ let test_valid () =
     (String.split_on_char '\n' msg);
   Alcotest.(check int) "exit code" 0 code
 
+(* a run that fails after parsing is one "xmp_sim: ..." line naming the
+   run and the cause, and cmdliner's some_error exit, not an uncaught
+   exception (exit 125) *)
+let test_runtime_failure () =
+  let text = "ft:4 XMP-2 permutation horizon=1ms fault=down@0@link=nowhere" in
+  let code, msg = run ("run --no-cache " ^ spec text) in
+  Alcotest.(check int) "exit code" 123 code;
+  let lines = List.filter (String.starts_with ~prefix:"xmp_sim: ") (String.split_on_char '\n' msg) in
+  Alcotest.(check int) "one xmp_sim: line" 1 (List.length lines);
+  List.iter
+    (fun what -> Alcotest.(check bool) ("names " ^ what) true (contains (List.hd lines) what))
+    [ text; "no link named" ]
+
 let suite =
   List.map
     (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_rejected case))
     malformed
-  @ [ Alcotest.test_case "a valid workload run exits 0" `Quick test_valid ]
+  @ [
+      Alcotest.test_case "a valid workload run exits 0" `Quick test_valid;
+      Alcotest.test_case "a failing run exits 123 naming spec and cause" `Quick test_runtime_failure;
+    ]

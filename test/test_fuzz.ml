@@ -296,16 +296,22 @@ let fault_pool =
     "blackout@1ms..3ms@tag=wan"; "pause@0..1s@host=3";
   ]
 
+let one_host = Xmp_net.Wan.Leaf_spine_dc { leaves = 1; spines = 1; hosts_per_leaf = 1 }
+
 (* every variant and field of a run spec, with values drawn across the
    printer's cases: whole s/ms/us/ns times, floats needing 17 digits,
-   fault schedules, leaf-spine DCs and several trunks *)
-let arbitrary_spec =
-  let open QCheck.Gen in
-  let time = oneofl [ 1; 999; 40_000; 1_500_000; 2_500_000_000; 3_000_000_000; 123_456_789 ] in
-  let pos = oneofl [ 0.03125; 0.4; 1.; 4.; 1e-3; 2.5; 1. /. 3. ] in
-  let mark = int_range 0 200 and queue = int_range 1 5000 in
-  let beta = int_range 2 16 and seed = int_range (-5) 1000 in
-  let scheme = QCheck.gen arbitrary_scheme in
+   fault schedules, leaf-spine DCs, several trunks and testbed panels.
+   Only runnable specs: an incast needs more than the two hosts of
+   ft:2, and a one-host DC only takes cross-dc 0 or 1. *)
+module Gen_spec = struct
+  open QCheck.Gen
+
+  let time = oneofl [ 1; 999; 40_000; 1_500_000; 2_500_000_000; 3_000_000_000; 123_456_789 ]
+  let pos = oneofl [ 0.03125; 0.4; 1.; 4.; 1e-3; 2.5; 1. /. 3. ]
+  let mark = int_range 0 200 and queue = int_range 1 5000
+  let beta = int_range 2 16 and seed = int_range (-5) 1000
+  let scheme = QCheck.gen arbitrary_scheme
+
   let faults =
     oneof
       [
@@ -314,7 +320,7 @@ let arbitrary_spec =
          and+ specs = list_size (int_range 1 3) (oneofl fault_pool) in
          Fault_spec.create ~seed (List.map Fault_spec.spec_of_string specs));
       ]
-  in
+
   let dc =
     oneof
       [
@@ -324,18 +330,18 @@ let arbitrary_spec =
          and+ hosts_per_leaf = int_range 1 8 in
          Xmp_net.Wan.Leaf_spine_dc { leaves; spines; hosts_per_leaf });
       ]
-  in
+
   let trunk =
     let+ delay = map Time.us (int_range 1 200_000)
     and+ rate = map Xmp_net.Units.gbps (oneofl [ 0.1; 1.; 2.5; 10. ])
     and+ queue_pkts = queue
     and+ marking_threshold = opt (int_range 1 1000) in
     Xmp_net.Wan.trunk ~delay ~rate ~queue_pkts ?marking_threshold ()
-  in
+
   let pattern =
+    let* pattern = oneofl Run_spec.[ Permutation; Random; Incast ] in
     let+ scheme = scheme
-    and+ pattern = oneofl Run_spec.[ Permutation; Random; Incast ]
-    and+ k = map (fun k -> 2 * k) (int_range 1 4)
+    and+ k = map (fun k -> 2 * k) (int_range (if pattern = Incast then 2 else 1) 4)
     and+ horizon = time and+ seed = seed and+ queue_pkts = queue
     and+ marking_threshold = mark and+ beta = beta and+ rto_min = time
     and+ sack = bool and+ size_scale = pos
@@ -348,20 +354,19 @@ let arbitrary_spec =
           { k; horizon; seed; queue_pkts; marking_threshold; beta; rto_min;
             sack; size_scale; incast_jobs; faults };
       }
-  in
-  let workload =
-    let* fabric =
-      oneof
-        [
-          map (fun k -> Run_spec.Fat_tree (2 * k)) (int_range 1 4);
-          (let+ left = dc and+ right = dc
-           and+ trunks = list_size (int_range 1 3) trunk
-           and+ cross_dc = oneofl [ 0.; 0.25; 1.; 1. /. 3. ]
-           and+ faults = faults in
-           Run_spec.Bridged { left; right; trunks; cross_dc; faults });
-        ]
-    in
-    let+ scheme = scheme
+
+  let bridged =
+    let+ left = dc and+ right = dc
+    and+ trunks = list_size (int_range 1 3) trunk
+    and+ cross_dc = oneofl [ 0.; 0.25; 1.; 1. /. 3. ]
+    and+ faults = faults in
+    let one = Xmp_net.Wan.dc_n_hosts left = 1 || Xmp_net.Wan.dc_n_hosts right = 1 in
+    let cross_dc = if one && cross_dc > 0. then 1. else cross_dc in
+    Run_spec.Bridged { left; right; trunks; cross_dc; faults }
+
+  let workload fabric =
+    let+ fabric = fabric
+    and+ scheme = scheme
     and+ cdf =
       oneofl Run_spec.[ Websearch; Datamining; Cdf_file (Lazy.force cdf_file) ]
     and+ size_scale = pos and+ load = pos and+ seed = seed
@@ -374,8 +379,50 @@ let arbitrary_spec =
         fabric; scheme; cdf; size_scale; load; seed; horizon; drain;
         max_flows; queue_pkts; marking_threshold; beta; rto_min; sack;
       }
-  in
-  QCheck.make ~print:Run_spec.to_string (oneof [ pattern; workload ])
+
+  let testbed =
+    let+ panel =
+      oneof
+        [
+          (let+ dctcp = bool and+ mark = mark in Run_spec.Fig1 { dctcp; mark });
+          map (fun beta -> Run_spec.Fig4 { beta }) beta;
+          map (fun beta -> Run_spec.Fig6 { beta }) beta;
+          (let+ beta = beta and+ mark = mark in Run_spec.Fig7 { beta; mark });
+        ]
+    and+ scale = pos and+ seed = seed and+ faults = faults in
+    Run_spec.Testbed { panel; scale; seed; faults }
+
+  let spec =
+    oneof
+      [
+        pattern;
+        workload (oneof [ map (fun k -> Run_spec.Fat_tree (2 * k)) (int_range 1 4); bridged ]);
+        testbed;
+      ]
+
+  (* the two combinations that would parse but not run *)
+  let unrunnable =
+    oneof
+      [
+        map
+          (function
+            | Run_spec.Pattern p ->
+              Run_spec.Pattern
+                { p with pattern = Run_spec.Incast; base = { p.base with k = 2 } }
+            | s -> s)
+          pattern;
+        workload
+          (let+ fabric = bridged
+           and+ cross_dc = oneofl [ 0.25; 0.5; 1. /. 3. ]
+           and+ left = bool in
+           match fabric with
+           | Run_spec.Bridged b when left -> Run_spec.Bridged { b with left = one_host; cross_dc }
+           | Run_spec.Bridged b -> Run_spec.Bridged { b with right = one_host; cross_dc }
+           | f -> f);
+      ]
+end
+
+let arbitrary_spec = QCheck.make ~print:Run_spec.to_string Gen_spec.spec
 
 let run_spec_roundtrip_fuzz =
   QCheck.Test.make ~count:500 ~name:"run spec to_string <-> of_string round-trips"
@@ -393,6 +440,12 @@ let run_spec_garbage_fuzz =
              " sack=true"; " ft:4"; " XMP-2" ]))
     (fun (spec, junk) ->
       Result.is_error (Run_spec.of_string (Run_spec.to_string spec ^ junk)))
+
+let run_spec_unrunnable_fuzz =
+  QCheck.Test.make ~count:100
+    ~name:"run spec of_string rejects incast on ft:2 and a mixed draw from a one-host DC"
+    (QCheck.make ~print:Run_spec.to_string Gen_spec.unrunnable)
+    (fun spec -> Result.is_error (Run_spec.of_string (Run_spec.to_string spec)))
 
 module Conformance = Xmp_workload.Conformance
 
@@ -446,5 +499,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false scheme_name_garbage_fuzz;
     QCheck_alcotest.to_alcotest ~long:false run_spec_roundtrip_fuzz;
     QCheck_alcotest.to_alcotest ~long:false run_spec_garbage_fuzz;
+    QCheck_alcotest.to_alcotest ~long:false run_spec_unrunnable_fuzz;
     QCheck_alcotest.to_alcotest ~long:false episode_order_safety_fuzz;
   ]

@@ -161,7 +161,14 @@ let test_failing_scenario_aborts () =
     Scenario.create ~name:"boom" ~params:[] (fun () -> failwith "boom")
   in
   match run ~jobs:2 [ tiny ~seed:1 ~size:50; boom ] with
-  | exception Failure _ -> ()
+  | exception Failure msg ->
+    let contains sub =
+      let n = String.length msg and m = String.length sub in
+      let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("names the scenario: " ^ msg) true (contains "scenario boom");
+    Alcotest.(check bool) ("names the cause: " ^ msg) true (contains "Failure(\"boom\")")
   | _ -> Alcotest.fail "a raising scenario must abort the run"
 
 (* ----- cache robustness ----- *)
