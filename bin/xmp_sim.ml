@@ -106,7 +106,8 @@ let run_cmd =
     let one_spec = match items with [ Spec _ ] -> true | _ -> false in
     if list_links && specs = [] then `Error (true, "option '--list-links' needs a run spec")
     else if list_links then
-      `Ok (Ok (List.iter (fun s -> List.iter print_endline (E.Run_spec.link_names s)) specs))
+      let names s = List.map Xmp_net.Link.name (Xmp_net.Network.links (E.Run_spec.scratch_net s)) in
+      `Ok (Ok (List.iter (fun s -> List.iter print_endline (names s)) specs))
     else if out <> None && not one_spec then
       `Error (true, "option '--out' takes exactly one run spec")
     else

@@ -38,7 +38,6 @@ let check_cell_key =
 
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
-let mode () = Atomic.get mode_flag
 let set_mode m = Atomic.set mode_flag m
 
 let checks_run () =

@@ -24,8 +24,6 @@ val set_enabled : bool -> unit
 (** Global toggle. [Sim.create ?invariants] forwards to this, so a
     simulation opts in or out at construction time. *)
 
-val mode : unit -> mode
-
 val set_mode : mode -> unit
 
 val holds : bool -> bool

@@ -128,13 +128,6 @@ let window t i = t.w.(i)
 let queue t l = t.q.(l)
 let delta t i = t.deltas.(i)
 
-let flow_rate t id =
-  let sum = ref 0. in
-  Array.iteri
-    (fun i s -> if s.flow = id then sum := !sum +. rate t i)
-    t.subflows;
-  !sum
-
 let total_arrival t l =
   let sum = ref 0. in
   Array.iteri

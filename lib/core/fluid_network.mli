@@ -40,10 +40,8 @@ type t
 
 val create : beta:int -> links:link list -> subflows:subflow list -> t
 
-val step : t -> dt:float -> unit
-(** One Euler step. *)
-
 val run : t -> dt:float -> steps:int -> unit
+(** [steps] Euler steps of [dt] seconds. *)
 
 val window : t -> int -> float
 (** Current window of subflow [i], segments. *)
@@ -56,9 +54,6 @@ val queue : t -> int -> float
 
 val delta : t -> int -> float
 (** Current TraSh gain of subflow [i]. *)
-
-val flow_rate : t -> int -> float
-(** Sum of subflow rates of flow [id]. *)
 
 val total_arrival : t -> int -> float
 (** Aggregate arrival rate at link [l], segments per second. *)

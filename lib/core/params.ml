@@ -19,7 +19,8 @@ let min_k ~bdp_packets ~beta =
 
 let sufficient t ~bdp_packets = t.k >= min_k ~bdp_packets ~beta:t.beta
 
-let for_network ~rate ~rtt ?(packet_bytes = Xmp_net.Packet.data_wire_bytes)
-    ~beta () =
-  let bdp = bdp_packets ~rate ~rtt ~packet_bytes in
+let for_network ~rate ~rtt ~beta =
+  let bdp =
+    bdp_packets ~rate ~rtt ~packet_bytes:Xmp_net.Packet.data_wire_bytes
+  in
   make ~beta ~k:(min_k ~bdp_packets:bdp ~beta)

@@ -36,8 +36,7 @@ val sufficient : t -> bdp_packets:float -> bool
 val for_network :
   rate:Xmp_net.Units.rate ->
   rtt:Xmp_engine.Time.t ->
-  ?packet_bytes:int ->
   beta:int ->
-  unit ->
   t
-(** Parameters with the minimal Equation-1-compliant [K] for a network. *)
+(** Parameters with the minimal Equation-1-compliant [K] for a network
+    of full-size data segments. *)

@@ -1,8 +1,7 @@
 module Tcp = Xmp_transport.Tcp
 module Queue_disc = Xmp_net.Queue_disc
 
-let bos ?params () = Bos.make ?params ()
-let coupling = Trash.coupling
+let bos () = Bos.make ()
 
 let bos_params (p : Params.t) =
   { Bos.default_params with beta = p.Params.beta }
@@ -16,7 +15,7 @@ let switch_disc ?(params = Params.default) ?(queue_pkts = 100) () () =
     ~policy:(Queue_disc.Threshold_mark params.Params.k)
     ~capacity_pkts:queue_pkts
 
-let flow ~net ~flow ~src ~dst ~paths ?params ?size_segments ?observer () =
-  let coupling = Trash.coupling ?params () in
+let flow ~net ~flow ~src ~dst ~paths ?size_segments ?observer () =
+  let coupling = Trash.coupling () in
   Xmp_mptcp.Mptcp_flow.create ~net ~flow ~src ~dst ~paths ~coupling
     ~config:tcp_config ?size_segments ?observer ()

@@ -10,16 +10,13 @@
       let disc () = Xmp_core.Xmp.switch_disc ~params ~queue_pkts:100 () in
       (* build a topology whose switches use [disc] ... *)
       let flow =
-        Xmp_core.Xmp.flow ~net ~flow:1 ~src ~dst ~paths:[0; 1] ~params ()
+        Xmp_core.Xmp.flow ~net ~flow:1 ~src ~dst ~paths:[0; 1] ()
       in
       ...
     ]} *)
 
-val bos : ?params:Bos.params -> unit -> Xmp_transport.Cc.factory
-(** Single-path BOS controller (δ = 1). *)
-
-val coupling : ?params:Bos.params -> unit -> Xmp_mptcp.Coupling.t
-(** The full XMP coupling (BOS + TraSh). *)
+val bos : unit -> Xmp_transport.Cc.factory
+(** Single-path BOS controller (δ = 1) with the paper's parameters. *)
 
 val bos_params : Params.t -> Bos.params
 (** BOS parameters from a [(β, K)] pair, paper defaults elsewhere. *)
@@ -47,11 +44,11 @@ val flow :
   src:int ->
   dst:int ->
   paths:int list ->
-  ?params:Bos.params ->
   ?size_segments:int ->
   ?observer:Xmp_mptcp.Mptcp_flow.observer ->
   unit ->
   Xmp_mptcp.Mptcp_flow.t
-(** An MPTCP flow running XMP with the paper's transport settings.
+(** An MPTCP flow running XMP (BOS + TraSh) with the paper's parameters
+    and transport settings.
     [observer] (default {!Xmp_mptcp.Mptcp_flow.silent}) receives the
     flow's lifecycle events. *)

@@ -9,13 +9,16 @@ module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 
 let sweep_betas = [ 2; 3; 4; 5; 6; 8 ]
 
-let print_beta_sweep ?scale ?(betas = sweep_betas) () =
+let print_beta_sweep ~scale ?(betas = sweep_betas) () =
   Render.heading
     "Ablation: beta vs fairness (Figure 6 scenario, Jain across flows)";
   let rows =
     List.map
       (fun beta ->
-        let r = Fig6.run ?scale ~beta () in
+        let r =
+          Fig6.run ~scale ~seed:Fig6.seed
+            ~faults:Xmp_engine.Fault_spec.empty ~beta ()
+        in
         [ string_of_int beta; Table.fixed 3 r.Fig6.jain_flows ])
       betas
   in
@@ -63,7 +66,8 @@ let k_sweep_point ~k ~beta =
   let util = Net.Link.utilization (bottleneck net) ~duration:horizon in
   (util, Xmp_stats.Running.mean rtts)
 
-let print_k_sweep ?(ks = [ 2; 4; 6; 8; 10; 15; 20; 40 ]) ?(beta = 4) () =
+let print_k_sweep ?(ks = [ 2; 4; 6; 8; 10; 15; 20; 40 ]) () =
+  let beta = 4 in
   Render.heading
     (Printf.sprintf
        "Ablation: marking threshold K vs utilization and RTT (beta = %d)"
@@ -94,8 +98,7 @@ let mean_goodput base scheme pattern =
   let r = Run_spec.result base scheme pattern in
   Metrics.mean_goodput_bps r.Driver.metrics /. 1e6
 
-let print_subflow_sweep ?(base = Run_spec.default_base)
-    ?(counts = [ 1; 2; 3; 4 ]) () =
+let print_subflow_sweep ?(base = Run_spec.default_base) () =
   Render.heading
     "Ablation: subflow count vs mean goodput (Permutation pattern, Mbps)";
   let rows =
@@ -108,7 +111,7 @@ let print_subflow_sweep ?(base = Run_spec.default_base)
           Table.fixed 1
             (mean_goodput base (Scheme.xmp n) Run_spec.Permutation);
         ])
-      counts
+      [ 1; 2; 3; 4 ]
   in
   Table.print ~header:[ "subflows"; "LIA"; "XMP" ] ~rows ()
 
@@ -301,7 +304,8 @@ let print_sack_comparison ?(base = Run_spec.default_base) () =
   in
   Table.print ~header:[ "Scheme"; "no SACK"; "SACK" ] ~rows ()
 
-let print_queue_occupancy ?(beta = 4) ?(k = 10) () =
+let print_queue_occupancy () =
+  let beta = 4 and k = 10 in
   Render.heading
     (Printf.sprintf
        "Ablation: queue occupancy, 4 flows on one 1 Gbps link (K = %d)" k);

@@ -12,18 +12,20 @@
     - {b Coupling comparison}: LIA vs OLIA vs XMP at 2 and 4 subflows
       (OLIA is the §7 future-work fix). *)
 
-val print_beta_sweep : ?scale:float -> ?betas:int list -> unit -> unit
-(** One Figure 6 panel per β in [betas] (default {!sweep_betas}). *)
+val print_beta_sweep : scale:float -> ?betas:int list -> unit -> unit
+(** One Figure 6 panel per β in [betas] (default {!sweep_betas}), at the
+    figure's own seed and with no faults. *)
 
 val sweep_betas : int list
 
-val print_k_sweep : ?ks:int list -> ?beta:int -> unit -> unit
+val print_k_sweep : ?ks:int list -> unit -> unit
+(** At β = 4. *)
 
 val k_sweep_seed : int
 (** The simulator seed of every K-sweep point. *)
 
-val print_subflow_sweep :
-  ?base:Run_spec.base -> ?counts:int list -> unit -> unit
+val print_subflow_sweep : ?base:Run_spec.base -> unit -> unit
+(** LIA and XMP at 1 to 4 subflows. *)
 
 val print_coupling_comparison : ?base:Run_spec.base -> unit -> unit
 
@@ -49,11 +51,11 @@ val print_sack_comparison : ?base:Run_spec.base -> unit -> unit
     congestion control: rerun the Permutation matrix with SACK-based
     recovery enabled on every flow. *)
 
-val print_queue_occupancy : ?beta:int -> ?k:int -> unit -> unit
+val print_queue_occupancy : unit -> unit
 (** The paper's premise (§1/§2): ECN-driven schemes hold buffer occupancy
-    near K while loss-driven ones fill the buffer. Four flows of each
-    scheme share one 1 Gbps bottleneck; the queue is sampled every 100 µs
-    and summarized. *)
+    near K (10, with β = 4) while loss-driven ones fill the buffer. Four
+    flows of each scheme share one 1 Gbps bottleneck; the queue is
+    sampled every 100 µs and summarized. *)
 
 val queue_seed : int
 (** The simulator seed of every queue-occupancy run. *)

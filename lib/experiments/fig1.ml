@@ -35,8 +35,7 @@ let testbed ~net ~disc =
     ~bottlenecks:[ { Net.Testbed.rate; delay = Time.ns 62_500; disc } ]
     ~access_delay:(Time.us 25) ()
 
-let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
-    ?(faults = Xmp_engine.Fault_spec.empty) v =
+let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults v =
   let interval = 5. *. scale in
   let horizon_s = 7. *. interval in
   let config = { Sim.default_config with seed; telemetry; faults } in

@@ -34,14 +34,15 @@ val testbed :
     [disc]. *)
 
 val seed : int
-(** [run]'s default seed, which the scenario registry pins. *)
+(** The seed the scenario registry runs the figure with. *)
 
 val run :
-  ?scale:float -> ?seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
-  ?faults:Xmp_engine.Fault_spec.t -> variant -> result
-(** [scale] multiplies the paper's 5 s schedule interval (default 0.2,
-    i.e. flows arrive/leave every second — convergence takes
-    milliseconds, so the dwell time is still ≫ 100× convergence).
+  scale:float -> seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
+  faults:Xmp_engine.Fault_spec.t -> variant -> result
+(** [scale] multiplies the paper's 5 s schedule interval (the registry's
+    0.2 makes flows arrive/leave every second — convergence takes
+    milliseconds, so the dwell time is still ≫ 100× convergence);
+    [faults] is armed against the testbed before the flows start.
     [telemetry] (default the null sink) instruments the run for
     [xmp_sim trace]. *)
 

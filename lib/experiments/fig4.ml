@@ -27,8 +27,7 @@ let testbed ~net ~disc =
   Net.Testbed.create ~net ~n_left:5 ~n_right:5 ~bottlenecks:[ spec; spec ]
     ~access_delay:(Time.us 150) ()
 
-let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
-    ?(faults = Xmp_engine.Fault_spec.empty) ~beta () =
+let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults ~beta () =
   let unit_s = 10. *. scale in
   (* paper schedule: bg on DN1 during [10,20) s, bg on DN2 during
      [20,30) s, run ends at 40 s *)

@@ -21,8 +21,7 @@ let testbed ~net ~disc =
       [ { Net.Testbed.rate = bottleneck_rate; delay = Time.us 600; disc } ]
     ~access_delay:(Time.us 150) ()
 
-let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
-    ?(faults = Xmp_engine.Fault_spec.empty) ~beta () =
+let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults ~beta () =
   let unit_s = 5. *. scale in
   let horizon_s = 6. *. unit_s (* paper: 30 s *) in
   let config = { Sim.default_config with seed; telemetry; faults } in

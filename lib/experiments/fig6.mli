@@ -25,11 +25,11 @@ val testbed :
     [disc]. *)
 
 val seed : int
-(** [run]'s default seed, which the scenario registry pins. *)
+(** The seed the scenario registry runs the figure with. *)
 
 val run :
-  ?scale:float -> ?seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
-  ?faults:Xmp_engine.Fault_spec.t -> beta:int -> unit -> result
+  scale:float -> seed:int -> ?telemetry:Xmp_telemetry.Sink.t ->
+  faults:Xmp_engine.Fault_spec.t -> beta:int -> unit -> result
 (** [telemetry] (default the null sink) instruments the run for
     [xmp_sim trace]. *)
 

@@ -24,8 +24,7 @@ let testbed ~net ~disc =
          capacities_gbps)
     ~access_delay:(Time.us 40) ()
 
-let run ?(scale = 0.2) ?(seed = seed) ?(telemetry = Xmp_telemetry.Sink.null)
-    ?(faults = Xmp_engine.Fault_spec.empty) ~beta ~k () =
+let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults ~beta ~k () =
   let unit_s = 5. *. scale in
   let horizon_s = 14. *. unit_s (* paper: 70 s *) in
   let config = { Sim.default_config with seed; telemetry; faults } in

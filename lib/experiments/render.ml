@@ -39,14 +39,9 @@ let series_table ~bucket_s ?(every = 1) series =
       ~header:("t(s)" :: List.map fst series)
       ~rows:(List.rev !rows) ()
 
-let default_cdf_probs = [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95; 0.99 ]
+let cdf_probs = [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95; 0.99 ]
 
-let cdf_table ?points dists =
-  let probs =
-    match points with
-    | None -> default_cdf_probs
-    | Some n -> List.init n (fun i -> float_of_int (i + 1) /. float_of_int n)
-  in
+let cdf_table dists =
   let rows =
     List.map
       (fun p ->
@@ -56,7 +51,7 @@ let cdf_table ?points dists =
                if Distribution.is_empty d then "--"
                else Table.fixed 3 (Distribution.percentile d (p *. 100.)))
              dists)
-      probs
+      cdf_probs
   in
   Table.print ~header:("CDF" :: List.map fst dists) ~rows ()
 

@@ -20,9 +20,10 @@ val series_table :
 (** Prints a time column plus one column per named series, sampling every
     [every]-th bucket (default 1). Values rendered with 3 decimals. *)
 
-val cdf_table : ?points:int -> (string * Xmp_stats.Distribution.t) list -> unit
-(** Empirical CDFs side by side: for each cumulative probability (default
-    deciles plus extremes), the value of each named distribution. *)
+val cdf_table : (string * Xmp_stats.Distribution.t) list -> unit
+(** Empirical CDFs side by side: for each cumulative probability (the
+    deciles plus 0.05, 0.95 and 0.99), the value of each named
+    distribution. *)
 
 val five_number_table :
   value_header:string -> (string * Xmp_stats.Distribution.t) list -> unit

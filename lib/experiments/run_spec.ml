@@ -269,6 +269,12 @@ exception Bad of string * string
 
 let bad field fmt = Printf.ksprintf (fun why -> raise (Bad (field, why))) fmt
 
+let check_incast k =
+  let hosts = k * k * k / 4 in
+  if hosts <= incast_fanout then
+    bad "traffic" "incast's fanout %d needs %d hosts; ft:%d has %d"
+      incast_fanout (incast_fanout + 1) k hosts
+
 (* bare decimal: no sign but '-', no hex, no underscores *)
 let decimal s =
   let n = String.length s in
@@ -379,7 +385,33 @@ let opt all key conv =
 
 let get all key conv default = Option.value (opt all key conv) ~default
 
-let faults_of all =
+(* A run's topology, built on a throwaway one-shard cluster with
+   one-slot queues: what its [link=]/[tag=]/[host=] fault targets name. *)
+let scratch build =
+  let cluster = Xmp_net.Shard.create ~shards:1 () in
+  build ~cluster ~disc:(fun () ->
+      Xmp_net.Queue_disc.create ~policy:Xmp_net.Queue_disc.Droptail
+        ~capacity_pkts:1);
+  Xmp_net.Shard.net cluster 0
+
+let build_panel panel ~cluster ~disc =
+  let net = Xmp_net.Shard.net cluster 0 in
+  match panel with
+  | Fig1 _ -> ignore (Fig1.testbed ~net ~disc)
+  | Fig4 _ -> ignore (Fig4.testbed ~net ~disc)
+  | Fig6 _ -> ignore (Fig6.testbed ~net ~disc)
+  | Fig7 _ -> ignore (Fig7.testbed ~net ~disc)
+
+let build_fat_tree k ~cluster ~disc =
+  ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ())
+
+let build_wan ~left ~right ~trunks ~cluster ~disc =
+  ignore (Wan.create ~cluster ~left ~right ~trunks ~disc ())
+
+(* The schedule's targets must exist in the topology [build] makes: the
+   injector resolves them against a scratch copy, which is built only
+   when some target names a link, tag or host. *)
+let faults_of all build =
   let specs =
     List.map
       (fun v ->
@@ -391,14 +423,24 @@ let faults_of all =
   | [], None -> Fault_spec.empty
   | [], Some _ -> bad "fault-seed" "needs at least one fault="
   | specs, seed -> (
-    try Fault_spec.create ?seed specs
+    let named : Fault_spec.spec -> bool = function
+      | Link_down { target; _ } | Link_up { target; _ } | Loss { target; _ }
+      | Blackout { target; _ } -> (
+        match target with Link _ | Tag _ -> true | All_links -> false)
+      | Host_pause _ -> true
+    in
+    try
+      let faults = Fault_spec.create ?seed specs in
+      if List.exists named specs then
+        ignore (Xmp_faults.Injector.install ~net:(scratch build) ~schedule:faults ());
+      faults
     with Invalid_argument m -> bad "fault" "%s" m)
 
 let base_of k all =
   let d = default_base in
   {
     k;
-    faults = faults_of all;
+    faults = faults_of all (build_fat_tree k);
     seed = get all "seed" any_int d.seed;
     horizon = get all "horizon" (time_in 1) d.horizon;
     queue_pkts = get all "queue" (int_at_least 1) d.queue_pkts;
@@ -446,7 +488,7 @@ let testbed_of head all =
     panel;
     seed = get all "seed" any_int d.seed;
     scale = get all "scale" positive d.scale;
-    faults = faults_of all;
+    faults = faults_of all (build_panel panel);
   }
 
 let parse s =
@@ -467,9 +509,7 @@ let parse s =
     with_fields words (fun all ->
         match (pattern, fabric) with
         | Some pattern, `Fat_tree k ->
-          if pattern = Incast && k * k * k / 4 <= incast_fanout then
-            bad "traffic" "incast's fanout %d needs %d hosts; ft:%d has %d"
-              incast_fanout (incast_fanout + 1) k (k * k * k / 4);
+          if pattern = Incast then check_incast k;
           Pattern { base = base_of k all; scheme; pattern }
         | Some _, `Bridged _ -> bad "traffic" "a pattern runs on one ft:K fabric, not a WAN"
         | None, _ ->
@@ -504,7 +544,8 @@ let parse s =
               then
                 bad "cross-dc" "%s needs 0 or 1: a data center of %s has one host"
                   (float_to_string cross_dc) topology;
-              Bridged { left; right; trunks; cross_dc; faults = faults_of all }
+              let faults = faults_of all (build_wan ~left ~right ~trunks) in
+              Bridged { left; right; trunks; cross_dc; faults }
           in
           let d = workload fabric scheme cdf in
           Workload
@@ -543,6 +584,11 @@ let base_of_string =
         | `Fat_tree k -> with_fields words (base_of k)
         | `Bridged _ -> bad "topology" "a base is one ft:K fabric, not a WAN")
       | [] -> bad "spec" "%S is not ft:K [KEY=VALUE ...]" s)
+
+let incast_base =
+  catch (fun (b : base) ->
+      check_incast b.k;
+      b)
 
 (* ---- pattern runs ---- *)
 
@@ -808,20 +854,11 @@ let run ?domains = function
     | Bridged _ -> [ (".goodput.csv", goodput_csv m) ]
     | Fat_tree _ -> [])
 
-let link_names t =
-  let cluster = Xmp_net.Shard.create ~shards:1 () in
-  let disc () =
-    Xmp_net.Queue_disc.create ~policy:Xmp_net.Queue_disc.Droptail
-      ~capacity_pkts:1
-  in
-  let net = Xmp_net.Shard.net cluster 0 in
-  (match t with
-  | Testbed { panel = Fig1 _; _ } -> ignore (Fig1.testbed ~net ~disc)
-  | Testbed { panel = Fig4 _; _ } -> ignore (Fig4.testbed ~net ~disc)
-  | Testbed { panel = Fig6 _; _ } -> ignore (Fig6.testbed ~net ~disc)
-  | Testbed { panel = Fig7 _; _ } -> ignore (Fig7.testbed ~net ~disc)
-  | Pattern { base = { k; _ }; _ } | Workload { fabric = Fat_tree k; _ } ->
-    ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ())
-  | Workload { fabric = Bridged { left; right; trunks; _ }; _ } ->
-    ignore (Wan.create ~cluster ~left ~right ~trunks ~disc ()));
-  List.map Xmp_net.Link.name (Xmp_net.Network.links net)
+let scratch_net t =
+  scratch
+    (match t with
+    | Testbed { panel; _ } -> build_panel panel
+    | Pattern { base = { k; _ }; _ } | Workload { fabric = Fat_tree k; _ } ->
+      build_fat_tree k
+    | Workload { fabric = Bridged { left; right; trunks; _ }; _ } ->
+      build_wan ~left ~right ~trunks)

@@ -154,6 +154,10 @@ val base_of_string : string -> (base, string) result
 (** Parses {!base_to_string}'s form with {!of_string}'s pattern-run
     fields and messages; an absent field takes {!default_base}'s value. *)
 
+val incast_base : base -> (base, string) result
+(** [Ok base] when [base]'s fat tree has the hosts an incast needs, else
+    the [field 'traffic'] error {!of_string} gives [ft:K SCHEME incast]. *)
+
 val faults_to_string : Xmp_engine.Fault_spec.t -> string
 (** The [fault-seed=] and [fault=] words of a schedule; [""] when it is
     empty. *)
@@ -203,5 +207,6 @@ val run : ?domains:int -> t -> (string * string) list
     pattern run with a fault schedule reports through a telemetry sink:
     flows, goodput, injected drops and link events. *)
 
-val link_names : t -> string list
-(** The names of the spec's links (the [link=NAME] fault targets). *)
+val scratch_net : t -> Xmp_net.Network.t
+(** The spec's topology on a throwaway one-shard cluster with one-slot
+    queues: the links, tags and hosts its fault targets may name. *)

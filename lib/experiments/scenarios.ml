@@ -25,11 +25,13 @@ let keyed ~name ~descr key run =
   Scenario.create ~name ~descr ~params:[ ("key", key) ] run
 
 (* What a registered name runs: a testbed figure is a heading over its
-   panel specs, a base view prints the runs of one fat-tree base, and
-   the rest build their own key and run. *)
+   panel specs, a base view prints the runs of one fat-tree base (an
+   incast view among them needs a base with the hosts an incast draws),
+   and the rest build their own key and run. *)
 type body =
   | Figure of string * (scale:float -> Run_spec.testbed list)
   | View of (Run_spec.base -> unit)
+  | Incast_view of (Run_spec.base -> unit)
   | Keyed of (config -> string * (unit -> unit))
 
 let panel ~scale p = { (Run_spec.testbed p) with scale }
@@ -98,16 +100,16 @@ let registry =
             List.map
               (fun (beta, mark) -> panel ~scale (Run_spec.Fig7 { beta; mark }))
               [ (4, 20); (5, 15); (6, 10) ] ) );
-    ("table1", "average goodput matrix", View Fatree_eval.print_table1);
-    ("fig8", "goodput distributions", View Fatree_eval.print_fig8);
-    ("fig9", "job completion time CDF", View Fatree_eval.print_fig9);
-    ("fig10", "RTT distributions", View Fatree_eval.print_fig10);
-    ("fig11", "link utilization by layer", View Fatree_eval.print_fig11);
+    ("table1", "average goodput matrix", Incast_view Fatree_eval.print_table1);
+    ("fig8", "goodput distributions", Incast_view Fatree_eval.print_fig8);
+    ("fig9", "job completion time CDF", Incast_view Fatree_eval.print_fig9);
+    ("fig10", "RTT distributions", Incast_view Fatree_eval.print_fig10);
+    ("fig11", "link utilization by layer", Incast_view Fatree_eval.print_fig11);
     ( "table2", "coexistence goodput",
       View (fun base -> Coexistence.print_table2 ~base ()) );
     ( "table2.extended", "coexistence goodput vs BALIA/VENO/AMP",
       View (fun base -> Coexistence.print_table2_extended ~base ()) );
-    ("table3", "job completion times", View Fatree_eval.print_table3);
+    ("table3", "job completion times", Incast_view Fatree_eval.print_table3);
     ( "ablations.beta", "fairness/latency across beta",
       Keyed
         (fun { scale; _ } ->
@@ -128,9 +130,9 @@ let registry =
     ( "ablations.flow_size", "goodput across flow sizes",
       View (fun base -> Ablations.print_flow_size_sweep ~base ()) );
     ( "ablations.incast_fanout", "incast completion across fanout",
-      View (fun base -> Ablations.print_incast_fanout_sweep ~base ()) );
+      Incast_view (fun base -> Ablations.print_incast_fanout_sweep ~base ()) );
     ( "ablations.rto_min", "incast across RTOmin",
-      View (fun base -> Ablations.print_rto_min_sweep ~base ()) );
+      Incast_view (fun base -> Ablations.print_rto_min_sweep ~base ()) );
     ( "ablations.sack", "matrix with SACK recovery",
       View (fun base -> Ablations.print_sack_comparison ~base ()) );
     ( "ablations.queue", "buffer occupancy by scheme",
@@ -157,7 +159,7 @@ let registry =
           ( Run_spec.to_string (Run_spec.Workload (Workload_eval.websearch_spec ~scale)),
             fun () -> Workload_eval.print_websearch ~scale () )) );
     ( "wl.incast.sweep", "job completion times across incast fanout",
-      View Workload_eval.print_incast_sweep );
+      Incast_view Workload_eval.print_incast_sweep );
     ("wl.shuffle", "all-to-all shuffle goodput", View Workload_eval.print_shuffle);
     ( "wan.asym",
       "bridged k=4/k=4 with 10 ms vs 40 ms trunks: per-subflow RTT asymmetry, \
@@ -179,7 +181,7 @@ let scenario cfg (name, descr, body) =
     keyed ~name ~descr (Run_spec.keys specs) (fun () ->
         Render.heading heading;
         List.iter (fun s -> ignore (Run_spec.run s)) specs)
-  | View run -> view ~name ~descr run cfg.base
+  | View run | Incast_view run -> view ~name ~descr run cfg.base
   | Keyed f ->
     let key, run = f cfg in
     keyed ~name ~descr key run
@@ -211,10 +213,12 @@ let resolve cfg id =
     match (List.assoc_opt name groups, find name, rest) with
     | Some members, _, [] -> Ok (List.map (fun n -> scenario cfg (Option.get (find n))) members)
     | None, Some entry, [] -> Ok [ scenario cfg entry ]
-    | None, Some (_, descr, View run), _ ->
-      Result.map
-        (fun base -> [ view ~name:(String.trim id) ~descr run base ])
-        (Run_spec.base_of_string (String.concat " " rest))
+    | None, Some (_, descr, ((View run | Incast_view run) as body)), _ ->
+      let base = Run_spec.base_of_string (String.concat " " rest) in
+      let base =
+        match body with Incast_view _ -> Result.bind base Run_spec.incast_base | _ -> base
+      in
+      Result.map (fun base -> [ view ~name:(String.trim id) ~descr run base ]) base
     | _, _, word :: _ when List.mem_assoc name groups || Option.is_some (find name) ->
       let field = List.hd (String.split_on_char '=' word) in
       Error (Printf.sprintf "field '%s': %s takes no base" field name)

@@ -23,7 +23,6 @@ module Queue_disc = Xmp_net.Queue_disc
 module Tel = Xmp_telemetry
 
 type t = {
-  schedule : Spec.t;
   mutable injected_drops : int;
   mutable link_downs : int;
   mutable link_ups : int;
@@ -94,6 +93,8 @@ let loss_filter t sim sink ~seed ~index ~link ~window ~model ~filter =
     else false
 
 let pause_links net host =
+  if host >= Network.n_nodes net then
+    invalid_arg (Printf.sprintf "Fault injector: no node %d" host);
   let node = Network.node net host in
   (match Node.kind node with
   | Node.Host -> ()
@@ -107,7 +108,7 @@ let install ~net ?schedule () =
     match schedule with Some s -> s | None -> Sim.faults sim
   in
   Spec.validate schedule;
-  let t = { schedule; injected_drops = 0; link_downs = 0; link_ups = 0 } in
+  let t = { injected_drops = 0; link_downs = 0; link_ups = 0 } in
   let sink = Sim.telemetry sim in
   (* accumulate loss filters per link so several specs can overlay *)
   let filters : (Link.t * (Packet.t -> bool) list ref) list ref = ref [] in
@@ -164,7 +165,6 @@ let install ~net ?schedule () =
     !filters;
   t
 
-let schedule t = t.schedule
 let injected_drops t = t.injected_drops
 let link_downs t = t.link_downs
 let link_ups t = t.link_ups

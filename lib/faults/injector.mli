@@ -2,7 +2,9 @@
     live {!Xmp_net.Network}.
 
     [install] resolves every target eagerly (unknown link or tag names
-    raise [Invalid_argument] at setup), schedules the timed transitions
+    and host ids that are not hosts raise [Invalid_argument] at setup;
+    [Run_spec] parses a spec's schedule by installing it on a scratch
+    copy of the topology), schedules the timed transitions
     on the network's simulator, and attaches per-link drop filters for
     the loss models. Call it after the topology is built and before
     [Sim.run].
@@ -29,8 +31,6 @@ val install : net:Xmp_net.Network.t -> ?schedule:Xmp_engine.Fault_spec.t -> unit
     ([Sim.faults]); an empty schedule installs nothing and costs
     nothing. Raises [Invalid_argument] on invalid specs or unresolvable
     targets. *)
-
-val schedule : t -> Xmp_engine.Fault_spec.t
 
 val injected_drops : t -> int
 (** Packets killed by loss filters so far (blackout drops are counted by

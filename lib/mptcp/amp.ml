@@ -1,7 +1,5 @@
 module Reno = Xmp_transport.Reno
 
-let default_params = { Reno.default_params with ecn = true }
-
 (* semi-coupled congestion avoidance: each acked segment adds
    1/Σ_k w_k, so the flow as a whole grows one segment per RTT
    regardless of how many subflows it runs (≤ 1/w on every
@@ -12,6 +10,6 @@ let increase s ~cwnd =
 
 let ops = Reno.ops ~name:"amp" ~increase ~backoff:Reno.halving
 
-let coupling ?(params = default_params) () =
-  let params = { params with Reno.ecn = true } in
+let coupling () =
+  let params = { Reno.default_params with ecn = true } in
   Coupling.coupled ~name:"amp" (fun g view -> Reno.create ops ~params g view)

@@ -16,8 +16,5 @@
 
     Slow start is per-subflow standard; the first CE echo exits it. *)
 
-val default_params : Xmp_transport.Reno.params
-(** Reno defaults with [ecn = true]. *)
-
-val coupling : ?params:Xmp_transport.Reno.params -> unit -> Coupling.t
-(** [ecn] is forced on regardless of [params]. *)
+val coupling : unit -> Coupling.t
+(** Reno defaults with [ecn] on. *)

@@ -33,7 +33,7 @@ let ops =
     ~backoff:(fun s ~cwnd ->
       1. -. (Float.min (alpha (Reno.ctx s) ~rtt_s:(srtt_s s) ~cwnd) 1.5 /. 2.))
 
-let coupling ?(params = Reno.default_params) () =
+let coupling () =
   (* loss-driven: Balia flows are not ECN-capable *)
-  let params = { params with Reno.ecn = false } in
+  let params = { Reno.default_params with ecn = false } in
   Coupling.coupled ~name:"balia" (fun g view -> Reno.create ops ~params g view)

@@ -13,4 +13,4 @@
     loss-driven (not ECN-capable), like LIA and OLIA in the paper's
     Table 2 setup. *)
 
-val coupling : ?params:Xmp_transport.Reno.params -> unit -> Coupling.t
+val coupling : unit -> Coupling.t

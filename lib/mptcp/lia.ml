@@ -31,5 +31,5 @@ let ops =
     ~increase:(fun s ~cwnd -> increase (Reno.ctx s) ~cwnd)
     ~backoff:Reno.halving
 
-let coupling ?params () =
-  Coupling.coupled ~name:"lia" (fun g view -> Reno.create ops ?params g view)
+let coupling () =
+  Coupling.coupled ~name:"lia" (fun g view -> Reno.create ops g view)

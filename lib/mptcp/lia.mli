@@ -22,4 +22,4 @@ val increase : Coupling.group -> cwnd:float -> float
     group's members ([1/cwnd] while the group is empty); MP-Veno
     modulates the same gain. *)
 
-val coupling : ?params:Xmp_transport.Reno.params -> unit -> Coupling.t
+val coupling : unit -> Coupling.t

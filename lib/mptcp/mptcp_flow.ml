@@ -144,18 +144,10 @@ let add_subflow t ~path =
 let flow_id t = t.flow
 let src t = t.src
 let dst t = t.dst
-let n_subflows t = Array.length t.subflows
-
-let subflow t i =
-  if i < 0 || i >= Array.length t.subflows then
-    invalid_arg "Mptcp_flow.subflow";
-  t.subflows.(i)
-
 let subflows t = Array.copy t.subflows
 let segments_acked t = t.acked
 let size_segments t = t.size_segments
 let is_complete t = Option.is_some t.completed_at
-let completed_at t = t.completed_at
 let started_at t = t.started_at
 
 let goodput_bps_until t until =

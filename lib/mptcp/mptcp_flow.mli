@@ -60,10 +60,6 @@ val src : t -> int
 
 val dst : t -> int
 
-val n_subflows : t -> int
-
-val subflow : t -> int -> Xmp_transport.Tcp.t
-
 val subflows : t -> Xmp_transport.Tcp.t array
 
 val segments_acked : t -> int
@@ -73,8 +69,6 @@ val size_segments : t -> int option
 (** The size the flow was created with; [None] for bulk flows. *)
 
 val is_complete : t -> bool
-
-val completed_at : t -> Xmp_engine.Time.t option
 
 val started_at : t -> Xmp_engine.Time.t
 

@@ -85,12 +85,12 @@ let ops =
         reno.Cc.on_timeout s);
   }
 
-let coupling ?params () =
+let coupling () =
   Coupling.custom ~name:"olia"
     ~fresh:(fun () -> { paths = [] })
     (fun flow view ->
       let s =
-        Reno.init ?params { flow; since_loss = 0.; between_losses = 0. } view
+        Reno.init { flow; since_loss = 0.; between_losses = 0. } view
       in
       flow.paths <- flow.paths @ [ s ];
       Cc.Cc (ops, s))

@@ -14,4 +14,4 @@
     [+1/(n·|B∖M|)], collected paths get [−1/(n·|M|)] when some best path
     is not collected, and 0 otherwise. *)
 
-val coupling : ?params:Xmp_transport.Reno.params -> unit -> Coupling.t
+val coupling : unit -> Coupling.t

@@ -13,9 +13,9 @@ let backlog (view : Cc.view) ~cwnd =
   if rtt_s <= 0. || base_s <= 0. || rtt_s <= base_s then 0.
   else cwnd *. (rtt_s -. base_s) /. rtt_s
 
-let coupling ?(params = Reno.default_params) ?(beta_pkts = beta_pkts) () =
+let coupling ?(beta_pkts = beta_pkts) () =
   (* loss-driven: Veno flows are not ECN-capable *)
-  let params = { params with Reno.ecn = false } in
+  let params = { Reno.default_params with ecn = false } in
   let ops =
     Reno.ops ~name:"veno"
     (* LIA's coupled gain in the available-bandwidth region; half of it

@@ -13,13 +13,6 @@
     of the window when [N < β] — the loss is presumed random — and half
     otherwise. Loss-driven (not ECN-capable). *)
 
-val beta_pkts : float
-(** Veno's default backlog threshold β in segments (3). *)
-
-val coupling :
-  ?params:Xmp_transport.Reno.params ->
-  ?beta_pkts:float ->
-  unit ->
-  Coupling.t
-(** [beta_pkts] (default {!beta_pkts}) is the backlog threshold β the
+val coupling : ?beta_pkts:float -> unit -> Coupling.t
+(** [beta_pkts] (default 3 segments) is the backlog threshold β the
     random-vs-congestive discrimination compares against. *)

@@ -33,30 +33,12 @@ val payload_bytes : int
 val ack_wire_bytes : int
 (** 60 *)
 
-(** {1 Packed-field ranges}
+(** {1 Constructors (pool acquires)}
 
-    Construction range-checks every header field; the limits are chosen
-    so both packed words stay within OCaml's 63-bit immediate ints. *)
-
-val max_flow : int
-(** flows: 30 bits *)
-
-val max_subflow : int
-(** subflows: 12 bits *)
-
-val max_host : int
-(** src/dst host ids: 20 bits *)
-
-val max_path : int
-(** path selectors: 10 bits *)
-
-val max_seq : int
-(** sequence numbers: 31 bits *)
-
-val max_ece : int
-(** echoed CE count: 16 bits *)
-
-(** {1 Constructors (pool acquires)} *)
+    Construction range-checks every header field: flows take 30 bits,
+    subflows 12, src/dst host ids 20, path selectors 10, sequence numbers
+    31 and the echoed CE count 16, so both packed words stay within
+    OCaml's 63-bit immediate ints. *)
 
 val data :
   flow:int ->
@@ -107,7 +89,6 @@ val pool_free : unit -> int
 val flow : t -> int
 val subflow : t -> int
 
-val src : t -> int
 val dst : t -> int
 
 val path : t -> int

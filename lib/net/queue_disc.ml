@@ -273,7 +273,6 @@ let clear t =
   n
 
 let set_blackout t b = t.blackout <- b
-let blackout t = t.blackout
 
 let enqueued t = t.enqueued
 let dropped t = t.dropped

@@ -81,8 +81,6 @@ val set_blackout : t -> bool -> unit
     queued still drain. The fault injector's [Blackout] spec toggles
     this. *)
 
-val blackout : t -> bool
-
 val set_telemetry :
   t -> sink:Xmp_telemetry.Sink.t -> now:(unit -> int) -> queue:string -> unit
 (** Attaches the owning simulation's telemetry sink (normally done by

@@ -8,13 +8,9 @@ type spec = {
 
 type t = { left_base : int; n_left : int; right_base : int; n_right : int }
 
-let default_access_rate = Units.gbps 10.
-let default_access_delay = Time.us 5
+let access_rate = Units.gbps 10.
 
-let create ~net ~n_left ~n_right ~bottlenecks
-    ?(access_rate = default_access_rate)
-    ?(access_delay = default_access_delay) ?(access_capacity_pkts = 1000) ()
-    =
+let create ~net ~n_left ~n_right ~bottlenecks ?(access_delay = Time.us 5) () =
   if n_left <= 0 || n_right <= 0 then invalid_arg "Testbed.create: hosts";
   if bottlenecks = [] then invalid_arg "Testbed.create: bottlenecks";
   let m = List.length bottlenecks in
@@ -35,8 +31,7 @@ let create ~net ~n_left ~n_right ~bottlenecks
         Network.add_switch net ~name:(Printf.sprintf "OUT%d" (j + 1)))
   in
   let access_disc () =
-    Queue_disc.create ~policy:Queue_disc.Droptail
-      ~capacity_pkts:access_capacity_pkts
+    Queue_disc.create ~policy:Queue_disc.Droptail ~capacity_pkts:1000
   in
   (* Access wiring. Loop order matters for port numbering: host [i] gets
      its port to IN/OUT_j at index [j]; switch [j] gets its port to host

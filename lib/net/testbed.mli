@@ -41,12 +41,11 @@ val create :
   n_left:int ->
   n_right:int ->
   bottlenecks:spec list ->
-  ?access_rate:Units.rate ->
   ?access_delay:Xmp_engine.Time.t ->
-  ?access_capacity_pkts:int ->
   unit ->
   t
-(** Access links default to 10 Gbps, 5 µs, 1000-packet drop-tail. *)
+(** Access links are 10 Gbps with a 1000-packet drop-tail queue, and
+    their delay defaults to 5 µs. *)
 
 val left_id : t -> int -> int
 (** Node id of sender host [i]. *)

@@ -1,6 +1,5 @@
 type rate = int
 
-let bps r = r
 let kbps r = int_of_float (r *. 1e3)
 let mbps r = int_of_float (r *. 1e6)
 let gbps r = int_of_float (r *. 1e9)

@@ -6,8 +6,6 @@
 type rate = int
 (** Bits per second. *)
 
-val bps : int -> rate
-
 val kbps : float -> rate
 
 val mbps : float -> rate

@@ -118,6 +118,7 @@ type worker = {
   rbuf : Buffer.t;
   mutable running : int option;  (* scenario index in flight *)
   mutable draining : bool;  (* "q" sent, work_w closed *)
+  mutable exited : Unix.process_status option;  (* reaped *)
 }
 
 let spawn scenarios ~result_file =
@@ -134,7 +135,7 @@ let spawn scenarios ~result_file =
     Unix.close work_r;
     Unix.close done_w;
     { pid; work_w; done_r; rbuf = Buffer.create 64; running = None;
-      draining = false }
+      draining = false; exited = None }
 
 let quit w =
   if not w.draining then begin
@@ -144,19 +145,31 @@ let quit w =
     try Unix.close w.work_w with Unix.Unix_error _ -> ()
   end
 
+(* OCaml numbers signals its own way (Sys.sigkill = -7); report the
+   POSIX number, the one the kernel and kill(1) use. *)
+let signal_number s =
+  let posix =
+    [ (Sys.sighup, 1); (Sys.sigint, 2); (Sys.sigquit, 3); (Sys.sigill, 4);
+      (Sys.sigabrt, 6); (Sys.sigfpe, 8); (Sys.sigkill, 9); (Sys.sigsegv, 11);
+      (Sys.sigpipe, 13); (Sys.sigalrm, 14); (Sys.sigterm, 15) ]
+  in
+  Option.value (List.assoc_opt s posix) ~default:s
+
+(* Waits for the worker once; later calls return the same status. *)
 let reap w =
-  quit w;
-  (try Unix.close w.done_r with Unix.Unix_error _ -> ());
-  match Unix.waitpid [] w.pid with
-  | _, Unix.WEXITED 0 -> Ok ()
-  | _, status ->
-    let what =
-      match status with
-      | Unix.WEXITED c -> Printf.sprintf "exited %d" c
-      | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-      | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
-    in
-    Error (Printf.sprintf "worker %d %s" w.pid what)
+  match w.exited with
+  | Some status -> status
+  | None ->
+    quit w;
+    (try Unix.close w.done_r with Unix.Unix_error _ -> ());
+    let _, status = Unix.waitpid [] w.pid in
+    w.exited <- Some status;
+    status
+
+let describe = function
+  | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" (signal_number s)
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" (signal_number s)
 
 (* Runs [pending] (scenario indices) over [jobs] workers; calls
    [on_done i elapsed] in the parent as each finishes, in completion
@@ -190,13 +203,17 @@ let execute_pool scenarios ~jobs ~result_file ~pending ~on_done =
            (fun w ->
              if List.mem w.done_r ready then begin
                let n = read_some w.done_r buf in
-               if n = 0 then
+               if n = 0 then begin
+                 let name =
+                   match w.running with
+                   | Some i -> scenarios.(i).Scenario.name
+                   | None -> "?"
+                 in
+                 w.running <- None;
                  fail
-                   (Printf.sprintf "worker %d died while running scenario %s"
-                      w.pid
-                      (match w.running with
-                      | Some i -> scenarios.(i).Scenario.name
-                      | None -> "?"))
+                   (Printf.sprintf "scenario %s: worker %s" name
+                      (describe (reap w)))
+               end
                else begin
                  Buffer.add_subbytes w.rbuf buf 0 n;
                  (* complete lines in rbuf are finished scenarios *)
@@ -239,8 +256,8 @@ let execute_pool scenarios ~jobs ~result_file ~pending ~on_done =
   List.iter
     (fun w ->
       match reap w with
-      | Ok () -> ()
-      | Error msg -> fail msg)
+      | Unix.WEXITED 0 -> ()
+      | status -> fail (Printf.sprintf "worker %d %s" w.pid (describe status)))
     workers;
   match !failure with
   | Some msg -> failwith ("Runner: " ^ msg)
@@ -379,9 +396,9 @@ let run ?(jobs = 1) ?(cache = Cache_dir Cache.default_dir) ?(progress = true)
   in
   (results, stats)
 
-let run_and_print ?jobs ?cache ?progress scenarios =
+let run_and_print ?jobs ?cache scenarios =
   let _, stats =
-    run ?jobs ?cache ?progress
+    run ?jobs ?cache
       ~on_outcome:(fun o ->
         print_string o.output;
         flush Stdlib.stdout)

@@ -59,14 +59,14 @@ val run :
 
     A worker that dies or a scenario that raises aborts the whole run
     with [Failure] after the remaining children are reaped; the message
-    names the scenario and, when it raised, the exception. *)
+    names the scenario and either the exception it raised or how its
+    worker ended (["scenario NAME: worker killed by signal 9"]). *)
 
 val run_and_print :
   ?jobs:int ->
   ?cache:cache_mode ->
-  ?progress:bool ->
   Scenario.t list ->
   stats
-(** {!run} with [on_outcome] printing each scenario's bytes to stdout —
-    the streaming equivalent of running the scenarios sequentially in
-    one process. *)
+(** {!run} with progress lines on stderr and [on_outcome] printing each
+    scenario's bytes to stdout — the streaming equivalent of running the
+    scenarios sequentially in one process. *)

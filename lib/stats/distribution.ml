@@ -17,7 +17,6 @@ let add t x =
   t.len <- t.len + 1;
   t.sorted <- false
 
-let add_list t xs = List.iter (add t) xs
 let count t = t.len
 let is_empty t = t.len = 0
 

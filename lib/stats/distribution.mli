@@ -8,8 +8,6 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val add_list : t -> float list -> unit
-
 val count : t -> int
 
 val is_empty : t -> bool

@@ -28,7 +28,6 @@ let add t x =
 let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int t.n
-let stddev t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
 let total t = t.total

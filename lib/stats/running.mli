@@ -14,8 +14,6 @@ val mean : t -> float
 val variance : t -> float
 (** Population variance; 0 with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** [nan] when empty. *)
 

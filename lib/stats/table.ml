@@ -1,14 +1,10 @@
-type align = Left | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = width - String.length s in
   if n <= 0 then s
-  else
-    match align with
-    | Left -> s ^ String.make n ' '
-    | Right -> String.make n ' ' ^ s
+  else if left then s ^ String.make n ' '
+  else String.make n ' ' ^ s
 
-let render ?align ~header ~rows () =
+let render ~header ~rows () =
   let n_cols =
     List.fold_left
       (fun acc row -> Stdlib.max acc (List.length row))
@@ -27,16 +23,9 @@ let render ?align ~header ~rows () =
   in
   account header;
   List.iter account rows;
-  let aligns =
-    let given = match align with Some a -> a | None -> [] in
-    Array.init n_cols (fun i ->
-        match List.nth_opt given i with
-        | Some a -> a
-        | None -> if i = 0 && align = None then Left else Right)
-  in
   let line row =
     String.concat "  "
-      (List.mapi (fun i cell -> pad aligns.(i) widths.(i) cell) row)
+      (List.mapi (fun i cell -> pad ~left:(i = 0) widths.(i) cell) row)
   in
   let sep =
     String.concat "  "
@@ -44,8 +33,7 @@ let render ?align ~header ~rows () =
   in
   String.concat "\n" (line header :: sep :: List.map line rows) ^ "\n"
 
-let print ?align ~header ~rows () =
-  print_string (render ?align ~header ~rows ())
+let print ~header ~rows () = print_string (render ~header ~rows ())
 
 let fixed d x =
   if Float.is_nan x then "--" else Printf.sprintf "%.*f" d x

@@ -1,21 +1,12 @@
 (** Plain-text table rendering for the bench harness: each reproduced paper
     table/figure is printed as an aligned ASCII table. *)
 
-type align = Left | Right
+val render : header:string list -> rows:string list list -> unit -> string
+(** Renders with a header row, a separator, and one line per row. The
+    first column is left-aligned and the others right-aligned. Short rows
+    are padded with empty cells. *)
 
-val render :
-  ?align:align list ->
-  header:string list ->
-  rows:string list list ->
-  unit ->
-  string
-(** Renders with a header row, a separator, and one line per row. Columns
-    default to [Right] alignment except the first, which defaults to
-    [Left]. Short rows are padded with empty cells. *)
-
-val print :
-  ?align:align list -> header:string list -> rows:string list list -> unit ->
-  unit
+val print : header:string list -> rows:string list list -> unit -> unit
 
 val fixed : int -> float -> string
 (** [fixed d x] formats with [d] decimals ("--" for NaN). *)

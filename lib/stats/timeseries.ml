@@ -8,8 +8,6 @@ let create ~bucket ~horizon =
   let n = int_of_float (Float.ceil (horizon /. bucket)) in
   { bucket; sums = Array.make n 0. }
 
-let bucket_width t = t.bucket
-let n_buckets t = Array.length t.sums
 
 let record t ~time_s v =
   if time_s >= 0. then begin

@@ -11,10 +11,6 @@ val create : bucket:float -> horizon:float -> t
     @raise Invalid_argument unless [bucket] is finite and positive and
     [horizon] is finite with [horizon >= bucket] (at least one bucket). *)
 
-val bucket_width : t -> float
-
-val n_buckets : t -> int
-
 val record : t -> time_s:float -> float -> unit
 (** Adds a value into the bucket containing [time_s]. Samples outside
     \[0, horizon) are dropped. *)

@@ -38,23 +38,11 @@ val kind : t -> string
 val all_kinds : string list
 (** Every {!kind} value, in declaration order. *)
 
-val queue : t -> string option
-(** The queue name — or, for the fault events, the link name: both
-    identify "the place in the network" and share the CSV column. *)
-
-val flow : t -> int
-(** [-1] for events not attributable to a flow ({!Link_down}/{!Link_up});
-    the exporters render those with an empty flow field. *)
-
-val subflow : t -> int option
-
-val value : t -> float option
-(** The event's scalar payload: queue depth, cwnd, delta, seq or acked
-    segments; [None] for {!Rto_timeout}. *)
-
 val csv_header : string
 (** ["time_s,event,queue,flow,subflow,value"] — the unified column set;
-    fields an event kind lacks are left empty. *)
+    fields an event kind lacks are left empty. The fault events put
+    their link name in [queue], and [value] is the event's scalar
+    payload: queue depth, cwnd, delta, seq or acked segments. *)
 
 val to_csv : time_ns:int -> t -> string
 (** One CSV row (no trailing newline) under {!csv_header}. *)

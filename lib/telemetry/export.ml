@@ -52,11 +52,6 @@ let metrics_csv registry =
             (Metric.Histogram.percentile h 50.)
             (Metric.Histogram.percentile h 99.)
             (Metric.Histogram.max_value h)
-        | Registry.Series s ->
-          let sums = Xmp_stats.Timeseries.sums s in
-          let total = Array.fold_left ( +. ) 0. sums in
-          Printf.sprintf "%s,series,%d,%.12g,,,," name (Array.length sums)
-            total
       in
       Buffer.add_string buf row;
       Buffer.add_char buf '\n')
@@ -87,17 +82,6 @@ let metrics_jsonl registry =
             (Metric.Histogram.percentile h 99.)
             (Metric.Histogram.min_value h)
             (Metric.Histogram.max_value h)
-        | Registry.Series s ->
-          let sums = Xmp_stats.Timeseries.sums s in
-          let body =
-            String.concat ","
-              (Array.to_list (Array.map (Printf.sprintf "%.12g") sums))
-          in
-          Printf.sprintf
-            "{\"metric\":\"%s\",\"type\":\"series\",\"bucket_s\":%.12g,\"sums\":[%s]}"
-            (Event.json_escape name)
-            (Xmp_stats.Timeseries.bucket_width s)
-            body
       in
       Buffer.add_string buf line;
       Buffer.add_char buf '\n')

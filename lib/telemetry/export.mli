@@ -17,9 +17,8 @@ val metrics_csv_header : string
 val metrics_csv : Registry.t -> string
 (** Columns [metric,type,count,value,mean,p50,p99,max]; columns a metric
     type lacks are empty. For counters [value] is the count; for gauges
-    the last sample; for histograms the sum; for series the total. *)
+    the last sample; for histograms the sum. *)
 
 val metrics_jsonl : Registry.t -> string
 (** One JSON object per metric with type-specific fields (histograms get
-    count/sum/mean/p50/p99/min/max; series get [bucket_s] and the full
-    [sums] array). *)
+    count/sum/mean/p50/p99/min/max). *)

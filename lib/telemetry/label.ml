@@ -46,10 +46,4 @@ let is_empty t = t = []
 let to_string t =
   String.concat "," (List.map (fun (k, value) -> k ^ "=" ^ value) t)
 
-let equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ka, va) (kb, vb) -> String.equal ka kb && String.equal va vb)
-       a b
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -23,7 +23,3 @@ val is_empty : t -> bool
 
 val to_string : t -> string
 (** ["k1=v1,k2=v2"] in key order; [""] for {!none}. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -40,8 +40,6 @@ module Histogram = struct
      Memory is O(occupied buckets), not O(samples). Samples <= 0 are
      folded into a dedicated zero bucket. *)
   type t = {
-    gamma : float;
-    log_gamma : float;
     counts : (int, int ref) Hashtbl.t;
     mutable zero : int;
     mutable n : int;
@@ -50,13 +48,11 @@ module Histogram = struct
     mutable maxv : float;
   }
 
-  let create ?(precision = 0.05) () =
-    if (not (Float.is_finite precision)) || precision <= 0. || precision >= 1.
-    then invalid_arg "Telemetry.Metric.Histogram.create: precision";
-    let gamma = 1. +. precision in
+  let gamma = 1.05
+  let log_gamma = Float.log gamma
+
+  let create () =
     {
-      gamma;
-      log_gamma = Float.log gamma;
       counts = Hashtbl.create 64;
       zero = 0;
       n = 0;
@@ -73,7 +69,7 @@ module Histogram = struct
       if v > t.maxv then t.maxv <- v;
       if v <= 0. then t.zero <- t.zero + 1
       else begin
-        let b = int_of_float (Float.floor (Float.log v /. t.log_gamma)) in
+        let b = int_of_float (Float.floor (Float.log v /. log_gamma)) in
         match Hashtbl.find_opt t.counts b with
         | Some r -> incr r
         | None -> Hashtbl.add t.counts b (ref 1)
@@ -106,10 +102,10 @@ module Histogram = struct
           | (b, c) :: rest ->
             let seen = seen + c in
             if rank <= seen then
-              let lo = t.gamma ** float_of_int b in
+              let lo = gamma ** float_of_int b in
               (* bucket midpoint, clamped to the observed range *)
               Float.min t.maxv
-                (Float.max t.minv (lo *. (1. +. t.gamma) /. 2.))
+                (Float.max t.minv (lo *. (1. +. gamma) /. 2.))
             else go seen rest
         in
         go t.zero buckets

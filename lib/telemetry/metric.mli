@@ -37,16 +37,14 @@ module Histogram : sig
   (** A log-bucketed histogram with bounded relative error.
 
       Samples [v > 0] land in bucket [floor(log v / log gamma)] where
-      [gamma = 1 + precision]; percentiles read off the bucket midpoint are
-      accurate to about [precision / 2] relative error. Samples [<= 0] are
+      [gamma = 1.05]; percentiles read off the bucket midpoint are
+      accurate to about 2.5% relative error. Samples [<= 0] are
       folded into a dedicated zero bucket; non-finite samples are ignored.
       Memory is proportional to the number of occupied buckets. *)
 
   type t
 
-  val create : ?precision:float -> unit -> t
-  (** Default [precision] 0.05 (5% bucket ratio).
-      @raise Invalid_argument unless [0 < precision < 1]. *)
+  val create : unit -> t
 
   val add : t -> float -> unit
   val count : t -> int

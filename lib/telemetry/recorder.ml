@@ -21,7 +21,6 @@ let create ~capacity =
     invalid_arg "Telemetry.Recorder.create: capacity must be positive";
   { capacity; ring = Array.make capacity None; next = 0; total = 0 }
 
-let capacity t = t.capacity
 let total t = t.total
 let length t = if t.total < t.capacity then t.total else t.capacity
 let dropped t = if t.total > t.capacity then t.total - t.capacity else 0
@@ -39,11 +38,6 @@ let iter f t =
     | Some e -> f e
     | None -> ()
   done
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun e -> acc := e :: !acc) t;
-  List.rev !acc
 
 let clear t =
   Array.fill t.ring 0 t.capacity None;

@@ -1,6 +1,6 @@
 (** Bounded ring-buffer flight recorder for trace {!Event}s.
 
-    Recording is O(1); once {!capacity} entries are held, each new entry
+    Recording is O(1); once [capacity] entries are held, each new entry
     overwrites the oldest, so a recorder always retains the most recent
     window of a run and reports how much it had to discard. Timestamps are
     integer nanoseconds of simulated time (the representation of
@@ -16,8 +16,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val record : t -> time_ns:int -> Event.t -> unit
 
 val total : t -> int
@@ -30,9 +28,6 @@ val dropped : t -> int
 (** Entries lost to overwriting: [max 0 (total - capacity)]. *)
 
 val iter : (entry -> unit) -> t -> unit
-(** Oldest retained entry first. *)
-
-val to_list : t -> entry list
 (** Oldest retained entry first. *)
 
 val clear : t -> unit

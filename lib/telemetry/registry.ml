@@ -9,7 +9,6 @@ type metric =
   | Counter of Metric.Counter.t
   | Gauge of Metric.Gauge.t
   | Histogram of Metric.Histogram.t
-  | Series of Xmp_stats.Timeseries.t
 
 type t = { metrics : (string, metric) Hashtbl.t }
 
@@ -19,7 +18,6 @@ let metric_type = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
-  | Series _ -> "series"
 
 let check_component ~what s =
   if String.length s = 0 then
@@ -64,21 +62,15 @@ let counter t ?(labels = Label.none) ~subsystem ~name () =
     ~make:(fun () -> Counter (Metric.Counter.create ()))
     ~cast:(function Counter c -> Some c | _ -> None)
 
-let gauge t ?(labels = Label.none) ~subsystem ~name () =
-  resolve t ~subsystem ~name ~labels
+let gauge t ~subsystem ~name () =
+  resolve t ~subsystem ~name ~labels:Label.none
     ~make:(fun () -> Gauge (Metric.Gauge.create ()))
     ~cast:(function Gauge g -> Some g | _ -> None)
 
-let histogram t ?(labels = Label.none) ?precision ~subsystem ~name () =
+let histogram t ?(labels = Label.none) ~subsystem ~name () =
   resolve t ~subsystem ~name ~labels
-    ~make:(fun () -> Histogram (Metric.Histogram.create ?precision ()))
+    ~make:(fun () -> Histogram (Metric.Histogram.create ()))
     ~cast:(function Histogram h -> Some h | _ -> None)
-
-let series t ?(labels = Label.none) ~subsystem ~name ~bucket ~horizon () =
-  resolve t ~subsystem ~name ~labels
-    ~make:(fun () ->
-      Series (Xmp_stats.Timeseries.create ~bucket ~horizon))
-    ~cast:(function Series s -> Some s | _ -> None)
 
 let cardinal t = Hashtbl.length t.metrics
 

@@ -11,7 +11,6 @@ type metric =
   | Counter of Metric.Counter.t
   | Gauge of Metric.Gauge.t
   | Histogram of Metric.Histogram.t
-  | Series of Xmp_stats.Timeseries.t
 
 type t
 
@@ -24,20 +23,11 @@ val counter :
     (slash, equals, comma, brace, double-quote or newline) or if the key exists as another
     metric type. *)
 
-val gauge :
-  t -> ?labels:Label.t -> subsystem:string -> name:string -> unit ->
-  Metric.Gauge.t
+val gauge : t -> subsystem:string -> name:string -> unit -> Metric.Gauge.t
 
 val histogram :
-  t -> ?labels:Label.t -> ?precision:float -> subsystem:string ->
-  name:string -> unit -> Metric.Histogram.t
-(** [precision] is only used when the call creates the histogram. *)
-
-val series :
-  t -> ?labels:Label.t -> subsystem:string -> name:string -> bucket:float ->
-  horizon:float -> unit -> Xmp_stats.Timeseries.t
-(** [bucket]/[horizon] (seconds) are only used when the call creates the
-    series. *)
+  t -> ?labels:Label.t -> subsystem:string -> name:string -> unit ->
+  Metric.Histogram.t
 
 val cardinal : t -> int
 
@@ -46,6 +36,3 @@ val to_alist : t -> (string * metric) list
 
 val iter : (string -> metric -> unit) -> t -> unit
 (** In sorted full-name order. *)
-
-val metric_type : metric -> string
-(** ["counter"], ["gauge"], ["histogram"] or ["series"]. *)

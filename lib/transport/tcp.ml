@@ -704,12 +704,10 @@ let cwnd t = Cc.cwnd t.cc
 let cc_name t = Cc.name t.cc
 let srtt t = Rtt_estimator.srtt t.est
 let snd_nxt t = t.snd_nxt
-let outstanding_segments t = outstanding t
 let segments_acked t = t.segments_acked
 let segments_sent t = t.segments_sent
 let retransmits t = t.retransmits
 let timeouts t = t.timeouts
 let fast_retransmits t = t.fast_retransmits
 let is_complete t = Option.is_some t.completed_at
-let completed_at t = t.completed_at
 let started_at t = t.started_at

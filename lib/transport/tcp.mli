@@ -138,8 +138,6 @@ val cc_name : t -> string
 
 val srtt : t -> Xmp_engine.Time.t
 
-val flight : t -> int
-
 val snd_una : t -> int
 
 val snd_nxt : t -> int
@@ -148,9 +146,6 @@ val snd_nxt : t -> int
 
 val snd_max : t -> int
 (** High-water mark: segments taken from the source so far. *)
-
-val outstanding_segments : t -> int
-(** [snd_max - snd_una]. *)
 
 val segments_acked : t -> int
 
@@ -163,7 +158,5 @@ val timeouts : t -> int
 val fast_retransmits : t -> int
 
 val is_complete : t -> bool
-
-val completed_at : t -> Xmp_engine.Time.t option
 
 val started_at : t -> Xmp_engine.Time.t

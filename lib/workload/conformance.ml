@@ -189,7 +189,7 @@ let run_episode rig episode =
 
 (* One trace line per step: subflow-0 cwnd and the aggregate window,
    %.6g so the text is stable across runs and platforms. *)
-let render_episode ?(make = fun s -> make_rig s) scheme episode =
+let render_episode make scheme episode =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "# %s %s\n" (Scheme.name scheme) episode.ep_name);
@@ -206,6 +206,6 @@ let render_all () =
   String.concat "\n"
     (List.concat_map
        (fun scheme ->
-         List.map (fun ep -> render_episode scheme ep) episodes
-         @ [ render_episode ~make:make_asym_rig scheme asym_episode ])
+         List.map (render_episode (fun s -> make_rig s) scheme) episodes
+         @ [ render_episode make_asym_rig scheme asym_episode ])
        schemes)

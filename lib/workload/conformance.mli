@@ -38,20 +38,6 @@ type rig = {
   now : Xmp_engine.Time.t ref;
 }
 
-val srtt_of_index : int -> Xmp_engine.Time.t
-(** Fixed smoothed RTT fed to subflow [i]'s view: 300 µs + i·150 µs. *)
-
-val base_rtt : Xmp_engine.Time.t
-(** Fixed minimum RTT fed to every view (200 µs). *)
-
-val asym_srtt_of_index : int -> Xmp_engine.Time.t
-(** Heterogeneous-RTT profile: 100 µs on subflow 0, 20 ms on every
-    sibling — the 200:1 intra-DC vs WAN-trunk ratio. *)
-
-val asym_min_rtt_of_index : int -> Xmp_engine.Time.t
-(** 4/5 of {!asym_srtt_of_index} per subflow, so backlog-sensitive
-    rules see a plausible standing queue on both path classes. *)
-
 val asym_episode : episode
 (** The RTT-asymmetric episode ("rtt-asym"): mixed fast/slow-path ACK
     interleavings with a CE mark, a fast retransmit and a timeout on
@@ -66,12 +52,15 @@ val make_rig :
   rig
 (** Fresh coupling instance with {!Scheme.default_overrides}; subflows
     are created in index order, so group registration order is the
-    subflow order. [srtt_of] defaults to {!srtt_of_index} and
-    [min_rtt_of] to a constant {!base_rtt}. *)
+    subflow order. [srtt_of] defaults to a fixed smoothed RTT of
+    300 µs + i·150 µs on subflow [i], and [min_rtt_of] to a constant
+    200 µs. *)
 
 val make_asym_rig : Scheme.t -> rig
-(** [make_rig] with the heterogeneous-RTT per-subflow profile
-    ({!asym_srtt_of_index} / {!asym_min_rtt_of_index}). *)
+(** [make_rig] with a heterogeneous-RTT profile: a smoothed RTT of
+    100 µs on subflow 0 and 20 ms on every sibling (the 200:1 intra-DC
+    vs WAN-trunk ratio), and a minimum RTT of 4/5 of that, so
+    backlog-sensitive rules see a standing queue on both path classes. *)
 
 val apply : rig -> step -> unit
 
@@ -95,13 +84,8 @@ val run_episode : rig -> episode -> sample list
     concatenate episodes — run them in any order against one rig to
     check that safety properties are order-independent. *)
 
-val render_episode : ?make:(Scheme.t -> rig) -> Scheme.t -> episode -> string
-(** The golden cwnd trace: one line per step with the step label,
-    subflow-0 window and aggregate window ([%.6g]). [make] overrides
-    the rig constructor (default {!make_rig}) — the asym traces pass
-    {!make_asym_rig}. *)
-
 val render_all : unit -> string
-(** Every (scheme, episode) trace plus the (scheme, rtt-asym) trace on
-    the heterogeneous-RTT rig, blank-line separated — the contents of
-    [test/conformance.expected]. *)
+(** Every (scheme, episode) cwnd trace plus the (scheme, rtt-asym) trace
+    on {!make_asym_rig}, blank-line separated — the contents of
+    [test/conformance.expected]. A trace has one line per step with the
+    step label, subflow-0 window and aggregate window ([%.6g]). *)

@@ -230,7 +230,6 @@ let of_name s =
 
 let n_subflows t = t.subflows
 
-let is_multipath t = t.subflows > 1
 
 let uses_ecn t =
   match t.kind with

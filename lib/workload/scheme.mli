@@ -29,7 +29,7 @@ type tunables = {
           (see {!marking_threshold}) *)
   veno_beta : float option;
       (** MP-Veno's backlog threshold β in segments; [None] means the
-          module default ({!Xmp_mptcp.Veno.beta_pkts}, 3) *)
+          module default, 3 *)
   amp_ect : ect_mode;  (** AMP's ECN echo mode (default [Counted]) *)
   rto_min : Xmp_engine.Time.t option;
       (** per-scheme RTO floor; [None] defers to the ambient
@@ -103,8 +103,6 @@ val of_name : string -> t option
 (** {1 Properties} *)
 
 val n_subflows : t -> int
-
-val is_multipath : t -> bool
 
 val uses_ecn : t -> bool
 

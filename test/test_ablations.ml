@@ -7,7 +7,11 @@ module Time = Xmp_engine.Time
 let test_k_sweep_point_directions () =
   (* exposed indirectly through print_k_sweep; verify the underlying
      physics with two direct probes at tiny scale via Fig1-style runs *)
-  let r_small = E.Fig1.run ~scale:0.04 { E.Fig1.dctcp = false; k = 10 } in
+  let r_small =
+    E.Fig1.run ~scale:0.04 ~seed:E.Fig1.seed
+      ~faults:Xmp_engine.Fault_spec.empty
+      { E.Fig1.dctcp = false; k = 10 }
+  in
   Alcotest.(check bool) "K=10 halving run works" true
     (r_small.E.Fig1.utilization > 0.5)
 

@@ -79,6 +79,16 @@ let malformed =
     ("run --out with two items", "run --out x fig1 fig4", "option '--out'");
     (* combinations that parsed, then killed the worker *)
     ("run incast on ft:2", "run " ^ spec "ft:2 XMP-2 incast horizon=1ms", "field 'traffic'");
+    ("run an incast view on ft:2", "run " ^ spec "table3 ft:2 horizon=10ms", "field 'traffic'");
+    ( "run a fault on a missing link",
+      "run --no-cache " ^ spec "ft:4 XMP-2 permutation horizon=1ms fault=down@0@link=nowhere",
+      "field 'fault'" );
+    ( "run a fault on a missing tag",
+      "run --no-cache " ^ spec "ft:4 XMP-2 permutation horizon=1ms fault=down@0@tag=nosuch",
+      "field 'fault'" );
+    ( "run a pause of a missing host",
+      "run --no-cache " ^ spec "ft:4 XMP-2 permutation horizon=1ms fault=pause@0..1ms@host=9999",
+      "field 'fault'" );
     ( "run mixed draw from a one-host DC",
       "run " ^ spec "ls:1,1,1+ft:4 XMP-2 websearch horizon=1ms drain=1ms",
       "field 'cross-dc'" );
@@ -105,12 +115,8 @@ let test_rejected (_, args, what) () =
     (contains (squash msg) what)
 
 (* the runner reports progress on stderr; nothing else may appear there *)
-let test_valid () =
-  let code, msg =
-    run
-      ("run --no-cache --domains 2 "
-      ^ spec "ft:4 XMP-2 websearch load=0.4 size-scale=0.03 horizon=100us drain=100us")
-  in
+let test_valid args () =
+  let code, msg = run args in
   List.iter
     (fun line ->
       if line <> "" && not (String.starts_with ~prefix:"[runner] " line) then
@@ -122,20 +128,25 @@ let test_valid () =
    run and the cause, and cmdliner's some_error exit, not an uncaught
    exception (exit 125) *)
 let test_runtime_failure () =
-  let text = "ft:4 XMP-2 permutation horizon=1ms fault=down@0@link=nowhere" in
-  let code, msg = run ("run --no-cache " ^ spec text) in
+  let text = "ft:4 XMP-2 websearch load=0.4 size-scale=0.03 horizon=100us drain=100us" in
+  let code, msg = run ("run --no-cache --out /nonexistent/dir/p " ^ spec text) in
   Alcotest.(check int) "exit code" 123 code;
   let lines = List.filter (String.starts_with ~prefix:"xmp_sim: ") (String.split_on_char '\n' msg) in
   Alcotest.(check int) "one xmp_sim: line" 1 (List.length lines);
   List.iter
     (fun what -> Alcotest.(check bool) ("names " ^ what) true (contains (List.hd lines) what))
-    [ text; "no link named" ]
+    [ text; "No such file or directory" ]
 
 let suite =
   List.map
     (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_rejected case))
     malformed
   @ [
-      Alcotest.test_case "a valid workload run exits 0" `Quick test_valid;
+      Alcotest.test_case "a valid workload run exits 0" `Quick
+        (test_valid
+           ("run --no-cache --domains 2 "
+           ^ spec "ft:4 XMP-2 websearch load=0.4 size-scale=0.03 horizon=100us drain=100us"));
+      Alcotest.test_case "a view without incast runs on ft:2" `Quick
+        (test_valid ("run --no-cache " ^ spec "table2 ft:2 horizon=10ms"));
       Alcotest.test_case "a failing run exits 123 naming spec and cause" `Quick test_runtime_failure;
     ]

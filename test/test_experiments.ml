@@ -4,7 +4,8 @@
 module E = Xmp_experiments
 module Time = Xmp_engine.Time
 
-let tiny = 0.05 (* 20x faster than default schedules *)
+let tiny = 0.05 (* 20x faster than the registry's schedules *)
+let no_faults = Xmp_engine.Fault_spec.empty
 
 let test_probe () =
   let sim = Xmp_engine.Sim.create () in
@@ -30,7 +31,7 @@ let test_probe () =
 let test_fig1_utilization_and_fairness () =
   List.iter
     (fun v ->
-      let r = E.Fig1.run ~scale:tiny v in
+      let r = E.Fig1.run ~scale:tiny ~seed:E.Fig1.seed ~faults:no_faults v in
       Alcotest.(check bool)
         (Printf.sprintf "utilization high (dctcp=%b k=%d)" v.E.Fig1.dctcp
            v.E.Fig1.k)
@@ -43,12 +44,14 @@ let test_fig1_utilization_and_fairness () =
 
 let test_fig1_halving_k20_fair () =
   (* the paper's "good" quadrant: halving with Equation-1-satisfying K *)
-  let r = E.Fig1.run ~scale:0.1 { E.Fig1.dctcp = false; k = 20 } in
+  let r = E.Fig1.run ~scale:0.1
+      ~seed:E.Fig1.seed ~faults:no_faults { E.Fig1.dctcp = false; k = 20 } in
   Alcotest.(check bool) "fair" true (r.E.Fig1.jain_all_active > 0.9);
   Alcotest.(check bool) "fully utilized" true (r.E.Fig1.utilization > 0.85)
 
 let test_fig4_shifting () =
-  let r = E.Fig4.run ~scale:tiny ~beta:4 () in
+  let r = E.Fig4.run ~scale:tiny
+      ~seed:E.Fig4.seed ~faults:no_faults ~beta:4 () in
   (* while DN1 carries a background flow, Flow 2-1 must fall well below
      the even share, and the flow keeps most of its total rate *)
   Alcotest.(check bool) "share collapsed" true (r.E.Fig4.shifted_share < 0.25);
@@ -56,8 +59,10 @@ let test_fig4_shifting () =
   Alcotest.(check int) "two series" 2 (List.length r.E.Fig4.rates)
 
 let test_fig4_beta6_slower () =
-  let r4 = E.Fig4.run ~scale:tiny ~beta:4 () in
-  let r6 = E.Fig4.run ~scale:tiny ~beta:6 () in
+  let r4 = E.Fig4.run ~scale:tiny
+      ~seed:E.Fig4.seed ~faults:no_faults ~beta:4 () in
+  let r6 = E.Fig4.run ~scale:tiny
+      ~seed:E.Fig4.seed ~faults:no_faults ~beta:6 () in
   (* both shift; direction must hold for both betas *)
   Alcotest.(check bool) "beta 6 also shifts" true
     (r6.E.Fig4.shifted_share < 0.3);
@@ -65,7 +70,8 @@ let test_fig4_beta6_slower () =
     (r4.E.Fig4.compensation > 0.5 && r6.E.Fig4.compensation > 0.5)
 
 let test_fig6_fairness () =
-  let r = E.Fig6.run ~scale:tiny ~beta:4 () in
+  let r = E.Fig6.run ~scale:tiny
+      ~seed:E.Fig6.seed ~faults:no_faults ~beta:4 () in
   Alcotest.(check bool) "flows fair despite subflow counts" true
     (r.E.Fig6.jain_flows > 0.8);
   Alcotest.(check int) "seven subflow series" 7
@@ -73,7 +79,8 @@ let test_fig6_fairness () =
   Alcotest.(check int) "four flow series" 4 (List.length r.E.Fig6.flow_rates)
 
 let test_fig7_compensation () =
-  let r = E.Fig7.run ~scale:tiny ~beta:4 ~k:20 () in
+  let r = E.Fig7.run ~scale:tiny
+      ~seed:E.Fig7.seed ~faults:no_faults ~beta:4 ~k:20 () in
   Alcotest.(check int) "ten series" 10 (List.length r.E.Fig7.rates);
   let series name = List.assoc name r.E.Fig7.rates in
   let mean_over arr lo hi =

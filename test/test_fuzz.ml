@@ -287,14 +287,19 @@ let cdf_file =
      at_exit (fun () -> Sys.remove path);
      path)
 
-let fault_pool =
-  [
-    "down@1000000@link=e0.0->a0.0"; "up@2s@link=d0.bdr0->d1.bdr0";
-    "loss@0..inf@tag=rack@bern=0.01@any";
-    "loss@1ms..2ms@all@ge=0.1,0.2,0,0.5@data";
-    "loss@0..inf@tag=wan@bern=0.3333333333333333@ack";
-    "blackout@1ms..3ms@tag=wan"; "pause@0..1s@host=3";
-  ]
+(* every fault kind, over a target [target] draws *)
+let fault_kinds target host =
+  QCheck.Gen.(
+    oneof
+      [
+        map (( ^ ) "down@1000000@") target;
+        map (( ^ ) "up@2s@") target;
+        map (fun t -> "loss@0..inf@" ^ t ^ "@bern=0.01@any") target;
+        map (fun t -> "loss@1ms..2ms@" ^ t ^ "@ge=0.1,0.2,0,0.5@data") target;
+        map (fun t -> "loss@0..inf@" ^ t ^ "@bern=0.3333333333333333@ack") target;
+        map (( ^ ) "blackout@1ms..3ms@") target;
+        map (Printf.sprintf "pause@0..1s@host=%d") host;
+      ])
 
 let one_host = Xmp_net.Wan.Leaf_spine_dc { leaves = 1; spines = 1; hosts_per_leaf = 1 }
 
@@ -302,7 +307,8 @@ let one_host = Xmp_net.Wan.Leaf_spine_dc { leaves = 1; spines = 1; hosts_per_lea
    printer's cases: whole s/ms/us/ns times, floats needing 17 digits,
    fault schedules, leaf-spine DCs, several trunks and testbed panels.
    Only runnable specs: an incast needs more than the two hosts of
-   ft:2, and a one-host DC only takes cross-dc 0 or 1. *)
+   ft:2, a one-host DC only takes cross-dc 0 or 1, and a fault names
+   links, tags and hosts of the spec's own topology. *)
 module Gen_spec = struct
   open QCheck.Gen
 
@@ -312,14 +318,44 @@ module Gen_spec = struct
   let beta = int_range 2 16 and seed = int_range (-5) 1000
   let scheme = QCheck.gen arbitrary_scheme
 
-  let faults =
+  (* a schedule over [net]: a link by name, a tag some link carries,
+     every link, or a host *)
+  let faults_on net =
+    let module Network = Xmp_net.Network in
+    let links = Network.links net in
+    let tags = List.sort_uniq String.compare (List.filter_map (Network.tag_of_link net) links) in
+    let hosts =
+      List.filter
+        (fun i -> Xmp_net.Node.kind (Network.node net i) = Xmp_net.Node.Host)
+        (List.init (Network.n_nodes net) Fun.id)
+    in
+    let target =
+      oneof
+        [
+          map (fun l -> "link=" ^ Xmp_net.Link.name l) (oneofl links);
+          map (( ^ ) "tag=") (oneofl tags);
+          return "all";
+        ]
+    in
     oneof
       [
         return Fault_spec.empty;
         (let+ seed = seed
-         and+ specs = list_size (int_range 1 3) (oneofl fault_pool) in
+         and+ specs = list_size (int_range 1 3) (fault_kinds target (oneofl hosts)) in
          Fault_spec.create ~seed (List.map Fault_spec.spec_of_string specs));
       ]
+
+  let with_faults faults = function
+    | Run_spec.Pattern p -> Run_spec.Pattern { p with base = { p.base with faults } }
+    | Run_spec.Testbed t -> Run_spec.Testbed { t with faults }
+    | Run_spec.Workload ({ fabric = Bridged b; _ } as w) ->
+      Run_spec.Workload { w with fabric = Bridged { b with faults } }
+    | Run_spec.Workload { fabric = Fat_tree _; _ } as s -> s
+
+  (* [spec]'s runs, each given a schedule over its own topology *)
+  let faulted spec =
+    let* s = spec in
+    map (fun f -> with_faults f s) (faults_on (Run_spec.scratch_net s))
 
   let dc =
     oneof
@@ -345,24 +381,23 @@ module Gen_spec = struct
     and+ horizon = time and+ seed = seed and+ queue_pkts = queue
     and+ marking_threshold = mark and+ beta = beta and+ rto_min = time
     and+ sack = bool and+ size_scale = pos
-    and+ incast_jobs = int_range 1 8 and+ faults = faults in
+    and+ incast_jobs = int_range 1 8 in
     Run_spec.Pattern
       {
         scheme;
         pattern;
         base =
           { k; horizon; seed; queue_pkts; marking_threshold; beta; rto_min;
-            sack; size_scale; incast_jobs; faults };
+            sack; size_scale; incast_jobs; faults = Fault_spec.empty };
       }
 
   let bridged =
     let+ left = dc and+ right = dc
     and+ trunks = list_size (int_range 1 3) trunk
-    and+ cross_dc = oneofl [ 0.; 0.25; 1.; 1. /. 3. ]
-    and+ faults = faults in
+    and+ cross_dc = oneofl [ 0.; 0.25; 1.; 1. /. 3. ] in
     let one = Xmp_net.Wan.dc_n_hosts left = 1 || Xmp_net.Wan.dc_n_hosts right = 1 in
     let cross_dc = if one && cross_dc > 0. then 1. else cross_dc in
-    Run_spec.Bridged { left; right; trunks; cross_dc; faults }
+    Run_spec.Bridged { left; right; trunks; cross_dc; faults = Fault_spec.empty }
 
   let workload fabric =
     let+ fabric = fabric
@@ -389,16 +424,29 @@ module Gen_spec = struct
           map (fun beta -> Run_spec.Fig6 { beta }) beta;
           (let+ beta = beta and+ mark = mark in Run_spec.Fig7 { beta; mark });
         ]
-    and+ scale = pos and+ seed = seed and+ faults = faults in
-    Run_spec.Testbed { panel; scale; seed; faults }
+    and+ scale = pos and+ seed = seed in
+    Run_spec.Testbed { panel; scale; seed; faults = Fault_spec.empty }
 
   let spec =
-    oneof
-      [
-        pattern;
-        workload (oneof [ map (fun k -> Run_spec.Fat_tree (2 * k)) (int_range 1 4); bridged ]);
-        testbed;
-      ]
+    faulted
+      (oneof
+         [
+           pattern;
+           workload (oneof [ map (fun k -> Run_spec.Fat_tree (2 * k)) (int_range 1 4); bridged ]);
+           testbed;
+         ])
+
+  (* a run that takes faults, with one target its topology lacks *)
+  let off_topology =
+    let* s = oneof [ pattern; workload bridged; testbed ] in
+    let net = Run_spec.scratch_net s in
+    let+ seed = seed
+    and+ bad =
+      fault_kinds
+        (oneofl [ "link=nowhere"; "tag=nosuch" ])
+        (map (( + ) (Xmp_net.Network.n_nodes net)) (int_range 0 1000))
+    in
+    with_faults (Fault_spec.create ~seed [ Fault_spec.spec_of_string bad ]) s
 
   (* the two combinations that would parse but not run *)
   let unrunnable =
@@ -440,6 +488,14 @@ let run_spec_garbage_fuzz =
              " sack=true"; " ft:4"; " XMP-2" ]))
     (fun (spec, junk) ->
       Result.is_error (Run_spec.of_string (Run_spec.to_string spec ^ junk)))
+
+let run_spec_off_topology_fuzz =
+  QCheck.Test.make ~count:100 ~name:"run spec of_string rejects a fault target off the topology"
+    (QCheck.make ~print:Run_spec.to_string Gen_spec.off_topology)
+    (fun spec ->
+      match Run_spec.of_string (Run_spec.to_string spec) with
+      | Error msg -> String.starts_with ~prefix:"field 'fault'" msg
+      | Ok _ -> false)
 
 let run_spec_unrunnable_fuzz =
   QCheck.Test.make ~count:100
@@ -500,5 +556,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false run_spec_roundtrip_fuzz;
     QCheck_alcotest.to_alcotest ~long:false run_spec_garbage_fuzz;
     QCheck_alcotest.to_alcotest ~long:false run_spec_unrunnable_fuzz;
+    QCheck_alcotest.to_alcotest ~long:false run_spec_off_topology_fuzz;
     QCheck_alcotest.to_alcotest ~long:false episode_order_safety_fuzz;
   ]

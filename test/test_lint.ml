@@ -264,6 +264,49 @@ let test_bad_example_still_fires () =
       "poly-compare-time"; "bare-compare"; "stdout-in-lib"; "direct-printf";
     ]
 
+(* [unused-export] needs a whole tree: the fixture is a small one, with
+   a lib/ user and a bin/ user of lib/gadget's interfaces. *)
+let unused_export_files =
+  [
+    "lib/gadget/widget.mli"; "lib/gadget/widget.ml"; "lib/gadget/orphan.mli";
+    "lib/gadget/orphan.ml"; "lib/gadget/quiet.mli"; "lib/gadget/quiet.ml";
+    "lib/gadget/client.ml"; "bin/main.ml";
+  ]
+
+let unused_exports files =
+  let root = Filename.concat tool_dir "fixtures/unused_export" in
+  let rep = Report.create () in
+  Rules.check_unused_exports rep
+    (List.map (fun p -> (p, read_file (Filename.concat root p))) files);
+  List.map
+    (fun (f : Report.finding) ->
+      Printf.sprintf "%s:%s" (Filename.basename f.Report.path)
+        (Option.value ~default:"?" f.Report.decl))
+    (Report.sorted rep)
+
+let test_unused_export_fixtures () =
+  Alcotest.(check (list string))
+    "only orphan.mli's vals are flagged; quiet.mli's pragmas waive"
+    [
+      "orphan.mli:unused"; "orphan.mli:self_only"; "orphan.mli:count";
+      "orphan.mli:after_scope"; "orphan.mli:hidden";
+    ]
+    (unused_exports unused_export_files);
+  let without name = List.filter (fun p -> p <> name) unused_export_files in
+  let widget l = List.filter (String.starts_with ~prefix:"widget.mli:") l in
+  (* each negative case really rests on the use the fixture gives it *)
+  Alcotest.(check (list string))
+    "alias, let module, local open and open are uses"
+    [
+      "widget.mli:by_alias"; "widget.mli:by_let_module"; "widget.mli:by_open";
+      "widget.mli:by_local_open";
+    ]
+    (widget (unused_exports (without "lib/gadget/client.ml")));
+  Alcotest.(check (list string))
+    "a second directory and a nested submodule are uses"
+    [ "widget.mli:by_path"; "widget.mli:by_submodule" ]
+    (widget (unused_exports (without "bin/main.ml")))
+
 (* ------------------------------------------------------------------ *)
 (* Self-lint: the linter's own sources must be clean *)
 
@@ -480,4 +523,6 @@ let suite =
       test_main_exe_ratchet;
     Alcotest.test_case "poly-minmax: fixture cases" `Quick
       test_poly_minmax_fixtures;
+    Alcotest.test_case "unused-export: fixture tree" `Quick
+      test_unused_export_fixtures;
   ]

@@ -101,12 +101,12 @@ let test_flow_completion () =
   Alcotest.(check bool) "complete" true (Flow.is_complete f);
   Alcotest.(check int) "once" 1 !completed;
   Alcotest.(check int) "exactly the flow size" 500 (Flow.segments_acked f);
-  Alcotest.(check int) "two subflows" 2 (Flow.n_subflows f);
+  Alcotest.(check int) "two subflows" 2 (Array.length (Flow.subflows f));
   (* both subflows carried data over distinct paths *)
   Alcotest.(check bool) "subflow 0 used" true
-    (Tcp.segments_acked (Flow.subflow f 0) > 0);
+    (Tcp.segments_acked (Flow.subflows f).(0) > 0);
   Alcotest.(check bool) "subflow 1 used" true
-    (Tcp.segments_acked (Flow.subflow f 1) > 0);
+    (Tcp.segments_acked (Flow.subflows f).(1) > 0);
   Alcotest.(check bool) "goodput positive" true (Flow.goodput_bps f > 0.)
 
 let test_flow_uses_both_paths () =
@@ -140,9 +140,9 @@ let test_add_subflow () =
   in
   Sim.at sim (Time.ms 50) (fun () -> ignore (Flow.add_subflow f ~path:1));
   Sim.run ~until:(Time.ms 300) sim;
-  Alcotest.(check int) "now two subflows" 2 (Flow.n_subflows f);
+  Alcotest.(check int) "now two subflows" 2 (Array.length (Flow.subflows f));
   Alcotest.(check bool) "late subflow carries data" true
-    (Tcp.segments_acked (Flow.subflow f 1) > 0)
+    (Tcp.segments_acked (Flow.subflows f).(1) > 0)
 
 let test_goodput_until () =
   let sim, net, tb = make_rig () in

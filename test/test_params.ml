@@ -44,7 +44,7 @@ let test_sufficient () =
 
 let test_for_network () =
   let p =
-    Params.for_network ~rate:(Units.gbps 1.) ~rtt:(Time.us 225) ~beta:4 ()
+    Params.for_network ~rate:(Units.gbps 1.) ~rtt:(Time.us 225) ~beta:4
   in
   Alcotest.(check int) "minimal K" 7 p.Params.k;
   Alcotest.(check int) "beta carried" 4 p.Params.beta

@@ -60,7 +60,7 @@ let test_series_table_empty () =
 
 let test_cdf_table () =
   let d = Distribution.create () in
-  Distribution.add_list d (List.init 100 (fun i -> float_of_int i));
+  List.iter (Distribution.add d) (List.init 100 (fun i -> float_of_int i));
   let s = capture (fun () -> Render.cdf_table [ ("flows", d) ]) in
   Alcotest.(check bool) "header" true (contains s "flows");
   Alcotest.(check bool) "median row" true (contains s "0.50");
@@ -70,7 +70,7 @@ let test_cdf_table () =
 
 let test_five_number_table () =
   let d = Distribution.create () in
-  Distribution.add_list d [ 1.; 2.; 3. ];
+  List.iter (Distribution.add d) [ 1.; 2.; 3. ];
   let s =
     capture (fun () ->
         Render.five_number_table ~value_header:"layer"

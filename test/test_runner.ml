@@ -171,6 +171,26 @@ let test_failing_scenario_aborts () =
     Alcotest.(check bool) ("names the cause: " ^ msg) true (contains "Failure(\"boom\")")
   | _ -> Alcotest.fail "a raising scenario must abort the run"
 
+(* A worker the kernel kills (the OOM killer, say) is reported with the
+   scenario it was running and the signal. The scenario only kills a
+   forked worker, never the test process itself. *)
+let test_killed_worker_reported () =
+  let parent_pid = Unix.getpid () in
+  let killed =
+    Scenario.create ~name:"killed" ~params:[] (fun () ->
+        if Unix.getpid () <> parent_pid then Unix.kill (Unix.getpid ()) Sys.sigkill)
+  in
+  match run ~jobs:1 [ killed ] with
+  | exception Failure msg ->
+    let contains sub =
+      let n = String.length msg and m = String.length sub in
+      let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("names the scenario: " ^ msg) true (contains "scenario killed");
+    Alcotest.(check bool) ("names the signal: " ^ msg) true (contains "killed by signal 9")
+  | _ -> Alcotest.fail "a killed worker must abort the run"
+
 (* ----- cache robustness ----- *)
 
 let reference_output = lazy (Runner.capture (tiny_output ~seed:9 ~size:55))
@@ -300,6 +320,8 @@ let suite =
       test_duplicate_digests_coalesce;
     Alcotest.test_case "a raising scenario aborts the run" `Quick
       test_failing_scenario_aborts;
+    Alcotest.test_case "a killed worker names scenario and signal" `Quick
+      test_killed_worker_reported;
     Alcotest.test_case "corrupted entry is discarded and recomputed" `Quick
       test_corrupt_entry;
     Alcotest.test_case "truncated entry is discarded and recomputed" `Quick

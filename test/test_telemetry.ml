@@ -20,7 +20,8 @@ let test_label_basics () =
   Alcotest.(check bool) "none is empty" true (Label.is_empty Label.none);
   Alcotest.(check bool)
     "order-insensitive equality" true
-    (Label.equal l (Label.v [ ("flow", "3"); ("queue", "b0") ]))
+    ((l :> (string * string) list)
+    = (Label.v [ ("flow", "3"); ("queue", "b0") ] :> (string * string) list))
 
 let test_label_validation () =
   let raises name pairs =
@@ -126,7 +127,9 @@ let test_recorder_wraparound () =
   Alcotest.(check int) "dropped = overflow" 6 (Recorder.dropped r);
   Alcotest.(check (list int))
     "oldest-first survivors" [ 7; 8; 9; 10 ]
-    (List.map (fun e -> e.Recorder.time_ns) (Recorder.to_list r));
+    (let acc = ref [] in
+     Recorder.iter (fun e -> acc := e.Recorder.time_ns :: !acc) r;
+     List.rev !acc);
   Recorder.clear r;
   Alcotest.(check int) "clear empties" 0 (Recorder.length r);
   match Recorder.create ~capacity:0 with
@@ -199,7 +202,8 @@ let test_export_metrics () =
 (* ----- telemetry does not perturb the simulation ----- *)
 
 let quick_fig1 telemetry =
-  Xmp_experiments.Fig1.run ~scale:0.02 ~telemetry
+  Xmp_experiments.Fig1.run ~scale:0.02 ~seed:Xmp_experiments.Fig1.seed
+    ~faults:Xmp_engine.Fault_spec.empty ~telemetry
     { Xmp_experiments.Fig1.dctcp = false; k = 10 }
 
 let test_fig_run_unperturbed () =

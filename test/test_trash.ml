@@ -98,7 +98,7 @@ let test_shifting_away_from_congested_path () =
            ~config:Xmp_core.Xmp.tcp_config ()))
     [ 1; 2 ];
   Sim.run ~until:(Time.sec 1.5) sim;
-  let acked i = float_of_int (Tcp.segments_acked (Flow.subflow multi i)) in
+  let acked i = float_of_int (Tcp.segments_acked (Flow.subflows multi).(i)) in
   (* the subflow on the empty path must end up carrying several times the
      congested subflow's bytes; with perfect equality of congestion the
      loaded path gives it well under a third *)

@@ -251,7 +251,7 @@ let test_scheme_properties () =
     && (not (Scheme.uses_ecn (Scheme.balia 2)))
     && not (Scheme.uses_ecn (Scheme.veno 2)));
   Alcotest.(check bool) "multipath flag" true
-    (Scheme.is_multipath (Scheme.lia 2) && not (Scheme.is_multipath Scheme.dctcp))
+    (Scheme.n_subflows (Scheme.lia 2) > 1 && not (Scheme.n_subflows Scheme.dctcp > 1))
 
 let test_scheme_config () =
   let o = Scheme.default_overrides in

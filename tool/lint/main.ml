@@ -1,7 +1,8 @@
 (* xmplint driver.
 
    Walks the requested directories, lints every .ml/.mli through
-   {!Xmplint_lib.Rules}, and renders findings as text or JSON. With
+   {!Xmplint_lib.Rules}, then runs the whole-tree passes (missing-mli,
+   unused-export) over them all, and renders findings as text or JSON. With
    [--baseline FILE] the committed ratchet is applied: pinned findings
    are tolerated (and listed as suppressed), any growth in a rule's
    count per file fails the run. [--write-baseline FILE] regenerates the
@@ -103,8 +104,10 @@ let () =
       dirs
   in
   let rep = Report.create () in
-  List.iter (fun path -> Rules.lint_source rep ~path (read_file path)) files;
+  let sources = List.map (fun path -> (path, read_file path)) files in
+  List.iter (fun (path, src) -> Rules.lint_source rep ~path src) sources;
   Rules.check_mli_presence rep files;
+  Rules.check_unused_exports rep sources;
   let all = Report.sorted rep in
   (match !write_baseline with
   | Some file ->

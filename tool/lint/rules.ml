@@ -8,7 +8,7 @@
 
    Legacy passes (PR 1, re-hosted on the token stream): wall-clock,
    unix-in-lib, unseeded-random, obj-magic, poly-compare-time,
-   bare-compare, stdout-in-lib, direct-printf, missing-mli.
+   bare-compare, stdout-in-lib, direct-printf.
 
    Declaration-level passes (this PR):
    - [mutable-global]  module-toplevel mutable state in lib/ — a latent
@@ -30,7 +30,11 @@
      the run) have one home.
    - [poly-minmax]     Stdlib.min / Stdlib.max, qualified or bare, in the
      simulator's hot-path libraries: each call is a generic
-     caml_lessequal; Int.min / Float.max / Time.min are not. *)
+     caml_lessequal; Int.min / Float.max / Time.min are not.
+
+   Whole-tree passes, run once every file is linted:
+   - [missing-mli]     a lib/ .ml without an interface.
+   - [unused-export]   a lib/ interface val no other unit's .ml uses. *)
 
 type category = Lib | Bin | Examples | Test | OtherDir
 
@@ -774,3 +778,172 @@ let check_mli_presence rep files =
             "lib/ module without an interface file"
       end)
     files
+
+(* ------------------------------------------------------------------ *)
+(* [unused-export] — whole tree                                         *)
+
+(* A [val] in a lib/ interface, nested [module X : sig] included, that
+   no .ml outside its own compilation unit mentions is surface without a
+   caller. A reference is a path whose innermost module is the val's
+   ([Xmp_net.Packet.src], [P.src] after [module P = Xmp_net.Packet] or
+   [let module P = …]), or a bare name in the scope of an [open],
+   [let open] or [M.( … )] of that module. Module names are compared
+   both as written and through the file's aliases, and an [open] lasts
+   to the end of the file: in doubt a token counts as a use, so a
+   finding is never false, though a use can hide one. *)
+
+type export = {
+  e_mli : string;
+  e_unit : string;  (** the path without extension: "lib/net/packet" *)
+  e_module : string;  (** innermost module: "Packet", or "Histogram" *)
+  e_name : string;
+  e_line : int;
+}
+
+let is_upper s = s <> "" && Char.uppercase_ascii s.[0] = s.[0] && s.[0] <> '_'
+
+let exports_of ~path (toks : token array) =
+  let unit = Filename.remove_extension path in
+  let top = String.capitalize_ascii (Filename.basename unit) in
+  (* enclosing blocks, innermost first: [Some X] for [module X : sig] *)
+  let stack = ref [] in
+  let acc = ref [] in
+  let kind i = if i >= 0 && i < Array.length toks then Some toks.(i).kind else None in
+  Array.iteri
+    (fun i (tok : token) ->
+      match tok.kind with
+      | Keyword ("sig" | "struct" | "object" | "begin") ->
+        let name =
+          match (kind (i - 3), kind (i - 2), kind (i - 1)) with
+          | Some (Keyword "module"), Some (Ident m), Some (Op ":") -> Some m
+          | _ -> None
+        in
+        stack := name :: !stack
+      | Keyword "end" -> (
+        match !stack with [] -> () | _ :: rest -> stack := rest)
+      | Keyword "val" when List.for_all Option.is_some !stack -> (
+        match kind (i + 1) with
+        | Some (Ident name) ->
+          let e_module =
+            match !stack with Some m :: _ -> m | _ -> top
+          in
+          acc :=
+            { e_mli = path; e_unit = unit; e_module; e_name = name;
+              e_line = tok.line }
+            :: !acc
+        | _ -> ())
+      | _ -> ())
+    toks;
+  List.rev !acc
+
+(* [module A = P] and [let module A = P in]: A -> innermost of P. *)
+let aliases_of (toks : token array) =
+  let n = Array.length toks in
+  let acc = ref [] in
+  Array.iteri
+    (fun i (tok : token) ->
+      match tok.kind with
+      | Keyword "module" when i + 3 < n -> (
+        match (toks.(i + 1).kind, toks.(i + 2).kind, toks.(i + 3).kind) with
+        | Ident a, Op "=", Ident p when not (String.contains a '.') ->
+          acc := (a, last_component p) :: !acc
+        | _ -> ())
+      | _ -> ())
+    toks;
+  !acc
+
+(* A module name as written plus every name its aliases lead to. *)
+let module_names aliases m =
+  let rec go seen m =
+    if List.mem m seen then seen
+    else
+      let seen = m :: seen in
+      List.fold_left
+        (fun seen (a, p) -> if a = m then go seen p else seen)
+        seen aliases
+  in
+  go [] m
+
+(* Every (module, name) pair a .ml file's tokens may refer to. *)
+let references (toks : token array) =
+  let aliases = aliases_of toks in
+  let refs = Hashtbl.create 256 in
+  let add m v =
+    List.iter (fun m -> Hashtbl.replace refs (m, v) ()) (module_names aliases m)
+  in
+  let n = Array.length toks in
+  (* [open M] lasts to the end of the file; [M.( … )] to its bracket *)
+  let opened = ref [] in
+  let local = ref [] in
+  let depth = ref 0 in
+  Array.iteri
+    (fun i (tok : token) ->
+      match tok.kind with
+      | Keyword ("open" | "include") ->
+        let j = if i + 1 < n && toks.(i + 1).kind = Op "!" then i + 2 else i + 1 in
+        if j < n then (
+          match toks.(j).kind with
+          | Ident p -> opened := last_component p :: !opened
+          | _ -> ())
+      | Punct ('(' | '[' | '{') ->
+        incr depth;
+        if i >= 2 && toks.(i - 1).kind = Op "." then (
+          match toks.(i - 2).kind with
+          | Ident p -> local := (!depth, last_component p) :: !local
+          | _ -> ())
+      | Punct (')' | ']' | '}') ->
+        local := List.filter (fun (d, _) -> d < !depth) !local;
+        if !depth > 0 then decr depth
+      | Ident path ->
+        let parts = String.split_on_char '.' path in
+        List.iteri
+          (fun k v ->
+            if not (is_upper v) then
+              if k = 0 then begin
+                List.iter (fun m -> add m v) !opened;
+                List.iter (fun (_, m) -> add m v) !local
+              end
+              else
+                let m = List.nth parts (k - 1) in
+                if is_upper m then add m v)
+          parts
+      | Keyword _ | Num _ | Op _ | Str | Punct _ -> ())
+    toks;
+  refs
+
+let check_unused_exports rep sources =
+  let lexed =
+    List.map (fun (path, src) -> (path, Lexer.lex ~path src)) sources
+  in
+  let refs =
+    List.filter_map
+      (fun (path, lx) ->
+        if Filename.check_suffix path ".ml" then
+          Some (Filename.remove_extension path, references lx.tokens)
+        else None)
+      lexed
+  in
+  List.iter
+    (fun (path, lx) ->
+      if category_of path = Lib && Filename.check_suffix path ".mli" then
+        List.iter
+          (fun e ->
+            let used =
+              List.exists
+                (fun (unit, r) ->
+                  unit <> e.e_unit && Hashtbl.mem r (e.e_module, e.e_name))
+                refs
+            in
+            if
+              (not used)
+              && not (Lexer.waived lx ~line:e.e_line ~rule:"unused-export")
+            then
+              Report.add rep ~path ~line:e.e_line ~rule:"unused-export"
+                ~decl:e.e_name
+                (Printf.sprintf
+                   "%s.%s is exported but no .ml outside %s.ml uses it; \
+                    drop it from the interface, and its code if the module \
+                    does not need it"
+                   e.e_module e.e_name e.e_unit))
+          (exports_of ~path lx.tokens))
+    lexed
