@@ -1,11 +1,9 @@
-module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Net = Xmp_net
 module Scheme = Xmp_workload.Scheme
 module Metrics = Xmp_workload.Metrics
 module Driver = Xmp_workload.Driver
 module Table = Xmp_stats.Table
-module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 
 let sweep_betas = [ 2; 3; 4; 5; 6; 8 ]
 
@@ -28,43 +26,37 @@ let bottleneck net = Option.get (Net.Network.find_link net ~name:"IN1->OUT1")
 
 let k_sweep_seed = 23
 
-(* One long-lived BOS flow on a 1 Gbps / 225 us bottleneck per K:
-   utilization should cross ~1 at the Equation 1 bound and RTT should
-   grow linearly in K beyond it. *)
+(* Figure 1's dumbbell with [hosts] host pairs, [queue] on every
+   bottleneck *)
+let dumbbell ~hosts ~seed ~queue ~capacity_pkts ~horizon_s schedule =
+  Panel.run { Fig1.geometry with hosts } ~seed
+    ~telemetry:Xmp_telemetry.Sink.null ~faults:Xmp_engine.Fault_spec.empty
+    ~queue ~capacity_pkts ~bucket_s:horizon_s ~horizon_s schedule
+
+(* One long-lived BOS flow on Figure 1's bottleneck per K: utilization
+   should cross ~1 at the Equation 1 bound and RTT should grow linearly
+   in K beyond it. *)
 let k_sweep_point ~k ~beta =
-  let config = { Sim.default_config with seed = k_sweep_seed } in
-  let cluster = Net.Shard.create ~config ~shards:1 () in
-  let net = Net.Shard.net cluster 0 in
-  let disc () =
-    Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark k)
-      ~capacity_pkts:200
-  in
-  let tb =
-    Net.Testbed.create ~net ~n_left:1 ~n_right:1
-      ~bottlenecks:
-        [ { Net.Testbed.rate = Net.Units.gbps 1.; delay = Time.ns 62_500; disc } ]
-      ~access_delay:(Time.us 25) ()
-  in
+  let horizon_s = 0.5 in
+  dumbbell ~hosts:1 ~seed:k_sweep_seed
+    ~queue:(Net.Queue_disc.Threshold_mark k) ~capacity_pkts:200 ~horizon_s
+  @@ fun env ->
   let rtts = Xmp_stats.Running.create () in
-  let params = { Xmp_core.Bos.default_params with beta } in
   ignore
-    (Mptcp_flow.create ~net ~flow:1
-       ~src:(Net.Testbed.left_id tb 0)
-       ~dst:(Net.Testbed.right_id tb 0)
-       ~paths:[ 0 ]
-       ~coupling:(Xmp_core.Trash.coupling ~params ())
-       ~config:Xmp_core.Xmp.tcp_config
+    (Panel.flow env
        ~observer:
          {
-           Mptcp_flow.silent with
+           Scheme.silent with
            on_rtt_sample =
              (fun rtt -> Xmp_stats.Running.add rtts (Time.to_us rtt));
          }
-       ());
-  let horizon = Time.sec 0.5 in
-  Net.Shard.run ~until:horizon cluster;
-  let util = Net.Link.utilization (bottleneck net) ~duration:horizon in
-  (util, Xmp_stats.Running.mean rtts)
+       ~flow:1 ~host:0 ~paths:[ 0 ]
+       (Scheme.launcher (Scheme.xmp 1) { Scheme.default_overrides with beta }));
+  fun () ->
+    let util =
+      Net.Link.utilization (bottleneck env.net) ~duration:(Time.sec horizon_s)
+    in
+    (util, Xmp_stats.Running.mean rtts)
 
 let print_k_sweep ?(ks = [ 2; 4; 6; 8; 10; 15; 20; 40 ]) () =
   let beta = 4 in
@@ -73,7 +65,8 @@ let print_k_sweep ?(ks = [ 2; 4; 6; 8; 10; 15; 20; 40 ]) () =
        "Ablation: marking threshold K vs utilization and RTT (beta = %d)"
        beta);
   let bdp =
-    Xmp_core.Params.bdp_packets ~rate:(Net.Units.gbps 1.) ~rtt:(Time.us 225)
+    Xmp_core.Params.bdp_packets ~rate:(List.hd Fig1.geometry.rates)
+      ~rtt:(Panel.zero_load_rtt Fig1.geometry)
       ~packet_bytes:Net.Packet.data_wire_bytes
   in
   let k_min = Xmp_core.Params.min_k ~bdp_packets:bdp ~beta in
@@ -98,7 +91,7 @@ let mean_goodput base scheme pattern =
   let r = Run_spec.result base scheme pattern in
   Metrics.mean_goodput_bps r.Driver.metrics /. 1e6
 
-let print_subflow_sweep ?(base = Run_spec.default_base) () =
+let print_subflow_sweep (base : Run_spec.base) =
   Render.heading
     "Ablation: subflow count vs mean goodput (Permutation pattern, Mbps)";
   let rows =
@@ -115,7 +108,7 @@ let print_subflow_sweep ?(base = Run_spec.default_base) () =
   in
   Table.print ~header:[ "subflows"; "LIA"; "XMP" ] ~rows ()
 
-let print_coupling_comparison ?(base = Run_spec.default_base) () =
+let print_coupling_comparison (base : Run_spec.base) =
   Render.heading
     "Ablation: coupling comparison LIA / OLIA / XMP (mean goodput, Mbps)";
   let rows =
@@ -138,7 +131,7 @@ let print_coupling_comparison ?(base = Run_spec.default_base) () =
   in
   Table.print ~header:[ "Coupling"; "Permutation"; "Random" ] ~rows ()
 
-let print_flow_size_sweep ?(base = Run_spec.default_base) () =
+let print_flow_size_sweep (base : Run_spec.base) =
   Render.heading
     "Ablation: flow size vs LIA's multipath gain (Permutation, Mbps)";
   Render.say
@@ -166,7 +159,7 @@ let print_flow_size_sweep ?(base = Run_spec.default_base) () =
     ~header:[ "Flow sizes"; "LIA-2"; "LIA-4"; "XMP-2" ]
     ~rows ()
 
-let print_incast_fanout_sweep ?(base = Run_spec.default_base) () =
+let print_incast_fanout_sweep (base : Run_spec.base) =
   Render.heading
     "Ablation: pure incast fanout (no background flows, TCP small flows)";
   Render.say
@@ -216,7 +209,7 @@ let print_incast_fanout_sweep ?(base = Run_spec.default_base) () =
       [ "Fanout"; "Median JCT (ms)"; "Mean JCT (ms)"; "> 200 ms (%)" ]
     ~rows ()
 
-let print_rto_min_sweep ?(base = Run_spec.default_base) () =
+let print_rto_min_sweep (base : Run_spec.base) =
   Render.heading
     "Ablation: RTOmin under Incast (jobs + background goodput)";
   let rows =
@@ -249,41 +242,28 @@ let queue_seed = 29
 
 (* Sample the bottleneck queue occupancy under four same-scheme flows. *)
 let queue_occupancy_point ~beta ~k scheme =
-  let config = { Sim.default_config with seed = queue_seed } in
-  let cluster = Net.Shard.create ~config ~shards:1 () in
-  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
-  let policy =
+  let queue =
     if Scheme.uses_ecn scheme then Net.Queue_disc.Threshold_mark k
     else Net.Queue_disc.Droptail
   in
-  let disc () = Net.Queue_disc.create ~policy ~capacity_pkts:100 in
-  let tb =
-    Net.Testbed.create ~net ~n_left:4 ~n_right:4
-      ~bottlenecks:
-        [ { Net.Testbed.rate = Net.Units.gbps 1.; delay = Time.ns 62_500; disc } ]
-      ~access_delay:(Time.us 25) ()
-  in
+  dumbbell ~hosts:4 ~seed:queue_seed ~queue ~capacity_pkts:100 ~horizon_s:0.2
+  @@ fun env ->
   let launcher =
     Scheme.launcher scheme { Scheme.default_overrides with beta }
   in
   for i = 0 to 3 do
-    ignore
-      (Scheme.launch ~net ~flow:i
-         ~src:(Net.Testbed.left_id tb i)
-         ~dst:(Net.Testbed.right_id tb i)
-         ~paths:[ 0 ] launcher)
+    ignore (Panel.flow env ~flow:i ~host:i ~paths:[ 0 ] launcher)
   done;
-  let queue = Net.Link.disc (bottleneck net) in
+  let queue = Net.Link.disc (bottleneck env.net) in
   let occupancy = Xmp_stats.Distribution.create () in
   ignore
-    (Xmp_engine.Periodic.start sim ~first_after:(Time.ms 20)
+    (Xmp_engine.Periodic.start env.sim ~first_after:(Time.ms 20)
        ~interval:(Time.us 100) (fun () ->
          Xmp_stats.Distribution.add occupancy
            (float_of_int (Net.Queue_disc.length queue))));
-  Net.Shard.run ~until:(Time.ms 200) cluster;
-  (occupancy, Net.Queue_disc.dropped queue)
+  fun () -> (occupancy, Net.Queue_disc.dropped queue)
 
-let print_sack_comparison ?(base = Run_spec.default_base) () =
+let print_sack_comparison (base : Run_spec.base) =
   Render.heading
     "Ablation: SACK vs go-back-N recovery (Permutation goodput, Mbps)";
   Render.say

@@ -24,29 +24,29 @@ val print_k_sweep : ?ks:int list -> unit -> unit
 val k_sweep_seed : int
 (** The simulator seed of every K-sweep point. *)
 
-val print_subflow_sweep : ?base:Run_spec.base -> unit -> unit
+val print_subflow_sweep : Run_spec.base -> unit
 (** LIA and XMP at 1 to 4 subflows. *)
 
-val print_coupling_comparison : ?base:Run_spec.base -> unit -> unit
+val print_coupling_comparison : Run_spec.base -> unit
 
-val print_flow_size_sweep : ?base:Run_spec.base -> unit -> unit
+val print_flow_size_sweep : Run_spec.base -> unit
 (** Scale artifact made explicit: sweeping flow sizes shows LIA-4's
     advantage over LIA-2 appearing only for long-lived flows (the paper's
     regime), because slow-start restart losses cost many-subflow LIA a
     200 ms RTO each. *)
 
-val print_incast_fanout_sweep : ?base:Run_spec.base -> unit -> unit
+val print_incast_fanout_sweep : Run_spec.base -> unit
 (** Pure incast microbenchmark (no background): job completion time versus
     fanout, locating the buffer-overflow knee where the 200 ms RTO
     collapse of Figure 9 begins. *)
 
-val print_rto_min_sweep : ?base:Run_spec.base -> unit -> unit
+val print_rto_min_sweep : Run_spec.base -> unit
 (** §6 cites Vasudevan et al.'s fine-grained-RTO proposal and notes it
     "may also help MPTCP improve its throughput": sweep RTOmin under the
     Incast pattern for LIA-2 and XMP-2 and report job completion times and
     background goodput. *)
 
-val print_sack_comparison : ?base:Run_spec.base -> unit -> unit
+val print_sack_comparison : Run_spec.base -> unit
 (** How much of the baselines' deficit is loss recovery rather than
     congestion control: rerun the Permutation matrix with SACK-based
     recovery enabled on every flow. *)

@@ -13,7 +13,7 @@ type result = {
 
 let xmp = Scheme.xmp 2
 
-let run ?(base = Run_spec.default_base) ~partner ~queue_pkts () =
+let run (base : Run_spec.base) ~partner ~queue_pkts =
   let base = { base with Run_spec.queue_pkts } in
   let cfg =
     {
@@ -37,9 +37,9 @@ let partners = [ Scheme.lia 2; Scheme.reno; Scheme.dctcp ]
 
 let extended_partners = [ Scheme.balia 2; Scheme.veno 2; Scheme.amp 2 ]
 
-let print_rows ~base partners =
+let print_rows base partners =
   let cell partner queue_pkts =
-    let r = run ~base ~partner ~queue_pkts () in
+    let r = run base ~partner ~queue_pkts in
     Printf.sprintf "%s : %s"
       (Table.fixed 1 r.cell.xmp_mbps)
       (Table.fixed 1 r.cell.partner_mbps)
@@ -58,13 +58,13 @@ let print_rows ~base partners =
     ~header:[ "Pairing"; "Queue 50 pkts"; "Queue 100 pkts" ]
     ~rows ()
 
-let print_table2 ?(base = Run_spec.default_base) () =
+let print_table2 base =
   Render.heading
     "Table 2: average goodput (Mbps), XMP-2 coexisting per Random pattern";
-  print_rows ~base partners
+  print_rows base partners
 
-let print_table2_extended ?(base = Run_spec.default_base) () =
+let print_table2_extended base =
   Render.heading
     "Table 2 (extended): XMP-2 coexisting with BALIA/VENO/AMP per Random \
      pattern";
-  print_rows ~base extended_partners
+  print_rows base extended_partners

@@ -16,16 +16,12 @@ type result = {
 }
 
 val run :
-  ?base:Run_spec.base ->
-  partner:Xmp_workload.Scheme.t ->
-  queue_pkts:int ->
-  unit ->
-  result
+  Run_spec.base -> partner:Xmp_workload.Scheme.t -> queue_pkts:int -> result
 
 val extended_partners : Xmp_workload.Scheme.t list
 (** The extension rows: BALIA-2, VENO-2, AMP-2. *)
 
-val print_table2 : ?base:Run_spec.base -> unit -> unit
+val print_table2 : Run_spec.base -> unit
 
-val print_table2_extended : ?base:Run_spec.base -> unit -> unit
+val print_table2_extended : Run_spec.base -> unit
 (** Same layout as {!print_table2} over {!extended_partners}. *)

@@ -3,6 +3,7 @@ module Time = Xmp_engine.Time
 module Net = Xmp_net
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 module Coupling = Xmp_mptcp.Coupling
+module Scheme = Xmp_workload.Scheme
 
 type variant = { dctcp : bool; k : int }
 
@@ -29,97 +30,81 @@ let rate = Net.Units.gbps 1.
 
 let seed = 7
 
-(* zero-load RTT 225 us: 2 * (2 * 25 us + 62.5 us) *)
-let testbed ~net ~disc =
-  Net.Testbed.create ~net ~n_left:4 ~n_right:4
-    ~bottlenecks:[ { Net.Testbed.rate; delay = Time.ns 62_500; disc } ]
-    ~access_delay:(Time.us 25) ()
+let geometry =
+  {
+    Panel.hosts = 4;
+    rates = [ rate ];
+    delay = Time.ns 62_500;
+    access_delay = Time.us 25;
+  }
+
+(* "Halving cwnd" is BOS at beta = 2 and delta = 1, which no Scheme names,
+   so its flows carry their own coupling. *)
+let halving =
+  let params = { Xmp_core.Bos.default_params with beta = 2 } in
+  Coupling.uncoupled ~name:"halving" (fun view -> Xmp_core.Bos.make ~params () view)
 
 let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults v =
   let interval = 5. *. scale in
   let horizon_s = 7. *. interval in
-  let config = { Sim.default_config with seed; telemetry; faults } in
-  let cluster = Net.Shard.create ~config ~shards:1 () in
-  let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
-  let disc () =
-    Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark v.k)
-      ~capacity_pkts:100
-  in
-  let tb = testbed ~net ~disc in
-  ignore (Xmp_faults.Injector.install ~net ());
-  let probe =
-    Probe.create ~sim ~bucket_s:(interval /. 10.) ~horizon_s
-  in
-  let coupling =
+  Panel.run geometry ~seed ~telemetry ~faults
+    ~queue:(Net.Queue_disc.Threshold_mark v.k) ~capacity_pkts:100
+    ~bucket_s:(interval /. 10.) ~horizon_s
+  @@ fun env ->
+  let dctcp = Scheme.launcher Scheme.dctcp Scheme.default_overrides in
+  let launch i observer =
     if v.dctcp then
-      Coupling.uncoupled ~name:"dctcp" (fun view ->
-          Xmp_transport.Dctcp.make view)
+      Panel.flow env ~observer ~flow:(i + 1) ~host:i ~paths:[ 0 ] dctcp
     else
-      Coupling.uncoupled ~name:"halving" (fun view ->
-          Xmp_core.Bos.make
-            ~params:{ Xmp_core.Bos.default_params with beta = 2 }
-            () view)
+      Mptcp_flow.create ~net:env.net ~flow:(i + 1)
+        ~src:(Net.Testbed.left_id env.testbed i)
+        ~dst:(Net.Testbed.right_id env.testbed i)
+        ~paths:[ 0 ] ~coupling:halving ~config:Xmp_core.Xmp.tcp_config
+        ~observer ()
   in
-  let config =
-    if v.dctcp then Xmp_core.Xmp.dctcp_tcp_config else Xmp_core.Xmp.tcp_config
-  in
+  let names = List.init 4 (fun i -> Printf.sprintf "Flow %d" (i + 1)) in
   let flows = Array.make 4 None in
-  for i = 0 to 3 do
-    let name = Printf.sprintf "Flow %d" (i + 1) in
-    let rec_fn = Probe.recorder probe name in
-    Sim.at sim
-      (Time.sec (float_of_int i *. interval))
-      (fun () ->
-        flows.(i) <-
-          Some
-            (Mptcp_flow.create ~net ~flow:(i + 1)
-               ~src:(Net.Testbed.left_id tb i)
-               ~dst:(Net.Testbed.right_id tb i)
-               ~paths:[ 0 ] ~coupling ~config
-               ~observer:
-                 {
-                   Mptcp_flow.silent with
-                   on_subflow_acked = (fun _ n -> rec_fn n);
-                 }
-               ()))
-  done;
+  List.iteri
+    (fun i name ->
+      let observer = Panel.series env [ name ] in
+      Sim.at env.sim
+        (Time.sec (float_of_int i *. interval))
+        (fun () -> flows.(i) <- Some (launch i observer)))
+    names;
   (* stop flows 1..3 one by one; flow 4 runs to the end *)
   for i = 0 to 2 do
-    Sim.at sim
+    Sim.at env.sim
       (Time.sec (float_of_int (4 + i) *. interval))
-      (fun () ->
-        match flows.(i) with
-        | Some f -> Mptcp_flow.stop f
-        | None -> ())
+      (fun () -> Option.iter Mptcp_flow.stop flows.(i))
   done;
-  Net.Shard.run ~until:(Time.sec horizon_s) cluster;
-  let names = List.init 4 (fun i -> Printf.sprintf "Flow %d" (i + 1)) in
-  let rates =
-    List.map
-      (fun n -> (n, Probe.normalized probe n ~norm_bps:(float_of_int rate)))
-      names
-  in
-  (* all four flows are active during [3*interval, 4*interval) *)
-  let jain =
-    Xmp_stats.Fairness.jain
-      (List.map
-         (fun n ->
-           Probe.window_mean probe n ~from_s:(3.2 *. interval)
-             ~until_s:(4. *. interval))
-         names)
-  in
-  let utilization =
-    Net.Link.utilization
-      (Option.get (Net.Network.find_link net ~name:"IN1->OUT1"))
-      ~duration:(Time.sec horizon_s)
-  in
-  {
-    variant = v;
-    bucket_s = Probe.bucket_s probe;
-    rates;
-    utilization;
-    jain_all_active = jain;
-  }
+  fun () ->
+    let rates =
+      List.map
+        (fun n ->
+          (n, Probe.normalized env.probe n ~norm_bps:(float_of_int rate)))
+        names
+    in
+    (* all four flows are active during [3*interval, 4*interval) *)
+    let jain =
+      Xmp_stats.Fairness.jain
+        (List.map
+           (fun n ->
+             Probe.window_mean env.probe n ~from_s:(3.2 *. interval)
+               ~until_s:(4. *. interval))
+           names)
+    in
+    let utilization =
+      Net.Link.utilization
+        (Option.get (Net.Network.find_link env.net ~name:"IN1->OUT1"))
+        ~duration:(Time.sec horizon_s)
+    in
+    {
+      variant = v;
+      bucket_s = Probe.bucket_s env.probe;
+      rates;
+      utilization;
+      jain_all_active = jain;
+    }
 
 let print r =
   Render.subheading

@@ -26,12 +26,9 @@ type result = {
 val variants : variant list
 (** The paper's four panels: DCTCP/halving × K ∈ \{10, 20\}. *)
 
-val testbed :
-  net:Xmp_net.Network.t ->
-  disc:(unit -> Xmp_net.Queue_disc.t) ->
-  Xmp_net.Testbed.t
-(** The figure's testbed on [net], every bottleneck queue built by
-    [disc]. *)
+val geometry : Panel.geometry
+(** The dumbbell: four host pairs, one 1 Gbps bottleneck, zero-load RTT
+    225 µs. *)
 
 val seed : int
 (** The seed the scenario registry runs the figure with. *)

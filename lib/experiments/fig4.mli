@@ -22,12 +22,11 @@ type result = {
       (** Flow 2's total rate while DN1 is loaded / its unloaded total *)
 }
 
-val testbed :
-  net:Xmp_net.Network.t ->
-  disc:(unit -> Xmp_net.Queue_disc.t) ->
-  Xmp_net.Testbed.t
-(** The figure's testbed on [net], every bottleneck queue built by
-    [disc]. *)
+val bottleneck_rate : Xmp_net.Units.rate
+(** 300 Mbps, every bottleneck of the Figure 3 testbeds. *)
+
+val geometry : Panel.geometry
+(** Figure 3(a): five host pairs, two bottlenecks DN1 and DN2. *)
 
 val seed : int
 (** The seed the scenario registry runs the figure with. *)

@@ -2,6 +2,7 @@ module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Net = Xmp_net
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
+module Scheme = Xmp_workload.Scheme
 
 (* The Figure-4 traffic-shifting dynamic restaged on a pod-sharded k=4
    fat tree (one shard per pod, portals at the core layer). The shared
@@ -30,12 +31,6 @@ type result = {
 
 let bottleneck_rate = Net.Units.mbps 300.
 
-let xmp_flow ~net ?rcv_net ~beta ~flow ~src ~dst ~paths ?observer () =
-  let params = { Xmp_core.Bos.default_params with beta } in
-  Mptcp_flow.create ~net ?rcv_net ~flow ~src ~dst ~paths
-    ~coupling:(Xmp_core.Trash.coupling ~params ())
-    ~config:Xmp_core.Xmp.tcp_config ?observer ()
-
 let seed = 11
 
 let run ?(scale = 0.2) ?(seed = seed) ?(domains = 1) ~beta () =
@@ -55,6 +50,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(domains = 1) ~beta () =
   let host pod e s = (pod * 4) + (e * 2) + s in
   let sim0 = Net.Shard.sim cluster 0 in
   let probe = Probe.create ~sim:sim0 ~bucket_s:(unit_s /. 20.) ~horizon_s in
+  let xmp = Scheme.launcher (Scheme.xmp ~beta 2) Scheme.default_overrides in
   let launch ~flow ~src ~dst ~paths ~probe_names =
     let recorders =
       Array.of_list (List.map (Probe.recorder probe) probe_names)
@@ -62,13 +58,13 @@ let run ?(scale = 0.2) ?(seed = seed) ?(domains = 1) ~beta () =
     let net = Net.Topology.host_net topo src in
     let rcv_net = Net.Topology.host_net topo dst in
     ignore
-      (xmp_flow ~net ~rcv_net ~beta ~flow ~src ~dst ~paths
+      (Scheme.launch ~net ~rcv_net ~flow ~src ~dst ~paths
          ~observer:
            {
-             Mptcp_flow.silent with
+             Scheme.silent with
              on_subflow_acked = (fun idx n -> recorders.(idx) n);
            }
-         ())
+         xmp)
   in
   (* Inter-pod path p maps to agg (p / 2 mod 2) and core group column
      (p mod 2): paths 0 and 3 diverge at the edge and stay disjoint
@@ -87,7 +83,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(domains = 1) ~beta () =
       (Time.sec (from_u *. unit_s))
       (fun () ->
         let net = Net.Topology.host_net topo src in
-        let f = xmp_flow ~net ~beta ~flow ~src ~dst ~paths:[ path ] () in
+        let f = Scheme.launch ~net ~flow ~src ~dst ~paths:[ path ] xmp in
         Sim.at sim0
           (Time.sec (until_u *. unit_s))
           (fun () -> Mptcp_flow.stop f))

@@ -17,12 +17,9 @@ type result = {
           (the window just after Flow 2 joins) *)
 }
 
-val testbed :
-  net:Xmp_net.Network.t ->
-  disc:(unit -> Xmp_net.Queue_disc.t) ->
-  Xmp_net.Testbed.t
-(** The figure's testbed on [net], every bottleneck queue built by
-    [disc]. *)
+val geometry : Panel.geometry
+(** Figure 3(b): {!Fig4.geometry} with four host pairs and one
+    bottleneck. *)
 
 val seed : int
 (** The seed the scenario registry runs the figure with. *)

@@ -21,12 +21,8 @@ type result = {
           1 Gbps; one value per schedule interval *)
 }
 
-val testbed :
-  net:Xmp_net.Network.t ->
-  disc:(unit -> Xmp_net.Queue_disc.t) ->
-  Xmp_net.Testbed.t
-(** The figure's testbed on [net], every bottleneck queue built by
-    [disc]. *)
+val geometry : Panel.geometry
+(** Figure 5's ring: nine host pairs, the five bottlenecks L1..L5. *)
 
 val seed : int
 (** The seed the scenario registry runs the figure with. *)

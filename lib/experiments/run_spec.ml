@@ -106,14 +106,30 @@ type testbed = {
   faults : Fault_spec.t;
 }
 
+(* A panel's figure, the one place each panel kind is looked up: its
+   seed, its testbed and its run, which returns the panel's printer. *)
+let figure panel =
+  let printer print r () = print r in
+  match panel with
+  | Fig1 { dctcp; mark } ->
+    ( Fig1.seed, Fig1.geometry,
+      fun ~scale ~seed ~telemetry ~faults ->
+        printer Fig1.print (Fig1.run ~scale ~seed ~telemetry ~faults { dctcp; k = mark }) )
+  | Fig4 { beta } ->
+    ( Fig4.seed, Fig4.geometry,
+      fun ~scale ~seed ~telemetry ~faults ->
+        printer Fig4.print (Fig4.run ~scale ~seed ~telemetry ~faults ~beta ()) )
+  | Fig6 { beta } ->
+    ( Fig6.seed, Fig6.geometry,
+      fun ~scale ~seed ~telemetry ~faults ->
+        printer Fig6.print (Fig6.run ~scale ~seed ~telemetry ~faults ~beta ()) )
+  | Fig7 { beta; mark } ->
+    ( Fig7.seed, Fig7.geometry,
+      fun ~scale ~seed ~telemetry ~faults ->
+        printer Fig7.print (Fig7.run ~scale ~seed ~telemetry ~faults ~beta ~k:mark ()) )
+
 let testbed panel =
-  let seed =
-    match panel with
-    | Fig1 _ -> Fig1.seed
-    | Fig4 _ -> Fig4.seed
-    | Fig6 _ -> Fig6.seed
-    | Fig7 _ -> Fig7.seed
-  in
+  let seed, _, _ = figure panel in
   { panel; scale = 0.2; seed; faults = Fault_spec.empty }
 
 type t =
@@ -121,7 +137,7 @@ type t =
   | Workload of workload
   | Testbed of testbed
 
-(* Driver.run_incast draws fanout + 1 distinct hosts *)
+(* an incast job draws fanout + 1 distinct hosts *)
 let incast_fanout = 8
 
 (* Per-topology RTO floor: half the slowest zero-load cross-DC RTT,
@@ -395,12 +411,8 @@ let scratch build =
   Xmp_net.Shard.net cluster 0
 
 let build_panel panel ~cluster ~disc =
-  let net = Xmp_net.Shard.net cluster 0 in
-  match panel with
-  | Fig1 _ -> ignore (Fig1.testbed ~net ~disc)
-  | Fig4 _ -> ignore (Fig4.testbed ~net ~disc)
-  | Fig6 _ -> ignore (Fig6.testbed ~net ~disc)
-  | Fig7 _ -> ignore (Fig7.testbed ~net ~disc)
+  let _, geometry, _ = figure panel in
+  ignore (Panel.testbed geometry ~net:(Xmp_net.Shard.net cluster 0) ~disc)
 
 let build_fat_tree k ~cluster ~disc =
   ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ())
@@ -638,34 +650,17 @@ let driver_config (base : base) scheme pattern =
     sack = base.sack;
     assignment = Driver.Uniform scheme;
     pattern = pattern_of base pattern;
-    rtt_subsample = 16;
-    keep_flows = true;
     faults = base.faults;
     telemetry = Xmp_telemetry.Sink.null;
   }
 
 (* xmplint: allow mutable-global — per-process memo of completed runs,
-   keyed by the run's canonical spec; it is an explicitly scoped cache
-   (clear_cache / with_cache below let runner workers isolate
-   scenarios), and a stale entry cannot change results because the key
-   covers every input that affects a run. Not yet domain-safe: guard or
-   shard it before Domains-parallel evaluation. *)
+   keyed by the run's canonical spec. A runner worker keeps it across
+   the scenarios it runs, so views over one base share their runs; the
+   reuse is safe because the key covers every input that affects a run.
+   Not yet domain-safe: guard or shard it before Domains-parallel
+   evaluation. *)
 let cache : (string, Driver.result) Hashtbl.t = Hashtbl.create 32
-
-let cache_size () = Hashtbl.length cache
-let clear_cache () = Hashtbl.reset cache
-
-let with_cache f =
-  let saved = Hashtbl.copy cache in
-  Hashtbl.reset cache;
-  Fun.protect
-    ~finally:(fun () ->
-      Hashtbl.reset cache;
-      (* xmplint: allow hashtbl-order — restoring a snapshot into an
-         empty table; only lookups ever read it, so insertion order is
-         unobservable *)
-      Hashtbl.iter (fun k v -> Hashtbl.replace cache k v) saved)
-    f
 
 let result base scheme pattern =
   let key = to_string (Pattern { base; scheme; pattern }) in
@@ -800,24 +795,13 @@ let goodput_csv m =
 
 (* ---- testbed panels ---- *)
 
-let simulate_panel ?telemetry { panel; scale; seed; faults } =
-  match panel with
-  | Fig1 { dctcp; mark } ->
-    let r = Fig1.run ~scale ~seed ?telemetry ~faults { Fig1.dctcp; k = mark } in
-    fun () -> Fig1.print r
-  | Fig4 { beta } ->
-    let r = Fig4.run ~scale ~seed ?telemetry ~faults ~beta () in
-    fun () -> Fig4.print r
-  | Fig6 { beta } ->
-    let r = Fig6.run ~scale ~seed ?telemetry ~faults ~beta () in
-    fun () -> Fig6.print r
-  | Fig7 { beta; mark } ->
-    let r = Fig7.run ~scale ~seed ?telemetry ~faults ~beta ~k:mark () in
-    fun () -> Fig7.print r
+let simulate_panel ~telemetry { panel; scale; seed; faults } =
+  let _, _, simulate = figure panel in
+  simulate ~scale ~seed ~telemetry ~faults
 
 let run ?domains = function
   | Testbed tb ->
-    simulate_panel tb ();
+    simulate_panel ~telemetry:Xmp_telemetry.Sink.null tb ();
     []
   | Pattern { base; scheme; pattern } ->
     if Fault_spec.is_empty base.faults then print_eval base scheme pattern

@@ -179,15 +179,6 @@ val result : base -> Xmp_workload.Scheme.t -> pattern -> Xmp_workload.Driver.res
 (** Runs (or returns the memoized) pattern run; the memo is keyed by
     {!to_string}. *)
 
-val cache_size : unit -> int
-(** Memoized runs held by this process; {!clear_cache} drops them all. *)
-
-val clear_cache : unit -> unit
-
-val with_cache : (unit -> 'a) -> 'a
-(** [with_cache f] runs [f] against a fresh, empty memo table and
-    restores the previous table afterwards (exception-safe). *)
-
 val config : workload -> Xmp_workload.Open_loop.config
 (** The open-loop configuration the run uses; on a WAN its scheme
     carries the [rto_min] floor. *)
@@ -196,9 +187,8 @@ val simulate : ?domains:int -> workload -> Xmp_workload.Open_loop.result
 (** [domains] (default 1) never changes the result. *)
 
 val simulate_panel :
-  ?telemetry:Xmp_telemetry.Sink.t -> testbed -> unit -> unit
-(** Runs the panel ([telemetry] defaults to the null sink) and returns
-    its printer. *)
+  telemetry:Xmp_telemetry.Sink.t -> testbed -> unit -> unit
+(** Runs the panel and returns its printer. *)
 
 val run : ?domains:int -> t -> (string * string) list
 (** Prints the run's report and returns its CSV exports as

@@ -105,10 +105,9 @@ let registry =
     ("fig9", "job completion time CDF", Incast_view Fatree_eval.print_fig9);
     ("fig10", "RTT distributions", Incast_view Fatree_eval.print_fig10);
     ("fig11", "link utilization by layer", Incast_view Fatree_eval.print_fig11);
-    ( "table2", "coexistence goodput",
-      View (fun base -> Coexistence.print_table2 ~base ()) );
+    ("table2", "coexistence goodput", View Coexistence.print_table2);
     ( "table2.extended", "coexistence goodput vs BALIA/VENO/AMP",
-      View (fun base -> Coexistence.print_table2_extended ~base ()) );
+      View Coexistence.print_table2_extended );
     ("table3", "job completion times", Incast_view Fatree_eval.print_table3);
     ( "ablations.beta", "fairness/latency across beta",
       Keyed
@@ -124,17 +123,16 @@ let registry =
           ( Printf.sprintf "seed=%d beta=4" Ablations.k_sweep_seed,
             fun () -> Ablations.print_k_sweep () )) );
     ( "ablations.subflows", "goodput across subflow counts",
-      View (fun base -> Ablations.print_subflow_sweep ~base ()) );
+      View Ablations.print_subflow_sweep );
     ( "ablations.coupling", "LIA vs OLIA vs XMP coupling",
-      View (fun base -> Ablations.print_coupling_comparison ~base ()) );
+      View Ablations.print_coupling_comparison );
     ( "ablations.flow_size", "goodput across flow sizes",
-      View (fun base -> Ablations.print_flow_size_sweep ~base ()) );
+      View Ablations.print_flow_size_sweep );
     ( "ablations.incast_fanout", "incast completion across fanout",
-      Incast_view (fun base -> Ablations.print_incast_fanout_sweep ~base ()) );
+      Incast_view Ablations.print_incast_fanout_sweep );
     ( "ablations.rto_min", "incast across RTOmin",
-      Incast_view (fun base -> Ablations.print_rto_min_sweep ~base ()) );
-    ( "ablations.sack", "matrix with SACK recovery",
-      View (fun base -> Ablations.print_sack_comparison ~base ()) );
+      Incast_view Ablations.print_rto_min_sweep );
+    ("ablations.sack", "matrix with SACK recovery", View Ablations.print_sack_comparison);
     ( "ablations.queue", "buffer occupancy by scheme",
       Keyed
         (fun _ ->
@@ -236,4 +234,7 @@ let select cfg ids =
   List.fold_left add (Ok []) ids
   |> Result.map (fun l -> dedup [] (List.rev l))
 
-let golden () = Result.get_ok (select quick [ "fig1"; "fig4"; "fig6"; "fig7" ])
+let golden () =
+  Result.get_ok
+    (select quick
+       [ "fig1"; "fig4"; "fig6"; "fig7"; "ablations.k"; "ablations.queue" ])

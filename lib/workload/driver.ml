@@ -56,8 +56,6 @@ type config = {
   sack : bool;
   assignment : assignment;
   pattern : pattern;
-  rtt_subsample : int;
-  keep_flows : bool;
   faults : Xmp_engine.Fault_spec.t;
   telemetry : Xmp_telemetry.Sink.t;
 }
@@ -95,8 +93,6 @@ let default_config =
     sack = false;
     assignment = Uniform (Scheme.xmp 2);
     pattern = permutation_scaled;
-    rtt_subsample = 16;
-    keep_flows = true;
     faults = Xmp_engine.Fault_spec.empty;
     telemetry = Xmp_telemetry.Sink.null;
   }
@@ -109,15 +105,6 @@ type result = {
   injected_drops : int;
 }
 
-type active = {
-  a_scheme : Scheme.t;
-  a_src : int;
-  a_dst : int;
-  a_locality : Topology.locality;
-  a_size : int;
-  a_handle : Mptcp_flow.t;
-}
-
 type ctx = {
   cfg : config;
   sim : Sim.t;
@@ -128,7 +115,7 @@ type ctx = {
   overrides : Scheme.transport_overrides;
   mutable next_flow : int;
   inbound : int array;  (* per-host inbound large-flow count *)
-  running : (int, active) Hashtbl.t;  (* large flows still in flight *)
+  running : (int, Mptcp_flow.t) Hashtbl.t;  (* large flows still in flight *)
 }
 
 let fresh_flow ctx =
@@ -140,6 +127,23 @@ let scheme_for ctx ~src =
   match ctx.cfg.assignment with
   | Uniform s -> s
   | Split (a, b) -> if src mod 2 = 0 then a else b
+
+(* A large flow's record: all but how it ended follows from its handle. *)
+let record_flow ctx f ~finished ~goodput_bps ~truncated =
+  let src = Mptcp_flow.src f and dst = Mptcp_flow.dst f in
+  Metrics.record_flow ctx.metrics
+    {
+      Metrics.flow = Mptcp_flow.flow_id f;
+      scheme = scheme_for ctx ~src;
+      src;
+      dst;
+      locality = ctx.topo.locality ~src ~dst;
+      size_segments = Option.get (Mptcp_flow.size_segments f);
+      started = Mptcp_flow.started_at f;
+      finished;
+      goodput_bps;
+      truncated;
+    }
 
 (* Launch one large flow between host indices and record it on
    completion. *)
@@ -162,34 +166,14 @@ let launch_large ctx ~src ~dst ~size_segments ~on_complete =
           on_complete =
             (fun f ->
               Hashtbl.remove ctx.running flow;
-              let finished = Sim.now ctx.sim in
-              Metrics.record_flow ctx.metrics
-                {
-                  Metrics.flow;
-                  scheme;
-                  src;
-                  dst;
-                  locality;
-                  size_segments;
-                  started = Mptcp_flow.started_at f;
-                  finished;
-                  goodput_bps = Mptcp_flow.goodput_bps f;
-                  truncated = false;
-                };
+              record_flow ctx f ~finished:(Sim.now ctx.sim)
+                ~goodput_bps:(Mptcp_flow.goodput_bps f) ~truncated:false;
               on_complete ());
         }
       (Scheme.launcher scheme ctx.overrides)
   in
   if not (Mptcp_flow.is_complete handle) then
-    Hashtbl.replace ctx.running flow
-      {
-        a_scheme = scheme;
-        a_src = src;
-        a_dst = dst;
-        a_locality = locality;
-        a_size = size_segments;
-        a_handle = handle;
-      }
+    Hashtbl.replace ctx.running flow handle
 
 (* Launch a small (plain-TCP, single-path) flow; not recorded in large-flow
    metrics. *)
@@ -314,53 +298,13 @@ let pick_distinct ctx ~n ~from =
   done;
   Array.sub arr 0 n
 
-let run_incast ctx ~jobs ~fanout ~request_segments ~response_segments
-    ~bg_mean_segments ~bg_cap_segments ~bg_shape =
-  let n = ctx.topo.n_hosts in
-  if n < fanout + 1 then invalid_arg "Driver: incast fanout exceeds hosts";
-  let rec start_job () =
-    let hosts = pick_distinct ctx ~n:(fanout + 1) ~from:n in
-    let client = hosts.(0) in
-    let t0 = Sim.now ctx.sim in
-    let responses = ref 0 in
-    for s = 1 to fanout do
-      let server = hosts.(s) in
-      launch_small ctx ~src:client ~dst:server
-        ~size_segments:request_segments ~on_complete:(fun () ->
-          launch_small ctx ~src:server ~dst:client
-            ~size_segments:response_segments ~on_complete:(fun () ->
-              incr responses;
-              if !responses = fanout then begin
-                Metrics.record_job ctx.metrics
-                  (Time.sub (Sim.now ctx.sim) t0);
-                start_job ()
-              end))
-    done
-  in
-  for _ = 1 to jobs do
-    start_job ()
-  done;
-  (* background large flows, endpoints never in the same rack; a
-     non-positive mean disables the background entirely (pure incast) *)
-  if bg_mean_segments > 0. then
-    run_random ctx ~mean_segments:bg_mean_segments
-      ~cap_segments:bg_cap_segments ~shape:bg_shape ~max_inbound:4
-      ~other_rack:true
-
-(* Incast sweep: [jobs] concurrent request/response chains, each cycling
-   through the fanout list so every fanout accumulates job-time samples
-   (filed per fanout via [record_job ~fanout]). No background flows —
-   the sweep isolates the fanout effect. *)
-let run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments =
+(* [jobs] concurrent request/response chains. Chain [j] starts at
+   offset [j] into [fanouts] and cycles through it, so concurrent chains
+   cover different fanouts from the first wave on; every job is filed
+   under its fanout. *)
+let run_jobs ctx ~jobs ~fanouts ~request_segments ~response_segments =
   let fan_arr = Array.of_list fanouts in
-  if Array.length fan_arr = 0 then
-    invalid_arg "Driver: incast sweep needs at least one fanout";
   let n = ctx.topo.n_hosts in
-  Array.iter
-    (fun fanout ->
-      if fanout < 1 || n < fanout + 1 then
-        invalid_arg "Driver: incast sweep fanout exceeds hosts")
-    fan_arr;
   let rec start_job idx =
     let fanout = fan_arr.(idx mod Array.length fan_arr) in
     let hosts = pick_distinct ctx ~n:(fanout + 1) ~from:n in
@@ -375,14 +319,12 @@ let run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments =
             ~size_segments:response_segments ~on_complete:(fun () ->
               incr responses;
               if !responses = fanout then begin
-                Metrics.record_job ~fanout ctx.metrics
+                Metrics.record_job ctx.metrics ~fanout
                   (Time.sub (Sim.now ctx.sim) t0);
                 start_job (idx + 1)
               end))
     done
   in
-  (* chain [j] starts at offset [j] into the fanout list, so concurrent
-     chains cover different fanouts from the first wave on *)
   for j = 0 to jobs - 1 do
     start_job j
   done
@@ -449,9 +391,7 @@ let run cfg =
       net;
       topo;
       rng = Sim.rng sim;
-      metrics =
-        Metrics.create ~keep_flows:cfg.keep_flows
-          ~rtt_subsample:cfg.rtt_subsample ();
+      metrics = Metrics.create ~keep_flows:true ~rtt_subsample:16 ();
       overrides =
         {
           Scheme.default_overrides with
@@ -471,19 +411,25 @@ let run cfg =
     run_random ctx ~mean_segments ~cap_segments ~shape ~max_inbound
       ~other_rack:false
   | Incast
-      {
-        jobs;
-        fanout;
-        request_segments;
-        response_segments;
-        bg_mean_segments;
-        bg_cap_segments;
-        bg_shape;
-      } ->
-    run_incast ctx ~jobs ~fanout ~request_segments ~response_segments
-      ~bg_mean_segments ~bg_cap_segments ~bg_shape
+      { jobs; fanout; request_segments; response_segments; bg_mean_segments;
+        bg_cap_segments; bg_shape } ->
+    if topo.n_hosts < fanout + 1 then
+      invalid_arg "Driver: incast fanout exceeds hosts";
+    run_jobs ctx ~jobs ~fanouts:[ fanout ] ~request_segments
+      ~response_segments;
+    (* background large flows, endpoints never in the same rack; a
+       non-positive mean disables the background entirely (pure
+       incast) *)
+    if bg_mean_segments > 0. then
+      run_random ctx ~mean_segments:bg_mean_segments
+        ~cap_segments:bg_cap_segments ~shape:bg_shape ~max_inbound:4
+        ~other_rack:true
   | Incast_sweep { jobs; fanouts; request_segments; response_segments } ->
-    run_incast_sweep ctx ~jobs ~fanouts ~request_segments ~response_segments
+    if fanouts = [] then
+      invalid_arg "Driver: incast sweep needs at least one fanout";
+    if List.exists (fun f -> f < 1 || topo.n_hosts < f + 1) fanouts then
+      invalid_arg "Driver: incast sweep fanout exceeds hosts";
+    run_jobs ctx ~jobs ~fanouts ~request_segments ~response_segments
   | All_to_all { segments } -> run_all_to_all ctx ~segments);
   Shard.run ~until:cfg.horizon cluster;
   (* Flows still running at the horizon are measured over their partial
@@ -499,22 +445,11 @@ let run cfg =
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   List.iter
-    (fun (flow, a) ->
-      let elapsed = Time.sub cfg.horizon (Mptcp_flow.started_at a.a_handle) in
-      if elapsed >= min_elapsed then
-        Metrics.record_flow ctx.metrics
-          {
-            Metrics.flow;
-            scheme = a.a_scheme;
-            src = a.a_src;
-            dst = a.a_dst;
-            locality = a.a_locality;
-            size_segments = a.a_size;
-            started = Mptcp_flow.started_at a.a_handle;
-            finished = cfg.horizon;
-            goodput_bps = Mptcp_flow.goodput_bps_until a.a_handle cfg.horizon;
-            truncated = true;
-          })
+    (fun (_, f) ->
+      if Time.sub cfg.horizon (Mptcp_flow.started_at f) >= min_elapsed then
+        record_flow ctx f ~finished:cfg.horizon
+          ~goodput_bps:(Mptcp_flow.goodput_bps_until f cfg.horizon)
+          ~truncated:true)
     still_running;
   {
     metrics = ctx.metrics;

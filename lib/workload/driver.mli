@@ -55,9 +55,7 @@ type pattern =
   | Incast_sweep of {
       jobs : int;  (** concurrent request/response chains *)
       fanouts : int list;
-          (** each chain cycles through this fanout list; job times are
-              additionally filed per fanout
-              ({!Metrics.job_times_by_fanout}) *)
+          (** each chain cycles through this fanout list *)
       request_segments : int;
       response_segments : int;
     }
@@ -83,12 +81,6 @@ type config = {
   sack : bool;  (** selective acknowledgements on every flow *)
   assignment : assignment;
   pattern : pattern;
-  rtt_subsample : int;
-  keep_flows : bool;
-      (** retain every per-flow {!Metrics.flow_record} (the historical
-          behaviour; required by the table/figure printers). Disable for
-          long open-loop runs where only the streaming aggregates are
-          needed. *)
   faults : Xmp_engine.Fault_spec.t;
       (** fault schedule armed against the fat-tree before traffic starts;
           {!Xmp_engine.Fault_spec.empty} (the default) injects nothing *)

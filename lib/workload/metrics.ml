@@ -115,21 +115,18 @@ let record_rtt t ~locality rtt =
   if t.rtt_counter mod t.rtt_subsample = 0 then
     Distribution.add (rtt_dist t locality) (Time.to_ms rtt)
 
-let record_job ?fanout t d =
+let fanout_dist t fanout =
+  match Hashtbl.find_opt t.fanout_jobs fanout with
+  | Some dist -> dist
+  | None ->
+    let dist = Distribution.create () in
+    Hashtbl.replace t.fanout_jobs fanout dist;
+    t.fanout_order <- fanout :: t.fanout_order;
+    dist
+
+let record_job t ~fanout d =
   Distribution.add t.jobs (Time.to_ms d);
-  match fanout with
-  | None -> ()
-  | Some f ->
-    let dist =
-      match Hashtbl.find_opt t.fanout_jobs f with
-      | Some dist -> dist
-      | None ->
-        let dist = Distribution.create () in
-        Hashtbl.replace t.fanout_jobs f dist;
-        t.fanout_order <- f :: t.fanout_order;
-        dist
-    in
-    Distribution.add dist (Time.to_ms d)
+  Distribution.add (fanout_dist t fanout) (Time.to_ms d)
 
 let fct_bucket_of_segments size_segments =
   let bytes = float_of_int size_segments *. 1460. in
@@ -265,17 +262,7 @@ let merge ~into src =
   merge_dist ~into:into.jobs src.jobs;
   List.iter
     (fun f ->
-      let src_d = Hashtbl.find src.fanout_jobs f in
-      let into_d =
-        match Hashtbl.find_opt into.fanout_jobs f with
-        | Some d -> d
-        | None ->
-          let d = Distribution.create () in
-          Hashtbl.replace into.fanout_jobs f d;
-          into.fanout_order <- f :: into.fanout_order;
-          d
-      in
-      merge_dist ~into:into_d src_d)
+      merge_dist ~into:(fanout_dist into f) (Hashtbl.find src.fanout_jobs f))
     (List.rev src.fanout_order);
   merge_dist ~into:into.slowdown_all src.slowdown_all;
   Array.iteri

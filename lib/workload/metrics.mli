@@ -39,9 +39,9 @@ val record_flow : t -> flow_record -> unit
 val record_rtt :
   t -> locality:Xmp_net.Topology.locality -> Xmp_engine.Time.t -> unit
 
-val record_job : ?fanout:int -> t -> Xmp_engine.Time.t -> unit
-(** A completed incast job with its completion time; [fanout] additionally
-    files it under a per-fanout distribution (incast-sweep pattern). *)
+val record_job : t -> fanout:int -> Xmp_engine.Time.t -> unit
+(** A completed incast job of [fanout] servers with its completion time,
+    filed in the aggregate and in [fanout]'s distribution. *)
 
 val record_fct :
   t ->

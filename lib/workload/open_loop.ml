@@ -29,7 +29,6 @@ type config = {
   scheme : Scheme.t;
   sizes : Flow_size.t;
   load : float;  (** offered load as a fraction of host line rate *)
-  rate : Units.rate;  (** host line rate *)
   horizon : Time.t;  (** arrivals stop here *)
   drain : Time.t;  (** extra simulated time for in-flight flows to finish *)
   max_flows : int option;  (** arrivals also stop after this many launches *)
@@ -38,7 +37,6 @@ type config = {
   beta : int;
   rto_min : Time.t;
   sack : bool;
-  rtt_subsample : int;
   keep_flows : bool;
   cross_dc : float;
       (** fraction of flows aimed at the other DC (WAN fabrics only) *)
@@ -51,7 +49,6 @@ let default_config =
     scheme = Scheme.xmp 2;
     sizes = Flow_size.web_search;
     load = 0.4;
-    rate = Units.gbps 1.;
     horizon = Time.ms 100;
     drain = Time.ms 200;
     max_flows = None;
@@ -60,10 +57,13 @@ let default_config =
     beta = 4;
     rto_min = Time.ms 200;
     sack = false;
-    rtt_subsample = 64;
     keep_flows = false;
     cross_dc = 0.;
   }
+
+(* host line rate, and one RTT sample kept in 64 *)
+let rate = Units.gbps 1.
+let rtt_subsample = 64
 
 type result = {
   metrics : Metrics.t;
@@ -79,17 +79,17 @@ type result = {
    λ = load · C / E[S], with E[S] in bits. *)
 let arrival_rate cfg =
   let mean_bits = Flow_size.mean_segments cfg.sizes *. 1460. *. 8. in
-  cfg.load *. float_of_int cfg.rate /. mean_bits
+  cfg.load *. float_of_int rate /. mean_bits
 
 (* Ideal FCT: line-rate transfer time plus the zero-load RTT — the
    standard slowdown denominator (a flow that never queues and never
    shares a link scores 1). *)
-let transfer_time cfg ~size_segments =
+let transfer_time ~size_segments =
   Time.of_float_s
-    (float_of_int size_segments *. 1460. *. 8. /. float_of_int cfg.rate)
+    (float_of_int size_segments *. 1460. *. 8. /. float_of_int rate)
 
-let ideal_fct cfg (fb : Topology.t) ~src ~dst ~size_segments =
-  Time.add (transfer_time cfg ~size_segments) (fb.zero_load_rtt ~src ~dst)
+let ideal_fct (fb : Topology.t) ~src ~dst ~size_segments =
+  Time.add (transfer_time ~size_segments) (fb.zero_load_rtt ~src ~dst)
 
 (* Destination choice. Single-DC fabrics take the one branch the
    original generator had — same draws, same digests. WAN fabrics spend
@@ -152,7 +152,7 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
         {
           metrics =
             Metrics.create ~keep_flows:cfg.keep_flows
-              ~rtt_subsample:cfg.rtt_subsample ();
+              ~rtt_subsample ();
           running = Hashtbl.create 512;
           done_rev = [];
           n_completed = 0;
@@ -188,7 +188,7 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
             };
           Metrics.record_fct st.metrics ~size_segments
             ~fct:(Time.sub finished started)
-            ~ideal:(ideal_fct cfg fb ~src ~dst ~size_segments);
+            ~ideal:(ideal_fct fb ~src ~dst ~size_segments);
           st.done_rev <- f :: st.done_rev;
           st.n_completed <- st.n_completed + 1);
     }
@@ -258,7 +258,7 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
      (sorted-iteration idiom). Their FCT is undefined — only goodput and
      counts are filed. *)
   let total =
-    Metrics.create ~keep_flows:cfg.keep_flows ~rtt_subsample:cfg.rtt_subsample
+    Metrics.create ~keep_flows:cfg.keep_flows ~rtt_subsample
       ()
   in
   Array.iter
@@ -317,14 +317,14 @@ let run ?(config = default_config) ?(domains = 1) () =
   run_fabric ~cfg ~domains
     (Fat_tree.create
        ~cluster:(cluster_of cfg ~shards:cfg.k)
-       ~k:cfg.k ~rate:cfg.rate ~disc:(disc_of cfg) ())
+       ~k:cfg.k ~rate ~disc:(disc_of cfg) ())
 
 let run_wan ?(config = default_config) ?(domains = 1) ?faults ~left ~right
     ~trunks () =
   let cfg = config in
   let cluster = cluster_of cfg ~shards:2 in
   let topo =
-    Wan.create ~cluster ~left ~right ~trunks ~rate:cfg.rate ~disc:(disc_of cfg)
+    Wan.create ~cluster ~left ~right ~trunks ~rate ~disc:(disc_of cfg)
       ()
   in
   (* arm the fault schedule (e.g. Gilbert-Elliott loss on Tag "wan")

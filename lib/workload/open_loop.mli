@@ -22,7 +22,6 @@ type config = {
   scheme : Scheme.t;
   sizes : Flow_size.t;
   load : float;  (** offered load as a fraction of host line rate *)
-  rate : Xmp_net.Units.rate;  (** host line rate *)
   horizon : Xmp_engine.Time.t;  (** arrivals stop here *)
   drain : Xmp_engine.Time.t;
       (** extra simulated time for in-flight flows to finish; flows still
@@ -35,7 +34,6 @@ type config = {
   beta : int;
   rto_min : Xmp_engine.Time.t;
   sack : bool;
-  rtt_subsample : int;
   keep_flows : bool;
       (** retain per-flow records (see {!Metrics.create}); leave [false]
           for long runs *)
@@ -66,10 +64,10 @@ type result = {
 
 val arrival_rate : config -> float
 (** The per-host arrival rate (flows/s) the config offers:
-    [load · rate / (mean flow size in bits)]. *)
+    [load · rate / (mean flow size in bits)], at a 1 Gbps host line
+    rate. *)
 
 val ideal_fct :
-  config ->
   Xmp_net.Topology.t ->
   src:int ->
   dst:int ->

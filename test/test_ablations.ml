@@ -129,7 +129,7 @@ let test_rto_sweep_prints () =
   let base =
     { E.Run_spec.default_base with horizon = Time.ms 400 }
   in
-  let out = capture (fun () -> E.Ablations.print_rto_min_sweep ~base ()) in
+  let out = capture (fun () -> E.Ablations.print_rto_min_sweep base) in
   Alcotest.(check bool) "rows for both schemes" true
     (contains out "LIA-2" && contains out "XMP-2");
   Alcotest.(check bool) "rto values listed" true

@@ -25,7 +25,7 @@ let pairing_scenario partner =
       List.iter
         (fun queue_pkts ->
           let r =
-            Coexistence.run ~base:quick_base ~partner ~queue_pkts ()
+            Coexistence.run quick_base ~partner ~queue_pkts
           in
           Printf.printf "%s queue=%d xmp=%.3f partner=%.3f\n"
             (Scheme.name partner) queue_pkts r.Coexistence.cell.xmp_mbps

@@ -119,6 +119,10 @@ let test_fatree_matrix_shape () =
   Alcotest.(check bool) "XMP-2 > DCTCP" true (xmp2 > dctcp);
   Alcotest.(check bool) "XMP-2 > LIA-2" true (xmp2 > lia2)
 
+let test_fig1_geometry_rtt () =
+  Alcotest.(check int) "zero-load RTT" (Time.us 225)
+    (E.Panel.zero_load_rtt E.Fig1.geometry)
+
 let test_fatree_result_cached () =
   let base = { E.Run_spec.default_base with horizon = Time.ms 100 } in
   let r1 =
@@ -131,41 +135,10 @@ let test_fatree_result_cached () =
   in
   Alcotest.(check bool) "memoized (same object)" true (r1 == r2)
 
-let test_fatree_cache_scoping () =
-  E.Run_spec.clear_cache ();
-  Alcotest.(check int) "cleared" 0 (E.Run_spec.cache_size ());
-  let base = { E.Run_spec.default_base with horizon = Time.ms 100 } in
-  let r1 =
-    E.Run_spec.result base Xmp_workload.Scheme.dctcp
-      E.Run_spec.Permutation
-  in
-  Alcotest.(check int) "one entry" 1 (E.Run_spec.cache_size ());
-  (* with_cache runs its body against a fresh cache... *)
-  let inner_size_before, inner_r, inner_size_after =
-    E.Run_spec.with_cache (fun () ->
-        let before = E.Run_spec.cache_size () in
-        let r =
-          E.Run_spec.result base Xmp_workload.Scheme.dctcp
-            E.Run_spec.Permutation
-        in
-        (before, r, E.Run_spec.cache_size ()))
-  in
-  Alcotest.(check int) "fresh inside" 0 inner_size_before;
-  Alcotest.(check int) "populated inside" 1 inner_size_after;
-  Alcotest.(check bool) "recomputed, not shared" true (inner_r != r1);
-  (* ...and restores the outer cache afterwards *)
-  Alcotest.(check int) "outer cache restored" 1 (E.Run_spec.cache_size ());
-  let r2 =
-    E.Run_spec.result base Xmp_workload.Scheme.dctcp
-      E.Run_spec.Permutation
-  in
-  Alcotest.(check bool) "outer entry survives" true (r1 == r2)
-
 let test_coexistence_direction () =
   let base = { E.Run_spec.default_base with horizon = Time.ms 500 } in
   let r =
-    E.Coexistence.run ~base ~partner:Xmp_workload.Scheme.reno
-      ~queue_pkts:100 ()
+    E.Coexistence.run base ~partner:Xmp_workload.Scheme.reno ~queue_pkts:100
   in
   Alcotest.(check bool) "XMP beats plain TCP" true
     (r.E.Coexistence.cell.E.Coexistence.xmp_mbps
@@ -258,11 +231,11 @@ let suite =
     Alcotest.test_case "fig4 beta comparison" `Slow test_fig4_beta6_slower;
     Alcotest.test_case "fig6 fairness" `Slow test_fig6_fairness;
     Alcotest.test_case "fig7 rate compensation" `Slow test_fig7_compensation;
+    Alcotest.test_case "fig1 geometry zero-load RTT" `Quick
+      test_fig1_geometry_rtt;
     Alcotest.test_case "fat-tree matrix shape" `Slow
       test_fatree_matrix_shape;
     Alcotest.test_case "fat-tree memoization" `Slow test_fatree_result_cached;
-    Alcotest.test_case "fat-tree cache scoping" `Slow
-      test_fatree_cache_scoping;
     Alcotest.test_case "coexistence direction" `Slow
       test_coexistence_direction;
     Alcotest.test_case "pattern names" `Quick test_pattern_names;

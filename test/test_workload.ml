@@ -333,8 +333,8 @@ let test_metrics_rtt_subsampling () =
 
 let test_metrics_jobs () =
   let m = Metrics.create ~keep_flows:true ~rtt_subsample:1 () in
-  Metrics.record_job m (Time.ms 50);
-  Metrics.record_job m (Time.ms 350);
+  Metrics.record_job m ~fanout:8 (Time.ms 50);
+  Metrics.record_job m ~fanout:8 (Time.ms 350);
   Alcotest.(check (float 1e-6)) "over 300" 0.5 (Metrics.jobs_over_ms m 300.);
   Alcotest.(check int) "count" 2 (Distribution.count (Metrics.job_times_ms m))
 
@@ -838,10 +838,10 @@ let test_open_loop_ideal_fct () =
   Alcotest.(check bool) "hosts 0 and 16 sit in different pods" true
     (locality ~src:0 ~dst:16 = Xmp_net.Topology.Inter_pod);
   (* 1 segment inner-rack at 1 Gbps: 11.68 µs transfer + 80 µs RTT *)
-  let ideal = Open_loop.ideal_fct cfg topo ~src:0 ~dst:1 ~size_segments:1 in
+  let ideal = Open_loop.ideal_fct topo ~src:0 ~dst:1 ~size_segments:1 in
   Alcotest.(check int) "inner-rack single segment" 91_680 ideal;
   let inter_pod =
-    Open_loop.ideal_fct cfg topo ~src:0 ~dst:16 ~size_segments:1
+    Open_loop.ideal_fct topo ~src:0 ~dst:16 ~size_segments:1
   in
   Alcotest.(check int) "inter-pod adds core+agg legs" (91_680 + 280_000)
     inter_pod;
