@@ -39,7 +39,6 @@ type t = {
          each other (the global toggle is the ambient default) *)
   random : Random.State.t;
   telemetry : Xmp_telemetry.Sink.t;
-  faults : Fault_spec.t;
   clock : unit -> Time.t;  (* reads [now]; one closure per sim *)
 }
 
@@ -65,7 +64,6 @@ type config = {
   seed : int;
   invariants : bool option;
   telemetry : Xmp_telemetry.Sink.t;
-  faults : Fault_spec.t;
 }
 
 type stats = {
@@ -80,7 +78,6 @@ let default_config =
     seed = 42;
     invariants = None;
     telemetry = Xmp_telemetry.Sink.null;
-    faults = Fault_spec.empty;
   }
 
 (* process-wide tally across every simulator instance; the scenario runner
@@ -139,7 +136,6 @@ let create ?(config = default_config) () =
       invariants;
       random = Random.State.make [| config.seed; 0x584d50 (* "XMP" *) |];
       telemetry = config.telemetry;
-      faults = config.faults;
       clock = (fun () -> t.now);
     }
   in
@@ -150,7 +146,6 @@ let clock t = t.clock
 let next_event_time (t : t) = Event_queue.top_time t.heap
 let rng t = t.random
 let telemetry (t : t) = t.telemetry
-let faults (t : t) = t.faults
 let events_executed (t : t) = t.executed
 let pending t = Event_queue.length t.heap + t.backlog
 

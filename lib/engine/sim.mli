@@ -46,10 +46,6 @@ type config = {
   telemetry : Xmp_telemetry.Sink.t;
       (** sink shared with every component built over this simulator;
           {!Xmp_telemetry.Sink.null} disables instrumentation *)
-  faults : Fault_spec.t;
-      (** declarative fault schedule carried for the benefit of
-          [Xmp_faults.Injector.install], which arms it against a concrete
-          network; {!Fault_spec.empty} (the default) injects nothing *)
 }
 
 type stats = {
@@ -65,9 +61,8 @@ type stats = {
 }
 
 val default_config : config
-(** [{ seed = 42; invariants = None; telemetry = Sink.null;
-    faults = Fault_spec.empty }] — override fields with record update
-    syntax: [Sim.create ~config:{ Sim.default_config with seed = 7 } ()]. *)
+(** [{ seed = 42; invariants = None; telemetry = Sink.null }] —
+    override fields with record update syntax: [Sim.create ~config:{ Sim.default_config with seed = 7 } ()]. *)
 
 val create : ?config:config -> unit -> t
 (** A fresh simulator at time 0 (default {!default_config}). *)
@@ -83,10 +78,6 @@ val rng : t -> Random.State.t
 
 val telemetry : t -> Xmp_telemetry.Sink.t
 (** The sink this simulator was created with. *)
-
-val faults : t -> Fault_spec.t
-(** The fault schedule this simulator was created with (inert until an
-    injector is installed over it). *)
 
 val events_executed : t -> int
 (** Number of events fired so far (a cheap progress/work metric). *)

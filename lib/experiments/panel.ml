@@ -27,12 +27,12 @@ type env = {
 
 let run g ~seed ~telemetry ~faults ~queue ~capacity_pkts ~bucket_s ~horizon_s
     schedule =
-  let config = { Sim.default_config with seed; telemetry; faults } in
+  let config = { Sim.default_config with seed; telemetry } in
   let cluster = Net.Shard.create ~config ~shards:1 () in
   let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () = Net.Queue_disc.create ~policy:queue ~capacity_pkts in
   let testbed = testbed g ~net ~disc in
-  ignore (Xmp_faults.Injector.install ~net ());
+  ignore (Xmp_faults.Injector.install ~net faults);
   let probe = Probe.create ~sim ~bucket_s ~horizon_s in
   let finish = schedule { sim; net; testbed; probe } in
   Net.Shard.run ~until:(Time.sec horizon_s) cluster;

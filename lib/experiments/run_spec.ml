@@ -10,6 +10,7 @@ module Metrics = Xmp_workload.Metrics
 module Open_loop = Xmp_workload.Open_loop
 module Flow_size = Xmp_workload.Flow_size
 module Wan = Xmp_net.Wan
+module Fabric = Xmp_net.Fabric
 module Units = Xmp_net.Units
 module Topology = Xmp_net.Topology
 module Distribution = Xmp_stats.Distribution
@@ -66,18 +67,10 @@ let paper_scale_base =
 
 type cdf = Websearch | Datamining | Cdf_file of string
 
-type fabric =
-  | Fat_tree of int
-  | Bridged of {
-      left : Wan.dc_spec;
-      right : Wan.dc_spec;
-      trunks : Wan.trunk list;
-      cross_dc : float;
-      faults : Fault_spec.t;
-    }
-
 type workload = {
-  fabric : fabric;
+  fabric : Fabric.t;
+  cross_dc : float;
+  faults : Fault_spec.t;
   scheme : Scheme.t;
   cdf : cdf;
   size_scale : float;
@@ -148,8 +141,15 @@ let wan_rto_min ~left ~right ~trunks =
 
 let workload fabric scheme cdf =
   let d = Open_loop.default_config in
+  let rto_min, cross_dc =
+    match fabric with
+    | Fabric.Fat_tree _ -> (d.rto_min, d.cross_dc)
+    | Bridged { left; right; trunks } -> (wan_rto_min ~left ~right ~trunks, 0.5)
+  in
   {
     fabric;
+    cross_dc;
+    faults = d.faults;
     scheme;
     cdf;
     size_scale = 1. /. 32.;
@@ -161,10 +161,7 @@ let workload fabric scheme cdf =
     queue_pkts = d.queue_pkts;
     marking_threshold = d.marking_threshold;
     beta = d.beta;
-    rto_min =
-      (match fabric with
-      | Fat_tree _ -> d.rto_min
-      | Bridged { left; right; trunks; _ } -> wan_rto_min ~left ~right ~trunks);
+    rto_min;
     sack = d.sack;
   }
 
@@ -251,12 +248,12 @@ let to_string = function
   | Workload w ->
     let topology, fabric_words =
       match w.fabric with
-      | Fat_tree k -> (Printf.sprintf "ft:%d" k, [])
-      | Bridged { left; right; trunks; cross_dc; faults } ->
+      | Fabric.Fat_tree k -> (Printf.sprintf "ft:%d" k, [])
+      | Bridged { left; right; trunks } ->
         ( dc_to_string left ^ "+" ^ dc_to_string right,
           List.map (fun t -> "trunk=" ^ trunk_to_string t) trunks
-          @ ("cross-dc=" ^ float_to_string cross_dc)
-            :: fault_words faults )
+          @ ("cross-dc=" ^ float_to_string w.cross_dc)
+            :: fault_words w.faults )
     in
     String.concat " "
       ((topology :: Scheme.name w.scheme :: cdf_to_string w.cdf :: fabric_words)
@@ -414,11 +411,7 @@ let build_panel panel ~cluster ~disc =
   let _, geometry, _ = figure panel in
   ignore (Panel.testbed geometry ~net:(Xmp_net.Shard.net cluster 0) ~disc)
 
-let build_fat_tree k ~cluster ~disc =
-  ignore (Xmp_net.Fat_tree.create ~cluster ~k ~disc ())
-
-let build_wan ~left ~right ~trunks ~cluster ~disc =
-  ignore (Wan.create ~cluster ~left ~right ~trunks ~disc ())
+let build_fabric fabric ~cluster ~disc = ignore (Fabric.create ~cluster ~disc fabric)
 
 (* The schedule's targets must exist in the topology [build] makes: the
    injector resolves them against a scratch copy, which is built only
@@ -444,7 +437,7 @@ let faults_of all build =
     try
       let faults = Fault_spec.create ?seed specs in
       if List.exists named specs then
-        ignore (Xmp_faults.Injector.install ~net:(scratch build) ~schedule:faults ());
+        ignore (Xmp_faults.Injector.install ~net:(scratch build) faults);
       faults
     with Invalid_argument m -> bad "fault" "%s" m)
 
@@ -452,7 +445,7 @@ let base_of k all =
   let d = default_base in
   {
     k;
-    faults = faults_of all (build_fat_tree k);
+    faults = faults_of all (build_fabric (Fat_tree k));
     seed = get all "seed" any_int d.seed;
     horizon = get all "horizon" (time_in 1) d.horizon;
     queue_pkts = get all "queue" (int_at_least 1) d.queue_pkts;
@@ -541,14 +534,21 @@ let parse s =
           in
           let fabric =
             match fabric with
-            | `Fat_tree k -> Fat_tree k
+            | `Fat_tree k -> Fabric.Fat_tree k
             | `Bridged (left, right) ->
               let trunks =
                 match List.map trunk_of_string (all "trunk") with
                 | [] -> [ Wan.trunk () ]
                 | trunks -> trunks
               in
-              let cross_dc = get all "cross-dc" fraction 0.5 in
+              Fabric.Bridged { left; right; trunks }
+          in
+          let d = workload fabric scheme cdf in
+          let d =
+            match fabric with
+            | Fat_tree _ -> d
+            | Bridged { left; right; _ } ->
+              let cross_dc = get all "cross-dc" fraction d.cross_dc in
               (* a mixed draw picks a local destination, which a
                  one-host data center does not have *)
               if cross_dc > 0. && cross_dc < 1.
@@ -556,10 +556,8 @@ let parse s =
               then
                 bad "cross-dc" "%s needs 0 or 1: a data center of %s has one host"
                   (float_to_string cross_dc) topology;
-              let faults = faults_of all (build_wan ~left ~right ~trunks) in
-              Bridged { left; right; trunks; cross_dc; faults }
+              { d with cross_dc; faults = faults_of all (build_fabric fabric) }
           in
-          let d = workload fabric scheme cdf in
           Workload
             {
               d with
@@ -638,9 +636,8 @@ let pattern_of base = function
 
 let driver_config (base : base) scheme pattern =
   {
-    Driver.k = base.k;
+    Driver.fabric = Fat_tree base.k;
     seed = base.seed;
-    topology = Driver.Single_dc;
     cross_dc = 0.;
     horizon = base.horizon;
     queue_pkts = base.queue_pkts;
@@ -692,10 +689,8 @@ let print_eval base scheme pattern =
        (Metrics.rtts_by_locality m));
   Render.printf "events executed: %d\n" r.Driver.events
 
-(* Fault-injection evaluation: one run with a live telemetry sink so the
-   injector's Link_down / Link_up / Injected_drop events are observable,
-   summarized as a deterministic table. Not memoized — the run is cheap at
-   scenario scale and the sink makes the result unshareable. *)
+(* Fault-injection evaluation: the run's flows and goodput beside the
+   injector's own drop and link-transition counts. *)
 let print_fault_eval (base : base) scheme pattern =
   Render.heading
     (Printf.sprintf "Fault evaluation: %s under %s" (Scheme.name scheme)
@@ -704,18 +699,10 @@ let print_fault_eval (base : base) scheme pattern =
     (fun spec ->
       Render.say (Printf.sprintf "fault: %s" (Fault_spec.spec_to_string spec)))
     base.faults.Fault_spec.specs;
-  let sink = Xmp_telemetry.Sink.create () in
-  let cfg = { (driver_config base scheme pattern) with telemetry = sink } in
-  let r = Driver.run cfg in
-  let count kind =
-    let n = ref 0 in
-    Xmp_telemetry.Recorder.iter
-      (fun e -> if Xmp_telemetry.Event.kind e.event = kind then incr n)
-      (Xmp_telemetry.Sink.recorder sink);
-    !n
-  in
-  let m = r.Driver.metrics in
+  let r = result base scheme pattern in
+  let m = r.Driver.metrics and injector = r.Driver.injector in
   let jobs = Metrics.job_times_ms m in
+  let count f = string_of_int (f injector) in
   Table.print
     ~header:[ "Metric"; "Value" ]
     ~rows:
@@ -730,33 +717,30 @@ let print_fault_eval (base : base) scheme pattern =
           Table.fixed 1 (Metrics.mean_goodput_bps r.Driver.metrics /. 1e6);
         ];
         [ "Jobs completed"; string_of_int (Distribution.count jobs) ];
-        [ "Injected drops"; string_of_int r.Driver.injected_drops ];
-        [ "link-down events"; string_of_int (count "link-down") ];
-        [ "link-up events"; string_of_int (count "link-up") ];
-        [ "injected-drop events"; string_of_int (count "injected-drop") ];
+        [ "Injected drops"; count Xmp_faults.Injector.injected_drops ];
+        [ "link-down events"; count Xmp_faults.Injector.link_downs ];
+        [ "link-up events"; count Xmp_faults.Injector.link_ups ];
+        [ "injected-drop events"; count Xmp_faults.Injector.injected_drops ];
       ]
     ()
 
 (* ---- open-loop runs ---- *)
 
 let config (w : workload) =
-  let d = Open_loop.default_config in
   let cdf =
     match w.cdf with
     | Websearch -> Flow_size.web_search
     | Datamining -> Flow_size.data_mining
     | Cdf_file path -> Flow_size.of_file path
   in
-  let k, scheme, cross_dc =
-    match w.fabric with
-    | Fat_tree k -> (k, w.scheme, d.cross_dc)
-    | Bridged b -> (d.k, Scheme.with_rto ~rto_min:w.rto_min w.scheme, b.cross_dc)
-  in
   {
-    d with
-    Open_loop.k;
+    Open_loop.default_config with
+    fabric = w.fabric;
     seed = w.seed;
-    scheme;
+    scheme =
+      (match w.fabric with
+      | Fat_tree _ -> w.scheme
+      | Bridged _ -> Scheme.with_rto ~rto_min:w.rto_min w.scheme);
     sizes = (if w.size_scale = 1. then cdf else Flow_size.scaled cdf w.size_scale);
     load = w.load;
     horizon = w.horizon;
@@ -767,15 +751,11 @@ let config (w : workload) =
     beta = w.beta;
     rto_min = w.rto_min;
     sack = w.sack;
-    cross_dc;
+    cross_dc = w.cross_dc;
+    faults = w.faults;
   }
 
-let simulate ?(domains = 1) w =
-  let config = config w in
-  match w.fabric with
-  | Fat_tree _ -> Open_loop.run ~config ~domains ()
-  | Bridged { left; right; trunks; faults; _ } ->
-    Open_loop.run_wan ~config ~domains ~faults ~left ~right ~trunks ()
+let simulate ?(domains = 1) w = Open_loop.run ~config:(config w) ~domains ()
 
 let goodput_csv m =
   let buf = Buffer.create 256 in
@@ -816,11 +796,11 @@ let run ?domains = function
         "workload %s: k=%d seed=%d load=%.3f cdf=%s mean_size=%.1f segments\n"
         (Scheme.name w.scheme) k w.seed w.load (Flow_size.name c.sizes)
         (Flow_size.mean_segments c.sizes)
-    | Bridged { left; right; trunks; cross_dc; _ } ->
+    | Bridged { left; right; trunks } ->
       Render.printf
         "wan %s: %d+%d hosts, %d trunk(s), cross-dc %.3f, rto_min %.1f ms\n"
         (Scheme.name c.scheme) (Wan.dc_n_hosts left) (Wan.dc_n_hosts right)
-        (List.length trunks) cross_dc
+        (List.length trunks) w.cross_dc
         (float_of_int w.rto_min /. 1e6));
     Render.printf
       "flows: %d launched, %d completed, %d truncated (horizon %.3fs + drain \
@@ -842,7 +822,5 @@ let scratch_net t =
   scratch
     (match t with
     | Testbed { panel; _ } -> build_panel panel
-    | Pattern { base = { k; _ }; _ } | Workload { fabric = Fat_tree k; _ } ->
-      build_fat_tree k
-    | Workload { fabric = Bridged { left; right; trunks; _ }; _ } ->
-      build_wan ~left ~right ~trunks)
+    | Pattern { base = { k; _ }; _ } -> build_fabric (Fat_tree k)
+    | Workload { fabric; _ } -> build_fabric fabric)

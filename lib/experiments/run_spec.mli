@@ -75,18 +75,10 @@ val paper_scale_base : base
 
 type cdf = Websearch | Datamining | Cdf_file of string
 
-type fabric =
-  | Fat_tree of int  (** the pod-sharded [ft:K] *)
-  | Bridged of {
-      left : Xmp_net.Wan.dc_spec;
-      right : Xmp_net.Wan.dc_spec;
-      trunks : Xmp_net.Wan.trunk list;
-      cross_dc : float;
-      faults : Xmp_engine.Fault_spec.t;
-    }
-
 type workload = {
-  fabric : fabric;
+  fabric : Xmp_net.Fabric.t;
+  cross_dc : float;  (** WAN only: the fraction of flows across the cut *)
+  faults : Xmp_engine.Fault_spec.t;  (** WAN only *)
   scheme : Xmp_workload.Scheme.t;
   cdf : cdf;
   size_scale : float;  (** applied to the CDF's sizes (default 1/32) *)
@@ -106,7 +98,7 @@ type workload = {
 (** An open-loop run; defaults are {!Xmp_workload.Open_loop.default_config}'s
     (WAN: one default trunk, cross-DC 0.5). *)
 
-val workload : fabric -> Xmp_workload.Scheme.t -> cdf -> workload
+val workload : Xmp_net.Fabric.t -> Xmp_workload.Scheme.t -> cdf -> workload
 (** An open-loop run with every other field at its default. *)
 
 type panel =
@@ -194,8 +186,8 @@ val run : ?domains:int -> t -> (string * string) list
 (** Prints the run's report and returns its CSV exports as
     [(suffix, contents)]: none for a pattern or testbed run, [.fct.csv] and
     [.cdf.csv] for an open-loop run, plus [.goodput.csv] on a WAN. A
-    pattern run with a fault schedule reports through a telemetry sink:
-    flows, goodput, injected drops and link events. *)
+    pattern run with a fault schedule reports flows, goodput and the
+    injector's drop and link-transition counts. *)
 
 val scratch_net : t -> Xmp_net.Network.t
 (** The spec's topology on a throwaway one-shard cluster with one-slot

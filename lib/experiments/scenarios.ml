@@ -237,4 +237,5 @@ let select cfg ids =
 let golden () =
   Result.get_ok
     (select quick
-       [ "fig1"; "fig4"; "fig6"; "fig7"; "ablations.k"; "ablations.queue" ])
+       [ "fig1"; "fig4"; "fig6"; "fig7"; "ablations.k"; "ablations.queue"; "wan.asym";
+         "wan.mixed"; "wl.incast.sweep"; "incast.lossy" ])

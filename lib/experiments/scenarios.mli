@@ -46,7 +46,8 @@ val keyed :
     depends on. *)
 
 val golden : unit -> Xmp_runner.Scenario.t list
-(** The golden-regression set: fig1/fig4/fig6/fig7 and the K and
-    queue-occupancy ablations at [quick] scale — cheap enough for every
-    [dune runtest], rich enough to fingerprint the whole
-    engine/transport/mptcp/core stack. *)
+(** The golden-regression set: fig1/fig4/fig6/fig7, the K and
+    queue-occupancy ablations, wan.asym, wan.mixed, wl.incast.sweep and
+    incast.lossy at [quick] scale — cheap enough for every [dune
+    runtest], rich enough to fingerprint the whole
+    engine/transport/mptcp/core stack and both workload drivers. *)

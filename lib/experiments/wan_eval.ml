@@ -1,7 +1,7 @@
 (* WAN / heterogeneous-RTT evaluation: the scenario family the paper
    never ran. Two k=4 fat trees joined by high-BDP border trunks
-   (Xmp_net.Wan), driven open-loop (Open_loop.run_wan) and closed-loop
-   (Driver with a Bridged topology), measuring:
+   (Xmp_net.Wan), driven open-loop (Open_loop.run) and closed-loop
+   (Driver), both on a bridged Xmp_net.Fabric, measuring:
 
    - wan.asym  — per-subflow RTT asymmetry across two trunks of
      different delay: FCT slowdowns per scheme, TraSh's traffic
@@ -48,12 +48,9 @@ let eq1_k ~rate ~delay ~beta =
 let seed = 11
 
 let wan_spec ~scale ~trunks ~cross_dc ~scheme =
-  let fabric =
-    Run_spec.Bridged
-      { left; right; trunks; cross_dc; faults = Xmp_engine.Fault_spec.empty }
-  in
   {
-    (Run_spec.workload fabric scheme Run_spec.Websearch) with
+    (Run_spec.workload (Bridged { left; right; trunks }) scheme Run_spec.Websearch) with
+    cross_dc;
     seed;
     load = 0.25;
     horizon = Time.of_float_s (0.4 *. scale);
@@ -91,7 +88,7 @@ let asym_base ~scale = { Run_spec.default_base with horizon = Time.of_float_s sc
 let asym_driver_config ~scale scheme =
   {
     (Run_spec.driver_config (asym_base ~scale) scheme Run_spec.Random) with
-    Driver.topology = Driver.Bridged { left; right; trunks = asym_trunks };
+    Driver.fabric = Bridged { left; right; trunks = asym_trunks };
     cross_dc = 0.5;
     rto_min = Run_spec.wan_rto_min ~left ~right ~trunks:asym_trunks;
   }
@@ -201,7 +198,7 @@ let print_bdp ~scale:_ () =
               Open_loop.sizes = bdp_probe_sizes;
             }
           in
-          let r = Open_loop.run_wan ~config ~left ~right ~trunks () in
+          let r = Open_loop.run ~config () in
           Render.say
             (Printf.sprintf
                "%s (K=%d): %d/%d flows completed, mean goodput %.1f Mbps"

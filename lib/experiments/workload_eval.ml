@@ -10,9 +10,13 @@ module Open_loop = Xmp_workload.Open_loop
    ride on the same Driver. Flow sizes follow the repo-wide ×1/32
    convention for paper sizes (see Driver.segs_of_mb). *)
 
+let websearch_k = 8
+
 let websearch_spec ~scale =
   {
-    (Run_spec.workload (Run_spec.Fat_tree 8) (Scheme.xmp 2) Run_spec.Websearch) with
+    (Run_spec.workload (Xmp_net.Fabric.Fat_tree websearch_k) (Scheme.xmp 2)
+       Run_spec.Websearch)
+    with
     horizon = Time.of_float_s (0.25 *. scale);
     drain = Time.of_float_s (0.5 *. scale);
   }
@@ -33,7 +37,7 @@ let print_websearch ~scale () =
   Render.heading
     (Printf.sprintf
        "Open-loop web-search workload: k=%d, %s, load %.2f, %s sizes"
-       config.Open_loop.k
+       websearch_k
        (Scheme.name config.Open_loop.scheme)
        config.Open_loop.load
        (Flow_size.name config.Open_loop.sizes))

@@ -1,7 +1,7 @@
 (* Arms a declarative Fault_spec schedule against a concrete network.
 
-   The schedule is pure data carried by [Sim.config] (or passed
-   explicitly); installing resolves every target to live links, arms
+   The schedule is pure data, passed in by whoever builds the run;
+   installing resolves every target to live links, arms
    simulator events for the timed transitions, and attaches drop filters
    for the loss models. Installation is eager so an unknown link or tag
    name fails fast at setup instead of silently injecting nothing.
@@ -102,11 +102,8 @@ let pause_links net host =
     invalid_arg (Printf.sprintf "Fault injector: node %d is not a host" host));
   List.init (Node.n_ports node) (Node.port node)
 
-let install ~net ?schedule () =
+let install ~net schedule =
   let sim = Network.sim net in
-  let schedule =
-    match schedule with Some s -> s | None -> Sim.faults sim
-  in
   Spec.validate schedule;
   let t = { injected_drops = 0; link_downs = 0; link_ups = 0 } in
   let sink = Sim.telemetry sim in

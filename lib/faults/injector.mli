@@ -26,10 +26,8 @@
 
 type t
 
-val install : net:Xmp_net.Network.t -> ?schedule:Xmp_engine.Fault_spec.t -> unit -> t
-(** Defaults to the schedule carried by the network's simulator
-    ([Sim.faults]); an empty schedule installs nothing and costs
-    nothing. Raises [Invalid_argument] on invalid specs or unresolvable
+val install : net:Xmp_net.Network.t -> Xmp_engine.Fault_spec.t -> t
+(** An empty schedule installs nothing and costs nothing. Raises [Invalid_argument] on invalid specs or unresolvable
     targets. *)
 
 val injected_drops : t -> int

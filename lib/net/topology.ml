@@ -8,6 +8,12 @@ let locality_name = function
   | Inter_pod -> "Inter-Pod"
   | Inter_dc -> "Inter-DC"
 
+let locality_index = function
+  | Inner_rack -> 0
+  | Inter_rack -> 1
+  | Inter_pod -> 2
+  | Inter_dc -> 3
+
 let layers =
   [ "wan"; "border"; "core"; "aggregation"; "rack"; "leaf"; "spine" ]
 

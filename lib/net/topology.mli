@@ -14,6 +14,9 @@ type locality = Inner_rack | Inter_rack | Inter_pod | Inter_dc
 
 val locality_name : locality -> string
 
+val locality_index : locality -> int
+(** The class's position in declaration order, [0 .. 3]. *)
+
 val layers : string list
 (** Every link tag the builders use, in display order: [\["wan"; "border";
     "core"; "aggregation"; "rack"; "leaf"; "spine"\]]. A network carries

@@ -84,7 +84,7 @@ let trunk_disc tr () =
   in
   Queue_disc.create ~policy ~capacity_pkts:tr.trunk_queue_pkts
 
-let create ~cluster ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
+let create ~cluster ~left ~right ~trunks ~disc () =
   validate_spec left;
   validate_spec right;
   if trunks = [] then invalid_arg "Wan: at least one trunk required";
@@ -109,7 +109,7 @@ let create ~cluster ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
           ~prefix:(Printf.sprintf "d%d." d)
           ~host_base:(host_base d)
           ~switch_base:(if d = 0 then n_hosts else n_hosts + shapes.(0).switches)
-          ~n_exits:n_trunks ~rate ~disc)
+          ~n_exits:n_trunks ~rate:(Units.gbps 1.) ~disc)
       specs
   in
   let borders =

@@ -52,15 +52,13 @@ val create :
   left:dc_spec ->
   right:dc_spec ->
   trunks:trunk list ->
-  ?rate:Units.rate ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
   Topology.t
 (** Builds on a fresh cluster: everything on shard 0 of a one-shard
     cluster, or [left] on shard 0 and [right] on shard 1 of a two-shard
-    one; any other shard count raises [Invalid_argument]. [rate]
-    (default 1 Gbps) and [disc] configure the intra-DC links, whose
-    delays are the {!Fat_tree} / {!Leaf_spine} ones (rack 20 µs,
+    one; any other shard count raises [Invalid_argument]. Intra-DC
+    links run at 1 Gbps with [disc] queues; their delays are the {!Fat_tree} / {!Leaf_spine} ones (rack 20 µs,
     aggregation 30 µs, core 40 µs, spine 30 µs); border attach links use
     the exit-layer delay and the trunk's rate. At least one trunk is
     required.

@@ -1,20 +1,9 @@
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Network = Xmp_net.Network
-module Queue_disc = Xmp_net.Queue_disc
 module Shard = Xmp_net.Shard
 module Topology = Xmp_net.Topology
-module Fat_tree = Xmp_net.Fat_tree
-module Wan = Xmp_net.Wan
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
-
-type topology =
-  | Single_dc
-  | Bridged of {
-      left : Wan.dc_spec;
-      right : Wan.dc_spec;
-      trunks : Wan.trunk list;
-    }
 
 type assignment = Uniform of Scheme.t | Split of Scheme.t * Scheme.t
 
@@ -44,9 +33,8 @@ type pattern =
   | All_to_all of { segments : int }
 
 type config = {
-  k : int;
+  fabric : Xmp_net.Fabric.t;
   seed : int;
-  topology : topology;
   cross_dc : float;
   horizon : Time.t;
   queue_pkts : int;
@@ -81,9 +69,8 @@ let incast_scaled =
 
 let default_config =
   {
-    k = 4;
+    fabric = Xmp_net.Fabric.Fat_tree 4;
     seed = 1;
-    topology = Single_dc;
     cross_dc = 0.;
     horizon = Time.sec 2.;
     queue_pkts = 100;
@@ -102,17 +89,17 @@ type result = {
   net : Network.t;
   config : config;
   events : int;
-  injected_drops : int;
+  injector : Xmp_faults.Injector.t;
 }
 
 type ctx = {
   cfg : config;
+  setup : Setup.t;
   sim : Sim.t;
   net : Network.t;
-  topo : Topology.t;
   rng : Random.State.t;
   metrics : Metrics.t;
-  overrides : Scheme.transport_overrides;
+  reno : Scheme.launcher;  (* every small flow's *)
   mutable next_flow : int;
   inbound : int array;  (* per-host inbound large-flow count *)
   running : (int, Mptcp_flow.t) Hashtbl.t;  (* large flows still in flight *)
@@ -123,34 +110,12 @@ let fresh_flow ctx =
   ctx.next_flow <- id + 1;
   id
 
-let scheme_for ctx ~src =
-  match ctx.cfg.assignment with
-  | Uniform s -> s
-  | Split (a, b) -> if src mod 2 = 0 then a else b
-
-(* A large flow's record: all but how it ended follows from its handle. *)
-let record_flow ctx f ~finished ~goodput_bps ~truncated =
-  let src = Mptcp_flow.src f and dst = Mptcp_flow.dst f in
-  Metrics.record_flow ctx.metrics
-    {
-      Metrics.flow = Mptcp_flow.flow_id f;
-      scheme = scheme_for ctx ~src;
-      src;
-      dst;
-      locality = ctx.topo.locality ~src ~dst;
-      size_segments = Option.get (Mptcp_flow.size_segments f);
-      started = Mptcp_flow.started_at f;
-      finished;
-      goodput_bps;
-      truncated;
-    }
-
 (* Launch one large flow between host indices and record it on
    completion. *)
 let launch_large ctx ~src ~dst ~size_segments ~on_complete =
-  let scheme = scheme_for ctx ~src in
-  let locality = ctx.topo.locality ~src ~dst in
-  let available = ctx.topo.n_paths ~src ~dst in
+  let scheme, launcher = Setup.scheme ctx.setup ~src in
+  let locality = ctx.setup.topo.locality ~src ~dst in
+  let available = ctx.setup.topo.n_paths ~src ~dst in
   let paths =
     Scheme.pick_paths ~rng:ctx.rng ~available
       ~wanted:(Scheme.n_subflows scheme)
@@ -165,12 +130,10 @@ let launch_large ctx ~src ~dst ~size_segments ~on_complete =
             (fun rtt -> Metrics.record_rtt ctx.metrics ~locality rtt);
           on_complete =
             (fun f ->
-              Hashtbl.remove ctx.running flow;
-              record_flow ctx f ~finished:(Sim.now ctx.sim)
-                ~goodput_bps:(Mptcp_flow.goodput_bps f) ~truncated:false;
+              Setup.finish ctx.setup ctx.metrics ctx.running f;
               on_complete ());
         }
-      (Scheme.launcher scheme ctx.overrides)
+      launcher
   in
   if not (Mptcp_flow.is_complete handle) then
     Hashtbl.replace ctx.running flow handle
@@ -178,13 +141,13 @@ let launch_large ctx ~src ~dst ~size_segments ~on_complete =
 (* Launch a small (plain-TCP, single-path) flow; not recorded in large-flow
    metrics. *)
 let launch_small ctx ~src ~dst ~size_segments ~on_complete =
-  let available = ctx.topo.n_paths ~src ~dst in
+  let available = ctx.setup.topo.n_paths ~src ~dst in
   let paths = Scheme.pick_paths ~rng:ctx.rng ~available ~wanted:1 in
   let flow = fresh_flow ctx in
   ignore
     (Scheme.launch ~net:ctx.net ~flow ~src ~dst ~paths ~size_segments
        ~observer:{ Scheme.silent with on_complete = (fun _ -> on_complete ()) }
-       (Scheme.launcher Scheme.reno ctx.overrides))
+       ctx.reno)
 
 let uniform_size ctx ~min_segments ~max_segments =
   min_segments + Random.State.int ctx.rng (max_segments - min_segments + 1)
@@ -192,7 +155,7 @@ let uniform_size ctx ~min_segments ~max_segments =
 (* destination ≠ src, optionally in another rack, respecting the inbound
    cap; falls back to ignoring the cap if sampling keeps failing. *)
 let pick_dst ctx ~src ~max_inbound ~other_rack =
-  let topo = ctx.topo in
+  let topo = ctx.setup.topo in
   let n = topo.n_hosts in
   let ok ~use_cap d =
     d <> src
@@ -250,7 +213,7 @@ let random_derangement ctx n =
   p
 
 let run_permutation ctx ~min_segments ~max_segments =
-  let n = ctx.topo.n_hosts in
+  let n = ctx.setup.topo.n_hosts in
   let rec start_wave () =
     let perm = random_derangement ctx n in
     let remaining = ref n in
@@ -282,7 +245,7 @@ let run_random ctx ~mean_segments ~cap_segments ~shape ~max_inbound
   let pareto =
     Pareto.create ~shape ~mean:mean_segments ~cap:cap_segments
   in
-  for src = 0 to ctx.topo.n_hosts - 1 do
+  for src = 0 to ctx.setup.topo.n_hosts - 1 do
     start_random_source ctx ~pareto ~max_inbound ~other_rack ~src
   done
 
@@ -304,7 +267,7 @@ let pick_distinct ctx ~n ~from =
    under its fanout. *)
 let run_jobs ctx ~jobs ~fanouts ~request_segments ~response_segments =
   let fan_arr = Array.of_list fanouts in
-  let n = ctx.topo.n_hosts in
+  let n = ctx.setup.topo.n_hosts in
   let rec start_job idx =
     let fanout = fan_arr.(idx mod Array.length fan_arr) in
     let hosts = pick_distinct ctx ~n:(fanout + 1) ~from:n in
@@ -333,7 +296,7 @@ let run_jobs ctx ~jobs ~fanouts ~request_segments ~response_segments =
    next wave starts when the whole shuffle completes (a map-reduce style
    barrier). *)
 let run_all_to_all ctx ~segments =
-  let n = ctx.topo.n_hosts in
+  let n = ctx.setup.topo.n_hosts in
   let rec start_wave () =
     let remaining = ref (n * (n - 1)) in
     for src = 0 to n - 1 do
@@ -351,56 +314,26 @@ let run_all_to_all ctx ~segments =
   start_wave ()
 
 let run cfg =
-  let cluster =
-    Shard.create
-      ~config:
-        {
-          Sim.default_config with
-          seed = cfg.seed;
-          faults = cfg.faults;
-          telemetry = cfg.telemetry;
-        }
-      ~shards:1 ()
+  let setup =
+    Setup.create ~seed:cfg.seed ~telemetry:cfg.telemetry ~shards:1
+      ~queue_pkts:cfg.queue_pkts ~marking_threshold:cfg.marking_threshold
+      ~rto_min:cfg.rto_min ~beta:cfg.beta ~sack:cfg.sack ~faults:cfg.faults
+      ~schemes:
+        (match cfg.assignment with Uniform s -> [| s |] | Split (a, b) -> [| a; b |])
+      cfg.fabric
   in
-  let sim = Shard.sim cluster 0 and net = Shard.net cluster 0 in
-  (* under a uniform assignment a scheme tuned for a specific marking
-     threshold K (e.g. "XMP-2:k=20") gets the fabric configured to
-     match; a split assignment keeps the config's fabric-wide value *)
-  let marking =
-    match cfg.assignment with
-    | Uniform s ->
-      Option.value (Scheme.marking_threshold s) ~default:cfg.marking_threshold
-    | Split _ -> cfg.marking_threshold
-  in
-  let disc () =
-    Queue_disc.create
-      ~policy:(Queue_disc.Threshold_mark marking)
-      ~capacity_pkts:cfg.queue_pkts
-  in
-  let topo =
-    match cfg.topology with
-    | Single_dc -> Fat_tree.create ~cluster ~k:cfg.k ~disc ()
-    | Bridged { left; right; trunks } ->
-      Wan.create ~cluster ~left ~right ~trunks ~disc ()
-  in
-  let injector = Xmp_faults.Injector.install ~net () in
+  let sim = Shard.sim setup.cluster 0 and net = Shard.net setup.cluster 0 in
   let ctx =
     {
       cfg;
+      setup;
       sim;
       net;
-      topo;
       rng = Sim.rng sim;
       metrics = Metrics.create ~keep_flows:true ~rtt_subsample:16 ();
-      overrides =
-        {
-          Scheme.default_overrides with
-          rto_min = cfg.rto_min;
-          beta = cfg.beta;
-          sack = cfg.sack;
-        };
+      reno = Scheme.launcher Scheme.reno setup.overrides;
       next_flow = 0;
-      inbound = Array.make topo.n_hosts 0;
+      inbound = Array.make setup.topo.n_hosts 0;
       running = Hashtbl.create 256;
     }
   in
@@ -413,7 +346,7 @@ let run cfg =
   | Incast
       { jobs; fanout; request_segments; response_segments; bg_mean_segments;
         bg_cap_segments; bg_shape } ->
-    if topo.n_hosts < fanout + 1 then
+    if setup.topo.n_hosts < fanout + 1 then
       invalid_arg "Driver: incast fanout exceeds hosts";
     run_jobs ctx ~jobs ~fanouts:[ fanout ] ~request_segments
       ~response_segments;
@@ -427,36 +360,23 @@ let run cfg =
   | Incast_sweep { jobs; fanouts; request_segments; response_segments } ->
     if fanouts = [] then
       invalid_arg "Driver: incast sweep needs at least one fanout";
-    if List.exists (fun f -> f < 1 || topo.n_hosts < f + 1) fanouts then
+    if List.exists (fun f -> f < 1 || setup.topo.n_hosts < f + 1) fanouts then
       invalid_arg "Driver: incast sweep fanout exceeds hosts";
     run_jobs ctx ~jobs ~fanouts ~request_segments ~response_segments
   | All_to_all { segments } -> run_all_to_all ctx ~segments);
-  Shard.run ~until:cfg.horizon cluster;
+  Shard.run ~until:cfg.horizon setup.cluster;
   (* Flows still running at the horizon are measured over their partial
      lifetime (start → horizon), so slow schemes do not escape the average
      by never finishing. Very young flows carry no signal and are
      skipped. *)
-  let min_elapsed = Time.div cfg.horizon 10 in
-  (* sorted-iteration idiom: record in flow-id order, not hash order, so
-     metric aggregation (float sums included) never depends on the hash
-     function or table history *)
-  let still_running =
-    Hashtbl.fold (fun flow a acc -> (flow, a) :: acc) ctx.running []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  List.iter
-    (fun (_, f) ->
-      if Time.sub cfg.horizon (Mptcp_flow.started_at f) >= min_elapsed then
-        record_flow ctx f ~finished:cfg.horizon
-          ~goodput_bps:(Mptcp_flow.goodput_bps_until f cfg.horizon)
-          ~truncated:true)
-    still_running;
+  Setup.sweep setup ctx.metrics ctx.running ~until:cfg.horizon
+    ~min_elapsed:(Time.div cfg.horizon 10);
   {
     metrics = ctx.metrics;
     net;
     config = cfg;
-    events = Shard.events_executed cluster;
-    injected_drops = Xmp_faults.Injector.injected_drops injector;
+    events = Shard.events_executed setup.cluster;
+    injector = setup.injectors.(0);
   }
 
 let utilization_by_layer (r : result) =

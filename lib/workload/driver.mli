@@ -1,6 +1,6 @@
-(** Fat-tree evaluation driver (§5.2): builds the topology, generates one
-    of the paper's three traffic patterns, runs to the horizon, and
-    returns collected metrics.
+(** Fat-tree evaluation driver (§5.2): builds the fabric ({!Setup}),
+    generates one of the paper's three traffic patterns, runs to the
+    horizon, and returns collected metrics.
 
     Patterns (§5.2.1):
     - {b Permutation}: every host sends one flow to a random distinct host
@@ -15,17 +15,6 @@
 
     Large flows use the configured scheme(s); incast request/response
     small flows always use plain TCP, as in the paper. *)
-
-type topology =
-  | Single_dc  (** one [k]-ary fat tree (the historical driver) *)
-  | Bridged of {
-      left : Xmp_net.Wan.dc_spec;
-      right : Xmp_net.Wan.dc_spec;
-      trunks : Xmp_net.Wan.trunk list;
-    }
-      (** two DCs joined by WAN trunks ({!Xmp_net.Wan.create} on a
-          one-shard cluster); [config.k] is ignored — the DC specs size
-          the fabric *)
 
 type assignment =
   | Uniform of Scheme.t
@@ -64,14 +53,13 @@ type pattern =
           shuffle wave starts when the whole wave completes *)
 
 type config = {
-  k : int;  (** fat-tree arity (single-DC topology only) *)
+  fabric : Xmp_net.Fabric.t;  (** built whole on one shard *)
   seed : int;
-  topology : topology;
   cross_dc : float;
-      (** with a {!Bridged} topology, the fraction of randomly chosen
+      (** on a bridged fabric, the fraction of randomly chosen
           destinations drawn from the other DC (Random-pattern and
           incast-background candidate draws); 0 keeps all random picks
-          DC-local. Ignored for {!Single_dc}. Derangement-based patterns
+          DC-local. Ignored on a fat tree. Derangement-based patterns
           (Permutation, All_to_all) always mix globally. *)
   horizon : Xmp_engine.Time.t;
   queue_pkts : int;
@@ -82,7 +70,7 @@ type config = {
   assignment : assignment;
   pattern : pattern;
   faults : Xmp_engine.Fault_spec.t;
-      (** fault schedule armed against the fat-tree before traffic starts;
+      (** fault schedule armed against the fabric before traffic starts;
           {!Xmp_engine.Fault_spec.empty} (the default) injects nothing *)
   telemetry : Xmp_telemetry.Sink.t;
       (** sink handed to the simulator, so fault transitions and injected
@@ -90,7 +78,7 @@ type config = {
 }
 
 val default_config : config
-(** k = 4 single-DC, seed 1, 2 s horizon, 100-packet queues, K = 10,
+(** A k = 4 fat tree, seed 1, 2 s horizon, 100-packet queues, K = 10,
     β = 4, RTOmin 200 ms, XMP-2 Permutation with the ×1/32-scaled paper
     sizes, per-flow records kept, no faults, null telemetry sink, no
     cross-DC bias. *)
@@ -105,9 +93,8 @@ type result = {
   net : Xmp_net.Network.t;
   config : config;
   events : int;
-  injected_drops : int;
-      (** packets killed by the fault injector's loss filters; 0 when the
-          schedule is empty *)
+  injector : Xmp_faults.Injector.t;
+      (** the armed fault schedule: its drop and link-transition counts *)
 }
 
 val run : config -> result

@@ -34,21 +34,16 @@ type t = {
   scheme_sums : (Scheme.t, scheme_sum) Hashtbl.t;
   mutable scheme_order : Scheme.t list; (* reverse insertion order *)
   goodput_all : Distribution.t;
-  goodput_inner : Distribution.t;
-  goodput_rack : Distribution.t;
-  goodput_pod : Distribution.t;
-  goodput_dc : Distribution.t;
-  rtt_inner : Distribution.t;
-  rtt_rack : Distribution.t;
-  rtt_pod : Distribution.t;
-  rtt_dc : Distribution.t;
+  goodputs : Distribution.t array;  (* by Topology.locality_index *)
+  rtts : Distribution.t array;  (* likewise *)
   mutable rtt_counter : int;
-  jobs : Distribution.t;
   fanout_jobs : (int, Distribution.t) Hashtbl.t;
   mutable fanout_order : int list;
   slowdown_all : Distribution.t;
   slowdown_buckets : Distribution.t array;
 }
+
+let by_locality () = Array.init 4 (fun _ -> Distribution.create ())
 
 let create ?(keep_flows = false) ~rtt_subsample () =
   if rtt_subsample < 1 then invalid_arg "Metrics.create";
@@ -62,27 +57,14 @@ let create ?(keep_flows = false) ~rtt_subsample () =
     scheme_sums = Hashtbl.create 7;
     scheme_order = [];
     goodput_all = Distribution.create ();
-    goodput_inner = Distribution.create ();
-    goodput_rack = Distribution.create ();
-    goodput_pod = Distribution.create ();
-    goodput_dc = Distribution.create ();
-    rtt_inner = Distribution.create ();
-    rtt_rack = Distribution.create ();
-    rtt_pod = Distribution.create ();
-    rtt_dc = Distribution.create ();
+    goodputs = by_locality ();
+    rtts = by_locality ();
     rtt_counter = 0;
-    jobs = Distribution.create ();
     fanout_jobs = Hashtbl.create 7;
     fanout_order = [];
     slowdown_all = Distribution.create ();
     slowdown_buckets = Array.init n_fct_buckets (fun _ -> Distribution.create ());
   }
-
-let goodput_dist t = function
-  | Topology.Inner_rack -> t.goodput_inner
-  | Topology.Inter_rack -> t.goodput_rack
-  | Topology.Inter_pod -> t.goodput_pod
-  | Topology.Inter_dc -> t.goodput_dc
 
 let scheme_sum t scheme =
   match Hashtbl.find_opt t.scheme_sums scheme with
@@ -101,19 +83,13 @@ let record_flow t r =
   s.s_sum <- s.s_sum +. r.goodput_bps;
   s.s_n <- s.s_n + 1;
   Distribution.add t.goodput_all r.goodput_bps;
-  Distribution.add (goodput_dist t r.locality) r.goodput_bps;
+  Distribution.add t.goodputs.(Topology.locality_index r.locality) r.goodput_bps;
   if t.keep_flows then t.flows <- r :: t.flows
-
-let rtt_dist t = function
-  | Topology.Inner_rack -> t.rtt_inner
-  | Topology.Inter_rack -> t.rtt_rack
-  | Topology.Inter_pod -> t.rtt_pod
-  | Topology.Inter_dc -> t.rtt_dc
 
 let record_rtt t ~locality rtt =
   t.rtt_counter <- t.rtt_counter + 1;
   if t.rtt_counter mod t.rtt_subsample = 0 then
-    Distribution.add (rtt_dist t locality) (Time.to_ms rtt)
+    Distribution.add t.rtts.(Topology.locality_index locality) (Time.to_ms rtt)
 
 let fanout_dist t fanout =
   match Hashtbl.find_opt t.fanout_jobs fanout with
@@ -124,9 +100,7 @@ let fanout_dist t fanout =
     t.fanout_order <- fanout :: t.fanout_order;
     dist
 
-let record_job t ~fanout d =
-  Distribution.add t.jobs (Time.to_ms d);
-  Distribution.add (fanout_dist t fanout) (Time.to_ms d)
+let record_job t ~fanout d = Distribution.add (fanout_dist t fanout) (Time.to_ms d)
 
 let fct_bucket_of_segments size_segments =
   let bytes = float_of_int size_segments *. 1460. in
@@ -170,22 +144,15 @@ let localities =
   [ Topology.Inter_dc; Topology.Inter_pod; Topology.Inter_rack;
     Topology.Inner_rack ]
 
-let goodputs_by_locality t =
+let non_empty by_locality =
   List.filter_map
     (fun loc ->
-      let d = goodput_dist t loc in
+      let d = by_locality.(Topology.locality_index loc) in
       if Distribution.is_empty d then None else Some (loc, d))
     localities
 
-let rtts_by_locality t =
-  List.filter_map
-    (fun loc ->
-      let d = rtt_dist t loc in
-      if Distribution.is_empty d then None else Some (loc, d))
-    localities
-
-let job_times_ms t = t.jobs
-let jobs_over_ms t threshold = Distribution.fraction_above t.jobs threshold
+let goodputs_by_locality t = non_empty t.goodputs
+let rtts_by_locality t = non_empty t.rtts
 
 let job_times_by_fanout t =
   let fanouts = List.sort_uniq Int.compare t.fanout_order in
@@ -236,6 +203,20 @@ let fct_cdf_csv ?(points = 100) t =
    order, float sums accumulate in pod order). *)
 let merge_dist ~into src = Array.iter (Distribution.add into) (Distribution.values src)
 
+let merge_dists ~into src = Array.iteri (fun i d -> merge_dist ~into:into.(i) d) src
+
+(* Each job is filed once, under its fanout; a single fanout's
+   distribution is the aggregate itself. *)
+let job_times_ms t =
+  match job_times_by_fanout t with
+  | [ (_, d) ] -> d
+  | by_fanout ->
+    let all = Distribution.create () in
+    List.iter (fun (_, d) -> merge_dist ~into:all d) by_fanout;
+    all
+
+let jobs_over_ms t threshold = Distribution.fraction_above (job_times_ms t) threshold
+
 let merge ~into src =
   into.n_flows <- into.n_flows + src.n_flows;
   into.n_truncated <- into.n_truncated + src.n_truncated;
@@ -250,24 +231,15 @@ let merge ~into src =
       d.s_n <- d.s_n + s.s_n)
     (List.rev src.scheme_order);
   merge_dist ~into:into.goodput_all src.goodput_all;
-  merge_dist ~into:into.goodput_inner src.goodput_inner;
-  merge_dist ~into:into.goodput_rack src.goodput_rack;
-  merge_dist ~into:into.goodput_pod src.goodput_pod;
-  merge_dist ~into:into.goodput_dc src.goodput_dc;
-  merge_dist ~into:into.rtt_inner src.rtt_inner;
-  merge_dist ~into:into.rtt_rack src.rtt_rack;
-  merge_dist ~into:into.rtt_pod src.rtt_pod;
-  merge_dist ~into:into.rtt_dc src.rtt_dc;
+  merge_dists ~into:into.goodputs src.goodputs;
+  merge_dists ~into:into.rtts src.rtts;
   into.rtt_counter <- into.rtt_counter + src.rtt_counter;
-  merge_dist ~into:into.jobs src.jobs;
   List.iter
     (fun f ->
       merge_dist ~into:(fanout_dist into f) (Hashtbl.find src.fanout_jobs f))
     (List.rev src.fanout_order);
   merge_dist ~into:into.slowdown_all src.slowdown_all;
-  Array.iteri
-    (fun i d -> merge_dist ~into:into.slowdown_buckets.(i) d)
-    src.slowdown_buckets
+  merge_dists ~into:into.slowdown_buckets src.slowdown_buckets
 
 let utilization_by_layer ~net ~duration =
   List.filter_map

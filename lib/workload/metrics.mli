@@ -41,7 +41,7 @@ val record_rtt :
 
 val record_job : t -> fanout:int -> Xmp_engine.Time.t -> unit
 (** A completed incast job of [fanout] servers with its completion time,
-    filed in the aggregate and in [fanout]'s distribution. *)
+    filed under [fanout]. *)
 
 val record_fct :
   t ->
@@ -84,7 +84,8 @@ val rtts_by_locality :
 (** Milliseconds (Figure 10 bars). *)
 
 val job_times_ms : t -> Distribution.t
-(** Figure 9 CDF / Table 3. *)
+(** Figure 9 CDF / Table 3: every job. With one fanout this is that
+    fanout's own distribution; with several, a fresh merge of theirs. *)
 
 val jobs_over_ms : t -> float -> float
 (** Fraction of jobs slower than the threshold (Table 3's ">300ms"). *)

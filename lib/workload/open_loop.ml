@@ -1,13 +1,8 @@
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
-module Fault_spec = Xmp_engine.Fault_spec
 module Units = Xmp_net.Units
-module Queue_disc = Xmp_net.Queue_disc
-module Fat_tree = Xmp_net.Fat_tree
 module Topology = Xmp_net.Topology
-module Wan = Xmp_net.Wan
 module Shard = Xmp_net.Shard
-module Injector = Xmp_faults.Injector
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 
 (* Open-loop workload on a sharded fabric: Poisson arrivals per host
@@ -18,13 +13,14 @@ module Mptcp_flow = Xmp_mptcp.Mptcp_flow
    is safe, and it runs on the orchestrating domain in a deterministic
    order, so the generated schedule is identical for any domain count.
 
-   The engine is written against the {!Topology} handle, so the same
-   generator drives the pod-sharded fat tree ({!run}) and the two-DC
-   WAN bridge ({!run_wan}); the fat-tree path performs exactly the
-   RNG draws it always did, keeping its digests stable. *)
+   The generator sees only the {!Topology} handle of the fabric
+   {!Setup} builds, one shard per pod or per DC, so one path drives the
+   pod-sharded fat tree and the two-DC WAN bridge alike; on a fat tree
+   it performs exactly the RNG draws it always did, keeping its digests
+   stable. *)
 
 type config = {
-  k : int;
+  fabric : Xmp_net.Fabric.t;
   seed : int;
   scheme : Scheme.t;
   sizes : Flow_size.t;
@@ -40,11 +36,12 @@ type config = {
   keep_flows : bool;
   cross_dc : float;
       (** fraction of flows aimed at the other DC (WAN fabrics only) *)
+  faults : Xmp_engine.Fault_spec.t;
 }
 
 let default_config =
   {
-    k = 8;
+    fabric = Xmp_net.Fabric.Fat_tree 8;
     seed = 1;
     scheme = Scheme.xmp 2;
     sizes = Flow_size.web_search;
@@ -59,6 +56,7 @@ let default_config =
     sack = false;
     keep_flows = false;
     cross_dc = 0.;
+    faults = Xmp_engine.Fault_spec.empty;
   }
 
 (* host line rate, and one RTT sample kept in 64 *)
@@ -128,25 +126,17 @@ type shard_state = {
   mutable n_completed : int;
 }
 
-(* every flow Open_loop launches is sized *)
-let size_of f = Option.get (Mptcp_flow.size_segments f)
-
-let locality_index : Topology.locality -> int = function
-  | Inner_rack -> 0
-  | Inter_rack -> 1
-  | Inter_pod -> 2
-  | Inter_dc -> 3
-
-let run_fabric ~cfg ~domains (fb : Topology.t) =
-  let overrides =
-    {
-      Scheme.default_overrides with
-      rto_min = cfg.rto_min;
-      beta = cfg.beta;
-      sack = cfg.sack;
-    }
+let run ?(config = default_config) ?(domains = 1) () =
+  let cfg = config in
+  let setup =
+    Setup.create ~seed:cfg.seed ~telemetry:Xmp_telemetry.Sink.null
+      ~shards:(Xmp_net.Fabric.shards cfg.fabric) ~queue_pkts:cfg.queue_pkts
+      ~marking_threshold:cfg.marking_threshold ~rto_min:cfg.rto_min
+      ~beta:cfg.beta ~sack:cfg.sack ~faults:cfg.faults ~schemes:[| cfg.scheme |]
+      cfg.fabric
   in
-  let launcher = Scheme.launcher cfg.scheme overrides in
+  let fb = setup.topo in
+  let _, launcher = Setup.scheme setup ~src:0 in
   let shards =
     Array.init (Shard.n_shards fb.cluster) (fun _ ->
         {
@@ -167,27 +157,13 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
       on_rtt_sample = (fun rtt -> Metrics.record_rtt st.metrics ~locality rtt);
       on_complete =
         (fun f ->
-          let flow = Mptcp_flow.flow_id f in
-          Hashtbl.remove st.running flow;
+          Setup.finish setup st.metrics st.running f;
+          (* every flow Open_loop launches is sized *)
+          let size_segments = Option.get (Mptcp_flow.size_segments f) in
           let src = Mptcp_flow.src f and dst = Mptcp_flow.dst f in
-          let size_segments = size_of f in
           let finished = Sim.now (Shard.sim fb.cluster shard) in
-          let started = Mptcp_flow.started_at f in
-          Metrics.record_flow st.metrics
-            {
-              Metrics.flow;
-              scheme = cfg.scheme;
-              src;
-              dst;
-              locality;
-              size_segments;
-              started;
-              finished;
-              goodput_bps = Mptcp_flow.goodput_bps f;
-              truncated = false;
-            };
           Metrics.record_fct st.metrics ~size_segments
-            ~fct:(Time.sub finished started)
+            ~fct:(Time.sub finished (Mptcp_flow.started_at f))
             ~ideal:(ideal_fct fb ~src ~dst ~size_segments);
           st.done_rev <- f :: st.done_rev;
           st.n_completed <- st.n_completed + 1);
@@ -222,7 +198,7 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
         ~net:(Topology.host_net fb src)
         ~rcv_net:(Topology.host_net fb dst)
         ~flow ~src ~dst ~paths ~size_segments ~start_at:at
-        ~observer:observers.(shard).(locality_index locality)
+        ~observer:observers.(shard).(Topology.locality_index locality)
         launcher
     in
     if not (Mptcp_flow.is_complete handle) then
@@ -252,38 +228,13 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
     if Time.compare next cfg.horizon > 0 then Time.infinity else next
   in
   let until = Time.add cfg.horizon cfg.drain in
-  Shard.run ~domains ~until ~on_epoch fb.cluster;
-  (* Flows still in flight at the end are recorded as truncated, in
-     flow-id order so aggregation never depends on hash-table history
-     (sorted-iteration idiom). Their FCT is undefined — only goodput and
-     counts are filed. *)
-  let total =
-    Metrics.create ~keep_flows:cfg.keep_flows ~rtt_subsample
-      ()
-  in
+  Shard.run ~domains ~until ~on_epoch setup.cluster;
+  (* Flows still in flight at the end are recorded as truncated. Their
+     FCT is undefined — only goodput and counts are filed. *)
+  let total = Metrics.create ~keep_flows:cfg.keep_flows ~rtt_subsample () in
   Array.iter
     (fun st ->
-      let still =
-        Hashtbl.fold (fun flow f acc -> (flow, f) :: acc) st.running []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
-      List.iter
-        (fun (flow, f) ->
-          let src = Mptcp_flow.src f and dst = Mptcp_flow.dst f in
-          Metrics.record_flow st.metrics
-            {
-              Metrics.flow;
-              scheme = cfg.scheme;
-              src;
-              dst;
-              locality = fb.locality ~src ~dst;
-              size_segments = size_of f;
-              started = Mptcp_flow.started_at f;
-              finished = until;
-              goodput_bps = Mptcp_flow.goodput_bps_until f until;
-              truncated = true;
-            })
-        still;
+      Setup.sweep setup st.metrics st.running ~until ~min_elapsed:Time.zero;
       Metrics.merge ~into:total st.metrics)
     shards;
   let completed =
@@ -294,48 +245,10 @@ let run_fabric ~cfg ~domains (fb : Topology.t) =
     launched = !launched;
     completed;
     truncated = Metrics.n_truncated_flows total;
-    events = Shard.events_executed fb.cluster;
-    mail = Shard.mail_injected fb.cluster;
+    events = Shard.events_executed setup.cluster;
+    mail = Shard.mail_injected setup.cluster;
     config = cfg;
   }
 
-let disc_of cfg =
-  let marking =
-    Option.value (Scheme.marking_threshold cfg.scheme)
-      ~default:cfg.marking_threshold
-  in
-  fun () ->
-    Queue_disc.create
-      ~policy:(Queue_disc.Threshold_mark marking)
-      ~capacity_pkts:cfg.queue_pkts
-
-let cluster_of cfg ~shards =
-  Shard.create ~config:{ Sim.default_config with Sim.seed = cfg.seed } ~shards ()
-
-let run ?(config = default_config) ?(domains = 1) () =
-  let cfg = config in
-  run_fabric ~cfg ~domains
-    (Fat_tree.create
-       ~cluster:(cluster_of cfg ~shards:cfg.k)
-       ~k:cfg.k ~rate ~disc:(disc_of cfg) ())
-
-let run_wan ?(config = default_config) ?(domains = 1) ?faults ~left ~right
-    ~trunks () =
-  let cfg = config in
-  let cluster = cluster_of cfg ~shards:2 in
-  let topo =
-    Wan.create ~cluster ~left ~right ~trunks ~rate ~disc:(disc_of cfg)
-      ()
-  in
-  (* arm the fault schedule (e.g. Gilbert-Elliott loss on Tag "wan")
-     against both shard networks; targets must resolve in every shard,
-     which holds for trunk links since each direction lives in its
-     source DC's net *)
-  (match faults with
-  | None -> ()
-  | Some schedule ->
-    if not (Fault_spec.is_empty schedule) then
-      for s = 0 to 1 do
-        ignore (Injector.install ~net:(Shard.net cluster s) ~schedule ())
-      done);
-  run_fabric ~cfg ~domains topo
+let run_wan ?(config = default_config) ?domains ~left ~right ~trunks () =
+  run ~config:{ config with fabric = Bridged { left; right; trunks } } ?domains ()

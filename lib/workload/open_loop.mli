@@ -1,4 +1,5 @@
-(** Open-loop workload runs on the pod-sharded fat tree, at paper scale.
+(** Open-loop workload runs on any {!Xmp_net.Fabric}, sharded one
+    shard per pod or per DC, at paper scale.
 
     Arrivals are per-host Poisson processes ({!Arrivals}) whose rate
     offers a chosen fraction of the host line rate; flow sizes come from
@@ -17,7 +18,7 @@
     [domains] count. *)
 
 type config = {
-  k : int;
+  fabric : Xmp_net.Fabric.t;
   seed : int;
   scheme : Scheme.t;
   sizes : Flow_size.t;
@@ -38,16 +39,20 @@ type config = {
       (** retain per-flow records (see {!Metrics.create}); leave [false]
           for long runs *)
   cross_dc : float;
-      (** fraction of arrivals aimed at the other data center, on WAN
-          fabrics ({!run_wan}) only; ignored (and the destination draw
-          sequence unchanged) on the single-tree {!run} *)
+      (** fraction of arrivals aimed at the other data center, on a
+          bridged fabric only; ignored (and the destination draw
+          sequence unchanged) on a fat tree *)
+  faults : Xmp_engine.Fault_spec.t;
+      (** armed on every shard's network (see {!Setup.create}), e.g.
+          Gilbert–Elliott loss on the ["wan"] tag *)
 }
 
 val default_config : config
-(** k = 8, seed 1, XMP-2, web-search sizes, 40% load at 1 Gbps,
+(** A k = 8 fat tree, seed 1, XMP-2, web-search sizes, 40% load at 1 Gbps,
     100 ms horizon + 200 ms drain, no flow cap, 100-packet queues with
     marking threshold 10, β = 4, RTOmin 200 ms, SACK off, RTT
-    subsampling 64, per-flow records not kept, no cross-DC traffic. *)
+    subsampling 64, per-flow records not kept, no cross-DC traffic, no
+    faults. *)
 
 type result = {
   metrics : Metrics.t;
@@ -78,24 +83,20 @@ val ideal_fct :
     never queues or shares scores 1). *)
 
 val run : ?config:config -> ?domains:int -> unit -> result
-(** The pod-sharded fat tree ([config.k] pods), as always. *)
+(** One shard per pod of a fat tree, or per DC of a bridge. On a bridge,
+    [config.cross_dc] of each host's arrivals target a uniform host in
+    the other DC and the rest stay uniform within the source DC;
+    cross-DC ideals use the fastest trunk's zero-load RTT, so slowdown
+    stays comparable across trunk configurations. Results are
+    byte-identical for any [domains]. *)
 
 val run_wan :
   ?config:config ->
   ?domains:int ->
-  ?faults:Xmp_engine.Fault_spec.t ->
   left:Xmp_net.Wan.dc_spec ->
   right:Xmp_net.Wan.dc_spec ->
   trunks:Xmp_net.Wan.trunk list ->
   unit ->
   result
-(** The same open-loop generator over a two-DC {!Xmp_net.Wan} bridge
-    (one shard per DC; [config.k] is ignored, the DC specs size the
-    fabric). [config.cross_dc] of each host's arrivals target a uniform
-    host in the other DC; the rest stay uniform within the source DC.
-    Cross-DC ideals use the fastest trunk's zero-load RTT, so slowdown
-    stays comparable across trunk configurations. [faults] (e.g.
-    Gilbert–Elliott loss targeting the ["wan"] tag or a trunk's
-    ["d0.bdr0->d1.bdr0"] link name) is installed on both DC networks.
-    Determinism contract is unchanged: [domains:1 ≡ domains:2]
-    byte-identical. *)
+(** {!run} on [Bridged { left; right; trunks }], whatever
+    [config.fabric] says. *)

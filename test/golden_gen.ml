@@ -3,8 +3,9 @@
      dune exec test/golden_gen.exe > test/golden.expected
 
    Each line is "<scenario> <md5 of its rendered output>" for the golden
-   scenario set (fig1/fig4/fig6/fig7, ablations.k and ablations.queue at
-   --quick scale). Run it only when
+   scenario set (fig1/fig4/fig6/fig7, ablations.k, ablations.queue,
+   wan.asym, wan.mixed, wl.incast.sweep and incast.lossy at --quick
+   scale). Run it only when
    an output change is intended; test_golden.ml fails on any drift. *)
 
 module Runner = Xmp_runner.Runner

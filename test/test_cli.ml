@@ -12,16 +12,23 @@ let xmp_sim =
   | Some p -> p
   | None -> List.hd candidates
 
-(* exit code and stderr of [xmp_sim args] *)
-let run args =
+(* exit code, stdout and stderr of [xmp_sim args] *)
+let run_out args =
+  let out = Filename.temp_file "xmp_cli" ".out" in
   let err = Filename.temp_file "xmp_cli" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote xmp_sim) args
-         (Filename.quote err))
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote xmp_sim) args
+         (Filename.quote out) (Filename.quote err))
   in
-  let msg = In_channel.with_open_bin err In_channel.input_all in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let stdout = read out and msg = read err in
+  Sys.remove out;
   Sys.remove err;
+  (code, stdout, msg)
+
+let run args =
+  let code, _, msg = run_out args in
   (code, msg)
 
 let contains s sub =
@@ -137,6 +144,22 @@ let test_runtime_failure () =
     (fun what -> Alcotest.(check bool) ("names " ^ what) true (contains (List.hd lines) what))
     [ text; "No such file or directory" ]
 
+(* The fault report counts the injector's transitions. A 20 ms run
+   emits more telemetry than the flight recorder keeps, so counting
+   recorder entries missed the 10 ms link-down. *)
+let test_fault_report_counts () =
+  let code, out, _ =
+    run_out
+      ("run --no-cache "
+      ^ spec "ft:4 XMP-2 permutation horizon=20ms fault=down@10ms@link=e0.0->a0.0")
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  let row prefix =
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out)
+  in
+  Alcotest.(check (option string)) "link-down events" (Some "link-down events 1")
+    (Option.map squash (row "link-down events"))
+
 let suite =
   List.map
     (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_rejected case))
@@ -149,4 +172,6 @@ let suite =
       Alcotest.test_case "a view without incast runs on ft:2" `Quick
         (test_valid ("run --no-cache " ^ spec "table2 ft:2 horizon=10ms"));
       Alcotest.test_case "a failing run exits 123 naming spec and cause" `Quick test_runtime_failure;
+      Alcotest.test_case "the fault report counts a link-down late in a run" `Quick
+        test_fault_report_counts;
     ]

@@ -171,7 +171,7 @@ let test_unknown_target_raises () =
       [ Fault_spec.Link_down { target = Fault_spec.Link "nope"; at = Time.ms 1 } ]
   in
   check_invalid_arg "unknown link" (fun () ->
-      ignore (Injector.install ~net ~schedule ()));
+      ignore (Injector.install ~net schedule));
   let schedule =
     Fault_spec.create
       [
@@ -180,7 +180,7 @@ let test_unknown_target_raises () =
       ]
   in
   check_invalid_arg "unknown tag" (fun () ->
-      ignore (Injector.install ~net ~schedule ()))
+      ignore (Injector.install ~net schedule))
 
 let test_link_flap_events_and_recovery () =
   let sink = Tel.Sink.create () in
@@ -195,7 +195,7 @@ let test_link_flap_events_and_recovery () =
           { target = Fault_spec.Link "IN1->OUT1"; at = Time.ms 8 };
       ]
   in
-  let inj = Injector.install ~net ~schedule () in
+  let inj = Injector.install ~net schedule in
   Sim.run ~until:(Time.sec 20.) sim;
   Alcotest.(check bool) "transfer survives the outage" true
     (Tcp.is_complete conn);
@@ -223,7 +223,7 @@ let test_bernoulli_loss_deterministic () =
             };
         ]
     in
-    let inj = Injector.install ~net ~schedule () in
+    let inj = Injector.install ~net schedule in
     Sim.run ~until:(Time.sec 30.) sim;
     Alcotest.(check bool) "completes under loss" true (Tcp.is_complete conn);
     (Injector.injected_drops inj, count_events sink "injected-drop")
@@ -258,7 +258,7 @@ let test_gilbert_elliott_deterministic () =
             };
         ]
     in
-    let inj = Injector.install ~net ~schedule () in
+    let inj = Injector.install ~net schedule in
     Sim.run ~until:(Time.sec 30.) sim;
     Alcotest.(check bool) "completes under bursty loss" true
       (Tcp.is_complete conn);
@@ -283,7 +283,7 @@ let test_blackout_window () =
           };
       ]
   in
-  ignore (Injector.install ~net ~schedule ());
+  ignore (Injector.install ~net schedule);
   Sim.run ~until:(Time.sec 20.) sim;
   Alcotest.(check bool) "completes after the blackout" true
     (Tcp.is_complete conn);
@@ -331,7 +331,7 @@ let test_host_pause () =
           };
       ]
   in
-  let inj = Injector.install ~net ~schedule () in
+  let inj = Injector.install ~net schedule in
   Sim.run ~until:(Time.ms 5) sim;
   Alcotest.(check bool) "every port went down" true (Injector.link_downs inj >= 1);
   Alcotest.(check int) "every port came back" (Injector.link_downs inj)
@@ -351,7 +351,7 @@ let test_host_pause_rejects_switch () =
       [ Fault_spec.Host_pause { host = switch; window = Fault_spec.always } ]
   in
   check_invalid_arg "switch is not a host" (fun () ->
-      ignore (Injector.install ~net ~schedule ()))
+      ignore (Injector.install ~net schedule))
 
 (* ----- determinism across runner widths ----- *)
 

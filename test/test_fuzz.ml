@@ -348,8 +348,7 @@ module Gen_spec = struct
   let with_faults faults = function
     | Run_spec.Pattern p -> Run_spec.Pattern { p with base = { p.base with faults } }
     | Run_spec.Testbed t -> Run_spec.Testbed { t with faults }
-    | Run_spec.Workload ({ fabric = Bridged b; _ } as w) ->
-      Run_spec.Workload { w with fabric = Bridged { b with faults } }
+    | Run_spec.Workload ({ fabric = Bridged _; _ } as w) -> Run_spec.Workload { w with faults }
     | Run_spec.Workload { fabric = Fat_tree _; _ } as s -> s
 
   (* [spec]'s runs, each given a schedule over its own topology *)
@@ -397,10 +396,11 @@ module Gen_spec = struct
     and+ cross_dc = oneofl [ 0.; 0.25; 1.; 1. /. 3. ] in
     let one = Xmp_net.Wan.dc_n_hosts left = 1 || Xmp_net.Wan.dc_n_hosts right = 1 in
     let cross_dc = if one && cross_dc > 0. then 1. else cross_dc in
-    Run_spec.Bridged { left; right; trunks; cross_dc; faults = Fault_spec.empty }
+    (Xmp_net.Fabric.Bridged { left; right; trunks }, cross_dc)
 
+  (* [fabric] yields a fabric and its cross-DC fraction *)
   let workload fabric =
-    let+ fabric = fabric
+    let+ fabric, cross_dc = fabric
     and+ scheme = scheme
     and+ cdf =
       oneofl Run_spec.[ Websearch; Datamining; Cdf_file (Lazy.force cdf_file) ]
@@ -411,8 +411,9 @@ module Gen_spec = struct
     and+ sack = bool in
     Run_spec.Workload
       {
-        fabric; scheme; cdf; size_scale; load; seed; horizon; drain;
-        max_flows; queue_pkts; marking_threshold; beta; rto_min; sack;
+        fabric; cross_dc; faults = Fault_spec.empty; scheme; cdf; size_scale;
+        load; seed; horizon; drain; max_flows; queue_pkts; marking_threshold;
+        beta; rto_min; sack;
       }
 
   let testbed =
@@ -432,7 +433,9 @@ module Gen_spec = struct
       (oneof
          [
            pattern;
-           workload (oneof [ map (fun k -> Run_spec.Fat_tree (2 * k)) (int_range 1 4); bridged ]);
+           workload
+             (oneof
+                [ map (fun k -> (Xmp_net.Fabric.Fat_tree (2 * k), 0.)) (int_range 1 4); bridged ]);
            testbed;
          ])
 
@@ -460,13 +463,16 @@ module Gen_spec = struct
             | s -> s)
           pattern;
         workload
-          (let+ fabric = bridged
+          (let+ fabric, _ = bridged
            and+ cross_dc = oneofl [ 0.25; 0.5; 1. /. 3. ]
            and+ left = bool in
-           match fabric with
-           | Run_spec.Bridged b when left -> Run_spec.Bridged { b with left = one_host; cross_dc }
-           | Run_spec.Bridged b -> Run_spec.Bridged { b with right = one_host; cross_dc }
-           | f -> f);
+           let one_sided : Xmp_net.Fabric.t =
+             match fabric with
+             | Bridged b when left -> Bridged { b with left = one_host }
+             | Bridged b -> Bridged { b with right = one_host }
+             | f -> f
+           in
+           (one_sided, cross_dc));
       ]
 end
 

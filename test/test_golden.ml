@@ -1,5 +1,7 @@
-(* Golden-output regression: the rendered output of fig1/fig4/fig6/fig7
-   and the K and queue-occupancy ablations at --quick scale, digested and compared against checked-in digests.
+(* Golden-output regression: the rendered output of fig1/fig4/fig6/fig7,
+   the K and queue-occupancy ablations, wan.asym, wan.mixed,
+   wl.incast.sweep and incast.lossy at --quick scale, digested and
+   compared against checked-in digests.
    Because every simulation is deterministic, any digest drift means an
    (intended or unintended) behavior change somewhere in the
    engine/transport/mptcp/core stack.

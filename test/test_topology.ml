@@ -1,4 +1,4 @@
-(* One topology handle, any placement: every builder returns a
+(* One topology handle, any placement: every fabric builds into a
    [Topology.t], and the handle a description yields does not depend on
    how many shards it was placed on. *)
 
@@ -27,34 +27,34 @@ let check_same_handle ~what (a : Topology.t) (b : Topology.t) =
     done
   done
 
+(* [fabric] on one shard and on its own shard count *)
+let build fabric =
+  let on shards = Net.Fabric.create ~cluster:(Net.Shard.create ~shards ()) ~disc fabric in
+  (on 1, on (Net.Fabric.shards fabric))
+
 let test_fat_tree_any_placement () =
   List.iter
     (fun k ->
-      let build shards =
-        Net.Fat_tree.create ~cluster:(Net.Shard.create ~shards ()) ~k ~disc ()
-      in
-      check_same_handle ~what:(Printf.sprintf "k=%d" k) (build 1) (build k))
+      let flat, sharded = build (Net.Fabric.Fat_tree k) in
+      check_same_handle ~what:(Printf.sprintf "k=%d" k) flat sharded)
     [ 2; 4; 6 ]
 
 let test_wan_any_placement () =
-  let build shards =
-    Net.Wan.create
-      ~cluster:(Net.Shard.create ~shards ())
-      ~left:(Net.Wan.Fat_tree_dc { k = 4 })
-      ~right:
-        (Net.Wan.Leaf_spine_dc { leaves = 3; spines = 2; hosts_per_leaf = 2 })
-      ~trunks:[ Net.Wan.trunk ~delay:(Time.ms 5) () ]
-      ~disc ()
+  let flat, sharded =
+    build
+      (Bridged
+         {
+           left = Net.Wan.Fat_tree_dc { k = 4 };
+           right = Net.Wan.Leaf_spine_dc { leaves = 3; spines = 2; hosts_per_leaf = 2 };
+           trunks = [ Net.Wan.trunk ~delay:(Time.ms 5) () ];
+         })
   in
-  let flat = build 1 in
   Alcotest.(check (array (pair int int))) "two DCs" [| (0, 16); (16, 6) |]
     flat.dc_ranges;
-  check_same_handle ~what:"ft:4 + ls:3,2,2" flat (build 2)
+  check_same_handle ~what:"ft:4 + ls:3,2,2" flat sharded
 
 let test_dc_of_host_bounds () =
-  let topo =
-    Net.Fat_tree.create ~cluster:(Net.Shard.create ~shards:1 ()) ~k:4 ~disc ()
-  in
+  let topo, _ = build (Net.Fabric.Fat_tree 4) in
   Alcotest.(check int) "last host" 0 (Topology.dc_of_host topo 15);
   List.iter
     (fun i ->

@@ -209,9 +209,12 @@ let test_placement () =
 
 (* ---- end-to-end flows over the two-shard placement ------------------- *)
 
+let trunks_1ms = [ Wan.trunk ~delay:(Time.ms 1) ~queue_pkts:200 () ]
+
 let wan_config =
   {
     Open_loop.default_config with
+    fabric = Bridged { left = ft4; right = ft4; trunks = trunks_1ms };
     scheme = Scheme.xmp 2;
     load = 0.3;
     horizon = Time.ms 40;
@@ -221,8 +224,6 @@ let wan_config =
     rto_min = Time.ms 5;
     keep_flows = true;
   }
-
-let trunks_1ms = [ Wan.trunk ~delay:(Time.ms 1) ~queue_pkts:200 () ]
 
 let test_cross_dc_flows_complete () =
   let r =
@@ -245,38 +246,36 @@ let test_cross_dc_flows_complete () =
   in
   Alcotest.(check bool) "a cross-DC flow completed" true cross_done
 
+(* Gilbert-Elliott data loss on both trunk directions *)
+let trunk_loss =
+  Fault_spec.create ~seed:7
+    [
+      Fault_spec.Loss
+        {
+          target = Fault_spec.Tag "wan";
+          window = Fault_spec.always;
+          model =
+            Fault_spec.Gilbert_elliott
+              {
+                enter_bad = 0.05;
+                exit_bad = 0.2;
+                loss_good = 0.;
+                loss_bad = 0.5;
+              };
+          filter = Fault_spec.Data_only;
+        };
+    ]
+
 let test_trunk_loss_injects () =
-  let faults =
-    Fault_spec.create ~seed:7
-      [
-        Fault_spec.Loss
-          {
-            target = Fault_spec.Tag "wan";
-            window = Fault_spec.always;
-            model =
-              Fault_spec.Gilbert_elliott
-                {
-                  enter_bad = 0.05;
-                  exit_bad = 0.2;
-                  loss_good = 0.;
-                  loss_bad = 0.5;
-                };
-            filter = Fault_spec.Data_only;
-          };
-      ]
-  in
-  let clean =
-    Open_loop.run_wan ~config:wan_config ~left:ft4 ~right:ft4
-      ~trunks:trunks_1ms ()
-  in
-  let lossy =
-    Open_loop.run_wan ~config:wan_config ~faults ~left:ft4 ~right:ft4
-      ~trunks:trunks_1ms ()
-  in
+  let clean = Open_loop.run ~config:wan_config () in
+  let lossy = Open_loop.run ~config:{ wan_config with faults = trunk_loss } () in
   (* same arrival schedule either way; loss must not wedge the run *)
   Alcotest.(check int) "same launches" clean.launched lossy.launched;
   Alcotest.(check bool) "lossy run still completes flows" true
     (lossy.completed > 0);
+  Alcotest.(check bool) "the loss took effect" false
+    (String.equal (Metrics.fct_summary_csv lossy.metrics)
+       (Metrics.fct_summary_csv clean.metrics));
   Alcotest.(check bool) "loss does not help goodput" true
     (Metrics.mean_goodput_bps lossy.metrics
     <= Metrics.mean_goodput_bps clean.metrics +. 1e-6)
@@ -301,9 +300,7 @@ let digest_of (r : Open_loop.result) =
   Buffer.contents b
 
 let run_digest ~domains () =
-  digest_of
-    (Open_loop.run_wan ~config:wan_config ~domains ~left:ft4 ~right:ft4
-       ~trunks:trunks_1ms ())
+  digest_of (Open_loop.run ~config:{ wan_config with faults = trunk_loss } ~domains ())
 
 (* Same forked-child discipline as test_shard: spawning a domain latches
    the runtime into multicore mode, which would break the Runner

@@ -757,7 +757,7 @@ let test_driver_all_to_all () =
 let small_open_loop =
   {
     Open_loop.default_config with
-    Open_loop.k = 4;
+    Open_loop.fabric = Fat_tree 4;
     horizon = Time.ms 10;
     drain = Time.ms 40;
     sizes = Flow_size.scaled Flow_size.web_search (1. /. 32.);
