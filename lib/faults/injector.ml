@@ -16,6 +16,7 @@ module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Spec = Xmp_engine.Fault_spec
 module Network = Xmp_net.Network
+module Shard = Xmp_net.Shard
 module Link = Xmp_net.Link
 module Node = Xmp_net.Node
 module Packet = Xmp_net.Packet
@@ -28,18 +29,22 @@ type t = {
   mutable link_ups : int;
 }
 
-let resolve_links net target =
-  match target with
-  | Spec.Link name -> (
-    match Network.find_link net ~name with
-    | Some l -> [ l ]
-    | None ->
-      invalid_arg (Printf.sprintf "Fault injector: no link named %S" name))
-  | Spec.Tag tag -> (
-    match Network.links_tagged net tag with
-    | [] -> invalid_arg (Printf.sprintf "Fault injector: no links tagged %S" tag)
-    | ls -> ls)
+(* What a target names on one network: nothing when the network does not
+   hold it (on a sharded fabric a named link or host lives in one shard). *)
+let links_on net = function
+  | Spec.Link name -> Option.to_list (Network.find_link net ~name)
+  | Spec.Tag tag -> Network.links_tagged net tag
   | Spec.All_links -> Network.links net
+
+(* A target must name something on at least one of the networks. *)
+let check_target nets target =
+  if not (Array.exists (fun net -> links_on net target <> []) nets) then
+    match target with
+    | Spec.Link name ->
+      invalid_arg (Printf.sprintf "Fault injector: no link named %S" name)
+    | Spec.Tag tag ->
+      invalid_arg (Printf.sprintf "Fault injector: no links tagged %S" tag)
+    | Spec.All_links -> ()
 
 let transition t sim sink link up =
   Link.set_up link up;
@@ -92,19 +97,26 @@ let loss_filter t sim sink ~seed ~index ~link ~window ~model ~filter =
     end
     else false
 
-let pause_links net host =
-  if host >= Network.n_nodes net then
-    invalid_arg (Printf.sprintf "Fault injector: no node %d" host);
-  let node = Network.node net host in
-  (match Node.kind node with
-  | Node.Host -> ()
-  | Node.Switch ->
-    invalid_arg (Printf.sprintf "Fault injector: node %d is not a host" host));
-  List.init (Node.n_ports node) (Node.port node)
+(* The ports of host [host] on [net], or [None] when [net] does not
+   hold the node. *)
+let host_ports net host =
+  Option.map
+    (fun node ->
+      match Node.kind node with
+      | Node.Host -> List.init (Node.n_ports node) (Node.port node)
+      | Node.Switch ->
+        invalid_arg
+          (Printf.sprintf "Fault injector: node %d is not a host" host))
+    (Network.find_node net host)
 
-let install ~net schedule =
+let check_host nets host =
+  if not (Array.exists (fun net -> Network.find_node net host <> None) nets)
+  then invalid_arg (Printf.sprintf "Fault injector: no node %d" host)
+
+(* Arms on [net] every spec whose target [net] holds, in spec order; a
+   spec naming a link, tag or host elsewhere arms nothing here. *)
+let arm net (schedule : Spec.t) =
   let sim = Network.sim net in
-  Spec.validate schedule;
   let t = { injected_drops = 0; link_downs = 0; link_ups = 0 } in
   let sink = Sim.telemetry sim in
   (* accumulate loss filters per link so several specs can overlay *)
@@ -120,36 +132,47 @@ let install ~net schedule =
     Sim.at sim w.from_ns on;
     if Time.compare w.until_ns Time.infinity < 0 then Sim.at sim w.until_ns off
   in
+  (* a named link or tag that [net] lacks arms nothing here; [All_links]
+     arms even on a network without links *)
+  let with_links target f =
+    match (target, links_on net target) with
+    | (Spec.Link _ | Spec.Tag _), [] -> ()
+    | _, links -> f links
+  in
   List.iteri
     (fun index spec ->
       match spec with
       | Spec.Link_down { target; at } ->
-        let links = resolve_links net target in
-        Sim.at sim at (fun () ->
-            List.iter (fun l -> transition t sim sink l false) links)
+        with_links target (fun links ->
+            Sim.at sim at (fun () ->
+                List.iter (fun l -> transition t sim sink l false) links))
       | Spec.Link_up { target; at } ->
-        let links = resolve_links net target in
-        Sim.at sim at (fun () ->
-            List.iter (fun l -> transition t sim sink l true) links)
+        with_links target (fun links ->
+            Sim.at sim at (fun () ->
+                List.iter (fun l -> transition t sim sink l true) links))
       | Spec.Loss { target; window; model; filter } ->
-        List.iter
-          (fun link ->
-            add_filter link
-              (loss_filter t sim sink ~seed:schedule.seed ~index ~link
-                 ~window ~model ~filter))
-          (resolve_links net target)
+        with_links target
+          (List.iter (fun link ->
+               add_filter link
+                 (loss_filter t sim sink ~seed:schedule.seed ~index ~link
+                    ~window ~model ~filter)))
       | Spec.Blackout { target; window } ->
-        let discs = List.map Link.disc (resolve_links net target) in
-        arm_window window
-          (fun () -> List.iter (fun d -> Queue_disc.set_blackout d true) discs)
-          (fun () ->
-            List.iter (fun d -> Queue_disc.set_blackout d false) discs)
+        with_links target (fun links ->
+            let discs = List.map Link.disc links in
+            arm_window window
+              (fun () ->
+                List.iter (fun d -> Queue_disc.set_blackout d true) discs)
+              (fun () ->
+                List.iter (fun d -> Queue_disc.set_blackout d false) discs))
       | Spec.Host_pause { host; window } ->
-        let links = pause_links net host in
-        arm_window window
-          (fun () ->
-            List.iter (fun l -> transition t sim sink l false) links)
-          (fun () -> List.iter (fun l -> transition t sim sink l true) links))
+        Option.iter
+          (fun links ->
+            arm_window window
+              (fun () ->
+                List.iter (fun l -> transition t sim sink l false) links)
+              (fun () ->
+                List.iter (fun l -> transition t sim sink l true) links))
+          (host_ports net host))
     schedule.specs;
   List.iter
     (fun (link, fns) ->
@@ -161,6 +184,25 @@ let install ~net schedule =
            (fun p -> List.fold_left (fun acc f -> f p || acc) false fns)))
     !filters;
   t
+
+let install_on nets schedule =
+  Spec.validate schedule;
+  List.iter
+    (function
+      | Spec.Link_down { target; _ }
+      | Spec.Link_up { target; _ }
+      | Spec.Loss { target; _ }
+      | Spec.Blackout { target; _ } -> check_target nets target
+      | Spec.Host_pause { host; _ } -> check_host nets host)
+    schedule.Spec.specs;
+  Array.map (fun net -> arm net schedule) nets
+
+let install ~net schedule = (install_on [| net |] schedule).(0)
+
+let install_cluster cluster schedule =
+  install_on
+    (Array.init (Shard.n_shards cluster) (Shard.net cluster))
+    schedule
 
 let injected_drops t = t.injected_drops
 let link_downs t = t.link_downs

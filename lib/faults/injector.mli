@@ -30,6 +30,14 @@ val install : net:Xmp_net.Network.t -> Xmp_engine.Fault_spec.t -> t
 (** An empty schedule installs nothing and costs nothing. Raises [Invalid_argument] on invalid specs or unresolvable
     targets. *)
 
+val install_cluster : Xmp_net.Shard.t -> Xmp_engine.Fault_spec.t -> t array
+(** One injector per shard, in shard order. Each shard arms, in spec
+    order, the specs whose targets it holds: a [tag=] or all-link target
+    on every shard that has such links, a [link=NAME] or [host=ID] target
+    only on the shard whose network holds it (a WAN trunk direction lives
+    in its source DC's shard). Raises [Invalid_argument] only when no
+    shard holds a target. *)
+
 val injected_drops : t -> int
 (** Packets killed by loss filters so far (blackout drops are counted by
     the queue disciplines instead). *)

@@ -11,7 +11,10 @@ module Tel = Xmp_telemetry
    serializing packet sits in the [tx] register (only one packet
    serializes at a time), and in-flight packets sit in the [wire] FIFO
    ring (propagation delay is constant per link, so deliveries complete
-   in push order and each deliver event pops the head). *)
+   in push order and each deliver event pops the head). The wire ring
+   starts empty and doubles when full, from 8 slots: a link allocates for
+   the packets it has had in flight at once, which on a 40 ms WAN trunk
+   is thousands and on most fabric links a handful. *)
 type t = {
   id : int;
   name : string;
@@ -42,12 +45,9 @@ let no_receiver _ = failwith "Link: receiver not attached"
 
 let wire_push t p =
   if t.wire_len = Array.length t.wire then begin
-    let cap = 2 * t.wire_len in
-    let wire = Array.make cap Packet.dummy in
-    for i = 0 to t.wire_len - 1 do
-      wire.(i) <- t.wire.((t.wire_head + i) mod t.wire_len)
-    done;
-    t.wire <- wire;
+    t.wire <-
+      Packet.grow_ring t.wire ~head:t.wire_head ~len:t.wire_len
+        (Int.max 8 (2 * t.wire_len));
     t.wire_head <- 0
   end;
   let tail = t.wire_head + t.wire_len in
@@ -141,7 +141,7 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
       bytes_sent = 0;
       packets_sent = 0;
       tx = Packet.dummy;
-      wire = Array.make 16 Packet.dummy;
+      wire = [||];
       wire_head = 0;
       wire_len = 0;
       lane_data;

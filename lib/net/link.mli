@@ -10,6 +10,11 @@
     sim's shared FIFO lanes, one per distinct delay
     ({!Xmp_engine.Sim.lane}).
 
+    Memory follows occupancy: the in-flight (wire) ring starts empty and
+    doubles as packets go on the wire, so a link holds slots for the most
+    packets it has had in flight at once, not for its bandwidth-delay
+    product; its queue grows the same way ({!Queue_disc.create}).
+
     A link with zero delay (a {!Shard} portal's egress) calls its
     receiver inside the serialization-complete event: one event per
     packet instead of two. The hand-over happens within that event, so

@@ -132,11 +132,11 @@ let add_host_at t ~id ~name = add_node_opt t ~id:(Some id) ~kind:Node.Host ~name
 let add_switch_at t ~id ~name =
   add_node_opt t ~id:(Some id) ~kind:Node.Switch ~name
 
+let find_node t i =
+  if i < 0 || i >= Array.length t.node_arr then None else t.node_arr.(i)
+
 let node t i =
-  if i < 0 || i >= Array.length t.node_arr then invalid_arg "Network.node";
-  match t.node_arr.(i) with
-  | Some n -> n
-  | None -> invalid_arg "Network.node"
+  match find_node t i with Some n -> n | None -> invalid_arg "Network.node"
 
 let n_nodes t = t.n_nodes
 
@@ -156,7 +156,7 @@ let add_egress t ?tag ~name ~rate ~delay ~disc src receiver =
   link
 
 let make_link t ?tag ~rate ~delay ~disc src dst =
-  let name = Printf.sprintf "%s->%s" (Node.name src) (Node.name dst) in
+  let name = String.concat "->" [ Node.name src; Node.name dst ] in
   add_egress t ?tag ~name ~rate ~delay ~disc src (fun p -> Node.receive dst p)
 
 let connect_asym t ?tag ~rate_fwd ~rate_rev ~delay ~disc a b =

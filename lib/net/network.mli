@@ -26,6 +26,10 @@ val add_switch_at : t -> id:int -> name:string -> Node.t
 
 val node : t -> int -> Node.t
 
+val find_node : t -> int -> Node.t option
+(** The node with id [i], or [None] when this network holds none (on a
+    sharded fabric a node lives in one shard's network). *)
+
 val n_nodes : t -> int
 
 val connect :

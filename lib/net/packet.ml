@@ -158,6 +158,13 @@ let release p =
   pool.stack.(pool.top) <- p;
   pool.top <- pool.top + 1
 
+let grow_ring ring ~head ~len cap =
+  let grown = Array.make cap dummy in
+  let first = Int.min len (Array.length ring - head) in
+  Array.blit ring head grown 0 first;
+  Array.blit ring 0 grown first (len - first);
+  grown
+
 (* ---- constructors ----------------------------------------------------- *)
 
 let check_header ~flow ~subflow ~src ~dst ~path ~seq =

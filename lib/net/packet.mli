@@ -77,6 +77,13 @@ val dummy : t
     registers). It never circulates: releasing it raises, and its fields
     read as zeros. *)
 
+val grow_ring : t array -> head:int -> len:int -> int -> t array
+(** [grow_ring ring ~head ~len cap] is a fresh [cap]-slot ring ([cap >=
+    len]) holding, from slot 0 and in FIFO order, the [len] packets that
+    the circular [ring] holds from slot [head] on. The queue and wire
+    rings grow through it, so they start empty and allocate for what
+    they hold. *)
+
 val pool_created : unit -> int
 (** Records ever created by the current domain's pool (grows only when
     the pool runs dry). *)

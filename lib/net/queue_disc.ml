@@ -30,7 +30,7 @@ type telem = {
 type t = {
   policy : policy;
   capacity : int;
-  ring : Packet.t array;  (* circular FIFO of [capacity] slots *)
+  mutable ring : Packet.t array;  (* circular FIFO, grown to [capacity] *)
   mutable head : int;  (* index of the next packet to dequeue *)
   mutable len : int;
   mutable enqueued : int;
@@ -50,7 +50,7 @@ let create ~policy ~capacity_pkts =
   {
     policy;
     capacity = capacity_pkts;
-    ring = Array.make capacity_pkts Packet.dummy;
+    ring = [||];
     head = 0;
     len = 0;
     enqueued = 0;
@@ -137,9 +137,23 @@ let red_decision t params =
     else `Pass
   end
 
+(* The ring starts empty and doubles when full, from 8 slots up to
+   [capacity]: a queue allocates for the deepest backlog it has held, not
+   for its bound (a WAN trunk's BDP-sized buffer, or [queue=] set far
+   beyond any backlog, costs nothing until packets arrive). Growth
+   unwraps the packets in FIFO order, so the order they leave in is the
+   same as on a ring allocated whole. *)
+let grow t =
+  t.ring <-
+    Packet.grow_ring t.ring ~head:t.head ~len:t.len
+      (Int.min t.capacity (Int.max 8 (2 * t.len)));
+  t.head <- 0
+
 let append t (p : Packet.t) =
+  if t.len = Array.length t.ring then grow t;
+  let cap = Array.length t.ring in
   let tail = t.head + t.len in
-  let tail = if tail >= t.capacity then tail - t.capacity else tail in
+  let tail = if tail >= cap then tail - cap else tail in
   t.ring.(tail) <- p;
   t.len <- t.len + 1;
   t.enqueued <- t.enqueued + 1;
@@ -248,7 +262,7 @@ let take t =
     Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
         Printf.sprintf "occupancy %d went negative" t.len);
   let p = t.ring.(t.head) in
-  t.head <- (if t.head + 1 >= t.capacity then 0 else t.head + 1);
+  t.head <- (if t.head + 1 >= Array.length t.ring then 0 else t.head + 1);
   (match t.telem with
   | Some tl ->
     Tel.Sink.event tl.sink ~time_ns:(tl.now ())
@@ -261,10 +275,10 @@ let take t =
 let dequeue t = if t.len = 0 then None else Some (take t)
 
 let clear t =
-  let n = t.len in
+  let n = t.len and cap = Array.length t.ring in
   for i = 0 to n - 1 do
     let slot = t.head + i in
-    let slot = if slot >= t.capacity then slot - t.capacity else slot in
+    let slot = if slot >= cap then slot - cap else slot in
     Packet.release t.ring.(slot)
   done;
   t.head <- 0;

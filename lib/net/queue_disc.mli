@@ -33,6 +33,11 @@ type policy = Droptail | Threshold_mark of int | Red of red_params
 type t
 
 val create : policy:policy -> capacity_pkts:int -> t
+(** A queue of at most [capacity_pkts] packets. Memory follows occupancy:
+    the ring starts empty and doubles as the backlog grows, up to
+    [capacity_pkts] slots, so a deep bound (a WAN trunk's BDP-sized
+    buffer) costs nothing until packets queue. Raises [Invalid_argument]
+    if [capacity_pkts <= 0]. *)
 
 val policy : t -> policy
 

@@ -1,8 +1,11 @@
 (* Bounded ring-buffer flight recorder.
 
-   Recording is O(1) and never allocates beyond the entry itself; when the
-   ring is full the oldest entry is overwritten, so a long run keeps the
-   most recent [capacity] events and counts what it had to discard. *)
+   Recording is O(1) amortized; when the ring holds [capacity] entries
+   the oldest entry is overwritten, so a long run keeps the most recent
+   [capacity] events and counts what it had to discard. Until then the
+   ring doubles as it fills (from 64 slots), so a short trace does not
+   pay for the bound. Growth happens only before the first wrap, when the
+   entries sit in slots [0, total) in order, so it is a plain copy. *)
 
 type entry = {
   time_ns : int;
@@ -11,7 +14,7 @@ type entry = {
 
 type t = {
   capacity : int;
-  ring : entry option array;
+  mutable ring : entry option array;  (* grown to [capacity] slots *)
   mutable next : int;  (* slot the next entry lands in *)
   mutable total : int;  (* entries ever recorded *)
 }
@@ -19,13 +22,20 @@ type t = {
 let create ~capacity =
   if capacity <= 0 then
     invalid_arg "Telemetry.Recorder.create: capacity must be positive";
-  { capacity; ring = Array.make capacity None; next = 0; total = 0 }
+  { capacity; ring = [||]; next = 0; total = 0 }
 
 let total t = t.total
 let length t = if t.total < t.capacity then t.total else t.capacity
 let dropped t = if t.total > t.capacity then t.total - t.capacity else 0
 
+let grow t =
+  let n = Array.length t.ring in
+  let ring = Array.make (Int.min t.capacity (Int.max 64 (2 * n))) None in
+  Array.blit t.ring 0 ring 0 n;
+  t.ring <- ring
+
 let record t ~time_ns event =
+  if t.next = Array.length t.ring then grow t;
   t.ring.(t.next) <- Some { time_ns; event };
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
@@ -40,6 +50,6 @@ let iter f t =
   done
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
+  t.ring <- [||];
   t.next <- 0;
   t.total <- 0

@@ -14,7 +14,10 @@ type entry = {
 type t
 
 val create : capacity:int -> t
-(** @raise Invalid_argument if [capacity <= 0]. *)
+(** A recorder that retains at most [capacity] entries. Memory follows
+    occupancy: the ring starts empty and doubles as entries arrive, up to
+    [capacity] slots, so a large bound costs nothing until it is used.
+    @raise Invalid_argument if [capacity <= 0]. *)
 
 val record : t -> time_ns:int -> Event.t -> unit
 

@@ -43,8 +43,9 @@ type config = {
           bridged fabric only; ignored (and the destination draw
           sequence unchanged) on a fat tree *)
   faults : Xmp_engine.Fault_spec.t;
-      (** armed on every shard's network (see {!Setup.create}), e.g.
-          Gilbert–Elliott loss on the ["wan"] tag *)
+      (** armed on the shards that hold each target (see
+          {!Setup.create}), e.g. Gilbert–Elliott loss on the ["wan"]
+          tag or a down on one named trunk direction *)
 }
 
 val default_config : config

@@ -15,7 +15,8 @@ type t = {
 }
 
 (* Every push is in the order runs always made them: the fabric, then
-   each shard's injector in shard order; traffic comes after. *)
+   each shard's injector in shard order (spec order within a shard);
+   traffic comes after. *)
 let create ~seed ~telemetry ~shards ~queue_pkts ~marking_threshold ~rto_min
     ~beta ~sack ~faults ~schemes fabric =
   let cluster =
@@ -34,9 +35,7 @@ let create ~seed ~telemetry ~shards ~queue_pkts ~marking_threshold ~rto_min
       ~capacity_pkts:queue_pkts
   in
   let topo = Xmp_net.Fabric.create ~cluster ~disc fabric in
-  let injectors =
-    Array.init shards (fun s -> Injector.install ~net:(Shard.net cluster s) faults)
-  in
+  let injectors = Injector.install_cluster cluster faults in
   let overrides = { Scheme.default_overrides with rto_min; beta; sack } in
   let schemes = Array.map (fun s -> (s, Scheme.launcher s overrides)) schemes in
   { cluster; topo; overrides; injectors; schemes }

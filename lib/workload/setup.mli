@@ -30,8 +30,10 @@ val create :
     {!Xmp_net.Fabric.shards}) whose simulators take [seed] and
     [telemetry]. Every fabric queue holds [queue_pkts] and marks at
     [marking_threshold], unless [schemes] is one scheme tuned for its
-    own K ({!Scheme.marking_threshold}). [faults] is armed on every
-    shard's network, so its targets must resolve in each. Source host
+    own K ({!Scheme.marking_threshold}). [faults] is armed by
+    {!Xmp_faults.Injector.install_cluster}: a named link or host on the
+    shard that holds it, a tag or all-link target on every shard with
+    such links. Source host
     [i] originates [schemes.(i mod n)]. *)
 
 val scheme : t -> src:int -> Scheme.t * Scheme.launcher

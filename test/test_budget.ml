@@ -12,7 +12,8 @@
    is measured by xmpbench/run.py instead. The two sharded workloads
    run once more at [--domains 2], where only the digest is checked.
    Last, in this process, the live words one launched flow keeps are
-   bounded per scheme ([Retained]). *)
+   bounded per scheme ([Retained]), and so are those an idle built
+   fabric keeps ([Idle]). *)
 
 let locate candidates =
   match List.find_opt Sys.file_exists candidates with
@@ -209,12 +210,72 @@ let retained_budgets =
       (reno, 138.); (dctcp, 145.); (xmp 2, 271.); (lia 2, 267.); (olia 2, 269.);
     ]
 
+(* Live heap words an idle fabric keeps once built: what a run's set-up
+   allocates and holds before the first packet. Queue, wire and
+   flight-recorder rings start empty and grow with what they hold, so
+   this counts nodes, links, routes, lanes and handlers, not buffers:
+   a ring allocated at its bound would add [capacity + 1] words per
+   queue (101 at the fabrics' 100 packets, 11 178 on the WAN trunk) and
+   17 per link. *)
+module Idle = struct
+  module Fabric = Xmp_net.Fabric
+  module Wan = Xmp_net.Wan
+
+  let live_words fabric =
+    let disc () =
+      Xmp_net.Queue_disc.create
+        ~policy:(Xmp_net.Queue_disc.Threshold_mark 10)
+        ~capacity_pkts:100
+    in
+    Gc.full_major ();
+    let before = (Gc.stat ()).Gc.live_words in
+    let cluster = Xmp_net.Shard.create ~shards:(Fabric.shards fabric) () in
+    ignore (Fabric.create ~cluster ~disc fabric);
+    Gc.full_major ();
+    let after = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity cluster);
+    after - before
+
+  (* websearch.k8's fabric, and wan.2dc's: two k=4 trees over one
+     1 Gbps / 40 ms trunk with an 11 177-packet queue *)
+  let k8 = Fabric.Fat_tree 8
+
+  let wan =
+    let dc = Wan.Fat_tree_dc { k = 4 } in
+    Fabric.Bridged
+      {
+        left = dc;
+        right = dc;
+        trunks =
+          [
+            Wan.trunk ~rate:(Xmp_net.Units.gbps 1.)
+              ~delay:(Xmp_engine.Time.ms 40) ~queue_pkts:11177
+              ~marking_threshold:2223 ();
+          ];
+      }
+end
+
 let test_retained (scheme, ceiling) () =
   let name = Xmp_workload.Scheme.name scheme in
   let words = Retained.words_per_flow scheme in
   Alcotest.(check bool)
     (Printf.sprintf "%s: retained words per flow %.2f <= %.0f" name words
        ceiling)
+    true (words <= ceiling)
+
+(* Ceilings only go down, at the measured values. With every ring
+   allocated at its bound, the same fabrics kept 161 899 and 65 177
+   words. *)
+let idle_budgets =
+  [
+    ("k=8 fat tree, 8 shards", Idle.k8, 71_275);
+    ("wan.2dc bridge", Idle.wan, 18_239);
+  ]
+
+let test_idle (name, fabric, ceiling) () =
+  let words = Idle.live_words fabric in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: idle live words %d <= %d" name words ceiling)
     true (words <= ceiling)
 
 let suite =
@@ -231,3 +292,7 @@ let suite =
           ("retained words " ^ Xmp_workload.Scheme.name (fst b))
           `Slow (test_retained b))
       retained_budgets
+  @ List.map
+      (fun ((name, _, _) as b) ->
+        Alcotest.test_case ("idle words " ^ name) `Slow (test_idle b))
+      idle_budgets

@@ -12,20 +12,23 @@ let xmp_sim =
   | Some p -> p
   | None -> List.hd candidates
 
-(* exit code, stdout and stderr of [xmp_sim args] *)
-let run_out args =
+(* exit code, stdout and stderr of the shell command [cmd] *)
+let run_shell cmd =
   let out = Filename.temp_file "xmp_cli" ".out" in
   let err = Filename.temp_file "xmp_cli" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote xmp_sim) args
-         (Filename.quote out) (Filename.quote err))
+      (Printf.sprintf "%s > %s 2> %s" cmd (Filename.quote out)
+         (Filename.quote err))
   in
   let read f = In_channel.with_open_bin f In_channel.input_all in
   let stdout = read out and msg = read err in
   Sys.remove out;
   Sys.remove err;
   (code, stdout, msg)
+
+(* ... and of [xmp_sim args] *)
+let run_out args = run_shell (Filename.quote xmp_sim ^ " " ^ args)
 
 let run args =
   let code, _, msg = run_out args in
@@ -122,14 +125,15 @@ let test_rejected (_, args, what) () =
     (contains (squash msg) what)
 
 (* the runner reports progress on stderr; nothing else may appear there *)
-let test_valid args () =
-  let code, msg = run args in
+let exits_cleanly (code, _, msg) =
   List.iter
     (fun line ->
       if line <> "" && not (String.starts_with ~prefix:"[runner] " line) then
         Alcotest.failf "unexpected stderr line %S" line)
     (String.split_on_char '\n' msg);
   Alcotest.(check int) "exit code" 0 code
+
+let test_valid args () = exits_cleanly (run_out args)
 
 (* a run that fails after parsing is one "xmp_sim: ..." line naming the
    run and the cause, and cmdliner's some_error exit, not an uncaught
@@ -160,6 +164,18 @@ let test_fault_report_counts () =
   Alcotest.(check (option string)) "link-down events" (Some "link-down events 1")
     (Option.map squash (row "link-down events"))
 
+(* Memory follows what the queues hold, not their bound: a 10-million
+   packet bound on every port of a k=4 fat tree runs under a 3 GB
+   address-space limit (set on the test's own child shell), where rings
+   allocated at their bound asked for about 7.7 GB and the run died
+   with Out_of_memory. *)
+let test_deep_queue_bound () =
+  exits_cleanly
+    (run_shell
+       (Printf.sprintf "ulimit -v 3000000 && %s run --no-cache %s"
+          (Filename.quote xmp_sim)
+          (spec "ft:4 XMP-2 permutation horizon=1ms queue=10000000")))
+
 let suite =
   List.map
     (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_rejected case))
@@ -174,4 +190,6 @@ let suite =
       Alcotest.test_case "a failing run exits 123 naming spec and cause" `Quick test_runtime_failure;
       Alcotest.test_case "the fault report counts a link-down late in a run" `Quick
         test_fault_report_counts;
+      Alcotest.test_case "a 10M-packet queue bound runs in 3 GB" `Quick
+        test_deep_queue_bound;
     ]

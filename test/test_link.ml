@@ -110,6 +110,34 @@ let test_receiver_required () =
   Alcotest.check_raises "no receiver" (Failure "Link: receiver not attached")
     (fun () -> Sim.run sim)
 
+(* A 40 ms / 1 Gbps link (a WAN trunk) holds a bandwidth-delay product
+   of about 3 333 data packets in flight. Its wire ring starts empty and
+   must grow through every doubling to hold them, then deliver all of
+   them in send order, each one propagation delay after it serialized. *)
+let test_wire_ring_grows_to_bdp () =
+  let sim = Sim.create () in
+  let n = 5000 in
+  let link = mk_link ~delay:(Time.ms 40) ~capacity:n sim in
+  let delivered = ref 0 and in_order = ref true and peak = ref 0 in
+  let on_time = ref true in
+  Link.set_receiver link (fun p ->
+      if Packet.seq p <> !delivered then in_order := false;
+      (* packet i finishes serializing at (i + 1) * 12 us *)
+      if Sim.now sim <> Time.add (Time.ms 40) (Time.us (12 * (!delivered + 1)))
+      then on_time := false;
+      peak := Int.max !peak (Link.packets_sent link - !delivered);
+      incr delivered);
+  for s = 0 to n - 1 do
+    Link.send link (mk_data s)
+  done;
+  Sim.run sim;
+  Alcotest.(check int) "all delivered" n !delivered;
+  Alcotest.(check bool) "in send order" true !in_order;
+  Alcotest.(check bool) "each after 12 us + 40 ms" true !on_time;
+  (* the first delivery, at 40.012 ms, finds 3 334 packets serialized *)
+  Alcotest.(check int) "peak packets in flight" 3334 !peak;
+  Alcotest.(check int) "no drops" 0 (Queue_disc.dropped (Link.disc link))
+
 let suite =
   [
     Alcotest.test_case "delivery timing" `Quick test_delivery_timing;
@@ -122,4 +150,6 @@ let suite =
     Alcotest.test_case "marking behind busy link" `Quick
       test_marking_on_busy_link;
     Alcotest.test_case "receiver required" `Quick test_receiver_required;
+    Alcotest.test_case "wire ring grows to a WAN BDP" `Quick
+      test_wire_ring_grows_to_bdp;
   ]

@@ -294,6 +294,164 @@ let prop_threshold_len_bounded =
           Queue_disc.length d <= 5 && Queue_disc.length d >= 0)
         ops)
 
+(* A list model of the queue discipline: FIFO contents as (seq, CE)
+   pairs, the counters, and RED's average and count, updated by the same
+   rules. The ring under test starts empty and grows (8, 16, 32, ...) up
+   to the capacity, so random sequences cross growth, wrap-around, drop
+   at capacity, blackout and [clear] at every fill level. *)
+module Model = struct
+  type t = {
+    policy : Queue_disc.policy;
+    capacity : int;
+    mutable q : (int * bool) list;  (* head first *)
+    mutable enqueued : int;
+    mutable dropped : int;
+    mutable marked : int;
+    mutable max_len : int;
+    mutable avg : float;
+    mutable count : int;
+    mutable blackout : bool;
+  }
+
+  let create policy capacity =
+    {
+      policy;
+      capacity;
+      q = [];
+      enqueued = 0;
+      dropped = 0;
+      marked = 0;
+      max_len = 0;
+      avg = 0.;
+      count = -1;
+      blackout = false;
+    }
+
+  let len m = List.length m.q
+
+  let red m (r : Queue_disc.red_params) =
+    m.avg <- ((1. -. r.wq) *. m.avg) +. (r.wq *. float_of_int (len m));
+    if m.avg < r.min_th then begin
+      m.count <- -1;
+      false
+    end
+    else if m.avg >= r.max_th then true
+    else begin
+      m.count <- m.count + 1;
+      let pb = r.max_p *. (m.avg -. r.min_th) /. (r.max_th -. r.min_th) in
+      let denom = 1. -. (float_of_int m.count *. pb) in
+      let pa = if denom <= 0. then 1. else pb /. denom in
+      if pa >= 1. || Float.rem (float_of_int m.count *. pb) 1. < pb then begin
+        m.count <- 0;
+        true
+      end
+      else false
+    end
+
+  (* [Some ce] when accepted with that CE bit, [None] when dropped *)
+  let enqueue m seq ~ect =
+    let accept ce =
+      if ce then m.marked <- m.marked + 1;
+      m.q <- m.q @ [ (seq, ce) ];
+      m.enqueued <- m.enqueued + 1;
+      m.max_len <- Int.max m.max_len (len m);
+      Some ce
+    in
+    if m.blackout || len m >= m.capacity then begin
+      m.dropped <- m.dropped + 1;
+      None
+    end
+    else
+      match m.policy with
+      | Queue_disc.Droptail -> accept false
+      | Queue_disc.Threshold_mark k -> accept (ect && len m > k)
+      | Queue_disc.Red r ->
+        if not (red m r) then accept false
+        else if r.mark_ecn && ect then accept true
+        else begin
+          m.dropped <- m.dropped + 1;
+          None
+        end
+
+  let take m =
+    match m.q with
+    | [] -> None
+    | x :: rest ->
+      m.q <- rest;
+      (match m.policy with
+      | Queue_disc.Red r ->
+        m.avg <- ((1. -. r.wq) *. m.avg) +. (r.wq *. float_of_int (len m))
+      | Queue_disc.Droptail | Queue_disc.Threshold_mark _ -> ());
+      Some x
+
+  let clear m =
+    let n = len m in
+    m.q <- [];
+    m.dropped <- m.dropped + n;
+    n
+end
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~count:300
+    ~name:"queue matches a list model across growth, wrap and clear"
+    QCheck.(
+      quad (int_bound 2) (int_range 1 40) (int_bound 20)
+        (list_of_size Gen.(0 -- 400) (int_bound 39)))
+    (fun (which, capacity, k, ops) ->
+      let policy =
+        match which with
+        | 0 -> Queue_disc.Droptail
+        | 1 -> Queue_disc.Threshold_mark k
+        | _ ->
+          Queue_disc.Red
+            {
+              Queue_disc.wq = 0.25;
+              min_th = 2.;
+              max_th = float_of_int k +. 3.;
+              max_p = 0.3;
+              mark_ecn = k mod 2 = 0;
+            }
+      in
+      let d = Queue_disc.create ~policy ~capacity_pkts:capacity in
+      let m = Model.create policy capacity in
+      let same () =
+        Queue_disc.length d = Model.len m
+        && Queue_disc.enqueued d = m.enqueued
+        && Queue_disc.dropped d = m.dropped
+        && Queue_disc.marked d = m.marked
+        && Queue_disc.max_length_seen d = m.max_len
+      in
+      List.for_all
+        (fun op ->
+          let seq = m.enqueued + m.dropped in
+          let ok =
+            if op < 25 then begin
+              let ect = op < 22 in
+              let p = mk_data ~ect seq in
+              let accepted = Queue_disc.enqueue d p in
+              (* a dropped packet went back to the pool: read nothing *)
+              match Model.enqueue m seq ~ect with
+              | Some ce -> accepted && Packet.ce p = ce
+              | None -> not accepted
+            end
+            else if op < 36 then
+              match (Queue_disc.dequeue d, Model.take m) with
+              | None, None -> true
+              | Some p, Some (s, ce) ->
+                let ok = Packet.seq p = s && Packet.ce p = ce in
+                Packet.release p;
+                ok
+              | _ -> false
+            else if op < 38 then begin
+              m.blackout <- not m.blackout;
+              Queue_disc.set_blackout d m.blackout;
+              true
+            end
+            else Queue_disc.clear d = Model.clear m
+          in
+          ok && same ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "rate units" `Quick test_rates;
@@ -320,4 +478,5 @@ let suite =
       test_red_average_decays_across_idle;
     Alcotest.test_case "occupancy sampling" `Quick test_occupancy_sampling;
     QCheck_alcotest.to_alcotest prop_threshold_len_bounded;
+    QCheck_alcotest.to_alcotest prop_queue_matches_model;
   ]

@@ -137,6 +137,62 @@ let test_recorder_wraparound () =
     Alcotest.fail "capacity 0: expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* The ring starts empty and grows (64, 128, ...) up to its capacity.
+   An eager ring of [capacity] slots is the reference: at every step of
+   filling, wrapping and clearing, [iter] order, [length], [total] and
+   [dropped] must match it. Capacities straddle the growth steps. *)
+let test_recorder_growth_matches_eager () =
+  let eager capacity =
+    let ring = Array.make capacity (-1) and next = ref 0 and total = ref 0 in
+    let record i =
+      ring.(!next) <- i;
+      next := (!next + 1) mod capacity;
+      incr total
+    in
+    let view () =
+      let n = Int.min !total capacity in
+      let start = if !total <= capacity then 0 else !next in
+      ( List.init n (fun i -> ring.((start + i) mod capacity)),
+        n,
+        !total,
+        Int.max 0 (!total - capacity) )
+    in
+    let clear () =
+      next := 0;
+      total := 0
+    in
+    (record, view, clear)
+  in
+  List.iter
+    (fun capacity ->
+      let r = Recorder.create ~capacity in
+      let record, view, clear = eager capacity in
+      let check step =
+        let acc = ref [] in
+        Recorder.iter (fun e -> acc := e.Recorder.time_ns :: !acc) r;
+        let name = Printf.sprintf "capacity %d, %s" capacity step in
+        Alcotest.(check (pair (list int) (list int)))
+          name
+          (let l, n, total, dropped = view () in
+           (l, [ n; total; dropped ]))
+          ( List.rev !acc,
+            [ Recorder.length r; Recorder.total r; Recorder.dropped r ] )
+      in
+      check "empty";
+      for round = 1 to 2 do
+        for i = 1 to (3 * capacity) + 5 do
+          Recorder.record r ~time_ns:i (ev i);
+          record i;
+          if i mod 7 = 0 || i = capacity || i = capacity + 1 then
+            check (Printf.sprintf "round %d, %d recorded" round i)
+        done;
+        check (Printf.sprintf "round %d, full" round);
+        Recorder.clear r;
+        clear ();
+        check (Printf.sprintf "round %d, cleared" round)
+      done)
+    [ 1; 2; 63; 64; 65; 100; 128; 129; 300 ]
+
 (* ----- sinks ----- *)
 
 let test_disabled_sink_noop () =
@@ -249,6 +305,8 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick
       test_histogram_percentiles;
     Alcotest.test_case "recorder wraparound" `Quick test_recorder_wraparound;
+    Alcotest.test_case "recorder growth matches an eager ring" `Quick
+      test_recorder_growth_matches_eager;
     Alcotest.test_case "disabled sink no-op" `Quick test_disabled_sink_noop;
     Alcotest.test_case "enabled sink records" `Quick
       test_enabled_sink_records;
