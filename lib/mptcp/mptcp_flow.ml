@@ -14,7 +14,11 @@ type t = {
   config : Tcp.config;
   source : Tcp.source;
   coupling : Coupling.flow;
-  mutable subflows : Tcp.t array;
+  mutable subflows : Tcp.t array;  (* built so far, in path order *)
+  mutable n_paths : int;
+      (* subflows asked for, built or waiting for the start: the flow is
+         complete once all of them are built and finished. [stop]
+         withdraws those not built yet. *)
   mutable acked : int;
   mutable n_done : int;
   mutable completed_at : Time.t option;
@@ -42,10 +46,10 @@ module Invariant = Xmp_check.Invariant
    is fed exclusively by subflow callbacks, so it always equals the sum of
    the subflows' own counters, and no subflow can complete twice. *)
 let check_conservation t =
-  if not (Invariant.holds (t.n_done <= Array.length t.subflows)) then
+  if not (Invariant.holds (t.n_done <= t.n_paths)) then
     Invariant.fail ~name:"mptcp.subflow-completions" (fun () ->
         Printf.sprintf "flow %d: %d completions for %d subflows" t.flow
-          t.n_done (Array.length t.subflows));
+          t.n_done t.n_paths);
   let subflows_acked =
     Array.fold_left (fun acc c -> acc + Tcp.segments_acked c) 0 t.subflows
   in
@@ -56,7 +60,7 @@ let check_conservation t =
 
 let check_complete t =
   check_conservation t;
-  if t.n_done = Array.length t.subflows && Option.is_none t.completed_at
+  if t.n_done = t.n_paths && Option.is_none t.completed_at
   then begin
     let sim = Network.sim t.net in
     let now = Xmp_engine.Sim.now sim in
@@ -82,23 +86,26 @@ let hooks =
         check_complete t);
   }
 
-let launch_subflow t ~path =
+(* A subflow is built when it starts; a zero-size source completes it
+   inside [Tcp.create], which [n_paths] already counts. *)
+let build t ~path =
   let conn =
     Tcp.create ~net:t.net ~rcv_net:t.rcv_net ~flow:t.flow
       ~subflow:(Array.length t.subflows) ~src:t.src ~dst:t.dst ~path
       ~cc:(Coupling.attach t.coupling) ~config:t.config ~source:t.source
-      ~start_at:t.started_at ~owner:t.owner ()
+      ~owner:t.owner ()
   in
   t.subflows <- Array.append t.subflows [| conn |];
-  (* a zero-size source can complete a subflow synchronously inside
-     Tcp.create, before the append above; re-check now *)
-  check_complete t;
+  check_conservation t;
   conn
+
+let open_receivers t = Array.iter Tcp.open_receiver t.subflows
 
 let create ~net ?(rcv_net = net) ~flow ~src ~dst ~paths ~coupling
     ?(config = Tcp.default_config) ?size_segments ?start_at
     ?(observer = silent) () =
   if paths = [] then invalid_arg "Mptcp_flow.create: paths";
+  if src = dst then invalid_arg "Mptcp_flow.create: src = dst";
   let sim = Network.sim net in
   let source =
     match size_segments with
@@ -108,10 +115,9 @@ let create ~net ?(rcv_net = net) ~flow ~src ~dst ~paths ~coupling
       Tcp.Limited (ref n)
   in
   let coupling = coupling.Coupling.fresh () in
+  let now = Xmp_engine.Sim.now sim in
   let started_at =
-    match start_at with
-    | None -> Xmp_engine.Sim.now sim
-    | Some ts -> Time.max (Xmp_engine.Sim.now sim) ts
+    match start_at with None -> now | Some ts -> Time.max now ts
   in
   let rec t =
     {
@@ -125,6 +131,7 @@ let create ~net ?(rcv_net = net) ~flow ~src ~dst ~paths ~coupling
       source;
       coupling;
       subflows = [||];
+      n_paths = List.length paths;
       acked = 0;
       n_done = 0;
       completed_at = None;
@@ -133,13 +140,28 @@ let create ~net ?(rcv_net = net) ~flow ~src ~dst ~paths ~coupling
       owner = Tcp.Owner (hooks, t);
     }
   in
-  List.iter (fun path -> ignore (launch_subflow t ~path)) paths;
+  if Time.compare started_at now > 0 then
+    (* one start event per path, each building its subflow; a split
+       receiver opens later, at a barrier (see {!open_receivers}) *)
+    List.iter
+      (fun path ->
+        Xmp_engine.Sim.at sim started_at (fun () ->
+            if Array.length t.subflows < t.n_paths then
+              ignore (build t ~path)))
+      paths
+  else begin
+    List.iter (fun path -> ignore (build t ~path)) paths;
+    open_receivers t
+  end;
   t
 
 let add_subflow t ~path =
   if Option.is_some t.completed_at then
     invalid_arg "Mptcp_flow.add_subflow: flow already complete";
-  launch_subflow t ~path
+  if Array.length t.subflows < t.n_paths then
+    invalid_arg "Mptcp_flow.add_subflow: flow not started";
+  t.n_paths <- t.n_paths + 1;
+  build t ~path
 
 let flow_id t = t.flow
 let src t = t.src
@@ -165,5 +187,8 @@ let goodput_bps t =
   | None -> invalid_arg "Mptcp_flow.goodput_bps: flow not complete"
   | Some c -> goodput_bps_until t c
 
-let stop t = Array.iter Tcp.stop t.subflows
+let stop t =
+  t.n_paths <- Array.length t.subflows;
+  Array.iter Tcp.stop t.subflows
+
 let close_receivers t = Array.iter Tcp.close_receiver t.subflows

@@ -44,15 +44,24 @@ val create :
   t
 (** One subflow per element of [paths] (the subflow's path selector).
     [size_segments = None] means an unbounded bulk flow. [observer]
-    defaults to {!silent}. A future [start_at] defers every subflow's
-    first transmission to that instant (endpoints register immediately);
-    {!started_at} then reports [start_at] and goodput is measured from
-    there. *)
+    defaults to {!silent}. Raises [Invalid_argument] when [src = dst].
+
+    Without a future [start_at] every subflow is built, registered and
+    sending when [create] returns, split receivers included. A future
+    [start_at] builds nothing yet: the flow keeps only its handle and one
+    start event per path, and each event builds its subflow
+    ({!Xmp_transport.Tcp.create}, endpoint registration, coupling
+    attach). A split flow's receivers then open only with
+    {!open_receivers}. {!started_at} reports [start_at] and goodput is
+    measured from there. The flow completes once every path is built
+    and finished. *)
 
 val add_subflow : t -> path:int -> Xmp_transport.Tcp.t
 (** Establishes an additional subflow on [path] (Figure 6's staggered
     subflow arrivals). It joins the flow's coupling group and shares the
-    remaining data. Raises [Invalid_argument] on a completed flow. *)
+    remaining data; on a split flow its receiver opens with the next
+    {!open_receivers}. Raises [Invalid_argument] on a completed flow and
+    on one whose paths are not all built yet. *)
 
 val flow_id : t -> int
 
@@ -82,7 +91,15 @@ val goodput_bps_until : t -> Xmp_engine.Time.t -> float
     earlier). *)
 
 val stop : t -> unit
-(** Stops all subflows without completing the flow. *)
+(** Stops all subflows without completing the flow; before the start it
+    cancels the flow, which then builds and sends nothing. *)
+
+val open_receivers : t -> unit
+(** Registers every built subflow's split receiver half
+    ({!Xmp_transport.Tcp.open_receiver}): call it after the start, from
+    the destination shard's domain or at an epoch barrier, before data
+    can reach the destination, and before {!close_receivers}. No-op for
+    non-split flows and for receivers already open. *)
 
 val close_receivers : t -> unit
 (** Reaps every subflow's split receiver half

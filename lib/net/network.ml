@@ -72,8 +72,9 @@ let create sim =
     next_id = 0;
     links_rev = [];
     next_link = 0;
-    tags = Hashtbl.create 64;
-    endpoints = Endpoints.create 256;
+    (* both grow on demand; 16 buckets is the Hashtbl floor *)
+    tags = Hashtbl.create 16;
+    endpoints = Endpoints.create 16;
     delivered = 0;
     dead = 0;
   }

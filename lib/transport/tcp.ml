@@ -105,9 +105,10 @@ type t = {
   mutable delack_timer : Sim.timer option;
   mutable delack_fire : unit -> unit;  (* allocated once, like [wd_fire] *)
   mutable rcv_closed : bool;
-      (* receiver-owned teardown mark; mirrors [torn_down] in same-net
-         mode and stays false for a split receiver (which outlives the
-         sender half and simply dead-letters late arrivals) *)
+      (* receiver-owned mark: the receiver is not registered. It mirrors
+         [torn_down] in same-net mode; a split receiver starts closed,
+         opens in [open_receiver] and closes in [close_receiver] (it
+         outlives the sender half and dead-letters late arrivals) *)
   mutable last_ts : Time.t;
   (* stats *)
   mutable segments_sent : int;
@@ -568,9 +569,14 @@ let sender_rx t (p : Packet.t) =
     end
   end
 
+(* the one handler a connection registers: ACKs reach the sender host,
+   data the receiver host *)
+let rx t p = if Packet.is_ack p then sender_rx t p else receiver_rx t p
+
 let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
-    ?(config = default_config) ?(source = Infinite) ?start_at ?owner
-    ?on_segment_acked ?on_rtt_sample ?on_complete () =
+    ?(config = default_config) ?(source = Infinite) ?owner ?on_segment_acked
+    ?on_rtt_sample ?on_complete () =
+  if src = dst then invalid_arg "Tcp.create: src = dst";
   let owner =
     match (owner, on_segment_acked, on_rtt_sample, on_complete) with
     | Some o, None, None, None -> o
@@ -636,10 +642,7 @@ let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
       view;
       est;
       source;
-      started_at =
-        (match start_at with
-        | None -> Sim.now sim
-        | Some ts -> Time.max (Sim.now sim) ts);
+      started_at = Sim.now sim;
       snd_nxt = 0;
       dupacks = 0;
       in_recovery = false;
@@ -659,7 +662,7 @@ let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
       delack_pending = 0;
       delack_timer = None;
       delack_fire = ignore;
-      rcv_closed = false;
+      rcv_closed = not (rcv_net == net);
       last_ts = Time.zero;
       segments_sent = 0;
       segments_acked = 0;
@@ -675,19 +678,22 @@ let create ~net ?rcv_net ~flow ~subflow ~src ~dst ~path ~cc
     (fun () ->
       t.delack_timer <- None;
       if not t.rcv_closed then send_ack t);
-  Network.register_endpoint net ~host:src ~flow ~subflow (fun p ->
-      sender_rx t p);
-  Network.register_endpoint rcv_net ~host:dst ~flow ~subflow (fun p ->
-      receiver_rx t p);
-  (* A deferred start keeps registration immediate (so the receiver half
-     exists before any packet can arrive) but first transmits at
-     [started_at]; the guard covers flows stopped before their start. *)
-  if Time.compare t.started_at (Sim.now sim) > 0 then
-    Sim.at sim t.started_at (fun () -> if not t.torn_down then send_loop t)
-  else send_loop t;
+  let handler p = rx t p in
+  Network.register_endpoint net ~host:src ~flow ~subflow handler;
+  (* a split receiver registers on its own shard, in {!open_receiver} *)
+  if not (split t) then
+    Network.register_endpoint net ~host:dst ~flow ~subflow handler;
+  send_loop t;
   t
 
 let stop t = teardown t
+
+let open_receiver t =
+  if split t && t.rcv_closed then begin
+    t.rcv_closed <- false;
+    Network.register_endpoint t.rcv_net ~host:t.dst ~flow:t.flow
+      ~subflow:t.subflow (fun p -> rx t p)
+  end
 
 let close_receiver t =
   if split t && not t.rcv_closed then begin

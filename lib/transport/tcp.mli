@@ -86,30 +86,39 @@ val create :
   cc:Cc.factory ->
   ?config:config ->
   ?source:source ->
-  ?start_at:Xmp_engine.Time.t ->
   ?owner:owner ->
   ?on_segment_acked:(int -> unit) ->
   ?on_rtt_sample:(Xmp_engine.Time.t -> unit) ->
   ?on_complete:(unit -> unit) ->
   unit ->
   t
-(** Registers both endpoints and starts sending immediately, or — when
-    [start_at] is in the future — at [start_at] (registration stays
-    immediate so the receiver half exists before any packet arrives;
-    [started_at] reports the deferred time). [source] defaults to
-    [Infinite]. [on_complete] fires once, when a [Limited] source is
-    exhausted and every segment is acknowledged; the connection then
-    tears down. Progress goes either to [owner] or to the three callback
-    arguments, which are a convenience for tests and single connections
-    (passing both raises [Invalid_argument]).
+(** Registers the connection and starts sending at once; a deferred
+    start is the caller's event (as {!Xmp_mptcp.Mptcp_flow} does it).
+    One handler serves both hosts: ACKs go to the sender half, data to
+    the receiver half. [source] defaults to [Infinite]. [on_complete]
+    fires once, when a [Limited] source is exhausted and every segment
+    is acknowledged; the connection then tears down. Progress goes
+    either to [owner] or to the three callback arguments, which are a
+    convenience for tests and single connections (passing both raises
+    [Invalid_argument]). Raises [Invalid_argument] when [src = dst]:
+    both halves would share one endpoint key.
 
     [rcv_net] places the receiver half on a different network (a sharded
     run's destination shard): the data endpoint registers there, its
     delayed-ACK timer runs on that network's simulator, and the two
     halves share no timers — only packets — so each shard's domain
-    touches only its own half. The receiver half stays registered after
-    teardown in this mode (late cross-shard arrivals dead-letter) until
-    {!close_receiver} reaps it. *)
+    touches only its own half. In this split mode [create] registers
+    only the sender endpoint; the receiver opens with {!open_receiver}
+    and stays registered after teardown (late cross-shard arrivals
+    dead-letter) until {!close_receiver} reaps it. *)
+
+val open_receiver : t -> unit
+(** Registers a split receiver half on [rcv_net]. Call it once, before
+    the first data packet can reach the destination host, from the
+    destination shard's domain or at a barrier where no shard is running
+    (open-loop runs open a deferred flow's receivers at the first
+    barrier after its start, which the shard lookahead makes early
+    enough). No-op for non-split connections and on an open receiver. *)
 
 val stop : t -> unit
 (** Tears the connection down without completing it (cancels timers,

@@ -8,10 +8,13 @@ module Mptcp_flow = Xmp_mptcp.Mptcp_flow
 (* Open-loop workload on a sharded fabric: Poisson arrivals per host
    (independent of flow completions — the open-loop property), flow
    sizes from an empirical CDF, uniform random destinations. Flows are
-   created at the epoch barrier via {!Shard.run}'s [on_epoch] hook: that
-   is the only point where registering a flow's endpoints on two shards
-   is safe, and it runs on the orchestrating domain in a deterministic
-   order, so the generated schedule is identical for any domain count.
+   launched at the epoch barrier via {!Shard.run}'s [on_epoch] hook,
+   which runs on the orchestrating domain in a deterministic order, so
+   the generated schedule is identical for any domain count. A launched
+   flow waits as a handle and its start events; its subflows are built
+   at the start on the source shard, and a split flow's receivers open
+   at the next barrier, the only point where touching the destination
+   shard is safe.
 
    The generator sees only the {!Topology} handle of the fabric
    {!Setup} builds, one shard per pod or per DC, so one path drives the
@@ -70,6 +73,7 @@ type result = {
   truncated : int;
   events : int;
   mail : int;
+  dead_lettered : int;
   config : config;
 }
 
@@ -181,6 +185,10 @@ let run ?(config = default_config) ?(domains = 1) () =
       ~rate:(arrival_rate cfg)
   in
   let launched = ref 0 in
+  (* split flows launched at this barrier: they start inside the coming
+     epoch, and their receivers open at the next barrier, before any of
+     their data can cross the lookahead *)
+  let opening = ref [] in
   let launch ~host ~at ~rng =
     let src = host in
     let dst = pick_dst fb ~cross_dc:cfg.cross_dc ~rng ~src in
@@ -202,15 +210,19 @@ let run ?(config = default_config) ?(domains = 1) () =
         launcher
     in
     if not (Mptcp_flow.is_complete handle) then
-      Hashtbl.replace shards.(shard).running flow handle
+      Hashtbl.replace shards.(shard).running flow handle;
+    if fb.shard_of_host dst <> shard then opening := handle :: !opening
   in
   let at_max () =
     match cfg.max_flows with Some m -> !launched >= m | None -> false
   in
   let on_epoch ~target =
-    (* first reap receivers of flows that completed in earlier epochs:
-       unregistering a receiver touches the destination shard, which is
-       only safe here, with every worker parked *)
+    (* first open the receivers of split flows that started in the last
+       epoch and reap those of flows that completed in earlier epochs:
+       both touch the destination shard, which is only safe here, with
+       every worker parked *)
+    List.iter Mptcp_flow.open_receivers (List.rev !opening);
+    opening := [];
     Array.iter
       (fun st ->
         match st.done_rev with
@@ -247,6 +259,10 @@ let run ?(config = default_config) ?(domains = 1) () =
     truncated = Metrics.n_truncated_flows total;
     events = Shard.events_executed setup.cluster;
     mail = Shard.mail_injected setup.cluster;
+    dead_lettered =
+      Array.fold_left ( + ) 0
+        (Array.init (Shard.n_shards setup.cluster) (fun i ->
+             Xmp_net.Network.packets_dead_lettered (Shard.net setup.cluster i)));
     config = cfg;
   }
 

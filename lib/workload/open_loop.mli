@@ -7,11 +7,13 @@
     other hosts. Arrivals never wait for completions — the open-loop
     property that exposes a scheme's behaviour under sustained load.
 
-    Flows are created at the {!Xmp_net.Shard.run} epoch barrier (the
-    [on_epoch] hook), the only point where registering a flow's sender
-    and receiver halves on two different shards is safe; completed
-    flows' receiver halves are reaped at the next barrier so endpoint
-    tables stay bounded over millions of flows. All per-flow randomness
+    Flows are launched at the {!Xmp_net.Shard.run} epoch barrier (the
+    [on_epoch] hook) and wait as a record until their start, when their
+    subflows are built on the source shard. A split flow's receiver
+    halves open on the destination shard at the first barrier after the
+    start (the lookahead keeps its data from arriving sooner) and are
+    reaped at the first barrier after completion, so endpoint tables
+    hold only running flows over millions of flows. All per-flow randomness
     comes from the source host's own stream, flow ids are assigned in
     the deterministic barrier order, and per-pod {!Metrics} collectors
     are merged in pod order — so results are byte-identical for any
@@ -65,6 +67,10 @@ type result = {
   truncated : int;  (** still running at [horizon + drain] *)
   events : int;
   mail : int;  (** cross-shard portal packets *)
+  dead_lettered : int;
+      (** packets that reached a host with no endpoint registered for
+          them, over all shards: late arrivals after a teardown, and any
+          that reach a receiver before it opens *)
   config : config;
 }
 

@@ -276,6 +276,94 @@ let test_aggregate_view_sees_sibling_updates () =
         true (after < before))
     [ Xmp_workload.Scheme.olia 2; Xmp_workload.Scheme.balia 2 ]
 
+(* ----- deferred start: a waiting flow keeps a record, not connections ----- *)
+
+let deferred_flow ?observer ~size_segments net tb =
+  Flow.create ~net ~flow:1
+    ~src:(Testbed.left_id tb 0)
+    ~dst:(Testbed.right_id tb 0)
+    ~paths:[ 0; 1 ]
+    ~coupling:(Xmp_core.Trash.coupling ())
+    ~config:Xmp_core.Xmp.tcp_config ~size_segments ~start_at:(Time.ms 10)
+    ?observer ()
+
+let endpoints net = (Net.Network.endpoint_stats net).Hashtbl.num_bindings
+
+(* A 2-segment XMP-2 flow: subflow 0's initial window takes both
+   segments at the start, so subflow 1 is built onto a drained source
+   and finishes at once. The flow must still wait for subflow 0's ACK;
+   counting built subflows instead of paths completes it at its start. *)
+let test_deferred_builds_at_start () =
+  let sim, net, tb = make_rig () in
+  let completion = ref None in
+  let observer =
+    {
+      Flow.silent with
+      on_complete =
+        (fun f ->
+          completion :=
+            Some (Sim.now sim, Tcp.segments_acked (Flow.subflows f).(0)));
+    }
+  in
+  let f = deferred_flow ~observer ~size_segments:2 net tb in
+  Alcotest.(check int) "nothing built while waiting" 0
+    (Array.length (Flow.subflows f));
+  Alcotest.(check int) "no endpoint while waiting" 0 (endpoints net);
+  Sim.run ~until:(Time.ms 10) sim;
+  let subs = Flow.subflows f in
+  Alcotest.(check int) "both paths built at the start" 2 (Array.length subs);
+  Alcotest.(check int) "subflow 0 took both segments" 2
+    (Tcp.segments_sent subs.(0));
+  Alcotest.(check bool) "subflow 1 finished as it was built" true
+    (Tcp.is_complete subs.(1));
+  Alcotest.(check int) "subflow 0 registered at both hosts" 2 (endpoints net);
+  Alcotest.(check bool) "flow not complete at its start" false
+    (Flow.is_complete f);
+  Sim.run ~until:(Time.ms 100) sim;
+  match !completion with
+  | None -> Alcotest.fail "the flow never completed"
+  | Some (at, acked0) ->
+    Alcotest.(check bool) "completes after its start" true (at > Time.ms 10);
+    Alcotest.(check int) "once subflow 0's data is acked" 2 acked0;
+    Alcotest.(check int) "every endpoint torn down" 0 (endpoints net)
+
+let test_deferred_stop_before_start () =
+  let sim, net, tb = make_rig () in
+  let f = deferred_flow ~size_segments:100 net tb in
+  Sim.at sim (Time.ms 5) (fun () -> Flow.stop f);
+  Sim.run ~until:(Time.ms 50) sim;
+  Alcotest.(check int) "nothing built" 0 (Array.length (Flow.subflows f));
+  Alcotest.(check int) "nothing sent" 0
+    (List.fold_left
+       (fun acc l -> acc + Net.Link.packets_sent l)
+       0 (Net.Network.links net));
+  Alcotest.(check int) "no endpoint" 0 (endpoints net);
+  Alcotest.(check bool) "not complete" false (Flow.is_complete f)
+
+let test_add_subflow_while_waiting () =
+  let _, net, tb = make_rig () in
+  let f = deferred_flow ~size_segments:100 net tb in
+  Alcotest.check_raises "refused before the start"
+    (Invalid_argument "Mptcp_flow.add_subflow: flow not started") (fun () ->
+      ignore (Flow.add_subflow f ~path:0))
+
+(* A connection's two halves key their endpoints by host, so a flow from
+   a host to itself would register one over the other. *)
+let test_self_flow_rejected () =
+  let _, net, tb = make_rig () in
+  let h = Testbed.left_id tb 0 in
+  Alcotest.check_raises "Mptcp_flow.create"
+    (Invalid_argument "Mptcp_flow.create: src = dst") (fun () ->
+      ignore
+        (Flow.create ~net ~flow:1 ~src:h ~dst:h ~paths:[ 0 ]
+           ~coupling:reno_uncoupled ~start_at:(Time.ms 10) ()));
+  Alcotest.check_raises "Tcp.create" (Invalid_argument "Tcp.create: src = dst")
+    (fun () ->
+      ignore
+        (Tcp.create ~net ~flow:2 ~subflow:0 ~src:h ~dst:h ~path:0
+           ~cc:(fun v -> Xmp_transport.Reno.make v) ()));
+  Alcotest.(check int) "nothing registered" 0 (endpoints net)
+
 let suite =
   [
     Alcotest.test_case "group registry" `Quick test_group_registry;
@@ -297,4 +385,11 @@ let suite =
     Alcotest.test_case "olia completes" `Quick test_olia_completes;
     Alcotest.test_case "coupled fairness" `Quick
       test_coupled_fairness_on_shared_bottleneck;
+    Alcotest.test_case "deferred flow built at its start" `Quick
+      test_deferred_builds_at_start;
+    Alcotest.test_case "stop before the start" `Quick
+      test_deferred_stop_before_start;
+    Alcotest.test_case "add_subflow while waiting" `Quick
+      test_add_subflow_while_waiting;
+    Alcotest.test_case "flow to itself rejected" `Quick test_self_flow_rejected;
   ]

@@ -374,6 +374,44 @@ let test_domains_byte_equality () =
   Alcotest.(check bool) "digest non-trivial" true (String.length one > 200);
   Alcotest.(check string) "domains=1 and domains=2 byte-identical" one two
 
+(* A deferred cross-DC flow waits as a record: its sender is built on
+   its own shard at the start, and its receiver opens at the first
+   barrier after it. The 10 ms trunk is the lookahead, so flows wait up
+   to one 10 ms epoch, and none of their data can reach the other DC
+   before that barrier. A receiver that opened too late would
+   dead-letter data and wedge its flow; the count over all shards must
+   stay what it was when every connection was built at launch, at
+   either domain count. (That is none here. Opening one barrier late
+   instead dead-letters 244 packets and leaves 28 more flows
+   unfinished.) *)
+let deferred_config =
+  {
+    wan_config with
+    fabric =
+      Bridged
+        {
+          left = ft4;
+          right = ft4;
+          trunks = [ Wan.trunk ~delay:(Time.ms 10) ~queue_pkts:200 () ];
+        };
+    load = 0.6;
+    horizon = Time.ms 60;
+    drain = Time.ms 200;
+    max_flows = None;
+    keep_flows = false;
+  }
+
+let dead_letters ~domains () =
+  let r = Open_loop.run ~config:deferred_config ~domains () in
+  Printf.sprintf "launched=%d completed=%d dead-lettered=%d" r.launched
+    r.completed r.dead_lettered
+
+let test_deferred_split_dead_letters () =
+  let pinned = "launched=85 completed=68 dead-lettered=0" in
+  Alcotest.(check string) "domains=1" pinned (dead_letters ~domains:1 ());
+  Alcotest.(check string) "domains=2" pinned
+    (capture_in_child (dead_letters ~domains:2))
+
 let suite =
   [
     Alcotest.test_case "geometry and path counts" `Quick test_geometry;
@@ -393,4 +431,6 @@ let suite =
       test_placement;
     Alcotest.test_case "named fault targets arm on their shard" `Quick
       test_named_fault_targets_per_shard;
+    Alcotest.test_case "deferred split receivers open in time" `Slow
+      test_deferred_split_dead_letters;
   ]
