@@ -5,24 +5,29 @@ type params = { beta : int; init_cwnd : float; min_cwnd : float }
 
 let default_params = { beta = 4; init_cwnd = 3.; min_cwnd = 2. }
 
-type reduction_state = Normal | Reduced
+(* the fractional increase carried between rounds, alone in a record:
+   a record of floats is stored flat, so its per-round update allocates
+   no box *)
+type carry = { mutable adder : float }
 
 type 'c state = {
   params : params;
   view : Cc.view;
   ctx : 'c;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-  mutable adder : float;
+  win : Cc.window;
+  carry : carry;
   mutable beg_seq : int;
   mutable cwr_seq : int;
-  mutable reduction : reduction_state;
+      (* while a reduction holds (Algorithm 1's Reduced state): the
+         [snd_nxt] it waits for the ACK of; -1 in the Normal state *)
 }
 
-let cwnd s = s.cwnd
+let reduced s = s.cwr_seq >= 0
+
+let cwnd s = s.win.Cc.cwnd
 let ctx s = s.ctx
 let view s = s.view
-let in_slow_start s = s.cwnd <= s.ssthresh
+let in_slow_start s = s.win.Cc.cwnd <= s.win.Cc.ssthresh
 
 (* one branch when the sink is disabled; called only after cwnd moved *)
 let emit_cwnd s =
@@ -33,57 +38,56 @@ let emit_cwnd s =
          {
            flow = tel.Tel.Sink.flow;
            subflow = tel.Tel.Sink.subflow;
-           cwnd = s.cwnd;
+           cwnd = s.win.Cc.cwnd;
          })
 
 let on_ecn s ~count:_ =
-  if s.reduction = Normal then begin
-    s.reduction <- Reduced;
+  if not (reduced s) then begin
     s.cwr_seq <- s.view.Cc.snd_nxt;
     if not (in_slow_start s) then begin
-      let cut = Float.max (s.cwnd /. float_of_int s.params.beta) 1. in
-      s.cwnd <- Float.max (s.cwnd -. cut) s.params.min_cwnd;
+      let cut = Float.max (s.win.Cc.cwnd /. float_of_int s.params.beta) 1. in
+      s.win.Cc.cwnd <- Float.max (s.win.Cc.cwnd -. cut) s.params.min_cwnd;
       emit_cwnd s
     end;
     (* leave (or stay out of) slow start without re-entering it *)
-    s.ssthresh <- s.cwnd -. 1.
+    s.win.Cc.ssthresh <- s.win.Cc.cwnd -. 1.
   end
 
 let on_fast_retransmit s =
-  s.cwnd <- Float.max (s.cwnd /. 2.) s.params.min_cwnd;
-  s.ssthresh <- s.cwnd -. 1.;
+  s.win.Cc.cwnd <- Float.max (s.win.Cc.cwnd /. 2.) s.params.min_cwnd;
+  s.win.Cc.ssthresh <- s.win.Cc.cwnd -. 1.;
   emit_cwnd s
 
 let on_timeout s =
-  s.ssthresh <- Float.max (s.cwnd /. 2.) s.params.min_cwnd;
-  s.cwnd <- 1.;
+  s.win.Cc.ssthresh <- Float.max (s.win.Cc.cwnd /. 2.) s.params.min_cwnd;
+  s.win.Cc.cwnd <- 1.;
   emit_cwnd s
 
 let ops ~name ~delta ~on_round =
   {
     Cc.name;
-    cwnd;
+    view = (fun s -> s.view);
+    window = (fun s -> s.win);
     on_ack =
       (fun s ~ack ~newly_acked:_ ~ce_count:_ ->
         (* per-round operations (Algorithm 1) *)
         if ack > s.beg_seq then begin
-          if s.reduction = Normal && not (in_slow_start s) then begin
-            s.adder <- s.adder +. delta s;
-            let whole = Float.of_int (int_of_float s.adder) in
-            s.cwnd <- s.cwnd +. whole;
-            s.adder <- s.adder -. whole;
+          if (not (reduced s)) && not (in_slow_start s) then begin
+            s.carry.adder <- s.carry.adder +. delta s;
+            let whole = Float.of_int (int_of_float s.carry.adder) in
+            s.win.Cc.cwnd <- s.win.Cc.cwnd +. whole;
+            s.carry.adder <- s.carry.adder -. whole;
             if whole > 0. then emit_cwnd s
           end;
           s.beg_seq <- s.view.Cc.snd_nxt;
           on_round s
         end;
         (* per-ack operations *)
-        if s.reduction = Normal && in_slow_start s then begin
-          s.cwnd <- s.cwnd +. 1.;
+        if (not (reduced s)) && in_slow_start s then begin
+          s.win.Cc.cwnd <- s.win.Cc.cwnd +. 1.;
           emit_cwnd s
         end;
-        if s.reduction <> Normal && ack >= s.cwr_seq then
-          s.reduction <- Normal);
+        if reduced s && ack >= s.cwr_seq then s.cwr_seq <- -1);
     on_ecn;
     on_fast_retransmit;
     on_timeout;
@@ -99,12 +103,10 @@ let create ops ?(params = default_params) ctx view =
         params;
         view;
         ctx;
-        cwnd = params.init_cwnd;
-        ssthresh = Float.max_float;
-        adder = 0.;
+        win = { Cc.cwnd = params.init_cwnd; ssthresh = Float.max_float };
+        carry = { adder = 0. };
         beg_seq = 0;
-        cwr_seq = 0;
-        reduction = Normal;
+        cwr_seq = -1;
       } )
 
 (* plain BOS: the gain and the round hook come from the caller *)

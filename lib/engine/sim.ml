@@ -1,6 +1,8 @@
 type event = {
   mutable run : unit -> unit;
-  mutable live : bool;
+      (* [dead] once the event fired or was cancelled: an event is live
+         exactly while [run] is not [dead], and a dead one keeps no
+         closure reachable *)
   pooled : bool;
       (* anonymous [at]/[after] events are recycled through the sim's
          free list right after they fire — their handles never escape, so
@@ -14,6 +16,9 @@ type event = {
 }
 
 type timer = event
+
+let dead () = ()
+let live ev = not (ev.run == dead)
 
 type t = {
   mutable now : Time.t;
@@ -115,8 +120,8 @@ let create ?(config = default_config) () =
       b
     | None -> Invariant.enabled ()
   in
-  let heap = Event_queue.create ~live:(fun (ev : event) -> ev.live) () in
-  Event_queue.set_dummy heap { run = ignore; live = false; pooled = false; heap };
+  let heap = Event_queue.create ~live () in
+  Event_queue.set_dummy heap { run = dead; pooled = false; heap };
   let rec t =
     {
       now = Time.zero;
@@ -183,15 +188,13 @@ let acquire_event t f =
     t.free_top <- i;
     let ev = t.free_events.(i) in
     ev.run <- f;
-    ev.live <- true;
     ev
   end
-  else { run = f; live = true; pooled = true; heap = t.heap }
+  else { run = f; pooled = true; heap = t.heap }
 
+(* [ev] fired, so its closure is already gone: a parked free-list record
+   keeps no closure graph (packets, connections) reachable *)
 let release_event t ev =
-  (* drop the fired closure now — a parked free-list record must not keep
-     an arbitrary closure graph (packets, connections) reachable *)
-  ev.run <- ignore;
   if t.free_top = Array.length t.free_events then begin
     let cap = Int.max 64 (2 * t.free_top) in
     let arr = Array.make cap ev in
@@ -212,19 +215,27 @@ let after t d f =
 
 let timer_at t time f =
   check_time t time;
-  let ev = { run = f; live = true; pooled = false; heap = t.heap } in
+  let ev = { run = f; pooled = false; heap = t.heap } in
   enqueue t time ev;
   ev
 
 let timer_after t d f = timer_at t (Time.add t.now d) f
 
+(* The dead entry stays in the heap until a compaction or its pop; its
+   closure goes now, so a cancelled timer keeps nothing of its owner
+   (a finished connection) reachable meanwhile. *)
 let cancel (ev : timer) =
-  if ev.live then begin
-    ev.live <- false;
+  if live ev then begin
+    ev.run <- dead;
     Event_queue.note_dead ev.heap
   end
 
-let timer_active (ev : timer) = ev.live
+let no_timer =
+  (* xmplint: allow mutable-global — dead from creation and never
+     enqueued, and [cancel] writes only a live event: nothing writes it *)
+  { run = dead; pooled = false; heap = Event_queue.create () }
+
+let timer_active = live
 
 (* ---- FIFO lanes -------------------------------------------------------- *)
 
@@ -358,10 +369,10 @@ let dispatch_top t time =
   if code >= 0 then fire_lane t time t.lanes.(code)
   else
     let ev = Event_queue.pop_payload t.heap in
-    if ev.live then begin
+    if live ev then begin
       begin_event t time;
-      ev.live <- false;
       let f = ev.run in
+      ev.run <- dead;
       (* recycle before running: [f] is saved, and anything [f] schedules
          may legitimately reuse this record *)
       if ev.pooled then release_event t ev;

@@ -122,8 +122,12 @@ val timer_after : t -> Time.t -> (unit -> unit) -> timer
 
 val cancel : timer -> unit
 (** O(1); the heap entry is reaped by a later compaction or skipped at
-    pop. Cancelling an already-fired or already-cancelled timer is a
-    no-op. *)
+    pop, and drops its closure at once. Cancelling an already-fired or
+    already-cancelled timer is a no-op. *)
+
+val no_timer : timer
+(** A timer that is never active: the value of a timer field with
+    nothing armed. Cancelling it is a no-op. *)
 
 val timer_active : timer -> bool
 (** True if the timer is scheduled and neither fired nor cancelled. *)

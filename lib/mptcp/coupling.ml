@@ -1,36 +1,43 @@
 module Cc = Xmp_transport.Cc
 
-type member = { cc : Cc.t; view : Cc.view }
-type group = { mutable members : member list (* reverse order *) }
+(* the members' controllers, in an array grown by one per subflow: a
+   flow's few members then cost a word each; each reads its RTT off its
+   own view *)
+type group = { mutable members : Cc.t array (* registration order *) }
 
-let group () = { members = [] }
-let register g ~cc ~view = g.members <- { cc; view } :: g.members
-let members g = List.rev g.members
-let cwnd m = Cc.cwnd m.cc
-let srtt_s m = Xmp_engine.Time.to_float_s m.view.Cc.srtt
+let group () = { members = [||] }
+let register g cc = g.members <- Array.append g.members [| cc |]
+let members g = Array.to_list g.members
+let srtt_s m = Xmp_engine.Time.to_float_s (Cc.view_of m).Cc.srtt
 
-let total_cwnd g = List.fold_left (fun acc m -> acc +. cwnd m) 0. g.members
+(* The folds below run newest member first ([Array.fold_right]): the
+   order these float sums have always been taken in, which must hold
+   for the results to, float addition not being associative. They read
+   each window in place, as [Cc.cwnd] would box it. *)
+let total_cwnd g =
+  Array.fold_right (fun m acc -> acc +. (Cc.window m).Cc.cwnd) g.members 0.
 
 let total_rate g =
-  List.fold_left
-    (fun acc m ->
+  Array.fold_right
+    (fun m acc ->
       let rtt_s = srtt_s m in
-      if rtt_s > 0. then acc +. (cwnd m /. rtt_s) else acc)
-    0. g.members
+      if rtt_s > 0. then acc +. ((Cc.window m).Cc.cwnd /. rtt_s) else acc)
+    g.members 0.
 
 let max_rate g =
-  List.fold_left
-    (fun acc m ->
+  Array.fold_right
+    (fun m acc ->
       let rtt_s = srtt_s m in
-      if rtt_s > 0. then Float.max acc (cwnd m /. rtt_s) else acc)
-    0. g.members
+      if rtt_s > 0. then Float.max acc ((Cc.window m).Cc.cwnd /. rtt_s)
+      else acc)
+    g.members 0.
 
 let min_srtt g =
-  List.fold_left
-    (fun acc m ->
+  Array.fold_right
+    (fun m acc ->
       let rtt_s = srtt_s m in
       if rtt_s > 0. then Float.min acc rtt_s else acc)
-    Float.max_float g.members
+    g.members Float.max_float
 
 type flow = Flow : ('f -> Cc.factory) * 'f -> flow
 type t = { name : string; fresh : unit -> flow }
@@ -48,5 +55,5 @@ let custom ~name ~fresh attach =
 let coupled ~name build =
   custom ~name ~fresh:group (fun g view ->
       let cc = build g view in
-      register g ~cc ~view;
+      register g cc;
       cc)

@@ -4,8 +4,9 @@
     once per flow ({!t.fresh}); each subflow's controller is then made
     with {!attach}, and its behaviour may depend on every sibling's state
     through the flow's member {!group}. A group holds each member's
-    controller and connection view directly; nothing here allocates a
-    closure per flow or per subflow.
+    controller, which gives its connection view
+    ({!Xmp_transport.Cc.view_of}); nothing here allocates a closure per
+    flow or per subflow.
 
     Every coupled scheme is built the same way, with {!coupled}: a window
     body — {!Xmp_transport.Reno.ops} (loss; LIA, AMP, BALIA, MP-Veno)
@@ -14,26 +15,17 @@
     path list ({!custom}). {!uncoupled} runs one single-path controller
     on every subflow. *)
 
-type member = {
-  cc : Xmp_transport.Cc.t;  (** the subflow's controller *)
-  view : Xmp_transport.Cc.view;  (** its connection view *)
-}
-
 type group
 (** Mutable per-flow registry of members. *)
 
 val group : unit -> group
 
-val register :
-  group -> cc:Xmp_transport.Cc.t -> view:Xmp_transport.Cc.view -> unit
+val register : group -> Xmp_transport.Cc.t -> unit
 
-val members : group -> member list
-(** In registration order. *)
+val members : group -> Xmp_transport.Cc.t list
+(** The members' controllers, in registration order. *)
 
-val cwnd : member -> float
-(** The member's congestion window, segments. *)
-
-val srtt_s : member -> float
+val srtt_s : Xmp_transport.Cc.t -> float
 (** The member's smoothed RTT, seconds. *)
 
 val total_cwnd : group -> float

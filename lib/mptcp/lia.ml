@@ -1,4 +1,5 @@
 module Reno = Xmp_transport.Reno
+module Cc = Xmp_transport.Cc
 
 let alpha ~windows_rtts =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. windows_rtts in
@@ -19,7 +20,7 @@ let alpha ~windows_rtts =
 let increase g ~cwnd =
   let windows_rtts =
     List.map
-      (fun m -> (Coupling.cwnd m, Coupling.srtt_s m))
+      (fun m -> (Cc.cwnd m, Coupling.srtt_s m))
       (Coupling.members g)
   in
   let total = Coupling.total_cwnd g in

@@ -50,7 +50,7 @@ val create :
     sending when [create] returns, split receivers included. A future
     [start_at] builds nothing yet: the flow keeps only its handle and one
     start event per path, and each event builds its subflow
-    ({!Xmp_transport.Tcp.create}, endpoint registration, coupling
+    ({!Xmp_transport.Tcp.connect}, endpoint registration, coupling
     attach). A split flow's receivers then open only with
     {!open_receivers}. {!started_at} reports [start_at] and goodput is
     measured from there. The flow completes once every path is built
@@ -98,12 +98,15 @@ val open_receivers : t -> unit
 (** Registers every built subflow's split receiver half
     ({!Xmp_transport.Tcp.open_receiver}): call it after the start, from
     the destination shard's domain or at an epoch barrier, before data
-    can reach the destination, and before {!close_receivers}. No-op for
-    non-split flows and for receivers already open. *)
+    can reach the destination, and before the receivers are reaped
+    (see {!receivers}). No-op for non-split flows and for receivers
+    already open. *)
 
-val close_receivers : t -> unit
-(** Reaps every subflow's split receiver half
-    ({!Xmp_transport.Tcp.close_receiver}): call after completion, from
-    the destination shard's domain or at an epoch barrier, so sharded
-    open-loop runs do not accumulate dead endpoint registrations. No-op
-    for non-split flows. *)
+val receivers : t -> Xmp_transport.Tcp.receiver list
+(** The built subflows' split receiver halves, in subflow order; [[]]
+    for a flow whose receivers share its sender's network. Reap each
+    with {!Xmp_transport.Tcp.close_receiver} after completion, from the
+    destination shard's domain or at an epoch barrier, so sharded
+    open-loop runs do not accumulate dead endpoint registrations. The
+    halves hold nothing of the flow: keeping them, and not the flow,
+    lets the rest of a completed flow be collected. *)

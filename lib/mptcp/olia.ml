@@ -5,13 +5,16 @@ module Cc = Xmp_transport.Cc
    group's), each a Reno window whose context is its loss record. *)
 type flow = { mutable paths : path Reno.state list }
 
-and path = {
-  flow : flow;
+and path = { flow : flow; losses : losses }
+
+(* a record of floats alone, which OCaml stores flat: the per-ACK write
+   allocates no box *)
+and losses = {
   mutable since_loss : float;  (* segments acked since the last loss *)
   mutable between_losses : float;  (* segments between the last two *)
 }
 
-let interloss p = Float.max p.since_loss p.between_losses
+let interloss p = Float.max p.losses.since_loss p.losses.between_losses
 
 let epsilon = 1e-9
 
@@ -46,8 +49,8 @@ let alpha_for paths me =
   end
 
 let on_loss p =
-  p.between_losses <- p.since_loss;
-  p.since_loss <- 0.
+  p.losses.between_losses <- p.losses.since_loss;
+  p.losses.since_loss <- 0.
 
 let increase s ~cwnd =
   let all = (Reno.ctx s).flow.paths in
@@ -73,7 +76,7 @@ let ops =
     Cc.on_ack =
       (fun s ~ack ~newly_acked ~ce_count ->
         let p = Reno.ctx s in
-        p.since_loss <- p.since_loss +. float_of_int newly_acked;
+        p.losses.since_loss <- p.losses.since_loss +. float_of_int newly_acked;
         reno.Cc.on_ack s ~ack ~newly_acked ~ce_count);
     on_fast_retransmit =
       (fun s ->
@@ -90,7 +93,9 @@ let coupling () =
     ~fresh:(fun () -> { paths = [] })
     (fun flow view ->
       let s =
-        Reno.init { flow; since_loss = 0.; between_losses = 0. } view
+        Reno.init
+          { flow; losses = { since_loss = 0.; between_losses = 0. } }
+          view
       in
       flow.paths <- flow.paths @ [ s ];
       Cc.Cc (ops, s))

@@ -13,9 +13,12 @@ let view ?(telemetry = Xmp_telemetry.Sink.unscoped) ?(srtt = Time.ms 200)
     ?(min_rtt = Time.infinity) ~now () =
   { snd_una = 0; snd_nxt = 0; srtt; min_rtt; now; telemetry }
 
+type window = { mutable cwnd : float; mutable ssthresh : float }
+
 type 's ops = {
   name : string;
-  cwnd : 's -> float;
+  view : 's -> view;
+  window : 's -> window;
   on_ack : 's -> ack:int -> newly_acked:int -> ce_count:int -> unit;
   on_ecn : 's -> count:int -> unit;
   on_fast_retransmit : 's -> unit;
@@ -28,7 +31,9 @@ type t = Cc : 's ops * 's -> t
 type factory = view -> t
 
 let name (Cc (o, _)) = o.name
-let cwnd (Cc (o, s)) = o.cwnd s
+let view_of (Cc (o, s)) = o.view s
+let window (Cc (o, s)) = o.window s
+let cwnd c = (window c).cwnd
 
 let on_ack (Cc (o, s)) ~ack ~newly_acked ~ce_count =
   o.on_ack s ~ack ~newly_acked ~ce_count

@@ -40,11 +40,21 @@ val view :
     connection reports before its first RTT sample (200 ms and
     [Time.infinity]); [telemetry] defaults to [Sink.unscoped]. *)
 
+type window = {
+  mutable cwnd : float;
+      (** the congestion window in segments; the connection sends while
+          flight-size < ⌊cwnd⌋ (at least 1) *)
+  mutable ssthresh : float;  (** the slow-start threshold, segments *)
+}
+(** The floats every window body keeps. A record of floats alone is
+    stored flat, so neither a write nor a read straight off the record
+    allocates: a connection reads [cwnd] through {!window} before every
+    send. *)
+
 type 's ops = {
   name : string;
-  cwnd : 's -> float;
-      (** current congestion window in segments; the connection sends while
-          flight-size < ⌊cwnd⌋ (at least 1). *)
+  view : 's -> view;  (** the view the controller was built with *)
+  window : 's -> window;  (** the controller's window *)
   on_ack : 's -> ack:int -> newly_acked:int -> ce_count:int -> unit;
       (** a cumulative ACK advanced [snd_una] by [newly_acked] segments;
           [ce_count] CE echoes rode on it. *)
@@ -69,7 +79,17 @@ type factory = view -> t
 (** How connections are given their controller. *)
 
 val name : t -> string
+
+val view_of : t -> view
+(** The controller's view: a coupling group reads its members' RTTs
+    through it. *)
+
+val window : t -> window
+
 val cwnd : t -> float
+(** [(window c).cwnd]; boxed when called, so hot paths read the field
+    of {!window} in place. *)
+
 val on_ack : t -> ack:int -> newly_acked:int -> ce_count:int -> unit
 val on_ecn : t -> count:int -> unit
 val on_fast_retransmit : t -> unit

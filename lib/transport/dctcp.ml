@@ -8,20 +8,23 @@ type params = {
 let default_params =
   { g = 1. /. 16.; init_alpha = 1.; init_cwnd = 3.; min_cwnd = 1. }
 
+(* α alone in a record: a record of floats is stored flat, so its
+   once-a-window update allocates no box *)
+type estimate = { mutable alpha : float }
+
 type 'c state = {
   params : params;
   view : Cc.view;
   ctx : 'c;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-  mutable alpha : float;
+  win : Cc.window;
+  est : estimate;
   mutable window_end : int;  (* alpha update boundary (snd_nxt snapshot) *)
   mutable acked_in_window : int;
   mutable marked_in_window : int;
   mutable reduced_this_window : bool;
 }
 
-let in_slow_start s = s.cwnd < s.ssthresh
+let in_slow_start s = s.win.Cc.cwnd < s.win.Cc.ssthresh
 
 let on_ack s ~ack ~newly_acked ~ce_count =
   s.acked_in_window <- s.acked_in_window + newly_acked;
@@ -32,8 +35,8 @@ let on_ack s ~ack ~newly_acked ~ce_count =
       let f =
         float_of_int s.marked_in_window /. float_of_int s.acked_in_window
       in
-      s.alpha <-
-        ((1. -. s.params.g) *. s.alpha) +. (s.params.g *. Float.min 1. f)
+      s.est.alpha <-
+        ((1. -. s.params.g) *. s.est.alpha) +. (s.params.g *. Float.min 1. f)
     end;
     s.acked_in_window <- 0;
     s.marked_in_window <- 0;
@@ -41,34 +44,36 @@ let on_ack s ~ack ~newly_acked ~ce_count =
     s.window_end <- s.view.Cc.snd_nxt
   end;
   for _ = 1 to newly_acked do
-    if in_slow_start s then s.cwnd <- s.cwnd +. 1.
-    else s.cwnd <- s.cwnd +. (1. /. s.cwnd)
+    if in_slow_start s then s.win.Cc.cwnd <- s.win.Cc.cwnd +. 1.
+    else s.win.Cc.cwnd <- s.win.Cc.cwnd +. (1. /. s.win.Cc.cwnd)
   done
 
 let on_fast_retransmit s =
-  s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-  s.cwnd <- s.ssthresh
+  s.win.Cc.ssthresh <- Float.max (s.win.Cc.cwnd /. 2.) 2.;
+  s.win.Cc.cwnd <- s.win.Cc.ssthresh
 
 let on_timeout s =
-  s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-  s.cwnd <- Float.max s.params.min_cwnd 1.
+  s.win.Cc.ssthresh <- Float.max (s.win.Cc.cwnd /. 2.) 2.;
+  s.win.Cc.cwnd <- Float.max s.params.min_cwnd 1.
 
 let ops ~name ~penalty =
   {
     Cc.name;
-    cwnd = (fun s -> s.cwnd);
+    view = (fun s -> s.view);
+    window = (fun s -> s.win);
     on_ack;
     on_ecn =
       (fun s ~count:_ ->
         let was_slow_start = in_slow_start s in
         if not s.reduced_this_window then begin
           s.reduced_this_window <- true;
-          let p = penalty s.ctx s.view ~alpha:s.alpha ~cwnd:s.cwnd in
-          s.cwnd <- Float.max s.params.min_cwnd (s.cwnd *. (1. -. p))
+          let p = penalty s.ctx s.view ~alpha:s.est.alpha ~cwnd:s.win.Cc.cwnd in
+          s.win.Cc.cwnd <-
+            Float.max s.params.min_cwnd (s.win.Cc.cwnd *. (1. -. p))
         end;
         (* leave (and do not re-enter) slow start on a congestion signal *)
         if was_slow_start then
-          s.ssthresh <- Float.max s.params.min_cwnd s.cwnd);
+          s.win.Cc.ssthresh <- Float.max s.params.min_cwnd s.win.Cc.cwnd);
     on_fast_retransmit;
     on_timeout;
     in_slow_start;
@@ -82,9 +87,8 @@ let create ops params ctx view =
         params;
         view;
         ctx;
-        cwnd = params.init_cwnd;
-        ssthresh = Float.max_float;
-        alpha = params.init_alpha;
+        win = { Cc.cwnd = params.init_cwnd; ssthresh = Float.max_float };
+        est = { alpha = params.init_alpha };
         window_end = 0;
         acked_in_window = 0;
         marked_in_window = 0;

@@ -6,30 +6,29 @@ type 'c state = {
   params : params;
   view : Cc.view;
   ctx : 'c;
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  win : Cc.window;
   mutable cwr_pending : bool;
   mutable ecn_reduced_until : int;  (* ECN reductions gated to once/window *)
 }
 
-let cwnd s = s.cwnd
+let cwnd s = s.win.Cc.cwnd
 let ctx s = s.ctx
 let view s = s.view
-let in_slow_start s = s.cwnd < s.ssthresh
+let in_slow_start s = s.win.Cc.cwnd < s.win.Cc.ssthresh
 
 let halving _ ~cwnd:_ = 0.5
 
 (* keep [backoff ~cwnd] of the window and leave slow start there *)
 let cut s backoff =
-  s.ssthresh <-
+  s.win.Cc.ssthresh <-
     Float.max
-      (s.cwnd *. backoff s ~cwnd:s.cwnd)
+      (s.win.Cc.cwnd *. backoff s ~cwnd:s.win.Cc.cwnd)
       (Float.max s.params.min_cwnd 2.);
-  s.cwnd <- s.ssthresh
+  s.win.Cc.cwnd <- s.win.Cc.ssthresh
 
 let on_timeout s =
-  s.ssthresh <- Float.max (s.cwnd /. 2.) 2.;
-  s.cwnd <- Float.max s.params.min_cwnd 1.
+  s.win.Cc.ssthresh <- Float.max (s.win.Cc.cwnd /. 2.) 2.;
+  s.win.Cc.cwnd <- Float.max s.params.min_cwnd 1.
 
 let take_cwr s =
   if s.cwr_pending then begin
@@ -41,12 +40,13 @@ let take_cwr s =
 let ops ~name ~increase ~backoff =
   {
     Cc.name;
-    cwnd;
+    view = (fun s -> s.view);
+    window = (fun s -> s.win);
     on_ack =
       (fun s ~ack:_ ~newly_acked ~ce_count:_ ->
         for _ = 1 to newly_acked do
-          if in_slow_start s then s.cwnd <- s.cwnd +. 1.
-          else s.cwnd <- s.cwnd +. increase s ~cwnd:s.cwnd
+          if in_slow_start s then s.win.Cc.cwnd <- s.win.Cc.cwnd +. 1.
+          else s.win.Cc.cwnd <- s.win.Cc.cwnd +. increase s ~cwnd:s.win.Cc.cwnd
         done);
     on_ecn =
       (fun s ~count:_ ->
@@ -66,8 +66,7 @@ let init ?(params = default_params) ctx view =
     params;
     view;
     ctx;
-    cwnd = params.init_cwnd;
-    ssthresh = Float.max_float;
+    win = { Cc.cwnd = params.init_cwnd; ssthresh = Float.max_float };
     cwr_pending = false;
     ecn_reduced_until = 0;
   }

@@ -4,6 +4,7 @@ module Units = Xmp_net.Units
 module Topology = Xmp_net.Topology
 module Shard = Xmp_net.Shard
 module Mptcp_flow = Xmp_mptcp.Mptcp_flow
+module Tcp = Xmp_transport.Tcp
 
 (* Open-loop workload on a sharded fabric: Poisson arrivals per host
    (independent of flow completions — the open-loop property), flow
@@ -14,7 +15,8 @@ module Mptcp_flow = Xmp_mptcp.Mptcp_flow
    flow waits as a handle and its start events; its subflows are built
    at the start on the source shard, and a split flow's receivers open
    at the next barrier, the only point where touching the destination
-   shard is safe.
+   shard is safe; when it completes, they are all that is kept of it,
+   until the barrier after.
 
    The generator sees only the {!Topology} handle of the fabric
    {!Setup} builds, one shard per pod or per DC, so one path drives the
@@ -117,6 +119,23 @@ let pick_dst (fb : Topology.t) ~cross_dc ~rng ~src =
     end
   end
 
+module Finished = struct
+  (* receiver halves of split flows, newest first *)
+  type t = { mutable receivers : Tcp.receiver list }
+
+  let create () = { receivers = [] }
+
+  let add t f =
+    t.receivers <- List.rev_append (Mptcp_flow.receivers f) t.receivers
+
+  let reap t =
+    match t.receivers with
+    | [] -> ()
+    | rs ->
+      t.receivers <- [];
+      List.iter Tcp.close_receiver (List.rev rs)
+end
+
 (* Everything one shard's domain writes during an epoch; drained by the
    orchestrator at the barrier (the crew mutex publishes it). A flow's
    source, destination and size live in its handle, and everything else
@@ -125,8 +144,7 @@ let pick_dst (fb : Topology.t) ~cross_dc ~rng ~src =
 type shard_state = {
   metrics : Metrics.t;
   running : (int, Mptcp_flow.t) Hashtbl.t;
-  mutable done_rev : Mptcp_flow.t list;
-      (* completed this epoch: receivers reaped at the next barrier *)
+  finished : Finished.t;  (* completed this epoch, reaped at the barrier *)
   mutable n_completed : int;
 }
 
@@ -148,7 +166,7 @@ let run ?(config = default_config) ?(domains = 1) () =
             Metrics.create ~keep_flows:cfg.keep_flows
               ~rtt_subsample ();
           running = Hashtbl.create 512;
-          done_rev = [];
+          finished = Finished.create ();
           n_completed = 0;
         })
   in
@@ -169,7 +187,7 @@ let run ?(config = default_config) ?(domains = 1) () =
           Metrics.record_fct st.metrics ~size_segments
             ~fct:(Time.sub finished (Mptcp_flow.started_at f))
             ~ideal:(ideal_fct fb ~src ~dst ~size_segments);
-          st.done_rev <- f :: st.done_rev;
+          Finished.add st.finished f;
           st.n_completed <- st.n_completed + 1);
     }
   in
@@ -223,14 +241,7 @@ let run ?(config = default_config) ?(domains = 1) () =
        every worker parked *)
     List.iter Mptcp_flow.open_receivers (List.rev !opening);
     opening := [];
-    Array.iter
-      (fun st ->
-        match st.done_rev with
-        | [] -> ()
-        | fs ->
-          st.done_rev <- [];
-          List.iter Mptcp_flow.close_receivers (List.rev fs))
-      shards;
+    Array.iter (fun st -> Finished.reap st.finished) shards;
     if at_max () then Arrivals.stop arrivals;
     let gen_target = Time.min target cfg.horizon in
     let next =

@@ -11,9 +11,13 @@
     [on_epoch] hook) and wait as a record until their start, when their
     subflows are built on the source shard. A split flow's receiver
     halves open on the destination shard at the first barrier after the
-    start (the lookahead keeps its data from arriving sooner) and are
-    reaped at the first barrier after completion, so endpoint tables
-    hold only running flows over millions of flows. All per-flow randomness
+    start (the lookahead keeps its data from arriving sooner). Between
+    barriers a shard keeps its running flows (one table entry each) and
+    the receiver halves of the split flows that finished ({!Finished}):
+    a completed flow is dropped at its completion, all but those halves,
+    which answer late arrivals until the next barrier reaps them. So
+    endpoint tables, and the heap, hold only running flows over millions
+    of flows. All per-flow randomness
     comes from the source host's own stream, flow ids are assigned in
     the deterministic barrier order, and per-pod {!Metrics} collectors
     are merged in pod order — so results are byte-identical for any
@@ -73,6 +77,29 @@ type result = {
           that reach a receiver before it opens *)
   config : config;
 }
+
+(** What a shard keeps of the flows that finished since the last
+    barrier: the receiver halves of split flows, and nothing of a flow
+    whose receivers share its sender's network. Such a flow is garbage
+    at its completion; a split flow's sender, controllers, coupling group
+    and handle are too, while its receivers ({!Xmp_transport.Tcp.receiver},
+    which lead back to none of them) stay registered and answer late
+    arrivals until the next barrier reaps them. *)
+module Finished : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> Xmp_mptcp.Mptcp_flow.t -> unit
+  (** Files a completed flow's split receivers
+      ({!Xmp_mptcp.Mptcp_flow.receivers}) and keeps nothing else of
+      it. *)
+
+  val reap : t -> unit
+  (** Closes the filed receivers in completion order
+      ({!Xmp_transport.Tcp.close_receiver}) and forgets them: call it
+      where touching the destination shards is safe, at a barrier. *)
+end
 
 val arrival_rate : config -> float
 (** The per-host arrival rate (flows/s) the config offers:

@@ -67,19 +67,22 @@ let test_warn_mode_does_not_raise () =
 (* A congestion controller whose window is below one segment violates the
    cwnd >= 1 MSS invariant the paper's schemes all maintain; Tcp's send
    path asserts it. *)
+let broken_window = { Cc.cwnd = 0.5; ssthresh = Float.max_float }
+
 let broken_ops =
   {
     Cc.name = "broken";
-    cwnd = (fun () -> 0.5);
-    on_ack = (fun () ~ack:_ ~newly_acked:_ ~ce_count:_ -> ());
-    on_ecn = (fun () ~count:_ -> ());
-    on_fast_retransmit = (fun () -> ());
-    on_timeout = (fun () -> ());
-    in_slow_start = (fun () -> false);
+    view = Fun.id;
+    window = (fun _ -> broken_window);
+    on_ack = (fun _ ~ack:_ ~newly_acked:_ ~ce_count:_ -> ());
+    on_ecn = (fun _ ~count:_ -> ());
+    on_fast_retransmit = ignore;
+    on_timeout = ignore;
+    in_slow_start = (fun _ -> false);
     take_cwr = Cc.nop_take_cwr;
   }
 
-let broken_cc : Cc.factory = fun _view -> Cc.Cc (broken_ops, ())
+let broken_cc : Cc.factory = fun view -> Cc.Cc (broken_ops, view)
 
 let rig () =
   let sim = Sim.create ~config:{ Sim.default_config with seed = 3 } () in

@@ -31,22 +31,24 @@ let make_rig ?(m = 2) ?(rate = Net.Units.mbps 100.) () =
 let test_group_registry () =
   let g = Coupling.group () in
   Alcotest.(check int) "empty" 0 (List.length (Coupling.members g));
-  (* a member with a fixed window and slow-start flag *)
+  (* a member with a fixed window and slow-start flag; its state is its
+     view *)
   let member ~cwnd ~srtt ~slow_start =
+    let window = { Cc.cwnd; ssthresh = Float.max_float } in
     let ops =
       {
         Cc.name = "fixed";
-        cwnd = (fun () -> cwnd);
-        on_ack = (fun () ~ack:_ ~newly_acked:_ ~ce_count:_ -> ());
-        on_ecn = (fun () ~count:_ -> ());
+        view = Fun.id;
+        window = (fun _ -> window);
+        on_ack = (fun _ ~ack:_ ~newly_acked:_ ~ce_count:_ -> ());
+        on_ecn = (fun _ ~count:_ -> ());
         on_fast_retransmit = ignore;
         on_timeout = ignore;
-        in_slow_start = (fun () -> slow_start);
+        in_slow_start = (fun _ -> slow_start);
         take_cwr = Cc.nop_take_cwr;
       }
     in
-    Coupling.register g ~cc:(Cc.Cc (ops, ()))
-      ~view:(Cc.view ~srtt ~now:(fun () -> 0) ())
+    Coupling.register g (Cc.Cc (ops, Cc.view ~srtt ~now:(fun () -> 0) ()))
   in
   member ~cwnd:10. ~srtt:(Time.ms 1) ~slow_start:false;
   member ~cwnd:30. ~srtt:(Time.ms 2) ~slow_start:true;

@@ -30,7 +30,8 @@ type counting = { inner : Cc.t; on_echo : int -> unit }
 let counting_ops =
   {
     Cc.name = "counting";
-    cwnd = (fun c -> Cc.cwnd c.inner);
+    view = (fun c -> Cc.view_of c.inner);
+    window = (fun c -> Cc.window c.inner);
     on_ack =
       (fun c ~ack ~newly_acked ~ce_count ->
         Cc.on_ack c.inner ~ack ~newly_acked ~ce_count);

@@ -412,6 +412,46 @@ let test_deferred_split_dead_letters () =
   Alcotest.(check string) "domains=2" pinned
     (capture_in_child (dead_letters ~domains:2))
 
+(* The same run with TCP over a trunk that drops 1% of the packets it
+   carries, data and ACKs alike, and a 1 ms RTO floor. Timeouts then
+   resend data the receiver already holds, and a resend can reach the
+   other DC after its flow completed, when the receiver half is all that
+   is left of the flow: the receiver re-ACKs it (an ACK that dead-letters
+   at the sender's host) until the barrier reaps it, and after that it
+   dead-letters itself. The counts must stay what they were when a
+   finished flow was kept whole until the barrier, at either domain
+   count. *)
+let lossy_trunk =
+  Fault_spec.create
+    [
+      Fault_spec.Loss
+        {
+          target = Fault_spec.Tag "wan";
+          window = Fault_spec.always;
+          model = Fault_spec.Bernoulli 0.01;
+          filter = Fault_spec.Any_packet;
+        };
+    ]
+
+let lossy_dead_letters ~domains () =
+  let config =
+    {
+      deferred_config with
+      scheme = Scheme.reno;
+      rto_min = Time.ms 1;
+      faults = lossy_trunk;
+    }
+  in
+  let r = Open_loop.run ~config ~domains () in
+  Printf.sprintf "launched=%d completed=%d dead-lettered=%d" r.launched
+    r.completed r.dead_lettered
+
+let test_deferred_split_lossy_trunk () =
+  let pinned = "launched=88 completed=67 dead-lettered=19" in
+  Alcotest.(check string) "domains=1" pinned (lossy_dead_letters ~domains:1 ());
+  Alcotest.(check string) "domains=2" pinned
+    (capture_in_child (lossy_dead_letters ~domains:2))
+
 let suite =
   [
     Alcotest.test_case "geometry and path counts" `Quick test_geometry;
@@ -433,4 +473,6 @@ let suite =
       test_named_fault_targets_per_shard;
     Alcotest.test_case "deferred split receivers open in time" `Slow
       test_deferred_split_dead_letters;
+    Alcotest.test_case "deferred split receivers over a lossy trunk" `Slow
+      test_deferred_split_lossy_trunk;
   ]
