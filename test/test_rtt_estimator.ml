@@ -1,99 +1,141 @@
 module R = Xmp_transport.Rtt_estimator
+module Cc = Xmp_transport.Cc
 module Time = Xmp_engine.Time
 
+(* The estimator state a connection keeps: srtt and min_rtt in its
+   controller's view, rttvar and the backoff exponent beside it, the
+   bounds in its config. *)
+type est = {
+  view : Cc.view;
+  mutable rttvar : Time.t;
+  mutable backoff : int;
+  rto_min : Time.t;
+  rto_max : Time.t;
+  granularity : Time.t;
+}
+
+(* bounds default to a connection's: 200 ms, 60 s and 200 us *)
+let defaults = Xmp_transport.Tcp.default_config
+
+let create ?(rto_min = defaults.rto_min) ?(rto_max = defaults.rto_max)
+    ?(granularity = defaults.rto_granularity) () =
+  {
+    view =
+      Cc.view ~srtt:R.initial_srtt ~min_rtt:Time.infinity
+        ~now:(fun () -> 0)
+        ();
+    rttvar = R.initial_rttvar;
+    backoff = 0;
+    rto_min;
+    rto_max;
+    granularity;
+  }
+
+let sample e rtt = e.rttvar <- R.sample e.view ~rttvar:e.rttvar rtt
+let srtt e = e.view.Cc.srtt
+let min_rtt e = e.view.Cc.min_rtt
+let has_sample e = not (Time.is_infinite (min_rtt e))
+
+let rto e =
+  R.timeout ~rto_min:e.rto_min ~rto_max:e.rto_max ~granularity:e.granularity
+    ~srtt:(srtt e) ~rttvar:e.rttvar ~backoff:e.backoff
+
+let backoff e = e.backoff <- e.backoff + 1
+let reset_backoff e = e.backoff <- 0
+
 let test_defaults () =
-  let e = R.create () in
-  Alcotest.(check bool) "no sample" false (R.has_sample e);
-  Alcotest.(check int) "initial srtt" (Time.ms 200) (R.srtt e);
+  let e = create () in
+  Alcotest.(check bool) "no sample" false (has_sample e);
+  Alcotest.(check int) "initial srtt" (Time.ms 200) (srtt e);
   Alcotest.(check bool) "initial min_rtt" true
-    (Time.is_infinite (R.min_rtt e))
+    (Time.is_infinite (min_rtt e))
 
 let test_first_sample () =
-  let e = R.create () in
-  R.sample e (Time.us 100);
-  Alcotest.(check bool) "has sample" true (R.has_sample e);
-  Alcotest.(check int) "srtt = sample" (Time.us 100) (R.srtt e);
-  Alcotest.(check int) "rttvar = sample/2" (Time.us 50) (R.rttvar e);
-  Alcotest.(check int) "min" (Time.us 100) (R.min_rtt e)
+  let e = create () in
+  sample e (Time.us 100);
+  Alcotest.(check bool) "has sample" true (has_sample e);
+  Alcotest.(check int) "srtt = sample" (Time.us 100) (srtt e);
+  Alcotest.(check int) "rttvar = sample/2" (Time.us 50) e.rttvar;
+  Alcotest.(check int) "min" (Time.us 100) (min_rtt e)
 
 let test_ewma () =
-  let e = R.create () in
-  R.sample e (Time.us 100);
-  R.sample e (Time.us 200);
+  let e = create () in
+  sample e (Time.us 100);
+  sample e (Time.us 200);
   (* srtt = 7/8*100 + 1/8*200 = 112.5 us *)
-  Alcotest.(check int) "srtt smoothing" (Time.ns 112_500) (R.srtt e);
-  Alcotest.(check int) "min keeps smallest" (Time.us 100) (R.min_rtt e)
+  Alcotest.(check int) "srtt smoothing" (Time.ns 112_500) (srtt e);
+  Alcotest.(check int) "min keeps smallest" (Time.us 100) (min_rtt e)
 
 let test_rto_floor () =
-  let e = R.create () in
-  R.sample e (Time.us 100);
+  let e = create () in
+  sample e (Time.us 100);
   (* srtt + 4*rttvar = 300 us, far below the 200 ms floor *)
-  Alcotest.(check int) "rto floored" (Time.ms 200) (R.rto e)
+  Alcotest.(check int) "rto floored" (Time.ms 200) (rto e)
 
 let test_rto_above_floor () =
-  let e = R.create ~rto_min:(Time.us 10) () in
-  R.sample e (Time.us 100);
-  Alcotest.(check int) "rto = srtt + 4 var" (Time.us 300) (R.rto e)
+  let e = create ~rto_min:(Time.us 10) () in
+  sample e (Time.us 100);
+  Alcotest.(check int) "rto = srtt + 4 var" (Time.us 300) (rto e)
 
 let test_backoff () =
-  let e = R.create () in
-  R.sample e (Time.us 100);
-  R.backoff e;
-  Alcotest.(check int) "doubled" (Time.ms 400) (R.rto e);
-  R.backoff e;
-  Alcotest.(check int) "quadrupled" (Time.ms 800) (R.rto e);
-  R.reset_backoff e;
-  Alcotest.(check int) "reset" (Time.ms 200) (R.rto e)
+  let e = create () in
+  sample e (Time.us 100);
+  backoff e;
+  Alcotest.(check int) "doubled" (Time.ms 400) (rto e);
+  backoff e;
+  Alcotest.(check int) "quadrupled" (Time.ms 800) (rto e);
+  reset_backoff e;
+  Alcotest.(check int) "reset" (Time.ms 200) (rto e)
 
 let test_rto_cap () =
-  let e = R.create ~rto_max:(Time.sec 1.) () in
-  R.sample e (Time.us 100);
+  let e = create ~rto_max:(Time.sec 1.) () in
+  sample e (Time.us 100);
   for _ = 1 to 10 do
-    R.backoff e
+    backoff e
   done;
-  Alcotest.(check int) "capped" (Time.sec 1.) (R.rto e)
+  Alcotest.(check int) "capped" (Time.sec 1.) (rto e)
 
 (* On a steady path rttvar decays geometrically, so without the
    granularity term the RTO collapses to srtt and any delayed-ACK hold
    fires it spuriously once rto_min is small. The G term keeps a fixed
    margin above srtt. *)
 let test_granularity_floor () =
-  let e = R.create ~rto_min:(Time.ns 1) () in
+  let e = create ~rto_min:(Time.ns 1) () in
   for _ = 1 to 20 do
-    R.sample e (Time.us 100)
+    sample e (Time.us 100)
   done;
   Alcotest.(check bool) "rttvar decayed below G/4" true
-    (Time.mul (R.rttvar e) 4 < Time.us 200);
-  Alcotest.(check int) "rto = srtt + G" (Time.us 300) (R.rto e)
+    (Time.mul e.rttvar 4 < Time.us 200);
+  Alcotest.(check int) "rto = srtt + G" (Time.us 300) (rto e)
 
 let test_granularity_tiny_collapses () =
   (* the pre-fix behaviour, now opt-in: G ~ 0 lets rto converge to srtt *)
-  let e = R.create ~rto_min:(Time.ns 1) ~granularity:(Time.ns 1) () in
+  let e = create ~rto_min:(Time.ns 1) ~granularity:(Time.ns 1) () in
   for _ = 1 to 40 do
-    R.sample e (Time.us 100)
+    sample e (Time.us 100)
   done;
   Alcotest.(check bool) "rto collapses toward srtt" true
-    (R.rto e < Time.us 102);
-  Alcotest.(check bool) "still above srtt" true (R.rto e > R.srtt e)
+    (rto e < Time.us 102);
+  Alcotest.(check bool) "still above srtt" true (rto e > srtt e)
 
 let test_ms_scale_tracks_estimator () =
   (* a 50 ms path with a 1 ms floor: the timeout must track
      srtt + max(G, 4 rttvar), far below the historical 200 ms floor *)
-  let e = R.create ~rto_min:(Time.ms 1) () in
-  R.sample e (Time.ms 50);
-  Alcotest.(check int) "first sample: srtt + 4 var" (Time.ms 150) (R.rto e);
+  let e = create ~rto_min:(Time.ms 1) () in
+  sample e (Time.ms 50);
+  Alcotest.(check int) "first sample: srtt + 4 var" (Time.ms 150) (rto e);
   for _ = 1 to 20 do
-    R.sample e (Time.ms 50)
+    sample e (Time.ms 50)
   done;
   Alcotest.(check bool) "steady state well under the old floor" true
-    (R.rto e < Time.ms 60);
-  Alcotest.(check bool) "and above srtt" true (R.rto e > Time.ms 50)
+    (rto e < Time.ms 60);
+  Alcotest.(check bool) "and above srtt" true (rto e > Time.ms 50)
 
 let test_negative_rejected () =
-  let e = R.create () in
+  let e = create () in
   Alcotest.check_raises "negative"
     (Invalid_argument "Rtt_estimator.sample: negative") (fun () ->
-      R.sample e (-5))
+      sample e (-5))
 
 let suite =
   [

@@ -97,9 +97,18 @@ let test_rto_tracks_estimator_on_50ms_path () =
   let gap = Time.sub retx_at last_ack in
   (* replay the recorded samples through a fresh estimator: the deadline
      was armed at the last ACK as now + rto(est) *)
-  let est = R.create ~rto_min () in
-  List.iter (R.sample est) (List.rev !(rig.samples));
-  let predicted = R.rto est in
+  let view = Xmp_transport.Cc.view ~now:(fun () -> 0) () in
+  let rttvar =
+    List.fold_left
+      (fun rttvar rtt -> R.sample view ~rttvar rtt)
+      R.initial_rttvar
+      (List.rev !(rig.samples))
+  in
+  let c = Tcp.default_config in
+  let predicted =
+    R.timeout ~rto_min ~rto_max:c.rto_max ~granularity:c.rto_granularity
+      ~srtt:view.Xmp_transport.Cc.srtt ~rttvar ~backoff:0
+  in
   Alcotest.(check bool)
     (Printf.sprintf "gap %d ns within [predicted, predicted + 1 ms] (%d ns)"
        gap predicted)
