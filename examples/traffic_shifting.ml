@@ -66,7 +66,7 @@ let () =
       r1
       (Tcp.cwnd subflows.(1))
   in
-  ignore (Xmp_engine.Periodic.start sim ~interval:(Time.ms 100) report);
+  Xmp_engine.Periodic.start sim ~interval:(Time.ms 100) report;
   Net.Shard.run ~until:(Time.sec 3.0) cluster;
   print_endline
     "Expected shape: subflow A's rate collapses while the background flow \

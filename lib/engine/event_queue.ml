@@ -176,8 +176,6 @@ let add_coded h ~time ~seq code =
   if code < 0 then invalid_arg "Event_queue.add_coded: negative code";
   push_key h ~time ~seq (-1 - code)
 
-let peek_time h = if h.len = 0 then None else Some h.times.(0)
-
 let top_time h = if h.len = 0 then Time.infinity else h.times.(0)
 
 let top_code h = if h.len = 0 then -1 else -1 - h.slots.(0)
@@ -214,7 +212,8 @@ let drop_root h =
    drop the root and settle the dead count. *)
 let remove_top h =
   let s = h.slots.(0) in
-  if s < 0 then invalid_arg "Event_queue.pop: the earliest entry is coded";
+  if s < 0 then
+    invalid_arg "Event_queue.pop_payload: the earliest entry is coded";
   let top = h.payloads.(s) in
   scrub h s;
   h.free.(h.free_top) <- s;
@@ -222,14 +221,6 @@ let remove_top h =
   drop_root h;
   if not (h.live top) then h.dead <- h.dead - 1;
   top
-
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let time = h.times.(0) and seq = h.seqs.(0) in
-    let top = remove_top h in
-    Some (time, seq, top)
-  end
 
 let pop_payload h =
   if h.len = 0 then invalid_arg "Event_queue.pop_payload: empty"

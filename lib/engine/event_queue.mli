@@ -64,13 +64,11 @@ val compact : 'a t -> unit
     heap otherwise keeps its capacity so bursty simulations do not
     re-allocate from scratch on every burst. *)
 
-val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest event, if any (dead entries included:
-    the dispatcher skips them as it pops). *)
-
 val top_time : 'a t -> Time.t
-(** Like {!peek_time} but unboxed: [Time.infinity] when the heap is
-    empty. The dispatcher's per-event peek allocates nothing. *)
+(** Timestamp of the earliest event (dead entries included: the
+    dispatcher skips them as it pops); [Time.infinity] when the heap is
+    empty. Unboxed, so the dispatcher's per-event peek allocates
+    nothing. *)
 
 val top_code : 'a t -> int
 (** The earliest entry's code if it is a coded entry; a negative number
@@ -83,17 +81,12 @@ val rekey_top : 'a t -> time:Time.t -> seq:int -> unit
     or on an empty heap. This is how a lane's next entry replaces its
     fired head without a pop and a push. *)
 
-val pop : 'a t -> (Time.t * int * 'a) option
-(** Removes and returns the earliest event as [(time, seq, payload)].
-    Dead entries are returned too (adjusting the dead count) — the
-    caller decides whether to dispatch. Raises [Invalid_argument] if the
-    earliest entry is coded (see {!top_code}). *)
-
 val pop_payload : 'a t -> 'a
-(** Removes the earliest event and returns only its payload (its time is
-    whatever {!top_time} just said). Allocation-free counterpart of
-    {!pop}; raises [Invalid_argument] on an empty heap or a coded
-    earliest entry. *)
+(** Removes the earliest event and returns its payload (its time is
+    whatever {!top_time} just said). Dead entries are returned too
+    (adjusting the dead count) — the caller decides whether to dispatch.
+    Allocation-free; raises [Invalid_argument] on an empty heap or a
+    coded earliest entry (see {!top_code}). *)
 
 val pop_coded : 'a t -> unit
 (** Removes the earliest entry, which must be coded; raises

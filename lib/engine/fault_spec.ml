@@ -42,8 +42,6 @@ let empty = { seed = 0; specs = [] }
 
 let is_empty t = match t.specs with [] -> true | _ :: _ -> false
 
-let always = { from_ns = Time.zero; until_ns = Time.infinity }
-
 let window ~from_ns ~until_ns = { from_ns; until_ns }
 
 (* ---- validation ------------------------------------------------------ *)
@@ -145,7 +143,8 @@ let spec_to_string = function
 let parse_error s why = fail "Fault_spec: cannot parse %S (%s)" s why
 
 (* a time is canonical integer nanoseconds, "inf", or a human-friendly
-   float with an s/ms/us suffix ("1.5s", "250ms") *)
+   float with an s/ms/us suffix ("1.5s", "250ms"); a suffixed time past
+   [max_int] ns is bad, not wrapped by [int_of_float] *)
 let parse_time s full =
   match int_of_string_opt s with
   | Some ns -> ns
@@ -157,7 +156,8 @@ let parse_time s full =
         if n > 0 && Filename.check_suffix s suffix then
           match float_of_string_opt (String.sub s 0 n) with
           | Some sec when sec >= 0. ->
-            Some (int_of_float (Float.round (sec *. scale)))
+            let ns = Float.round (sec *. scale) in
+            if ns < Float.of_int max_int then Some (int_of_float ns) else None
           | _ -> None
         else None
       in

@@ -51,9 +51,6 @@ val empty : t
 
 val is_empty : t -> bool
 
-val always : window
-(** [[0, infinity)]. *)
-
 val window : from_ns:Time.t -> until_ns:Time.t -> window
 
 val create : ?seed:int -> spec list -> t

@@ -1,27 +1,10 @@
-type t = {
-  sim : Sim.t;
-  interval : Time.t;
-  callback : unit -> unit;
-  mutable active : bool;
-  mutable ticks : int;
-}
-
-let rec schedule t delay =
-  Sim.after t.sim delay (fun () ->
-      if t.active then begin
-        t.ticks <- t.ticks + 1;
-        t.callback ();
-        if t.active then schedule t t.interval
-      end)
+let rec schedule sim ~interval callback delay =
+  Sim.after sim delay (fun () ->
+      callback ();
+      schedule sim ~interval callback interval)
 
 let start ?first_after sim ~interval callback =
   if Time.compare interval Time.zero <= 0 then
     invalid_arg "Periodic.start: interval";
-  let t = { sim; interval; callback; active = true; ticks = 0 } in
   let first = match first_after with Some d -> d | None -> interval in
-  schedule t first;
-  t
-
-let stop t = t.active <- false
-let is_active t = t.active
-let ticks t = t.ticks
+  schedule sim ~interval callback first

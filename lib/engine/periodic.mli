@@ -1,18 +1,9 @@
 (** Periodic callbacks on simulated time — the recurring "sample every
     interval" pattern used by rate probes and queue monitors. *)
 
-type t
-
 val start :
-  ?first_after:Time.t -> Sim.t -> interval:Time.t -> (unit -> unit) -> t
+  ?first_after:Time.t -> Sim.t -> interval:Time.t -> (unit -> unit) -> unit
 (** [start sim ~interval f] runs [f] every [interval] from now on (first
-    firing after [first_after] if given, else after one [interval]).
-    The callback may stop its own periodic. *)
-
-val stop : t -> unit
-(** Idempotent. *)
-
-val is_active : t -> bool
-
-val ticks : t -> int
-(** Number of firings so far. *)
+    firing after [first_after] if given, else after one [interval]) for
+    as long as the simulation runs; bound the run with
+    [Sim.run ~until]. *)

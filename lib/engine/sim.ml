@@ -362,8 +362,8 @@ let fire_lane t time ln =
   begin_event t time;
   t.handlers.(h) ()
 
-(* Dispatch mechanics shared by [step] and the [run] loop; the caller has
-   already established the heap is non-empty and read the top's time. *)
+(* One turn of the [run] loop; the caller has already established the
+   heap is non-empty and read the top's time. *)
 let dispatch_top t time =
   let code = Event_queue.top_code t.heap in
   if code >= 0 then fire_lane t time t.lanes.(code)
@@ -390,14 +390,6 @@ let flush_total (t : t) =
   if t.executed > t.flushed then begin
     ignore (Atomic.fetch_and_add total (t.executed - t.flushed));
     t.flushed <- t.executed
-  end
-
-let step t =
-  if Event_queue.is_empty t.heap then false
-  else begin
-    dispatch_top t (Event_queue.top_time t.heap);
-    flush_total t;
-    true
   end
 
 let run ?(until = Time.infinity) t =

@@ -169,6 +169,3 @@ val run : ?until:Time.t -> t -> unit
     [until] if a cutoff was hit). Events scheduled exactly at [until] do
     run. Raises [Invalid_argument] if [until] is before [now]: the clock
     never goes back. *)
-
-val step : t -> bool
-(** Executes the single earliest event. Returns [false] if none is queued. *)

@@ -256,11 +256,10 @@ let queue_occupancy_point ~beta ~k scheme =
   done;
   let queue = Net.Link.disc (bottleneck env.net) in
   let occupancy = Xmp_stats.Distribution.create () in
-  ignore
-    (Xmp_engine.Periodic.start env.sim ~first_after:(Time.ms 20)
-       ~interval:(Time.us 100) (fun () ->
-         Xmp_stats.Distribution.add occupancy
-           (float_of_int (Net.Queue_disc.length queue))));
+  Xmp_engine.Periodic.start env.sim ~first_after:(Time.ms 20)
+    ~interval:(Time.us 100) (fun () ->
+      Xmp_stats.Distribution.add occupancy
+        (float_of_int (Net.Queue_disc.length queue)));
   fun () -> (occupancy, Net.Queue_disc.dropped queue)
 
 let print_sack_comparison (base : Run_spec.base) =

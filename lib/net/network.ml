@@ -59,7 +59,6 @@ type t = {
   mutable next_link : int;
   tags : (int, string) Hashtbl.t;  (* link id -> tag *)
   endpoints : (Packet.t -> unit) Endpoints.t;  (* packed (dst, flow, subflow) *)
-  mutable delivered : int;
   mutable dead : int;
 }
 
@@ -75,7 +74,6 @@ let create sim =
     (* both grow on demand; 16 buckets is the Hashtbl floor *)
     tags = Hashtbl.create 16;
     endpoints = Endpoints.create 16;
-    delivered = 0;
     dead = 0;
   }
 
@@ -89,9 +87,7 @@ let sim t = t.sim
    through [find] + [Not_found] so a delivery allocates nothing. *)
 let dispatch t (p : Packet.t) =
   (match Endpoints.find t.endpoints (Packet.endpoint_key p) with
-  | handler ->
-    t.delivered <- t.delivered + 1;
-    handler p
+  | handler -> handler p
   | exception Not_found -> t.dead <- t.dead + 1);
   Packet.release p
 
@@ -195,5 +191,4 @@ let unregister_endpoint t ~host ~flow ~subflow =
   then Endpoints.remove t.endpoints (Endpoint_key.pack ~host ~flow ~subflow)
 
 let endpoint_stats t = Endpoints.stats t.endpoints
-let packets_delivered t = t.delivered
 let packets_dead_lettered t = t.dead

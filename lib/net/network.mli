@@ -108,9 +108,6 @@ val endpoint_stats : t -> Hashtbl.statistics
     Delivery, registration and removal each walk one chain, so
     [max_bucket_length] bounds their per-packet cost. *)
 
-val packets_delivered : t -> int
-(** Packets handed to transport endpoints. *)
-
 val packets_dead_lettered : t -> int
 (** Packets that arrived at a host with no registered endpoint (e.g. after
     the flow completed and tore down); they are counted and discarded. *)

@@ -8,7 +8,6 @@ type t = {
   mutable n_ports : int;
   mutable route : Packet.t -> int;
   mutable local_rx : Packet.t -> unit;
-  mutable forwarded : int;
 }
 
 let no_route (p : Packet.t) =
@@ -26,7 +25,6 @@ let create ~kind ~id ~name =
     n_ports = 0;
     route = no_route;
     local_rx = no_local_rx;
-    forwarded = 0;
   }
 
 let id t = t.id
@@ -53,7 +51,6 @@ let set_route t f = t.route <- f
 let set_local_rx t f = t.local_rx <- f
 
 let forward t p =
-  t.forwarded <- t.forwarded + 1;
   let port = t.route p in
   Link.send t.ports.(port) p
 
@@ -68,4 +65,3 @@ let receive t (p : Packet.t) =
   | Switch -> forward t p
 
 let send t p = forward t p
-let packets_forwarded t = t.forwarded

@@ -41,5 +41,3 @@ val receive : t -> Packet.t -> unit
 val send : t -> Packet.t -> unit
 (** Originates a packet from this host: forwards it via the routing
     function exactly like a transit packet. *)
-
-val packets_forwarded : t -> int

@@ -9,9 +9,6 @@ type red_params = {
   mark_ecn : bool;
 }
 
-let default_red =
-  { wq = 0.002; min_th = 5.; max_th = 15.; max_p = 0.1; mark_ecn = true }
-
 type policy = Droptail | Threshold_mark of int | Red of red_params
 
 (* telemetry bundle, present exactly when the owning sim's sink is active;
@@ -40,7 +37,6 @@ type t = {
   (* RED state *)
   mutable avg : float;
   mutable count_since_mark : int;
-  occupancy : Xmp_stats.Running.t;
   mutable telem : telem option;
   mutable blackout : bool;
 }
@@ -59,7 +55,6 @@ let create ~policy ~capacity_pkts =
     max_len = 0;
     avg = 0.;
     count_since_mark = -1;
-    occupancy = Xmp_stats.Running.create ();
     telem = None;
     blackout = false;
   }
@@ -292,5 +287,3 @@ let enqueued t = t.enqueued
 let dropped t = t.dropped
 let marked t = t.marked
 let max_length_seen t = t.max_len
-let sample_length t = Xmp_stats.Running.add t.occupancy (float_of_int t.len)
-let occupancy_stats t = t.occupancy

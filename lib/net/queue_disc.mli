@@ -26,8 +26,6 @@ type red_params = {
   mark_ecn : bool;  (** mark ECT packets instead of dropping them *)
 }
 
-val default_red : red_params
-
 type policy = Droptail | Threshold_mark of int | Red of red_params
 
 type t
@@ -73,12 +71,6 @@ val marked : t -> int
 (** Cumulative packets CE-marked. *)
 
 val max_length_seen : t -> int
-
-val sample_length : t -> unit
-(** Feeds the current length into the occupancy statistics. *)
-
-val occupancy_stats : t -> Xmp_stats.Running.t
-(** Statistics over lengths recorded by {!sample_length}. *)
 
 val set_blackout : t -> bool -> unit
 (** While blacked out the queue drops every arriving packet with normal

@@ -6,8 +6,6 @@
 type rate = int
 (** Bits per second. *)
 
-val kbps : float -> rate
-
 val mbps : float -> rate
 
 val gbps : float -> rate
@@ -16,10 +14,6 @@ val tx_time : rate -> bytes:int -> Xmp_engine.Time.t
 (** Serialization delay of [bytes] at the given rate, rounded up to a whole
     nanosecond so a link can never send faster than its rate. *)
 
-val to_mbps : rate -> float
-
 val to_gbps : rate -> float
 
 val bytes_per_sec : rate -> float
-
-val pp_rate : Format.formatter -> rate -> unit

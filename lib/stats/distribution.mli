@@ -19,8 +19,6 @@ val percentile : t -> float -> float
     order statistics. Raises [Invalid_argument] when empty or [p] is out of
     range. *)
 
-val min : t -> float
-
 val max : t -> float
 
 val five_number : t -> float * float * float * float * float

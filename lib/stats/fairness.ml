@@ -4,11 +4,3 @@ let jain xs =
   let n = List.length xs in
   if n = 0 || sumsq = 0. then 1.
   else sum *. sum /. (float_of_int n *. sumsq)
-
-let max_min_ratio xs =
-  match xs with
-  | [] -> 1.
-  | x :: rest ->
-    let mn = List.fold_left Float.min x rest in
-    let mx = List.fold_left Float.max x rest in
-    if mx = 0. then 1. else mn /. mx

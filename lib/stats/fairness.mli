@@ -4,7 +4,3 @@ val jain : float list -> float
 (** Jain's fairness index [(Σx)² / (n·Σx²)]: 1 for a perfectly equal
     allocation, 1/n when one member takes everything. Returns 1 for an
     empty or all-zero allocation. *)
-
-val max_min_ratio : float list -> float
-(** [min/max] of the allocation — a blunter fairness measure. 1 when
-    equal; returns 1 for empty input. *)

@@ -1,55 +1,11 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  mutable total : float;
-}
+type t = { mutable n : int; mutable mean : float }
 
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = Float.nan; max = Float.nan; total = 0. }
+let create () = { n = 0; mean = 0. }
 
+(* Welford's update: the mean moves by each sample's share of its
+   distance from the mean so far *)
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if t.n = 1 then begin
-    t.min <- x;
-    t.max <- x
-  end
-  else begin
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-  end
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n)
 
-let count t = t.n
-let mean t = if t.n = 0 then 0. else t.mean
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int t.n
-let min t = t.min
-let max t = t.max
-let total t = t.total
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n
-         /. float_of_int n)
-    in
-    {
-      n;
-      mean;
-      m2;
-      min = Stdlib.min a.min b.min;
-      max = Stdlib.max a.max b.max;
-      total = a.total +. b.total;
-    }
-  end
+let mean t = t.mean

@@ -8,13 +8,10 @@ let create ~bucket ~horizon =
   let n = int_of_float (Float.ceil (horizon /. bucket)) in
   { bucket; sums = Array.make n 0. }
 
-
 let record t ~time_s v =
   if time_s >= 0. then begin
     let i = int_of_float (time_s /. t.bucket) in
     if i < Array.length t.sums then t.sums.(i) <- t.sums.(i) +. v
   end
 
-let sums t = Array.copy t.sums
 let rates t = Array.map (fun s -> s /. t.bucket) t.sums
-let bucket_start t i = float_of_int i *. t.bucket

@@ -15,12 +15,6 @@ val record : t -> time_s:float -> float -> unit
 (** Adds a value into the bucket containing [time_s]. Samples outside
     \[0, horizon) are dropped. *)
 
-val sums : t -> float array
-(** Per-bucket totals. *)
-
 val rates : t -> float array
 (** Per-bucket totals divided by the bucket width — i.e. bytes recorded per
     bucket become bytes/second. *)
-
-val bucket_start : t -> int -> float
-(** Left edge (seconds) of bucket [i]. *)

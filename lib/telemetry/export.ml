@@ -29,11 +29,9 @@ let events_jsonl ?(keep = fun _ -> true) recorder =
     recorder;
   Buffer.contents buf
 
-let metrics_csv_header = "metric,type,count,value,mean,p50,p99,max"
-
 let metrics_csv registry =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf metrics_csv_header;
+  Buffer.add_string buf "metric,type,count,value,mean,p50,p99,max";
   Buffer.add_char buf '\n';
   Registry.iter
     (fun name m ->

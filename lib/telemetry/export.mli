@@ -12,8 +12,6 @@ val events_csv : ?keep:(Event.t -> bool) -> Recorder.t -> string
 val events_jsonl : ?keep:(Event.t -> bool) -> Recorder.t -> string
 (** One JSON object per line, no header. *)
 
-val metrics_csv_header : string
-
 val metrics_csv : Registry.t -> string
 (** Columns [metric,type,count,value,mean,p50,p99,max]; columns a metric
     type lacks are empty. For counters [value] is the count; for gauges

@@ -12,10 +12,9 @@ let default_params =
    once-a-window update allocates no box *)
 type estimate = { mutable alpha : float }
 
-type 'c state = {
+type state = {
   params : params;
   view : Cc.view;
-  ctx : 'c;
   win : Cc.window;
   est : estimate;
   mutable window_end : int;  (* alpha update boundary (snd_nxt snapshot) *)
@@ -48,6 +47,17 @@ let on_ack s ~ack ~newly_acked ~ce_count =
     else s.win.Cc.cwnd <- s.win.Cc.cwnd +. (1. /. s.win.Cc.cwnd)
   done
 
+let on_ecn s ~count:_ =
+  let was_slow_start = in_slow_start s in
+  if not s.reduced_this_window then begin
+    s.reduced_this_window <- true;
+    s.win.Cc.cwnd <-
+      Float.max s.params.min_cwnd (s.win.Cc.cwnd *. (1. -. (s.est.alpha /. 2.)))
+  end;
+  (* leave (and do not re-enter) slow start on a congestion signal *)
+  if was_slow_start then
+    s.win.Cc.ssthresh <- Float.max s.params.min_cwnd s.win.Cc.cwnd
+
 let on_fast_retransmit s =
   s.win.Cc.ssthresh <- Float.max (s.win.Cc.cwnd /. 2.) 2.;
   s.win.Cc.cwnd <- s.win.Cc.ssthresh
@@ -56,37 +66,25 @@ let on_timeout s =
   s.win.Cc.ssthresh <- Float.max (s.win.Cc.cwnd /. 2.) 2.;
   s.win.Cc.cwnd <- Float.max s.params.min_cwnd 1.
 
-let ops ~name ~penalty =
+let ops =
   {
-    Cc.name;
+    Cc.name = "dctcp";
     view = (fun s -> s.view);
     window = (fun s -> s.win);
     on_ack;
-    on_ecn =
-      (fun s ~count:_ ->
-        let was_slow_start = in_slow_start s in
-        if not s.reduced_this_window then begin
-          s.reduced_this_window <- true;
-          let p = penalty s.ctx s.view ~alpha:s.est.alpha ~cwnd:s.win.Cc.cwnd in
-          s.win.Cc.cwnd <-
-            Float.max s.params.min_cwnd (s.win.Cc.cwnd *. (1. -. p))
-        end;
-        (* leave (and do not re-enter) slow start on a congestion signal *)
-        if was_slow_start then
-          s.win.Cc.ssthresh <- Float.max s.params.min_cwnd s.win.Cc.cwnd);
+    on_ecn;
     on_fast_retransmit;
     on_timeout;
     in_slow_start;
     take_cwr = Cc.nop_take_cwr;
   }
 
-let create ops params ctx view =
+let make ?(params = default_params) view =
   Cc.Cc
     ( ops,
       {
         params;
         view;
-        ctx;
         win = { Cc.cwnd = params.init_cwnd; ssthresh = Float.max_float };
         est = { alpha = params.init_alpha };
         window_end = 0;
@@ -94,8 +92,3 @@ let create ops params ctx view =
         marked_in_window = 0;
         reduced_this_window = false;
       } )
-
-let dctcp_ops =
-  ops ~name:"dctcp" ~penalty:(fun () _ ~alpha ~cwnd:_ -> alpha /. 2.)
-
-let make ?(params = default_params) view = create dctcp_ops params () view

@@ -6,10 +6,8 @@
     reconstruct under delayed ACKs). The sender maintains
     [alpha ← (1−g)·alpha + g·F] once per window, where [F] is the fraction
     of marked segments in that window, and on the first mark of a window
-    cuts [cwnd ← cwnd·(1 − alpha/2)]. Losses are handled as in NewReno.
-
-    The same body runs D²TCP ({!D2tcp}): DCTCP with a gamma-corrected
-    cut [alpha^d/2] supplied through {!ops}' [penalty]. *)
+    cuts [cwnd ← cwnd·(1 − alpha/2)], floored at [min_cwnd]. Losses are
+    handled as in NewReno. *)
 
 type params = {
   g : float;  (** EWMA gain for alpha, paper value 1/16 *)
@@ -18,22 +16,6 @@ type params = {
   min_cwnd : float;
 }
 
-val default_params : params
-
 val make : ?params:params -> Cc.factory
-(** DCTCP: the window body below with the cut [penalty = α/2]. *)
-
-type 'c state
-(** One controller of the DCTCP window body: state, the α EWMA, slow
-    start and the NewReno loss rules, plus the family's per-instance
-    context ['c]. *)
-
-val ops :
-  name:string ->
-  penalty:('c -> Cc.view -> alpha:float -> cwnd:float -> float) ->
-  'c state Cc.ops
-(** A family of the DCTCP body, built once: on the first CE echo of a
-    window the window is cut to [cwnd·(1 − penalty ctx view ~alpha
-    ~cwnd)], floored at [min_cwnd]. *)
-
-val create : 'c state Cc.ops -> params -> 'c -> Cc.factory
+(** Defaults: [g = 1/16], [init_alpha = 1], [init_cwnd = 3],
+    [min_cwnd = 1]. *)

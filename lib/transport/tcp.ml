@@ -748,13 +748,11 @@ let close_receiver r =
 
 let owner t = t.owner
 let subflow t = t.rcv.subflow
-let path t = t.rcv.path
 let cwnd t = Cc.cwnd t.cc
 let cc_name t = Cc.name t.cc
 let srtt t = t.view.Cc.srtt
 let snd_nxt t = t.snd_nxt
 let segments_acked = snd_una
-let segments_sent = snd_max
 let retransmits t = t.losses.retransmits
 let timeouts t = t.losses.timeouts
 let fast_retransmits t = t.losses.fast_retransmits

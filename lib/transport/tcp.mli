@@ -212,11 +212,7 @@ val close_receiver : receiver -> unit
 
 (** {1 Introspection} *)
 
-val flow : t -> int
-
 val subflow : t -> int
-
-val path : t -> int
 
 val cwnd : t -> float
 
@@ -224,20 +220,16 @@ val cc_name : t -> string
 
 val srtt : t -> Xmp_engine.Time.t
 
-val snd_una : t -> int
-
 val snd_nxt : t -> int
-(** Next segment to (re)transmit; regresses to {!snd_una} after a
+(** Next segment to (re)transmit; regresses to [snd_una] after a
     retransmission timeout (go-back-N). *)
 
 val snd_max : t -> int
-(** High-water mark: segments taken from the source so far. *)
+(** High-water mark: segments taken from the source so far, that is
+    segments sent once, retransmissions aside. *)
 
 val segments_acked : t -> int
-(** Equal to {!snd_una}. *)
-
-val segments_sent : t -> int
-(** Segments sent once, retransmissions aside: equal to {!snd_max}. *)
+(** [snd_una]: segments cumulatively acknowledged. *)
 
 val retransmits : t -> int
 

@@ -19,9 +19,12 @@ let of_points ~name points =
   if probs.(n - 1) <> 1. then
     invalid_arg "Flow_size.of_points: last probability must be 1";
   for i = 0 to n - 1 do
+    if not (Float.is_finite sizes.(i)) then
+      invalid_arg "Flow_size.of_points: sizes must be finite";
     if sizes.(i) < 1. then
       invalid_arg "Flow_size.of_points: sizes must be at least one segment";
-    if probs.(i) < 0. || probs.(i) > 1. then
+    (* written so that a nan probability fails it too *)
+    if not (probs.(i) >= 0. && probs.(i) <= 1.) then
       invalid_arg "Flow_size.of_points: probabilities must lie in [0,1]";
     if i > 0 && (sizes.(i) < sizes.(i - 1) || probs.(i) < probs.(i - 1)) then
       invalid_arg "Flow_size.of_points: points must be nondecreasing"

@@ -10,10 +10,11 @@
 type t
 
 val of_points : name:string -> (float * float) list -> t
-(** [(size_segments, cum_prob)] knots. Sizes must be ≥ 1 segment and
-    nondecreasing; probabilities nondecreasing in [0, 1] with the last
-    equal to 1. A leading probability jump ([probs.(0) > 0]) is a point
-    mass at the smallest size. Raises [Invalid_argument] otherwise. *)
+(** [(size_segments, cum_prob)] knots. Sizes must be finite, ≥ 1
+    segment and nondecreasing; probabilities nondecreasing in [0, 1]
+    with the last equal to 1. A leading probability jump
+    ([probs.(0) > 0]) is a point mass at the smallest size. Raises
+    [Invalid_argument] otherwise. *)
 
 val of_file : string -> t
 (** Loads whitespace-separated ["size_segments cum_prob"] lines (['#']

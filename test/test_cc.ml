@@ -113,6 +113,10 @@ let test_custom_increase () =
 
 (* ----- DCTCP ----- *)
 
+(* DCTCP's defaults, spelled out so a case can vary one field *)
+let dctcp_params =
+  { Dctcp.g = 1. /. 16.; init_alpha = 1.; init_cwnd = 3.; min_cwnd = 1. }
+
 let test_dctcp_slow_start_exit () =
   let f, view = fake_view () in
   let cc = Dctcp.make view in
@@ -128,7 +132,7 @@ let test_dctcp_cut_proportional_to_alpha () =
   let f, view = fake_view () in
   (* with a negligible gain, alpha stays at its initial 1: the first
      congestion signal cuts by (almost exactly) half *)
-  let params = { Dctcp.default_params with g = 1e-12 } in
+  let params = { dctcp_params with g = 1e-12 } in
   let cc = Dctcp.make ~params view in
   for _ = 1 to 17 do
     ack cc f 1
@@ -139,7 +143,7 @@ let test_dctcp_cut_proportional_to_alpha () =
 
 let test_dctcp_alpha_decays_when_clean () =
   let f, view = fake_view () in
-  let params = { Dctcp.default_params with init_alpha = 1.; g = 0.5 } in
+  let params = { dctcp_params with init_alpha = 1.; g = 0.5 } in
   let cc = Dctcp.make ~params view in
   (* three clean window-boundary updates with g = 1/2 and F = 0:
      alpha = 1 -> 0.5 -> 0.25 -> 0.125; cwnd slow-starts to 33 *)

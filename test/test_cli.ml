@@ -70,6 +70,9 @@ let malformed =
     ("workload --flows=0", "run " ^ spec "ft:8 XMP-2 websearch flows=0", "field 'flows'");
     ("workload --drain=-1", "run " ^ spec "ft:8 XMP-2 websearch drain=-1", "field 'drain'");
     ("workload --drain nan", "run " ^ spec "ft:8 XMP-2 websearch drain=nan", "field 'drain'");
+    ( "run drain past max_int ns",
+      "run " ^ spec "ft:4 XMP-2 websearch drain=10000000000s",
+      "field 'drain'" );
     ("wan --rto-min=-5", "run " ^ spec "ft:4+ft:4 XMP-2 websearch rto-min=-5", "field 'rto-min'");
     (* a negative marking threshold and a job count below one used to run *)
     ("run mark=-5 (pattern)", "run " ^ spec "ft:4 XMP-2 permutation mark=-5", "field 'mark'");

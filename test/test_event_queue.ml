@@ -4,33 +4,31 @@ let test_empty () =
   let q = Q.create () in
   Alcotest.(check bool) "empty" true (Q.is_empty q);
   Alcotest.(check int) "length" 0 (Q.length q);
-  Alcotest.(check bool) "pop none" true (Q.pop q = None);
-  Alcotest.(check bool) "peek none" true (Q.peek_time q = None)
+  Alcotest.(check int) "no top time" Xmp_engine.Time.infinity (Q.top_time q);
+  Alcotest.(check bool) "no top code" true (Q.top_code q < 0);
+  Alcotest.check_raises "pop of an empty heap"
+    (Invalid_argument "Event_queue.pop_payload: empty") (fun () ->
+      ignore (Q.pop_payload q))
 
 let test_ordering () =
   let q = Q.create () in
   Q.add q ~time:30 ~seq:0 "c";
   Q.add q ~time:10 ~seq:1 "a";
   Q.add q ~time:20 ~seq:2 "b";
-  let pop () =
-    match Q.pop q with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
-  in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ())
+  Alcotest.(check string) "first" "a" (Q.pop_payload q);
+  Alcotest.(check string) "second" "b" (Q.pop_payload q);
+  Alcotest.(check string) "third" "c" (Q.pop_payload q)
 
 let test_fifo_ties () =
   let q = Q.create () in
   for i = 0 to 9 do
     Q.add q ~time:5 ~seq:i i
   done;
+  (* payload i went in with seq i *)
   for i = 0 to 9 do
-    match Q.pop q with
-    | Some (_, seq, v) ->
-      Alcotest.(check int) "seq order" i seq;
-      Alcotest.(check int) "payload order" i v
-    | None -> Alcotest.fail "queue exhausted early"
-  done
+    Alcotest.(check int) "seq order" i (Q.pop_payload q)
+  done;
+  Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 let test_growth () =
   let q = Q.create () in
@@ -41,18 +39,17 @@ let test_growth () =
   Alcotest.(check int) "length" n (Q.length q);
   let prev = ref min_int in
   for _ = 1 to n do
-    match Q.pop q with
-    | Some (t, _, _) ->
-      Alcotest.(check bool) "non-decreasing" true (t >= !prev);
-      prev := t
-    | None -> Alcotest.fail "exhausted"
+    let t = Q.top_time q in
+    Alcotest.(check int) "payload is its time" t (Q.pop_payload q);
+    Alcotest.(check bool) "non-decreasing" true (t >= !prev);
+    prev := t
   done;
   Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 let test_peek () =
   let q = Q.create () in
   Q.add q ~time:42 ~seq:0 ();
-  Alcotest.(check bool) "peek" true (Q.peek_time q = Some 42);
+  Alcotest.(check int) "peek" 42 (Q.top_time q);
   Alcotest.(check int) "peek does not pop" 1 (Q.length q)
 
 let test_clear () =
@@ -62,7 +59,7 @@ let test_clear () =
   Q.clear q;
   Alcotest.(check bool) "cleared" true (Q.is_empty q);
   Q.add q ~time:3 ~seq:2 ();
-  Alcotest.(check bool) "usable after clear" true (Q.peek_time q = Some 3)
+  Alcotest.(check int) "usable after clear" 3 (Q.top_time q)
 
 (* ----- lazy-deletion / heap-hygiene ----- *)
 
@@ -135,10 +132,13 @@ let test_cancel_pop_order_vs_reference () =
          (fun (t, s, c) -> if c.alive then Some (t, s) else None)
          !reference)
   in
+  (* a cell's value is its seq *)
   let rec drain acc =
-    match Q.pop q with
-    | Some (t, s, c) -> drain (if c.alive then (t, s) :: acc else acc)
-    | None -> List.rev acc
+    if Q.is_empty q then List.rev acc
+    else
+      let t = Q.top_time q in
+      let c = Q.pop_payload q in
+      drain (if c.alive then (t, c.value) :: acc else acc)
   in
   let popped = drain [] in
   Alcotest.(check bool)
@@ -164,9 +164,8 @@ let test_compact_shrinks () =
   Q.compact q;
   Alcotest.(check int) "only the live entry remains" 1 (Q.length q);
   Alcotest.(check int) "no dead entries" 0 (Q.dead_count q);
-  match Q.pop q with
-  | Some (0, 0, c) -> Alcotest.(check int) "survivor payload" 0 c.value
-  | _ -> Alcotest.fail "expected the one live entry"
+  Alcotest.(check int) "survivor time" 0 (Q.top_time q);
+  Alcotest.(check int) "survivor payload" 0 (Q.pop_payload q).value
 
 (* ----- coded entries ----- *)
 
@@ -220,8 +219,8 @@ let test_rekey_and_misuse () =
   Q.add q ~time:20 ~seq:1 "x";
   Alcotest.(check int) "coded root" 7 (Q.top_code q);
   Alcotest.check_raises "pop of a coded root"
-    (Invalid_argument "Event_queue.pop: the earliest entry is coded")
-    (fun () -> ignore (Q.pop q));
+    (Invalid_argument "Event_queue.pop_payload: the earliest entry is coded")
+    (fun () -> ignore (Q.pop_payload q));
   Alcotest.check_raises "rekey backwards"
     (Invalid_argument "Event_queue.rekey_top: the new key precedes the old one")
     (fun () -> Q.rekey_top q ~time:10 ~seq:0);
@@ -309,11 +308,12 @@ let prop_heap_sorts =
     QCheck.(list (int_bound 1000))
     (fun times ->
       let q = Q.create () in
-      List.iteri (fun i t -> Q.add q ~time:t ~seq:i t) times;
+      List.iteri (fun i t -> Q.add q ~time:t ~seq:i i) times;
       let rec drain acc =
-        match Q.pop q with
-        | Some (t, s, _) -> drain ((t, s) :: acc)
-        | None -> List.rev acc
+        if Q.is_empty q then List.rev acc
+        else
+          let t = Q.top_time q in
+          drain ((t, Q.pop_payload q) :: acc)
       in
       let popped = drain [] in
       let sorted = List.sort compare popped in

@@ -13,6 +13,9 @@ module Tel = Xmp_telemetry
 module Runner = Xmp_runner.Runner
 module Scenarios = Xmp_experiments.Scenarios
 
+(* a fault window covering the whole run *)
+let always = { Fault_spec.from_ns = Time.zero; until_ns = Time.infinity }
+
 let check_invalid_arg name f =
   match f () with
   | () -> Alcotest.failf "%s: expected Invalid_argument" name
@@ -27,7 +30,7 @@ let sample_specs =
     Fault_spec.Loss
       {
         target = Fault_spec.Tag "rack";
-        window = Fault_spec.always;
+        window = always;
         model = Fault_spec.Bernoulli 0.01;
         filter = Fault_spec.Any_packet;
       };
@@ -82,6 +85,8 @@ let test_spec_rejects_garbage () =
     [
       "nonsense"; "down@link=X"; "loss@0..inf@link=X@bern=oops";
       "pause@1ms..2ms@link=X";
+      (* past max_int ns: must not wrap to time 0 *)
+      "down@10000000000s@all";
     ]
 
 let test_validation () =
@@ -92,7 +97,7 @@ let test_validation () =
     (Fault_spec.Loss
        {
          target = Fault_spec.All_links;
-         window = Fault_spec.always;
+         window = always;
          model = Fault_spec.Bernoulli 1.5;
          filter = Fault_spec.Any_packet;
        });
@@ -105,7 +110,7 @@ let test_validation () =
          window = { Fault_spec.from_ns = Time.ms 2; until_ns = Time.ms 1 };
        });
   bad "negative host"
-    (Fault_spec.Host_pause { host = -1; window = Fault_spec.always })
+    (Fault_spec.Host_pause { host = -1; window = always })
 
 (* A schedule reaches digests only through the run spec's fault words:
    an empty schedule adds nothing, so fault-free keys stay fault-free. *)
@@ -176,7 +181,7 @@ let test_unknown_target_raises () =
     Fault_spec.create
       [
         Fault_spec.Blackout
-          { target = Fault_spec.Tag "no-such-tag"; window = Fault_spec.always };
+          { target = Fault_spec.Tag "no-such-tag"; window = always };
       ]
   in
   check_invalid_arg "unknown tag" (fun () ->
@@ -217,7 +222,7 @@ let test_bernoulli_loss_deterministic () =
           Fault_spec.Loss
             {
               target = Fault_spec.Link "IN1->OUT1";
-              window = Fault_spec.always;
+              window = always;
               model = Fault_spec.Bernoulli 0.02;
               filter = Fault_spec.Data_only;
             };
@@ -245,7 +250,7 @@ let test_gilbert_elliott_deterministic () =
           Fault_spec.Loss
             {
               target = Fault_spec.Link "IN1->OUT1";
-              window = Fault_spec.always;
+              window = always;
               model =
                 Fault_spec.Gilbert_elliott
                   {
@@ -348,7 +353,7 @@ let test_host_pause_rejects_switch () =
   let switch = find_switch 0 in
   let schedule =
     Fault_spec.create
-      [ Fault_spec.Host_pause { host = switch; window = Fault_spec.always } ]
+      [ Fault_spec.Host_pause { host = switch; window = always } ]
   in
   check_invalid_arg "switch is not a host" (fun () ->
       ignore (Injector.install ~net schedule))

@@ -122,12 +122,9 @@ let test_matches_packet_simulator () =
   in
   (* average the packet-level window over the steady phase *)
   let samples = Xmp_stats.Running.create () in
-  ignore
-    (Xmp_engine.Periodic.start sim
-       ~first_after:(Xmp_engine.Time.ms 50)
-       ~interval:(Xmp_engine.Time.us 500)
-       (fun () ->
-         Xmp_stats.Running.add samples (Xmp_transport.Tcp.cwnd conn)));
+  Xmp_engine.Periodic.start sim ~first_after:(Xmp_engine.Time.ms 50)
+    ~interval:(Xmp_engine.Time.us 500) (fun () ->
+      Xmp_stats.Running.add samples (Xmp_transport.Tcp.cwnd conn));
   Xmp_engine.Sim.run ~until:(Xmp_engine.Time.ms 200) sim;
   let packet_w = Xmp_stats.Running.mean samples in
   Alcotest.(check bool)

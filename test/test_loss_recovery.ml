@@ -89,7 +89,7 @@ let drop_acks rig ~from ~n =
 let watch_snd_una rig =
   let last = ref 0 in
   let rec tick () =
-    let u = Tcp.snd_una rig.conn in
+    let u = Tcp.segments_acked rig.conn in
     if u < !last then
       Alcotest.failf "snd_una regressed: %d after %d" u !last;
     last := u;

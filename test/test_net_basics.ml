@@ -9,8 +9,6 @@ let checkf = Alcotest.(check (float 1e-9))
 let test_rates () =
   Alcotest.(check int) "gbps" 1_000_000_000 (Units.gbps 1.);
   Alcotest.(check int) "mbps" 300_000_000 (Units.mbps 300.);
-  Alcotest.(check int) "kbps" 56_000 (Units.kbps 56.);
-  checkf "to_mbps" 300. (Units.to_mbps (Units.mbps 300.));
   checkf "to_gbps" 2.5 (Units.to_gbps (Units.gbps 2.5));
   checkf "bytes per sec" 125_000_000. (Units.bytes_per_sec (Units.gbps 1.))
 
@@ -25,11 +23,6 @@ let test_tx_time () =
   Alcotest.check_raises "zero rate"
     (Invalid_argument "Units.tx_time: rate must be positive") (fun () ->
       ignore (Units.tx_time 0 ~bytes:1))
-
-let test_pp_rate () =
-  let s r = Format.asprintf "%a" Units.pp_rate r in
-  Alcotest.(check string) "gbps" "1.0Gbps" (s (Units.gbps 1.));
-  Alcotest.(check string) "mbps" "300Mbps" (s (Units.mbps 300.))
 
 (* ----- Packet ----- *)
 
@@ -203,9 +196,19 @@ let test_max_length () =
   ignore (Queue_disc.dequeue d);
   Alcotest.(check int) "max length seen" 3 (Queue_disc.max_length_seen d)
 
+(* the usual RED constants; each case overrides what it exercises *)
+let red =
+  {
+    Queue_disc.wq = 0.002;
+    min_th = 5.;
+    max_th = 15.;
+    max_p = 0.1;
+    mark_ecn = true;
+  }
+
 let test_red_marks_under_load () =
   let params =
-    { Queue_disc.default_red with wq = 1.0; min_th = 2.; max_th = 4. }
+    { red with wq = 1.0; min_th = 2.; max_th = 4. }
   in
   let d =
     Queue_disc.create ~policy:(Queue_disc.Red params) ~capacity_pkts:50
@@ -222,7 +225,7 @@ let test_red_marks_under_load () =
 let test_red_drops_when_not_marking () =
   let params =
     {
-      Queue_disc.default_red with
+      red with
       wq = 1.0;
       min_th = 2.;
       max_th = 4.;
@@ -245,7 +248,7 @@ let test_red_average_decays_across_idle () =
      average now also decays on every dequeue, so a drain leaves it near
      the empty queue, not the old backlog. *)
   let params =
-    { Queue_disc.default_red with wq = 0.5; min_th = 2.; max_th = 4. }
+    { red with wq = 0.5; min_th = 2.; max_th = 4. }
   in
   let d =
     Queue_disc.create ~policy:(Queue_disc.Red params) ~capacity_pkts:50
@@ -267,16 +270,6 @@ let test_red_average_decays_across_idle () =
   Alcotest.(check bool) "not marked against a stale average" false
     (Packet.ce p);
   Alcotest.(check int) "no mark recorded" marked_before (Queue_disc.marked d)
-
-let test_occupancy_sampling () =
-  let d = Queue_disc.create ~policy:Queue_disc.Droptail ~capacity_pkts:10 in
-  ignore (Queue_disc.enqueue d (mk_data 1));
-  Queue_disc.sample_length d;
-  ignore (Queue_disc.enqueue d (mk_data 2));
-  Queue_disc.sample_length d;
-  let stats = Queue_disc.occupancy_stats d in
-  Alcotest.(check int) "samples" 2 (Xmp_stats.Running.count stats);
-  checkf "mean occupancy" 1.5 (Xmp_stats.Running.mean stats)
 
 let prop_threshold_len_bounded =
   QCheck.Test.make ~count:100
@@ -456,7 +449,6 @@ let suite =
   [
     Alcotest.test_case "rate units" `Quick test_rates;
     Alcotest.test_case "tx time" `Quick test_tx_time;
-    Alcotest.test_case "rate printing" `Quick test_pp_rate;
     Alcotest.test_case "data packet" `Quick test_packet_data;
     Alcotest.test_case "ack packet" `Quick test_packet_ack;
     Alcotest.test_case "packet printing" `Quick test_packet_pp;
@@ -476,7 +468,6 @@ let suite =
       test_red_drops_when_not_marking;
     Alcotest.test_case "RED average decays across idle" `Quick
       test_red_average_decays_across_idle;
-    Alcotest.test_case "occupancy sampling" `Quick test_occupancy_sampling;
     QCheck_alcotest.to_alcotest prop_threshold_len_bounded;
     QCheck_alcotest.to_alcotest prop_queue_matches_model;
   ]

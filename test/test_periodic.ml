@@ -5,9 +5,8 @@ module Time = Xmp_engine.Time
 let test_fires_on_interval () =
   let sim = Sim.create () in
   let fired = ref [] in
-  ignore
-    (Periodic.start sim ~interval:(Time.ms 10) (fun () ->
-         fired := Sim.now sim :: !fired));
+  Periodic.start sim ~interval:(Time.ms 10) (fun () ->
+      fired := Sim.now sim :: !fired);
   Sim.run ~until:(Time.ms 35) sim;
   Alcotest.(check (list int))
     "10, 20, 30 ms"
@@ -17,52 +16,23 @@ let test_fires_on_interval () =
 let test_first_after () =
   let sim = Sim.create () in
   let fired = ref [] in
-  ignore
-    (Periodic.start sim ~first_after:(Time.ms 5) ~interval:(Time.ms 10)
-       (fun () -> fired := Sim.now sim :: !fired));
+  Periodic.start sim ~first_after:(Time.ms 5) ~interval:(Time.ms 10)
+    (fun () -> fired := Sim.now sim :: !fired);
   Sim.run ~until:(Time.ms 30) sim;
   Alcotest.(check (list int))
     "5, 15, 25 ms"
     [ Time.ms 5; Time.ms 15; Time.ms 25 ]
     (List.rev !fired)
 
-let test_stop () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  let p = Periodic.start sim ~interval:(Time.ms 1) (fun () -> incr count) in
-  (* the stop event is scheduled now, so at the 3 ms tie it fires before
-     the tick that would have been scheduled at 2 ms: 2 ticks survive *)
-  Sim.at sim (Time.ms 3) (fun () -> Periodic.stop p);
-  Sim.run ~until:(Time.ms 10) sim;
-  Alcotest.(check int) "stopped after 2 ticks" 2 !count;
-  Alcotest.(check int) "ticks counter" 2 (Periodic.ticks p);
-  Alcotest.(check bool) "inactive" false (Periodic.is_active p);
-  Periodic.stop p (* idempotent *)
-
-let test_self_stop () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  let p = ref None in
-  p :=
-    Some
-      (Periodic.start sim ~interval:(Time.ms 1) (fun () ->
-           incr count;
-           if !count = 2 then
-             match !p with Some h -> Periodic.stop h | None -> ()));
-  Sim.run ~until:(Time.ms 10) sim;
-  Alcotest.(check int) "callback can stop itself" 2 !count
-
 let test_validation () =
   let sim = Sim.create () in
   Alcotest.check_raises "zero interval"
     (Invalid_argument "Periodic.start: interval") (fun () ->
-      ignore (Periodic.start sim ~interval:0 ignore))
+      Periodic.start sim ~interval:0 ignore)
 
 let suite =
   [
     Alcotest.test_case "fires on interval" `Quick test_fires_on_interval;
     Alcotest.test_case "first_after" `Quick test_first_after;
-    Alcotest.test_case "stop" `Quick test_stop;
-    Alcotest.test_case "self stop" `Quick test_self_stop;
     Alcotest.test_case "validation" `Quick test_validation;
   ]

@@ -96,10 +96,12 @@ let test_step () =
   let count = ref 0 in
   Sim.at sim 1 (fun () -> incr count);
   Sim.at sim 2 (fun () -> incr count);
-  Alcotest.(check bool) "step true" true (Sim.step sim);
+  Sim.run ~until:1 sim;
   Alcotest.(check int) "one event" 1 !count;
-  Alcotest.(check bool) "step true" true (Sim.step sim);
-  Alcotest.(check bool) "step false when empty" false (Sim.step sim)
+  Alcotest.(check int) "one left" 1 (Sim.pending sim);
+  Sim.run ~until:2 sim;
+  Alcotest.(check int) "both events" 2 !count;
+  Alcotest.(check int) "none left" 0 (Sim.pending sim)
 
 let test_cancel_heavy_pending_bounded () =
   (* per-ACK-style timer churn: without lazy deletion the heap would hold
@@ -173,7 +175,7 @@ let test_step_counts_total () =
   let sim = Sim.create () in
   Sim.at sim 1 ignore;
   let before = Sim.total_events_executed () in
-  ignore (Sim.step sim);
+  Sim.run ~until:1 sim;
   Alcotest.(check int) "process-wide delta" 1
     (Sim.total_events_executed () - before)
 

@@ -17,6 +17,9 @@ module Open_loop = Xmp_workload.Open_loop
 module Scheme = Xmp_workload.Scheme
 module Metrics = Xmp_workload.Metrics
 
+(* a fault window covering the whole run *)
+let always = { Fault_spec.from_ns = Time.zero; until_ns = Time.infinity }
+
 let disc () = Queue_disc.create ~policy:Queue_disc.Droptail ~capacity_pkts:100
 
 let ft4 = Wan.Fat_tree_dc { k = 4 }
@@ -253,7 +256,7 @@ let trunk_loss =
       Fault_spec.Loss
         {
           target = Fault_spec.Tag "wan";
-          window = Fault_spec.always;
+          window = always;
           model =
             Fault_spec.Gilbert_elliott
               {
@@ -319,7 +322,7 @@ let test_named_fault_targets_per_shard () =
     (Invalid_argument "Fault injector: no node 100000")
     (fun () ->
       ignore
-        (install [ Fault_spec.Host_pause { host = 100_000; window = Fault_spec.always } ]))
+        (install [ Fault_spec.Host_pause { host = 100_000; window = always } ]))
 
 (* ---- domains:1 vs domains:2 byte equality ---------------------------- *)
 
@@ -427,7 +430,7 @@ let lossy_trunk =
       Fault_spec.Loss
         {
           target = Fault_spec.Tag "wan";
-          window = Fault_spec.always;
+          window = always;
           model = Fault_spec.Bernoulli 0.01;
           filter = Fault_spec.Any_packet;
         };

@@ -446,7 +446,7 @@ let test_driver_utilization () =
   List.iter
     (fun (_, d) ->
       Alcotest.(check bool) "utilization within [0,1]" true
-        (Distribution.min d >= 0. && Distribution.max d <= 1.0001))
+        (Distribution.percentile d 0. >= 0. && Distribution.max d <= 1.0001))
     layers
 
 (* ----- Flow_size ----- *)
@@ -463,7 +463,21 @@ let test_flow_size_validation () =
       ignore (Flow_size.of_points ~name:"x" [ (5., 0.1); (2., 1.) ]));
   Alcotest.check_raises "sub-segment size"
     (Invalid_argument "Flow_size.of_points: sizes must be at least one segment")
-    (fun () -> ignore (Flow_size.of_points ~name:"x" [ (0.2, 1.) ]))
+    (fun () -> ignore (Flow_size.of_points ~name:"x" [ (0.2, 1.) ]));
+  Alcotest.check_raises "nan size"
+    (Invalid_argument "Flow_size.of_points: sizes must be finite") (fun () ->
+      ignore
+        (Flow_size.of_points ~name:"x"
+           [ (1., 0.); (Float.nan, 0.5); (100., 1.) ]));
+  Alcotest.check_raises "infinite size"
+    (Invalid_argument "Flow_size.of_points: sizes must be finite") (fun () ->
+      ignore (Flow_size.of_points ~name:"x" [ (1., 0.); (Float.infinity, 1.) ]));
+  Alcotest.check_raises "nan probability"
+    (Invalid_argument "Flow_size.of_points: probabilities must lie in [0,1]")
+    (fun () ->
+      ignore
+        (Flow_size.of_points ~name:"x"
+           [ (1., 0.); (50., Float.nan); (100., 1.) ]))
 
 let test_flow_size_sampling () =
   let rng = Random.State.make [| 17 |] in
