@@ -159,7 +159,6 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
   t
 
 let set_receiver t f = t.receiver <- f
-let wrap_receiver t wrap = t.receiver <- wrap t.receiver
 let set_drop_filter t f = t.drop_filter <- f
 let id t = t.id
 let name t = t.name

@@ -36,11 +36,6 @@ val create :
 
 val set_receiver : t -> (Packet.t -> unit) -> unit
 
-val wrap_receiver : t -> ((Packet.t -> unit) -> Packet.t -> unit) -> unit
-(** [wrap_receiver t f] replaces the receiver [r] with [f r] — the hook
-    point for taps and fault injectors. Must be called
-    after the topology builder wired the link. *)
-
 val set_drop_filter : t -> (Packet.t -> bool) option -> unit
 (** Ingress loss hook: when set, every packet offered to {!send} on an up
     link is first shown to the filter, and discarded before reaching the

@@ -156,13 +156,10 @@ let make_link t ?tag ~rate ~delay ~disc src dst =
   let name = String.concat "->" [ Node.name src; Node.name dst ] in
   add_egress t ?tag ~name ~rate ~delay ~disc src (fun p -> Node.receive dst p)
 
-let connect_asym t ?tag ~rate_fwd ~rate_rev ~delay ~disc a b =
-  let fwd = make_link t ?tag ~rate:rate_fwd ~delay ~disc a b in
-  let rev = make_link t ?tag ~rate:rate_rev ~delay ~disc b a in
-  (fwd, rev)
-
 let connect t ?tag ~rate ~delay ~disc a b =
-  connect_asym t ?tag ~rate_fwd:rate ~rate_rev:rate ~delay ~disc a b
+  let fwd = make_link t ?tag ~rate ~delay ~disc a b in
+  let rev = make_link t ?tag ~rate ~delay ~disc b a in
+  (fwd, rev)
 
 let links t = List.rev t.links_rev
 

@@ -65,18 +65,6 @@ val add_egress :
     link without disturbing port-indexed routing. The receiver owns each
     delivered packet (it must pass it on or release it). *)
 
-val connect_asym :
-  t ->
-  ?tag:string ->
-  rate_fwd:Units.rate ->
-  rate_rev:Units.rate ->
-  delay:Xmp_engine.Time.t ->
-  disc:(unit -> Queue_disc.t) ->
-  Node.t ->
-  Node.t ->
-  Link.t * Link.t
-(** Like {!connect} with different rates per direction. *)
-
 val links : t -> Link.t list
 (** All links, in creation order. *)
 

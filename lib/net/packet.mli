@@ -157,21 +157,32 @@ val sack : t -> (int * int) list
 
 (** {1 Packet words}
 
-    A shard boundary carries a packet as {!words} plain ints: {!store}
-    copies it into a mail ring, the original is released into the
-    sending domain's pool, and {!load} rebuilds it from the receiving
-    domain's pool. *)
+    A shard boundary carries a packet as plain ints: {!store} copies it
+    into a mail buffer, the original is released into the sending
+    domain's pool, and {!load} rebuilds it from the receiving domain's
+    pool. A stored record is the two header words, the flags word and
+    the timestamp, then one word per SACK block: 4 words for a data
+    packet or a plain ACK, 5 to 7 for an ACK with blocks. Its width is
+    read back from its own flags word ({!width}), so records of mixed
+    widths follow one another with no length prefix. *)
 
 val words : int
-(** 7: the ints one packet occupies. *)
+(** 7: the most ints one packet occupies. *)
 
-val store : t -> int array -> int -> unit
-(** [store p a off] writes [p] into [a.(off)] .. [a.(off + words - 1)].
-    It does not release [p]. *)
+val store : t -> int array -> int -> int
+(** [store p a off] writes [p] into [a.(off)] .. [a.(off + w - 1)] and
+    returns its width [w = 4 + sack_count p]. It does not release [p]. *)
+
+val width : int array -> int -> int
+(** [width a off] is the width {!store} returned for the record at
+    [off]. Like {!load}, it reads [a] as a ring. *)
 
 val load : int array -> int -> t
 (** [load a off] acquires a record from the current domain's pool and
-    fills it from the words {!store} wrote at [off]. The record comes
-    back live (its free bit cleared), whatever the stored flags say. *)
+    fills it from the record {!store} wrote at [off], reading [a] as a
+    ring: a word past the end is read from the start, so a record may
+    wrap. It allocates nothing beyond the pool. The record comes back
+    live (its free bit cleared), whatever the stored flags say, and a
+    slot past its [sack_count] keeps whatever the reused record held. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,28 +7,33 @@ module Time = Xmp_engine.Time
    (portal index, arrival, packet words) to the source shard's outbox and
    releases the packet into the sending domain's pool. [arrival] is
    exactly the delivery time the packet would have had on an ordinary
-   link. At the barrier [inject] moves each record's packet words into
+   link. A record holds only the words its packet uses (4 for data and
+   plain ACKs, up to 7 with SACK blocks), and [Packet.width] reads the
+   width back from the stored flags word. At the barrier [inject] walks
+   the outbox record by record, moves each record's packet words into
    its portal's inbox ring and pushes the arrival onto the portal's
    private FIFO lane in the destination sim, whose one [on_arrive]
-   handler pops the ring head, rebuilds the packet from the receiving
+   handler rebuilds the packet at the ring head from the receiving
    domain's pool and hands it to the destination node. A mail's arrival
    time and seq live only in the lane. *)
-let mail_words = 2 + Packet.words
+let header_words = 2
 
 type portal = {
   dst_node : Node.t;
   lane : Sim.lane;  (* private lane in the destination sim *)
   mutable inbox : int array;
-      (* FIFO ring of [Packet.words]-int slots; [||] until the first mail *)
-  mutable head : int;  (* slot index of the oldest mail *)
-  mutable len : int;  (* slots in use *)
+      (* FIFO ring of packet words, records back to back and possibly
+         wrapping; [||] until the first mail *)
+  mutable head : int;  (* word index of the oldest record *)
+  mutable len : int;  (* words in use *)
   mutable on_arrive : Sim.handler;  (* registered in [portal] *)
 }
 
 type shard = {
   sim : Sim.t;
   net : Network.t;
-  mutable outbox : int array;  (* [mail_words]-int records, emission order *)
+  mutable outbox : int array;
+      (* (portal, arrival, packet words) records, emission order *)
   mutable outbox_len : int;  (* ints in use *)
 }
 
@@ -81,44 +86,50 @@ let mail_injected t = t.injected
 (* Source domain, during the epoch. *)
 let post s ~portal ~arrival p =
   let o = s.outbox_len in
-  if o + mail_words > Array.length s.outbox then begin
-    let box = Array.make (Int.max (64 * mail_words) (2 * o)) 0 in
+  let room = Array.length s.outbox in
+  if o + header_words + Packet.words > room then begin
+    (* from 64 six-int records (a data packet or a plain ACK) *)
+    let box = Array.make (Int.max 384 (2 * room)) 0 in
     Array.blit s.outbox 0 box 0 o;
     s.outbox <- box
   end;
   s.outbox.(o) <- portal;
   s.outbox.(o + 1) <- arrival;
-  Packet.store p s.outbox (o + 2);
-  s.outbox_len <- o + mail_words
+  let w = Packet.store p s.outbox (o + header_words) in
+  s.outbox_len <- o + header_words + w
 
-(* Orchestrator, at the barrier: copy the packet words at [box.(off)]
-   into the inbox's tail slot, growing (and unwrapping) a full ring. *)
-let inbox_push pt box off =
-  let w = Packet.words in
-  let cap = Array.length pt.inbox / w in
-  if pt.len = cap then begin
-    let ring = Array.make (w * Int.max 16 (2 * cap)) 0 in
-    let tail = cap - pt.head in
-    Array.blit pt.inbox (pt.head * w) ring 0 (tail * w);
-    Array.blit pt.inbox 0 ring (tail * w) (pt.head * w);
+(* Orchestrator, at the barrier: copy the [w] packet words at
+   [box.(off)] to the inbox ring's tail, wrapping at its end. A ring
+   without room doubles, its records unwrapped to start at word 0. *)
+let inbox_push pt box off w =
+  let cap = Array.length pt.inbox in
+  if pt.len + w > cap then begin
+    (* from 8 four-word records; doubling always makes room for [w] *)
+    let ring = Array.make (Int.max 32 (2 * cap)) 0 in
+    let first = Int.min pt.len (cap - pt.head) in
+    Array.blit pt.inbox pt.head ring 0 first;
+    Array.blit pt.inbox 0 ring first (pt.len - first);
     pt.inbox <- ring;
     pt.head <- 0
   end;
-  let cap = Array.length pt.inbox / w in
-  let slot = pt.head + pt.len in
-  let slot = if slot >= cap then slot - cap else slot in
-  Array.blit box off pt.inbox (slot * w) w;
-  pt.len <- pt.len + 1
+  let cap = Array.length pt.inbox in
+  let tail = pt.head + pt.len in
+  let tail = if tail >= cap then tail - cap else tail in
+  let first = Int.min w (cap - tail) in
+  Array.blit box off pt.inbox tail first;
+  Array.blit box (off + first) pt.inbox 0 (w - first);
+  pt.len <- pt.len + w
 
 (* Destination domain, as the mail's arrival event. A portal's delay is
    constant, so its mail arrives in the order it was injected: the lane
    and the inbox ring stay in step. *)
 let arrive pt =
-  let p = Packet.load pt.inbox (pt.head * Packet.words) in
-  let next = pt.head + 1 in
-  pt.head <-
-    (if next * Packet.words >= Array.length pt.inbox then 0 else next);
-  pt.len <- pt.len - 1;
+  let w = Packet.width pt.inbox pt.head in
+  let p = Packet.load pt.inbox pt.head in
+  let next = pt.head + w in
+  let cap = Array.length pt.inbox in
+  pt.head <- (if next >= cap then next - cap else next);
+  pt.len <- pt.len - w;
   Node.receive pt.dst_node p
 
 (* A portal is one directed cross-shard link. Serialization (and the
@@ -188,15 +199,18 @@ let inject t =
   let injected = ref 0 in
   for i = 0 to Array.length t.shards - 1 do
     let s = t.shards.(i) in
-    let mails = s.outbox_len / mail_words in
-    for m = 0 to mails - 1 do
-      let o = m * mail_words in
-      let pt = t.portals.(s.outbox.(o)) in
-      inbox_push pt s.outbox (o + 2);
-      Sim.lane_at pt.lane s.outbox.(o + 1) pt.on_arrive
+    let box = s.outbox in
+    let o = ref 0 in
+    while !o < s.outbox_len do
+      let pt = t.portals.(box.(!o)) in
+      let off = !o + header_words in
+      let w = Packet.width box off in
+      inbox_push pt box off w;
+      Sim.lane_at pt.lane box.(!o + 1) pt.on_arrive;
+      o := off + w;
+      incr injected
     done;
-    s.outbox_len <- 0;
-    injected := !injected + mails
+    s.outbox_len <- 0
   done;
   t.injected <- t.injected + !injected;
   !injected

@@ -4,14 +4,17 @@
     Each shard is an ordinary single-domain simulation. A {!portal} is a
     directed cross-shard link: its serializer and egress queue run in the
     source shard at the given rate, and its propagation delay is applied
-    across the epoch barrier. When a packet finishes serializing, its
-    {!Packet.words} are appended to the source shard's outbox together
+    across the epoch barrier. When a packet finishes serializing, the
+    words it uses ({!Packet.store}: 4 for data and plain ACKs, up to 7
+    with SACK blocks) are appended to the source shard's outbox together
     with the portal index and the arrival time, and the packet is
     released into the sending domain's pool. At the barrier the words
-    move into the portal's inbox ring, and one arrival event per mail,
-    on the portal's private FIFO lane in the destination sim
-    ({!Xmp_engine.Sim.lane_at}), rebuilds the packet from the receiving
-    domain's pool with {!Packet.load}. No step allocates per mail.
+    move into the portal's inbox, an int ring sized in words where a
+    record may wrap past the end, and one arrival event per mail, on
+    the portal's private FIFO lane in the destination sim
+    ({!Xmp_engine.Sim.lane_at}), rebuilds the packet at the ring head
+    from the receiving domain's pool with {!Packet.load}. No step
+    allocates per mail.
 
     {2 Epoch-barrier semantics}
 

@@ -81,10 +81,73 @@ let test_pool_reuse_no_aliasing () =
   (* same check through the packet words a shard boundary carries *)
   Packet.set_ce q;
   let words = Array.make (Packet.words + 2) 0 in
-  Packet.store q words 2;
+  Alcotest.(check int) "a data record is 4 words" 4 (Packet.store q words 2);
   Packet.release q;
   let r = Packet.load words 2 in
   Alcotest.(check bool) "words preserve CE" true (Packet.ce r);
+  Packet.release r;
+  (* every width: data with ECT/CE/CWR, ACKs with 0 to 3 blocks *)
+  let fields p =
+    Format.asprintf "%a ts=%d ect=%b cwr=%b ece=%d sack=%s" Packet.pp p
+      (Packet.ts p) (Packet.ect p) (Packet.cwr p) (Packet.ece_count p)
+      (String.concat ","
+         (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (Packet.sack p)))
+  in
+  let ack blocks =
+    Packet.ack ~sack:blocks ~flow:1_000_000 ~subflow:4000 ~src:1_000_001
+      ~dst:7 ~path:1023 ~seq:0x7fff_fff0 ~ece_count:(List.length blocks + 2)
+      ~ts:(1 lsl 50) ()
+  in
+  let stream =
+    [
+      (let d =
+         Packet.data ~flow:(1 lsl 29) ~subflow:3 ~src:2 ~dst:1_000_000
+           ~path:9 ~seq:77 ~ect:true ~cwr:true ~ts:12_345
+       in
+       Packet.set_ce d;
+       d);
+      ack [];
+      ack [ (10, 20) ];
+      ack [ (10, 20); (30, 40) ];
+      ack [ (10, 20); (30, 40); (0x7fff_fffe, 0x7fff_ffff) ];
+    ]
+  in
+  List.iter
+    (fun p ->
+      let sent = fields p and n = Packet.sack_count p in
+      let words = Array.make (Packet.words + 3) (-1) in
+      let w = Packet.store p words 3 in
+      Alcotest.(check int) (sent ^ ": width 4 + sack_count") (4 + n) w;
+      Alcotest.(check int) (sent ^ ": width read back") w
+        (Packet.width words 3);
+      (* the same record straddling the end of a ring *)
+      let ring = Array.make 9 (-1) in
+      Array.iteri (fun i x -> ring.((6 + i) mod 9) <- x) (Array.sub words 3 w);
+      Alcotest.(check int) (sent ^ ": width across the wrap") w
+        (Packet.width ring 6);
+      Packet.release p;
+      let r = Packet.load words 3 in
+      Alcotest.(check string) "round trip keeps every field" sent (fields r);
+      Packet.release r;
+      let r = Packet.load ring 6 in
+      Alcotest.(check string) "loaded across the wrap" sent (fields r);
+      Packet.release r)
+    stream;
+  (* a record that last carried three blocks, reloaded from a 4-word
+     data record, carries none *)
+  let three = ack [ (1, 2); (3, 4); (5, 6) ] in
+  let d =
+    Packet.data ~flow:5 ~subflow:0 ~src:0 ~dst:1 ~path:0 ~seq:3 ~ect:false
+      ~cwr:false ~ts:0
+  in
+  let words = Array.make 4 0 in
+  ignore (Packet.store d words 0);
+  Packet.release d;
+  Packet.release three;
+  let r = Packet.load words 0 in
+  Alcotest.(check bool) "the pool handed back the three-block record" true
+    (r == three);
+  Alcotest.(check int) "reloaded data: no blocks" 0 (Packet.sack_count r);
   Packet.release r;
   let s =
     Packet.ack ~flow:2 ~subflow:0 ~src:1 ~dst:0 ~path:0 ~seq:1 ~ece_count:0

@@ -129,10 +129,13 @@ let test_asym_connect () =
   let net = Network.create sim in
   let a = Network.add_switch net ~name:"a" in
   let b = Network.add_switch net ~name:"b" in
-  let fwd, rev =
-    Network.connect_asym net ~rate_fwd:(Net.Units.gbps 10.)
-      ~rate_rev:(Net.Units.gbps 1.) ~delay:(Time.us 1) ~disc a b
+  let egress src dst rate =
+    Network.add_egress net
+      ~name:(Node.name src ^ "->" ^ Node.name dst)
+      ~rate ~delay:(Time.us 1) ~disc src (Node.receive dst)
   in
+  let fwd = egress a b (Net.Units.gbps 10.) in
+  let rev = egress b a (Net.Units.gbps 1.) in
   Alcotest.(check int) "fwd rate" (Net.Units.gbps 10.) (Net.Link.rate fwd);
   Alcotest.(check int) "rev rate" (Net.Units.gbps 1.) (Net.Link.rate rev)
 

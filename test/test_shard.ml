@@ -248,7 +248,7 @@ let test_equal_arrival_order () =
    is 10 us (the reverse portal). A first burst of 10 packets drains and
    leaves the inbox ring's head mid-ring; a second burst of 50 then keeps
    about 29 packets in flight over four barriers, so the ring wraps and
-   grows past its initial 16 slots while wrapped. Every packet must
+   grows past 16 four-word records while wrapped. Every packet must
    still arrive at serialization end plus its portal's delay, in send
    order, in both directions. *)
 let test_mail_across_barriers () =
@@ -301,6 +301,90 @@ let test_mail_across_barriers () =
   check_ab ();
   check_ba ();
   Alcotest.(check int) "every packet was mail" 120
+    (Shard.mail_injected cluster)
+
+(* Mail of every width across barriers: the cluster of [mail across
+   several barriers], with each direction carrying a mixed stream. Packet i is, by
+   [i mod 6], data with ECT, data with ECT/CWR/CE, or an ACK with 0 to
+   3 SACK blocks and a nonzero ECE count: mail records 4, 4, 4, 5, 6
+   and 7 words wide. The first burst (23 words) leaves the slow
+   portal's 32-word inbox head at word 23; the second burst's second
+   record then straddles the end of the ring, and its sixth grows the
+   ring while wrapped. Every field must arrive as sent, at
+   serialization end plus the portal's delay, in send order. *)
+let test_mail_of_every_width () =
+  let cluster = Shard.create ~shards:2 () in
+  let a = Network.add_host_at (Shard.net cluster 0) ~id:0 ~name:"a" in
+  let b = Network.add_host_at (Shard.net cluster 1) ~id:1 ~name:"b" in
+  Node.set_route a (fun _ -> 0);
+  Node.set_route b (fun _ -> 0);
+  let slow = Time.us 35 and fast = Time.us 10 in
+  ignore
+    (Shard.portal cluster ~src:(0, a) ~dst:(1, b) ~rate:rate10 ~delay:slow
+       ~disc ());
+  ignore
+    (Shard.portal cluster ~src:(1, b) ~dst:(0, a) ~rate:rate10 ~delay:fast
+       ~disc ());
+  let fields p =
+    Format.asprintf "%a ts=%d ect=%b cwr=%b sack=%s" Packet.pp p
+      (Packet.ts p) (Packet.ect p) (Packet.cwr p)
+      (String.concat ","
+         (List.map (fun (x, y) -> Printf.sprintf "%d-%d" x y) (Packet.sack p)))
+  in
+  let packet ~src ~dst i =
+    let subflow = i mod 3 and path = i mod 7 and ts = (1000 * i) + 17 in
+    match i mod 6 with
+    | (0 | 1) as k ->
+      let p =
+        Packet.data ~flow:3 ~subflow ~src ~dst ~path ~seq:i ~ect:true
+          ~cwr:(k = 1) ~ts
+      in
+      if k = 1 then Packet.set_ce p;
+      p
+    | k ->
+      Packet.ack
+        ~sack:(List.init (k - 2) (fun j -> (i + (10 * j), i + (10 * j) + 3)))
+        ~flow:3 ~subflow ~src ~dst ~path ~seq:i ~ece_count:(1 + (i mod 5))
+        ~ts ()
+  in
+  let bursts = [ (Time.zero, 5); (Time.us 100, 50) ] in
+  let check_direction ~src ~dst ~delay =
+    let arrivals = ref [] in
+    let dst_id = Node.id dst and src_id = Node.id src in
+    for subflow = 0 to 2 do
+      Network.register_endpoint (Shard.net cluster dst_id) ~host:dst_id
+        ~flow:3 ~subflow (fun p ->
+          arrivals := (fields p, Sim.now (Shard.sim cluster dst_id)) :: !arrivals)
+    done;
+    let expected = ref [] and seq0 = ref 0 in
+    List.iter
+      (fun (start, n) ->
+        let first = !seq0 in
+        Sim.at (Shard.sim cluster src_id) start (fun () ->
+            for i = first to first + n - 1 do
+              Node.send src (packet ~src:src_id ~dst:dst_id i)
+            done);
+        let finish = ref start in
+        for i = first to first + n - 1 do
+          let p = packet ~src:src_id ~dst:dst_id i in
+          finish :=
+            !finish + Net.Units.tx_time rate10 ~bytes:(Packet.size p);
+          expected := (fields p, !finish + delay) :: !expected;
+          Packet.release p
+        done;
+        seq0 := first + n)
+      bursts;
+    fun () ->
+      Alcotest.(check (list (pair string int)))
+        (Node.name src ^ ": every field, FIFO at serialization end + delay")
+        (List.rev !expected) (List.rev !arrivals)
+  in
+  let check_ab = check_direction ~src:a ~dst:b ~delay:slow in
+  let check_ba = check_direction ~src:b ~dst:a ~delay:fast in
+  Shard.run ~until:(Time.ms 1) cluster;
+  check_ab ();
+  check_ba ();
+  Alcotest.(check int) "every packet was mail" 110
     (Shard.mail_injected cluster)
 
 (* Portal egresses have zero delay, and a zero-delay link hands the
@@ -362,4 +446,6 @@ let suite =
       test_mail_across_barriers;
     Alcotest.test_case "zero-delay link: one event per packet" `Quick
       test_zero_delay_link;
+    Alcotest.test_case "mail of every width across barriers" `Quick
+      test_mail_of_every_width;
   ]

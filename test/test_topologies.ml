@@ -275,18 +275,22 @@ let port_peers node =
   List.init (Node.n_ports node) (fun p -> peer_name (Node.port node p))
 
 (* Sends one probe per (src, dst, path) and returns, per probe, the names
-   of the links it crossed. *)
+   of the links it crossed, taken by a drop filter that drops nothing. *)
 let walks (view : Net.Topology.t) =
   let cluster = view.cluster in
   let hops = Hashtbl.create 1024 in
   for s = 0 to Net.Shard.n_shards cluster - 1 do
     List.iter
       (fun l ->
-        Net.Link.wrap_receiver l (fun deliver p ->
-            let seq = Packet.seq p in
-            let walked = Option.value ~default:[] (Hashtbl.find_opt hops seq) in
-            Hashtbl.replace hops seq (Net.Link.name l :: walked);
-            deliver p))
+        Net.Link.set_drop_filter l
+          (Some
+             (fun p ->
+               let seq = Packet.seq p in
+               let walked =
+                 Option.value ~default:[] (Hashtbl.find_opt hops seq)
+               in
+               Hashtbl.replace hops seq (Net.Link.name l :: walked);
+               false)))
       (Network.links (Net.Shard.net cluster s))
   done;
   let probes = ref [] in
