@@ -10,7 +10,11 @@
 
    A coded entry stores [-1 - code] in [slots] and holds no payload slot
    at all, so it writes no pointer. Heap positions and payload slots
-   therefore grow independently. *)
+   therefore grow independently.
+
+   The payload table grows through [Tables.grow], which forces no minor
+   collection (see tables.mli); the new half is then scrubbed to the
+   dummy, and so is the old table as it is dropped. *)
 type 'a t = {
   mutable times : int array;  (* heap-ordered *)
   mutable seqs : int array;  (* heap-ordered *)
@@ -20,6 +24,9 @@ type 'a t = {
   mutable free : int array;  (* free slot stack: free.(0 .. free_top-1) *)
   mutable free_top : int;
   mutable len : int;
+  mutable low : int;
+      (* [len] at or below which the heap arrays shrink: an eighth of
+         their length, 0 while they are at the 64-cell floor *)
   mutable dead : int;
       (* entries still in the heap whose payload [live] rejects; kept
          accurate by [note_dead] (+1) and [pop] (-1 on a dead top) *)
@@ -41,6 +48,7 @@ let create ?(live = fun _ -> true) () =
     free = [||];
     free_top = 0;
     len = 0;
+    low = 0;
     dead = 0;
     rebuilds = 0;
     dummy = None;
@@ -67,15 +75,26 @@ let resize_heap h cap' =
   h.seqs <- seqs';
   let slots' = Array.make cap' 0 in
   Array.blit h.slots 0 slots' 0 h.len;
-  h.slots <- slots'
+  h.slots <- slots';
+  h.low <- (if cap' > 64 then cap' / 8 else 0)
+
+(* Overwrites a payload table that is about to be dropped: one in the
+   major heap keeps the cells a young payload was written into
+   remembered, and the next minor collection would promote what they
+   still point to. *)
+let scrub_all h a =
+  match h.dummy with
+  | Some d -> Array.fill a 0 (Array.length a) d
+  | None -> ()
 
 (* Called with an empty free stack: double the payload table and push
    the fresh slots. [fill] occupies the cells no payload holds yet. *)
 let grow_slots h fill =
   let cap = Array.length h.payloads in
   let cap' = Int.max 64 (2 * cap) in
-  let payloads' = Array.make cap' fill in
-  Array.blit h.payloads 0 payloads' 0 cap;
+  let payloads' = Tables.grow h.payloads ~first:cap' fill in
+  Array.fill payloads' cap (cap' - cap) fill;
+  Array.fill h.payloads 0 cap fill;
   h.payloads <- payloads';
   h.free <- Array.make cap' 0;
   for s = cap' - 1 downto cap do
@@ -193,10 +212,55 @@ let rekey_top h ~time ~seq =
 let scrub h s =
   match h.dummy with Some d -> h.payloads.(s) <- d | None -> ()
 
-(* Move the last entry up into the root and restore the heap property.
-   An emptied heap keeps its capacity (bursty simulations would
-   otherwise re-allocate from 64 on every burst — call [compact] or
-   [clear] to release memory explicitly). *)
+(* Live payloads keep their slot numbers, so the slot table can only
+   shrink to just past the highest held slot. *)
+let shrink_slots h =
+  let cap = Array.length h.payloads in
+  let held = cap - h.free_top in
+  if cap > 64 && held * 4 <= cap then
+    if held = 0 then begin
+      scrub_all h h.payloads;
+      h.payloads <- [||];
+      h.free <- [||];
+      h.free_top <- 0
+    end
+    else begin
+      let max_slot = ref 0 in
+      for i = 0 to h.len - 1 do
+        if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
+      done;
+      let cap' = Int.max 64 (Int.max (2 * held) (!max_slot + 1)) in
+      if cap' < cap then begin
+        let old = h.payloads in
+        h.payloads <- Array.sub old 0 cap';
+        scrub_all h old;
+        (* rebuild the free stack from the slots no entry holds *)
+        let taken = Array.make cap' false in
+        for i = 0 to h.len - 1 do
+          if h.slots.(i) >= 0 then taken.(h.slots.(i)) <- true
+        done;
+        let free' = Array.make cap' 0 in
+        let top = ref 0 in
+        for s = cap' - 1 downto 0 do
+          if not taken.(s) then begin
+            free'.(!top) <- s;
+            incr top
+          end
+        done;
+        h.free <- free';
+        h.free_top <- !top
+      end
+    end
+
+(* After a burst, once the length falls below an eighth of the heap
+   arrays, they shrink to twice the length (never below 64), so they
+   grow again only after the length has quadrupled; the slot table
+   follows when at most a quarter of it is held. *)
+let shrink h =
+  resize_heap h (Int.max 64 (2 * h.len));
+  shrink_slots h
+
+(* Move the last entry up into the root and restore the heap property. *)
 let drop_root h =
   h.len <- h.len - 1;
   if h.len > 0 then begin
@@ -204,7 +268,8 @@ let drop_root h =
     h.seqs.(0) <- h.seqs.(h.len);
     h.slots.(0) <- h.slots.(h.len);
     sift_down h 0
-  end
+  end;
+  if h.len < h.low then shrink h
 
 (* Pop mechanics for a payload root: read its payload, scrub and free
    its slot (left populated it would keep the payload reachable — a
@@ -258,7 +323,8 @@ let purge h =
     for i = (h.len / 2) - 1 downto 0 do
       sift_down h i
     done;
-    h.rebuilds <- h.rebuilds + 1
+    h.rebuilds <- h.rebuilds + 1;
+    if h.len < h.low then shrink h
   end
 
 let note_dead h =
@@ -268,43 +334,6 @@ let note_dead h =
      cancellations) under cancel-heavy workloads (per-ACK timer churn). *)
   if h.dead > (h.len - h.dead) / 2 then purge h
 
-(* Live payloads keep their slot numbers, so the slot table can only
-   shrink to just past the highest held slot. *)
-let shrink_slots h =
-  let cap = Array.length h.payloads in
-  let held = cap - h.free_top in
-  if cap > 64 && held * 4 <= cap then
-    if held = 0 then begin
-      h.payloads <- [||];
-      h.free <- [||];
-      h.free_top <- 0
-    end
-    else begin
-      let max_slot = ref 0 in
-      for i = 0 to h.len - 1 do
-        if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
-      done;
-      let cap' = Int.max 64 (Int.max (2 * held) (!max_slot + 1)) in
-      if cap' < cap then begin
-        h.payloads <- Array.sub h.payloads 0 cap';
-        (* rebuild the free stack from the slots no entry holds *)
-        let taken = Array.make cap' false in
-        for i = 0 to h.len - 1 do
-          if h.slots.(i) >= 0 then taken.(h.slots.(i)) <- true
-        done;
-        let free' = Array.make cap' 0 in
-        let top = ref 0 in
-        for s = cap' - 1 downto 0 do
-          if not taken.(s) then begin
-            free'.(!top) <- s;
-            incr top
-          end
-        done;
-        h.free <- free';
-        h.free_top <- !top
-      end
-    end
-
 let compact h =
   purge h;
   let cap = Array.length h.times in
@@ -312,13 +341,20 @@ let compact h =
     if h.len = 0 then begin
       h.times <- [||];
       h.seqs <- [||];
-      h.slots <- [||]
+      h.slots <- [||];
+      h.low <- 0
     end
     else resize_heap h (Int.max 64 (2 * h.len));
   shrink_slots h
 
-let clear h =
+let clear ?(release = ignore) h =
+  for i = 0 to h.len - 1 do
+    let s = h.slots.(i) in
+    if s >= 0 then release h.payloads.(s)
+  done;
+  scrub_all h h.payloads;
   h.len <- 0;
+  h.low <- 0;
   h.dead <- 0;
   h.times <- [||];
   h.seqs <- [||];

@@ -28,9 +28,16 @@ val create : ?live:('a -> bool) -> unit -> 'a t
 
 val set_dummy : 'a t -> 'a -> unit
 (** Provides the payload used to scrub vacated slots so popped entries
-    are not retained by the backing array. Optional: without it the
-    first added entry is used, pinning that single payload for the
-    heap's lifetime (O(1) retention). Only the first call has effect. *)
+    are not retained by the backing array, and to fill the slot table
+    as it grows. Pass a value made once at start-up ({!Sim} passes
+    {!Sim.no_timer}), not one per heap: a scrubbed table then points at
+    nothing of a finished run. Optional: without it the first added
+    entry is used, pinning that single payload for the heap's lifetime
+    (O(1) retention). Only the first call has effect.
+
+    The slot table doubles through {!Tables.grow}, never with a fill
+    that may be young, and the table it replaces is scrubbed as it is
+    dropped. *)
 
 val length : 'a t -> int
 (** Entries currently in the heap, coded entries and dead (cancelled,
@@ -60,9 +67,12 @@ val note_dead : 'a t -> unit
 
 val compact : 'a t -> unit
 (** Explicit compaction: drops dead entries now and, when the backing
-    array is at most a quarter full afterwards, shrinks it. An emptied
-    heap otherwise keeps its capacity so bursty simulations do not
-    re-allocate from scratch on every burst. *)
+    array is at most a quarter full afterwards, shrinks it. Without it
+    the heap shrinks on its own after a burst: once its length falls
+    below an eighth of its arrays, a pop or a lazy-deletion compaction
+    shrinks them to twice the length (64 at least), so they grow again
+    only after the length has quadrupled, and the slot table follows
+    when at most a quarter of it is held. *)
 
 val top_time : 'a t -> Time.t
 (** Timestamp of the earliest event (dead entries included: the
@@ -92,5 +102,10 @@ val pop_coded : 'a t -> unit
 (** Removes the earliest entry, which must be coded; raises
     [Invalid_argument] otherwise. *)
 
-val clear : 'a t -> unit
-(** Empties the heap and releases the backing array. *)
+val clear : ?release:('a -> unit) -> 'a t -> unit
+(** Empties the heap and releases its arrays. [release] (default
+    [ignore]) is first called on the payload of every entry still in the
+    heap. The payload table is overwritten in place with the dummy
+    before it is dropped: a table in the major heap keeps the cells a
+    young payload was written into remembered until the next minor
+    collection, which would promote whatever they still point to. *)

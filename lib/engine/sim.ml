@@ -38,6 +38,7 @@ type t = {
          the atomic *)
   mutable cancelled_skipped : int;
   mutable heap_peak : int;
+  mutable closed : bool;
   invariants : bool;
       (* snapshot taken at creation; re-asserted on every dispatch so two
          sims with different settings in one process do not bleed into
@@ -110,6 +111,14 @@ let unregistered () = failwith "Sim: lane event with no handler registered"
 
 let no_handler = 0
 
+(* Also every sim's heap dummy and the fill of its free list: one record
+   made at start-up, so no table grows with a fill that a fresh run just
+   allocated. *)
+let no_timer =
+  (* xmplint: allow mutable-global — dead from creation and never
+     enqueued, and [cancel] writes only a live event: nothing writes it *)
+  { run = dead; pooled = false; heap = Event_queue.create () }
+
 let create ?(config = default_config) () =
   let invariants =
     match config.invariants with
@@ -121,7 +130,7 @@ let create ?(config = default_config) () =
     | None -> Invariant.enabled ()
   in
   let heap = Event_queue.create ~live () in
-  Event_queue.set_dummy heap { run = dead; pooled = false; heap };
+  Event_queue.set_dummy heap no_timer;
   let rec t =
     {
       now = Time.zero;
@@ -138,6 +147,7 @@ let create ?(config = default_config) () =
       flushed = 0;
       cancelled_skipped = 0;
       heap_peak = 0;
+      closed = false;
       invariants;
       random = Random.State.make [| config.seed; 0x584d50 (* "XMP" *) |];
       telemetry = config.telemetry;
@@ -162,7 +172,10 @@ let stats (t : t) =
     rebuilds = Event_queue.rebuilds t.heap;
   }
 
+let refuse_closed what = invalid_arg (what ^ ": the sim is closed")
+
 let check_time t time =
+  if t.closed then refuse_closed "Sim: scheduling";
   if Time.compare time t.now < 0 then
     invalid_arg
       (Format.asprintf "Sim: scheduling at %a before now %a" Time.pp time
@@ -192,17 +205,26 @@ let acquire_event t f =
   end
   else { run = f; pooled = true; heap = t.heap }
 
+(* At most this many released records wait for reuse; the rest are
+   left to the GC. A burst of pending closure events (an open-loop
+   barrier's start events) then keeps no records and no free-list cells
+   for the rest of the run, and the list, never longer than 256 cells,
+   is always made in the minor heap. *)
+let max_free = 256
+
 (* [ev] fired, so its closure is already gone: a parked free-list record
    keeps no closure graph (packets, connections) reachable *)
 let release_event t ev =
-  if t.free_top = Array.length t.free_events then begin
-    let cap = Int.max 64 (2 * t.free_top) in
-    let arr = Array.make cap ev in
-    Array.blit t.free_events 0 arr 0 t.free_top;
-    t.free_events <- arr
-  end;
-  t.free_events.(t.free_top) <- ev;
-  t.free_top <- t.free_top + 1
+  let top = t.free_top in
+  if top < max_free then begin
+    if top = Array.length t.free_events then begin
+      let arr = Array.make (Int.max 64 (2 * top)) no_timer in
+      Array.blit t.free_events 0 arr 0 top;
+      t.free_events <- arr
+    end;
+    t.free_events.(top) <- ev;
+    t.free_top <- top + 1
+  end
 
 let at t time f =
   check_time t time;
@@ -230,19 +252,17 @@ let cancel (ev : timer) =
     Event_queue.note_dead ev.heap
   end
 
-let no_timer =
-  (* xmplint: allow mutable-global — dead from creation and never
-     enqueued, and [cancel] writes only a live event: nothing writes it *)
-  { run = dead; pooled = false; heap = Event_queue.create () }
-
 let timer_active = live
 
 (* ---- FIFO lanes -------------------------------------------------------- *)
 
 let handler t f =
+  if t.closed then refuse_closed "Sim.handler";
   if t.n_handlers = Array.length t.handlers then begin
     let grown = Array.make (2 * t.n_handlers) unregistered in
     Array.blit t.handlers 0 grown 0 t.n_handlers;
+    (* scrubbed as it is dropped: see [close] *)
+    Array.fill t.handlers 0 t.n_handlers unregistered;
     t.handlers <- grown
   end;
   t.handlers.(t.n_handlers) <- f;
@@ -262,11 +282,9 @@ let new_lane t ~shared delay =
       last = Time.zero;
     }
   in
-  if t.n_lanes = Array.length t.lanes then begin
-    let grown = Array.make (Int.max 8 (2 * t.n_lanes)) ln in
-    Array.blit t.lanes 0 grown 0 t.n_lanes;
-    t.lanes <- grown
-  end;
+  (* the cells past [n_lanes] are never read *)
+  if t.n_lanes = Array.length t.lanes then
+    t.lanes <- Tables.grow t.lanes ~first:8 ln;
   t.lanes.(t.n_lanes) <- ln;
   t.n_lanes <- t.n_lanes + 1;
   ln
@@ -306,7 +324,9 @@ let lane_push ln time (h : handler) =
     invalid_arg
       (Format.asprintf "Sim.lane_at: %a breaks lane order (last push %a)"
          Time.pp time Time.pp ln.last);
-  if h < 0 || h >= t.n_handlers then invalid_arg "Sim.lane_at: handler";
+  if h < 0 || h >= t.n_handlers then
+    if t.closed then refuse_closed "Sim: scheduling"
+    else invalid_arg "Sim.lane_at: handler";
   ln.last <- time;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -393,6 +413,7 @@ let flush_total (t : t) =
   end
 
 let run ?(until = Time.infinity) t =
+  if t.closed then refuse_closed "Sim.run";
   if Time.compare until t.now < 0 then
     invalid_arg
       (Format.asprintf "Sim.run: until %a is before now %a" Time.pp until
@@ -410,3 +431,28 @@ let run ?(until = Time.infinity) t =
     end
   done;
   flush_total t
+
+(* Every pending event dies (a timer its owner still holds reads
+   inactive), and every table that can point into a finished run is
+   overwritten in place with a placeholder made at start-up. Dropping a
+   table is not enough: one that lives in the major heap keeps the cells
+   a young value was written into remembered, and the next minor
+   collection would promote whatever they still point to. Clearing
+   [n_handlers] also makes every lane push fail its handler check. *)
+let close t =
+  if not t.closed then begin
+    t.closed <- true;
+    Event_queue.clear ~release:(fun ev -> ev.run <- dead) t.heap;
+    Array.fill t.free_events 0 (Array.length t.free_events) no_timer;
+    t.free_events <- [||];
+    t.free_top <- 0;
+    for i = 0 to t.n_lanes - 1 do
+      let ln = t.lanes.(i) in
+      ln.ring <- [||];
+      ln.head <- 0;
+      ln.len <- 0
+    done;
+    t.backlog <- 0;
+    Array.fill t.handlers 0 (Array.length t.handlers) unregistered;
+    t.n_handlers <- 0
+  end

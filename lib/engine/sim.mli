@@ -28,7 +28,18 @@
     explicit times, and a push earlier than the lane's previous one
     raises [Invalid_argument]. Handlers are closures registered once
     with {!handler}; a lane entry stores only the handler's number.
-    Lane events cannot be cancelled. *)
+    Lane events cannot be cancelled.
+
+    {2 Tables and the minor heap}
+
+    [Array.make n fill] with [n] over 256 and a [fill] still in the
+    minor heap forces a minor collection, so no table of a sim grows
+    that way ({!Tables}). Vacated event-heap slots and free-list cells
+    hold {!no_timer}, made at start-up; the heap's payload table and the
+    lane table double through {!Tables.grow}. At most 256 fired event
+    records wait on the free list for reuse, and the heap's arrays
+    shrink once its length falls below an eighth of them. {!close}
+    releases a finished run's events. *)
 
 type t
 
@@ -163,9 +174,21 @@ val lane_at : lane -> Time.t -> handler -> unit
     [Invalid_argument] if [time] is before [now] or before the time of
     the lane's previous push. [h] must be registered with [ln]'s sim. *)
 
+val close : t -> unit
+(** Releases the sim's events: every pending event is dropped unrun (a
+    pending timer reads inactive), the event heap's payload slots,
+    free-list cells and handler table are overwritten in place with
+    static placeholders, and every lane's ring is dropped. A table in
+    the major heap that was written with young values stays remembered
+    until the next minor collection; overwritten, it keeps nothing of
+    the finished run alive through it. {!pending} is then 0, the
+    counters ({!stats}, {!events_executed}) stay readable, and {!run},
+    {!handler} and every way of scheduling raise [Invalid_argument].
+    Closing twice is a no-op. *)
+
 val run : ?until:Time.t -> t -> unit
 (** Runs events until the heap is empty, or until the clock would pass
     [until]. The clock is left at the last executed event's time (or at
     [until] if a cutoff was hit). Events scheduled exactly at [until] do
     run. Raises [Invalid_argument] if [until] is before [now]: the clock
-    never goes back. *)
+    never goes back, or if the sim is closed. *)

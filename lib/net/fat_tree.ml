@@ -59,17 +59,18 @@ let build cluster ~shard_of_pod ~k ~prefix ~host_base ~switch_base ~n_exits
     (s, add (Shard.net cluster s) ~id ~name:(prefix ^ name))
   in
   let hosts =
-    Array.init n (fun i ->
+    Xmp_engine.Tables.init n (fun i ->
         let pod, edge, slot = decompose ~k i in
         place Network.add_host_at pod (host_base + i)
-          (Printf.sprintf "h%d.%d.%d" pod edge slot))
+          ("h" ^ string_of_int pod ^ "." ^ string_of_int edge ^ "."
+         ^ string_of_int slot))
   in
   let grid rows base letter pod_of =
     Array.init rows (fun r ->
         Array.init half (fun c ->
             place Network.add_switch_at (pod_of r c)
               (base + (r * half) + c)
-              (Printf.sprintf "%s%d.%d" letter r c)))
+              (letter ^ string_of_int r ^ "." ^ string_of_int c)))
   in
   let edges = grid k switch_base "e" (fun pod _ -> pod) in
   let aggs = grid k (switch_base + (k * half)) "a" (fun pod _ -> pod) in

@@ -27,7 +27,7 @@ let build cluster ~shard ~leaves ~spines ~hosts_per_leaf ~prefix ~host_base
   let net = Shard.net cluster shard in
   let n = leaves * hosts_per_leaf in
   let hosts =
-    Array.init n (fun i ->
+    Xmp_engine.Tables.init n (fun i ->
         Network.add_host_at net ~id:(host_base + i)
           ~name:
             (Printf.sprintf "%sh%d.%d" prefix (i / hosts_per_leaf)

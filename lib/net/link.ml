@@ -110,7 +110,7 @@ and deliver t =
 let create ~sim ~id ~name ~rate ~delay ~disc =
   if rate <= 0 then invalid_arg "Link.create: rate";
   let sink = Sim.telemetry sim in
-  Queue_disc.set_telemetry disc ~sink ~now:(fun () -> Sim.now sim) ~queue:name;
+  Queue_disc.set_telemetry disc ~sink ~now:(Sim.clock sim) ~queue:name;
   let c_tx_packets, c_tx_bytes =
     if Tel.Sink.active sink then begin
       let reg = Tel.Sink.registry sink in

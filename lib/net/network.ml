@@ -104,9 +104,18 @@ let add_node_opt t ~id ~kind ~name =
   in
   let node = Node.create ~kind ~id ~name in
   if id >= Array.length t.node_arr then begin
-    let cap = Int.max 16 (Int.max (2 * Array.length t.node_arr) (id + 1)) in
+    (* a power of two, so a shard network whose ids jump (a pod's hosts,
+       then its switches, numbered after every host) stays at 256 cells,
+       in the minor heap, as long as its ids do *)
+    let cap = ref (Int.max 16 (2 * Array.length t.node_arr)) in
+    while !cap <= id do
+      cap := 2 * !cap
+    done;
+    let cap = !cap in
     let arr = Array.make cap None in
     Array.blit t.node_arr 0 arr 0 (Array.length t.node_arr);
+    (* scrubbed as it is dropped: see [close] *)
+    Array.fill t.node_arr 0 (Array.length t.node_arr) None;
     t.node_arr <- arr
   end;
   t.node_arr.(id) <- Some node;
@@ -153,7 +162,7 @@ let add_egress t ?tag ~name ~rate ~delay ~disc src receiver =
   link
 
 let make_link t ?tag ~rate ~delay ~disc src dst =
-  let name = String.concat "->" [ Node.name src; Node.name dst ] in
+  let name = Node.name src ^ "->" ^ Node.name dst in
   add_egress t ?tag ~name ~rate ~delay ~disc src (fun p -> Node.receive dst p)
 
 let connect t ?tag ~rate ~delay ~disc a b =
@@ -189,3 +198,19 @@ let unregister_endpoint t ~host ~flow ~subflow =
 
 let endpoint_stats t = Endpoints.stats t.endpoints
 let packets_dead_lettered t = t.dead
+
+(* A table in the major heap that was written with young values keeps
+   those cells remembered until the next minor collection, which
+   promotes whatever they still point to. [Hashtbl.clear] empties the
+   bucket array in place ([Hashtbl.reset] would drop it). That is not
+   enough: a resize past 256 buckets also made a temporary array of
+   bucket tails in the major heap, dropped but still remembered, so
+   every binding's handler (and through it the connection) is first
+   pointed at a static one in place. The node index is scrubbed in
+   place too. *)
+let released (_ : Packet.t) = ()
+
+let close t =
+  Endpoints.filter_map_inplace (fun _ _ -> Some released) t.endpoints;
+  Endpoints.clear t.endpoints;
+  Array.fill t.node_arr 0 (Array.length t.node_arr) None

@@ -99,3 +99,10 @@ val endpoint_stats : t -> Hashtbl.statistics
 val packets_dead_lettered : t -> int
 (** Packets that arrived at a host with no registered endpoint (e.g. after
     the flow completed and tore down); they are counted and discarded. *)
+
+val close : t -> unit
+(** Releases a finished run: unregisters every endpoint at once and
+    empties the node index, both in place, so nothing of the run is kept
+    alive through them (see {!Shard.close}). Links, their queues and
+    counters, tags and {!packets_dead_lettered} stay readable; {!node}
+    and {!find_node} find no node any more. *)

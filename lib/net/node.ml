@@ -31,13 +31,10 @@ let id t = t.id
 let kind t = t.kind
 let name t = t.name
 
+(* The cells past [n_ports] are never read. *)
 let add_port t link =
-  if t.n_ports = Array.length t.ports then begin
-    let cap = if t.n_ports = 0 then 4 else t.n_ports * 2 in
-    let arr = Array.make cap link in
-    Array.blit t.ports 0 arr 0 t.n_ports;
-    t.ports <- arr
-  end;
+  if t.n_ports = Array.length t.ports then
+    t.ports <- Xmp_engine.Tables.grow t.ports ~first:4 link;
   t.ports.(t.n_ports) <- link;
   t.n_ports <- t.n_ports + 1;
   t.n_ports - 1

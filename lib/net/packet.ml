@@ -149,21 +149,34 @@ let release p =
      sack count) is cleared, and the constructors overwrite the rest *)
   p.flags <- free_bit;
   let pool = Domain.DLS.get pool_key in
-  if pool.top = Array.length pool.stack then begin
-    let cap = Int.max 64 (2 * pool.top) in
-    let stack = Array.make cap dummy in
-    Array.blit pool.stack 0 stack 0 pool.top;
-    pool.stack <- stack
-  end;
+  if pool.top = Array.length pool.stack then
+    pool.stack <- Xmp_engine.Tables.grow pool.stack ~first:64 dummy;
   pool.stack.(pool.top) <- p;
   pool.top <- pool.top + 1
 
+(* [a] repeated up to [cap] slots. *)
+let rec repeat_to cap a =
+  let n = Array.length a in
+  if 2 * n >= cap then Array.append a (Array.sub a 0 (cap - n))
+  else repeat_to cap (Array.append a a)
+
+(* [Array.make] over 256 slots with [dummy] as the fill forces a minor
+   collection whenever [dummy] is still young, as in a process's first
+   run, so a larger ring is built from [Array.sub] and [Array.append],
+   which copy with caml_initialize (see Xmp_engine.Tables). Its slots
+   past [len] repeat queued packets until they are written; like a
+   popped slot, nothing reads them. *)
 let grow_ring ring ~head ~len cap =
-  let grown = Array.make cap dummy in
   let first = Int.min len (Array.length ring - head) in
-  Array.blit ring head grown 0 first;
-  Array.blit ring 0 grown first (len - first);
-  grown
+  if len = 0 || cap <= 256 then begin
+    let grown = Array.make cap dummy in
+    Array.blit ring head grown 0 first;
+    Array.blit ring 0 grown first (len - first);
+    grown
+  end
+  else
+    repeat_to cap
+      (Array.append (Array.sub ring head first) (Array.sub ring 0 (len - first)))
 
 (* ---- constructors ----------------------------------------------------- *)
 

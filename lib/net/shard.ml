@@ -19,7 +19,7 @@ module Time = Xmp_engine.Time
 let header_words = 2
 
 type portal = {
-  dst_node : Node.t;
+  mutable dst_node : Node.t;  (* [closed_node] once the cluster is closed *)
   lane : Sim.lane;  (* private lane in the destination sim *)
   mutable inbox : int array;
       (* FIFO ring of packet words, records back to back and possibly
@@ -44,6 +44,7 @@ type t = {
   mutable n_portals : int;
   mutable epoch : int;  (* next epoch window to run *)
   mutable injected : int;  (* lifetime mail count, for stats/tests *)
+  mutable closed : bool;
 }
 
 let create ?(config = Sim.default_config) ~shards:n () =
@@ -64,6 +65,7 @@ let create ?(config = Sim.default_config) ~shards:n () =
     n_portals = 0;
     epoch = 0;
     injected = 0;
+    closed = false;
   }
 
 let n_shards t = Array.length t.shards
@@ -160,11 +162,9 @@ let portal t ?tag ~src:(src_shard, src_node) ~dst:(dst_shard, dst_node) ~rate
   in
   pt.on_arrive <- Sim.handler dst_sim (fun () -> arrive pt);
   let index = t.n_portals in
-  if index = Array.length t.portals then begin
-    let grown = Array.make (Int.max 8 (2 * index)) pt in
-    Array.blit t.portals 0 grown 0 index;
-    t.portals <- grown
-  end;
+  (* the cells past [n_portals] are never read *)
+  if index = Array.length t.portals then
+    t.portals <- Xmp_engine.Tables.grow t.portals ~first:8 pt;
   t.portals.(index) <- pt;
   let name = Node.name src_node ^ "->" ^ Node.name dst_node in
   let receiver p =
@@ -318,6 +318,7 @@ let min_next_event t =
 
 let run ?(domains = 1) ?(until = Time.infinity) ?on_epoch t =
   if domains < 1 then invalid_arg "Shard.run: domains";
+  if t.closed then invalid_arg "Shard.run: the cluster is closed";
   if t.n_portals = 0 then begin
     (* no cross-shard edges: the shards are independent simulations and
        one pass each is the whole computation. The barrier hook still
@@ -381,3 +382,30 @@ let run ?(domains = 1) ?(until = Time.infinity) ?on_epoch t =
 
 let events_executed t =
   Array.fold_left (fun acc s -> acc + Sim.events_executed s.sim) 0 t.shards
+
+(* What a closed cluster's portals point to instead of their
+   destinations. The portal table may live in the major heap with cells
+   a young portal was written into still remembered, so the next minor
+   collection promotes the portals: pointing away from the fabric, they
+   take only themselves and their closed sims' records with them. *)
+let closed_node =
+  (* xmplint: allow mutable-global — a node with no ports or routes that
+     nothing sends to: only closed portals point to it *)
+  Node.create ~kind:Node.Switch ~id:(-1) ~name:"closed"
+
+let close t =
+  t.closed <- true;
+  Array.iter
+    (fun s ->
+      Sim.close s.sim;
+      Network.close s.net;
+      s.outbox <- [||];
+      s.outbox_len <- 0)
+    t.shards;
+  for i = 0 to t.n_portals - 1 do
+    let pt = t.portals.(i) in
+    pt.dst_node <- closed_node;
+    pt.inbox <- [||];
+    pt.head <- 0;
+    pt.len <- 0
+  done

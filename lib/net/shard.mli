@@ -127,3 +127,15 @@ val events_executed : t -> int
 
 val mail_injected : t -> int
 (** Portal packets carried across barriers so far. *)
+
+val close : t -> unit
+(** Releases a finished run: every shard's sim drops its pending events
+    ({!Xmp_engine.Sim.close}), every network its endpoints and node
+    index ({!Network.close}), outboxes and inboxes their mail, and
+    portals their destination nodes. A table in the major heap keeps the
+    cells a young value was written into remembered until the next
+    minor collection, which promotes whatever they still point to, so
+    each is overwritten in place rather than dropped. Links, their
+    queues' counters, {!events_executed} and {!mail_injected} stay
+    readable; {!run} and scheduling on any shard's sim raise
+    [Invalid_argument]. Closing twice is a no-op. *)

@@ -371,13 +371,17 @@ let run cfg =
      skipped. *)
   Setup.sweep setup ctx.metrics ctx.running ~until:cfg.horizon
     ~min_elapsed:(Time.div cfg.horizon 10);
-  {
-    metrics = ctx.metrics;
-    net;
-    config = cfg;
-    events = Shard.events_executed setup.cluster;
-    injector = setup.injectors.(0);
-  }
+  let result =
+    {
+      metrics = ctx.metrics;
+      net;
+      config = cfg;
+      events = Shard.events_executed setup.cluster;
+      injector = setup.injectors.(0);
+    }
+  in
+  Setup.close setup;
+  result
 
 let utilization_by_layer (r : result) =
   Metrics.utilization_by_layer ~net:r.net ~duration:r.config.horizon

@@ -165,7 +165,10 @@ let run ?(config = default_config) ?(domains = 1) () =
           metrics =
             Metrics.create ~keep_flows:cfg.keep_flows
               ~rtt_subsample ();
-          running = Hashtbl.create 512;
+          (* grows on demand: 512 buckets up front put a 513-word
+             array per shard straight into the major heap at every
+             set-up *)
+          running = Hashtbl.create 16;
           finished = Finished.create ();
           n_completed = 0;
         })
@@ -263,19 +266,23 @@ let run ?(config = default_config) ?(domains = 1) () =
   let completed =
     Array.fold_left (fun acc st -> acc + st.n_completed) 0 shards
   in
-  {
-    metrics = total;
-    launched = !launched;
-    completed;
-    truncated = Metrics.n_truncated_flows total;
-    events = Shard.events_executed setup.cluster;
-    mail = Shard.mail_injected setup.cluster;
-    dead_lettered =
-      Array.fold_left ( + ) 0
-        (Array.init (Shard.n_shards setup.cluster) (fun i ->
-             Xmp_net.Network.packets_dead_lettered (Shard.net setup.cluster i)));
-    config = cfg;
-  }
+  let result =
+    {
+      metrics = total;
+      launched = !launched;
+      completed;
+      truncated = Metrics.n_truncated_flows total;
+      events = Shard.events_executed setup.cluster;
+      mail = Shard.mail_injected setup.cluster;
+      dead_lettered =
+        Array.fold_left ( + ) 0
+          (Array.init (Shard.n_shards setup.cluster) (fun i ->
+               Xmp_net.Network.packets_dead_lettered (Shard.net setup.cluster i)));
+      config = cfg;
+    }
+  in
+  Setup.close setup;
+  result
 
 let run_wan ?(config = default_config) ?domains ~left ~right ~trunks () =
   run ~config:{ config with fabric = Bridged { left; right; trunks } } ?domains ()

@@ -30,15 +30,15 @@ let create ~seed ~telemetry ~shards ~queue_pkts ~marking_threshold ~rto_min
     | [| s |] -> Option.value (Scheme.marking_threshold s) ~default:marking_threshold
     | _ -> marking_threshold
   in
-  let disc () =
-    Queue_disc.create ~policy:(Queue_disc.Threshold_mark marking)
-      ~capacity_pkts:queue_pkts
-  in
+  let policy = Queue_disc.Threshold_mark marking in
+  let disc () = Queue_disc.create ~policy ~capacity_pkts:queue_pkts in
   let topo = Xmp_net.Fabric.create ~cluster ~disc fabric in
   let injectors = Injector.install_cluster cluster faults in
   let overrides = { Scheme.default_overrides with rto_min; beta; sack } in
   let schemes = Array.map (fun s -> (s, Scheme.launcher s overrides)) schemes in
   { cluster; topo; overrides; injectors; schemes }
+
+let close t = Shard.close t.cluster
 
 let scheme t ~src = t.schemes.(src mod Array.length t.schemes)
 

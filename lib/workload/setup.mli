@@ -36,6 +36,14 @@ val create :
     such links. Source host
     [i] originates [schemes.(i mod n)]. *)
 
+val close : t -> unit
+(** Releases the finished run's engine ({!Xmp_net.Shard.close}) once its
+    result is built: what it still held of the run is garbage at once
+    instead of being promoted by the next minor collection. Read event
+    counts first; they stay readable, but the cluster refuses to run or
+    schedule again. Links and their counters stay readable, so a result
+    may keep a network for its link statistics. *)
+
 val scheme : t -> src:int -> Scheme.t * Scheme.launcher
 (** The scheme host [src] originates, with its launcher. *)
 

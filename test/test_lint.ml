@@ -400,9 +400,10 @@ let test_ratchet_verdicts () =
     Alcotest.(check int) "found" 2 viol.Baseline.v_found
   | other ->
     Alcotest.failf "expected one violation, got %d" (List.length other));
-  (* fixed finding: stale pin reported, still clean *)
+  (* fixed finding: the stale pin is reported and fails the ratchet *)
   let v3 = Baseline.apply baseline [] in
-  Alcotest.(check int) "clean" 0 (List.length v3.Baseline.violations);
+  Alcotest.(check int) "no violations" 0 (List.length v3.Baseline.violations);
+  Alcotest.(check bool) "not clean" false (Baseline.clean v3);
   (match v3.Baseline.stale with
   | [ (p, r, pinned, found) ] ->
     Alcotest.(check string) "stale path" "lib/a.ml" p;
@@ -483,6 +484,30 @@ let test_main_exe_ratchet () =
   Alcotest.(check int) "pinned baseline exits 0" 0 code2;
   Alcotest.(check bool) "ratchet clean in json" true
     (contains (read_file out) "\"clean\": true");
+  (* a pin above the count found is stale: it fails the run, and the
+     message names the baseline file in use *)
+  Baseline.write bfile
+    [
+      mk_finding "lib/leaky.ml" "mutable-global" "leak";
+      mk_finding "lib/leaky.ml" "mutable-global" "leak2";
+      mk_finding "lib/leaky.ml" "missing-mli" "leaky";
+    ];
+  let code3 =
+    run
+      (Printf.sprintf "--root %s --baseline %s lib" (Filename.quote root)
+         (Filename.quote bfile))
+  in
+  Alcotest.(check int) "stale pin exits 1" 1 code3;
+  Alcotest.(check bool) "message names the baseline in use" true
+    (contains (read_file out) ("tighten " ^ bfile));
+  let code4 =
+    run
+      (Printf.sprintf "--root %s --format json --baseline %s lib"
+         (Filename.quote root) (Filename.quote bfile))
+  in
+  Alcotest.(check int) "stale pin exits 1 in json" 1 code4;
+  Alcotest.(check bool) "ratchet not clean in json" true
+    (contains (read_file out) "\"clean\": false");
   Sys.remove out;
   Sys.remove bfile;
   Sys.remove src;

@@ -426,6 +426,30 @@ let test_sharded_scenario_progress () =
   Alcotest.(check bool) "flow 2 shifted away from loaded uplink" true
     (r.loaded_share < r.recovered_share)
 
+(* A closed cluster refuses to run, and its sims to schedule; links and
+   counters stay readable. *)
+let test_closed_cluster () =
+  let cluster, a, _ = make_pair ~delay:(Time.us 40) in
+  Node.send a
+    (Packet.data ~flow:7 ~subflow:0 ~src:0 ~dst:1 ~path:0 ~seq:0 ~ect:true
+       ~cwr:false ~ts:Time.zero);
+  Shard.run ~until:(Time.us 30) cluster;
+  let events = Shard.events_executed cluster in
+  Shard.close cluster;
+  Alcotest.(check int) "events still read" events
+    (Shard.events_executed cluster);
+  Alcotest.(check int) "nothing pending" 0
+    (Sim.pending (Shard.sim cluster 0) + Sim.pending (Shard.sim cluster 1));
+  Alcotest.(check int) "links still read" 1
+    (List.length (Network.links (Shard.net cluster 0)));
+  Alcotest.check_raises "run refused"
+    (Invalid_argument "Shard.run: the cluster is closed") (fun () ->
+      Shard.run ~until:(Time.ms 1) cluster);
+  Alcotest.check_raises "scheduling refused"
+    (Invalid_argument "Sim: scheduling: the sim is closed") (fun () ->
+      Sim.at (Shard.sim cluster 1) (Time.ms 1) ignore);
+  Shard.close cluster
+
 let suite =
   [
     Alcotest.test_case "portal delivery and timing" `Quick
@@ -448,4 +472,6 @@ let suite =
       test_zero_delay_link;
     Alcotest.test_case "mail of every width across barriers" `Quick
       test_mail_of_every_width;
+    Alcotest.test_case "closed cluster refuses to run" `Quick
+      test_closed_cluster;
   ]

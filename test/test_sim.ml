@@ -189,8 +189,9 @@ let shared_delays = [| 1; 3; 4; 7 |]
    as a timer, and sometimes cancels an armed timer. With [lanes:false]
    the lane events go through [after]/[at] instead. Every random draw
    happens in firing order, so both runs make the same draws only if
-   they fire in the same order. *)
-let random_schedule ~lanes seed =
+   they fire in the same order. [initial] events are scheduled before
+   the run. *)
+let random_schedule ?(initial = 20) ~lanes seed =
   let sim = Sim.create () in
   let rng = Random.State.make [| seed |] in
   let log = ref [] in
@@ -229,7 +230,7 @@ let random_schedule ~lanes seed =
       timers.(Random.State.int rng 8) <-
         Some (Sim.timer_after sim (Random.State.int rng 10) (fire id))
   in
-  for _ = 1 to 20 do
+  for _ = 1 to initial do
     schedule ()
   done;
   Sim.run sim;
@@ -262,6 +263,79 @@ let test_lanes_match_closures () =
       Alcotest.(check bool) "smaller heap" true
         (st.Sim.heap_peak < st'.Sim.heap_peak))
     [ 1; 2; 3; 4; 5 ]
+
+(* A burst of 700 events scheduled on a fresh sim: the closures-only
+   run holds more than 256 at once, so the heap's slot table grows past
+   256 cells (with the static dummy, without a forced minor collection)
+   and more than 256 fired records are released while the free list
+   keeps 256. The heap then shrinks as the burst drains. Both runs must
+   fire in the same order, and a second closures-only run on another
+   fresh sim must give the same log and the same stats. *)
+let test_tables_grow_past_256 () =
+  List.iter
+    (fun seed ->
+      let laned, st = random_schedule ~initial:700 ~lanes:true seed in
+      let plain, st' = random_schedule ~initial:700 ~lanes:false seed in
+      let again, st'' = random_schedule ~initial:700 ~lanes:false seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: heap peak %d > 256" seed st'.Sim.heap_peak)
+        true (st'.Sim.heap_peak > 256);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "seed %d: same (time, id) order" seed)
+        plain laned;
+      Alcotest.(check int) "same executed" st'.Sim.executed st.Sim.executed;
+      Alcotest.(check (list (pair int int))) "repeatable" plain again;
+      Alcotest.(check (list int))
+        "same stats"
+        [
+          st'.Sim.executed;
+          st'.Sim.cancelled_skipped;
+          st'.Sim.heap_peak;
+          st'.Sim.rebuilds;
+        ]
+        [
+          st''.Sim.executed;
+          st''.Sim.cancelled_skipped;
+          st''.Sim.heap_peak;
+          st''.Sim.rebuilds;
+        ])
+    [ 1; 2; 3 ]
+
+(* A closed sim drops what is pending unrun and refuses to run or take
+   anything new; its counters stay readable. *)
+let test_closed_refuses () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let bump () = incr fired in
+  Sim.at sim 5 bump;
+  Sim.run ~until:5 sim;
+  Sim.at sim 10 bump;
+  let tm = Sim.timer_at sim 20 bump in
+  let ln = Sim.lane sim 3 in
+  let h = Sim.handler sim bump in
+  Sim.lane_after ln h;
+  Sim.lane_after ln h;
+  let priv = Sim.private_lane sim in
+  Sim.lane_at priv 30 h;
+  Alcotest.(check int) "pending before" 5 (Sim.pending sim);
+  Sim.close sim;
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
+  Alcotest.(check bool) "timer inactive" false (Sim.timer_active tm);
+  Sim.cancel tm;
+  Alcotest.(check int) "executed still read" 1 (Sim.events_executed sim);
+  let refused name f =
+    Alcotest.(check bool) name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  refused "run" (fun () -> Sim.run sim);
+  refused "at" (fun () -> Sim.at sim 50 bump);
+  refused "after" (fun () -> Sim.after sim 1 bump);
+  refused "timer_at" (fun () -> ignore (Sim.timer_at sim 50 bump));
+  refused "lane_after" (fun () -> Sim.lane_after ln h);
+  refused "lane_at" (fun () -> Sim.lane_at priv 60 h);
+  refused "handler" (fun () -> ignore (Sim.handler sim bump));
+  Sim.close sim;
+  Alcotest.(check int) "nothing ran" 1 !fired
 
 let test_lane_backlog_off_heap () =
   let sim = Sim.create () in
@@ -338,4 +412,7 @@ let suite =
     Alcotest.test_case "lane backlog stays off the heap" `Quick
       test_lane_backlog_off_heap;
     Alcotest.test_case "lane order enforced" `Quick test_lane_order_enforced;
+    Alcotest.test_case "tables grow past 256 as closures would" `Quick
+      test_tables_grow_past_256;
+    Alcotest.test_case "closed sim refuses to run" `Quick test_closed_refuses;
   ]

@@ -439,6 +439,39 @@ let test_driver_determinism () =
   let a = run () and b = run () in
   Alcotest.(check bool) "bit-identical reruns" true (a = b)
 
+(* Driver.run releases its engine once the result is built: nothing is
+   left pending and no endpoint stays registered, while the result's
+   network still reads its links. 384 plain-TCP connections at t = 0,
+   as in the incast.k4 benchmark set-up. *)
+let test_driver_releases_engine () =
+  let r =
+    Driver.run
+      {
+        Driver.default_config with
+        horizon = Time.zero;
+        pattern =
+          Driver.Incast
+            {
+              jobs = 48;
+              fanout = 8;
+              request_segments = 2;
+              response_segments = 45;
+              bg_mean_segments = 0.;
+              bg_cap_segments = 0.;
+              bg_shape = 1.5;
+            };
+      }
+  in
+  let net = r.Driver.net in
+  Alcotest.(check int) "nothing pending" 0
+    (Xmp_engine.Sim.pending (Xmp_net.Network.sim net));
+  Alcotest.(check int) "no endpoint bound" 0
+    (Xmp_net.Network.endpoint_stats net).Hashtbl.num_bindings;
+  Alcotest.(check int) "links still read" 96
+    (List.length (Xmp_net.Network.links net));
+  Alcotest.(check int) "three layers" 3
+    (List.length (Driver.utilization_by_layer r))
+
 let test_driver_utilization () =
   let r = Driver.run (mini_config small_permutation (Scheme.xmp 4)) in
   let layers = Driver.utilization_by_layer r in
@@ -624,6 +657,58 @@ let test_arrivals_per_host_streams () =
   Alcotest.(check bool) "stopped stream yields nothing" false !fired;
   Alcotest.(check bool) "stopped stream exhausted" true
     (Time.is_infinite next)
+
+(* The heap pops what a scan over every host would: the earliest
+   arrival, the lowest host index first among equal times. 300 hosts at
+   a rate whose 1 ns gaps collide often; the callback draws from the
+   host's stream as Open_loop does, and the reference draws the same. *)
+let test_arrivals_match_scan () =
+  let hosts = 300 and rate = 2e8 and seed = 5 in
+  let popped = ref [] in
+  let next =
+    Arrivals.until (Arrivals.create ~seed ~hosts ~rate) ~target:(Time.ns 200)
+      ~f:(fun ~host ~at ~rng ->
+        popped := (at, host, Random.State.int rng 1000) :: !popped)
+  in
+  (* reference: the same streams, a min-scan per pop *)
+  let gap rng =
+    let u = 1. -. Random.State.float rng 1. in
+    Stdlib.max 1 (int_of_float (Float.round (-.Float.log u /. rate *. 1e9)))
+  in
+  let rngs =
+    Array.init hosts (fun h -> Random.State.make [| seed; h; 0x4a5 |])
+  in
+  let at = Array.map gap rngs in
+  let expected = ref [] in
+  let rec scan () =
+    let best = ref 0 in
+    Array.iteri (fun h t -> if t < at.(!best) then best := h) at;
+    let h = !best in
+    if at.(h) > Time.ns 200 then at.(h)
+    else begin
+      let t = at.(h) in
+      at.(h) <- t + gap rngs.(h);
+      expected := (t, h, Random.State.int rngs.(h) 1000) :: !expected;
+      scan ()
+    end
+  in
+  let expected_next = scan () in
+  let ties =
+    let rec count acc = function
+      | (a, _, _) :: ((b, _, _) :: _ as rest) ->
+        count (if a = b then acc + 1 else acc) rest
+      | _ -> acc
+    in
+    count 0 !expected
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d arrivals, %d equal-time ties" (List.length !expected)
+       ties)
+    true
+    (List.length !expected > 1_000 && ties > 100);
+  Alcotest.(check (list (triple int int int)))
+    "same (time, host, draw) order" (List.rev !expected) (List.rev !popped);
+  Alcotest.(check int) "same earliest remaining" expected_next next
 
 (* ----- Metrics: streaming FCT slowdowns ----- *)
 
@@ -900,6 +985,8 @@ let suite =
       test_driver_split_assignment;
     Alcotest.test_case "driver determinism" `Slow test_driver_determinism;
     Alcotest.test_case "driver utilization" `Slow test_driver_utilization;
+    Alcotest.test_case "driver releases its engine" `Quick
+      test_driver_releases_engine;
     Alcotest.test_case "flow size validation" `Quick test_flow_size_validation;
     Alcotest.test_case "flow size sampling" `Quick test_flow_size_sampling;
     Alcotest.test_case "flow size scaling" `Quick test_flow_size_scaled;
@@ -908,6 +995,8 @@ let suite =
       test_poisson_interarrivals;
     Alcotest.test_case "per-host arrival streams" `Quick
       test_arrivals_per_host_streams;
+    Alcotest.test_case "arrivals pop as a scan would" `Quick
+      test_arrivals_match_scan;
     Alcotest.test_case "metrics fct buckets" `Quick test_metrics_fct_buckets;
     Alcotest.test_case "metrics streaming default" `Quick
       test_metrics_streaming_default;

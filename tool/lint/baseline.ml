@@ -5,8 +5,10 @@
    findings for each key; anything beyond the pinned count is a ratchet
    violation and fails the run, naming the rule and the offending
    declarations. Counts only ever go down: when a pinned finding is
-   fixed, the stale entry is reported so the baseline can be tightened
-   (stale entries warn but do not fail).
+   fixed, the entry that now pins more findings than remain is stale,
+   and a stale entry fails the run too, so the baseline is tightened in
+   the change that fixed the finding. Left loose, it would let a new
+   finding of the same rule in the same file pass.
 
    The file format is a strict subset of JSON:
 
@@ -333,12 +335,14 @@ let apply (baseline : entry list) (findings : Report.finding list) : verdict =
     suppressed = !suppressed;
   }
 
+let clean v = v.violations = [] && v.stale = []
+
 let verdict_to_json v =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "    \"clean\": %b,\n    \"suppressed\": %d,\n"
-       (v.violations = []) v.suppressed);
+       (clean v) v.suppressed);
   Buffer.add_string buf "    \"violations\": [";
   List.iteri
     (fun i viol ->
@@ -370,7 +374,7 @@ let verdict_to_json v =
   Buffer.add_string buf "]\n  }";
   Buffer.contents buf
 
-let print_verdict_text v =
+let print_verdict_text ~baseline v =
   List.iter
     (fun viol ->
       Printf.printf
@@ -385,6 +389,6 @@ let print_verdict_text v =
     (fun (p, r, pinned, found) ->
       Printf.printf
         "xmplint: stale baseline entry: [%s] in %s pins %d but only %d \
-         found — tighten tool/lint/baseline.json\n"
-        r p pinned found)
+         found — tighten %s\n"
+        r p pinned found baseline)
     v.stale

@@ -4,12 +4,13 @@
    {!Xmplint_lib.Rules}, then runs the whole-tree passes (missing-mli,
    unused-export) over them all, and renders findings as text or JSON. With
    [--baseline FILE] the committed ratchet is applied: pinned findings
-   are tolerated (and listed as suppressed), any growth in a rule's
-   count per file fails the run. [--write-baseline FILE] regenerates the
+   are tolerated (and listed as suppressed); any growth in a rule's
+   count per file fails the run, and so does a stale pin, one above the
+   count found. [--write-baseline FILE] regenerates the
    pin file from the current findings.
 
-   Exit status: 0 clean (or within baseline), 1 findings / ratchet
-   violations, 2 usage or I/O error. *)
+   Exit status: 0 clean (or exactly within baseline), 1 findings /
+   ratchet violations / stale pins, 2 usage or I/O error. *)
 
 open Xmplint_lib
 
@@ -134,7 +135,7 @@ let () =
         exit 1))
   | Some entries -> (
     let verdict = Baseline.apply entries all in
-    let ok = verdict.Baseline.violations = [] in
+    let ok = Baseline.clean verdict in
     match !format with
     | `Json ->
       print_string
@@ -146,7 +147,9 @@ let () =
       List.iter
         (fun v -> List.iter (fun f -> print_endline (Report.finding_to_string f)) v.Baseline.v_findings)
         verdict.Baseline.violations;
-      Baseline.print_verdict_text verdict;
+      Baseline.print_verdict_text
+        ~baseline:(Option.value !baseline_file ~default:"")
+        verdict;
       if ok then begin
         Printf.printf
           "xmplint: %d files clean (%d baseline-pinned finding(s))\n"
@@ -154,7 +157,10 @@ let () =
         exit 0
       end
       else begin
-        Printf.printf "xmplint: ratchet failed: %d rule/file pair(s) grew\n"
-          (List.length verdict.Baseline.violations);
+        Printf.printf
+          "xmplint: ratchet failed: %d rule/file pair(s) grew, %d stale \
+           pin(s)\n"
+          (List.length verdict.Baseline.violations)
+          (List.length verdict.Baseline.stale);
         exit 1
       end)
