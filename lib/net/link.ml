@@ -18,6 +18,7 @@ module Tel = Xmp_telemetry
 type t = {
   id : int;
   name : string;
+  tag : string option;
   rate : Units.rate;
   delay : Time.t;
   disc : Queue_disc.t;
@@ -107,7 +108,7 @@ and deliver t =
   let p = wire_pop t in
   if t.up then t.receiver p else Packet.release p
 
-let create ~sim ~id ~name ~rate ~delay ~disc =
+let create ~sim ~id ?tag ~name ~rate ~delay ~disc () =
   if rate <= 0 then invalid_arg "Link.create: rate";
   let sink = Sim.telemetry sim in
   Queue_disc.set_telemetry disc ~sink ~now:(Sim.clock sim) ~queue:name;
@@ -131,6 +132,7 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
     {
       id;
       name;
+      tag;
       rate;
       delay;
       disc;
@@ -162,6 +164,7 @@ let set_receiver t f = t.receiver <- f
 let set_drop_filter t f = t.drop_filter <- f
 let id t = t.id
 let name t = t.name
+let tag t = t.tag
 let rate t = t.rate
 let delay t = t.delay
 let disc t = t.disc

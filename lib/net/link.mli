@@ -26,13 +26,15 @@ type t
 val create :
   sim:Xmp_engine.Sim.t ->
   id:int ->
+  ?tag:string ->
   name:string ->
   rate:Units.rate ->
   delay:Xmp_engine.Time.t ->
   disc:Queue_disc.t ->
+  unit ->
   t
 (** The receiver callback must be attached with {!set_receiver} before the
-    first {!send}. *)
+    first {!send}. [tag] names the link's layer ({!tag}). *)
 
 val set_receiver : t -> (Packet.t -> unit) -> unit
 
@@ -47,6 +49,10 @@ val set_drop_filter : t -> (Packet.t -> bool) option -> unit
 val id : t -> int
 
 val name : t -> string
+
+val tag : t -> string option
+(** The layer the link was created in ([rack], [core], [wan], ...), if
+    any; {!Network.links_tagged} selects on it. *)
 
 val rate : t -> Units.rate
 

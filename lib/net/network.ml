@@ -57,7 +57,6 @@ type t = {
   mutable next_id : int;
   mutable links_rev : Link.t list;
   mutable next_link : int;
-  tags : (int, string) Hashtbl.t;  (* link id -> tag *)
   endpoints : (Packet.t -> unit) Endpoints.t;  (* packed (dst, flow, subflow) *)
   mutable dead : int;
 }
@@ -71,8 +70,7 @@ let create sim =
     next_id = 0;
     links_rev = [];
     next_link = 0;
-    (* both grow on demand; 16 buckets is the Hashtbl floor *)
-    tags = Hashtbl.create 16;
+    (* grows on demand; 16 buckets is the Hashtbl floor *)
     endpoints = Endpoints.create 16;
     dead = 0;
   }
@@ -154,11 +152,10 @@ let n_nodes t = t.n_nodes
 let add_egress t ?tag ~name ~rate ~delay ~disc src receiver =
   let id = t.next_link in
   t.next_link <- id + 1;
-  let link = Link.create ~sim:t.sim ~id ~name ~rate ~delay ~disc:(disc ()) in
+  let link = Link.create ~sim:t.sim ~id ?tag ~name ~rate ~delay ~disc:(disc ()) () in
   Link.set_receiver link receiver;
   ignore (Node.add_port src link);
   t.links_rev <- link :: t.links_rev;
-  (match tag with Some tag -> Hashtbl.replace t.tags id tag | None -> ());
   link
 
 let make_link t ?tag ~rate ~delay ~disc src dst =
@@ -174,10 +171,10 @@ let links t = List.rev t.links_rev
 
 let links_tagged t tag =
   List.filter
-    (fun l -> Hashtbl.find_opt t.tags (Link.id l) = Some tag)
+    (fun l -> Link.tag l = Some tag)
     (links t)
 
-let tag_of_link t l = Hashtbl.find_opt t.tags (Link.id l)
+let tag_of_link _ l = Link.tag l
 
 let find_link t ~name =
   List.find_opt (fun l -> String.equal (Link.name l) name) (links t)

@@ -13,7 +13,7 @@ let mk_data ?(size_seq = 0) seq =
 let mk_link ?(rate = Units.gbps 1.) ?(delay = Time.us 10) ?(capacity = 10)
     ?(policy = Queue_disc.Droptail) sim =
   let disc = Queue_disc.create ~policy ~capacity_pkts:capacity in
-  Link.create ~sim ~id:0 ~name:"test" ~rate ~delay ~disc
+  Link.create ~sim ~id:0 ~name:"test" ~rate ~delay ~disc ()
 
 let test_delivery_timing () =
   let sim = Sim.create () in
