@@ -24,9 +24,6 @@ type 'a t = {
   mutable free : int array;  (* free slot stack: free.(0 .. free_top-1) *)
   mutable free_top : int;
   mutable len : int;
-  mutable low : int;
-      (* [len] at or below which the heap arrays shrink: an eighth of
-         their length, 0 while they are at the 64-cell floor *)
   mutable dead : int;
       (* entries still in the heap whose payload [live] rejects; kept
          accurate by [note_dead] (+1) and [pop] (-1 on a dead top) *)
@@ -48,7 +45,6 @@ let create ?(live = fun _ -> true) () =
     free = [||];
     free_top = 0;
     len = 0;
-    low = 0;
     dead = 0;
     rebuilds = 0;
     dummy = None;
@@ -75,8 +71,7 @@ let resize_heap h cap' =
   h.seqs <- seqs';
   let slots' = Array.make cap' 0 in
   Array.blit h.slots 0 slots' 0 h.len;
-  h.slots <- slots';
-  h.low <- (if cap' > 64 then cap' / 8 else 0)
+  h.slots <- slots'
 
 (* Overwrites a payload table that is about to be dropped: one in the
    major heap keeps the cells a young payload was written into
@@ -212,55 +207,10 @@ let rekey_top h ~time ~seq =
 let scrub h s =
   match h.dummy with Some d -> h.payloads.(s) <- d | None -> ()
 
-(* Live payloads keep their slot numbers, so the slot table can only
-   shrink to just past the highest held slot. *)
-let shrink_slots h =
-  let cap = Array.length h.payloads in
-  let held = cap - h.free_top in
-  if cap > 64 && held * 4 <= cap then
-    if held = 0 then begin
-      scrub_all h h.payloads;
-      h.payloads <- [||];
-      h.free <- [||];
-      h.free_top <- 0
-    end
-    else begin
-      let max_slot = ref 0 in
-      for i = 0 to h.len - 1 do
-        if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
-      done;
-      let cap' = Int.max 64 (Int.max (2 * held) (!max_slot + 1)) in
-      if cap' < cap then begin
-        let old = h.payloads in
-        h.payloads <- Array.sub old 0 cap';
-        scrub_all h old;
-        (* rebuild the free stack from the slots no entry holds *)
-        let taken = Array.make cap' false in
-        for i = 0 to h.len - 1 do
-          if h.slots.(i) >= 0 then taken.(h.slots.(i)) <- true
-        done;
-        let free' = Array.make cap' 0 in
-        let top = ref 0 in
-        for s = cap' - 1 downto 0 do
-          if not taken.(s) then begin
-            free'.(!top) <- s;
-            incr top
-          end
-        done;
-        h.free <- free';
-        h.free_top <- !top
-      end
-    end
-
-(* After a burst, once the length falls below an eighth of the heap
-   arrays, they shrink to twice the length (never below 64), so they
-   grow again only after the length has quadrupled; the slot table
-   follows when at most a quarter of it is held. *)
-let shrink h =
-  resize_heap h (Int.max 64 (2 * h.len));
-  shrink_slots h
-
-(* Move the last entry up into the root and restore the heap property. *)
+(* Move the last entry up into the root and restore the heap property.
+   An emptied heap keeps its capacity (bursty simulations would
+   otherwise re-allocate from 64 on every burst — call [compact] or
+   [clear] to release memory explicitly). *)
 let drop_root h =
   h.len <- h.len - 1;
   if h.len > 0 then begin
@@ -268,8 +218,7 @@ let drop_root h =
     h.seqs.(0) <- h.seqs.(h.len);
     h.slots.(0) <- h.slots.(h.len);
     sift_down h 0
-  end;
-  if h.len < h.low then shrink h
+  end
 
 (* Pop mechanics for a payload root: read its payload, scrub and free
    its slot (left populated it would keep the payload reachable — a
@@ -323,8 +272,7 @@ let purge h =
     for i = (h.len / 2) - 1 downto 0 do
       sift_down h i
     done;
-    h.rebuilds <- h.rebuilds + 1;
-    if h.len < h.low then shrink h
+    h.rebuilds <- h.rebuilds + 1
   end
 
 let note_dead h =
@@ -334,6 +282,46 @@ let note_dead h =
      cancellations) under cancel-heavy workloads (per-ACK timer churn). *)
   if h.dead > (h.len - h.dead) / 2 then purge h
 
+(* Live payloads keep their slot numbers, so the slot table can only
+   shrink to just past the highest held slot. *)
+let shrink_slots h =
+  let cap = Array.length h.payloads in
+  let held = cap - h.free_top in
+  if cap > 64 && held * 4 <= cap then
+    if held = 0 then begin
+      scrub_all h h.payloads;
+      h.payloads <- [||];
+      h.free <- [||];
+      h.free_top <- 0
+    end
+    else begin
+      let max_slot = ref 0 in
+      for i = 0 to h.len - 1 do
+        if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
+      done;
+      let cap' = Int.max 64 (Int.max (2 * held) (!max_slot + 1)) in
+      if cap' < cap then begin
+        let old = h.payloads in
+        h.payloads <- Array.sub old 0 cap';
+        scrub_all h old;
+        (* rebuild the free stack from the slots no entry holds *)
+        let taken = Array.make cap' false in
+        for i = 0 to h.len - 1 do
+          if h.slots.(i) >= 0 then taken.(h.slots.(i)) <- true
+        done;
+        let free' = Array.make cap' 0 in
+        let top = ref 0 in
+        for s = cap' - 1 downto 0 do
+          if not taken.(s) then begin
+            free'.(!top) <- s;
+            incr top
+          end
+        done;
+        h.free <- free';
+        h.free_top <- !top
+      end
+    end
+
 let compact h =
   purge h;
   let cap = Array.length h.times in
@@ -341,8 +329,7 @@ let compact h =
     if h.len = 0 then begin
       h.times <- [||];
       h.seqs <- [||];
-      h.slots <- [||];
-      h.low <- 0
+      h.slots <- [||]
     end
     else resize_heap h (Int.max 64 (2 * h.len));
   shrink_slots h
@@ -354,7 +341,6 @@ let clear ?(release = ignore) h =
   done;
   scrub_all h h.payloads;
   h.len <- 0;
-  h.low <- 0;
   h.dead <- 0;
   h.times <- [||];
   h.seqs <- [||];

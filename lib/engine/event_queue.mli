@@ -67,12 +67,9 @@ val note_dead : 'a t -> unit
 
 val compact : 'a t -> unit
 (** Explicit compaction: drops dead entries now and, when the backing
-    array is at most a quarter full afterwards, shrinks it. Without it
-    the heap shrinks on its own after a burst: once its length falls
-    below an eighth of its arrays, a pop or a lazy-deletion compaction
-    shrinks them to twice the length (64 at least), so they grow again
-    only after the length has quadrupled, and the slot table follows
-    when at most a quarter of it is held. *)
+    array is at most a quarter full afterwards, shrinks it. An emptied
+    heap otherwise keeps its capacity so bursty simulations do not
+    re-allocate from scratch on every burst. *)
 
 val top_time : 'a t -> Time.t
 (** Timestamp of the earliest event (dead entries included: the

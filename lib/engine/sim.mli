@@ -37,9 +37,8 @@
     that way ({!Tables}). Vacated event-heap slots and free-list cells
     hold {!no_timer}, made at start-up; the heap's payload table and the
     lane table double through {!Tables.grow}. At most 256 fired event
-    records wait on the free list for reuse, and the heap's arrays
-    shrink once its length falls below an eighth of them. {!close}
-    releases a finished run's events. *)
+    records wait on the free list for reuse. {!close} releases a
+    finished run's events. *)
 
 type t
 

@@ -174,8 +174,6 @@ let links_tagged t tag =
     (fun l -> Link.tag l = Some tag)
     (links t)
 
-let tag_of_link _ l = Link.tag l
-
 let find_link t ~name =
   List.find_opt (fun l -> String.equal (Link.name l) name) (links t)
 

@@ -70,8 +70,6 @@ val links : t -> Link.t list
 
 val links_tagged : t -> string -> Link.t list
 
-val tag_of_link : t -> Link.t -> string option
-
 val find_link : t -> name:string -> Link.t option
 (** Looks a link up by its ["src->dst"] name (first match in creation
     order; builder-generated names are unique). How fault schedules and

@@ -154,29 +154,26 @@ let release p =
   pool.stack.(pool.top) <- p;
   pool.top <- pool.top + 1
 
-(* [a] repeated up to [cap] slots. *)
-let rec repeat_to cap a =
-  let n = Array.length a in
-  if 2 * n >= cap then Array.append a (Array.sub a 0 (cap - n))
-  else repeat_to cap (Array.append a a)
-
 (* [Array.make] over 256 slots with [dummy] as the fill forces a minor
    collection whenever [dummy] is still young, as in a process's first
-   run, so a larger ring is built from [Array.sub] and [Array.append],
-   which copy with caml_initialize (see Xmp_engine.Tables). Its slots
-   past [len] repeat queued packets until they are written; like a
-   popped slot, nothing reads them. *)
+   run, so a larger ring, at most twice [len], is the unwrapped packets
+   followed by the first [cap - len] of them again, built from
+   [Array.sub] and [Array.append], which copy with caml_initialize (see
+   Xmp_engine.Tables). Like a popped slot, nothing reads the repeats
+   before they are written. *)
 let grow_ring ring ~head ~len cap =
   let first = Int.min len (Array.length ring - head) in
-  if len = 0 || cap <= 256 then begin
+  if cap <= 256 then begin
     let grown = Array.make cap dummy in
     Array.blit ring head grown 0 first;
     Array.blit ring 0 grown first (len - first);
     grown
   end
   else
-    repeat_to cap
-      (Array.append (Array.sub ring head first) (Array.sub ring 0 (len - first)))
+    let u =
+      Array.append (Array.sub ring head first) (Array.sub ring 0 (len - first))
+    in
+    Array.append u (Array.sub u 0 (cap - len))
 
 (* ---- constructors ----------------------------------------------------- *)
 

@@ -61,12 +61,13 @@ let create ~seed ~hosts ~rate =
 
 (* Pop everything due at or before [target], in (time, host) order; the
    root left is the earliest remaining arrival. A host's key only grows
-   when it is popped, so the root sifts down in place. *)
+   when it is popped, so the root sifts down in place. An infinite root
+   is a stopped generator, whatever the target. *)
 let until t ~target ~f =
   let rec loop () =
     let host = t.heap.(0) in
     let at = t.next.(host) in
-    if Time.compare at target > 0 then at
+    if Time.is_infinite at || Time.compare at target > 0 then at
     else begin
       let rng = t.rngs.(host) in
       t.next.(host) <- Time.add at (Time.ns (gap_ns rng t.rate));

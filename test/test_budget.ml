@@ -572,6 +572,56 @@ module Setup_gc = struct
           (forced_by run))
       runs
 
+  (* A k = 12 fat tree has 432 hosts, more than the 256 cells of the
+     largest block the minor heap takes, so its host array and the
+     open-loop arrival streams over its hosts are built past that size.
+     The fabric is built alone (its hosts must keep their index order),
+     then set up by both drivers at horizon 0. *)
+  let k12 = Xmp_net.Fabric.Fat_tree 12
+
+  let large_fabric_forces_nothing () =
+    let disc () =
+      Xmp_net.Queue_disc.create
+        ~policy:(Xmp_net.Queue_disc.Threshold_mark 10)
+        ~capacity_pkts:100
+    in
+    let cluster = Xmp_net.Shard.create ~shards:1 () in
+    let topo = ref None in
+    Alcotest.(check int) "k=12 fat tree: forced minor collections" 0
+      (forced_by (fun () ->
+           topo := Some (Xmp_net.Fat_tree.create ~cluster ~k:12 ~disc ())));
+    let n = (Option.get !topo).Xmp_net.Topology.n_hosts in
+    Alcotest.(check int) "k=12 fat tree: hosts" 432 n;
+    let net = Xmp_net.Shard.net cluster 0 in
+    Alcotest.(check (list string))
+      "k=12 fat tree: hosts in index order"
+      (List.init n (fun i ->
+           Printf.sprintf "h%d.%d.%d" (i / 36) (i mod 36 / 6) (i mod 6)))
+      (List.init n (fun i -> Xmp_net.Node.name (Xmp_net.Network.node net i)));
+    Alcotest.(check int) "k=12 Driver set-up: forced minor collections" 0
+      (forced_by (fun () ->
+           ignore
+             (Driver.run
+                {
+                  Driver.default_config with
+                  fabric = k12;
+                  horizon = Time.zero;
+                  pattern = bulk;
+                })));
+    Alcotest.(check int) "k=12 Open_loop set-up: forced minor collections" 0
+      (forced_by (fun () ->
+           ignore
+             (Open_loop.run
+                ~config:
+                  {
+                    Open_loop.default_config with
+                    fabric = k12;
+                    sizes = web_search;
+                    horizon = Time.zero;
+                    drain = Time.zero;
+                  }
+                ())))
+
   (* Words the next minor collection promotes after one finished
      incast.k4 set-up, which starts from an empty minor heap and, at
      about 90 000 words, fits in it whole. A table in the major heap that
@@ -637,4 +687,6 @@ let suite =
       Alcotest.test_case "forced minors workload runs" `Slow
         Setup_gc.runs_force_nothing;
       Alcotest.test_case "promoted words incast.k4 set-up" `Slow test_promoted;
+      Alcotest.test_case "forced minors k=12 fat tree set-up" `Slow
+        Setup_gc.large_fabric_forces_nothing;
     ]

@@ -317,7 +317,7 @@ let test_fat_tree_uplink_helpers () =
         Alcotest.(check string) "find_link returns that link" name
           (Net.Link.name l);
         Alcotest.(check (option string)) (name ^ " carries the aggregation tag")
-          (Some "aggregation") (Net.Network.tag_of_link net l)
+          (Some "aggregation") (Net.Link.tag l)
       | None -> Alcotest.failf "find_link missed %s" name)
     [ "e0.0->a0.0"; "a0.0->e0.0"; "e3.1->a3.0" ];
   Alcotest.(check bool) "no pod 9 on a k=4 tree" true

@@ -323,7 +323,7 @@ module Gen_spec = struct
   let faults_on net =
     let module Network = Xmp_net.Network in
     let links = Network.links net in
-    let tags = List.sort_uniq String.compare (List.filter_map (Network.tag_of_link net) links) in
+    let tags = List.sort_uniq String.compare (List.filter_map Xmp_net.Link.tag links) in
     let hosts =
       List.filter
         (fun i -> Xmp_net.Node.kind (Network.node net i) = Xmp_net.Node.Host)

@@ -121,7 +121,7 @@ let test_tags () =
   | first :: _ ->
     Alcotest.(check (option string))
       "tag lookup" (Some "core")
-      (Network.tag_of_link net first)
+      (Net.Link.tag first)
   | [] -> Alcotest.fail "no links"
 
 let test_asym_connect () =

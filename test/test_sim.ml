@@ -268,8 +268,7 @@ let test_lanes_match_closures () =
    run holds more than 256 at once, so the heap's slot table grows past
    256 cells (with the static dummy, without a forced minor collection)
    and more than 256 fired records are released while the free list
-   keeps 256. The heap then shrinks as the burst drains. Both runs must
-   fire in the same order, and a second closures-only run on another
+   keeps 256. Both runs must fire in the same order, and a second closures-only run on another
    fresh sim must give the same log and the same stats. *)
 let test_tables_grow_past_256 () =
   List.iter

@@ -656,6 +656,14 @@ let test_arrivals_per_host_streams () =
   in
   Alcotest.(check bool) "stopped stream yields nothing" false !fired;
   Alcotest.(check bool) "stopped stream exhausted" true
+    (Time.is_infinite next);
+  let next =
+    Arrivals.until t2 ~target:Time.infinity ~f:(fun ~host:_ ~at:_ ~rng:_ ->
+        fired := true)
+  in
+  Alcotest.(check bool) "stopped stream yields nothing by infinity" false
+    !fired;
+  Alcotest.(check bool) "stopped stream exhausted by infinity" true
     (Time.is_infinite next)
 
 (* The heap pops what a scan over every host would: the earliest
