@@ -123,8 +123,9 @@ let run_cmd =
         | Named name -> Result.get_ok (E.Scenarios.select cfg [ name ])
         | Spec (text, spec) ->
           [
-            E.Scenarios.keyed ~name:text ~descr:"run spec" (E.Run_spec.key spec)
-              (fun () -> write (E.Run_spec.run ~domains spec));
+            Xmp_runner.Scenario.create ~name:text ~descr:"run spec"
+              ~key:(E.Run_spec.key spec) (fun () ->
+                write (E.Run_spec.run ~domains spec));
           ]
       in
       (* as Scenarios.select does, a repeated name runs and prints once *)

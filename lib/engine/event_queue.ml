@@ -209,8 +209,8 @@ let scrub h s =
 
 (* Move the last entry up into the root and restore the heap property.
    An emptied heap keeps its capacity (bursty simulations would
-   otherwise re-allocate from 64 on every burst — call [compact] or
-   [clear] to release memory explicitly). *)
+   otherwise re-allocate from 64 on every burst — call [clear] to
+   release memory explicitly). *)
 let drop_root h =
   h.len <- h.len - 1;
   if h.len > 0 then begin
@@ -281,58 +281,6 @@ let note_dead h =
      the live ones, so the heap stays O(live) instead of O(total
      cancellations) under cancel-heavy workloads (per-ACK timer churn). *)
   if h.dead > (h.len - h.dead) / 2 then purge h
-
-(* Live payloads keep their slot numbers, so the slot table can only
-   shrink to just past the highest held slot. *)
-let shrink_slots h =
-  let cap = Array.length h.payloads in
-  let held = cap - h.free_top in
-  if cap > 64 && held * 4 <= cap then
-    if held = 0 then begin
-      scrub_all h h.payloads;
-      h.payloads <- [||];
-      h.free <- [||];
-      h.free_top <- 0
-    end
-    else begin
-      let max_slot = ref 0 in
-      for i = 0 to h.len - 1 do
-        if h.slots.(i) > !max_slot then max_slot := h.slots.(i)
-      done;
-      let cap' = Int.max 64 (Int.max (2 * held) (!max_slot + 1)) in
-      if cap' < cap then begin
-        let old = h.payloads in
-        h.payloads <- Array.sub old 0 cap';
-        scrub_all h old;
-        (* rebuild the free stack from the slots no entry holds *)
-        let taken = Array.make cap' false in
-        for i = 0 to h.len - 1 do
-          if h.slots.(i) >= 0 then taken.(h.slots.(i)) <- true
-        done;
-        let free' = Array.make cap' 0 in
-        let top = ref 0 in
-        for s = cap' - 1 downto 0 do
-          if not taken.(s) then begin
-            free'.(!top) <- s;
-            incr top
-          end
-        done;
-        h.free <- free';
-        h.free_top <- !top
-      end
-    end
-
-let compact h =
-  purge h;
-  let cap = Array.length h.times in
-  if cap > 64 && h.len * 4 <= cap then
-    if h.len = 0 then begin
-      h.times <- [||];
-      h.seqs <- [||];
-      h.slots <- [||]
-    end
-    else resize_heap h (Int.max 64 (2 * h.len));
-  shrink_slots h
 
 let clear ?(release = ignore) h =
   for i = 0 to h.len - 1 do

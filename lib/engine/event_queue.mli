@@ -17,7 +17,7 @@
     ({!add_coded}): a non-negative int and its key, with no payload and
     no pointer written. {!Sim} keeps one coded entry per non-empty FIFO
     lane, keyed by the lane's head; coded entries are always live and
-    survive {!compact}. *)
+    survive compaction. *)
 
 type 'a t
 
@@ -64,12 +64,6 @@ val note_dead : 'a t -> unit
 (** Tells the heap one of its entries' payloads just became dead (the
     caller already flipped the state that [live] inspects). May trigger
     an O(n) compaction; amortized O(1) per cancellation. *)
-
-val compact : 'a t -> unit
-(** Explicit compaction: drops dead entries now and, when the backing
-    array is at most a quarter full afterwards, shrinks it. An emptied
-    heap otherwise keeps its capacity so bursty simulations do not
-    re-allocate from scratch on every burst. *)
 
 val top_time : 'a t -> Time.t
 (** Timestamp of the earliest event (dead entries included: the

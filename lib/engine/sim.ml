@@ -39,10 +39,6 @@ type t = {
   mutable cancelled_skipped : int;
   mutable heap_peak : int;
   mutable closed : bool;
-  invariants : bool;
-      (* snapshot taken at creation; re-asserted on every dispatch so two
-         sims with different settings in one process do not bleed into
-         each other (the global toggle is the ambient default) *)
   random : Random.State.t;
   telemetry : Xmp_telemetry.Sink.t;
   clock : unit -> Time.t;  (* reads [now]; one closure per sim *)
@@ -68,7 +64,6 @@ module Invariant = Xmp_check.Invariant
 
 type config = {
   seed : int;
-  invariants : bool option;
   telemetry : Xmp_telemetry.Sink.t;
 }
 
@@ -79,12 +74,7 @@ type stats = {
   rebuilds : int;
 }
 
-let default_config =
-  {
-    seed = 42;
-    invariants = None;
-    telemetry = Xmp_telemetry.Sink.null;
-  }
+let default_config = { seed = 42; telemetry = Xmp_telemetry.Sink.null }
 
 (* process-wide tally across every simulator instance; the scenario runner
    reads deltas of this to report events-per-scenario from its workers.
@@ -120,15 +110,6 @@ let no_timer =
   { run = dead; pooled = false; heap = Event_queue.create () }
 
 let create ?(config = default_config) () =
-  let invariants =
-    match config.invariants with
-    | Some b ->
-      (* also applied immediately: construction-time code (e.g. a
-         transport's initial send) checks under the requested setting *)
-      Invariant.set_enabled b;
-      b
-    | None -> Invariant.enabled ()
-  in
   let heap = Event_queue.create ~live () in
   Event_queue.set_dummy heap no_timer;
   let rec t =
@@ -148,7 +129,6 @@ let create ?(config = default_config) () =
       cancelled_skipped = 0;
       heap_peak = 0;
       closed = false;
-      invariants;
       random = Random.State.make [| config.seed; 0x584d50 (* "XMP" *) |];
       telemetry = config.telemetry;
       clock = (fun () -> t.now);
@@ -353,10 +333,7 @@ let lane_at ln time h =
 
 (* Clock and accounting for a live event about to run at [time]. *)
 let begin_event (t : t) time =
-  if Invariant.enabled () <> t.invariants then
-    Invariant.set_enabled t.invariants;
-  if t.invariants && not (Invariant.holds (Time.compare time t.now >= 0))
-  then
+  if not (Invariant.holds (Time.compare time t.now >= 0)) then
     Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
         Format.asprintf "event at %a dispatched after clock reached %a"
           Time.pp time Time.pp t.now);

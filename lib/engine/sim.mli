@@ -47,12 +47,6 @@ type timer
 
 type config = {
   seed : int;  (** random-state seed; runs with equal seeds are identical *)
-  invariants : bool option;
-      (** when [Some b], invariant checking is [b] for events this sim
-          dispatches (snapshotted per-sim, so two sims in one process do
-          not reconfigure each other); [None] snapshots the ambient
-          global {!Xmp_check.Invariant} toggle at creation time (checks
-          default to on) *)
   telemetry : Xmp_telemetry.Sink.t;
       (** sink shared with every component built over this simulator;
           {!Xmp_telemetry.Sink.null} disables instrumentation *)
@@ -71,7 +65,7 @@ type stats = {
 }
 
 val default_config : config
-(** [{ seed = 42; invariants = None; telemetry = Sink.null }] —
+(** [{ seed = 42; telemetry = Sink.null }] —
     override fields with record update syntax: [Sim.create ~config:{ Sim.default_config with seed = 7 } ()]. *)
 
 val create : ?config:config -> unit -> t

@@ -27,7 +27,7 @@ type env = {
 
 let run g ~seed ~telemetry ~faults ~queue ~capacity_pkts ~bucket_s ~horizon_s
     schedule =
-  let config = { Sim.default_config with seed; telemetry } in
+  let config = { Sim.seed; telemetry } in
   let cluster = Net.Shard.create ~config ~shards:1 () in
   let sim = Net.Shard.sim cluster 0 and net = Net.Shard.net cluster 0 in
   let disc () = Net.Queue_disc.create ~policy:queue ~capacity_pkts in

@@ -199,8 +199,6 @@ let fault_words (f : Fault_spec.t) =
     Printf.sprintf "fault-seed=%d" f.seed
     :: List.map (fun s -> "fault=" ^ Fault_spec.spec_to_string s) f.specs
 
-let faults_to_string f = String.concat " " (fault_words f)
-
 (* Structured words (trunks, faults) come first and [sack=] (on a
    testbed, [cc=]) last, so nothing appended to a printed spec can extend
    a valid value. *)

@@ -150,10 +150,6 @@ val incast_base : base -> (base, string) result
 (** [Ok base] when [base]'s fat tree has the hosts an incast needs, else
     the [field 'traffic'] error {!of_string} gives [ft:K SCHEME incast]. *)
 
-val faults_to_string : Xmp_engine.Fault_spec.t -> string
-(** The [fault-seed=] and [fault=] words of a schedule; [""] when it is
-    empty. *)
-
 val wan_rto_min :
   left:Xmp_net.Wan.dc_spec ->
   right:Xmp_net.Wan.dc_spec ->

@@ -19,11 +19,6 @@ let quick =
 
 let paper = { tag = "paper"; scale = 1.0; base = Run_spec.paper_scale_base }
 
-(* A scenario's key is the canonical text of everything its output
-   depends on, built by Run_spec's printers. *)
-let keyed ~name ~descr key run =
-  Scenario.create ~name ~descr ~params:[ ("key", key) ] run
-
 (* What a registered name runs: a testbed figure is a heading over its
    panel specs, a base view prints the runs of one fat-tree base (an
    incast view among them needs a base with the hosts an incast draws),
@@ -169,20 +164,23 @@ let registry =
       Keyed (fun { scale; _ } -> (Wan_eval.mixed_key ~scale, Wan_eval.print_mixed ~scale)) );
   ]
 
+(* A scenario's key is the canonical text of everything its output
+   depends on, built by Run_spec's printers. *)
 let view ~name ~descr run base =
-  keyed ~name ~descr (Run_spec.base_to_string base) (fun () -> run base)
+  Scenario.create ~name ~descr ~key:(Run_spec.base_to_string base) (fun () ->
+      run base)
 
 let scenario cfg (name, descr, body) =
   match body with
   | Figure (heading, panels) ->
     let specs = List.map (fun t -> Run_spec.Testbed t) (panels ~scale:cfg.scale) in
-    keyed ~name ~descr (Run_spec.keys specs) (fun () ->
+    Scenario.create ~name ~descr ~key:(Run_spec.keys specs) (fun () ->
         Render.heading heading;
         List.iter (fun s -> ignore (Run_spec.run s)) specs)
   | View run | Incast_view run -> view ~name ~descr run cfg.base
   | Keyed f ->
     let key, run = f cfg in
-    keyed ~name ~descr key run
+    Scenario.create ~name ~descr ~key run
 
 let all cfg = List.map (scenario cfg) registry
 

@@ -39,12 +39,6 @@ val select :
     scenario is named by the id's text and ignores [config]. [Error] is a
     message naming the unknown id or the offending field. *)
 
-val keyed :
-  name:string -> descr:string -> string -> (unit -> unit) -> Xmp_runner.Scenario.t
-(** [keyed ~name ~descr key run]: a scenario whose digest covers [key],
-    the canonical text ({!Run_spec}'s printers) of every input [run]
-    depends on. *)
-
 val golden : unit -> Xmp_runner.Scenario.t list
 (** The golden-regression set: fig1/fig4/fig6/fig7, the K and
     queue-occupancy ablations, wan.asym, wan.mixed, wl.incast.sweep and

@@ -48,8 +48,3 @@ let iter f t =
     | Some e -> f e
     | None -> ()
   done
-
-let clear t =
-  t.ring <- [||];
-  t.next <- 0;
-  t.total <- 0

@@ -32,5 +32,3 @@ val dropped : t -> int
 
 val iter : (entry -> unit) -> t -> unit
 (** Oldest retained entry first. *)
-
-val clear : t -> unit

@@ -338,20 +338,18 @@ and refresh_rto t =
 
 and send_pending t =
   if not (torn_down t) then begin
-    if Invariant.enabled () then begin
-      if not (Invariant.holds ((Cc.window t.cc).Cc.cwnd >= 1.)) then
-        Invariant.fail ~name:"tcp.cwnd-at-least-one-mss" (fun () ->
-            Printf.sprintf "flow %d subflow %d: %s cwnd %.3f < 1 segment"
-              (flow t) t.rcv.subflow (Cc.name t.cc) (Cc.cwnd t.cc));
-      if
-        not
-          (Invariant.holds
-             (snd_una t <= t.snd_nxt && t.snd_nxt <= snd_max t))
-      then
-        Invariant.fail ~name:"tcp.inflight-conservation" (fun () ->
-            Printf.sprintf "flow %d subflow %d: una=%d nxt=%d max=%d"
-              (flow t) t.rcv.subflow (snd_una t) t.snd_nxt (snd_max t))
-    end;
+    if not (Invariant.holds ((Cc.window t.cc).Cc.cwnd >= 1.)) then
+      Invariant.fail ~name:"tcp.cwnd-at-least-one-mss" (fun () ->
+          Printf.sprintf "flow %d subflow %d: %s cwnd %.3f < 1 segment"
+            (flow t) t.rcv.subflow (Cc.name t.cc) (Cc.cwnd t.cc));
+    if
+      not
+        (Invariant.holds
+           (snd_una t <= t.snd_nxt && t.snd_nxt <= snd_max t))
+    then
+      Invariant.fail ~name:"tcp.inflight-conservation" (fun () ->
+          Printf.sprintf "flow %d subflow %d: una=%d nxt=%d max=%d"
+            (flow t) t.rcv.subflow (snd_una t) t.snd_nxt (snd_max t));
     let window = Int.max 1 (int_of_float (Cc.window t.cc).Cc.cwnd) in
     if flight t < window then begin
       (* skip segments the SACK scoreboard says the receiver already has *)

@@ -19,9 +19,7 @@ type t = {
    traffic comes after. *)
 let create ~seed ~telemetry ~shards ~queue_pkts ~marking_threshold ~rto_min
     ~beta ~sack ~faults ~schemes fabric =
-  let cluster =
-    Shard.create ~config:{ Sim.default_config with seed; telemetry } ~shards ()
-  in
+  let cluster = Shard.create ~config:{ Sim.seed; telemetry } ~shards () in
   (* a lone scheme tuned for a specific marking threshold K (e.g.
      "XMP-2:k=20") gets the fabric configured to match; a mix keeps the
      fabric-wide value *)

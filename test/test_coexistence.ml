@@ -16,11 +16,9 @@ let pairing_scenario partner =
   Scenario.create
     ~name:(Printf.sprintf "table2.ext.%s" (Scheme.name partner))
     ~descr:"one extended Table 2 pairing at quick scale"
-    ~params:
-      [
-        ("partner", Scheme.name partner);
-        ("base", Xmp_experiments.Run_spec.base_to_string quick_base);
-      ]
+    ~key:
+      (Printf.sprintf "partner=%s %s" (Scheme.name partner)
+         (Xmp_experiments.Run_spec.base_to_string quick_base))
     (fun () ->
       List.iter
         (fun queue_pkts ->

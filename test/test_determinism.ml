@@ -61,7 +61,7 @@ let test_driver_seed_sensitivity () =
 let traced_run ~seed =
   let sink = Tel.Sink.create ~recorder_capacity:(1 lsl 20) () in
   let sim =
-    Sim.create ~config:{ Sim.default_config with seed; telemetry = sink } ()
+    Sim.create ~config:{ Sim.seed; telemetry = sink } ()
   in
   let net = Net.Network.create sim in
   let disc () =

@@ -146,27 +146,6 @@ let test_cancel_pop_order_vs_reference () =
        (List.length expected))
     true (popped = expected)
 
-let test_compact_shrinks () =
-  let q = Q.create ~live:(fun c -> c.alive) () in
-  let cells =
-    List.init 10_000 (fun i ->
-        let c = { value = i; alive = true } in
-        Q.add q ~time:i ~seq:i c;
-        c)
-  in
-  List.iteri
-    (fun i c ->
-      if i > 0 then begin
-        c.alive <- false;
-        Q.note_dead q
-      end)
-    cells;
-  Q.compact q;
-  Alcotest.(check int) "only the live entry remains" 1 (Q.length q);
-  Alcotest.(check int) "no dead entries" 0 (Q.dead_count q);
-  Alcotest.(check int) "survivor time" 0 (Q.top_time q);
-  Alcotest.(check int) "survivor payload" 0 (Q.pop_payload q).value
-
 (* ----- coded entries ----- *)
 
 (* Pops the earliest entry of either kind as (time, seq, code), with
@@ -183,7 +162,7 @@ let pop_any q =
     (time, -1)
   end
 
-let test_coded_survive_purge_and_compact () =
+let test_coded_survive_purge () =
   let q = Q.create ~live:(fun c -> c.alive) () in
   let cells = ref [] in
   for i = 0 to 999 do
@@ -194,24 +173,32 @@ let test_coded_survive_purge_and_compact () =
       cells := c :: !cells
     end
   done;
-  (* cancelling every cell triggers purges on the way *)
+  (* cancelling every cell triggers purges on the way; the dead entries
+     cancelled since the last one stay until they are popped *)
   List.iter
     (fun c ->
       c.alive <- false;
       Q.note_dead q)
     !cells;
   Alcotest.(check bool) "purged on the way" true (Q.rebuilds q > 0);
-  Q.compact q;
-  Alcotest.(check int) "the 100 coded entries remain" 100 (Q.length q);
-  Alcotest.(check int) "no dead entries" 0 (Q.dead_count q);
-  let popped = List.init 100 (fun _ -> pop_any q) in
+  Alcotest.(check int) "the 100 coded entries remain" 100
+    (Q.length q - Q.dead_count q);
+  Alcotest.(check bool) "dead entries bounded" true
+    (Q.dead_count q <= Q.length q / 3);
+  (* pops the earliest coded entry, skipping dead payloads *)
+  let rec next_coded () =
+    match pop_any q with
+    | _, -1 -> next_coded ()
+    | entry -> entry
+  in
+  let popped = List.init 100 (fun _ -> next_coded ()) in
   Alcotest.(check (list (pair int int)))
     "coded entries pop in time order"
     (List.init 100 (fun k -> (1_000 - (10 * (99 - k)), 99 - k)))
     popped;
   Alcotest.(check bool) "drained" true (Q.is_empty q);
   Q.add q ~time:5 ~seq:0 { value = 0; alive = true };
-  Alcotest.(check int) "payloads usable after shrinking" (-1) (Q.top_code q)
+  Alcotest.(check int) "payloads usable after draining" (-1) (Q.top_code q)
 
 let test_rekey_and_misuse () =
   let q = Q.create () in
@@ -331,13 +318,11 @@ let suite =
       test_cancel_heavy_bounded;
     Alcotest.test_case "cancellation preserves pop order" `Quick
       test_cancel_pop_order_vs_reference;
-    Alcotest.test_case "explicit compact reclaims dead entries" `Quick
-      test_compact_shrinks;
     Alcotest.test_case "TCP transfer keeps pending events bounded" `Quick
       test_tcp_transfer_pending_bounded;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     Alcotest.test_case "purge and compact keep coded entries" `Quick
-      test_coded_survive_purge_and_compact;
+      test_coded_survive_purge;
     Alcotest.test_case "rekey and coded-root misuse" `Quick
       test_rekey_and_misuse;
     QCheck_alcotest.to_alcotest prop_mixed_sorts;

@@ -167,9 +167,8 @@ let test_every_scenario_pins_its_seed () =
     (fun (cfg : E.Scenarios.config) ->
       List.iter
         (fun (s : Xmp_runner.Scenario.t) ->
-          match s.params with
-          | [ ("key", key) ] when pins_seed key -> ()
-          | _ -> Alcotest.failf "%s (%s) has no seed= in its key" s.name cfg.tag)
+          if not (pins_seed s.key) then
+            Alcotest.failf "%s (%s) has no seed= in its key" s.name cfg.tag)
         (E.Scenarios.all cfg))
     [ E.Scenarios.quick; E.Scenarios.default; E.Scenarios.paper ]
 

@@ -172,26 +172,16 @@ let scenario_digest_fuzz =
       quad (int_range 0 100_000) (int_range 0 100_000) (int_range 1 1000)
         (int_range 1 1000))
     (fun (seed, size, dseed, dsize) ->
-      let mk seed size =
-        Scenario.create ~name:"fuzz"
-          ~params:
-            [ ("seed", string_of_int seed); ("size", string_of_int size) ]
+      let mk ?(name = "fuzz") seed size =
+        Scenario.create ~name
+          ~key:(Printf.sprintf "seed=%d size=%d" seed size)
           (fun () -> ())
       in
       let d = Scenario.digest (mk seed size) in
       String.equal d (Scenario.digest (mk seed size))
       && (not (String.equal d (Scenario.digest (mk (seed + dseed) size))))
       && (not (String.equal d (Scenario.digest (mk seed (size + dsize)))))
-      && not
-           (String.equal d
-              (Scenario.digest
-                 (Scenario.create ~name:"fuzz2"
-                    ~params:
-                      [
-                        ("seed", string_of_int seed);
-                        ("size", string_of_int size);
-                      ]
-                    (fun () -> ())))))
+      && not (String.equal d (Scenario.digest (mk ~name:"fuzz2" seed size))))
 
 let scenario_digest_semantics_fuzz =
   QCheck.Test.make ~count:10

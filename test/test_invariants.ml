@@ -1,7 +1,6 @@
 (* The runtime invariant checker (Xmp_check.Invariant) and its call sites
    in the engine and transport. The end-to-end cases feed the stack state
-   that violates an invariant and assert the checker catches it — and that
-   the same state sails through silently when the checker is disabled. *)
+   that violates an invariant and assert the checker catches it. *)
 
 module Invariant = Xmp_check.Invariant
 module Sim = Xmp_engine.Sim
@@ -23,11 +22,9 @@ let check ~name cond detail =
 let test_check_passes () =
   Invariant.reset_counters ();
   check ~name:"unit.pass" true (fun () -> "never rendered");
-  Alcotest.(check int) "one check run" 1 (Invariant.checks_run ());
-  Alcotest.(check int) "no violations" 0 (Invariant.violations ())
+  Alcotest.(check int) "one check run" 1 (Invariant.checks_run ())
 
 let test_check_raises () =
-  Invariant.reset_counters ();
   let raised =
     try
       check ~name:"unit.fail" false (fun () -> "detail here");
@@ -40,27 +37,7 @@ let test_check_raises () =
     Alcotest.(check bool) "message names the invariant" true
       (String.length msg > 0
       && contains ~sub:"unit.fail" msg
-      && contains ~sub:"detail here" msg);
-    Alcotest.(check int) "violation counted" 1 (Invariant.violations ())
-
-let test_disabled_is_silent () =
-  Invariant.reset_counters ();
-  Invariant.with_enabled false (fun () ->
-      check ~name:"unit.off" false (fun () ->
-          Alcotest.fail "detail thunk must not run when disabled"));
-  Alcotest.(check int) "nothing checked" 0 (Invariant.checks_run ());
-  Alcotest.(check bool) "re-enabled after with_enabled" true
-    (Invariant.enabled ())
-
-let test_warn_mode_does_not_raise () =
-  Invariant.reset_counters ();
-  Invariant.set_mode Invariant.Warn;
-  Fun.protect
-    ~finally:(fun () -> Invariant.set_mode Invariant.Raise)
-    (fun () ->
-      check ~name:"unit.warn" false (fun () -> "warned");
-      Alcotest.(check int) "violation still counted" 1
-        (Invariant.violations ()))
+      && contains ~sub:"detail here" msg)
 
 (* ----- end-to-end: a violated invariant inside the stack is caught ----- *)
 
@@ -120,48 +97,6 @@ let test_sub_mss_cwnd_caught () =
     Alcotest.(check bool) "names the cwnd invariant" true
       (contains ~sub:"tcp.cwnd-at-least-one-mss" msg)
 
-let test_sub_mss_cwnd_ignored_when_disabled () =
-  Invariant.with_enabled false (fun () -> start_broken_flow (rig ()))
-
-let test_two_sims_keep_their_own_invariant_flag () =
-  (* Regression: Sim.create used to write config.invariants straight into
-     the process-global toggle, so creating a second sim silently
-     reconfigured checking for every live sim. The flag is now
-     snapshotted per-sim and re-asserted at dispatch. *)
-  let saved = Invariant.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Invariant.set_enabled saved)
-    (fun () ->
-      let sim_off =
-        Sim.create
-          ~config:{ Sim.default_config with invariants = Some false }
-          ()
-      in
-      (* this second create flips the global toggle on *)
-      let sim_on =
-        Sim.create
-          ~config:{ Sim.default_config with invariants = Some true }
-          ()
-      in
-      let off_ran = ref false in
-      Sim.at sim_off 10 (fun () ->
-          check ~name:"two-sims.off" false (fun () ->
-              "must be ignored: checks are off for this sim");
-          off_ran := true);
-      (* must not raise even though sim_on switched the global on *)
-      Sim.run sim_off;
-      Alcotest.(check bool) "first sim dispatched with checks off" true
-        !off_ran;
-      let caught = ref None in
-      Sim.at sim_on 10 (fun () ->
-          check ~name:"two-sims.on" false (fun () -> "caught"));
-      (try Sim.run sim_on with Invariant.Violation msg -> caught := Some msg);
-      match !caught with
-      | None -> Alcotest.fail "second sim must still enforce its checks"
-      | Some msg ->
-        Alcotest.(check bool) "names the invariant" true
-          (contains ~sub:"two-sims.on" msg))
-
 (* ----- the packet path's cost, pinned on a fat-tree run ----- *)
 
 module Driver = Xmp_workload.Driver
@@ -171,46 +106,36 @@ module Driver = Xmp_workload.Driver
    one minor word per event, setup included. One check site that builds
    its detail closure before testing adds about two. *)
 let test_allocation_budget () =
-  Invariant.with_enabled true (fun () ->
-      let before = Gc.minor_words () in
-      let r = Driver.run { Driver.default_config with horizon = Time.ms 20 } in
-      let per_event =
-        (Gc.minor_words () -. before) /. float_of_int r.Driver.events
-      in
-      if per_event > 1.5 then
-        Alcotest.failf "%.2f minor words per event over %d events (want <= 1.5)"
-          per_event r.Driver.events)
+  let before = Gc.minor_words () in
+  let r = Driver.run { Driver.default_config with horizon = Time.ms 20 } in
+  let per_event =
+    (Gc.minor_words () -. before) /. float_of_int r.Driver.events
+  in
+  if per_event > 1.5 then
+    Alcotest.failf "%.2f minor words per event over %d events (want <= 1.5)"
+      per_event r.Driver.events
 
 (* Every check site still runs exactly as often: a migration that drops
    or duplicates one moves this tally. *)
 let test_checks_run_pinned () =
-  Invariant.with_enabled true (fun () ->
-      Invariant.reset_counters ();
-      let r =
-        Driver.run
-          {
-            Driver.default_config with
-            horizon = Time.ms 5;
-            pattern = Driver.Permutation { min_segments = 100; max_segments = 400 };
-          }
-      in
-      Alcotest.(check int) "events" 50_275 r.Driver.events;
-      Alcotest.(check int) "checks run" 164_063 (Invariant.checks_run ()))
+  Invariant.reset_counters ();
+  let r =
+    Driver.run
+      {
+        Driver.default_config with
+        horizon = Time.ms 5;
+        pattern = Driver.Permutation { min_segments = 100; max_segments = 400 };
+      }
+  in
+  Alcotest.(check int) "events" 50_275 r.Driver.events;
+  Alcotest.(check int) "checks run" 164_063 (Invariant.checks_run ())
 
 let suite =
   [
     Alcotest.test_case "passing check counts" `Quick test_check_passes;
     Alcotest.test_case "failing check raises" `Quick test_check_raises;
-    Alcotest.test_case "disabled checker is silent and free" `Quick
-      test_disabled_is_silent;
-    Alcotest.test_case "Warn mode logs instead of raising" `Quick
-      test_warn_mode_does_not_raise;
     Alcotest.test_case "sub-MSS cwnd caught in Tcp send path" `Quick
       test_sub_mss_cwnd_caught;
-    Alcotest.test_case "disabled checker lets sub-MSS cwnd pass" `Quick
-      test_sub_mss_cwnd_ignored_when_disabled;
-    Alcotest.test_case "two sims keep their own invariant flag" `Quick
-      test_two_sims_keep_their_own_invariant_flag;
     Alcotest.test_case "allocation budget per event" `Quick
       test_allocation_budget;
     Alcotest.test_case "checks run on a permutation" `Quick

@@ -46,7 +46,7 @@ let tiny ~seed ~size =
   Scenario.create
     ~name:(Printf.sprintf "tiny.%d.%d" seed size)
     ~descr:"tiny deterministic TCP transfer"
-    ~params:[ ("seed", string_of_int seed); ("size", string_of_int size) ]
+    ~key:(Printf.sprintf "seed=%d size=%d" seed size)
     (tiny_output ~seed ~size)
 
 (* Same digest as [tiny], poisoned closure: proves a warm cache serves
@@ -54,7 +54,7 @@ let tiny ~seed ~size =
 let tiny_poisoned ~seed ~size =
   Scenario.create
     ~name:(Printf.sprintf "tiny.%d.%d" seed size)
-    ~params:[ ("seed", string_of_int seed); ("size", string_of_int size) ]
+    ~key:(Printf.sprintf "seed=%d size=%d" seed size)
     (fun () -> failwith "cache should have served this scenario")
 
 let fresh_dir =
@@ -158,7 +158,7 @@ let test_duplicate_digests_coalesce () =
 
 let test_failing_scenario_aborts () =
   let boom =
-    Scenario.create ~name:"boom" ~params:[] (fun () -> failwith "boom")
+    Scenario.create ~name:"boom" ~key:"" (fun () -> failwith "boom")
   in
   match run ~jobs:2 [ tiny ~seed:1 ~size:50; boom ] with
   | exception Failure msg ->
@@ -177,7 +177,7 @@ let test_failing_scenario_aborts () =
 let test_killed_worker_reported () =
   let parent_pid = Unix.getpid () in
   let killed =
-    Scenario.create ~name:"killed" ~params:[] (fun () ->
+    Scenario.create ~name:"killed" ~key:"" (fun () ->
         if Unix.getpid () <> parent_pid then Unix.kill (Unix.getpid ()) Sys.sigkill)
   in
   match run ~jobs:1 [ killed ] with
@@ -292,17 +292,14 @@ let test_capture () =
 (* ----- digests ----- *)
 
 let test_digest_canonicalization () =
-  let mk params = Scenario.create ~name:"d" ~params (fun () -> ()) in
-  let d1 = Scenario.digest (mk [ ("a", "1"); ("b", "2") ]) in
-  let d2 = Scenario.digest (mk [ ("b", "2"); ("a", "1") ]) in
-  Alcotest.(check string) "param order is canonicalized" d1 d2;
-  let d3 = Scenario.digest (mk [ ("a", "1"); ("b", "3") ]) in
-  Alcotest.(check bool) "value change changes digest" false (d1 = d3);
+  let mk key = Scenario.create ~name:"d" ~key (fun () -> ()) in
+  let d1 = Scenario.digest (mk "a=1 b=2") in
+  Alcotest.(check string) "equal keys, equal digests" d1
+    (Scenario.digest (mk "a=1 b=2"));
+  let d3 = Scenario.digest (mk "a=1 b=3") in
+  Alcotest.(check bool) "key change changes digest" false (d1 = d3);
   let renamed =
-    Scenario.digest
-      (Scenario.create ~name:"e"
-         ~params:[ ("a", "1"); ("b", "2") ]
-         (fun () -> ()))
+    Scenario.digest (Scenario.create ~name:"e" ~key:"a=1 b=2" (fun () -> ()))
   in
   Alcotest.(check bool) "name change changes digest" false (d1 = renamed)
 

@@ -131,8 +131,6 @@ let test_recorder_wraparound () =
     (let acc = ref [] in
      Recorder.iter (fun e -> acc := e.Recorder.time_ns :: !acc) r;
      List.rev !acc);
-  Recorder.clear r;
-  Alcotest.(check int) "clear empties" 0 (Recorder.length r);
   match Recorder.create ~capacity:0 with
   | (_ : Recorder.t) ->
     Alcotest.fail "capacity 0: expected Invalid_argument"
@@ -140,8 +138,8 @@ let test_recorder_wraparound () =
 
 (* The ring starts empty and grows (64, 128, ...) up to its capacity.
    An eager ring of [capacity] slots is the reference: at every step of
-   filling, wrapping and clearing, [iter] order, [length], [total] and
-   [dropped] must match it. Capacities straddle the growth steps. *)
+   filling and wrapping, [iter] order, [length], [total] and [dropped]
+   must match it. Capacities straddle the growth steps. *)
 let test_recorder_growth_matches_eager () =
   let eager capacity =
     let ring = Array.make capacity (-1) and next = ref 0 and total = ref 0 in
@@ -158,16 +156,12 @@ let test_recorder_growth_matches_eager () =
         !total,
         Int.max 0 (!total - capacity) )
     in
-    let clear () =
-      next := 0;
-      total := 0
-    in
-    (record, view, clear)
+    (record, view)
   in
   List.iter
     (fun capacity ->
       let r = Recorder.create ~capacity in
-      let record, view, clear = eager capacity in
+      let record, view = eager capacity in
       let check step =
         let acc = ref [] in
         Recorder.iter (fun e -> acc := e.Recorder.time_ns :: !acc) r;
@@ -180,18 +174,13 @@ let test_recorder_growth_matches_eager () =
             [ Recorder.length r; Recorder.total r; Recorder.dropped r ] )
       in
       check "empty";
-      for round = 1 to 2 do
-        for i = 1 to (3 * capacity) + 5 do
-          Recorder.record r ~time_ns:i (ev i);
-          record i;
-          if i mod 7 = 0 || i = capacity || i = capacity + 1 then
-            check (Printf.sprintf "round %d, %d recorded" round i)
-        done;
-        check (Printf.sprintf "round %d, full" round);
-        Recorder.clear r;
-        clear ();
-        check (Printf.sprintf "round %d, cleared" round)
-      done)
+      for i = 1 to (3 * capacity) + 5 do
+        Recorder.record r ~time_ns:i (ev i);
+        record i;
+        if i mod 7 = 0 || i = capacity || i = capacity + 1 then
+          check (Printf.sprintf "%d recorded" i)
+      done;
+      check "full")
     [ 1; 2; 63; 64; 65; 100; 128; 129; 300 ]
 
 (* ----- sinks ----- *)

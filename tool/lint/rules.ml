@@ -61,9 +61,7 @@ let file_allowlist =
     ("stdout-in-lib", "lib/experiments/render.ml");
     (* the runner replays captured scenario output to stdout *)
     ("stdout-in-lib", "lib/runner/runner.ml");
-    (* the sanctioned stderr sinks: the invariant checker's Warn mode and
-       the runner's progress lines *)
-    ("direct-printf", "lib/check/invariant.ml");
+    (* the sanctioned stderr sink: the runner's progress lines *)
     ("direct-printf", "lib/runner/runner.ml");
     (* the transport acquires pooled packets and hands ownership to
        Node.send; the network layer (links, discs, endpoints) releases *)
