@@ -44,18 +44,20 @@ type t = {
   clock : unit -> Time.t;  (* reads [now]; one closure per sim *)
 }
 
-(* A lane is a FIFO ring of (time, seq, handler) int triples whose keys
-   increase in push order. Only the head's key sits in the heap, as the
-   coded entry [code]; the heap holds no record for any lane event. *)
+(* A lane is a FIFO ring of entries whose keys increase in push order:
+   (time, seq, handler) int triples on a shared lane, (time, seq) pairs
+   on a private one, whose handler is fixed at creation. Only the head's
+   key sits in the heap, as the coded entry [code]; the heap holds no
+   record for any lane event. *)
 and lane = {
   sim : t;
   code : int;
-  shared : bool;  (* found by [delay], or private *)
+  handler : int;  (* a private lane's handler; [shared] on a shared lane *)
   delay : Time.t;  (* [lane_after]'s offset from now; 0 on a private lane *)
   mutable ring : int array;  (* [||] until the first push *)
-  mutable head : int;  (* index of the oldest triple's first int *)
-  mutable len : int;  (* triples queued, the head included *)
-  mutable last : Time.t;  (* time of the newest triple *)
+  mutable head : int;  (* index of the oldest entry's first int *)
+  mutable len : int;  (* entries queued, the head included *)
+  mutable last : Time.t;  (* time of the newest entry *)
 }
 
 type handler = int
@@ -249,12 +251,18 @@ let handler t f =
   t.n_handlers <- t.n_handlers + 1;
   t.n_handlers - 1
 
-let new_lane t ~shared delay =
+(* The [handler] of a shared lane, whose entries carry their own. *)
+let shared = -1
+
+(* Ints per entry. *)
+let[@inline] stride ln = if ln.handler = shared then 3 else 2
+
+let new_lane t ~handler delay =
   let ln =
     {
       sim = t;
       code = t.n_lanes;
-      shared;
+      handler;
       delay;
       ring = [||];
       head = 0;
@@ -277,19 +285,26 @@ let lane t delay =
     invalid_arg
       (Format.asprintf "Sim.lane: negative delay %a" Time.pp delay);
   let rec find i =
-    if i = t.n_lanes then new_lane t ~shared:true delay
+    if i = t.n_lanes then new_lane t ~handler:shared delay
     else
       let ln = t.lanes.(i) in
-      if ln.delay = delay && ln.shared then ln else find (i + 1)
+      if ln.delay = delay && ln.handler = shared then ln else find (i + 1)
   in
   find 0
 
-let private_lane t = new_lane t ~shared:false Time.zero
+let private_lane t (h : handler) =
+  if t.closed then refuse_closed "Sim.private_lane";
+  if h < 0 || h >= t.n_handlers then invalid_arg "Sim.private_lane: handler";
+  new_lane t ~handler:h Time.zero
 
-(* Doubles a full ring, unwrapping it. *)
+(* Doubles a full ring, unwrapping it. A sim has a handful of shared
+   lanes, which carry every link's packets, and a private lane per
+   inbound portal, most of which hold a few mails at a time: rings
+   start at 16 triples or 8 pairs. *)
 let grow_ring ln =
   let cap = Array.length ln.ring in
-  let ring = Array.make (Int.max 48 (2 * cap)) 0 in
+  let first = if stride ln = 3 then 48 else 16 in
+  let ring = Array.make (Int.max first (2 * cap)) 0 in
   Array.blit ln.ring ln.head ring 0 (cap - ln.head);
   Array.blit ln.ring 0 ring (cap - ln.head) ln.head;
   ln.ring <- ring;
@@ -297,7 +312,8 @@ let grow_ring ln =
 
 (* The seq is drawn exactly where [at] would draw it, so lane events
    interleave with every other event in the same (time, seq) order as if
-   each had been scheduled with [at]. *)
+   each had been scheduled with [at]. [h] is stored only on a shared
+   lane. *)
 let lane_push ln time (h : handler) =
   let t = ln.sim in
   if Time.compare time ln.last < 0 then
@@ -306,7 +322,7 @@ let lane_push ln time (h : handler) =
          Time.pp time Time.pp ln.last);
   if h < 0 || h >= t.n_handlers then
     if t.closed then refuse_closed "Sim: scheduling"
-    else invalid_arg "Sim.lane_at: handler";
+    else invalid_arg "Sim.lane_after: handler";
   ln.last <- time;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -315,21 +331,25 @@ let lane_push ln time (h : handler) =
     note_heap_len t
   end
   else t.backlog <- t.backlog + 1;
-  if 3 * ln.len = Array.length ln.ring then grow_ring ln;
+  let stride = stride ln in
+  if stride * ln.len = Array.length ln.ring then grow_ring ln;
   let ring = ln.ring in
-  let tail = ln.head + (3 * ln.len) in
+  let tail = ln.head + (stride * ln.len) in
   let cap = Array.length ring in
   let tail = if tail >= cap then tail - cap else tail in
   ring.(tail) <- time;
   ring.(tail + 1) <- seq;
-  ring.(tail + 2) <- h;
+  if stride = 3 then ring.(tail + 2) <- h;
   ln.len <- ln.len + 1
 
-let lane_after ln h = lane_push ln (Time.add ln.sim.now ln.delay) h
+let lane_after ln h =
+  if ln.handler <> shared then invalid_arg "Sim.lane_after: private lane";
+  lane_push ln (Time.add ln.sim.now ln.delay) h
 
-let lane_at ln time h =
+let lane_at ln time =
+  if ln.handler = shared then invalid_arg "Sim.lane_at: shared lane";
   check_time ln.sim time;
-  lane_push ln time h
+  lane_push ln time ln.handler
 
 (* Clock and accounting for a live event about to run at [time]. *)
 let begin_event (t : t) time =
@@ -340,15 +360,16 @@ let begin_event (t : t) time =
   t.now <- time;
   t.executed <- t.executed + 1
 
-(* The fired head leaves its lane; the lane's next triple, if any, takes
+(* The fired head leaves its lane; the lane's next entry, if any, takes
    over the heap root with one sift-down. The heap is settled before the
    handler runs, so whatever it schedules (this lane included) sees a
    consistent queue. *)
 let fire_lane t time ln =
   let ring = ln.ring in
   let i = ln.head in
-  let h = ring.(i + 2) in
-  let next = if i + 3 = Array.length ring then 0 else i + 3 in
+  let stride = stride ln in
+  let h = if stride = 3 then ring.(i + 2) else ln.handler in
+  let next = if i + stride = Array.length ring then 0 else i + stride in
   ln.head <- next;
   ln.len <- ln.len - 1;
   if ln.len = 0 then Event_queue.pop_coded t.heap

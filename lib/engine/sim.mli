@@ -13,8 +13,9 @@
     {2 FIFO lanes}
 
     Per-packet events go on lanes instead of the heap. A lane is a FIFO
-    ring of [(time, seq, handler)] ints whose keys increase in push
-    order; only its head sits in the event heap, as an int-coded entry
+    ring of ints whose keys increase in push order: [(time, seq,
+    handler)] triples on a shared lane, [(time, seq)] pairs on a private
+    one. Only its head sits in the event heap, as an int-coded entry
     with no event record. When the head fires, the heap root is
     re-keyed to the lane's next entry with one sift-down instead of a
     pop and a push. Every lane push draws its [seq] exactly where {!at}
@@ -25,10 +26,11 @@
     after [now]. It stays FIFO because [now] never decreases and [seq]
     always increases, so any number of producers may share it: a sim
     has one per distinct delay. A private lane ({!private_lane}) takes
-    explicit times, and a push earlier than the lane's previous one
+    explicit times and fires one handler, fixed when it is made, so its
+    entries hold no handler; a push earlier than the lane's previous one
     raises [Invalid_argument]. Handlers are closures registered once
-    with {!handler}; a lane entry stores only the handler's number.
-    Lane events cannot be cancelled.
+    with {!handler}; a shared lane's entry stores only the handler's
+    number. Lane events cannot be cancelled.
 
     {2 Tables and the minor heap}
 
@@ -154,18 +156,21 @@ val lane : t -> Time.t -> lane
     created on first request. Raises [Invalid_argument] if [d] is
     negative. *)
 
-val private_lane : t -> lane
-(** A fresh lane for {!lane_at} at explicit times, used by one producer
-    whose times never decrease (a shard portal's arrivals). *)
+val private_lane : t -> handler -> lane
+(** [private_lane sim h] is a fresh lane for {!lane_at} at explicit
+    times, used by one producer whose times never decrease (a shard
+    portal's arrivals). Each of its events fires [h], which must be
+    registered with [sim]: an entry holds two ints, its time and seq. *)
 
 val lane_after : lane -> handler -> unit
 (** [lane_after ln h] schedules [h] at [now + d] on the shared lane [ln]
-    of delay [d] (a private lane's delay is 0). *)
+    of delay [d]. Raises [Invalid_argument] on a private lane. *)
 
-val lane_at : lane -> Time.t -> handler -> unit
-(** [lane_at ln time h] schedules [h] at absolute [time] on [ln]. Raises
-    [Invalid_argument] if [time] is before [now] or before the time of
-    the lane's previous push. [h] must be registered with [ln]'s sim. *)
+val lane_at : lane -> Time.t -> unit
+(** [lane_at ln time] schedules [ln]'s handler at absolute [time] on the
+    private lane [ln]. Raises [Invalid_argument] on a shared lane, or if
+    [time] is before [now] or before the time of the lane's previous
+    push. *)
 
 val close : t -> unit
 (** Releases the sim's events: every pending event is dropped unrun (a

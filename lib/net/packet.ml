@@ -233,25 +233,19 @@ let store p a off =
   if n > 2 then a.(off + 6) <- p.sack2;
   width_of_flags flags
 
-(* word [i] of the record at [off] in ring [a], read across the wrap *)
-let[@inline] word a off i =
-  let j = off + i in
-  let n = Array.length a in
-  a.(if j >= n then j - n else j)
-
-let width a off = width_of_flags (word a off 2)
+let width a off = width_of_flags a.(off + 2)
 
 let load a off =
   let p = acquire () in
-  let flags = word a off 2 in
-  p.w0 <- word a off 0;
-  p.w1 <- word a off 1;
+  let flags = a.(off + 2) in
+  p.w0 <- a.(off);
+  p.w1 <- a.(off + 1);
   p.flags <- flags land lnot free_bit;
-  p.ts <- word a off 3;
+  p.ts <- a.(off + 3);
   let n = flags lsr nsack_shift in
-  if n > 0 then p.sack0 <- word a off 4;
-  if n > 1 then p.sack1 <- word a off 5;
-  if n > 2 then p.sack2 <- word a off 6;
+  if n > 0 then p.sack0 <- a.(off + 4);
+  if n > 1 then p.sack1 <- a.(off + 5);
+  if n > 2 then p.sack2 <- a.(off + 6);
   p
 
 let pp fmt p =

@@ -175,13 +175,12 @@ val store : t -> int array -> int -> int
 
 val width : int array -> int -> int
 (** [width a off] is the width {!store} returned for the record at
-    [off]. Like {!load}, it reads [a] as a ring. *)
+    [off]. *)
 
 val load : int array -> int -> t
 (** [load a off] acquires a record from the current domain's pool and
-    fills it from the record {!store} wrote at [off], reading [a] as a
-    ring: a word past the end is read from the start, so a record may
-    wrap. It allocates nothing beyond the pool. The record comes back
+    fills it from the record {!store} wrote at [off]. It allocates
+    nothing beyond the pool. The record comes back
     live (its free bit cleared), whatever the stored flags say, and a
     slot past its [sack_count] keeps whatever the reused record held. *)
 

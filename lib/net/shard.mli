@@ -5,16 +5,23 @@
     directed cross-shard link: its serializer and egress queue run in the
     source shard at the given rate, and its propagation delay is applied
     across the epoch barrier. When a packet finishes serializing, the
-    words it uses ({!Packet.store}: 4 for data and plain ACKs, up to 7
-    with SACK blocks) are appended to the source shard's outbox together
-    with the portal index and the arrival time, and the packet is
-    released into the sending domain's pool. At the barrier the words
-    move into the portal's inbox, an int ring sized in words where a
-    record may wrap past the end, and one arrival event per mail, on
-    the portal's private FIFO lane in the destination sim
-    ({!Xmp_engine.Sim.lane_at}), rebuilds the packet at the ring head
-    from the receiving domain's pool with {!Packet.load}. No step
+    record [[arrival; packet words]] ({!Packet.store}: 4 words for data
+    and plain ACKs, up to 7 with SACK blocks) is appended to the
+    portal's FIFO, the source shard's emission log counts it, and the
+    packet is released into the sending domain's pool. The record stays
+    where it was written until it arrives. At the barrier its arrival
+    goes onto the portal's private FIFO lane in the destination sim
+    ({!Xmp_engine.Sim.lane_at}), whose handler rebuilds the packet in
+    place from the receiving domain's pool with {!Packet.load}. No step
     allocates per mail.
+
+    A FIFO is a chain of int chunks whose size never changes; a record
+    never straddles two chunks. A portal allocates nothing before its
+    first mail. The portals of a shard share a pool of chunks: the
+    destination hands a chunk back as soon as it has read past it, and
+    the source reuses it, within the epoch. On one domain the shards
+    take turns through each epoch in a few steps, so a FIFO holds about
+    one window of mail there too.
 
     {2 Epoch-barrier semantics}
 
@@ -28,25 +35,27 @@
 
     Shards are pinned to domains round-robin and each shard's event loop
     is sequential. The barrier injects mail in one pass: shards in index
-    order, each outbox in emission order. A destination sim orders its
-    events by (time, scheduling sequence), and the mail of one barrier
-    takes one contiguous block of sequence numbers, so mail arriving at
-    the same instant is delivered in (source shard, emission) order
-    whatever the domain count. A portal's delay is constant, so its
-    inbox drains in the order it was filled. A run with [domains:1] and
-    a run with [domains:N] therefore produce byte-identical results.
-    Nothing a shard computes may depend on which domain hosts it
-    (per-domain packet pools satisfy this: pool identity never changes
-    packet contents).
+    order, each emission log in emission order. A destination sim orders
+    its events by (time, scheduling sequence), and the mail of one
+    barrier takes one contiguous block of sequence numbers, so mail
+    arriving at the same instant is delivered in (source shard,
+    emission) order whatever the domain count. A portal's delay is
+    constant, so its FIFO drains in the order it was filled. A run with
+    [domains:1] and a run with [domains:N] therefore produce
+    byte-identical results. Nothing a shard computes may depend on which
+    domain hosts it (per-domain packet pools and chunk reuse satisfy
+    this: neither changes packet contents).
 
     {2 Domain safety}
 
-    Only the source shard's domain writes its outbox, and only during an
-    epoch. Only the orchestrating domain reads outboxes and writes
-    inboxes, and only at the barrier, while the workers are parked. Only
-    the destination shard's domain pops an inbox, during an epoch. The
-    crew mutex hand-offs at the barrier are the happens-before edges
-    between these phases. *)
+    Only the source shard's domain appends to a FIFO and its emission
+    log, during an epoch. Only the orchestrating domain reads the logs
+    and moves each FIFO's injection cursor, at the barrier, while the
+    workers are parked. Only the destination shard's domain reads a
+    FIFO's head, during an epoch, and only records injected at an
+    earlier barrier. The crew mutex hand-offs at the barrier are the
+    happens-before edges between these phases; a chunk handed back goes
+    through an [Atomic] stack. *)
 
 type t
 
@@ -131,8 +140,8 @@ val mail_injected : t -> int
 val close : t -> unit
 (** Releases a finished run: every shard's sim drops its pending events
     ({!Xmp_engine.Sim.close}), every network its endpoints and node
-    index ({!Network.close}), outboxes and inboxes their mail, and
-    portals their destination nodes. A table in the major heap keeps the
+    index ({!Network.close}), every shard its emission log and free
+    chunks, and every portal its FIFO and destination node. A table in the major heap keeps the
     cells a young value was written into remembered until the next
     minor collection, which promotes whatever they still point to, so
     each is overwritten in place rather than dropped. Links, their

@@ -321,7 +321,7 @@ let suite =
     Alcotest.test_case "TCP transfer keeps pending events bounded" `Quick
       test_tcp_transfer_pending_bounded;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    Alcotest.test_case "purge and compact keep coded entries" `Quick
+    Alcotest.test_case "purge keeps coded entries" `Quick
       test_coded_survive_purge;
     Alcotest.test_case "rekey and coded-root misuse" `Quick
       test_rekey_and_misuse;

@@ -291,7 +291,7 @@ let test_capture () =
 
 (* ----- digests ----- *)
 
-let test_digest_canonicalization () =
+let test_digest_follows_key_and_name () =
   let mk key = Scenario.create ~name:"d" ~key (fun () -> ()) in
   let d1 = Scenario.digest (mk "a=1 b=2") in
   Alcotest.(check string) "equal keys, equal digests" d1
@@ -332,6 +332,6 @@ let suite =
       test_store_load_roundtrip;
     Alcotest.test_case "capture returns exactly the printed bytes" `Quick
       test_capture;
-    Alcotest.test_case "digest canonicalization" `Quick
-      test_digest_canonicalization;
+    Alcotest.test_case "digest follows key, name" `Quick
+      test_digest_follows_key_and_name;
   ]

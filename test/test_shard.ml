@@ -246,11 +246,10 @@ let test_equal_arrival_order () =
 
 (* Mail across several barriers: a 35 us portal in a cluster whose epoch
    is 10 us (the reverse portal). A first burst of 10 packets drains and
-   leaves the inbox ring's head mid-ring; a second burst of 50 then keeps
-   about 29 packets in flight over four barriers, so the ring wraps and
-   grows past 16 four-word records while wrapped. Every packet must
-   still arrive at serialization end plus its portal's delay, in send
-   order, in both directions. *)
+   leaves the FIFO's head mid-chunk; a second burst of 50 then keeps
+   about 29 packets in flight over four barriers, across several
+   chunks. Every packet must still arrive at serialization end plus its
+   portal's delay, in send order, in both directions. *)
 let test_mail_across_barriers () =
   let cluster = Shard.create ~shards:2 () in
   let a = Network.add_host_at (Shard.net cluster 0) ~id:0 ~name:"a" in
@@ -303,15 +302,20 @@ let test_mail_across_barriers () =
   Alcotest.(check int) "every packet was mail" 120
     (Shard.mail_injected cluster)
 
+(* Every field of a packet, printed. *)
+let fields p =
+  Format.asprintf "%a ts=%d ect=%b cwr=%b ece=%d sack=%s" Packet.pp p
+    (Packet.ts p) (Packet.ect p) (Packet.cwr p) (Packet.ece_count p)
+    (String.concat ","
+       (List.map (fun (x, y) -> Printf.sprintf "%d-%d" x y) (Packet.sack p)))
+
 (* Mail of every width across barriers: the cluster of [mail across
    several barriers], with each direction carrying a mixed stream. Packet i is, by
    [i mod 6], data with ECT, data with ECT/CWR/CE, or an ACK with 0 to
-   3 SACK blocks and a nonzero ECE count: mail records 4, 4, 4, 5, 6
-   and 7 words wide. The first burst (23 words) leaves the slow
-   portal's 32-word inbox head at word 23; the second burst's second
-   record then straddles the end of the ring, and its sixth grows the
-   ring while wrapped. Every field must arrive as sent, at
-   serialization end plus the portal's delay, in send order. *)
+   3 SACK blocks and a nonzero ECE count: packet words 4, 4, 4, 5, 6
+   and 7 wide, records of 5 to 8 ints with the arrival. Every field
+   must arrive as sent, at serialization end plus the portal's delay,
+   in send order. *)
 let test_mail_of_every_width () =
   let cluster = Shard.create ~shards:2 () in
   let a = Network.add_host_at (Shard.net cluster 0) ~id:0 ~name:"a" in
@@ -325,12 +329,6 @@ let test_mail_of_every_width () =
   ignore
     (Shard.portal cluster ~src:(1, b) ~dst:(0, a) ~rate:rate10 ~delay:fast
        ~disc ());
-  let fields p =
-    Format.asprintf "%a ts=%d ect=%b cwr=%b sack=%s" Packet.pp p
-      (Packet.ts p) (Packet.ect p) (Packet.cwr p)
-      (String.concat ","
-         (List.map (fun (x, y) -> Printf.sprintf "%d-%d" x y) (Packet.sack p)))
-  in
   let packet ~src ~dst i =
     let subflow = i mod 3 and path = i mod 7 and ts = (1000 * i) + 17 in
     match i mod 6 with
@@ -450,6 +448,198 @@ let test_closed_cluster () =
       Sim.at (Shard.sim cluster 1) (Time.ms 1) ignore);
   Shard.close cluster
 
+(* ---- portal FIFOs ---- *)
+
+(* Packet [i] of a mixed stream, by [i mod 7]: data with ECT, data with
+   ECT/CWR/CE, or an ACK with 0 to 3 SACK blocks, and a second 3-block
+   ACK. With its arrival word a record is 5, 5, 5, 6, 7, 8 or 8 ints, so
+   some records do not fit the room a chunk has left. *)
+let mixed_packet ~flow ~src ~dst i =
+  let subflow = i mod 3 and path = i mod 7 and ts = (1000 * i) + 17 in
+  match i mod 7 with
+  | (0 | 1) as k ->
+    let p =
+      Packet.data ~flow ~subflow ~src ~dst ~path ~seq:i ~ect:true ~cwr:(k = 1)
+        ~ts
+    in
+    if k = 1 then Packet.set_ce p;
+    p
+  | k ->
+    Packet.ack
+      ~sack:
+        (List.init (Int.min 3 (k - 2)) (fun j ->
+             (i + (10 * j), i + (10 * j) + 3)))
+      ~flow ~subflow ~src ~dst ~path ~seq:i ~ece_count:(1 + (i mod 5)) ~ts ()
+
+(* A two-shard rig: host [h] sits on shard [h mod 2] and has one portal,
+   of delay [delays.(h)], to host [h lxor 1] on the other shard. Hosts
+   below [senders] each send [count] {!mixed_packet}s at 10 Gbps, [batch]
+   at a time every [gap], from time [offset h]. *)
+let stream_rig ?(senders = max_int) ?(offset = fun _ -> Time.zero) ~delays
+    ~count ~batch ~gap () =
+  let n = Array.length delays in
+  let cluster = Shard.create ~shards:2 () in
+  let hosts =
+    Array.init n (fun h ->
+        Network.add_host_at
+          (Shard.net cluster (h mod 2))
+          ~id:h ~name:(Printf.sprintf "h%d" h))
+  in
+  let logs = Array.init n (fun _ -> Buffer.create 1024) in
+  let expected = Array.init n (fun _ -> Buffer.create 1024) in
+  let entry p at = Printf.sprintf "%s @%d\n" (fields p) at in
+  Array.iteri
+    (fun h node ->
+      let dst = h lxor 1 in
+      Node.set_route node (fun _ -> 0);
+      ignore
+        (Shard.portal cluster
+           ~src:(h mod 2, node)
+           ~dst:(dst mod 2, hosts.(dst))
+           ~rate:rate10 ~delay:delays.(h) ~disc ());
+      for subflow = 0 to 2 do
+        Network.register_endpoint
+          (Shard.net cluster (dst mod 2))
+          ~host:dst ~flow:h ~subflow
+          (fun p ->
+            Buffer.add_string logs.(dst)
+              (entry p (Sim.now (Shard.sim cluster (dst mod 2)))))
+      done;
+      if h < senders then begin
+        let finish = ref Time.zero in
+        for b = 0 to (count / batch) - 1 do
+          let start = Time.add (offset h) (Time.mul gap b) in
+          Sim.at (Shard.sim cluster (h mod 2)) start (fun () ->
+              for i = b * batch to ((b + 1) * batch) - 1 do
+                Node.send node (mixed_packet ~flow:h ~src:h ~dst i)
+              done);
+          finish := Time.max !finish start;
+          for i = b * batch to ((b + 1) * batch) - 1 do
+            let p = mixed_packet ~flow:h ~src:h ~dst i in
+            finish := !finish + Net.Units.tx_time rate10 ~bytes:(Packet.size p);
+            Buffer.add_string expected.(dst) (entry p (!finish + delays.(h)));
+            Packet.release p
+          done
+        done
+      end)
+    hosts;
+  let contents bufs = String.concat "" (Array.to_list (Array.map Buffer.contents bufs)) in
+  (cluster, (fun () -> contents logs), fun () -> contents expected)
+
+(* Runs [stream_rig] to [until] at [domains] and checks every field and
+   arrival against the portals' timing; returns the arrivals. *)
+let stream_trace ~domains ~delays ~count ~batch ~gap ~until () =
+  let cluster, arrived, expected =
+    stream_rig ~delays ~count ~batch ~gap ()
+  in
+  Shard.run ~domains ~until cluster;
+  let arrived = arrived () in
+  Alcotest.(check string)
+    (Printf.sprintf "domains %d: every field, at serialization end + delay"
+       domains)
+    (expected ()) arrived;
+  Alcotest.(check int) "every packet was mail"
+    (count * Array.length delays)
+    (Shard.mail_injected cluster);
+  arrived
+
+let check_stream ~delays ~count ~batch ~gap ~until =
+  let one = stream_trace ~domains:1 ~delays ~count ~batch ~gap ~until () in
+  Alcotest.(check string) "domains 1 = domains 2" one
+    (capture_in_child (stream_trace ~domains:2 ~delays ~count ~batch ~gap ~until))
+
+(* Bursts of 50 mixed records put up to 350 ints in a portal's FIFO at
+   once, so records fill chunks of every size to their ends, and a
+   record that does not fit a chunk's room starts the next chunk. *)
+let test_records_fill_chunks () =
+  check_stream
+    ~delays:[| Time.us 35; Time.us 10 |]
+    ~count:400 ~batch:50 ~gap:(Time.us 100) ~until:(Time.ms 1)
+
+(* Each shard sends over a portal of one epoch and one of four, which
+   share the shard's chunks: the slow portal's mail lands four barriers
+   after it is posted, while the fast portal hands chunks back every
+   barrier. A chunk handed back before its records were read would be
+   overwritten by later mail. With 100 us epochs the barriers carry
+   over 512 mails, so on one domain the shards take each epoch in
+   steps. *)
+let test_delays_one_and_four_epochs () =
+  let delays d = [| Time.mul d 4; d; d; Time.mul d 4 |] in
+  check_stream ~delays:(delays (Time.us 10)) ~count:600 ~batch:20
+    ~gap:(Time.us 30) ~until:(Time.ms 2);
+  check_stream ~delays:(delays (Time.us 100)) ~count:2000 ~batch:50
+    ~gap:(Time.us 30) ~until:(Time.ms 3)
+
+(* The live words [make ()] keeps on its own: what dropping it frees.
+   The packet pool is filled first, so every packet [make] takes comes
+   from it and stays live with it. *)
+let retained make =
+  List.init 4096 (fun seq ->
+      Packet.data ~flow:0 ~subflow:0 ~src:0 ~dst:1 ~path:0 ~seq ~ect:false
+        ~cwr:false ~ts:Time.zero)
+  |> List.iter Packet.release;
+  let held = ref (Some (make ())) in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity !held);
+  held := None;
+  Gc.full_major ();
+  before - (Gc.stat ()).Gc.live_words
+
+(* Portals that carry no mail take no chunk: with a second idle portal
+   pair beside the busy one and the first idle pair, a rig grows by
+   exactly as many words over the same run as without it. *)
+let test_idle_portals_take_nothing () =
+  let growth delays =
+    let rig ~until () =
+      let cluster, _, _ =
+        stream_rig ~senders:2 ~delays ~count:200 ~batch:50
+          ~gap:(Time.us 100) ()
+      in
+      Shard.run ~until cluster;
+      cluster
+    in
+    retained (rig ~until:(Time.us 450)) - retained (rig ~until:Time.zero)
+  in
+  let pair = [| Time.us 35; Time.us 10 |] in
+  let grown = growth (Array.concat [ pair; pair ]) in
+  Alcotest.(check bool) "the run stored mail" true (grown > 300);
+  Alcotest.(check int) "a second idle portal pair adds nothing" grown
+    (growth (Array.concat [ pair; pair; pair ]))
+
+(* Closing drops every chunk and log. Two clusters send the same bursts
+   at the same times, each shard over two portals, so their queues do
+   the same and are empty at the cut. One has 35 us and 10 us portals;
+   the other 400 us and 30 us ones, so it holds all its mail at the cut
+   and logs three times as many runs per (longer) epoch. Once closed,
+   with the lanes and endpoints gone, they keep the same words. *)
+let test_close_drops_mail () =
+  let closed ~slow ~fast =
+    let in_flight = ref 0 in
+    let rig () =
+      let cluster, arrived, _ =
+        stream_rig
+          ~delays:[| slow; fast; slow; fast |]
+          ~count:400 ~batch:50 ~gap:(Time.us 100) ()
+      in
+      Shard.run ~until:(Time.us 390) cluster;
+      let lines = List.length (String.split_on_char '\n' (arrived ())) - 1 in
+      in_flight := Shard.mail_injected cluster - lines;
+      Shard.close cluster;
+      cluster
+    in
+    let words = retained rig in
+    (!in_flight, words)
+  in
+  let in_flight, words = closed ~slow:(Time.us 35) ~fast:(Time.us 10) in
+  let in_flight', words' = closed ~slow:(Time.us 400) ~fast:(Time.us 30) in
+  Alcotest.(check bool)
+    (Printf.sprintf "in flight at the cut: %d over 400 us, %d over 35 us"
+       in_flight' in_flight)
+    true
+    (in_flight' > in_flight + 200);
+  Alcotest.(check int) "closed, both keep the same words" words words'
+
 let suite =
   [
     Alcotest.test_case "portal delivery and timing" `Quick
@@ -474,4 +664,12 @@ let suite =
       test_mail_of_every_width;
     Alcotest.test_case "closed cluster refuses to run" `Quick
       test_closed_cluster;
+    Alcotest.test_case "records fill chunk ends" `Quick
+      test_records_fill_chunks;
+    Alcotest.test_case "portal delays of one and four epochs" `Quick
+      test_delays_one_and_four_epochs;
+    Alcotest.test_case "portals without mail take no chunk" `Quick
+      test_idle_portals_take_nothing;
+    Alcotest.test_case "close drops every chunk and log" `Quick
+      test_close_drops_mail;
   ]

@@ -186,7 +186,8 @@ let shared_delays = [| 1; 3; 4; 7 |]
 (* A self-expanding random schedule: each fired event logs (now, id) and
    schedules one or two more, on a shared lane, on the private lane (at
    explicit times, often equal to the last one), as a closure event or
-   as a timer, and sometimes cancels an armed timer. With [lanes:false]
+   as a timer, and sometimes cancels an armed timer. The private lane's
+   one handler fires the oldest id queued for it. With [lanes:false]
    the lane events go through [after]/[at] instead. Every random draw
    happens in firing order, so both runs make the same draws only if
    they fire in the same order. [initial] events are scheduled before
@@ -198,7 +199,9 @@ let random_schedule ?(initial = 20) ~lanes seed =
   let next_id = ref 0 in
   let budget = ref 3_000 in
   let shared = Array.map (Sim.lane sim) shared_delays in
-  let priv = Sim.private_lane sim in
+  let priv_ids = Queue.create () in
+  let fire_priv = ref ignore in
+  let priv = Sim.private_lane sim (Sim.handler sim (fun () -> !fire_priv ())) in
   let priv_last = ref 0 in
   let timers = Array.make 8 None in
   let rec fire id () =
@@ -223,13 +226,17 @@ let random_schedule ?(initial = 20) ~lanes seed =
     | 1 ->
       let time = max !priv_last (Sim.now sim + Random.State.int rng 6) in
       priv_last := time;
-      if lanes then Sim.lane_at priv time (Sim.handler sim (fire id))
+      if lanes then begin
+        Queue.push id priv_ids;
+        Sim.lane_at priv time
+      end
       else Sim.at sim time (fire id)
     | 2 -> Sim.after sim (Random.State.int rng 8) (fire id)
     | _ ->
       timers.(Random.State.int rng 8) <-
         Some (Sim.timer_after sim (Random.State.int rng 10) (fire id))
   in
+  (fire_priv := fun () -> fire (Queue.pop priv_ids) ());
   for _ = 1 to initial do
     schedule ()
   done;
@@ -314,8 +321,8 @@ let test_closed_refuses () =
   let h = Sim.handler sim bump in
   Sim.lane_after ln h;
   Sim.lane_after ln h;
-  let priv = Sim.private_lane sim in
-  Sim.lane_at priv 30 h;
+  let priv = Sim.private_lane sim h in
+  Sim.lane_at priv 30;
   Alcotest.(check int) "pending before" 5 (Sim.pending sim);
   Sim.close sim;
   Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
@@ -331,7 +338,8 @@ let test_closed_refuses () =
   refused "after" (fun () -> Sim.after sim 1 bump);
   refused "timer_at" (fun () -> ignore (Sim.timer_at sim 50 bump));
   refused "lane_after" (fun () -> Sim.lane_after ln h);
-  refused "lane_at" (fun () -> Sim.lane_at priv 60 h);
+  refused "lane_at" (fun () -> Sim.lane_at priv 60);
+  refused "private_lane" (fun () -> ignore (Sim.private_lane sim h));
   refused "handler" (fun () -> ignore (Sim.handler sim bump));
   Sim.close sim;
   Alcotest.(check int) "nothing ran" 1 !fired
@@ -365,19 +373,25 @@ let test_lane_backlog_off_heap () =
 
 let test_lane_order_enforced () =
   let sim = Sim.create () in
-  let ln = Sim.private_lane sim in
   let h = Sim.handler sim ignore in
-  Sim.lane_at ln 20 h;
-  Sim.lane_at ln 20 h;
+  let ln = Sim.private_lane sim h in
+  Sim.lane_at ln 20;
+  Sim.lane_at ln 20;
   Alcotest.check_raises "earlier than the last push"
     (Invalid_argument "Sim.lane_at: 10ns breaks lane order (last push 20ns)")
-    (fun () -> Sim.lane_at ln 10 h);
+    (fun () -> Sim.lane_at ln 10);
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Sim.lane: negative delay -1ns") (fun () ->
       ignore (Sim.lane sim (-1)));
+  Alcotest.check_raises "lane_at on a shared lane"
+    (Invalid_argument "Sim.lane_at: shared lane") (fun () ->
+      Sim.lane_at (Sim.lane sim 5) 30);
+  Alcotest.check_raises "lane_after on a private lane"
+    (Invalid_argument "Sim.lane_after: private lane") (fun () ->
+      Sim.lane_after ln h);
   Alcotest.check_raises "no handler registered"
     (Failure "Sim: lane event with no handler registered") (fun () ->
-      Sim.lane_at ln 30 Sim.no_handler;
+      Sim.lane_at (Sim.private_lane sim Sim.no_handler) 30;
       Sim.run sim);
   Alcotest.(check int) "the rejected push was not queued" 3
     (Sim.events_executed sim);
