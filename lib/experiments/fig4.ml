@@ -34,7 +34,7 @@ let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults ~beta () =
     ~queue:(Net.Queue_disc.Threshold_mark 15) ~capacity_pkts:100
     ~bucket_s:(unit_s /. 20.) ~horizon_s
   @@ fun env ->
-  let xmp = Scheme.launcher (Scheme.xmp ~beta 2) Scheme.default_overrides in
+  let xmp = Scheme.launcher (Scheme.xmp 2) { Scheme.default_overrides with beta } in
   let launch ~flow ~host ~paths ~probe_names =
     ignore
       (Panel.flow env ~observer:(Panel.series env probe_names) ~flow ~host

@@ -50,7 +50,7 @@ let run ?(scale = 0.2) ?(seed = seed) ?(domains = 1) ~beta () =
   let host pod e s = (pod * 4) + (e * 2) + s in
   let sim0 = Net.Shard.sim cluster 0 in
   let probe = Probe.create ~sim:sim0 ~bucket_s:(unit_s /. 20.) ~horizon_s in
-  let xmp = Scheme.launcher (Scheme.xmp ~beta 2) Scheme.default_overrides in
+  let xmp = Scheme.launcher (Scheme.xmp 2) { Scheme.default_overrides with beta } in
   let launch ~flow ~src ~dst ~paths ~probe_names =
     let recorders =
       Array.of_list (List.map (Probe.recorder probe) probe_names)

@@ -24,7 +24,7 @@ let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults ~beta () =
     ~queue:(Net.Queue_disc.Threshold_mark 15) ~capacity_pkts:100
     ~bucket_s:(unit_s /. 10.) ~horizon_s
   @@ fun env ->
-  let xmp = Scheme.launcher (Scheme.xmp ~beta 3) Scheme.default_overrides in
+  let xmp = Scheme.launcher (Scheme.xmp 3) { Scheme.default_overrides with beta } in
   (* every subflow of flow f, added ones included, records as "Flow f-j" *)
   let names flow subflows =
     List.init subflows (fun j -> Printf.sprintf "Flow %d-%d" flow (j + 1))

@@ -31,7 +31,7 @@ let run ~scale ~seed ?(telemetry = Xmp_telemetry.Sink.null) ~faults ~beta ~k () 
     ~queue:(Net.Queue_disc.Threshold_mark k) ~capacity_pkts:100
     ~bucket_s:unit_s ~horizon_s
   @@ fun env ->
-  let xmp = Scheme.launcher (Scheme.xmp ~beta 2) Scheme.default_overrides in
+  let xmp = Scheme.launcher (Scheme.xmp 2) { Scheme.default_overrides with beta } in
   let names i = [ Printf.sprintf "F%d-1" i; Printf.sprintf "F%d-2" i ] in
   (* Flows 1..5: subflow 1 on L_i, subflow 2 on L_{i+1 mod 5} *)
   for i = 0 to 4 do

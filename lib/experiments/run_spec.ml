@@ -503,7 +503,10 @@ let parse s =
     let scheme =
       match Scheme.of_name scheme_word with
       | Some scheme -> scheme
-      | None -> bad "scheme" "unknown scheme %S (e.g. XMP-2, DCTCP, XMP-2:beta=6)" scheme_word
+      | None -> bad "scheme"
+            "unknown scheme %S (e.g. XMP-2, DCTCP; set beta=, mark= or \
+             rto-min= on the run)"
+            scheme_word
     in
     let pattern =
       List.assoc_opt traffic
@@ -735,10 +738,7 @@ let config (w : workload) =
     Open_loop.default_config with
     fabric = w.fabric;
     seed = w.seed;
-    scheme =
-      (match w.fabric with
-      | Fat_tree _ -> w.scheme
-      | Bridged _ -> Scheme.with_rto ~rto_min:w.rto_min w.scheme);
+    scheme = w.scheme;
     sizes = (if w.size_scale = 1. then cdf else Flow_size.scaled cdf w.size_scale);
     load = w.load;
     horizon = w.horizon;

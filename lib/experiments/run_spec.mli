@@ -10,7 +10,8 @@
 
     - [TOPOLOGY] is [ft:K] (even [K ≥ 2]) or a bridged WAN [LEFT+RIGHT],
       each side [ft:K] or [ls:LEAVES,SPINES,HOSTS].
-    - [SCHEME] is {!Xmp_workload.Scheme.of_name}'s [NAME-n:k=v,...].
+    - [SCHEME] is {!Xmp_workload.Scheme.of_name}'s [NAME-n]; β, K and
+      the RTO floor are the run's [beta], [mark] and [rto-min] fields.
     - [TRAFFIC] is a pattern ([permutation], [random], [incast]; on
       [ft:K] only: one §5.2 fat-tree run) or a flow-size CDF
       ([websearch], [datamining] or a file of [size_segments cum_prob]
@@ -90,9 +91,7 @@ type workload = {
   queue_pkts : int;
   marking_threshold : int;
   beta : int;
-  rto_min : Xmp_engine.Time.t;
-      (** on a WAN also pinned on the scheme; defaults there to
-          {!wan_rto_min} *)
+  rto_min : Xmp_engine.Time.t;  (** on a WAN defaults to {!wan_rto_min} *)
   sack : bool;
 }
 (** An open-loop run; defaults are {!Xmp_workload.Open_loop.default_config}'s
@@ -168,8 +167,7 @@ val result : base -> Xmp_workload.Scheme.t -> pattern -> Xmp_workload.Driver.res
     {!to_string}. *)
 
 val config : workload -> Xmp_workload.Open_loop.config
-(** The open-loop configuration the run uses; on a WAN its scheme
-    carries the [rto_min] floor. *)
+(** The open-loop configuration the run uses. *)
 
 val simulate : ?domains:int -> workload -> Xmp_workload.Open_loop.result
 (** [domains] (default 1) never changes the result. *)

@@ -14,7 +14,7 @@
      knob swept at a fixed 40 ms trunk.
 
    RTO floors are sized per topology — max(1 ms, max zero-load RTT / 2)
-   — through the Scheme rtomin tunable, never the historical 200 ms
+   — through the run's rto_min field, never the historical 200 ms
    constant (which exceeds every trunk RTT here and would mask timeout
    behaviour entirely). *)
 

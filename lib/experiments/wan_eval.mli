@@ -3,8 +3,8 @@
     scenario family: per-subflow RTT asymmetry across unequal trunks,
     the Eq. 1 marking threshold at WAN BDPs, and a cross-DC traffic
     fraction sweep. RTO floors are sized per topology (half the max
-    zero-load RTT, ≥ 1 ms) through the {!Xmp_workload.Scheme.with_rto}
-    tunable. *)
+    zero-load RTT, ≥ 1 ms) through the run's [rto_min] field
+    ({!Run_spec.wan_rto_min}). *)
 
 val print_asym : scale:float -> unit -> unit
 (** FCT slowdowns per scheme at cross-DC 0.6, the closed-loop

@@ -1,8 +1,8 @@
 module Cc = Xmp_transport.Cc
 module Reno = Xmp_transport.Reno
 
-(* Veno's default backlog threshold: below [beta_pkts] queued segments
-   a loss is presumed random, not congestive. *)
+(* Veno's backlog threshold: below [beta_pkts] queued segments a loss
+   is presumed random, not congestive. *)
 let beta_pkts = 3.
 
 (* N = w·(srtt − base)/srtt — the subflow's estimated backlog in the
@@ -13,7 +13,7 @@ let backlog (view : Cc.view) ~cwnd =
   if rtt_s <= 0. || base_s <= 0. || rtt_s <= base_s then 0.
   else cwnd *. (rtt_s -. base_s) /. rtt_s
 
-let coupling ?(beta_pkts = beta_pkts) () =
+let coupling () =
   (* loss-driven: Veno flows are not ECN-capable *)
   let params = { Reno.default_params with ecn = false } in
   let ops =

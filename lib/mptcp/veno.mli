@@ -13,6 +13,4 @@
     of the window when [N < β] — the loss is presumed random — and half
     otherwise. Loss-driven (not ECN-capable). *)
 
-val coupling : ?beta_pkts:float -> unit -> Coupling.t
-(** [beta_pkts] (default 3 segments) is the backlog threshold β the
-    random-vs-congestive discrimination compares against. *)
+val coupling : unit -> Coupling.t

@@ -1,15 +1,7 @@
 module Invariant = Xmp_check.Invariant
 module Tel = Xmp_telemetry
 
-type red_params = {
-  wq : float;
-  min_th : float;
-  max_th : float;
-  max_p : float;
-  mark_ecn : bool;
-}
-
-type policy = Droptail | Threshold_mark of int | Red of red_params
+type policy = Droptail | Threshold_mark of int
 
 (* telemetry bundle, present exactly when the owning sim's sink is active;
    handles are resolved once in [set_telemetry] so the per-packet cost of a
@@ -34,9 +26,6 @@ type t = {
   mutable dropped : int;
   mutable marked : int;
   mutable max_len : int;
-  (* RED state *)
-  mutable avg : float;
-  mutable count_since_mark : int;
   mutable telem : telem option;
   mutable blackout : bool;
 }
@@ -53,8 +42,6 @@ let create ~policy ~capacity_pkts =
     dropped = 0;
     marked = 0;
     max_len = 0;
-    avg = 0.;
-    count_since_mark = -1;
     telem = None;
     blackout = false;
   }
@@ -100,36 +87,6 @@ let mark t (p : Packet.t) =
            { queue = tl.queue; flow = Packet.flow p;
              subflow = Packet.subflow p; depth = t.len })
     | None -> ())
-  end
-
-(* RED decision for an arriving packet: [`Pass], [`Mark] or [`Drop].
-   Classic gentle-less RED with the count-based probability correction. *)
-let red_decision t params =
-  t.avg <- ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int t.len);
-  if t.avg < params.min_th then begin
-    t.count_since_mark <- -1;
-    `Pass
-  end
-  else if t.avg >= params.max_th then `Force
-  else begin
-    t.count_since_mark <- t.count_since_mark + 1;
-    let pb =
-      params.max_p *. (t.avg -. params.min_th)
-      /. (params.max_th -. params.min_th)
-    in
-    let pa =
-      let denom = 1. -. (float_of_int t.count_since_mark *. pb) in
-      if denom <= 0. then 1. else pb /. denom
-    in
-    (* Deterministic threshold on the accumulated probability keeps runs
-       reproducible without threading an RNG into the queue: mark when the
-       expected number of marks since the last one reaches 1. *)
-    if pa >= 1. || Float.rem (float_of_int t.count_since_mark *. pb) 1. < pb
-    then begin
-      t.count_since_mark <- 0;
-      `Force
-    end
-    else `Pass
   end
 
 (* The ring starts empty and doubles when full, from 8 slots up to
@@ -220,18 +177,6 @@ let enqueue t (p : Packet.t) =
               (t.marked > marked_before)
               ce_eligible);
       true
-    | Red params -> (
-      match red_decision t params with
-      | `Pass ->
-        append t p;
-        true
-      | `Force ->
-        if params.mark_ecn && Packet.ect p then begin
-          mark t p;
-          append t p;
-          true
-        end
-        else drop t p)
   end
 
 (* The link's per-hop path: it tests [length] and takes, so no [Some]
@@ -239,20 +184,6 @@ let enqueue t (p : Packet.t) =
 let take t =
   if t.len = 0 then invalid_arg "Queue_disc.take: empty queue";
   t.len <- t.len - 1;
-  (* RED idle-time correction, deterministically: classic RED decays
-     [avg] by (1-wq)^m for m packet-times of idle before an arrival,
-     because an average only updated on arrivals stays stale across an
-     idle period. The queue has no clock, so the equivalent
-     departure-driven form is used: every dequeue relaxes the average
-     toward the instantaneous occupancy, and a drain-to-empty (what
-     precedes every idle period) therefore leaves the first packet
-     after the idle gap facing a decayed average instead of the
-     pre-idle backlog. *)
-  (match t.policy with
-  | Red params ->
-    t.avg <-
-      ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int t.len)
-  | Droptail | Threshold_mark _ -> ());
   if not (Invariant.holds (t.len >= 0)) then
     Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
         Printf.sprintf "occupancy %d went negative" t.len);

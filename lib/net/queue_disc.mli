@@ -1,6 +1,6 @@
 (** Queue disciplines for switch egress ports.
 
-    Three policies:
+    Two policies:
 
     - [Droptail]: FIFO, drop on overflow, no marking. What the paper's LIA
       and TCP baselines run against.
@@ -8,25 +8,11 @@
       arriving ECT packet with CE when the instantaneous queue length
       exceeds [k] packets, drop on overflow. Equivalent to RED with
       [Wq = 1] and both thresholds at [k], the configuration trick of §3.
-    - [Red]: classic RED with EWMA average queue estimation, for the
-      comparison arguments of §2.1. Marks ECT packets (or drops, when
-      [mark_ecn = false]). The average also decays on every dequeue — the
-      deterministic, clock-free equivalent of RED's idle-time correction,
-      so the first arrival after a drain-and-idle period does not face a
-      stale pre-idle average.
 
     Non-ECT packets are never marked; they are only dropped on overflow.
     This is what lets ECN and non-ECN flows coexist in Table 2. *)
 
-type red_params = {
-  wq : float;  (** EWMA weight for the average queue length *)
-  min_th : float;  (** packets *)
-  max_th : float;  (** packets *)
-  max_p : float;  (** marking probability at [max_th] *)
-  mark_ecn : bool;  (** mark ECT packets instead of dropping them *)
-}
-
-type policy = Droptail | Threshold_mark of int | Red of red_params
+type policy = Droptail | Threshold_mark of int
 
 type t
 
@@ -46,8 +32,8 @@ val length : t -> int
 
 val enqueue : t -> Packet.t -> bool
 (** [enqueue t p] applies the marking policy to [p] and appends it; returns
-    [false] when the packet was dropped (queue full, RED drop, or the
-    queue is blacked out). *)
+    [false] when the packet was dropped (queue full, or the queue is
+    blacked out). *)
 
 val take : t -> Packet.t
 (** Removes and returns the head packet, allocating nothing. The queue

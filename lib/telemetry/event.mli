@@ -15,7 +15,7 @@ type t =
   | Ce_mark of { queue : string; flow : int; subflow : int; depth : int }
       (** ECN CE codepoint set on an ECT packet *)
   | Drop of { queue : string; flow : int; subflow : int; depth : int }
-      (** packet dropped (overflow or RED on a non-ECT packet) *)
+      (** packet dropped (overflow or blackout) *)
   | Cwnd_change of { flow : int; subflow : int; cwnd : float }
       (** congestion-window update from the controller *)
   | Trash_delta of { flow : int; subflow : int; delta : float }

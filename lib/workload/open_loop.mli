@@ -36,8 +36,6 @@ type config = {
   max_flows : int option;  (** arrivals also stop after this many launches *)
   queue_pkts : int;
   marking_threshold : int;
-      (** overridden by the scheme's own [k] tunable when set, as in
-          {!Driver} *)
   beta : int;
   rto_min : Xmp_engine.Time.t;
   sack : bool;

@@ -20,19 +20,11 @@ type t = {
 let create ~seed ~telemetry ~shards ~queue_pkts ~marking_threshold ~rto_min
     ~beta ~sack ~faults ~schemes fabric =
   let cluster = Shard.create ~config:{ Sim.seed; telemetry } ~shards () in
-  (* a lone scheme tuned for a specific marking threshold K (e.g.
-     "XMP-2:k=20") gets the fabric configured to match; a mix keeps the
-     fabric-wide value *)
-  let marking =
-    match schemes with
-    | [| s |] -> Option.value (Scheme.marking_threshold s) ~default:marking_threshold
-    | _ -> marking_threshold
-  in
-  let policy = Queue_disc.Threshold_mark marking in
+  let policy = Queue_disc.Threshold_mark marking_threshold in
   let disc () = Queue_disc.create ~policy ~capacity_pkts:queue_pkts in
   let topo = Xmp_net.Fabric.create ~cluster ~disc fabric in
   let injectors = Injector.install_cluster cluster faults in
-  let overrides = { Scheme.default_overrides with rto_min; beta; sack } in
+  let overrides = { Scheme.rto_min; beta; sack } in
   let schemes = Array.map (fun s -> (s, Scheme.launcher s overrides)) schemes in
   { cluster; topo; overrides; injectors; schemes }
 

@@ -29,8 +29,7 @@ val create :
 (** Builds the fabric on a fresh cluster of [shards] shards (1, or
     {!Xmp_net.Fabric.shards}) whose simulators take [seed] and
     [telemetry]. Every fabric queue holds [queue_pkts] and marks at
-    [marking_threshold], unless [schemes] is one scheme tuned for its
-    own K ({!Scheme.marking_threshold}). [faults] is armed by
+    [marking_threshold]. [faults] is armed by
     {!Xmp_faults.Injector.install_cluster}: a named link or host on the
     shard that holds it, a tag or all-link target on every shard with
     such links. Source host

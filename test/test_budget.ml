@@ -310,14 +310,15 @@ let built_budgets =
       (reno, 111.); (dctcp, 115.); (xmp 2, 210.); (lia 2, 204.); (olia 2, 219.);
     ]
 
-(* Ceilings only go down, at the measured values. With endpoint and tag
-   tables pre-sized at 256 and 64 buckets per shard network they kept
-   71 275 and 18 239 words, and with every ring also allocated at its
-   bound 161 899 and 65 177. *)
+(* Ceilings only go down, at the measured values. With RED's two
+   per-queue fields (768 and 210 queues) they kept 60 304 and 15 404
+   words; with endpoint and tag tables pre-sized at 256 and 64 buckets
+   per shard network 71 275 and 18 239, and with every ring also
+   allocated at its bound 161 899 and 65 177. *)
 let idle_budgets =
   [
-    ("k=8 fat tree, 8 shards", Idle.k8, 69_339);
-    ("wan.2dc bridge", Idle.wan, 17_755);
+    ("k=8 fat tree, 8 shards", Idle.k8, 58_768);
+    ("wan.2dc bridge", Idle.wan, 14_984);
   ]
 
 let test_idle (name, fabric, ceiling) () =

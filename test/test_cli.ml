@@ -105,6 +105,11 @@ let malformed =
     ( "run mixed draw from a one-host DC",
       "run " ^ spec "ls:1,1,1+ft:4 XMP-2 websearch horizon=1ms drain=1ms",
       "field 'cross-dc'" );
+    (* beta, K and the RTO floor are run fields, not scheme tunables *)
+    ("run a scheme tunable", "run " ^ spec "ft:4 XMP-2:beta=6 permutation", "field 'scheme'");
+    ( "run a scheme tunable's hint",
+      "run " ^ spec "ft:4 XMP-2:beta=6 permutation",
+      "set beta=, mark= or rto-min= on the run" );
     ("run a field on a name that takes none", "run " ^ spec "wl.websearch.k8 seed=2", "field 'seed'");
     ("run a view base with a bad field", "run " ^ spec "table1 ft:4 queue=0", "field 'queue'");
     ("run an unknown testbed figure", "run " ^ spec "tb:fig5", "field 'topology'");

@@ -199,51 +199,7 @@ let scenario_digest_semantics_fuzz =
 
 module Scheme = Xmp_workload.Scheme
 
-(* tunables draw from the documented ranges; Veno betas come from a
-   pool of clean decimals (the constructor demands exact "%g" printing) *)
 let arbitrary_scheme =
-  QCheck.map
-    (fun (((which, n), (xmp_beta, xmp_k, veno_beta, ect)), (rto_min, rto_max))
-       ->
-      let base =
-        match which with
-        | 0 -> Scheme.dctcp
-        | 1 -> Scheme.reno
-        | 2 -> Scheme.lia n
-        | 3 -> Scheme.olia n
-        | 4 -> Scheme.xmp ?beta:xmp_beta ?k:xmp_k n
-        | 5 -> Scheme.balia n
-        | 6 -> Scheme.veno ?beta:veno_beta n
-        | _ -> Scheme.amp ~ect n
-      in
-      Scheme.with_rto ?rto_min ?rto_max base)
-    QCheck.(
-      pair
-        (pair
-           (pair (int_range 0 7) (int_range 1 64))
-           (quad
-              (option (int_range 2 16))
-              (option (int_range 1 200))
-              (option (oneofl [ 0.5; 1.; 1.5; 2.; 2.5; 3.; 4.5; 10.; 0.125 ]))
-              (oneofl [ Scheme.Counted; Scheme.Classic ])))
-        (* floor pool strictly below the ceiling pool so min <= max holds
-           for every combination *)
-        (pair
-           (option (oneofl [ 1; 200_000; 1_000_000; 40_260_000 ]))
-           (option (oneofl [ 1_000_000_000; 60_000_000_000 ]))))
-
-let scheme_name_roundtrip_fuzz =
-  QCheck.Test.make ~count:200 ~name:"scheme name <-> of_name round-trips"
-    arbitrary_scheme
-    (fun scheme ->
-      Scheme.of_name (Scheme.name scheme) = Some scheme
-      && Scheme.of_name (String.lowercase_ascii (Scheme.name scheme))
-         = Some scheme)
-
-(* tunable-free schemes: junk appended to a name that ends in a tunable
-   value can spell a different legal value ("beta=1" ^ ".0"), so the
-   rejection property is about the base grammar *)
-let arbitrary_plain_scheme =
   QCheck.map
     (fun (which, n) ->
       match which with
@@ -257,13 +213,22 @@ let arbitrary_plain_scheme =
       | _ -> Scheme.amp n)
     QCheck.(pair (int_range 0 7) (int_range 1 64))
 
+let scheme_name_roundtrip_fuzz =
+  QCheck.Test.make ~count:200 ~name:"scheme name <-> of_name round-trips"
+    arbitrary_scheme
+    (fun scheme ->
+      Scheme.of_name (Scheme.name scheme) = Some scheme
+      && Scheme.of_name (String.lowercase_ascii (Scheme.name scheme))
+         = Some scheme)
+
 let scheme_name_garbage_fuzz =
   (* every non-decimal tail must be rejected; digits are excluded from
      the junk pool because "XMP-2" ^ "3" is the legitimate XMP-23 *)
   QCheck.Test.make ~count:200 ~name:"of_name rejects trailing garbage"
     QCheck.(
-      pair arbitrary_plain_scheme
-        (oneofl [ "x"; "_"; "+"; "-"; " 3"; ".0"; "e1"; "x2"; "-2"; ":" ]))
+      pair arbitrary_scheme
+        (oneofl
+           [ "x"; "_"; "+"; "-"; " 3"; ".0"; "e1"; "x2"; "-2"; ":"; ":beta=6" ]))
     (fun (scheme, junk) -> Scheme.of_name (Scheme.name scheme ^ junk) = None)
 
 module Run_spec = Xmp_experiments.Run_spec

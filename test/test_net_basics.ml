@@ -251,81 +251,6 @@ let test_max_length () =
   ignore (Queue_disc.dequeue d);
   Alcotest.(check int) "max length seen" 3 (Queue_disc.max_length_seen d)
 
-(* the usual RED constants; each case overrides what it exercises *)
-let red =
-  {
-    Queue_disc.wq = 0.002;
-    min_th = 5.;
-    max_th = 15.;
-    max_p = 0.1;
-    mark_ecn = true;
-  }
-
-let test_red_marks_under_load () =
-  let params =
-    { red with wq = 1.0; min_th = 2.; max_th = 4. }
-  in
-  let d =
-    Queue_disc.create ~policy:(Queue_disc.Red params) ~capacity_pkts:50
-  in
-  let marked = ref 0 in
-  for i = 1 to 30 do
-    let p = mk_data i in
-    ignore (Queue_disc.enqueue d p);
-    if (Packet.ce p) then incr marked
-  done;
-  Alcotest.(check bool) "red marks when avg above max_th" true (!marked > 0);
-  Alcotest.(check int) "no drops while marking" 0 (Queue_disc.dropped d)
-
-let test_red_drops_when_not_marking () =
-  let params =
-    {
-      red with
-      wq = 1.0;
-      min_th = 2.;
-      max_th = 4.;
-      mark_ecn = false;
-    }
-  in
-  let d =
-    Queue_disc.create ~policy:(Queue_disc.Red params) ~capacity_pkts:50
-  in
-  for i = 1 to 30 do
-    ignore (Queue_disc.enqueue d (mk_data i))
-  done;
-  Alcotest.(check bool) "red drops instead" true (Queue_disc.dropped d > 0);
-  Alcotest.(check int) "nothing marked" 0 (Queue_disc.marked d)
-
-let test_red_average_decays_across_idle () =
-  (* Idle-time correction: RED's average used to be updated only on
-     arrivals, so after the queue drained and sat idle the next packet
-     faced the stale pre-idle average (and was spuriously marked). The
-     average now also decays on every dequeue, so a drain leaves it near
-     the empty queue, not the old backlog. *)
-  let params =
-    { red with wq = 0.5; min_th = 2.; max_th = 4. }
-  in
-  let d =
-    Queue_disc.create ~policy:(Queue_disc.Red params) ~capacity_pkts:50
-  in
-  (* build a backlog big enough to push the average above max_th *)
-  for i = 1 to 10 do
-    ignore (Queue_disc.enqueue d (mk_data i))
-  done;
-  Alcotest.(check bool) "backlog marked under load" true
-    (Queue_disc.marked d > 0);
-  (* drain to empty — the idle period follows *)
-  while Queue_disc.dequeue d <> None do
-    ()
-  done;
-  let marked_before = Queue_disc.marked d in
-  let p = mk_data 99 in
-  let accepted = Queue_disc.enqueue d p in
-  Alcotest.(check bool) "first packet after idle accepted" true accepted;
-  Alcotest.(check bool) "not marked against a stale average" false
-    (Packet.ce p);
-  Alcotest.(check int) "no mark recorded" marked_before (Queue_disc.marked d)
-
 let prop_threshold_len_bounded =
   QCheck.Test.make ~count:100
     ~name:"queue length never exceeds capacity under random ops"
@@ -343,10 +268,10 @@ let prop_threshold_len_bounded =
         ops)
 
 (* A list model of the queue discipline: FIFO contents as (seq, CE)
-   pairs, the counters, and RED's average and count, updated by the same
-   rules. The ring under test starts empty and grows (8, 16, 32, ...) up
-   to the capacity, so random sequences cross growth, wrap-around, drop
-   at capacity, blackout and [clear] at every fill level. *)
+   pairs and the counters, updated by the same rules. The ring under
+   test starts empty and grows (8, 16, 32, ...) up to the capacity, so
+   random sequences cross growth, wrap-around, drop at capacity,
+   blackout and [clear] at every fill level. *)
 module Model = struct
   type t = {
     policy : Queue_disc.policy;
@@ -356,8 +281,6 @@ module Model = struct
     mutable dropped : int;
     mutable marked : int;
     mutable max_len : int;
-    mutable avg : float;
-    mutable count : int;
     mutable blackout : bool;
   }
 
@@ -370,31 +293,10 @@ module Model = struct
       dropped = 0;
       marked = 0;
       max_len = 0;
-      avg = 0.;
-      count = -1;
       blackout = false;
     }
 
   let len m = List.length m.q
-
-  let red m (r : Queue_disc.red_params) =
-    m.avg <- ((1. -. r.wq) *. m.avg) +. (r.wq *. float_of_int (len m));
-    if m.avg < r.min_th then begin
-      m.count <- -1;
-      false
-    end
-    else if m.avg >= r.max_th then true
-    else begin
-      m.count <- m.count + 1;
-      let pb = r.max_p *. (m.avg -. r.min_th) /. (r.max_th -. r.min_th) in
-      let denom = 1. -. (float_of_int m.count *. pb) in
-      let pa = if denom <= 0. then 1. else pb /. denom in
-      if pa >= 1. || Float.rem (float_of_int m.count *. pb) 1. < pb then begin
-        m.count <- 0;
-        true
-      end
-      else false
-    end
 
   (* [Some ce] when accepted with that CE bit, [None] when dropped *)
   let enqueue m seq ~ect =
@@ -413,23 +315,12 @@ module Model = struct
       match m.policy with
       | Queue_disc.Droptail -> accept false
       | Queue_disc.Threshold_mark k -> accept (ect && len m > k)
-      | Queue_disc.Red r ->
-        if not (red m r) then accept false
-        else if r.mark_ecn && ect then accept true
-        else begin
-          m.dropped <- m.dropped + 1;
-          None
-        end
 
   let take m =
     match m.q with
     | [] -> None
     | x :: rest ->
       m.q <- rest;
-      (match m.policy with
-      | Queue_disc.Red r ->
-        m.avg <- ((1. -. r.wq) *. m.avg) +. (r.wq *. float_of_int (len m))
-      | Queue_disc.Droptail | Queue_disc.Threshold_mark _ -> ());
       Some x
 
   let clear m =
@@ -443,22 +334,11 @@ let prop_queue_matches_model =
   QCheck.Test.make ~count:300
     ~name:"queue matches a list model across growth, wrap and clear"
     QCheck.(
-      quad (int_bound 2) (int_range 1 40) (int_bound 20)
+      quad bool (int_range 1 40) (int_bound 20)
         (list_of_size Gen.(0 -- 400) (int_bound 39)))
-    (fun (which, capacity, k, ops) ->
+    (fun (marking, capacity, k, ops) ->
       let policy =
-        match which with
-        | 0 -> Queue_disc.Droptail
-        | 1 -> Queue_disc.Threshold_mark k
-        | _ ->
-          Queue_disc.Red
-            {
-              Queue_disc.wq = 0.25;
-              min_th = 2.;
-              max_th = float_of_int k +. 3.;
-              max_p = 0.3;
-              mark_ecn = k mod 2 = 0;
-            }
+        if marking then Queue_disc.Threshold_mark k else Queue_disc.Droptail
       in
       let d = Queue_disc.create ~policy ~capacity_pkts:capacity in
       let m = Model.create policy capacity in
@@ -518,11 +398,6 @@ let suite =
       test_threshold_nonect_not_marked;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "max length stat" `Quick test_max_length;
-    Alcotest.test_case "RED marks" `Quick test_red_marks_under_load;
-    Alcotest.test_case "RED drops when not marking" `Quick
-      test_red_drops_when_not_marking;
-    Alcotest.test_case "RED average decays across idle" `Quick
-      test_red_average_decays_across_idle;
     QCheck_alcotest.to_alcotest prop_threshold_len_bounded;
     QCheck_alcotest.to_alcotest prop_queue_matches_model;
   ]

@@ -10,6 +10,9 @@
 #   - every scenario REV registers (the SCENARIOS section of
 #     `xmp_sim run --help=plain`) with `run --quick --no-cache --jobs 2`,
 #     and the two stdouts must be byte-equal (`cmp`);
+#   - each run spec of the fixed list below with `run --no-cache`, whose
+#     stdouts must be byte-equal too: they reach Run_spec's own
+#     `workload ...` and `wan ...` headings, which no scenario prints;
 #   - `xmpbench.exe child W --seed 1` for the four benchmark workloads,
 #     and at `--domains 2` for websearch.k8 and wan.2dc, whose digest,
 #     engine.events and engine.heap_peak must be equal.
@@ -46,6 +49,15 @@ scenarios=$("$tmp/base/_build/default/bin/xmp_sim.exe" run --help=plain |
   sed -n 's/^       \([a-z0-9][a-z0-9._]*\)$/\1/p')
 [ -n "$scenarios" ] || die "no scenarios listed by $rev"
 
+# One run spec a line: a pattern run, a faulted one, open-loop runs on
+# a fat tree and on both WAN shapes, and a testbed panel.
+specs='ft:4 XMP-2 permutation horizon=50ms
+ft:4 LIA-2 incast horizon=50ms fault=loss@0..inf@tag=rack@bern=0.01@any
+ft:4 DCTCP datamining horizon=5ms drain=10ms
+ft:4+ft:4 XMP-2 websearch horizon=5ms drain=10ms
+ls:4,2,4+ft:4 TCP websearch horizon=5ms drain=10ms trunk=10
+tb:fig7 beta=5 mark=15 scale=0.05'
+
 status=0
 differ() {
   echo "DIFFER  $*"
@@ -65,6 +77,18 @@ for side in base work; do
     cat "$tmp/out/$side/scenarios.err" >&2
     die "$side: xmp_sim run failed"
   }
+  i=0
+  while IFS= read -r spec; do
+    i=$((i + 1))
+    (cd "$tmp/out/$side" &&
+      "$dir/_build/default/bin/xmp_sim.exe" run --no-cache "$spec" \
+        >"spec$i.out" 2>"spec$i.err") || {
+      cat "$tmp/out/$side/spec$i.err" >&2
+      die "$side: xmp_sim run '$spec' failed"
+    }
+  done <<SPECS
+$specs
+SPECS
   for run in "bulk.k4 1" "incast.k4 1" "websearch.k8 1" "wan.2dc 1" \
     "websearch.k8 2" "wan.2dc 2"; do
     set -- $run
@@ -84,6 +108,18 @@ else
   differ "$n quick scenarios:"
   diff "$tmp/out/base/scenarios.out" "$tmp/out/work/scenarios.out" | head -20
 fi
+i=0
+while IFS= read -r spec; do
+  i=$((i + 1))
+  if cmp -s "$tmp/out/base/spec$i.out" "$tmp/out/work/spec$i.out"; then
+    echo "same    '$spec' ($(wc -c <"$tmp/out/work/spec$i.out") bytes)"
+  else
+    differ "'$spec':"
+    diff "$tmp/out/base/spec$i.out" "$tmp/out/work/spec$i.out" | head -20
+  fi
+done <<SPECS
+$specs
+SPECS
 for f in bulk.k4.d1 incast.k4.d1 websearch.k8.d1 wan.2dc.d1 websearch.k8.d2 \
   wan.2dc.d2; do
   if cmp -s "$tmp/out/base/$f" "$tmp/out/work/$f"; then
