@@ -58,8 +58,10 @@ type config = {
   cross_dc : float;
       (** on a bridged fabric, the fraction of randomly chosen
           destinations drawn from the other DC (Random-pattern and
-          incast-background candidate draws); 0 keeps all random picks
-          DC-local. Ignored on a fat tree. Derangement-based patterns
+          incast-background candidate draws) when positive; at 0 every
+          candidate is drawn uniformly over all hosts, as on a fat tree,
+          so about half cross the trunk (ROADMAP item 4 makes 0 mean
+          DC-local). Ignored on a fat tree. Derangement-based patterns
           (Permutation, All_to_all) always mix globally. *)
   horizon : Xmp_engine.Time.t;
   queue_pkts : int;

@@ -56,8 +56,9 @@ val default_config : config
 (** A k = 8 fat tree, seed 1, XMP-2, web-search sizes, 40% load at 1 Gbps,
     100 ms horizon + 200 ms drain, no flow cap, 100-packet queues with
     marking threshold 10, β = 4, RTOmin 200 ms, SACK off, RTT
-    subsampling 64, per-flow records not kept, no cross-DC traffic, no
-    faults. *)
+    subsampling 64, per-flow records not kept, [cross_dc] 0 (which,
+    on a bridged fabric, draws destinations uniformly over every host;
+    see {!run}), no faults. *)
 
 type result = {
   metrics : Metrics.t;
@@ -115,12 +116,14 @@ val ideal_fct :
     never queues or shares scores 1). *)
 
 val run : ?config:config -> ?domains:int -> unit -> result
-(** One shard per pod of a fat tree, or per DC of a bridge. On a bridge,
-    [config.cross_dc] of each host's arrivals target a uniform host in
-    the other DC and the rest stay uniform within the source DC;
-    cross-DC ideals use the fastest trunk's zero-load RTT, so slowdown
-    stays comparable across trunk configurations. Results are
-    byte-identical for any [domains]. *)
+(** One shard per pod of a fat tree, or per DC of a bridge. On a bridge
+    with a positive [config.cross_dc], that fraction of each host's
+    arrivals target a uniform host in the other DC and the rest stay
+    uniform within the source DC; at 0, destinations are uniform over
+    every host, so about half cross the trunk (ROADMAP item 4 makes 0
+    mean DC-local). Cross-DC ideals use the fastest trunk's zero-load
+    RTT, so slowdown stays comparable across trunk configurations.
+    Results are byte-identical for any [domains]. *)
 
 val run_wan :
   ?config:config ->
