@@ -21,10 +21,10 @@ val holds : bool -> bool
     ]}
 
     It counts one check once {!reset_counters} has armed counting and
-    returns [cond]. A check that passes costs the condition, one call
-    and one atomic load (plus a domain-local increment when armed), and
-    allocates nothing: the [detail] closure is only built on the failing
-    branch. *)
+    returns [cond]. It is inlined at every site, so a check that passes
+    costs the condition and one atomic load (plus an out-of-line
+    domain-local increment when armed), and allocates nothing: the
+    [detail] closure is only built on the failing branch. *)
 
 val fail : name:string -> (unit -> string) -> unit
 (** [fail ~name detail] raises {!Violation} with the message

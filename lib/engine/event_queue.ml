@@ -8,18 +8,13 @@
    written exactly twice per event: once on [add] (into its slot) and
    once on pop (the slot is scrubbed back to the dummy).
 
-   A coded entry stores [-1 - code] in [slots] and holds no payload slot
-   at all, so it writes no pointer. Heap positions and payload slots
-   therefore grow independently.
-
    The payload table grows through [Tables.grow], which forces no minor
    collection (see tables.mli); the new half is then scrubbed to the
    dummy, and so is the old table as it is dropped. *)
 type 'a t = {
   mutable times : int array;  (* heap-ordered *)
   mutable seqs : int array;  (* heap-ordered *)
-  mutable slots : int array;
-      (* heap-ordered: index into [payloads], or [-1 - code] *)
+  mutable slots : int array;  (* heap-ordered: index into [payloads] *)
   mutable payloads : 'a array;  (* slot-indexed *)
   mutable free : int array;  (* free slot stack: free.(0 .. free_top-1) *)
   mutable free_top : int;
@@ -27,6 +22,7 @@ type 'a t = {
   mutable dead : int;
       (* entries still in the heap whose payload [live] rejects; kept
          accurate by [note_dead] (+1) and [pop] (-1 on a dead top) *)
+  mutable outside : int;  (* live entries the owner keeps elsewhere *)
   mutable rebuilds : int;
   mutable dummy : 'a option;
       (* canonical payload used to overwrite vacated slots so popped
@@ -46,6 +42,7 @@ let create ?(live = fun _ -> true) () =
     free_top = 0;
     len = 0;
     dead = 0;
+    outside = 0;
     rebuilds = 0;
     dummy = None;
     live;
@@ -61,6 +58,8 @@ let is_empty h = h.len = 0
 let dead_count h = h.dead
 
 let rebuilds h = h.rebuilds
+
+let set_outside h n = h.outside <- n
 
 let resize_heap h cap' =
   let times' = Array.make cap' 0 in
@@ -168,94 +167,62 @@ let sift_down h i0 =
     Array.unsafe_set slots !i slot
   end
 
-let push_key h ~time ~seq slot =
-  if h.len = Array.length h.times then
-    resize_heap h (Int.max 64 (2 * h.len));
-  let i = h.len in
-  h.times.(i) <- time;
-  h.seqs.(i) <- seq;
-  h.slots.(i) <- slot;
-  h.len <- i + 1;
-  sift_up h i
-
 let add h ~time ~seq payload =
   if Option.is_none h.dummy then h.dummy <- Some payload;
   if h.free_top = 0 then grow_slots h (Option.value h.dummy ~default:payload);
   h.free_top <- h.free_top - 1;
   let s = h.free.(h.free_top) in
   h.payloads.(s) <- payload;
-  push_key h ~time ~seq s
-
-let add_coded h ~time ~seq code =
-  if code < 0 then invalid_arg "Event_queue.add_coded: negative code";
-  push_key h ~time ~seq (-1 - code)
+  if h.len = Array.length h.times then
+    resize_heap h (Int.max 64 (2 * h.len));
+  let i = h.len in
+  h.times.(i) <- time;
+  h.seqs.(i) <- seq;
+  h.slots.(i) <- s;
+  h.len <- i + 1;
+  sift_up h i
 
 let top_time h = if h.len = 0 then Time.infinity else h.times.(0)
 
-let top_code h = if h.len = 0 then -1 else -1 - h.slots.(0)
-
-let rekey_top h ~time ~seq =
-  if h.len = 0 then invalid_arg "Event_queue.rekey_top: empty";
-  let t0 = h.times.(0) in
-  (* xmplint: allow poly-compare-time — int array cells, specialized *)
-  if time < t0 || (time = t0 && seq <= h.seqs.(0)) then
-    invalid_arg "Event_queue.rekey_top: the new key precedes the old one";
-  h.times.(0) <- time;
-  h.seqs.(0) <- seq;
-  sift_down h 0
+let top_seq h = if h.len = 0 then max_int else h.seqs.(0)
 
 let scrub h s =
   match h.dummy with Some d -> h.payloads.(s) <- d | None -> ()
 
-(* Move the last entry up into the root and restore the heap property.
+(* Pop mechanics: read the root's payload, scrub and free its slot (left
+   populated it would keep the payload reachable — a drained heap would
+   pin a backing array's worth of dead payloads), move the last entry up
+   into the root, restore the heap property and settle the dead count.
    An emptied heap keeps its capacity (bursty simulations would
    otherwise re-allocate from 64 on every burst — call [clear] to
    release memory explicitly). *)
-let drop_root h =
+let pop_payload h =
+  if h.len = 0 then invalid_arg "Event_queue.pop_payload: empty";
+  let s = h.slots.(0) in
+  let top = h.payloads.(s) in
+  scrub h s;
+  h.free.(h.free_top) <- s;
+  h.free_top <- h.free_top + 1;
   h.len <- h.len - 1;
   if h.len > 0 then begin
     h.times.(0) <- h.times.(h.len);
     h.seqs.(0) <- h.seqs.(h.len);
     h.slots.(0) <- h.slots.(h.len);
     sift_down h 0
-  end
-
-(* Pop mechanics for a payload root: read its payload, scrub and free
-   its slot (left populated it would keep the payload reachable — a
-   drained heap would pin a backing array's worth of dead payloads),
-   drop the root and settle the dead count. *)
-let remove_top h =
-  let s = h.slots.(0) in
-  if s < 0 then
-    invalid_arg "Event_queue.pop_payload: the earliest entry is coded";
-  let top = h.payloads.(s) in
-  scrub h s;
-  h.free.(h.free_top) <- s;
-  h.free_top <- h.free_top + 1;
-  drop_root h;
+  end;
   if not (h.live top) then h.dead <- h.dead - 1;
   top
-
-let pop_payload h =
-  if h.len = 0 then invalid_arg "Event_queue.pop_payload: empty"
-  else remove_top h
-
-let pop_coded h =
-  if h.len = 0 || h.slots.(0) >= 0 then
-    invalid_arg "Event_queue.pop_coded: the earliest entry is not coded";
-  drop_root h
 
 (* Sift out every dead entry and re-establish the heap property with
    Floyd's bottom-up heapify. Dead entries are never dispatched, so
    removing them is invisible to pop order; heapify preserves the
-   (time, seq) total order of the survivors. Coded entries are always
-   live. *)
+   (time, seq) total order of the survivors. *)
 let purge h =
   if h.dead > 0 then begin
     let j = ref 0 in
     for i = 0 to h.len - 1 do
       let s = h.slots.(i) in
-      if s < 0 || h.live h.payloads.(s) then begin
+      if h.live h.payloads.(s) then begin
         h.times.(!j) <- h.times.(i);
         h.seqs.(!j) <- h.seqs.(i);
         h.slots.(!j) <- s;
@@ -279,17 +246,18 @@ let note_dead h =
   h.dead <- h.dead + 1;
   (* Lazy-deletion compaction: rebuild once dead entries outnumber half
      the live ones, so the heap stays O(live) instead of O(total
-     cancellations) under cancel-heavy workloads (per-ACK timer churn). *)
-  if h.dead > (h.len - h.dead) / 2 then purge h
+     cancellations) under cancel-heavy workloads (per-ACK timer churn).
+     The owner's entries kept elsewhere count as live. *)
+  if h.dead > (h.len + h.outside - h.dead) / 2 then purge h
 
 let clear ?(release = ignore) h =
   for i = 0 to h.len - 1 do
-    let s = h.slots.(i) in
-    if s >= 0 then release h.payloads.(s)
+    release h.payloads.(h.slots.(i))
   done;
   scrub_all h h.payloads;
   h.len <- 0;
   h.dead <- 0;
+  h.outside <- 0;
   h.times <- [||];
   h.seqs <- [||];
   h.slots <- [||];

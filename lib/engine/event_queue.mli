@@ -13,11 +13,10 @@
     cancellations) under timer-churn workloads. Compaction never changes
     the pop order of live entries.
 
-    An entry is either a payload entry ({!add}) or a coded entry
-    ({!add_coded}): a non-negative int and its key, with no payload and
-    no pointer written. {!Sim} keeps one coded entry per non-empty FIFO
-    lane, keyed by the lane's head; coded entries are always live and
-    survive compaction. *)
+    Every entry carries a payload. {!Sim} keeps its timer and closure
+    events here and its lane heads in a heap of its own, which it
+    reports through {!set_outside} so that compaction counts them as
+    live entries. *)
 
 type 'a t
 
@@ -40,25 +39,26 @@ val set_dummy : 'a t -> 'a -> unit
     dropped. *)
 
 val length : 'a t -> int
-(** Entries currently in the heap, coded entries and dead (cancelled,
-    not yet compacted) entries included. {!Sim}'s [heap_peak] is the
-    high-water mark of this length, so a lane counts once however long
-    its backlog; {!Sim.pending} adds the backlogs. *)
+(** Entries currently in the heap, dead (cancelled, not yet compacted)
+    entries included. *)
 
 val is_empty : 'a t -> bool
 
 val dead_count : 'a t -> int
 (** Entries still in the heap whose payload the [live] predicate rejects
-    — bounded by [length / 3] right after any compaction check. *)
+    — bounded by [(length + outside) / 3] right after any compaction
+    check (see {!set_outside}). *)
 
 val rebuilds : 'a t -> int
 (** Number of lazy-deletion compactions performed so far. *)
 
-val add : 'a t -> time:Time.t -> seq:int -> 'a -> unit
+val set_outside : 'a t -> int -> unit
+(** [set_outside h n] says that the owner keeps [n] more live entries
+    outside [h] (default 0). Compaction runs once dead entries outnumber
+    half of all live ones, these included, so its moments do not depend
+    on where the owner keeps them. *)
 
-val add_coded : 'a t -> time:Time.t -> seq:int -> int -> unit
-(** [add_coded h ~time ~seq code] adds a coded entry. [code] must be
-    non-negative. *)
+val add : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
 val note_dead : 'a t -> unit
 (** Tells the heap one of its entries' payloads just became dead (the
@@ -71,27 +71,16 @@ val top_time : 'a t -> Time.t
     empty. Unboxed, so the dispatcher's per-event peek allocates
     nothing. *)
 
-val top_code : 'a t -> int
-(** The earliest entry's code if it is a coded entry; a negative number
-    if it carries a payload or the heap is empty. *)
-
-val rekey_top : 'a t -> time:Time.t -> seq:int -> unit
-(** Gives the earliest entry a new key, keeping its code or payload, and
-    restores heap order with one sift-down. The new key must follow the
-    old one in [(time, seq)] order; raises [Invalid_argument] otherwise
-    or on an empty heap. This is how a lane's next entry replaces its
-    fired head without a pop and a push. *)
+val top_seq : 'a t -> int
+(** Sequence number of the earliest event; [max_int] when the heap is
+    empty. With {!top_time}, what the dispatcher compares against its
+    other queue's root. *)
 
 val pop_payload : 'a t -> 'a
 (** Removes the earliest event and returns its payload (its time is
     whatever {!top_time} just said). Dead entries are returned too
     (adjusting the dead count) — the caller decides whether to dispatch.
-    Allocation-free; raises [Invalid_argument] on an empty heap or a
-    coded earliest entry (see {!top_code}). *)
-
-val pop_coded : 'a t -> unit
-(** Removes the earliest entry, which must be coded; raises
-    [Invalid_argument] otherwise. *)
+    Allocation-free; raises [Invalid_argument] on an empty heap. *)
 
 val clear : ?release:('a -> unit) -> 'a t -> unit
 (** Empties the heap and releases its arrays. [release] (default

@@ -28,6 +28,10 @@ type t = {
   mutable next_seq : int;
   mutable lanes : lane array;  (* indexed by lane code; [n_lanes] in use *)
   mutable n_lanes : int;
+  mutable heads : int array;
+      (* the non-empty lanes' heads, a heap of (time, seq, code) triples;
+         [||] until the first push *)
+  mutable n_heads : int;
   mutable handlers : (unit -> unit) array;  (* [n_handlers] in use *)
   mutable n_handlers : int;
   mutable backlog : int;  (* lane entries queued behind their lane's head *)
@@ -47,8 +51,8 @@ type t = {
 (* A lane is a FIFO ring of entries whose keys increase in push order:
    (time, seq, handler) int triples on a shared lane, (time, seq) pairs
    on a private one, whose handler is fixed at creation. Only the head's
-   key sits in the heap, as the coded entry [code]; the heap holds no
-   record for any lane event. *)
+   key sits in the sim's [heads], with the lane's [code]; no record is
+   made for any lane event. *)
 and lane = {
   sim : t;
   code : int;
@@ -123,6 +127,8 @@ let create ?(config = default_config) () =
       next_seq = 0;
       lanes = [||];
       n_lanes = 0;
+      heads = [||];
+      n_heads = 0;
       handlers = [| unregistered |];
       n_handlers = 1;
       backlog = 0;
@@ -140,11 +146,13 @@ let create ?(config = default_config) () =
 
 let now t = t.now
 let clock t = t.clock
-let next_event_time (t : t) = Event_queue.top_time t.heap
+let next_event_time (t : t) =
+  let time = Event_queue.top_time t.heap in
+  if t.n_heads > 0 then Time.min time t.heads.(0) else time
 let rng t = t.random
 let telemetry (t : t) = t.telemetry
 let events_executed (t : t) = t.executed
-let pending t = Event_queue.length t.heap + t.backlog
+let pending t = Event_queue.length t.heap + t.n_heads + t.backlog
 
 let stats (t : t) =
   {
@@ -163,8 +171,9 @@ let check_time t time =
       (Format.asprintf "Sim: scheduling at %a before now %a" Time.pp time
          Time.pp t.now)
 
+(* [heap_peak] counts the timer heap and the lane heads together. *)
 let note_heap_len t =
-  let len = Event_queue.length t.heap in
+  let len = Event_queue.length t.heap + t.n_heads in
   if len > t.heap_peak then begin
     t.heap_peak <- len;
     (* the global mark only moves when the local one does, so the atomic
@@ -310,6 +319,99 @@ let grow_ring ln =
   ln.ring <- ring;
   ln.head <- 0
 
+(* ---- lane heads --------------------------------------------------------
+
+   The heads of the non-empty lanes sit in a small heap of their own,
+   apart from the timer and closure events, as (time, seq, code) int
+   triples. A fired head gives way to its lane's next entry with one
+   sift-down through the other heads, never through the pending timers.
+   Indices stay below [3 * n_heads] by construction. The timer heap is
+   told how many heads there are, so its compaction counts them as live
+   entries: where the heads are kept does not move the moments it runs,
+   nor the [cancelled_skipped] and [rebuilds] they decide. *)
+
+let set_n_heads t n =
+  t.n_heads <- n;
+  Event_queue.set_outside t.heap n
+
+let push_head t time seq code =
+  let n = t.n_heads in
+  if 3 * n = Array.length t.heads then begin
+    let grown = Array.make (Int.max 24 (6 * n)) 0 in
+    Array.blit t.heads 0 grown 0 (3 * n);
+    t.heads <- grown
+  end;
+  let heads = t.heads in
+  let i = ref n in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let tp = Array.unsafe_get heads (3 * p) in
+    (* xmplint: allow poly-compare-time — int array cells, specialized *)
+    if time < tp || (time = tp && seq < Array.unsafe_get heads ((3 * p) + 1))
+    then begin
+      let j = 3 * !i and k = 3 * p in
+      Array.unsafe_set heads j tp;
+      Array.unsafe_set heads (j + 1) (Array.unsafe_get heads (k + 1));
+      Array.unsafe_set heads (j + 2) (Array.unsafe_get heads (k + 2));
+      i := p
+    end
+    else continue := false
+  done;
+  let j = 3 * !i in
+  Array.unsafe_set heads j time;
+  Array.unsafe_set heads (j + 1) seq;
+  Array.unsafe_set heads (j + 2) code;
+  set_n_heads t (n + 1)
+
+(* Writes the triple at the root's place and sifts it down. *)
+let sift_head t time seq code =
+  let heads = t.heads and n = t.n_heads in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let c =
+        if l + 1 < n then begin
+          let tl = Array.unsafe_get heads (3 * l)
+          and tr = Array.unsafe_get heads ((3 * l) + 3) in
+          if
+            tr < tl
+            || tr = tl
+               && Array.unsafe_get heads ((3 * l) + 4)
+                  < Array.unsafe_get heads ((3 * l) + 1)
+          then l + 1
+          else l
+        end
+        else l
+      in
+      let tc = Array.unsafe_get heads (3 * c) in
+      (* xmplint: allow poly-compare-time — int array cells, specialized *)
+      if tc < time || (tc = time && Array.unsafe_get heads ((3 * c) + 1) < seq)
+      then begin
+        let j = 3 * !i and k = 3 * c in
+        Array.unsafe_set heads j tc;
+        Array.unsafe_set heads (j + 1) (Array.unsafe_get heads (k + 1));
+        Array.unsafe_set heads (j + 2) (Array.unsafe_get heads (k + 2));
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  let j = 3 * !i in
+  Array.unsafe_set heads j time;
+  Array.unsafe_set heads (j + 1) seq;
+  Array.unsafe_set heads (j + 2) code
+
+let pop_head t =
+  let n = t.n_heads - 1 in
+  set_n_heads t n;
+  if n > 0 then
+    let heads = t.heads in
+    sift_head t heads.(3 * n) heads.((3 * n) + 1) heads.((3 * n) + 2)
+
 (* The seq is drawn exactly where [at] would draw it, so lane events
    interleave with every other event in the same (time, seq) order as if
    each had been scheduled with [at]. [h] is stored only on a shared
@@ -327,7 +429,7 @@ let lane_push ln time (h : handler) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   if ln.len = 0 then begin
-    Event_queue.add_coded t.heap ~time ~seq ln.code;
+    push_head t time seq ln.code;
     note_heap_len t
   end
   else t.backlog <- t.backlog + 1;
@@ -351,58 +453,18 @@ let lane_at ln time =
   check_time ln.sim time;
   lane_push ln time ln.handler
 
-(* Clock and accounting for a live event about to run at [time]. *)
-let begin_event (t : t) time =
+let out_of_order (t : t) time =
+  Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
+      Format.asprintf "event at %a dispatched after clock reached %a" Time.pp
+        time Time.pp t.now)
+
+(* Clock and accounting for a live event about to run at [time]. It
+   builds no closure, so it can be inlined. *)
+let[@inline] begin_event (t : t) time =
   if not (Invariant.holds (Time.compare time t.now >= 0)) then
-    Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
-        Format.asprintf "event at %a dispatched after clock reached %a"
-          Time.pp time Time.pp t.now);
+    out_of_order t time;
   t.now <- time;
   t.executed <- t.executed + 1
-
-(* The fired head leaves its lane; the lane's next entry, if any, takes
-   over the heap root with one sift-down. The heap is settled before the
-   handler runs, so whatever it schedules (this lane included) sees a
-   consistent queue. *)
-let fire_lane t time ln =
-  let ring = ln.ring in
-  let i = ln.head in
-  let stride = stride ln in
-  let h = if stride = 3 then ring.(i + 2) else ln.handler in
-  let next = if i + stride = Array.length ring then 0 else i + stride in
-  ln.head <- next;
-  ln.len <- ln.len - 1;
-  if ln.len = 0 then Event_queue.pop_coded t.heap
-  else begin
-    t.backlog <- t.backlog - 1;
-    Event_queue.rekey_top t.heap ~time:ring.(next) ~seq:ring.(next + 1)
-  end;
-  begin_event t time;
-  t.handlers.(h) ()
-
-(* One turn of the [run] loop; the caller has already established the
-   heap is non-empty and read the top's time. *)
-let dispatch_top t time =
-  let code = Event_queue.top_code t.heap in
-  if code >= 0 then fire_lane t time t.lanes.(code)
-  else
-    let ev = Event_queue.pop_payload t.heap in
-    if live ev then begin
-      begin_event t time;
-      let f = ev.run in
-      ev.run <- dead;
-      (* recycle before running: [f] is saved, and anything [f] schedules
-         may legitimately reuse this record *)
-      if ev.pooled then release_event t ev;
-      f ()
-    end
-    else begin
-      (* cancelled (or compaction dummy) entries still advance the clock
-         — exactly what dispatching them used to do — but are not
-         counted as executed work *)
-      if Time.compare time t.now > 0 then t.now <- time;
-      t.cancelled_skipped <- t.cancelled_skipped + 1
-    end
 
 let flush_total (t : t) =
   if t.executed > t.flushed then begin
@@ -416,16 +478,73 @@ let run ?(until = Time.infinity) t =
     invalid_arg
       (Format.asprintf "Sim.run: until %a is before now %a" Time.pp until
          Time.pp t.now);
+  let q = t.heap in
   let continue = ref true in
+  (* Each turn fires the earlier of the two roots in (time, seq) order:
+     the first lane head or the first timer or closure event. *)
   while !continue do
-    if Event_queue.is_empty t.heap then continue := false
-    else begin
-      let time = Event_queue.top_time t.heap in
+    let lane_first =
+      t.n_heads > 0
+      && (Event_queue.is_empty q
+         ||
+         let heads = t.heads in
+         let time = heads.(0) and qt = Event_queue.top_time q in
+         (* xmplint: allow poly-compare-time — int array cells, specialized *)
+         time < qt || (time = qt && heads.(1) < Event_queue.top_seq q))
+    in
+    if lane_first then begin
+      let time = t.heads.(0) in
       if Time.compare time until > 0 then begin
         t.now <- until;
         continue := false
       end
-      else dispatch_top t time
+      else begin
+        (* The head leaves its lane and the lane's next entry, if any,
+           takes its place among the heads, before the handler runs: what
+           the handler schedules (this lane included) sees settled
+           queues. *)
+        let ln = t.lanes.(t.heads.(2)) in
+        let ring = ln.ring in
+        let i = ln.head in
+        let stride = stride ln in
+        let h = if stride = 3 then ring.(i + 2) else ln.handler in
+        let next = if i + stride = Array.length ring then 0 else i + stride in
+        ln.head <- next;
+        ln.len <- ln.len - 1;
+        if ln.len = 0 then pop_head t
+        else begin
+          t.backlog <- t.backlog - 1;
+          sift_head t ring.(next) ring.(next + 1) ln.code
+        end;
+        begin_event t time;
+        t.handlers.(h) ()
+      end
+    end
+    else if Event_queue.is_empty q then continue := false
+    else begin
+      let time = Event_queue.top_time q in
+      if Time.compare time until > 0 then begin
+        t.now <- until;
+        continue := false
+      end
+      else
+        let ev = Event_queue.pop_payload q in
+        if live ev then begin
+          begin_event t time;
+          let f = ev.run in
+          ev.run <- dead;
+          (* recycle before running: [f] is saved, and anything [f]
+             schedules may legitimately reuse this record *)
+          if ev.pooled then release_event t ev;
+          f ()
+        end
+        else begin
+          (* cancelled entries still advance the clock — exactly what
+             dispatching them used to do — but are not counted as
+             executed work *)
+          if Time.compare time t.now > 0 then t.now <- time;
+          t.cancelled_skipped <- t.cancelled_skipped + 1
+        end
     end
   done;
   flush_total t
@@ -441,6 +560,8 @@ let close t =
   if not t.closed then begin
     t.closed <- true;
     Event_queue.clear ~release:(fun ev -> ev.run <- dead) t.heap;
+    t.heads <- [||];
+    t.n_heads <- 0;
     Array.fill t.free_events 0 (Array.length t.free_events) no_timer;
     t.free_events <- [||];
     t.free_top <- 0;

@@ -1,6 +1,7 @@
 (** Discrete-event simulator.
 
-    A simulator owns a clock, an event heap, a deterministic random state
+    A simulator owns a clock, two event heaps (timers and closure events
+    in one, FIFO lane heads in the other), a deterministic random state
     and a telemetry sink. Events are thunks fired in strict timestamp order
     (ties resolved by scheduling order). Scheduling in the past is a
     programming error and raises [Invalid_argument].
@@ -12,15 +13,16 @@
 
     {2 FIFO lanes}
 
-    Per-packet events go on lanes instead of the heap. A lane is a FIFO
-    ring of ints whose keys increase in push order: [(time, seq,
+    Per-packet events go on lanes instead of the event heap. A lane is a
+    FIFO ring of ints whose keys increase in push order: [(time, seq,
     handler)] triples on a shared lane, [(time, seq)] pairs on a private
-    one. Only its head sits in the event heap, as an int-coded entry
-    with no event record. When the head fires, the heap root is
-    re-keyed to the lane's next entry with one sift-down instead of a
-    pop and a push. Every lane push draws its [seq] exactly where {!at}
-    would, so events fire in the same [(time, seq)] order as if each had
-    been scheduled with {!at}.
+    one. Only its head is queued, with no event record, in a small heap
+    of lane heads apart from the timers. When the head fires, the lane's
+    next entry takes its place with one sift-down through the other
+    heads. {!run} compares the two heaps' roots at every turn and fires
+    the earlier inline. Every lane push draws its [seq] exactly where
+    {!at} would, so events fire in the same [(time, seq)] order as if
+    each had been scheduled with {!at}.
 
     A shared lane ({!lane}) holds the events scheduled a fixed delay
     after [now]. It stays FIFO because [now] never decreases and [seq]
@@ -59,11 +61,14 @@ type stats = {
   cancelled_skipped : int;
       (** cancelled entries popped and skipped without dispatch *)
   heap_peak : int;
-      (** largest event-heap length ever reached: closure events, timers
-          (cancelled ones not yet reaped included) and one head per
-          non-empty lane. Entries queued behind a lane's head are not
-          in the heap and do not count; {!pending} does count them. *)
-  rebuilds : int;  (** lazy-deletion compactions of the event heap *)
+      (** largest number of heap entries ever queued at once: closure
+          events, timers (cancelled ones not yet reaped included) and
+          one head per non-empty lane. Entries queued behind a lane's
+          head are not in a heap and do not count; {!pending} does
+          count them. *)
+  rebuilds : int;
+      (** lazy-deletion compactions of the timer heap, which count the
+          lane heads as live entries *)
 }
 
 val default_config : config
@@ -102,10 +107,10 @@ val global_heap_peak : unit -> int
 val reset_global_heap_peak : unit -> unit
 
 val pending : t -> int
-(** Number of events still queued: every heap entry (cancelled timers
-    not yet reaped included — bounded at 1.5× the live count by
-    lazy-deletion compaction) plus every lane entry behind its lane's
-    head. *)
+(** Number of events still queued: every timer-heap entry (cancelled
+    timers not yet reaped included — bounded at 1.5× the live count by
+    lazy-deletion compaction), every lane head and every lane entry
+    behind its lane's head. *)
 
 val next_event_time : t -> Time.t
 (** Timestamp of the earliest queued event (cancelled entries included),
@@ -174,9 +179,10 @@ val lane_at : lane -> Time.t -> unit
 
 val close : t -> unit
 (** Releases the sim's events: every pending event is dropped unrun (a
-    pending timer reads inactive), the event heap's payload slots,
+    pending timer reads inactive), the timer heap's payload slots,
     free-list cells and handler table are overwritten in place with
-    static placeholders, and every lane's ring is dropped. A table in
+    static placeholders, and every lane's ring and the lane heads are
+    dropped. A table in
     the major heap that was written with young values stays remembered
     until the next minor collection; overwritten, it keeps nothing of
     the finished run alive through it. {!pending} is then 0, the
@@ -185,7 +191,7 @@ val close : t -> unit
     Closing twice is a no-op. *)
 
 val run : ?until:Time.t -> t -> unit
-(** Runs events until the heap is empty, or until the clock would pass
+(** Runs events until none is queued, or until the clock would pass
     [until]. The clock is left at the last executed event's time (or at
     [until] if a cutoff was hit). Events scheduled exactly at [until] do
     run. Raises [Invalid_argument] if [until] is before [now]: the clock

@@ -50,6 +50,90 @@ let shape ~k =
    shard serializes all inter-pod contention. *)
 let core_pod ~k g c = ((g * (k / 2)) + c) mod k
 
+(* Routing state shared by every switch of one fabric. Hosts
+   [host_base, host_base + n) are local; the rest leave through one of
+   [n_exits] border routers. *)
+type routes = {
+  host_base : int;
+  n : int;
+  half : int;
+  per_pod : int;
+  k : int;
+  n_exits : int;
+  pod_of : Route_table.t;  (* host index -> pod *)
+  edge_of : Route_table.t;  (* index within a pod -> edge *)
+  edge_up : Route_table.t;  (* path -> an edge's uplink out of its pod *)
+  agg_up : Route_table.t;
+      (* path -> an aggregation switch's uplink, and an edge's uplink to
+         its own pod *)
+  core_up : Route_table.t;  (* path -> a core's border port *)
+}
+
+(* The port arithmetic the tables hold. *)
+let edge_uplink ~half path = half + (path / half mod half)
+let agg_uplink ~half path = half + (path mod half)
+let core_uplink ~k ~per_pod ~n_exits path = k + (path / per_pod mod n_exits)
+
+let routes ~k ~host_base ~n_exits =
+  let half = k / 2 in
+  let per_pod = half * half in
+  let n = k * per_pod in
+  (* the largest path count a source in this fabric draws *)
+  let paths = per_pod * Int.max 1 n_exits in
+  {
+    host_base;
+    n;
+    half;
+    per_pod;
+    k;
+    n_exits;
+    pod_of = Route_table.make n (fun i -> i / per_pod);
+    edge_of = Route_table.make per_pod (fun i -> i / half);
+    edge_up = Route_table.make paths (edge_uplink ~half);
+    agg_up = Route_table.make paths (agg_uplink ~half);
+    core_up =
+      Route_table.make
+        (if n_exits > 0 then paths else 0)
+        (core_uplink ~k ~per_pod ~n_exits);
+  }
+
+(* An edge switch delivers to its rack, climbs to its own pod's
+   aggregation layer, or climbs out of the pod. *)
+let[@inline] edge_route r ~pod_lo ~rack_lo p =
+  let dst = Packet.dst p in
+  let slot = dst - rack_lo in
+  if slot >= 0 && slot < r.half then slot
+  else
+    let path = Packet.path p in
+    let i = dst - pod_lo in
+    if i >= 0 && i < r.per_pod then
+      let port = Route_table.find r.agg_up path in
+      if port >= 0 then port else agg_uplink ~half:r.half path
+    else
+      let port = Route_table.find r.edge_up path in
+      if port >= 0 then port else edge_uplink ~half:r.half path
+
+let[@inline] agg_route r ~pod_lo p =
+  let i = Packet.dst p - pod_lo in
+  if i >= 0 && i < r.per_pod then
+    let e = Route_table.find r.edge_of i in
+    if e >= 0 then e else i / r.half
+  else
+    let path = Packet.path p in
+    let port = Route_table.find r.agg_up path in
+    if port >= 0 then port else agg_uplink ~half:r.half path
+
+let[@inline] core_route r p =
+  let i = Packet.dst p - r.host_base in
+  if i >= 0 && i < r.n then
+    let pod = Route_table.find r.pod_of i in
+    if pod >= 0 then pod else i / r.per_pod
+  else
+    let path = Packet.path p in
+    let port = Route_table.find r.core_up path in
+    if port >= 0 then port
+    else core_uplink ~k:r.k ~per_pod:r.per_pod ~n_exits:r.n_exits path
+
 let build cluster ~shard_of_pod ~k ~prefix ~host_base ~switch_base ~n_exits
     ~rate ~disc =
   let half = k / 2 in
@@ -102,43 +186,34 @@ let build cluster ~shard_of_pod ~k ~prefix ~host_base ~switch_base ~n_exits
     aggs;
   (* Destinations outside [host_base, host_base + n) ascend like
      inter-pod traffic and leave through border [path / (k/2)² mod
-     n_exits]. *)
-  let local dst = dst >= host_base && dst < host_base + n in
-  let pod_of dst = (dst - host_base) / (half * half) in
-  let edge_of dst = (dst - host_base) mod (half * half) / half in
-  let slot_of dst = (dst - host_base) mod half in
+     n_exits]. Edge and aggregation switches test [dst] against their
+     own rack and pod; the quotients left (an aggregation switch's edge
+     index, a core's pod index, each layer's uplink by [path]) come from
+     [routes], built once for the fabric. A table miss (a [path] past
+     the largest the fabric draws) falls back to the arithmetic. A
+     pod's aggregation switches share one route closure, and all cores
+     share another. *)
+  let routes = routes ~k ~host_base ~n_exits in
+  let per_pod = routes.per_pod in
   let route (_, node) f = Node.set_route node f in
   Array.iter (fun h -> route h (fun _ -> 0)) hosts;
   Array.iteri
     (fun pod row ->
+      let pod_lo = host_base + (pod * per_pod) in
       Array.iteri
         (fun e sw ->
-          route sw (fun p ->
-              let dst = Packet.dst p in
-              if local dst && pod_of dst = pod && edge_of dst = e then
-                slot_of dst
-              else if local dst && pod_of dst = pod then
-                half + (Packet.path p mod half)
-              else half + (Packet.path p / half mod half)))
+          let rack_lo = pod_lo + (e * half) in
+          route sw (fun p -> edge_route routes ~pod_lo ~rack_lo p))
         row)
     edges;
   Array.iteri
     (fun pod row ->
-      Array.iter
-        (fun sw ->
-          route sw (fun p ->
-              let dst = Packet.dst p in
-              if local dst && pod_of dst = pod then edge_of dst
-              else half + (Packet.path p mod half)))
-        row)
+      let pod_lo = host_base + (pod * per_pod) in
+      let f p = agg_route routes ~pod_lo p in
+      Array.iter (fun sw -> route sw f) row)
     aggs;
-  Array.iter
-    (Array.iter (fun sw ->
-         route sw (fun p ->
-             let dst = Packet.dst p in
-             if local dst then pod_of dst
-             else k + (Packet.path p / (half * half) mod n_exits))))
-    cores;
+  let f p = core_route routes p in
+  Array.iter (Array.iter (fun sw -> route sw f)) cores;
   Array.concat (Array.to_list cores)
 
 let create ~cluster ~k ?(rate = Units.gbps 1.) ~disc () =

@@ -22,6 +22,69 @@ let shape ~leaves ~spines ~hosts_per_leaf =
     exit_delay = spine_delay;
   }
 
+(* Routing state shared by every switch of one fabric: hosts
+   [host_base, host_base + n) are local, the rest leave through one of
+   [n_exits] border routers. *)
+type routes = {
+  host_base : int;
+  n : int;
+  leaves : int;
+  spines : int;
+  hosts_per_leaf : int;
+  n_exits : int;
+  leaf_of : Route_table.t;  (* host index -> leaf *)
+  leaf_up : Route_table.t;  (* path -> a leaf's uplink *)
+  spine_up : Route_table.t;  (* path -> a spine's border port *)
+}
+
+(* The port arithmetic the tables hold. *)
+let leaf_uplink ~hosts_per_leaf ~spines path =
+  hosts_per_leaf + (path mod spines)
+
+let spine_uplink ~leaves ~spines ~n_exits path =
+  leaves + (path / spines mod n_exits)
+
+let routes ~leaves ~spines ~hosts_per_leaf ~host_base ~n_exits =
+  let n = leaves * hosts_per_leaf in
+  (* the largest path count a source in this fabric draws *)
+  let paths = spines * Int.max 1 n_exits in
+  {
+    host_base;
+    n;
+    leaves;
+    spines;
+    hosts_per_leaf;
+    n_exits;
+    leaf_of = Route_table.make n (fun i -> i / hosts_per_leaf);
+    leaf_up = Route_table.make paths (leaf_uplink ~hosts_per_leaf ~spines);
+    spine_up =
+      Route_table.make
+        (if n_exits > 0 then paths else 0)
+        (spine_uplink ~leaves ~spines ~n_exits);
+  }
+
+(* A leaf delivers to its own hosts (from [lo]) and sends the rest up. *)
+let[@inline] leaf_route r ~lo p =
+  let slot = Packet.dst p - lo in
+  if slot >= 0 && slot < r.hosts_per_leaf then slot
+  else
+    let path = Packet.path p in
+    let port = Route_table.find r.leaf_up path in
+    if port >= 0 then port
+    else leaf_uplink ~hosts_per_leaf:r.hosts_per_leaf ~spines:r.spines path
+
+let[@inline] spine_route r p =
+  let i = Packet.dst p - r.host_base in
+  if i >= 0 && i < r.n then
+    let leaf = Route_table.find r.leaf_of i in
+    if leaf >= 0 then leaf else i / r.hosts_per_leaf
+  else
+    let path = Packet.path p in
+    let port = Route_table.find r.spine_up path in
+    if port >= 0 then port
+    else
+      spine_uplink ~leaves:r.leaves ~spines:r.spines ~n_exits:r.n_exits path
+
 let build cluster ~shard ~leaves ~spines ~hosts_per_leaf ~prefix ~host_base
     ~switch_base ~n_exits ~host_rate ~spine_rate ~disc =
   let net = Shard.net cluster shard in
@@ -52,24 +115,19 @@ let build cluster ~shard ~leaves ~spines ~hosts_per_leaf ~prefix ~host_base
   Array.iter
     (fun l -> Array.iter (link "spine" spine_rate spine_delay l) spine_sw)
     leaf_sw;
-  let local dst = dst >= host_base && dst < host_base + n in
-  let leaf_of id = (id - host_base) / hosts_per_leaf in
-  let slot_of id = (id - host_base) mod hosts_per_leaf in
+  (* Leaves test [dst] against their own hosts; the spine's leaf index
+     and each layer's uplink by [path] come from tables built once for
+     the fabric, and a table miss falls back to the arithmetic. All
+     spines share one route closure. *)
+  let routes = routes ~leaves ~spines ~hosts_per_leaf ~host_base ~n_exits in
   Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
   Array.iteri
     (fun l sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if local dst && leaf_of dst = l then slot_of dst
-          else hosts_per_leaf + (Packet.path p mod spines)))
+      let lo = host_base + (l * hosts_per_leaf) in
+      Node.set_route sw (fun p -> leaf_route routes ~lo p))
     leaf_sw;
-  Array.iter
-    (fun sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if local dst then leaf_of dst
-          else leaves + (Packet.path p / spines mod n_exits)))
-    spine_sw;
+  let f p = spine_route routes p in
+  Array.iter (fun sw -> Node.set_route sw f) spine_sw;
   Array.map (fun sw -> (shard, sw)) spine_sw
 
 let create ~cluster ~leaves ~spines ~hosts_per_leaf ~disc () =

@@ -70,10 +70,15 @@ let build_dc cluster ~shard ~spec ~prefix ~host_base ~switch_base ~n_exits
       ~host_base ~switch_base ~n_exits ~host_rate:rate ~spine_rate:rate ~disc
 
 (* Border router j: ports 0..n_exits-1 down to the exit switches (in
-   selector order), port n_exits out to the WAN trunk. *)
-let border_route ~host_base ~n ~n_exits p =
-  let dst = Packet.dst p in
-  if dst >= host_base && dst < host_base + n then Packet.path p mod n_exits
+   selector order), port n_exits out to the WAN trunk. [down] holds
+   [path mod n_exits] for every path the other DC's hosts draw; a miss
+   falls back to the arithmetic. *)
+let[@inline] border_route ~host_base ~n ~n_exits ~down p =
+  let i = Packet.dst p - host_base in
+  if i >= 0 && i < n then
+    let path = Packet.path p in
+    let port = Route_table.find down path in
+    if port >= 0 then port else path mod n_exits
   else n_exits
 
 let trunk_disc tr () =
@@ -135,10 +140,14 @@ let create ~cluster ~left ~right ~trunks ~disc () =
                      e b))
               ex)
           bs;
-        let route =
-          border_route ~host_base:(host_base d) ~n:shapes.(d).hosts
-            ~n_exits:(Array.length ex)
+        let host_base = host_base d and n = shapes.(d).hosts in
+        let n_exits = Array.length ex in
+        let down =
+          Route_table.make
+            (shapes.(1 - d).paths Topology.Inter_dc * n_trunks)
+            (fun path -> path mod n_exits)
         in
+        let route p = border_route ~host_base ~n ~n_exits ~down p in
         Array.iter (fun (_, b) -> Node.set_route b route) bs;
         bs)
       exits

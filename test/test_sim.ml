@@ -191,8 +191,19 @@ let shared_delays = [| 1; 3; 4; 7 |]
    the lane events go through [after]/[at] instead. Every random draw
    happens in firing order, so both runs make the same draws only if
    they fire in the same order. [initial] events are scheduled before
-   the run. *)
-let random_schedule ?(initial = 20) ~lanes seed =
+   the run.
+
+   [kinds] is drawn from uniformly for each new event: 0 a shared lane,
+   1 the private lane, 2 a closure, 3 a timer. Without [cancels] no
+   armed timer is cancelled. [churn] far-future timers are armed and
+   cancelled at once by every fired event, so the heap compacts while
+   lane heads are live. The run stops at each of [cutoffs] in turn
+   (increasing), where [now], [next_event_time] and [pending] are
+   read, and then runs to the end. *)
+let even_mix = [| 0; 1; 2; 3 |]
+
+let random_schedule ?(initial = 20) ?(kinds = even_mix) ?(cancels = true)
+    ?(churn = 0) ?(cutoffs = []) ~lanes seed =
   let sim = Sim.create () in
   let rng = Random.State.make [| seed |] in
   let log = ref [] in
@@ -206,19 +217,23 @@ let random_schedule ?(initial = 20) ~lanes seed =
   let timers = Array.make 8 None in
   let rec fire id () =
     log := (Sim.now sim, id) :: !log;
+    for _ = 1 to churn do
+      Sim.cancel (Sim.timer_after sim 1_000_000 ignore)
+    done;
     for _ = 0 to Random.State.int rng 2 do
       if !budget > 0 then begin
         decr budget;
         schedule ()
       end
     done;
-    match timers.(Random.State.int rng 8) with
-    | Some tm when Random.State.bool rng -> Sim.cancel tm
-    | _ -> ()
+    if cancels then
+      match timers.(Random.State.int rng 8) with
+      | Some tm when Random.State.bool rng -> Sim.cancel tm
+      | _ -> ()
   and schedule () =
     let id = !next_id in
     incr next_id;
-    match Random.State.int rng 4 with
+    match kinds.(Random.State.int rng (Array.length kinds)) with
     | 0 ->
       let d = Random.State.int rng (Array.length shared_delays) in
       if lanes then Sim.lane_after shared.(d) (Sim.handler sim (fire id))
@@ -240,33 +255,97 @@ let random_schedule ?(initial = 20) ~lanes seed =
   for _ = 1 to initial do
     schedule ()
   done;
+  let marks =
+    List.map
+      (fun until ->
+        Sim.run ~until sim;
+        (Sim.now sim, Sim.next_event_time sim, Sim.pending sim))
+      cutoffs
+  in
   Sim.run sim;
-  (List.rev !log, Sim.stats sim)
+  (List.rev !log, Sim.stats sim, marks)
+
+let stats_list (st : Sim.stats) =
+  [ st.executed; st.cancelled_skipped; st.heap_peak; st.rebuilds ]
+
+(* A schedule's events fall within its first 100 ns or so, many at
+   equal times: a cutoff at every nanosecond up to 120 ns. *)
+let cutoffs = List.init 121 Fun.id
+
+(* Each mix runs laned and closures-only, each uncut and stopped at
+   [cutoffs]. Laned and closures-only runs must fire in the same
+   (time, id) order, and a cut run as its uncut one, with the same
+   stats. Cancelled timers stay in the heap until a compaction or their
+   pop, and compaction runs at other moments in the two engines, so
+   only where nothing is cancelled must both engines read the same
+   [now], [next_event_time] and [pending] at every cutoff; with
+   cancels, a cutoff that events remain beyond must leave the clock at
+   the cutoff and the next event past it. *)
+let check_mix ~name ~kinds ~cancels ~churn seed =
+  let run ?cutoffs lanes =
+    random_schedule ~kinds ~cancels ~churn ?cutoffs ~lanes seed
+  in
+  let laned, st, _ = run true in
+  let plain, st', _ = run false in
+  let laned_cut, st_cut, marks = run ~cutoffs true in
+  let plain_cut, _, marks' = run ~cutoffs false in
+  let ties =
+    let rec count acc = function
+      | (a, _) :: ((b, _) :: _ as rest) ->
+        count (if a = b then acc + 1 else acc) rest
+      | _ -> acc
+    in
+    count 0 laned
+  in
+  let tag what = Printf.sprintf "%s, seed %d: %s" name seed what in
+  Alcotest.(check bool)
+    (tag (Printf.sprintf "%d events, %d equal-time ties" (List.length laned) ties))
+    true
+    (List.length laned > 1_000 && ties > 100);
+  Alcotest.(check (list (pair int int))) (tag "same (time, id) order") plain laned;
+  Alcotest.(check int) (tag "same executed") st'.Sim.executed st.Sim.executed;
+  Alcotest.(check bool) (tag "no larger heap") true
+    (st.Sim.heap_peak <= st'.Sim.heap_peak);
+  Alcotest.(check (list (pair int int))) (tag "cut laned run") laned laned_cut;
+  Alcotest.(check (list (pair int int))) (tag "cut plain run") plain plain_cut;
+  Alcotest.(check (list int)) (tag "cut run's stats") (stats_list st)
+    (stats_list st_cut);
+  if churn > 0 then
+    Alcotest.(check bool) (tag "compacted with lanes live") true
+      (st.Sim.rebuilds > 0);
+  if cancels || churn > 0 then
+    List.iter2
+      (fun until (now, next, pending) ->
+        if pending > 0 && Time.compare next until > 0 then
+          Alcotest.(check int) (tag "clock at the cutoff") until now;
+        Alcotest.(check bool) (tag "nothing left at the cutoff") true
+          (Time.compare next until > 0))
+      cutoffs marks
+  else
+    Alcotest.(check (list (triple int int int)))
+      (tag "now, next event and pending at every cutoff")
+      marks' marks
 
 let test_lanes_match_closures () =
   List.iter
     (fun seed ->
-      let laned, st = random_schedule ~lanes:true seed in
-      let plain, st' = random_schedule ~lanes:false seed in
-      let ties =
-        let rec count acc = function
-          | (a, _) :: ((b, _) :: _ as rest) ->
-            count (if a = b then acc + 1 else acc) rest
-          | _ -> acc
-        in
-        count 0 laned
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: %d events, %d equal-time ties" seed
-           (List.length laned) ties)
-        true
-        (List.length laned > 1_000 && ties > 100);
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "seed %d: same (time, id) order" seed)
-        plain laned;
-      (* cancelled_skipped may differ: compaction runs at other heap
-         lengths, and a compacted dead timer is never popped *)
-      Alcotest.(check int) "same executed" st'.Sim.executed st.Sim.executed;
+      check_mix ~name:"even mix" ~kinds:even_mix ~cancels:true ~churn:0 seed;
+      check_mix ~name:"even mix, no cancels" ~kinds:even_mix ~cancels:false
+        ~churn:0 seed;
+      check_mix ~name:"lanes outnumber timers"
+        ~kinds:[| 0; 0; 0; 1; 1; 1; 2; 3 |]
+        ~cancels:false ~churn:0 seed;
+      check_mix ~name:"timers outnumber lanes"
+        ~kinds:[| 0; 1; 2; 3; 3; 3; 3; 3 |]
+        ~cancels:false ~churn:0 seed;
+      check_mix ~name:"timers outnumber lanes, with cancels"
+        ~kinds:[| 0; 1; 2; 3; 3; 3; 3; 3 |]
+        ~cancels:true ~churn:0 seed;
+      check_mix ~name:"cancel churn" ~kinds:even_mix ~cancels:true ~churn:2
+        seed;
+      (* with the even mix, lane backlogs keep the heap smaller *)
+      let _, st, _ = random_schedule ~lanes:true seed in
+      let _, st', _ = random_schedule ~lanes:false seed in
       Alcotest.(check bool) "smaller heap" true
         (st.Sim.heap_peak < st'.Sim.heap_peak))
     [ 1; 2; 3; 4; 5 ]
@@ -280,9 +359,9 @@ let test_lanes_match_closures () =
 let test_tables_grow_past_256 () =
   List.iter
     (fun seed ->
-      let laned, st = random_schedule ~initial:700 ~lanes:true seed in
-      let plain, st' = random_schedule ~initial:700 ~lanes:false seed in
-      let again, st'' = random_schedule ~initial:700 ~lanes:false seed in
+      let laned, st, _ = random_schedule ~initial:700 ~lanes:true seed in
+      let plain, st', _ = random_schedule ~initial:700 ~lanes:false seed in
+      let again, st'', _ = random_schedule ~initial:700 ~lanes:false seed in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: heap peak %d > 256" seed st'.Sim.heap_peak)
         true (st'.Sim.heap_peak > 256);
@@ -397,6 +476,128 @@ let test_lane_order_enforced () =
     (Sim.events_executed sim);
   Alcotest.(check int) "nothing pending" 0 (Sim.pending sim)
 
+(* Lane heads sit apart from the timer heap, which still counts them as
+   live entries: compaction runs when dead timers outnumber half of all
+   live entries, heads included, at the same moments as when the heads
+   sat in the timer heap. *)
+let test_compaction_counts_lane_heads () =
+  let sim = Sim.create () in
+  let h = Sim.handler sim ignore in
+  for i = 0 to 9 do
+    Sim.lane_at (Sim.private_lane sim h) (100 + i)
+  done;
+  let timers = List.init 10 (fun i -> Sim.timer_at sim (50 + i) ignore) in
+  (* 10 heads and 10 timers: the 7th cancel compacts (7 > 13 / 2); with
+     the heads left out, the 4th would (4 > 6 / 2) *)
+  List.iteri
+    (fun i tm ->
+      Sim.cancel tm;
+      Alcotest.(check int)
+        (Printf.sprintf "rebuilds after %d cancels" (i + 1))
+        (if i >= 6 then 1 else 0)
+        (Sim.stats sim).Sim.rebuilds)
+    timers;
+  Alcotest.(check int) "three dead timers and ten heads" 13 (Sim.pending sim);
+  Sim.run sim;
+  let st = Sim.stats sim in
+  Alcotest.(check (list int)) "heads fire, dead timers are skipped"
+    [ 10; 3 ] [ st.Sim.executed; st.Sim.cancelled_skipped ];
+  (* 100 lanes with a head each among 900 timers, all cancelled: every
+     head survives the compactions and fires in time order *)
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let cells = ref [] in
+  for i = 0 to 999 do
+    let time = 1_000 - i in
+    if i mod 10 = 0 then
+      Sim.lane_at
+        (Sim.private_lane sim
+           (Sim.handler sim (fun () -> fired := (Sim.now sim, i / 10) :: !fired)))
+        time
+    else cells := Sim.timer_at sim time ignore :: !cells
+  done;
+  List.iter Sim.cancel !cells;
+  Alcotest.(check bool) "compacted on the way" true
+    ((Sim.stats sim).Sim.rebuilds > 0);
+  let pending = Sim.pending sim in
+  Alcotest.(check bool) "dead timers bounded" true (pending - 100 <= pending / 3);
+  Sim.run sim;
+  let st = Sim.stats sim in
+  Alcotest.(check int) "the 100 heads were the live entries" 100
+    (pending - st.Sim.cancelled_skipped);
+  Alcotest.(check (list (pair int int)))
+    "heads fire in time order"
+    (List.init 100 (fun k -> (1_000 - (10 * (99 - k)), 99 - k)))
+    (List.rev !fired)
+
+(* A fired head gives way to its lane's next entry, which may sort after
+   a timer or closure event; [next_event_time] and [pending] read both
+   queues. *)
+let test_lane_head_yields () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note what () = log := (Sim.now sim, what) :: !log in
+  let ln = Sim.private_lane sim (Sim.handler sim (note "lane")) in
+  Sim.lane_at ln 10;
+  Sim.lane_at ln 30;
+  Sim.at sim 20 (note "closure");
+  Sim.cancel (Sim.timer_at sim 25 (note "timer"));
+  let read () = (Sim.now sim, Sim.next_event_time sim, Sim.pending sim) in
+  Alcotest.(check (triple int int int)) "before" (0, 10, 4) (read ());
+  Sim.run ~until:10 sim;
+  Alcotest.(check (triple int int int)) "after the first head" (10, 20, 3)
+    (read ());
+  Sim.run ~until:27 sim;
+  Alcotest.(check (triple int int int)) "closure run, dead timer skipped"
+    (27, 30, 1) (read ());
+  Sim.run sim;
+  Alcotest.(check (triple int int int)) "drained" (30, Time.infinity, 0)
+    (read ());
+  Alcotest.(check (list (pair int string)))
+    "order"
+    [ (10, "lane"); (20, "closure"); (30, "lane") ]
+    (List.rev !log)
+
+(* Lane events (one shared lane per time) and closure events, at random
+   times, fire in (time, seq) order. *)
+let prop_lanes_and_closures_sort =
+  QCheck.Test.make ~count:200
+    ~name:"lanes and closures sort"
+    QCheck.(list (pair bool (int_bound 100)))
+    (fun entries ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      List.iteri
+        (fun i (laned, t) ->
+          let f () = fired := (Sim.now sim, i, laned) :: !fired in
+          if laned then Sim.lane_after (Sim.lane sim t) (Sim.handler sim f)
+          else Sim.at sim t f)
+        entries;
+      Sim.run sim;
+      List.rev !fired
+      = List.sort compare (List.mapi (fun i (laned, t) -> (t, i, laned)) entries)
+      && Sim.pending sim = 0)
+
+(* One fixed k=4 Driver run: incast chains over background flows, whose
+   RTO timers are armed and cancelled per ACK. Its engine counters are
+   those of the engine that kept lane heads in the timer heap, so
+   compaction counts the heads as live entries and runs at the same
+   moments. *)
+let test_driver_stats () =
+  let module Driver = Xmp_workload.Driver in
+  let r =
+    Driver.run
+      {
+        Driver.default_config with
+        horizon = Time.ms 20;
+        pattern = Driver.incast_scaled;
+      }
+  in
+  Alcotest.(check (list int))
+    "executed, cancelled_skipped, heap_peak, rebuilds"
+    [ 188_145; 412; 134; 133 ]
+    (stats_list (Sim.stats (Xmp_net.Network.sim r.Driver.net)))
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial;
@@ -428,4 +629,10 @@ let suite =
     Alcotest.test_case "tables grow past 256 as closures would" `Quick
       test_tables_grow_past_256;
     Alcotest.test_case "closed sim refuses to run" `Quick test_closed_refuses;
+    Alcotest.test_case "compaction counts heads" `Quick
+      test_compaction_counts_lane_heads;
+    Alcotest.test_case "lane head yields to timer" `Quick
+      test_lane_head_yields;
+    QCheck_alcotest.to_alcotest prop_lanes_and_closures_sort;
+    Alcotest.test_case "driver run's engine stats" `Quick test_driver_stats;
   ]
